@@ -13,8 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import CsvSchema, DesignView, ModelPartition, center, load_csv
 from .estimators import EstimatorSpec, estimate
@@ -22,7 +20,7 @@ from .exceptions import DataError, PulseIVError
 from .experiments import DESIGNS, ExperimentConfig, run_experiment, write_result
 from .inference import ANDERSON_RUBIN, PLAIN, TestConfig, test_statistic, weak_instrument_stat
 from .pulse import MESSAGE_TEXT, PulseConfig, PulseMessage, pulse_estimate
-from .sem import InterventionSpec, load_sem_json, model_to_json, sem_sample
+from .sem import intervention_from_json, load_json, load_sem_json, model_to_json, sem_sample
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR, INFEASIBLE_ERROR = 2, 3, 4, 5
 
@@ -255,22 +253,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     model, iv = load_sem_json(args.sem)
     if args.intervene:
-        path = Path(args.intervene)
-        if not path.exists():
-            raise DataError(f"intervention file not found: {path}")
-        block = json.loads(path.read_text(encoding="utf-8"))
-        kind = block.get("kind")
-        if kind == "hard":
-            iv = InterventionSpec.hard(np.asarray(block["mean"], dtype=float))
-        elif kind == "stochastic":
-            iv = InterventionSpec.stochastic(
-                np.asarray(block["cov"], dtype=float),
-                np.asarray(block.get("mean", [0.0] * model.q), dtype=float),
-            )
-        elif kind == "none":
-            iv = InterventionSpec.none()
-        else:
-            raise DataError(f"unknown intervention kind {kind!r}")
+        iv = intervention_from_json(load_json(args.intervene, "intervention file"), model.q)
     ds = sem_sample(model, args.n, args.seed, iv)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -299,10 +282,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print("error: provide exactly one of --config or --design", file=sys.stderr)
         return USAGE_ERROR
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise DataError(f"experiment config not found: {path}")
-        cfg = ExperimentConfig.from_json(json.loads(path.read_text(encoding="utf-8")))
+        cfg = ExperimentConfig.from_json(load_json(args.config, "experiment config"))
     else:
         if args.design not in DESIGNS:
             print(

@@ -1,7 +1,8 @@
 """Observed data, model partition, preprocessing, and projection/loss primitives.
 
 The central object is :class:`DesignView`, which binds a :class:`Dataset` to a
-:class:`ModelPartition` and caches the Gram products every estimator consumes.
+:class:`ModelPartition` and caches the Gram products every estimator consumes,
+plus the :class:`KClassPath` built on them.
 All objects are immutable after construction and safe to share across workers.
 """
 
@@ -24,6 +25,10 @@ RCOND_GRAM = 1e-12
 #: Relative eigenvalue floor applied before inverting a symmetric PSD matrix
 #: to form its inverse square root.
 EIG_CLAMP_REL = 1e-14
+
+#: Largest penalty that :meth:`KClassPath.alpha` solves in ``kappa`` form;
+#: rounding ``kappa`` moves a penalty ``lam`` by at most ``lam^2 2^-53 < 2^-33``.
+KAPPA_FORM_MAX = 2.0**10
 
 
 class IdentificationClass(str, Enum):
@@ -328,6 +333,50 @@ class ModelPartition:
         return ModelPartition(tuple(range(d)), ())
 
 
+class KClassPath:
+    """The K-class path of one design: ``alpha(lam)`` minimizes ``l_OLS + lam l_IV``,
+    equivalently ``(1 - kappa) l_OLS + kappa l_IV`` at ``kappa = lam / (1 + lam)``.
+
+    In ``kappa`` form it solves ``((1 - kappa) Z^T Z + kappa S^T S) alpha =
+    (1 - kappa) Z^T y + kappa S^T s_y`` with ``S = (A^T A)^{-1/2} A^T Z``.  One
+    generalised eigendecomposition ``S^T S V = Z^T Z V diag(d)``, ``V^T Z^T Z V = I``,
+    gives the ``lambda`` form ``V (b0 + lam b1) / (1 + lam d)`` with ``b0 = V^T Z^T y``,
+    ``b1 = V^T S^T s_y``, and each system's condition in ``O(k)``.  Taken as the SVD
+    of ``S L^{-T}`` (``Z^T Z = L L^T``), it makes the ``k - q`` zero ``d`` of an
+    under-identified design, and their ``b1``, exact zeros.  Penalties in
+    ``[0, KAPPA_FORM_MAX]`` use the ``kappa`` form, bit for bit as earlier releases;
+    the others the ``lambda`` form, exact where ``kappa`` rounds towards one.
+    """
+
+    def __init__(self, ztz: np.ndarray, zty: np.ndarray, s: np.ndarray, sy: np.ndarray):
+        self.ztz, self.zty, self.sts, self.sty = ztz, zty, s.T @ s, s.T @ sy
+        k = ztz.shape[0]
+        low = np.linalg.cholesky(ztz)
+        u, sig, rt = np.linalg.svd(np.linalg.solve(low, s.T).T)
+        r = sig.size
+        self.v = np.linalg.solve(low.T, rt.T)
+        self.d = np.zeros(k)
+        self.d[:r] = sig * sig
+        self.b0 = self.v.T @ zty
+        self.b1 = np.zeros(k)
+        self.b1[:r] = sig * (u[:, :r].T @ sy)
+
+    def alpha(self, lam: float) -> np.ndarray:
+        """The point at penalty ``lam > -1``, any size up to overflow."""
+        if 0.0 <= lam <= KAPPA_FORM_MAX:
+            return self.kclass(lam / (1.0 + lam))
+        return self.v @ ((self.b0 + lam * self.b1) / (1.0 + lam * self.d))
+
+    def kclass(self, kappa: float) -> np.ndarray:
+        """The point at ``kappa``; :class:`SingularGram` if its system is
+        numerically singular, which below one needs ``1 - kappa < 1e-12``."""
+        den = (1.0 - kappa) + kappa * self.d  # the system's spectrum in the V basis
+        if np.abs(den).min() <= RCOND_GRAM * np.abs(den).max():
+            raise SingularGram("Z^T P_A Z" if kappa == 1.0 else "Z^T (I - kappa P_A^perp) Z")
+        mat = (1.0 - kappa) * self.ztz + kappa * self.sts
+        return np.linalg.solve(mat, (1.0 - kappa) * self.zty + kappa * self.sty)
+
+
 class DesignView:
     """Immutable view of ``(y, Z, A)`` with cached Gram products.
 
@@ -372,9 +421,9 @@ class DesignView:
 
         self.rcond_ztz = rcond_symmetric(self.ztz)
         self.rcond_ata = rcond_symmetric(self.ata)
-        self._ata_isqrt: np.ndarray | None = None
         self._s: np.ndarray | None = None
         self._sy: np.ndarray | None = None
+        self._path: KClassPath | None = None
 
     @property
     def identification(self) -> IdentificationClass:
@@ -390,10 +439,8 @@ class DesignView:
             # idempotent lazy init; the guard field is assigned last so a
             # concurrent reader never sees a half-built pair
             isqrt = psd_inverse_sqrt("A^T A", self.ata)
-            s = isqrt @ self.atz
-            self._ata_isqrt = isqrt
             self._sy = isqrt @ self.aty
-            self._s = s
+            self._s = isqrt @ self.atz
         return self._s, self._sy
 
     def ols_loss(self, alpha: np.ndarray) -> float:
@@ -415,40 +462,30 @@ class DesignView:
             raise ValueError(f"coefficient vector must have length {self.k}, got {alpha.shape[0]}")
         return alpha
 
-    def kclass_solve(self, kappa: float) -> np.ndarray:
-        """Closed-form K-class solution for a given ``kappa``.
+    @property
+    def path(self) -> KClassPath:
+        """The cached K-class path; :class:`SingularGram` if ``A^T A`` or ``Z^T Z`` is singular."""
+        if self._path is None:  # idempotent lazy init, as in _iv_pieces
+            s, sy = self._iv_pieces()
+            if self.rcond_ztz < RCOND_GRAM:
+                raise SingularGram("Z^T Z", self.rcond_ztz)
+            self._path = KClassPath(self.ztz, self.zty, s, sy)
+        return self._path
 
-        Uses the identity ``I - kappa P_A^perp = (1 - kappa) I + kappa P_A`` so
-        only cached Gram products are needed.
+    def kclass_solve(self, kappa: float) -> np.ndarray:
+        """Closed-form K-class solution, the minimizer of ``(1 - kappa) l_OLS + kappa l_IV``:
+        :attr:`path` in ``kappa`` form, equal to its ``lambda`` form
+        ``V (b0 + lam b1) / (1 + lam d)`` at ``lam = kappa / (1 - kappa)``.
+        ``kappa = 1`` is TSLS and raises :class:`UnidentifiedAtOne` if
+        ``q2 < d1``; :class:`SingularGram` marks a singular Gram or K-class matrix.
         """
         kappa = float(kappa)
-        s, sy = self._iv_pieces()
-        # kappa within 1e-8 of one is routed through the exact TSLS branch in
-        # just/over-identified setups: the (1 - kappa) I term underflows the
-        # conditioning of the general formula there.
-        near_one = abs(kappa - 1.0) <= 1e-8
-        if near_one and (kappa >= 1.0 or self.identification is not IdentificationClass.UNDER):
-            if self.q2 < self.d1:
-                raise UnidentifiedAtOne(
-                    f"kappa=1 needs q2 >= d1; got q2={self.q2}, d1={self.d1}"
-                )
-            return checked_solve("Z^T P_A Z", s.T @ s, s.T @ sy)
-        if self.rcond_ztz < RCOND_GRAM:
-            raise SingularGram("Z^T Z", self.rcond_ztz)
-        mat = (1.0 - kappa) * self.ztz + kappa * (s.T @ s)
-        rhs = (1.0 - kappa) * self.zty + kappa * (s.T @ sy)
-        return checked_solve("Z^T (I - kappa P_A^perp) Z", mat, rhs)
+        if kappa == 1.0 and self.q2 < self.d1:
+            raise UnidentifiedAtOne(f"kappa=1 needs q2 >= d1; got q2={self.q2}, d1={self.d1}")
+        return self.path.kclass(kappa)
 
     def min_iv_loss(self) -> float:
         """Infimum of the IV loss: zero unless the setup is over-identified."""
         if self.identification is IdentificationClass.OVER:
             return self.iv_loss(self.kclass_solve(1.0))
         return 0.0
-
-
-def ols_loss(view: DesignView, alpha: np.ndarray) -> float:
-    return view.ols_loss(alpha)
-
-
-def iv_loss(view: DesignView, alpha: np.ndarray) -> float:
-    return view.iv_loss(alpha)

@@ -13,7 +13,7 @@ from typing import Any
 import numpy as np
 import scipy.linalg
 
-from .data import RCOND_GRAM, DesignView, IdentificationClass, checked_solve, rcond_symmetric
+from .data import RCOND_GRAM, DesignView, IdentificationClass, rcond_symmetric
 from .exceptions import InfeasibleConstraint, SingularGram, UnderIdentified
 
 _KINDS = ("ols", "tsls", "kclass", "anchor", "liml", "fuller", "modified-tsls", "pulse")
@@ -147,12 +147,7 @@ def anchor_estimate(view: DesignView, lam: float) -> EstimateResult:
     lam = float(lam)
     if lam <= -1.0:
         raise ValueError(f"anchor regression requires lambda > -1, got {lam}")
-    if view.rcond_ztz < RCOND_GRAM:
-        raise SingularGram("Z^T Z", view.rcond_ztz)
-    s, sy = view._iv_pieces()
-    mat = view.ztz + lam * (s.T @ s)
-    rhs = view.zty + lam * (s.T @ sy)
-    alpha = checked_solve("Z^T (I + lambda P_A) Z", mat, rhs)
+    alpha = view.path.alpha(lam)
     return EstimateResult(
         alpha=alpha,
         kappa_used=lam / (1.0 + lam),

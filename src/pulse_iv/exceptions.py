@@ -53,7 +53,7 @@ class OutOfDomain(PulseIVError):
 
 
 class NonMonotoneDetected(PulseIVError):
-    """The test statistic failed to drop below the threshold at the penalty cap.
+    """The test statistic failed to drop below the threshold below float overflow.
 
     Signals numerical breakdown of the monotone search, not infeasibility:
     the finite-penalty guard has already passed when this is raised.

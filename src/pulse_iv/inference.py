@@ -115,17 +115,23 @@ def test_statistic(view: DesignView, alpha: np.ndarray, cfg: TestConfig | None =
     """
     cfg = cfg or TestConfig()
     q = cfg.resolve_q(view.q)
-    denom = view.ols_loss(alpha)
-    if denom <= 1e-14 * view.yty / view.n:
-        raise ZeroResidual("l_OLS(alpha) is numerically zero; the test ratio is undefined")
-    stat = cfg.scale(view.n, q) * view.iv_loss(alpha) / denom
+    stat = scaled_ratio(view, alpha, cfg.scale(view.n, q))
     thr = cfg.threshold(q)
     return TestResult(
-        statistic=float(stat),
+        statistic=stat,
         threshold=float(thr),
         accepted=bool(stat <= thr),
         p_value_bound=1.0 - chi2_cdf(q, stat),
     )
+
+
+def scaled_ratio(view: DesignView, alpha: np.ndarray, scale: float) -> float:
+    """``scale * l_IV(alpha) / l_OLS(alpha)``, the statistic of :func:`test_statistic`
+    and of the PULSE search; :class:`ZeroResidual` if ``l_OLS`` is numerically zero."""
+    denom = view.ols_loss(alpha)
+    if denom <= 1e-14 * view.yty / view.n:
+        raise ZeroResidual("l_OLS(alpha) is numerically zero; the test ratio is undefined")
+    return float(scale * view.iv_loss(alpha) / denom)
 
 
 def ar_statistic(view: DesignView, alpha: np.ndarray) -> float:

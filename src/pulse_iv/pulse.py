@@ -1,11 +1,13 @@
-"""The PULSE estimator: dual binary search, fallback wrapper, and primal oracle.
+"""The PULSE estimator: one root find on the K-class path, fallback wrapper,
+and primal oracle.
 
 PULSE minimizes the OLS loss over the acceptance region of the
-uncorrelatedness test.  Along the K-class path the test statistic is monotone
-in the penalty, so the smallest accepted penalty ``lambda*`` is found by
-binary search; the estimate is the K-class solution at
-``kappa = lambda* / (1 + lambda*)``.  The primal (constrained) formulation is
-kept as an independent route for equivalence checking.
+uncorrelatedness test.  Along the K-class path (:class:`~pulse_iv.data.KClassPath`)
+the test statistic is monotone in the penalty, so the smallest accepted
+penalty ``lambda*`` is found by one bracket-plus-bisection; the estimate is the
+path point at ``lambda*``, which stays exact where ``kappa = lambda / (1 + lambda)``
+rounds to one.  The primal (constrained) formulation, kept as an independent
+route for equivalence checking, shares the bisection.
 """
 
 from __future__ import annotations
@@ -13,17 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .data import DesignView, IdentificationClass
-from .estimators import EstimatorSpec, estimate, modified_tsls
+from .estimators import EstimatorSpec, estimate
 from .exceptions import NonMonotoneDetected, OutOfDomain
-from .inference import TestConfig, TestResult, test_statistic
-
-#: Penalty cap for the doubling phase of the binary search.
-LAMBDA_CAP = 1e30
+from .inference import TestConfig, TestResult, scaled_ratio, test_statistic
 
 _FALLBACK_KINDS = ("tsls", "liml", "fuller")
 
@@ -51,7 +50,6 @@ class PulseConfig:
     precision_n: int = 2**20
     fallback: EstimatorSpec = field(default_factory=lambda: EstimatorSpec.fuller(4.0))
     test_cfg: TestConfig | None = None
-    fast_init: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p_min < 1.0:
@@ -84,11 +82,75 @@ class PulseResult:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def _path_statistic(view: DesignView, lam: float, cfg: TestConfig, scale: float) -> float:
-    """Test statistic at the K-class solution with penalty ``lam``."""
-    kappa = lam / (1.0 + lam)
-    alpha = view.kclass_solve(kappa)
-    return scale * view.iv_loss(alpha) / view.ols_loss(alpha)
+class _PathTest:
+    """The acceptance test of :func:`~pulse_iv.inference.test_statistic`, with
+    its scale and threshold fixed once for a view."""
+
+    def __init__(self, view: DesignView, tc: TestConfig):
+        q = tc.resolve_q(view.q)
+        self.view, self.scale, self.threshold = view, tc.scale(view.n, q), tc.threshold(q)
+
+    def statistic(self, alpha: np.ndarray) -> float:
+        return scaled_ratio(self.view, alpha, self.scale)
+
+    def accepts(self, alpha: np.ndarray) -> bool:
+        return self.statistic(alpha) <= self.threshold
+
+    def branch(self) -> tuple[PulseMessage, float | None]:
+        """Fallback if over-identified with TSLS on or outside the acceptance
+        region, else OLS if accepted, else ``NONE`` (search); plus the TSLS
+        statistic when computed."""
+        stat_tsls = None
+        if self.view.identification is IdentificationClass.OVER:
+            stat_tsls = self.statistic(self.view.kclass_solve(1.0))
+            if stat_tsls >= self.threshold:
+                return PulseMessage.TSLS_REJECTED_FALLBACK, stat_tsls
+        if self.accepts(self.view.kclass_solve(0.0)):
+            return PulseMessage.OLS_ACCEPTED, stat_tsls
+        return PulseMessage.NONE, stat_tsls
+
+    def lambda_star(self, precision_n: int) -> float:
+        path = self.view.path
+        return _smallest_accepted(lambda lam: self.accepts(path.alpha(lam)), 1.0 / precision_n)
+
+
+def _bisect(
+    accepts: Callable[[float], bool], rejected: float, accepted: float, width: float
+) -> tuple[float, float]:
+    """Bisect between a rejected and an accepted point of a monotone predicate.
+
+    Stops when the two are at most ``width`` apart or adjacent doubles, so it
+    always terminates; returns the final ``(rejected, accepted)`` pair.
+    """
+    while abs(accepted - rejected) > width:
+        mid = 0.5 * (rejected + accepted)
+        if mid == rejected or mid == accepted:
+            break
+        if accepts(mid):
+            accepted = mid
+        else:
+            rejected = mid
+    return rejected, accepted
+
+
+def _smallest_accepted(accepts: Callable[[float], bool], width: float) -> float:
+    """Smallest accepted penalty within ``width`` (or one ulp), given that 0 is
+    rejected: the bracket squares 2, 4, 16, ... until accepted, then bisects
+    from 0.  Returns the accepted endpoint.
+
+    Raises
+    ------
+    NonMonotoneDetected
+        If no penalty below float overflow is accepted.
+    """
+    hi = 2.0
+    while not accepts(hi):
+        hi *= hi
+        if math.isinf(hi):
+            raise NonMonotoneDetected(
+                "no accepted penalty below float overflow; monotone descent broke down"
+            )
+    return _bisect(accepts, 0.0, hi, width)[1]
 
 
 def lambda_star_search(view: DesignView, cfg: PulseConfig | None = None) -> float:
@@ -97,61 +159,23 @@ def lambda_star_search(view: DesignView, cfg: PulseConfig | None = None) -> floa
     Returns ``math.inf`` when the setup is over-identified and even TSLS sits
     on or outside the acceptance region; in under- and just-identified setups
     the result is always finite.  Otherwise the returned value ``l`` satisfies
-    ``l - lambda* in [0, 1/N]`` and the solution at ``l`` is accepted.
+    ``l - lambda* in [0, 1/N]`` (one ulp of ``l`` where that is wider) and the
+    path point at ``l`` passes :func:`~pulse_iv.inference.test_statistic`.
 
     Raises
     ------
     NonMonotoneDetected
-        If the statistic still exceeds the threshold at the penalty cap,
+        If the statistic still exceeds the threshold at float overflow,
         signalling numerical breakdown rather than infeasibility.
     """
     cfg = cfg or PulseConfig()
-    tc = cfg.test_cfg
-    q = tc.resolve_q(view.q)
-    threshold = tc.threshold(q)
-    scale = tc.scale(view.n, q)
-
-    if view.identification is IdentificationClass.OVER:
-        tsls_alpha = view.kclass_solve(1.0)
-        stat_tsls = scale * view.iv_loss(tsls_alpha) / view.ols_loss(tsls_alpha)
-        if stat_tsls >= threshold:
-            return math.inf
-
-    ols_alpha = view.kclass_solve(0.0)
-    stat_ols = scale * view.iv_loss(ols_alpha) / view.ols_loss(ols_alpha)
-    if stat_ols <= threshold:
+    test = _PathTest(view, cfg.test_cfg)
+    branch, _ = test.branch()
+    if branch is PulseMessage.TSLS_REJECTED_FALLBACK:
+        return math.inf
+    if branch is PulseMessage.OLS_ACCEPTED:
         return 0.0
-
-    l_min = 0.0
-    if cfg.fast_init and view.identification is not IdentificationClass.OVER:
-        # Any point with zero IV loss bounds lambda* in closed form, which
-        # removes the doubling phase.
-        tilde = modified_tsls(view).alpha
-        l_max = view.n * view.ols_loss(tilde) / (view.ols_loss(ols_alpha) * threshold)
-        if _path_statistic(view, l_max, tc, scale) > threshold:
-            l_max = _grow_bracket(view, tc, scale, threshold)
-    else:
-        l_max = _grow_bracket(view, tc, scale, threshold)
-
-    width = 1.0 / cfg.precision_n
-    while l_max - l_min > width:
-        mid = 0.5 * (l_min + l_max)
-        if _path_statistic(view, mid, tc, scale) > threshold:
-            l_min = mid
-        else:
-            l_max = mid
-    return l_max
-
-
-def _grow_bracket(view: DesignView, tc: TestConfig, scale: float, threshold: float) -> float:
-    l_max = 2.0
-    while _path_statistic(view, l_max, tc, scale) > threshold:
-        if l_max >= LAMBDA_CAP:
-            raise NonMonotoneDetected(
-                f"statistic above threshold at lambda={l_max:g}; monotone descent broke down"
-            )
-        l_max = min(l_max * l_max, LAMBDA_CAP)
-    return l_max
+    return test.lambda_star(cfg.precision_n)
 
 
 def pulse_estimate(view: DesignView, cfg: PulseConfig | None = None) -> PulseResult:
@@ -159,50 +183,31 @@ def pulse_estimate(view: DesignView, cfg: PulseConfig | None = None) -> PulseRes
 
     Branches: (i) over-identified with TSLS on or outside the acceptance
     region falls back to the configured consistent estimator; (ii) an accepted
-    OLS returns exactly the OLS solution; (iii) otherwise the binary search
-    determines the penalty and the closed-form K-class solution is returned.
+    OLS returns exactly the OLS solution; (iii) otherwise the search
+    determines the penalty and the K-class path point there is returned.
     """
     cfg = cfg or PulseConfig()
     tc = cfg.test_cfg
-    q = tc.resolve_q(view.q)
-    threshold = tc.threshold(q)
-    scale = tc.scale(view.n, q)
-
-    if view.identification is IdentificationClass.OVER:
-        tsls_alpha = view.kclass_solve(1.0)
-        stat_tsls = scale * view.iv_loss(tsls_alpha) / view.ols_loss(tsls_alpha)
-        if stat_tsls >= threshold:
-            fb = estimate(view, cfg.fallback)
-            return PulseResult(
-                alpha=fb.alpha,
-                lambda_star=math.inf,
-                kappa_star=None,
-                message=PulseMessage.TSLS_REJECTED_FALLBACK,
-                test_at_solution=test_statistic(view, fb.alpha, tc),
-                fallback_used=True,
-                diagnostics={"fallback": cfg.fallback.label(), "tsls_statistic": stat_tsls},
-            )
-
-    ols_alpha = view.kclass_solve(0.0)
-    stat_ols = scale * view.iv_loss(ols_alpha) / view.ols_loss(ols_alpha)
-    if stat_ols <= threshold:
+    test = _PathTest(view, tc)
+    branch, stat_tsls = test.branch()
+    if branch is PulseMessage.TSLS_REJECTED_FALLBACK:
+        fb = estimate(view, cfg.fallback)
         return PulseResult(
-            alpha=ols_alpha,
-            lambda_star=0.0,
-            kappa_star=0.0,
-            message=PulseMessage.OLS_ACCEPTED,
-            test_at_solution=test_statistic(view, ols_alpha, tc),
-            fallback_used=False,
+            alpha=fb.alpha,
+            lambda_star=math.inf,
+            kappa_star=None,
+            message=branch,
+            test_at_solution=test_statistic(view, fb.alpha, tc),
+            fallback_used=True,
+            diagnostics={"fallback": cfg.fallback.label(), "tsls_statistic": stat_tsls},
         )
-
-    lam = lambda_star_search(view, cfg)
-    kappa = lam / (1.0 + lam)
-    alpha = view.kclass_solve(kappa)
+    lam = 0.0 if branch is PulseMessage.OLS_ACCEPTED else test.lambda_star(cfg.precision_n)
+    alpha = view.path.alpha(lam)
     return PulseResult(
         alpha=alpha,
         lambda_star=lam,
-        kappa_star=kappa,
-        message=PulseMessage.NONE,
+        kappa_star=lam / (1.0 + lam),
+        message=branch,
         test_at_solution=test_statistic(view, alpha, tc),
         fallback_used=False,
     )
@@ -218,9 +223,9 @@ def _domain(view: DesignView) -> tuple[float, float]:
 def primal_solve(view: DesignView, t: float) -> np.ndarray:
     """Unique minimizer of ``l_OLS`` subject to ``l_IV <= t``.
 
-    Exploits monotonicity of ``l_IV`` along the K-class path: a bracketed
-    bisection finds the penalty whose solution has IV loss ``t``, where the
-    constraint is active.
+    Exploits monotonicity of ``l_IV`` along the K-class path: the constraint
+    is active at the smallest penalty whose solution has IV loss at most
+    ``t``, found to adjacent doubles by the search's root find.
 
     Raises
     ------
@@ -235,66 +240,27 @@ def primal_solve(view: DesignView, t: float) -> np.ndarray:
         )
     if t >= iv_at_ols * (1.0 - 1e-14):
         return view.kclass_solve(0.0)
-
-    def iv_at(lam: float) -> float:
-        return view.iv_loss(view.kclass_solve(lam / (1.0 + lam)))
-
-    lo, hi = 0.0, 2.0
-    while iv_at(hi) > t:
-        if hi >= LAMBDA_CAP:
-            raise NonMonotoneDetected(
-                f"IV loss above bound t={t:g} at the lambda cap; cannot bracket"
-            )
-        hi = min(hi * hi, LAMBDA_CAP)
-    for _ in range(200):
-        if hi - lo <= 1e-13 * (1.0 + hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if iv_at(mid) > t:
-            lo = mid
-        else:
-            hi = mid
-    return view.kclass_solve(hi / (1.0 + hi))
+    path = view.path
+    return path.alpha(_smallest_accepted(lambda lam: view.iv_loss(path.alpha(lam)) <= t, 0.0))
 
 
 def t_star(view: DesignView, cfg: PulseConfig | None = None) -> float:
     """Largest constraint bound whose primal solution still passes the test.
 
-    Uses that the statistic is weakly increasing along the primal path.
-    Returns ``-inf`` when no bound in the domain is accepted.  Used as an
-    independent oracle for the dual search; 60 bisection steps.
+    Uses that the statistic is weakly increasing along the primal path and
+    bisects the bound to adjacent doubles.  Returns ``-inf`` when no bound in
+    the domain is accepted.  Used as an independent oracle for the dual search.
     """
     cfg = cfg or PulseConfig()
-    tc = cfg.test_cfg
-    q = tc.resolve_q(view.q)
-    threshold = tc.threshold(q)
-    scale = tc.scale(view.n, q)
+    test = _PathTest(view, cfg.test_cfg)
+    branch, _ = test.branch()
     inf_iv, iv_at_ols = _domain(view)
-
-    ols_alpha = view.kclass_solve(0.0)
-    if scale * view.iv_loss(ols_alpha) / view.ols_loss(ols_alpha) <= threshold:
+    if branch is PulseMessage.OLS_ACCEPTED:
         return iv_at_ols
-    if view.identification is IdentificationClass.OVER:
-        tsls_alpha = view.kclass_solve(1.0)
-        if scale * view.iv_loss(tsls_alpha) / view.ols_loss(tsls_alpha) >= threshold:
-            return -math.inf
-
-    def accepted(t: float) -> bool:
-        alpha = primal_solve(view, t)
-        return scale * view.iv_loss(alpha) / view.ols_loss(alpha) <= threshold
-
-    lo, hi = inf_iv, iv_at_ols
-    feasible = None
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid <= inf_iv or mid >= iv_at_ols:
-            break
-        if accepted(mid):
-            lo = mid
-            feasible = mid
-        else:
-            hi = mid
-    if feasible is None:
-        # The accepted bounds hug inf l_IV; return the best bracketed guess.
-        return 0.5 * (inf_iv + hi)
-    return lo
+    if branch is PulseMessage.TSLS_REJECTED_FALLBACK:
+        return -math.inf
+    rejected, accepted = _bisect(
+        lambda t: test.accepts(primal_solve(view, t)), iv_at_ols, inf_iv, 0.0
+    )
+    # no bound accepted: they hug inf l_IV (outside the open domain); guess the midpoint
+    return accepted if accepted > inf_iv else 0.5 * (inf_iv + rejected)

@@ -513,6 +513,29 @@ def model_to_json(model: SemModel, iv: InterventionSpec | None = None) -> dict[s
     return doc
 
 
+def intervention_from_json(block: Any, q: int) -> InterventionSpec:
+    """Parse an intervention block, ``kind`` ``none``, ``hard`` (needs ``mean``) or
+    ``stochastic`` (needs ``cov``; ``mean`` defaults to zero); :class:`DataError` if malformed."""
+    if block is None:
+        return InterventionSpec.none()
+    if not isinstance(block, dict):
+        raise DataError(f"intervention block must be a JSON object, got {block!r}")
+    kind = block.get("kind")
+    try:
+        if kind == "hard":
+            return InterventionSpec.hard(np.asarray(block["mean"], dtype=float))
+        if kind == "stochastic":
+            return InterventionSpec.stochastic(
+                np.asarray(block["cov"], dtype=float),
+                np.asarray(block.get("mean", np.zeros(q)), dtype=float),
+            )
+    except KeyError as exc:
+        raise DataError(f"{kind} intervention missing field {exc}") from None
+    if kind == "none":
+        return InterventionSpec.none()
+    raise DataError(f"unknown intervention kind {kind!r}")
+
+
 def model_from_json(doc: dict[str, Any]) -> tuple[SemModel, InterventionSpec]:
     try:
         model = SemModel(
@@ -524,28 +547,19 @@ def model_from_json(doc: dict[str, Any]) -> tuple[SemModel, InterventionSpec]:
         )
     except KeyError as exc:
         raise DataError(f"SEM config missing field {exc}") from None
-    block = doc.get("intervention")
-    if block is None:
-        return model, InterventionSpec.none()
-    kind = block.get("kind")
-    if kind == "hard":
-        return model, InterventionSpec.hard(np.asarray(block["mean"], dtype=float))
-    if kind == "stochastic":
-        return model, InterventionSpec.stochastic(
-            np.asarray(block["cov"], dtype=float),
-            np.asarray(block.get("mean", np.zeros(model.q)), dtype=float),
-        )
-    if kind == "none":
-        return model, InterventionSpec.none()
-    raise DataError(f"unknown intervention kind {kind!r}")
+    return model, intervention_from_json(doc.get("intervention"), model.q)
+
+
+def load_json(path: str | Path, what: str) -> Any:
+    """Read a JSON file; a missing file or invalid JSON is a :class:`DataError`."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid JSON in {path}: {exc}") from None
 
 
 def load_sem_json(path: str | Path) -> tuple[SemModel, InterventionSpec]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"SEM config not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON in {path}: {exc}") from None
-    return model_from_json(doc)
+    return model_from_json(load_json(path, "SEM config"))

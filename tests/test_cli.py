@@ -97,6 +97,32 @@ class TestSimulate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("route", ["sem", "intervene"])
+    def test_hard_intervention_without_mean_is_data_error(self, tmp_path, capsys, route):
+        doc = model_to_json(e1_model())
+        block = {"kind": "hard"}
+        args = ["simulate", "--n", "5", "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        sem = tmp_path / "sem.json"
+        if route == "sem":
+            doc["intervention"] = block
+        else:
+            interv = tmp_path / "do.json"
+            interv.write_text(json.dumps(block))
+            args += ["--intervene", str(interv)]
+        sem.write_text(json.dumps(doc))
+        code = main(args + ["--sem", str(sem)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "data error" in captured.err and "mean" in captured.err
+
+    def test_invalid_intervention_json_exits_three(self, e1_config, tmp_path, capsys):
+        interv = tmp_path / "do.json"
+        interv.write_text("{]")
+        args = ["simulate", "--sem", str(e1_config), "--n", "5", "--seed", "1"]
+        code = main(args + ["--intervene", str(interv), "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "invalid JSON" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_round_trip_matches_in_process(self, e1_config, tmp_path, capsys):
@@ -301,6 +327,12 @@ class TestExperiment:
         assert csv_text[0] == "rep,kappa,estimate,wcmspe"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 7
+
+    def test_invalid_config_json_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("{]")
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path)]) == 3
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_invalid_design_exits_two(self, tmp_path, capsys):
         code = main(["experiment", "--design", "bogus", "--out", str(tmp_path)])

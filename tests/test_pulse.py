@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulse_iv import inference
-from pulse_iv.data import Dataset, DesignView
-from pulse_iv.estimators import EstimatorSpec, fuller_estimate
+from pulse_iv.data import KAPPA_FORM_MAX, Dataset, DesignView
+from pulse_iv.estimators import (
+    EstimatorSpec,
+    anchor_estimate,
+    fuller_estimate,
+    kclass_estimate,
+    tsls_estimate,
+)
 from pulse_iv.exceptions import OutOfDomain
 from pulse_iv.inference import PLAIN, TestConfig, chi2_quantile
 from pulse_iv.pulse import (
@@ -30,6 +36,29 @@ from conftest import make_instance, oracle_lambda_bisection
 def weak_confounding_view(seed: int = 1) -> DesignView:
     """Instance where the OLS solution passes the test."""
     return make_instance(seed, n=50, d1=1, q=1, confounding=0.05, instrument_strength=0.25)
+
+
+def weak_just_identified_view(n: int = 200, strength: float = 1e-9) -> DesignView:
+    """One instrument of the given strength, exactly orthogonal to the
+    first-stage noise, that also enters the response: ``lambda*`` is huge."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=n)
+    u = rng.normal(size=n)
+    u -= a * (a @ u) / (a @ a)
+    x = strength * a + u
+    y = x + 0.5 * a + rng.normal(size=n)
+    return DesignView(Dataset(y=y, x=x[:, None], a=a[:, None]))
+
+
+def weak_under_identified_view(n: int = 200, strength: float = 1e-9) -> DesignView:
+    """d=2, q=1 analogue of :func:`weak_just_identified_view`."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(n, 1))
+    u = rng.normal(size=(n, 2))
+    u -= a @ np.linalg.lstsq(a, u, rcond=None)[0]
+    x = strength * a @ np.array([[1.0, 0.5]]) + u
+    y = x @ np.array([1.0, -0.5]) + 0.5 * a[:, 0] + rng.normal(size=n)
+    return DesignView(Dataset(y=y, x=x, a=a))
 
 
 def invalid_instrument_view(seed: int = 0, n: int = 400) -> DesignView:
@@ -66,12 +95,6 @@ class TestLambdaStarSearch:
         view = make_instance(41, n=100, d1=2, q=1, confounding=0.9)
         lam = lambda_star_search(view, PulseConfig())
         assert math.isfinite(lam)
-
-    def test_fast_init_agrees_with_doubling(self):
-        view = make_instance(42, n=90, d1=1, q=1, confounding=0.9)
-        slow = lambda_star_search(view, PulseConfig(precision_n=2**20))
-        fast = lambda_star_search(view, PulseConfig(precision_n=2**20, fast_init=True))
-        assert abs(slow - fast) <= 2.0 / 2**20
 
 
 class TestPulseEstimate:
@@ -113,6 +136,20 @@ class TestPulseEstimate:
             <= 1e-4 * res.test_at_solution.threshold
         )
 
+    def test_interior_results_pass_the_reported_test(self):
+        # the search decides with the predicate test_statistic reports, so no
+        # interior answer lands an ulp outside the acceptance region
+        cfg = PulseConfig()
+        interior = 0
+        for i in range(60):
+            d1, q = [(2, 1), (1, 1), (1, 2), (2, 3)][i % 4]
+            view = make_instance(500 + i, n=60 + 20 * (i % 5), d1=d1, q=q, confounding=0.9)
+            res = pulse_estimate(view, cfg)
+            if res.message is PulseMessage.NONE:
+                interior += 1
+                assert inference.test_statistic(view, res.alpha, cfg.test_cfg).accepted
+        assert interior >= 30
+
     def test_message_strings_match_algorithm(self):
         assert MESSAGE_TEXT[PulseMessage.OLS_ACCEPTED] == "Warning: The OLS is accepted."
         assert (
@@ -125,6 +162,49 @@ class TestPulseEstimate:
             PulseConfig(p_min=0.05, test_cfg=TestConfig(p_min=0.1))
         with pytest.raises(ValueError, match="consistent estimator"):
             PulseConfig(fallback=EstimatorSpec.ols())
+
+
+class TestExtremePenalties:
+    """Penalties where ``kappa = lam / (1 + lam)`` is within 1e-8 of one; the
+    search's bracket passes 2^53, where ``kappa`` rounds to one."""
+
+    def test_weak_just_identified_is_not_tsls(self):
+        view = weak_just_identified_view()
+        cfg = PulseConfig()
+        res = pulse_estimate(view, cfg)
+        tsls = tsls_estimate(view).alpha
+        assert res.message is PulseMessage.NONE
+        assert res.lambda_star > 1e9
+        assert inference.test_statistic(view, res.alpha, cfg.test_cfg).accepted
+        assert abs(res.alpha[0]) < 1e-3 * abs(tsls[0])
+
+    def test_weak_under_identified_is_finite(self):
+        view = weak_under_identified_view()
+        cfg = PulseConfig()
+        res = pulse_estimate(view, cfg)
+        assert res.message is PulseMessage.NONE
+        assert math.isfinite(res.lambda_star) and np.all(np.isfinite(res.alpha))
+        assert inference.test_statistic(view, res.alpha, cfg.test_cfg).accepted
+
+    def test_anchor_kclass_identity_at_large_penalty(self):
+        view = weak_just_identified_view()
+        lam = 1e8
+        np.testing.assert_allclose(
+            kclass_estimate(view, lam / (1.0 + lam)).alpha,
+            anchor_estimate(view, lam).alpha,
+            rtol=1e-6,
+        )
+
+    def test_path_forms_agree_across_the_switch(self):
+        # alpha(lam) is the kappa-form Gram solve up to KAPPA_FORM_MAX and the
+        # eigenbasis lambda form above it: both must give the same point
+        for d1, q in ((1, 1), (2, 1), (2, 3)):
+            view = make_instance(60 + q, n=90, d1=d1, q=q, confounding=0.8)
+            for lam in (0.5, 37.0, KAPPA_FORM_MAX):
+                eigen = view.path.v @ (
+                    (view.path.b0 + lam * view.path.b1) / (1.0 + lam * view.path.d)
+                )
+                np.testing.assert_allclose(view.path.alpha(lam), eigen, rtol=1e-9, atol=1e-12)
 
 
 class TestMonotonicity:
