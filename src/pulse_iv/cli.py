@@ -105,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("PULSE_THREADS", "1")),
         help="worker threads over grid cells (default env PULSE_THREADS or 1)",
     )
     exp.add_argument("--out", required=True, help="output directory")
@@ -298,7 +297,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         overrides["master_seed"] = args.seed
     if overrides:
         cfg = ExperimentConfig.from_json({**cfg.to_json(), **overrides})
-    result = run_experiment(cfg, threads=max(1, args.threads))
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get("PULSE_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            print(f"error: PULSE_THREADS must be an integer, got {env!r}", file=sys.stderr)
+            return USAGE_ERROR
+    result = run_experiment(cfg, threads=max(1, threads))
     csv_path, manifest_path = write_result(result, args.out)
     print(f"wrote {csv_path} and {manifest_path}")
     return 0

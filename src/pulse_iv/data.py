@@ -1,4 +1,4 @@
-"""Observed data, model partition, preprocessing, and projection/loss primitives.
+"""Observed data, model partition, preprocessing, and loss primitives.
 
 The central object is :class:`DesignView`, which binds a :class:`Dataset` to a
 :class:`ModelPartition` and caches the Gram products every estimator consumes,
@@ -260,23 +260,6 @@ def center(ds: Dataset, roles: Sequence[str] = ("target", "endogenous", "exogeno
     x = _demean(ds.x) if "endogenous" in roleset else ds.x
     a = _demean(ds.a) if "exogenous" in roleset else ds.a
     return Dataset(y=y, x=x, a=a, y_name=ds.y_name, x_names=ds.x_names, a_names=ds.a_names)
-
-
-def projection_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of ``v`` onto the column space of ``a``.
-
-    Returns ``P_A v = A (A^T A)^{-1} A^T v``.
-
-    Raises
-    ------
-    SingularGram
-        If ``A^T A`` fails the condition check.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    v = np.asarray(v, dtype=float)
-    gram = a.T @ a
-    coef = checked_solve("A^T A", gram, a.T @ v)
-    return a @ coef
 
 
 @dataclass(frozen=True)

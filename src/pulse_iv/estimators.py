@@ -201,18 +201,26 @@ def modified_tsls(view: DesignView) -> EstimateResult:
     return EstimateResult(alpha=alpha, kappa_used=None, lambda_used=None, diagnostics=diag)
 
 
+#: The LAPACK routines under ``scipy.linalg.cholesky`` and ``solve_triangular``
+#: for float64, called directly to skip their per-call wrapper cost.
+_POTRF, _TRTRS = scipy.linalg.get_lapack_funcs(("potrf", "trtrs"), (np.empty((1, 1)),))
+
+
 def min_generalized_eigenvalue(w1: np.ndarray, w: np.ndarray) -> float:
     """Smallest eigenvalue of ``W1 W^{-1}`` via Cholesky of ``W``.
 
     Factors ``W = L L^T`` and returns the smallest eigenvalue of the
     symmetrized ``L^{-1} W1 L^{-T}``, avoiding the non-symmetric product.
+    The factor and the triangular solves are the ``potrf``/``trtrs`` calls
+    that ``scipy.linalg.cholesky``/``solve_triangular`` make, with the same
+    finiteness check and arguments (``potrf`` returns ``L`` F-contiguous, so
+    ``trtrs`` takes it as is), hence the same bits.
     """
-    try:
-        low = scipy.linalg.cholesky(w, lower=True)
-    except scipy.linalg.LinAlgError:
-        raise SingularGram("W", rcond_symmetric(w)) from None
-    inner = scipy.linalg.solve_triangular(low, w1, lower=True)
-    inner = scipy.linalg.solve_triangular(low, inner.T, lower=True)
+    low, info = _POTRF(np.asarray_chkfinite(w), lower=True, clean=True)
+    if info > 0:
+        raise SingularGram("W", rcond_symmetric(w))
+    inner, _ = _TRTRS(low, np.asarray_chkfinite(w1), lower=True)
+    inner, _ = _TRTRS(low, inner.T, lower=True)
     inner = 0.5 * (inner + inner.T)
     return float(np.linalg.eigvalsh(inner)[0])
 
@@ -246,13 +254,21 @@ def liml_kappa(view: DesignView) -> float:
     variables and only the included ones, respectively.  Always ``>= 1`` up
     to roundoff.  With no included exogenous variables the ``W1`` projection
     is the identity.
+
+    Computed once per view: the first successful call stores the value on
+    ``view``, and later calls (LIML, Fuller for every ``a``, PULSE's fallback)
+    return it.  A failure is not stored, so it is raised on every call.
     """
     if view.q2 < 1:
         raise ValueError("LIML requires at least one excluded instrument (q2 >= 1)")
-    w1, w = _liml_blocks(view)
-    if rcond_symmetric(w) < RCOND_GRAM:
-        raise SingularGram("W", rcond_symmetric(w))
-    return min_generalized_eigenvalue(w1, w)
+    cache = vars(view)  # this module's entry in the view's instance dict
+    if "liml_kappa" not in cache:
+        w1, w = _liml_blocks(view)
+        rcond = rcond_symmetric(w)
+        if rcond < RCOND_GRAM:
+            raise SingularGram("W", rcond)
+        cache["liml_kappa"] = min_generalized_eigenvalue(w1, w)
+    return cache["liml_kappa"]
 
 
 def fuller_kappa(view: DesignView, a: float) -> float:

@@ -9,6 +9,7 @@ the test equivalent to the asymptotic Anderson-Rubin test
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any
 
@@ -26,11 +27,13 @@ _SCALINGS = (PLAIN, ANDERSON_RUBIN)
 WEAK_INSTRUMENT_RULE = 10.0
 
 
+@functools.lru_cache(maxsize=256)
 def chi2_quantile(q_dof: int, prob: float) -> float:
     """Quantile of the central chi-squared distribution.
 
     Computed by inverting the regularized lower incomplete gamma function, so
-    ``cdf(chi2_quantile(q, p)) == p`` to high accuracy.
+    ``cdf(chi2_quantile(q, p)) == p`` to high accuracy.  Memoised per
+    ``(q_dof, prob)``; invalid arguments raise on every call.
 
     Raises
     ------
@@ -169,8 +172,9 @@ def weak_instrument_stat(view: DesignView) -> WeakInstrumentReport:
     xtx = view.ztz[:d1, :d1]
     x_pa_x = s_x.T @ s_x
     sigma = (xtx - x_pa_x) / (n - q)
-    if rcond_symmetric(sigma) < RCOND_GRAM:
-        raise SingularGram("X^T P_A^perp X", rcond_symmetric(sigma))
+    rcond = rcond_symmetric(sigma)
+    if rcond < RCOND_GRAM:
+        raise SingularGram("X^T P_A^perp X", rcond)
     isqrt = psd_inverse_sqrt("Sigma_UX", sigma)
     g = isqrt @ x_pa_x @ isqrt / q
     g = 0.5 * (g + g.T)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -101,6 +101,10 @@ class SemModel:
     ``roles`` labels each endogenous coordinate ``"y"``, ``"x"``, or ``"h"``;
     exactly one coordinate is the target and hidden coordinates are dropped
     from sampled datasets.
+
+    Construction validates the covariances and keeps their PSD roots:
+    ``noise_root`` (of ``noise_cov``) and ``anchor_root`` (of ``anchor_cov``).
+    Every draw reuses them.
     """
 
     b: np.ndarray              # (k, k) structural matrix
@@ -108,6 +112,8 @@ class SemModel:
     noise_cov: np.ndarray      # (k,) diagonal or (k, k) full covariance of eps
     anchor_cov: np.ndarray     # (q, q) covariance of A
     roles: tuple[str, ...]
+    noise_root: np.ndarray = field(init=False, repr=False, compare=False)
+    anchor_root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         b = np.atleast_2d(np.asarray(self.b, dtype=float))
@@ -131,7 +137,7 @@ class SemModel:
             noise_full = np.atleast_2d(noise)
             if noise_full.shape != (k, k):
                 raise ValueError(f"noise_cov must be (k,) or (k, k), got {noise.shape}")
-            _psd_root(noise_full, "noise_cov")
+        noise_root = _psd_root(noise_full, "noise_cov")
         anchor = np.atleast_2d(np.asarray(self.anchor_cov, dtype=float))
         q = anchor.shape[0]
         if anchor.shape != (q, q):
@@ -146,6 +152,8 @@ class SemModel:
         object.__setattr__(self, "noise_cov", noise_full)
         object.__setattr__(self, "anchor_cov", anchor)
         object.__setattr__(self, "roles", roles)
+        object.__setattr__(self, "noise_root", noise_root)
+        object.__setattr__(self, "anchor_root", _psd_root(anchor, "anchor_cov"))
 
     @property
     def k(self) -> int:
@@ -176,7 +184,7 @@ class SemModel:
 def draw_noise(model: SemModel, n: int, seed: int) -> np.ndarray:
     """The ``(n, k)`` noise matrix; a fixed stream independent of interventions."""
     z = _gaussians(seed, _NOISE_STREAM, (n, model.k))
-    return z @ _psd_root(model.noise_cov, "noise_cov").T
+    return z @ model.noise_root.T
 
 
 def draw_anchors(
@@ -185,8 +193,9 @@ def draw_anchors(
     """The ``(n, q)`` anchor matrix under the (possibly intervened) law of A."""
     iv = iv or InterventionSpec.none()
     mean, cov = iv.law(model)
+    root = model.anchor_root if iv.kind == "none" else _psd_root(cov, "intervention cov")
     z = _gaussians(seed, _A_STREAM, (n, model.q))
-    return mean + z @ _psd_root(cov, "intervention cov").T
+    return mean + z @ root.T
 
 
 def reduced_form_solve(model: SemModel, a: np.ndarray, eps: np.ndarray) -> np.ndarray:

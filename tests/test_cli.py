@@ -97,6 +97,18 @@ class TestSimulate:
         )
         assert code == 3
 
+    def test_asymmetric_anchor_cov_is_rejected_before_sampling(self, tmp_path, capsys):
+        doc = model_to_json(e1_model())
+        doc["anchor_cov"] = [[1.0, 0.1], [0.1001, 1.0]]
+        doc["m"] = [[0.0, 1.0], [0.0, 0.5]]
+        sem = tmp_path / "sem.json"
+        sem.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--sem", str(sem), "--n", "5", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "anchor_cov must be symmetric" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("route", ["sem", "intervene"])
     def test_hard_intervention_without_mean_is_data_error(self, tmp_path, capsys, route):
         doc = model_to_json(e1_model())
@@ -374,6 +386,25 @@ class TestExperiment:
         )
         assert code == 0
         assert (out / "underid-e3.csv").exists()
+
+    def test_non_integer_threads_environment_is_usage_error(
+        self, e1_config, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("PULSE_THREADS", "two")
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        data = tmp_path / "d.csv"
+        main(["simulate", "--sem", str(e1_config), "--n", "50", "--seed", "4", "--out", str(data)])
+        estimate_args = ["estimate", "--data", str(data), "--target", "y"]
+        estimate_args += ["--endogenous", "x1", "--instruments", "a1", "--estimator", "ols"]
+        assert main(estimate_args) == 0
+        capsys.readouterr()
+        out = tmp_path / "e"
+        code = main(["experiment", "--design", "underid-e3", "--reps", "2", "--out", str(out)])
+        assert code == 2
+        assert "PULSE_THREADS" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDiagnose:

@@ -15,11 +15,17 @@ from pulse_iv.data import (
     ModelPartition,
     center,
     load_csv,
-    projection_apply,
+    psd_inverse_sqrt,
 )
 from pulse_iv.exceptions import DataError, SingularGram
 
 from conftest import loss_by_residuals, make_instance, raw_matrices
+
+
+def projection_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``P_A v`` through the whitening ``(A^T A)^{-1/2}`` that ``DesignView.iv_loss`` uses."""
+    isqrt = psd_inverse_sqrt("A^T A", a.T @ a)
+    return a @ (isqrt @ (isqrt @ (a.T @ v)))
 
 
 class TestDataset:

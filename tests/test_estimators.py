@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pulse_iv import estimators
 from pulse_iv.data import Dataset, DesignView, ModelPartition
 from pulse_iv.estimators import (
     EstimatorSpec,
     anchor_estimate,
+    estimate,
     fuller_estimate,
     fuller_kappa,
     kclass_estimate,
@@ -20,7 +22,13 @@ from pulse_iv.estimators import (
     ols_estimate,
     tsls_estimate,
 )
-from pulse_iv.exceptions import InfeasibleConstraint, UnderIdentified, UnidentifiedAtOne
+from pulse_iv.exceptions import (
+    InfeasibleConstraint,
+    SingularGram,
+    UnderIdentified,
+    UnidentifiedAtOne,
+)
+from pulse_iv.pulse import PulseMessage, pulse_estimate
 from pulse_iv.sem import e3_model, population_kclass, population_pulse_underid, sem_sample
 
 from conftest import make_instance, penalized_loss_minimizer, raw_matrices
@@ -227,6 +235,88 @@ class TestLimlFuller:
         view = make_instance(34, n=50, d1=1, q=2, q1=2)
         with pytest.raises(ValueError, match="excluded instrument"):
             liml_kappa(view)
+
+
+def invalid_instrument_view(seed: int = 0, n: int = 400) -> DesignView:
+    """Over-identified design whose instruments enter ``y`` directly, so TSLS is
+    rejected and PULSE falls back to Fuller(4)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 2))
+    x = a @ np.array([1.0, 0.5]) + rng.normal(size=n)
+    y = 0.5 * x + a @ np.array([0.9, -0.7]) + rng.normal(size=n)
+    return DesignView(Dataset(y=y, x=x[:, None], a=a))
+
+
+class TestLimlCache:
+    LABELS = ("liml", "fuller:1", "fuller:4")
+
+    SHAPES = [dict(seed=40, n=90, d1=1, q=3), dict(seed=41, n=120, d1=2, q=4, q1=1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_shared_view_bit_equal_to_fresh_views_in_either_order(self, shape):
+        fresh = {
+            label: estimate(make_instance(**shape), EstimatorSpec.parse(label))
+            for label in self.LABELS
+        }
+        for order in (self.LABELS, self.LABELS[::-1]):
+            view = make_instance(**shape)
+            for label in order:
+                res = estimate(view, EstimatorSpec.parse(label))
+                assert np.array_equal(res.alpha, fresh[label].alpha), (order, label)
+                assert res.kappa_used == fresh[label].kappa_used, (order, label)
+
+    def test_blocks_built_once_per_view(self, monkeypatch):
+        seen = []
+        original = estimators._liml_blocks
+
+        def counting(view):
+            seen.append(view)
+            return original(view)
+
+        monkeypatch.setattr(estimators, "_liml_blocks", counting)
+        view = invalid_instrument_view()
+        fuller1 = fuller_estimate(view, 1.0)
+        fuller4 = fuller_estimate(view, 4.0)
+        liml = liml_estimate(view)
+        result = pulse_estimate(view)
+        assert result.message is PulseMessage.TSLS_REJECTED_FALLBACK
+        assert np.array_equal(result.alpha, fuller4.alpha)
+        assert len(seen) == 1
+        assert fuller1.kappa_used == liml.kappa_used - 1.0 / (view.n - view.q)
+        fuller_kappa(make_instance(42, n=60, d1=1, q=2), 4.0)
+        assert len(seen) == 2
+
+    def test_failure_is_not_cached(self, monkeypatch):
+        # y lies exactly in span(X, A), so W has rank one
+        rng = np.random.default_rng(43)
+        a = rng.normal(size=(50, 2))
+        x = a @ np.array([1.0, -0.5]) + rng.normal(size=50)
+        view = DesignView(Dataset(y=2.0 * x + a @ np.array([0.3, 0.1]), x=x[:, None], a=a))
+        seen = []
+        original = estimators._liml_blocks
+        monkeypatch.setattr(estimators, "_liml_blocks", lambda v: seen.append(v) or original(v))
+        for _ in range(2):
+            with pytest.raises(SingularGram, match="W"):
+                liml_kappa(view)
+        assert len(seen) == 2
+
+    def test_lapack_route_bit_equal_to_scipy_wrappers(self):
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            k = int(rng.integers(1, 5))
+            m = rng.normal(size=(k + 6, k))
+            w = m.T @ m
+            m1 = rng.normal(size=(k + 3, k))
+            w1 = w + m1.T @ m1
+            low = scipy.linalg.cholesky(w, lower=True)
+            inner = scipy.linalg.solve_triangular(low, w1, lower=True)
+            inner = scipy.linalg.solve_triangular(low, inner.T, lower=True)
+            expected = float(np.linalg.eigvalsh(0.5 * (inner + inner.T))[0])
+            assert min_generalized_eigenvalue(w1, w) == expected
+
+    def test_singular_w_raises_singular_gram(self):
+        with pytest.raises(SingularGram, match="W"):
+            min_generalized_eigenvalue(np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestSpecParsing:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from pulse_iv.data import Dataset, DesignView
@@ -35,6 +36,14 @@ class TestChi2Quantile:
             for p in (0.01, 0.5, 0.95, 0.999):
                 quant = chi2_quantile(q, p)
                 assert scipy.stats.chi2.cdf(quant, df=q) == pytest.approx(p, rel=1e-10)
+
+    def test_memoised_value_is_the_gammaincinv_float(self):
+        for q in (1, 2, 5, 30):
+            for p in (0.5, 0.95):
+                expected = 2 * scipy.special.gammaincinv(q / 2, p)
+                assert chi2_quantile(q, p) == expected
+                assert chi2_quantile(q, p) == expected
+                assert TestConfig(p_min=1 - p).threshold(q) == expected
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,12 @@ from pulse_iv.data import DesignView, ModelPartition
 from pulse_iv.estimators import kclass_estimate
 from pulse_iv.exceptions import DataError, NonStationary
 from pulse_iv.sem import (
+    _A_STREAM,
+    _NOISE_STREAM,
     InterventionSpec,
     SemModel,
+    _gaussians,
+    _psd_root,
     draw_anchors,
     draw_noise,
     e1_model,
@@ -55,6 +59,15 @@ class TestModelValidation:
                 anchor_cov=np.zeros((1, 1)),
                 roles=("y", "x"),
             )
+
+    def test_rejects_asymmetric_anchor_cov_at_construction(self):
+        # passes the SPD check on its lower triangle; the anchor root is taken
+        # at construction, so population-only uses of the model reject it too
+        doc = model_to_json(e1_model())
+        doc["anchor_cov"] = [[1.0, 0.1], [0.1001, 1.0]]
+        doc["m"] = [[0.0, 1.0], [0.0, 0.5]]
+        with pytest.raises(ValueError, match="anchor_cov must be symmetric$"):
+            model_from_json(doc)
 
     def test_rejects_bad_roles(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -134,6 +147,43 @@ class TestSampling:
         ds = sem_sample(model, 200_000, seed=12, iv=iv)
         assert np.mean(ds.a[:, 0]) == pytest.approx(1.0, abs=0.02)
         assert np.var(ds.a[:, 0]) == pytest.approx(4.0, abs=0.05)
+
+
+class TestCachedRoots:
+    """Sampling with the roots kept per model is bit-equal to recomputing them
+    on every draw."""
+
+    CASES = {
+        "diagonal noise": (e3_model(), None),
+        "full noise": (univariate_model(q=2, rho=0.7, r2=0.2), None),
+        "stochastic intervention": (
+            univariate_model(q=2, rho=0.7, r2=0.2),
+            InterventionSpec.stochastic(
+                cov=np.array([[2.0, 0.5], [0.5, 1.0]]), mean=np.array([1.0, -1.0])
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sample_bit_equal_to_uncached_formula(self, case):
+        model, iv = self.CASES[case]
+        mean, cov = (iv or InterventionSpec.none()).law(model)
+        n = 40
+        for seed in (3, 4):  # every draw reads the roots kept on the model
+            ds = sem_sample(model, n, seed, iv)
+            a = mean + _gaussians(seed, _A_STREAM, (n, model.q)) @ _psd_root(cov, "cov").T
+            eps = _gaussians(seed, _NOISE_STREAM, (n, model.k)) @ _psd_root(
+                model.noise_cov, "noise_cov"
+            ).T
+            v = reduced_form_solve(model, a, eps)
+            assert np.array_equal(ds.a, a)
+            assert np.array_equal(ds.y, v[:, model.y_index])
+            assert np.array_equal(ds.x, v[:, list(model.x_indices)])
+
+    def test_roots_kept_at_construction(self):
+        model = univariate_model(q=2, rho=0.7, r2=0.2)
+        assert np.array_equal(model.noise_root, _psd_root(model.noise_cov, "noise_cov"))
+        assert np.array_equal(model.anchor_root, _psd_root(model.anchor_cov, "anchor_cov"))
 
 
 class TestPopulationMoments:
