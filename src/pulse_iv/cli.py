@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -283,20 +284,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.config:
         cfg = ExperimentConfig.from_json(load_json(args.config, "experiment config"))
     else:
-        if args.design not in DESIGNS:
-            print(
-                f"error: unknown design {args.design!r}; valid designs: {', '.join(DESIGNS)}",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
         cfg = ExperimentConfig(design=args.design)
-    overrides = {}
     if args.reps is not None:
-        overrides["repetitions"] = args.reps
+        cfg = replace(cfg, repetitions=args.reps)
     if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if overrides:
-        cfg = ExperimentConfig.from_json({**cfg.to_json(), **overrides})
+        cfg = replace(cfg, master_seed=args.seed)
     threads = args.threads
     if threads is None:
         env = os.environ.get("PULSE_THREADS", "1")

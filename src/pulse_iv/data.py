@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -21,10 +22,6 @@ from .exceptions import DataError, SingularGram, UnidentifiedAtOne
 #: Reciprocal condition number (min/max singular value) below which a Gram
 #: matrix is declared singular.
 RCOND_GRAM = 1e-12
-
-#: Relative eigenvalue floor applied before inverting a symmetric PSD matrix
-#: to form its inverse square root.
-EIG_CLAMP_REL = 1e-14
 
 #: Largest penalty that :meth:`KClassPath.alpha` solves in ``kappa`` form;
 #: rounding ``kappa`` moves a penalty ``lam`` by at most ``lam^2 2^-53 < 2^-33``.
@@ -74,8 +71,6 @@ def checked_solve(name: str, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def psd_inverse_sqrt(name: str, mat: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root of a PSD matrix by eigendecomposition.
 
-    Eigenvalues are clamped at ``EIG_CLAMP_REL * lambda_max`` before inversion.
-
     Raises
     ------
     SingularGram
@@ -85,11 +80,10 @@ def psd_inverse_sqrt(name: str, mat: np.ndarray) -> np.ndarray:
     top = float(w.max()) if w.size else 0.0
     if top <= 0.0 or float(w.min()) / top < RCOND_GRAM:
         raise SingularGram(name, 0.0 if top <= 0.0 else float(w.min()) / top)
-    w = np.maximum(w, EIG_CLAMP_REL * top)
     return (v * (1.0 / np.sqrt(w))) @ v.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Observed data matrices.
 
@@ -404,9 +398,6 @@ class DesignView:
 
         self.rcond_ztz = rcond_symmetric(self.ztz)
         self.rcond_ata = rcond_symmetric(self.ata)
-        self._s: np.ndarray | None = None
-        self._sy: np.ndarray | None = None
-        self._path: KClassPath | None = None
 
     @property
     def identification(self) -> IdentificationClass:
@@ -416,15 +407,12 @@ class DesignView:
     def identification_degree(self) -> int:
         return self.partition.identification_degree(self.q)
 
-    def _iv_pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Whitened cross products ``S = (A^T A)^{-1/2} A^T Z`` and ``s_y``."""
-        if self._s is None:
-            # idempotent lazy init; the guard field is assigned last so a
-            # concurrent reader never sees a half-built pair
-            isqrt = psd_inverse_sqrt("A^T A", self.ata)
-            self._sy = isqrt @ self.aty
-            self._s = isqrt @ self.atz
-        return self._s, self._sy
+    @cached_property
+    def iv_pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened cross products ``S = (A^T A)^{-1/2} A^T Z`` and ``s_y``;
+        :class:`SingularGram` (not cached) if ``A^T A`` is singular."""
+        isqrt = psd_inverse_sqrt("A^T A", self.ata)
+        return isqrt @ self.atz, isqrt @ self.aty
 
     def ols_loss(self, alpha: np.ndarray) -> float:
         """Mean squared residual ``n^{-1} ||y - Z alpha||^2``."""
@@ -435,7 +423,7 @@ class DesignView:
     def iv_loss(self, alpha: np.ndarray) -> float:
         """Projected mean squared residual ``n^{-1} (y - Z alpha)^T P_A (y - Z alpha)``."""
         alpha = self._check_alpha(alpha)
-        s, sy = self._iv_pieces()
+        s, sy = self.iv_pieces
         r = sy - s @ alpha
         return max(float(r @ r) / self.n, 0.0)
 
@@ -445,15 +433,14 @@ class DesignView:
             raise ValueError(f"coefficient vector must have length {self.k}, got {alpha.shape[0]}")
         return alpha
 
-    @property
+    @cached_property
     def path(self) -> KClassPath:
-        """The cached K-class path; :class:`SingularGram` if ``A^T A`` or ``Z^T Z`` is singular."""
-        if self._path is None:  # idempotent lazy init, as in _iv_pieces
-            s, sy = self._iv_pieces()
-            if self.rcond_ztz < RCOND_GRAM:
-                raise SingularGram("Z^T Z", self.rcond_ztz)
-            self._path = KClassPath(self.ztz, self.zty, s, sy)
-        return self._path
+        """The cached K-class path; :class:`SingularGram` (not cached) if ``A^T A``
+        or ``Z^T Z`` is singular."""
+        s, sy = self.iv_pieces
+        if self.rcond_ztz < RCOND_GRAM:
+            raise SingularGram("Z^T Z", self.rcond_ztz)
+        return KClassPath(self.ztz, self.zty, s, sy)
 
     def kclass_solve(self, kappa: float) -> np.ndarray:
         """Closed-form K-class solution, the minimizer of ``(1 - kappa) l_OLS + kappa l_IV``:

@@ -10,12 +10,14 @@ results.
 
 from __future__ import annotations
 
+import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -65,7 +67,13 @@ ROBUSTNESS_REFERENCE_X = 2.0
 
 
 def cell_seed(master_seed: int, cell_index: int, rep_index: int) -> int:
-    """Derived 64-bit stream seed: golden-ratio cell offset, XOR repetition."""
+    """Derived 64-bit stream seed: golden-ratio cell offset, XOR repetition.
+
+    Known defect: ``sem_sample`` hands a seed of 2^63 or more to Philox as a
+    float64, which drops the low 11 bits that carry ``rep_index``; nearly every
+    repetition of such a cell (about half of all cells) draws the same sample.
+    See ROADMAP item 6.
+    """
     return ((master_seed + _GOLDEN * cell_index) ^ rep_index) & _MASK
 
 
@@ -213,7 +221,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.design not in DESIGNS:
-            raise ValueError(f"unknown design {self.design!r}; valid designs: {DESIGNS}")
+            valid = ", ".join(DESIGNS)
+            raise ValueError(f"unknown design {self.design!r}; valid designs: {valid}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
         if self.design == "univariate" and not self.allow_extensions:
@@ -267,21 +276,30 @@ class ExperimentResult:
         }
 
 
-def _estimator_alpha(view: DesignView, label: str, pulse_cfg: PulseConfig) -> np.ndarray:
-    if label == "pulse":
-        return pulse_estimate(view, pulse_cfg).alpha
-    return estimate(view, EstimatorSpec.parse(label)).alpha
+@dataclass(frozen=True, eq=False)
+class _Cell:
+    """One grid cell: its CSV parameters, the model, the sample size and the estimand."""
+
+    params: dict[str, Any]
+    model: SemModel
+    n: int
+    target: np.ndarray
+
+
+#: CSV parameter columns and default estimators of each grid design.
+_GRID_DESIGNS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "univariate": (("q", "rho", "r2", "n"), ("ols", "tsls", "fuller:1", "fuller:4", "pulse")),
+    "mv-random": (("model_index", "rho_norm"), ("ols", "fuller:1", "fuller:4", "pulse")),
+    "mv-fixed": (
+        ("eta", "phi1", "phi2", "rho_norm", "model_index"),
+        ("ols", "fuller:1", "fuller:4", "pulse"),
+    ),
+    "underid-e3": (("n",), ("pulse", "modified-tsls")),
+}
 
 
 def _run_cell(
-    model: SemModel,
-    n: int,
-    target: np.ndarray,
-    estimators: tuple[str, ...],
-    cfg: ExperimentConfig,
-    cell_index: int,
-    params: dict[str, Any],
-    collect_weak: bool = True,
+    cell: _Cell, index: int, estimators: tuple[str, ...], cfg: ExperimentConfig
 ) -> CellResult:
     pulse_cfg = PulseConfig(p_min=cfg.p_min)
     collected: dict[str, list[np.ndarray]] = {e: [] for e in estimators}
@@ -291,19 +309,22 @@ def _run_cell(
     g_count = 0
 
     for rep in range(cfg.repetitions):
-        ds = sem_sample(model, n, cell_seed(cfg.master_seed, cell_index, rep))
+        ds = sem_sample(cell.model, cell.n, cell_seed(cfg.master_seed, index, rep))
         view = DesignView(ds)
-        if collect_weak:
-            try:
-                report = weak_instrument_stat(view)
-                min_eigs.append(report.min_eigenvalue)
-                g_sum = report.g_matrix if g_sum is None else g_sum + report.g_matrix
-                g_count += 1
-            except PulseIVError:
-                pass
+        try:
+            report = weak_instrument_stat(view)
+            min_eigs.append(report.min_eigenvalue)
+            g_sum = report.g_matrix if g_sum is None else g_sum + report.g_matrix
+            g_count += 1
+        except PulseIVError:
+            pass
         for label in estimators:
             try:
-                collected[label].append(_estimator_alpha(view, label, pulse_cfg))
+                if label == "pulse":
+                    alpha = pulse_estimate(view, pulse_cfg).alpha
+                else:
+                    alpha = estimate(view, EstimatorSpec.parse(label)).alpha
+                collected[label].append(alpha)
             except PulseIVError as exc:
                 cause = type(exc).__name__
                 failures[label][cause] = failures[label].get(cause, 0) + 1
@@ -315,13 +336,13 @@ def _run_cell(
         if not stack:
             alerts.append(f"{label}: no successful repetitions")
             continue
-        metrics[label] = summarize_estimates(label, np.vstack(stack), target)
+        metrics[label] = summarize_estimates(label, np.vstack(stack), cell.target)
         excluded = cfg.repetitions - len(stack)
         if excluded > 0.01 * cfg.repetitions:
             alerts.append(f"{label}: {excluded} of {cfg.repetitions} repetitions excluded")
 
     weak: dict[str, float] = {}
-    if collect_weak and min_eigs:
+    if min_eigs:
         weak["mean_min_eig_gn"] = float(np.mean(min_eigs))
         weak["min_eig_mean_gn"] = float(np.linalg.eigvalsh(g_sum / g_count)[0])
         weak["gn_repetitions"] = float(g_count)
@@ -344,7 +365,7 @@ def _run_cell(
             pairwise[label] = entry
 
     return CellResult(
-        params=params,
+        params=cell.params,
         metrics=metrics,
         failures={k: v for k, v in failures.items() if v},
         weak=weak,
@@ -353,7 +374,7 @@ def _run_cell(
     )
 
 
-def _metric_rows(cell: CellResult, param_names: list[str]) -> list[dict[str, Any]]:
+def _metric_rows(cell: CellResult, param_names: tuple[str, ...]) -> list[dict[str, Any]]:
     rows: list[dict[str, Any]] = []
 
     def base(estimator: str, metric: str, value: Any, reps: int) -> dict[str, Any]:
@@ -399,6 +420,47 @@ def _model_rng(cfg: ExperimentConfig, cell_index: int) -> np.random.Generator:
     )
 
 
+def _cells(cfg: ExperimentConfig) -> list[_Cell]:
+    """The cells of a grid design in cell-index order."""
+    if cfg.design == "univariate":
+        return [
+            _Cell({"q": q, "rho": rho, "r2": r2, "n": n}, univariate_model(q, rho, r2), n, np.ones(1))
+            for q in (cfg.q_values or UNIVARIATE_DECLARED["q"])
+            for rho in (cfg.rho_values or UNIVARIATE_DECLARED["rho"])
+            for r2 in (cfg.r2_values or UNIVARIATE_DECLARED["r2"])
+            for n in (cfg.n_values or UNIVARIATE_DECLARED["n"])
+        ]
+    if cfg.design == "underid-e3":
+        target = np.array(population_pulse_underid(1.0, 1.0, 1.0))
+        model = e3_model()
+        return [_Cell({"n": n}, model, n, target) for n in cfg.n_values or (100, 1000, 10000)]
+    cells: list[_Cell] = []
+    if cfg.design == "mv-random":
+        for idx in range(cfg.n_models):
+            rng = _model_rng(cfg, idx)
+            sigma_sq = tuple(rng.uniform(0.1, 1.0, size=2))
+            xi = rng.uniform(-2.0, 2.0, size=(2, 2))
+            delta = rng.uniform(-2.0, 2.0, size=(2, 2))
+            mu = rng.uniform(-2.0, 2.0, size=2)
+            params = {"model_index": idx, "rho_norm": rho_norm_multivariate(mu, delta, sigma_sq)}
+            model = mv_varying_model(xi, delta, mu, sigma_sq)
+            cells.append(_Cell(params, model, cfg.sample_size, np.zeros(2)))
+        return cells
+    for eta, phi1, phi2 in cfg.noise_triples or FIXED_NOISE_DECLARED:  # mv-fixed
+        rho_norm = float(
+            np.sqrt((phi1**2 + phi2**2 - 2 * eta * phi1 * phi2) / (1.0 - eta**2))
+        )
+        for _ in range(cfg.n_models):
+            idx = len(cells)
+            xi = _model_rng(cfg, idx).uniform(-2.0, 2.0, size=(2, 2))
+            params = {
+                "eta": eta, "phi1": phi1, "phi2": phi2, "rho_norm": rho_norm, "model_index": idx,
+            }
+            model = mv_fixed_model(xi, eta, phi1, phi2)
+            cells.append(_Cell(params, model, cfg.sample_size, np.zeros(2)))
+    return cells
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute a design and return cells plus canonical CSV rows.
 
@@ -406,96 +468,18 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """
     if cfg.design == "robustness-e1":
         return _run_robustness_e1(cfg)
-    jobs: list[tuple[dict[str, Any], Callable[[], CellResult]]] = []
-
-    if cfg.design == "univariate":
-        param_names = ["q", "rho", "r2", "n"]
-        estimators = cfg.estimators or ("ols", "tsls", "fuller:1", "fuller:4", "pulse")
-        grid = [
-            {"q": q, "rho": rho, "r2": r2, "n": n}
-            for q in (cfg.q_values or UNIVARIATE_DECLARED["q"])
-            for rho in (cfg.rho_values or UNIVARIATE_DECLARED["rho"])
-            for r2 in (cfg.r2_values or UNIVARIATE_DECLARED["r2"])
-            for n in (cfg.n_values or UNIVARIATE_DECLARED["n"])
-        ]
-        for idx, params in enumerate(grid):
-            model = univariate_model(params["q"], params["rho"], params["r2"])
-            jobs.append(
-                (params, _cell_job(model, params["n"], np.array([1.0]), estimators, cfg, idx, params))
-            )
-
-    elif cfg.design == "mv-random":
-        param_names = ["model_index", "rho_norm"]
-        estimators = cfg.estimators or ("ols", "fuller:1", "fuller:4", "pulse")
-        for idx in range(cfg.n_models):
-            rng = _model_rng(cfg, idx)
-            sigma_sq = tuple(rng.uniform(0.1, 1.0, size=2))
-            xi = rng.uniform(-2.0, 2.0, size=(2, 2))
-            delta = rng.uniform(-2.0, 2.0, size=(2, 2))
-            mu = rng.uniform(-2.0, 2.0, size=2)
-            model = mv_varying_model(xi, delta, mu, sigma_sq)
-            params = {
-                "model_index": idx,
-                "rho_norm": rho_norm_multivariate(mu, delta, sigma_sq),
-            }
-            jobs.append(
-                (params, _cell_job(model, cfg.sample_size, np.zeros(2), estimators, cfg, idx, params))
-            )
-
-    elif cfg.design == "mv-fixed":
-        param_names = ["eta", "phi1", "phi2", "rho_norm", "model_index"]
-        estimators = cfg.estimators or ("ols", "fuller:1", "fuller:4", "pulse")
-        triples = cfg.noise_triples or FIXED_NOISE_DECLARED
-        cell_index = 0
-        for eta, phi1, phi2 in triples:
-            rho_norm = float(
-                np.sqrt((phi1**2 + phi2**2 - 2 * eta * phi1 * phi2) / (1.0 - eta**2))
-            )
-            for _ in range(cfg.n_models):
-                rng = _model_rng(cfg, cell_index)
-                xi = rng.uniform(-2.0, 2.0, size=(2, 2))
-                model = mv_fixed_model(xi, eta, phi1, phi2)
-                params = {
-                    "eta": eta,
-                    "phi1": phi1,
-                    "phi2": phi2,
-                    "rho_norm": rho_norm,
-                    "model_index": cell_index,
-                }
-                jobs.append(
-                    (params, _cell_job(model, cfg.sample_size, np.zeros(2), estimators, cfg, cell_index, params))
-                )
-                cell_index += 1
-
-    elif cfg.design == "underid-e3":
-        param_names = ["n"]
-        estimators = cfg.estimators or ("pulse", "modified-tsls")
-        target = np.array(population_pulse_underid(1.0, 1.0, 1.0))
-        model = e3_model()
-        for idx, n in enumerate(cfg.n_values or (100, 1000, 10000)):
-            params = {"n": n}
-            jobs.append((params, _cell_job(model, n, target, estimators, cfg, idx, params)))
-    else:  # pragma: no cover - guarded by ExperimentConfig
-        raise ValueError(f"unknown design {cfg.design!r}")
-
+    param_names, default_estimators = _GRID_DESIGNS[cfg.design]
+    cells = _cells(cfg)
+    args = (cells, range(len(cells)), repeat(cfg.estimators or default_estimators), repeat(cfg))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(lambda job: job[1](), jobs))
+            results = list(pool.map(_run_cell, *args))
     else:
-        cells = [job[1]() for job in jobs]
+        results = list(map(_run_cell, *args))
 
-    rows: list[dict[str, Any]] = []
-    for cell in cells:
-        rows.extend(_metric_rows(cell, param_names))
-    columns = param_names + ["estimator", "metric", "value", "repetitions_used"]
-    return ExperimentResult(cfg.design, cfg, cells, rows, columns)
-
-
-def _cell_job(model, n, target, estimators, cfg, idx, params):
-    def job() -> CellResult:
-        return _run_cell(model, n, target, estimators, cfg, idx, params)
-
-    return job
+    rows = [row for cell in results for row in _metric_rows(cell, param_names)]
+    columns = [*param_names, "estimator", "metric", "value", "repetitions_used"]
+    return ExperimentResult(cfg.design, cfg, results, rows, columns)
 
 
 def _run_robustness_e1(cfg: ExperimentConfig) -> ExperimentResult:
@@ -517,13 +501,11 @@ def _run_robustness_e1(cfg: ExperimentConfig) -> ExperimentResult:
 
 def write_result(result: ExperimentResult, outdir: str | Path) -> tuple[Path, Path]:
     """Write ``<design>.csv`` and ``manifest.json``; returns both paths."""
-    import csv as _csv
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{result.design}.csv"
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=result.columns)
+        writer = csv.DictWriter(fh, fieldnames=result.columns)
         writer.writeheader()
         for row in result.rows:
             writer.writerow({k: _fmt_cell(row.get(k)) for k in result.columns})

@@ -167,7 +167,7 @@ def weak_instrument_stat(view: DesignView) -> WeakInstrumentReport:
     n, q, d1 = view.n, view.q, view.d1
     if n <= q:
         raise ValueError(f"G_n requires n > q; got n={n}, q={q}")
-    s, _ = view._iv_pieces()
+    s, _ = view.iv_pieces
     s_x = s[:, :d1]
     xtx = view.ztz[:d1, :d1]
     x_pa_x = s_x.T @ s_x

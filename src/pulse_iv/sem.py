@@ -54,7 +54,7 @@ def _psd_root(mat: np.ndarray, name: str) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterventionSpec:
     """Replacement law for the exogenous variables under ``do(A := v)``.
 
@@ -94,7 +94,7 @@ class InterventionSpec:
         return self.mean, self.cov
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemModel:
     """Structural matrices, noise laws and variable roles of a linear SEM.
 
@@ -112,8 +112,8 @@ class SemModel:
     noise_cov: np.ndarray      # (k,) diagonal or (k, k) full covariance of eps
     anchor_cov: np.ndarray     # (q, q) covariance of A
     roles: tuple[str, ...]
-    noise_root: np.ndarray = field(init=False, repr=False, compare=False)
-    anchor_root: np.ndarray = field(init=False, repr=False, compare=False)
+    noise_root: np.ndarray = field(init=False, repr=False)
+    anchor_root: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         b = np.atleast_2d(np.asarray(self.b, dtype=float))
@@ -228,7 +228,7 @@ def sem_sample(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationMoments:
     """Exact second moments of ``(Y, Z, A)`` for a given partition."""
 

@@ -136,6 +136,25 @@ class TestProjection:
             projection_apply(a, np.ones(5))
 
 
+class TestViewCache:
+    def test_pieces_and_path_built_once(self):
+        rng = np.random.default_rng(8)
+        ds = Dataset(y=rng.normal(size=20), x=rng.normal(size=(20, 1)), a=rng.normal(size=(20, 2)))
+        view = DesignView(ds)
+        assert view.iv_pieces is view.iv_pieces
+        assert view.path is view.path
+
+    def test_singular_gram_raised_on_every_access(self):
+        rng = np.random.default_rng(9)
+        col = rng.normal(size=(20, 1))
+        ds = Dataset(y=rng.normal(size=20), x=rng.normal(size=(20, 1)), a=np.hstack([col, col]))
+        view = DesignView(ds)
+        for attr in ("iv_pieces", "path", "iv_pieces", "path"):
+            with pytest.raises(SingularGram, match="A\\^T A"):
+                getattr(view, attr)
+        assert "iv_pieces" not in vars(view) and "path" not in vars(view)
+
+
 class TestLosses:
     def test_ols_zero_at_interpolant(self):
         rng = np.random.default_rng(5)

@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pulse_iv.data import DesignView
+from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.exceptions import SingularGram
 from pulse_iv.experiments import (
+    FIXED_NOISE_DECLARED,
     ExperimentConfig,
     MseOrder,
     cell_seed,
@@ -17,6 +20,15 @@ from pulse_iv.experiments import (
     summarize_estimates,
     write_result,
     xi_from_r2,
+)
+from pulse_iv.pulse import PulseConfig, pulse_estimate
+from pulse_iv.sem import (
+    e3_model,
+    mv_fixed_model,
+    mv_varying_model,
+    population_pulse_underid,
+    sem_sample,
+    univariate_model,
 )
 
 
@@ -272,3 +284,119 @@ class TestRunExperiment:
             np.sqrt(2 * 0.15**2 / 1.2), rel=1e-12
         )
         assert set(cell.metrics) == {"ols", "fuller:1", "fuller:4", "pulse"}
+
+
+def _model_rng(seed: int, cell: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=[cell_seed(seed, cell, 0), 2]))
+
+
+def _univariate_cell(cfg, k):
+    # cells enumerate q, rho, r2, n with n fastest; cell 2 is q=2, r2=0.01
+    assert k == 2
+    params = {"q": 2, "rho": 0.3, "r2": 0.01, "n": 50}
+    return params, univariate_model(2, 0.3, 0.01), 50, np.array([1.0]), "ols"
+
+
+def _mv_random_cell(cfg, k):
+    rng = _model_rng(cfg.master_seed, k)
+    sigma_sq = tuple(rng.uniform(0.1, 1.0, size=2))
+    xi = rng.uniform(-2.0, 2.0, size=(2, 2))
+    delta = rng.uniform(-2.0, 2.0, size=(2, 2))
+    mu = rng.uniform(-2.0, 2.0, size=2)
+    params = {"model_index": k, "rho_norm": rho_norm_multivariate(mu, delta, sigma_sq)}
+    model = mv_varying_model(xi, delta, mu, sigma_sq)
+    return params, model, cfg.sample_size, np.zeros(2), "ols"
+
+
+def _mv_fixed_cell(cfg, k):
+    # n_models cells per noise triple, numbered across triples
+    eta, phi1, phi2 = cfg.noise_triples[k // cfg.n_models]
+    rho_norm = float(np.sqrt((phi1**2 + phi2**2 - 2 * eta * phi1 * phi2) / (1.0 - eta**2)))
+    xi = _model_rng(cfg.master_seed, k).uniform(-2.0, 2.0, size=(2, 2))
+    params = {"eta": eta, "phi1": phi1, "phi2": phi2, "rho_norm": rho_norm, "model_index": k}
+    return params, mv_fixed_model(xi, eta, phi1, phi2), cfg.sample_size, np.zeros(2), "ols"
+
+
+def _underid_cell(cfg, k):
+    n = cfg.n_values[k]
+    target = np.array(population_pulse_underid(1.0, 1.0, 1.0))
+    return {"n": n}, e3_model(), n, target, "pulse"
+
+
+CELL_MAPPING_CASES = [
+    (
+        ExperimentConfig(
+            design="univariate", repetitions=5, master_seed=13, q_values=(1, 2),
+            rho_values=(0.3,), r2_values=(0.01, 0.1), n_values=(50,),
+        ),
+        2,
+        _univariate_cell,
+    ),
+    (
+        ExperimentConfig(design="mv-random", repetitions=5, master_seed=14, n_models=3),
+        2,
+        _mv_random_cell,
+    ),
+    (
+        ExperimentConfig(
+            design="mv-fixed", repetitions=5, master_seed=15, n_models=2,
+            noise_triples=FIXED_NOISE_DECLARED[:2],
+        ),
+        3,
+        _mv_fixed_cell,
+    ),
+    (
+        ExperimentConfig(design="underid-e3", repetitions=5, master_seed=16, n_values=(100, 200)),
+        1,
+        _underid_cell,
+    ),
+]
+
+
+class TestCellMapping:
+    """Cell index -> seed -> parameters, rebuilt by hand for one cell per design."""
+
+    @pytest.mark.parametrize(
+        "cfg, k, rebuild", CELL_MAPPING_CASES, ids=[c[0].design for c in CELL_MAPPING_CASES]
+    )
+    def test_cell_rows_rebuilt_by_hand(self, cfg, k, rebuild):
+        params, model, n, target, label = rebuild(cfg, k)
+        stack = []
+        for r in range(cfg.repetitions):
+            view = DesignView(sem_sample(model, n, cell_seed(cfg.master_seed, k, r)))
+            if label == "pulse":
+                stack.append(pulse_estimate(view, PulseConfig(p_min=cfg.p_min)).alpha)
+            else:
+                stack.append(estimate(view, EstimatorSpec.parse(label)).alpha)
+        met = summarize_estimates(label, np.vstack(stack), target)
+        values = {"trace_mse": met.trace_mse, "det_mse": met.det_mse, "rmse": met.rmse,
+                  "median_abs_error": met.median_abs_error}
+        dim = met.bias.shape[0]
+        for i in range(dim):
+            values[f"bias_{i}"] = float(met.bias[i])
+            values[f"iqr_{i}"] = float(met.iqr[i])
+            for j in range(i, dim):
+                values[f"mse_{i}{j}"] = float(met.mse[i, j])
+                values[f"var_{i}{j}"] = float(met.variance[i, j])
+        expected = {
+            m: {**params, "estimator": label, "metric": m, "value": v,
+                "repetitions_used": cfg.repetitions}
+            for m, v in values.items()
+        }
+
+        result = run_experiment(cfg)
+        assert result.cells[k].params == params
+        assert list(result.cells[k].params) == list(params)
+        got = [
+            row for row in result.rows
+            if row["estimator"] == label and row["metric"] in values
+            and all(row[p] == params[p] for p in params)
+        ]
+        assert len(got) == len(values)
+        assert {row["metric"]: row for row in got} == expected
+
+    @pytest.mark.parametrize(
+        "cfg", [c[0] for c in CELL_MAPPING_CASES], ids=[c[0].design for c in CELL_MAPPING_CASES]
+    )
+    def test_two_threads_give_the_same_rows(self, cfg):
+        assert run_experiment(cfg, threads=2).rows == run_experiment(cfg, threads=1).rows

@@ -362,3 +362,26 @@ class TestJsonConfig:
         incomplete.write_text(json.dumps({"b": [[0.0]]}))
         with pytest.raises(DataError, match="missing field"):
             load_sem_json(incomplete)
+
+
+class TestArrayRecordIdentity:
+    """Records holding arrays compare and hash by identity."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: univariate_model(2, 0.7, 0.2),
+            lambda: InterventionSpec.stochastic(np.eye(2)),
+            lambda: sem_sample(e1_model(), 5, 3),
+            lambda: population_moments(e1_model()),
+        ],
+        ids=["SemModel", "InterventionSpec", "Dataset", "PopulationMoments"],
+    )
+    def test_equality_and_hash_by_identity(self, make):
+        first, second = make(), make()
+        assert first == first
+        assert first != second
+        assert first in [second, first]
+        assert second not in [first]
+        assert hash(first) == hash(first)
+        assert len({first, second}) == 2
