@@ -129,6 +129,8 @@ def _load_view(args: argparse.Namespace) -> tuple[DesignView, bool]:
         ds = ds.with_intercept()
         included_exo = tuple(range(n_included)) + (ds.q - 1,)
     else:
+        if ds.n < 2:
+            raise DataError(f"centering requires at least two rows; {args.data} has {ds.n}")
         ds = center(ds)
         included_exo = tuple(range(n_included))
     partition = ModelPartition(
@@ -148,15 +150,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     scaling = ANDERSON_RUBIN if args.scaling == "ar" else PLAIN
     test_cfg = TestConfig(p_min=args.pmin, scaling=scaling)
     fallback_spec = None if args.fallback == "none" else EstimatorSpec.parse(args.fallback)
+    pulse_cfg = None
 
     rows: list[dict] = []
     for label in _csv_list(args.estimator):
         if label == "pulse":
-            pulse_cfg = PulseConfig(
+            pulse_cfg = pulse_cfg or PulseConfig(
                 p_min=args.pmin,
+                scaling=scaling,
                 precision_n=args.precision,
                 fallback=fallback_spec or EstimatorSpec.fuller(4.0),
-                test_cfg=test_cfg,
             )
             result = pulse_estimate(view, pulse_cfg)
             if result.fallback_used and fallback_spec is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .data import DesignView, checked_solve
 from .estimators import EstimatorSpec, estimate
-from .exceptions import PulseIVError
+from .exceptions import DataError, PulseIVError
 from .inference import weak_instrument_stat
 from .pulse import PulseConfig, pulse_estimate
 from .sem import (
@@ -37,6 +37,7 @@ from .sem import (
     sem_sample,
     univariate_model,
     wcmspe_curve_e1,
+    xi_from_r2,
 )
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -75,18 +76,6 @@ def cell_seed(master_seed: int, cell_index: int, rep_index: int) -> int:
     See ROADMAP item 6.
     """
     return ((master_seed + _GOLDEN * cell_index) ^ rep_index) & _MASK
-
-
-def xi_from_r2(r2: float, q: int) -> float:
-    """Anchor coefficient with theoretical first-stage R-squared ``r2``.
-
-    Solves ``q xi^2 / (q xi^2 + 1) = r2`` for ``xi >= 0``.
-    """
-    if not 0.0 < r2 < 1.0:
-        raise ValueError(f"r2 must lie in (0, 1), got {r2}")
-    if q < 1:
-        raise ValueError(f"q must be positive, got {q}")
-    return float(np.sqrt(r2 / (q * (1.0 - r2))))
 
 
 def relative_change(metric_competitor: float, metric_pulse: float) -> float:
@@ -246,14 +235,61 @@ class ExperimentConfig:
         return asdict(self)
 
     @staticmethod
-    def from_json(doc: dict[str, Any]) -> "ExperimentConfig":
-        kwargs = dict(doc)
-        for key in ("estimators", "q_values", "rho_values", "r2_values", "n_values"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        if kwargs.get("noise_triples") is not None:
-            kwargs["noise_triples"] = tuple(tuple(t) for t in kwargs["noise_triples"])
+    def from_json(doc: Any) -> "ExperimentConfig":
+        """The config a parsed JSON document describes; lists become tuples.
+
+        Raises
+        ------
+        DataError
+            If ``doc`` is not an object, lacks ``design``, has a key that is not
+            a field, or has a value of the wrong type.
+        """
+        if not isinstance(doc, dict):
+            raise DataError(f"experiment config must be a JSON object, got {doc!r}")
+        kinds = {f.name: _SEQUENCE_FIELDS.get(f.name, f.type) for f in fields(ExperimentConfig)}
+        unknown = sorted(set(doc) - set(kinds))
+        if unknown:
+            raise DataError(f"unknown experiment config key(s) {unknown}; valid: {sorted(kinds)}")
+        if "design" not in doc:
+            raise DataError("experiment config missing field 'design'")
+        kwargs: dict[str, Any] = {}
+        for key, value in doc.items():
+            kind = kinds[key]
+            if key not in _SEQUENCE_FIELDS:
+                if not _json_is(value, kind):
+                    raise DataError(f"experiment config {key!r} must be {kind}, got {value!r}")
+            elif value is not None:
+                if not isinstance(value, (list, tuple)) or not all(_json_is(v, kind) for v in value):
+                    raise DataError(
+                        f"experiment config {key!r} must be a list of {kind} or null, got {value!r}"
+                    )
+                value = tuple(tuple(v) if kind == "triple" else v for v in value)
+            kwargs[key] = value
         return ExperimentConfig(**kwargs)
+
+
+#: Element kind of each sequence field of :class:`ExperimentConfig` (all may be null).
+_SEQUENCE_FIELDS = {
+    "estimators": "str",
+    "q_values": "int",
+    "rho_values": "float",
+    "r2_values": "float",
+    "n_values": "int",
+    "noise_triples": "triple",
+}
+
+
+def _json_is(value: Any, kind: str) -> bool:
+    """Whether a JSON value is a ``str``, ``int``, ``float`` (an int counts),
+    ``bool`` or ``triple`` (three floats); booleans are not numbers."""
+    if kind == "triple":
+        return isinstance(value, (list, tuple)) and len(value) == 3 and all(
+            _json_is(v, "float") for v in value
+        )
+    if kind == "bool":
+        return isinstance(value, bool)
+    types = {"str": str, "int": int, "float": (int, float)}[kind]
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 @dataclass
@@ -299,11 +335,11 @@ _GRID_DESIGNS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 
 
 def _run_cell(
-    cell: _Cell, index: int, estimators: tuple[str, ...], cfg: ExperimentConfig
+    cell: _Cell, index: int, estimators: tuple[tuple[str, EstimatorSpec], ...], cfg: ExperimentConfig
 ) -> CellResult:
     pulse_cfg = PulseConfig(p_min=cfg.p_min)
-    collected: dict[str, list[np.ndarray]] = {e: [] for e in estimators}
-    failures: dict[str, dict[str, int]] = {e: {} for e in estimators}
+    collected: dict[str, list[np.ndarray]] = {label: [] for label, _ in estimators}
+    failures: dict[str, dict[str, int]] = {label: {} for label, _ in estimators}
     min_eigs: list[float] = []
     g_sum: np.ndarray | None = None
     g_count = 0
@@ -318,12 +354,12 @@ def _run_cell(
             g_count += 1
         except PulseIVError:
             pass
-        for label in estimators:
+        for label, spec in estimators:
             try:
-                if label == "pulse":
+                if spec.kind == "pulse":
                     alpha = pulse_estimate(view, pulse_cfg).alpha
                 else:
-                    alpha = estimate(view, EstimatorSpec.parse(label)).alpha
+                    alpha = estimate(view, spec).alpha
                 collected[label].append(alpha)
             except PulseIVError as exc:
                 cause = type(exc).__name__
@@ -331,7 +367,7 @@ def _run_cell(
 
     metrics: dict[str, EstimatorMetrics] = {}
     alerts: list[str] = []
-    for label in estimators:
+    for label, _ in estimators:
         stack = collected[label]
         if not stack:
             alerts.append(f"{label}: no successful repetitions")
@@ -469,8 +505,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if cfg.design == "robustness-e1":
         return _run_robustness_e1(cfg)
     param_names, default_estimators = _GRID_DESIGNS[cfg.design]
+    specs = tuple((e, EstimatorSpec.parse(e)) for e in cfg.estimators or default_estimators)
     cells = _cells(cfg)
-    args = (cells, range(len(cells)), repeat(cfg.estimators or default_estimators), repeat(cfg))
+    args = (cells, range(len(cells)), repeat(specs), repeat(cfg))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_cell, *args))

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 import scipy.special
 
-from .data import DesignView, psd_inverse_sqrt, rcond_symmetric, RCOND_GRAM
+from .data import DesignView, psd_inverse_sqrt, RCOND_GRAM
 from .exceptions import DegenerateResidual, SingularGram, ZeroResidual
 
 PLAIN = "plain"
@@ -55,24 +55,19 @@ def chi2_cdf(q_dof: int, value: float) -> float:
 class TestConfig:
     """Level and scaling scheme of the uncorrelatedness test.
 
-    ``q`` may pin the expected instrument count; when ``None`` it is taken
-    from the design view at evaluation time.
+    The one owner of both settings: :class:`ViewTest` reads them, and
+    :attr:`pulse_iv.pulse.PulseConfig.test_cfg` builds this object from its
+    own ``p_min`` and ``scaling``.  The degrees of freedom ``q`` are the data's.
     """
 
     p_min: float = 0.05
     scaling: str = ANDERSON_RUBIN
-    q: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p_min < 1.0:
             raise ValueError(f"p_min must lie in (0, 1), got {self.p_min}")
         if self.scaling not in _SCALINGS:
             raise ValueError(f"scaling must be one of {_SCALINGS}, got {self.scaling!r}")
-
-    def resolve_q(self, view_q: int) -> int:
-        if self.q is not None and self.q != view_q:
-            raise ValueError(f"TestConfig.q={self.q} does not match the data (q={view_q})")
-        return view_q
 
     def scale(self, n: int, q: int) -> float:
         """The factor ``c(n)``: ``n`` for plain, ``n - q + Q`` for Anderson-Rubin."""
@@ -106,6 +101,32 @@ class WeakInstrumentReport:
     details: dict[str, Any] | None = None
 
 
+class ViewTest:
+    """The uncorrelatedness test bound to one view: its ``scale`` and
+    ``threshold`` are fixed once, and every verdict (:meth:`accepts`,
+    :meth:`result`, the PULSE search) compares :meth:`statistic` with them."""
+
+    def __init__(self, view: DesignView, cfg: TestConfig | None = None):
+        cfg = cfg or TestConfig()
+        self.view = view
+        self.scale, self.threshold = cfg.scale(view.n, view.q), cfg.threshold(view.q)
+
+    def statistic(self, alpha: np.ndarray) -> float:
+        return scaled_ratio(self.view, alpha, self.scale)
+
+    def accepts(self, alpha: np.ndarray) -> bool:
+        return self.statistic(alpha) <= self.threshold
+
+    def result(self, alpha: np.ndarray) -> TestResult:
+        stat = self.statistic(alpha)
+        return TestResult(
+            statistic=stat,
+            threshold=float(self.threshold),
+            accepted=bool(stat <= self.threshold),
+            p_value_bound=1.0 - chi2_cdf(self.view.q, stat),
+        )
+
+
 def test_statistic(view: DesignView, alpha: np.ndarray, cfg: TestConfig | None = None) -> TestResult:
     """Test the hypothesis that the exogenous variables are uncorrelated with
     the residual ``y - Z alpha``.
@@ -116,16 +137,7 @@ def test_statistic(view: DesignView, alpha: np.ndarray, cfg: TestConfig | None =
         If the OLS loss at ``alpha`` is numerically zero, making the ratio
         undefined.
     """
-    cfg = cfg or TestConfig()
-    q = cfg.resolve_q(view.q)
-    stat = scaled_ratio(view, alpha, cfg.scale(view.n, q))
-    thr = cfg.threshold(q)
-    return TestResult(
-        statistic=stat,
-        threshold=float(thr),
-        accepted=bool(stat <= thr),
-        p_value_bound=1.0 - chi2_cdf(q, stat),
-    )
+    return ViewTest(view, cfg).result(alpha)
 
 
 def scaled_ratio(view: DesignView, alpha: np.ndarray, scale: float) -> float:
@@ -163,6 +175,13 @@ def weak_instrument_stat(view: DesignView) -> WeakInstrumentReport:
     ``G_n = Sigma^{-1/2} X^T P_A X Sigma^{-1/2} / q`` with
     ``Sigma = (n - q)^{-1} X^T P_A^perp X``.  Instruments pass the rule of
     thumb when the smallest eigenvalue exceeds 10.
+
+    Raises
+    ------
+    SingularGram
+        Named ``X^T P_A^perp X``, if the smallest eigenvalue of ``Sigma`` is
+        at most ``RCOND_GRAM`` times the trace of ``X^T X / (n - q)``: below
+        that, ``Sigma`` is rounding residue of ``X`` lying in ``span(A)``.
     """
     n, q, d1 = view.n, view.q, view.d1
     if n <= q:
@@ -172,10 +191,10 @@ def weak_instrument_stat(view: DesignView) -> WeakInstrumentReport:
     xtx = view.ztz[:d1, :d1]
     x_pa_x = s_x.T @ s_x
     sigma = (xtx - x_pa_x) / (n - q)
-    rcond = rcond_symmetric(sigma)
-    if rcond < RCOND_GRAM:
-        raise SingularGram("X^T P_A^perp X", rcond)
-    isqrt = psd_inverse_sqrt("Sigma_UX", sigma)
+    w_min, scale = float(np.linalg.eigvalsh(sigma)[0]), float(np.trace(xtx)) / (n - q)
+    if not w_min > RCOND_GRAM * scale:
+        raise SingularGram("X^T P_A^perp X", w_min / scale if scale > 0.0 else 0.0)
+    isqrt = psd_inverse_sqrt("X^T P_A^perp X", sigma)
     g = isqrt @ x_pa_x @ isqrt / q
     g = 0.5 * (g + g.T)
     min_eig = float(np.linalg.eigvalsh(g)[0])

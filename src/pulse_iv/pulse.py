@@ -22,7 +22,7 @@ import numpy as np
 from .data import DesignView, IdentificationClass
 from .estimators import EstimatorSpec, estimate
 from .exceptions import NonMonotoneDetected, OutOfDomain
-from .inference import TestConfig, TestResult, scaled_ratio, test_statistic
+from .inference import ANDERSON_RUBIN, TestConfig, TestResult, ViewTest, test_statistic
 
 _FALLBACK_KINDS = ("tsls", "liml", "fuller")
 
@@ -44,16 +44,20 @@ MESSAGE_TEXT = {
 
 @dataclass(frozen=True)
 class PulseConfig:
-    """Level, search precision ``1/N``, fallback estimator and test scaling."""
+    """Test level and scaling, search precision ``1/N`` and fallback estimator.
+
+    Each setting is stored once, here.  The test's two, ``p_min`` and
+    ``scaling``, are handed on (and validated) as :attr:`test_cfg`; the search
+    reads ``precision_n`` and the fallback branch ``fallback``.
+    """
 
     p_min: float = 0.05
+    scaling: str = ANDERSON_RUBIN
     precision_n: int = 2**20
     fallback: EstimatorSpec = field(default_factory=lambda: EstimatorSpec.fuller(4.0))
-    test_cfg: TestConfig | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p_min < 1.0:
-            raise ValueError(f"p_min must lie in (0, 1), got {self.p_min}")
+        _ = self.test_cfg  # TestConfig validates p_min and scaling
         if self.precision_n < 1:
             raise ValueError(f"precision_n must be >= 1, got {self.precision_n}")
         if self.fallback.kind not in _FALLBACK_KINDS:
@@ -61,12 +65,11 @@ class PulseConfig:
                 f"fallback must be a consistent estimator kind {_FALLBACK_KINDS}, "
                 f"got {self.fallback.kind!r}"
             )
-        if self.test_cfg is None:
-            object.__setattr__(self, "test_cfg", TestConfig(p_min=self.p_min))
-        elif self.test_cfg.p_min != self.p_min:
-            raise ValueError(
-                f"test_cfg.p_min={self.test_cfg.p_min} disagrees with p_min={self.p_min}"
-            )
+
+    @property
+    def test_cfg(self) -> TestConfig:
+        """The uncorrelatedness test these settings define."""
+        return TestConfig(p_min=self.p_min, scaling=self.scaling)
 
 
 @dataclass
@@ -82,19 +85,8 @@ class PulseResult:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-class _PathTest:
-    """The acceptance test of :func:`~pulse_iv.inference.test_statistic`, with
-    its scale and threshold fixed once for a view."""
-
-    def __init__(self, view: DesignView, tc: TestConfig):
-        q = tc.resolve_q(view.q)
-        self.view, self.scale, self.threshold = view, tc.scale(view.n, q), tc.threshold(q)
-
-    def statistic(self, alpha: np.ndarray) -> float:
-        return scaled_ratio(self.view, alpha, self.scale)
-
-    def accepts(self, alpha: np.ndarray) -> bool:
-        return self.statistic(alpha) <= self.threshold
+class _PathTest(ViewTest):
+    """The view's acceptance test with PULSE's branch and penalty search."""
 
     def branch(self) -> tuple[PulseMessage, float | None]:
         """Fallback if over-identified with TSLS on or outside the acceptance
@@ -109,9 +101,18 @@ class _PathTest:
             return PulseMessage.OLS_ACCEPTED, stat_tsls
         return PulseMessage.NONE, stat_tsls
 
-    def lambda_star(self, precision_n: int) -> float:
+    def penalty(self, precision_n: int) -> tuple[PulseMessage, float, float | None]:
+        """The branch, its penalty and the TSLS statistic (when computed): ``inf``
+        on fallback, ``0`` if OLS is accepted, else the smallest accepted penalty
+        within ``1/precision_n``."""
+        branch, stat_tsls = self.branch()
+        if branch is PulseMessage.TSLS_REJECTED_FALLBACK:
+            return branch, math.inf, stat_tsls
+        if branch is PulseMessage.OLS_ACCEPTED:
+            return branch, 0.0, stat_tsls
         path = self.view.path
-        return _smallest_accepted(lambda lam: self.accepts(path.alpha(lam)), 1.0 / precision_n)
+        lam = _smallest_accepted(lambda lam: self.accepts(path.alpha(lam)), 1.0 / precision_n)
+        return branch, lam, stat_tsls
 
 
 def _bisect(
@@ -169,13 +170,7 @@ def lambda_star_search(view: DesignView, cfg: PulseConfig | None = None) -> floa
         signalling numerical breakdown rather than infeasibility.
     """
     cfg = cfg or PulseConfig()
-    test = _PathTest(view, cfg.test_cfg)
-    branch, _ = test.branch()
-    if branch is PulseMessage.TSLS_REJECTED_FALLBACK:
-        return math.inf
-    if branch is PulseMessage.OLS_ACCEPTED:
-        return 0.0
-    return test.lambda_star(cfg.precision_n)
+    return _PathTest(view, cfg.test_cfg).penalty(cfg.precision_n)[1]
 
 
 def pulse_estimate(view: DesignView, cfg: PulseConfig | None = None) -> PulseResult:
@@ -188,28 +183,19 @@ def pulse_estimate(view: DesignView, cfg: PulseConfig | None = None) -> PulseRes
     """
     cfg = cfg or PulseConfig()
     tc = cfg.test_cfg
-    test = _PathTest(view, tc)
-    branch, stat_tsls = test.branch()
-    if branch is PulseMessage.TSLS_REJECTED_FALLBACK:
-        fb = estimate(view, cfg.fallback)
-        return PulseResult(
-            alpha=fb.alpha,
-            lambda_star=math.inf,
-            kappa_star=None,
-            message=branch,
-            test_at_solution=test_statistic(view, fb.alpha, tc),
-            fallback_used=True,
-            diagnostics={"fallback": cfg.fallback.label(), "tsls_statistic": stat_tsls},
-        )
-    lam = 0.0 if branch is PulseMessage.OLS_ACCEPTED else test.lambda_star(cfg.precision_n)
-    alpha = view.path.alpha(lam)
+    branch, lam, stat_tsls = _PathTest(view, tc).penalty(cfg.precision_n)
+    fallback = branch is PulseMessage.TSLS_REJECTED_FALLBACK
+    alpha = estimate(view, cfg.fallback).alpha if fallback else view.path.alpha(lam)
     return PulseResult(
         alpha=alpha,
         lambda_star=lam,
-        kappa_star=lam / (1.0 + lam),
+        kappa_star=None if fallback else lam / (1.0 + lam),
         message=branch,
         test_at_solution=test_statistic(view, alpha, tc),
-        fallback_used=False,
+        fallback_used=fallback,
+        diagnostics=(
+            {"fallback": cfg.fallback.label(), "tsls_statistic": stat_tsls} if fallback else {}
+        ),
     )
 
 

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 import scipy.special
 
-from .data import Dataset, ModelPartition, checked_solve, rcond_symmetric, RCOND_GRAM
+from .data import Dataset, KClassPath, ModelPartition, psd_inverse_sqrt, rcond_symmetric, RCOND_GRAM
 from .exceptions import DataError, NonStationary, SingularGram, SingularPopulationGram
 
 SPECTRAL_MARGIN = 1e-8
@@ -281,26 +281,21 @@ def population_moments(
 def population_kclass(
     model: SemModel, partition: ModelPartition, kappa: float
 ) -> np.ndarray:
-    """Population K-class estimand from exact moments, ``kappa`` in ``[0, 1]``."""
+    """Population K-class estimand, ``kappa`` in ``[0, 1]``, solved by the sample
+    path's :meth:`~pulse_iv.data.KClassPath.kclass` on ``E[ZZ^T]``, ``E[ZY]``,
+    ``S = E[AA^T]^{-1/2} E[AZ^T]`` and ``s_y = E[AA^T]^{-1/2} E[AY]``;
+    :class:`SingularPopulationGram` if one of its systems is singular."""
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
     mom = population_moments(model, None, partition)
     try:
-        aa_inv_az = checked_solve("E[AA^T]", mom.aa, mom.az)
-        aa_inv_ay = checked_solve("E[AA^T]", mom.aa, mom.ay)
+        isqrt = psd_inverse_sqrt("E[AA^T]", mom.aa)
+        rcond_zz = rcond_symmetric(mom.zz)
+        if rcond_zz < RCOND_GRAM:
+            raise SingularGram("E[ZZ^T]", rcond_zz)
+        return KClassPath(mom.zz, mom.zy, isqrt @ mom.az, isqrt @ mom.ay).kclass(kappa)
     except SingularGram as exc:
         raise SingularPopulationGram(str(exc)) from None
-    iv_gram = mom.az.T @ aa_inv_az
-    iv_rhs = mom.az.T @ aa_inv_ay
-    if kappa == 1.0:
-        if rcond_symmetric(iv_gram) < RCOND_GRAM:
-            raise SingularPopulationGram("E[A Z^T] lacks full column rank")
-        return np.linalg.solve(iv_gram, iv_rhs)
-    mat = (1.0 - kappa) * mom.zz + kappa * iv_gram
-    rhs = (1.0 - kappa) * mom.zy + kappa * iv_rhs
-    if rcond_symmetric(mat) < RCOND_GRAM:
-        raise SingularPopulationGram("population K-class normal matrix is singular")
-    return np.linalg.solve(mat, rhs)
 
 
 def population_ols_loss(mom: PopulationMoments, alpha: np.ndarray) -> float:
@@ -419,6 +414,18 @@ def e1_model(gamma: float = 1.0, confounding: float = 0.5) -> SemModel:
     return SemModel(b=b, m=m, noise_cov=noise, anchor_cov=np.eye(1), roles=("y", "x"))
 
 
+def xi_from_r2(r2: float, q: int) -> float:
+    """Anchor coefficient with theoretical first-stage R-squared ``r2``.
+
+    Solves ``q xi^2 / (q xi^2 + 1) = r2`` for ``xi >= 0``.
+    """
+    if not 0.0 < r2 < 1.0:
+        raise ValueError(f"r2 must lie in (0, 1), got {r2}")
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
+    return float(np.sqrt(r2 / (q * (1.0 - r2))))
+
+
 def univariate_model(q: int, rho: float, r2: float, gamma: float = 1.0) -> SemModel:
     """Weak-instrument study design: ``X := A^T xi + U_X``, ``Y := gamma X + U_Y``.
 
@@ -426,8 +433,6 @@ def univariate_model(q: int, rho: float, r2: float, gamma: float = 1.0) -> SemMo
     the theoretical first-stage R-squared equals ``r2``;
     ``corr(U_X, U_Y) = rho``.
     """
-    from .experiments import xi_from_r2
-
     xi = xi_from_r2(r2, q)
     b = np.zeros((2, 2))
     b[1, 0] = gamma

@@ -290,6 +290,15 @@ class TestEstimate:
         assert code == 3
         assert "a1" in captured.err
 
+    def test_single_row_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("y,x1,a1\n1.0,2.0,3.0\n")
+        args = ["--data", str(data), "--target", "y", "--endogenous", "x1", "--instruments", "a1"]
+        for command in ("estimate", "diagnose"):
+            assert main([command, *args]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "two rows" in err
+
     def test_singular_gram_exits_four(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         data = tmp_path / "dup.csv"
@@ -364,6 +373,26 @@ class TestExperiment:
         out = tmp_path / "run"
         assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "underid-e3.csv").exists()
+
+    @pytest.mark.parametrize(
+        "doc, needle",
+        [
+            ({"design": "underid-e3", "bogus": 1}, "bogus"),
+            ({"design": "underid-e3", "repetitions": "2"}, "repetitions"),
+            ([1, 2], "JSON object"),
+            ({"design": "underid-e3", "repetitions": 2.5}, "repetitions"),
+            ({"design": "underid-e3", "n_values": 5}, "n_values"),
+            ({"repetitions": 2}, "design"),
+        ],
+    )
+    def test_malformed_config_is_data_error(self, tmp_path, capsys, doc, needle):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and needle in err
+        assert not out.exists()
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         assert main(["experiment", "--out", str(tmp_path)]) == 2

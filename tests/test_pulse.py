@@ -19,7 +19,7 @@ from pulse_iv.estimators import (
     tsls_estimate,
 )
 from pulse_iv.exceptions import OutOfDomain
-from pulse_iv.inference import PLAIN, TestConfig, chi2_quantile
+from pulse_iv.inference import PLAIN, chi2_quantile
 from pulse_iv.pulse import (
     MESSAGE_TEXT,
     PulseConfig,
@@ -158,8 +158,6 @@ class TestPulseEstimate:
         )
 
     def test_rejects_inconsistent_config(self):
-        with pytest.raises(ValueError, match="disagrees"):
-            PulseConfig(p_min=0.05, test_cfg=TestConfig(p_min=0.1))
         with pytest.raises(ValueError, match="consistent estimator"):
             PulseConfig(fallback=EstimatorSpec.ols())
 
@@ -293,7 +291,7 @@ class TestDualIdentityProperty:
 class TestPlainScalingPath:
     def test_search_under_plain_scaling(self):
         view = make_instance(51, n=100, d1=1, q=2, confounding=0.9)
-        cfg = PulseConfig(test_cfg=TestConfig(p_min=0.05, scaling=PLAIN))
+        cfg = PulseConfig(p_min=0.05, scaling=PLAIN)
         res = pulse_estimate(view, cfg)
         stat = inference.test_statistic(view, res.alpha, cfg.test_cfg)
         if res.message is PulseMessage.NONE:

@@ -9,7 +9,7 @@ import pytest
 
 from pulse_iv.data import DesignView, ModelPartition
 from pulse_iv.estimators import kclass_estimate
-from pulse_iv.exceptions import DataError, NonStationary
+from pulse_iv.exceptions import DataError, NonStationary, SingularPopulationGram
 from pulse_iv.sem import (
     _A_STREAM,
     _NOISE_STREAM,
@@ -259,6 +259,43 @@ class TestPopulationKclass:
             pop = population_kclass(model, part, kappa)[0]
             est = kclass_estimate(view, kappa).alpha[0]
             assert est == pytest.approx(pop, abs=0.02)
+
+    def test_correlated_anchors_match_normal_equations(self):
+        # anchor_cov != I, so the whitening by E[AA^T]^{-1/2} does not reduce to E[AZ^T]
+        b = np.zeros((2, 2))
+        b[1, 0] = 0.8  # X -> Y
+        m = np.array([[0.3, 0.7], [0.0, -0.4]])  # A1 -> (Y, X), A2 -> X
+        noise = np.array([[1.0, 0.5], [0.5, 1.0]])
+        anchor_cov = np.array([[2.0, 0.6], [0.6, 1.0]])
+        model = SemModel(b=b, m=m, noise_cov=noise, anchor_cov=anchor_cov, roles=("y", "x"))
+        for part in (ModelPartition((0,)), ModelPartition((0,), (0,))):
+            mom = population_moments(model, None, part)
+            iv_gram = mom.az.T @ np.linalg.solve(mom.aa, mom.az)
+            iv_rhs = mom.az.T @ np.linalg.solve(mom.aa, mom.ay)
+            for kappa in (0.0, 0.5, 0.9, 1.0):
+                want = np.linalg.solve(
+                    (1.0 - kappa) * mom.zz + kappa * iv_gram,
+                    (1.0 - kappa) * mom.zy + kappa * iv_rhs,
+                )
+                np.testing.assert_allclose(
+                    population_kclass(model, part, kappa), want, rtol=0.0, atol=1e-12
+                )
+
+    def test_singular_population_systems_raise(self):
+        model = e3_model()
+        with pytest.raises(SingularPopulationGram):
+            population_kclass(model, model.observed_partition(), 1.0)
+        # X := A exactly, with A also included: E[ZZ^T] is singular at every kappa
+        collinear = SemModel(
+            b=np.array([[0.0, 0.0], [1.0, 0.0]]),
+            m=np.array([[0.0, 1.0]]),
+            noise_cov=np.array([1.0, 0.0]),
+            anchor_cov=np.eye(1),
+            roles=("y", "x"),
+        )
+        for kappa in (0.0, 0.5):
+            with pytest.raises(SingularPopulationGram):
+                population_kclass(collinear, ModelPartition((0,), (0,)), kappa)
 
 
 class TestWorstCaseMspe:
