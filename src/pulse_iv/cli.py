@@ -154,7 +154,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     rows: list[dict] = []
     for label in _csv_list(args.estimator):
-        if label == "pulse":
+        spec = EstimatorSpec.parse(label)
+        if spec.kind == "pulse":
             pulse_cfg = pulse_cfg or PulseConfig(
                 p_min=args.pmin,
                 scaling=scaling,
@@ -170,7 +171,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 print(MESSAGE_TEXT[result.message])
             rows.append(
                 {
-                    "estimator": "pulse",
+                    "estimator": label,
                     "alpha": result.alpha,
                     "kappa": result.kappa_star,
                     "lambda": result.lambda_star,
@@ -179,7 +180,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 }
             )
         else:
-            res = estimate(view, EstimatorSpec.parse(label))
+            res = estimate(view, spec)
             rows.append(
                 {
                     "estimator": label,

@@ -1,8 +1,10 @@
 """Observed data, model partition, preprocessing, and loss primitives.
 
-The central object is :class:`DesignView`, which binds a :class:`Dataset` to a
-:class:`ModelPartition` and caches the Gram products every estimator consumes,
-plus the :class:`KClassPath` built on them.
+The central object is :class:`GramView`: the Gram products of one
+:class:`ModelPartition` that every estimator consumes, plus the
+:class:`KClassPath` built on them.  :class:`DesignView` builds them from the rows
+of a :class:`Dataset`; :func:`~pulse_iv.sem.population_moments` gives the exact
+population ones.
 All objects are immutable after construction and safe to share across workers.
 """
 
@@ -354,50 +356,29 @@ class KClassPath:
         return np.linalg.solve(mat, (1.0 - kappa) * self.zty + kappa * self.sty)
 
 
-class DesignView:
-    """Immutable view of ``(y, Z, A)`` with cached Gram products.
+class GramView:
+    """The six cross products of ``(y, Z, A)`` under one partition, and all that is
+    computed from them alone: identification, condition numbers, both losses and
+    the cached :class:`KClassPath`.
 
     ``Z = [X_* A_*]`` stacks the included endogenous regressors first and the
     included exogenous regressors second; this ordering is the cross-module
-    coefficient contract.  Cached products make each K-class solve
-    ``O((d1+q1)^3)`` independent of the sample size.
+    coefficient contract.  The losses divide by ``n``: the row count of a sample
+    (:class:`DesignView`), or 1 for exact population moments
+    (:func:`~pulse_iv.sem.population_moments`), whose products are expectations.
+    Each K-class solve is ``O((d1+q1)^3)``, independent of the sample size.
     """
 
-    def __init__(self, dataset: Dataset, partition: ModelPartition | None = None):
-        if partition is None:
-            partition = ModelPartition.all_endogenous(dataset.d)
-        partition.validate(dataset.d, dataset.q)
-        self.dataset = dataset
-        self.partition = partition
-        self.y = dataset.y
-        self.a = dataset.a
-        x_star = dataset.x[:, list(partition.included_endogenous)]
-        a_star = (
-            dataset.a[:, list(partition.included_exogenous)]
-            if partition.q1
-            else np.empty((dataset.n, 0))
-        )
-        self.z = _readonly(np.hstack([x_star, a_star]))
-        self.n = dataset.n
-        self.d1 = partition.d1
-        self.q1 = partition.q1
-        self.q = dataset.q
-        self.d2 = dataset.d - partition.d1
-        self.q2 = dataset.q - partition.q1
+    def __init__(
+        self, partition: ModelPartition, q: int, n: int, ztz: np.ndarray, zty: np.ndarray,
+        atz: np.ndarray, aty: np.ndarray, ata: np.ndarray, yty: float,
+    ):
+        self.partition, self.q, self.n = partition, q, n
+        self.d1, self.q1, self.q2 = partition.d1, partition.q1, q - partition.q1
         self.k = self.d1 + self.q1
-        self.coef_names = tuple(dataset.x_names[i] for i in partition.included_endogenous) + tuple(
-            dataset.a_names[i] for i in partition.included_exogenous
-        )
-
-        self.ztz = _readonly(self.z.T @ self.z)
-        self.ata = _readonly(self.a.T @ self.a)
-        self.atz = _readonly(self.a.T @ self.z)
-        self.zty = _readonly(self.z.T @ self.y)
-        self.aty = _readonly(self.a.T @ self.y)
-        self.yty = float(self.y @ self.y)
-
-        self.rcond_ztz = rcond_symmetric(self.ztz)
-        self.rcond_ata = rcond_symmetric(self.ata)
+        self.ztz, self.zty, self.atz, self.aty, self.ata = map(_readonly, (ztz, zty, atz, aty, ata))
+        self.yty = float(yty)
+        self.rcond_ztz, self.rcond_ata = rcond_symmetric(self.ztz), rcond_symmetric(self.ata)
 
     @property
     def identification(self) -> IdentificationClass:
@@ -441,6 +422,31 @@ class DesignView:
         if self.rcond_ztz < RCOND_GRAM:
             raise SingularGram("Z^T Z", self.rcond_ztz)
         return KClassPath(self.ztz, self.zty, s, sy)
+
+
+class DesignView(GramView):
+    """A :class:`GramView` built from the rows of a :class:`Dataset`, which it keeps:
+    ``dataset``, ``y``, ``a``, ``z = [X_* A_*]``, ``d2`` and ``coef_names``."""
+
+    def __init__(self, dataset: Dataset, partition: ModelPartition | None = None):
+        if partition is None:
+            partition = ModelPartition.all_endogenous(dataset.d)
+        partition.validate(dataset.d, dataset.q)
+        self.dataset = dataset
+        self.y = dataset.y
+        self.a = dataset.a
+        x_star = dataset.x[:, list(partition.included_endogenous)]
+        a_star = dataset.a[:, list(partition.included_exogenous)]  # (n, 0) when q1 = 0
+        self.z = _readonly(np.hstack([x_star, a_star]))
+        self.d2 = dataset.d - partition.d1
+        self.coef_names = tuple(dataset.x_names[i] for i in partition.included_endogenous) + tuple(
+            dataset.a_names[i] for i in partition.included_exogenous
+        )
+        z, a, y = self.z, self.a, self.y
+        super().__init__(
+            partition, dataset.q, dataset.n,
+            ztz=z.T @ z, ata=a.T @ a, atz=a.T @ z, zty=z.T @ y, aty=a.T @ y, yty=y @ y,
+        )
 
     def kclass_solve(self, kappa: float) -> np.ndarray:
         """Closed-form K-class solution, the minimizer of ``(1 - kappa) l_OLS + kappa l_IV``:

@@ -2,7 +2,9 @@
 
 OLS, TSLS, anchor regression, K-class, LIML, Fuller(a), and the modified TSLS
 for under-identified systems.  Every routine consumes a shared immutable
-:class:`~pulse_iv.data.DesignView` and is a pure function of its inputs.
+:class:`~pulse_iv.data.DesignView` and is a pure function of its inputs; those
+typed for a :class:`~pulse_iv.data.GramView` read only its Gram products, so on
+:func:`~pulse_iv.sem.population_moments` they give the population estimand.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Any
 import numpy as np
 import scipy.linalg
 
-from .data import RCOND_GRAM, DesignView, IdentificationClass, rcond_symmetric
+from .data import RCOND_GRAM, DesignView, GramView, IdentificationClass, rcond_symmetric
 from .exceptions import InfeasibleConstraint, SingularGram, UnderIdentified
 
 _KINDS = ("ols", "tsls", "kclass", "anchor", "liml", "fuller", "modified-tsls", "pulse")
@@ -113,7 +115,7 @@ class EstimateResult:
             raise ValueError("estimate contains non-finite coefficients")
 
 
-def _base_diagnostics(view: DesignView) -> dict[str, Any]:
+def _base_diagnostics(view: GramView) -> dict[str, Any]:
     return {
         "identification": view.identification.value,
         "identification_degree": view.identification_degree,
@@ -139,7 +141,7 @@ def kclass_estimate(view: DesignView, kappa: float) -> EstimateResult:
     return EstimateResult(alpha=alpha, kappa_used=kappa, lambda_used=lam, diagnostics=diag)
 
 
-def anchor_estimate(view: DesignView, lam: float) -> EstimateResult:
+def anchor_estimate(view: GramView, lam: float) -> EstimateResult:
     """Anchor regression estimator, the minimizer of ``l_OLS + lambda * l_IV``.
 
     Equals ``kclass_estimate(lambda / (1 + lambda))`` for ``lambda >= 0``.
@@ -172,7 +174,7 @@ def tsls_estimate(view: DesignView) -> EstimateResult:
     )
 
 
-def modified_tsls(view: DesignView) -> EstimateResult:
+def modified_tsls(view: GramView) -> EstimateResult:
     """Loss-minimal point of the exact moment-condition solution space.
 
     Solves ``argmin l_OLS`` subject to ``A^T Z alpha = A^T y`` through the KKT
@@ -227,7 +229,7 @@ def min_generalized_eigenvalue(w1: np.ndarray, w: np.ndarray) -> float:
 
 def _liml_blocks(view: DesignView) -> tuple[np.ndarray, np.ndarray]:
     """Cross-product matrices ``W`` and ``W1`` for the LIML eigenproblem."""
-    m0 = np.column_stack([view.y, view.dataset.x[:, list(view.partition.included_endogenous)]])
+    m0 = np.column_stack([view.y, view.z[:, : view.d1]])
     gram0 = m0.T @ m0
 
     def residual_gram(basis: np.ndarray) -> np.ndarray:
@@ -236,13 +238,8 @@ def _liml_blocks(view: DesignView) -> tuple[np.ndarray, np.ndarray]:
         proj = basis @ np.linalg.lstsq(basis, m0, rcond=None)[0]
         return gram0 - proj.T @ proj
 
-    a_star = (
-        view.dataset.a[:, list(view.partition.included_exogenous)]
-        if view.q1
-        else np.empty((view.n, 0))
-    )
     w = residual_gram(view.a)
-    w1 = residual_gram(a_star)
+    w1 = residual_gram(view.z[:, view.d1 :])  # the included exogenous A_*
     return w1, w
 
 

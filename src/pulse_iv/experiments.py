@@ -73,7 +73,7 @@ def cell_seed(master_seed: int, cell_index: int, rep_index: int) -> int:
     Known defect: ``sem_sample`` hands a seed of 2^63 or more to Philox as a
     float64, which drops the low 11 bits that carry ``rep_index``; nearly every
     repetition of such a cell (about half of all cells) draws the same sample.
-    See ROADMAP item 6.
+    See ROADMAP item 1.
     """
     return ((master_seed + _GOLDEN * cell_index) ^ rep_index) & _MASK
 
@@ -214,6 +214,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown design {self.design!r}; valid designs: {valid}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        if self.n_models < 1:
+            raise ValueError("n_models must be positive")
+        empty = [f for f in _SEQUENCE_FIELDS if getattr(self, f) is not None and not getattr(self, f)]
+        if empty:
+            raise ValueError(f"empty {', '.join(empty)}; give a value, or null for the default")
         if self.design == "univariate" and not self.allow_extensions:
             grids = {
                 "q": self.q_values,
@@ -242,7 +247,7 @@ class ExperimentConfig:
         ------
         DataError
             If ``doc`` is not an object, lacks ``design``, has a key that is not
-            a field, or has a value of the wrong type.
+            a field, has a value of the wrong type, or describes no valid config.
         """
         if not isinstance(doc, dict):
             raise DataError(f"experiment config must be a JSON object, got {doc!r}")
@@ -265,7 +270,10 @@ class ExperimentConfig:
                     )
                 value = tuple(tuple(v) if kind == "triple" else v for v in value)
             kwargs[key] = value
-        return ExperimentConfig(**kwargs)
+        try:
+            return ExperimentConfig(**kwargs)
+        except ValueError as exc:
+            raise DataError(f"experiment config: {exc}") from None
 
 
 #: Element kind of each sequence field of :class:`ExperimentConfig` (all may be null).

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 import scipy.special
 
-from .data import Dataset, KClassPath, ModelPartition, psd_inverse_sqrt, rcond_symmetric, RCOND_GRAM
+from .data import Dataset, GramView, ModelPartition, rcond_symmetric, RCOND_GRAM
 from .exceptions import DataError, NonStationary, SingularGram, SingularPopulationGram
 
 SPECTRAL_MARGIN = 1e-8
@@ -228,24 +228,15 @@ def sem_sample(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PopulationMoments:
-    """Exact second moments of ``(Y, Z, A)`` for a given partition."""
-
-    aa: np.ndarray  # E[A A^T]
-    az: np.ndarray  # E[A Z^T]
-    zz: np.ndarray  # E[Z Z^T]
-    zy: np.ndarray  # E[Z Y]
-    ay: np.ndarray  # E[A Y]
-    yy: float       # E[Y^2]
-
-
 def population_moments(
     model: SemModel,
     iv: InterventionSpec | None = None,
     partition: ModelPartition | None = None,
-) -> PopulationMoments:
-    """Exact moments from the reduced-form algebra; no sampling involved.
+) -> GramView:
+    """Exact second moments of ``(Y, Z, A)`` from the reduced-form algebra, as the
+    :class:`~pulse_iv.data.GramView` with ``n = 1`` whose products are expectations
+    (``ztz = E[ZZ^T]``, ``ata = E[AA^T]``, ...); no sampling involved.  Every
+    Gram-only estimator run on it gives its population estimand.
 
     ``Z`` stacks the included observed endogenous coordinates first and the
     included exogenous coordinates second, matching the coefficient contract.
@@ -253,6 +244,8 @@ def population_moments(
     iv = iv or InterventionSpec.none()
     if partition is None:
         partition = model.observed_partition()
+    x_obs = list(model.x_indices)
+    partition.validate(len(x_obs), model.q)
     mean_a, cov_a = iv.law(model)
     e_aa = cov_a + np.outer(mean_a, mean_a)
 
@@ -263,7 +256,6 @@ def population_moments(
     e_va = p @ e_aa
     e_vv = p @ e_aa @ p.T + r @ model.noise_cov @ r.T
 
-    x_obs = list(model.x_indices)
     sel_x = [x_obs[i] for i in partition.included_endogenous]
     sel_a = list(partition.included_exogenous)
     y = model.y_index
@@ -271,42 +263,30 @@ def population_moments(
     zz_xx = e_vv[np.ix_(sel_x, sel_x)]
     zz_xa = e_va[np.ix_(sel_x, sel_a)]
     zz_aa = e_aa[np.ix_(sel_a, sel_a)]
-    zz = np.block([[zz_xx, zz_xa], [zz_xa.T, zz_aa]])
-    az = np.hstack([e_va[sel_x, :].T, e_aa[:, sel_a]])
-    zy = np.concatenate([e_vv[sel_x, y], e_va[y, sel_a]])
-    ay = e_va[y, :]
-    return PopulationMoments(aa=e_aa, az=az, zz=zz, zy=zy, ay=ay, yy=float(e_vv[y, y]))
+    return GramView(
+        partition, model.q, 1,
+        ztz=np.block([[zz_xx, zz_xa], [zz_xa.T, zz_aa]]),
+        zty=np.concatenate([e_vv[sel_x, y], e_va[y, sel_a]]),
+        atz=np.hstack([e_va[sel_x, :].T, e_aa[:, sel_a]]),
+        aty=e_va[y, :],
+        ata=e_aa,
+        yty=e_vv[y, y],
+    )
 
 
 def population_kclass(
     model: SemModel, partition: ModelPartition, kappa: float
 ) -> np.ndarray:
-    """Population K-class estimand, ``kappa`` in ``[0, 1]``, solved by the sample
-    path's :meth:`~pulse_iv.data.KClassPath.kclass` on ``E[ZZ^T]``, ``E[ZY]``,
-    ``S = E[AA^T]^{-1/2} E[AZ^T]`` and ``s_y = E[AA^T]^{-1/2} E[AY]``;
-    :class:`SingularPopulationGram` if one of its systems is singular."""
+    """Population K-class estimand, ``kappa`` in ``[0, 1]``: the
+    :meth:`~pulse_iv.data.KClassPath.kclass` point of the population moments'
+    path; :class:`SingularPopulationGram` if one of its systems is singular."""
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
     mom = population_moments(model, None, partition)
     try:
-        isqrt = psd_inverse_sqrt("E[AA^T]", mom.aa)
-        rcond_zz = rcond_symmetric(mom.zz)
-        if rcond_zz < RCOND_GRAM:
-            raise SingularGram("E[ZZ^T]", rcond_zz)
-        return KClassPath(mom.zz, mom.zy, isqrt @ mom.az, isqrt @ mom.ay).kclass(kappa)
+        return mom.path.kclass(kappa)
     except SingularGram as exc:
         raise SingularPopulationGram(str(exc)) from None
-
-
-def population_ols_loss(mom: PopulationMoments, alpha: np.ndarray) -> float:
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    return float(mom.yy - 2.0 * alpha @ mom.zy + alpha @ mom.zz @ alpha)
-
-
-def population_iv_loss(mom: PopulationMoments, alpha: np.ndarray) -> float:
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    resid = mom.ay - mom.az @ alpha
-    return float(resid @ np.linalg.solve(mom.aa, resid))
 
 
 def worst_case_mspe(
@@ -319,10 +299,10 @@ def worst_case_mspe(
     if not 0.0 <= kappa < 1.0:
         raise ValueError(f"kappa must lie in [0, 1), got {kappa}")
     mom = population_moments(model, None, partition)
-    base = population_ols_loss(mom, alpha)
+    base = mom.ols_loss(alpha)
     if kappa == 0.0:
         return base
-    return base + kappa / (1.0 - kappa) * population_iv_loss(mom, alpha)
+    return base + kappa / (1.0 - kappa) * mom.iv_loss(alpha)
 
 
 def wcmspe_curve_e1(gamma_hat: float, x_grid) -> np.ndarray:

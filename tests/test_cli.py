@@ -242,6 +242,22 @@ class TestEstimate:
         assert code == 0
         assert "Warning: TSLS outside interior of acceptance region." in captured.out.splitlines()
 
+    def test_pulse_label_is_parsed_like_the_others(self, e1_config, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        main(["simulate", "--sem", str(e1_config), "--n", "200", "--seed", "3", "--out", str(data)])
+        args = ["estimate", "--data", str(data), "--target", "y"]
+        args += ["--endogenous", "x1", "--instruments", "a1"]
+        reports = {}
+        for spelling in ("pulse", "Pulse"):
+            out = tmp_path / f"{spelling}.json"
+            assert main([*args, "--estimator", f"ols,{spelling}", "--json", str(out)]) == 0
+            reports[spelling] = json.loads(out.read_text())["estimates"][1]
+        assert reports["Pulse"].pop("estimator") == "Pulse"
+        assert reports["pulse"].pop("estimator") == "pulse"
+        assert reports["Pulse"] == reports["pulse"]
+        # the fallback is only checked when PULSE runs
+        assert main([*args, "--estimator", "ols", "--fallback", "ols"]) == 0
+
     def test_intercept_counts_toward_dof(self, e1_config, tmp_path, capsys):
         data = tmp_path / "data.csv"
         main(["simulate", "--sem", str(e1_config), "--n", "64", "--seed", "4", "--out", str(data)])
@@ -386,6 +402,23 @@ class TestExperiment:
         ],
     )
     def test_malformed_config_is_data_error(self, tmp_path, capsys, doc, needle):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and needle in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, needle",
+        [
+            ({"design": "underid-e3", "n_values": []}, "n_values"),
+            ({"design": "underid-e3", "estimators": []}, "estimators"),
+            ({"design": "mv-fixed", "n_models": 0}, "n_models"),
+        ],
+    )
+    def test_empty_grid_is_data_error(self, tmp_path, capsys, doc, needle):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "run"

@@ -152,6 +152,21 @@ class TestConfigValidation:
         cfg = ExperimentConfig(design="univariate", q_values=(7,), allow_extensions=True)
         assert cfg.q_values == (7,)
 
+    @pytest.mark.parametrize(
+        "field", ["estimators", "q_values", "rho_values", "r2_values", "n_values", "noise_triples"]
+    )
+    def test_empty_list_is_rejected_not_the_declared_grid(self, field):
+        grids = {"rho_values": (0.5,), "r2_values": (0.1,), "n_values": (50,)}
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(design="univariate", **{**grids, field: ()})
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(design="univariate", **{**grids, field: []})
+
+    @pytest.mark.parametrize("n_models", [0, -1])
+    def test_n_models_must_be_positive(self, n_models):
+        with pytest.raises(ValueError, match="n_models"):
+            ExperimentConfig(design="mv-random", n_models=n_models)
+
     def test_json_round_trip(self):
         cfg = ExperimentConfig(
             design="univariate",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pulse_iv.data import DesignView, ModelPartition
-from pulse_iv.estimators import kclass_estimate
+from pulse_iv.estimators import anchor_estimate, kclass_estimate, modified_tsls
 from pulse_iv.exceptions import DataError, NonStationary, SingularPopulationGram
 from pulse_iv.sem import (
     _A_STREAM,
@@ -25,10 +25,8 @@ from pulse_iv.sem import (
     load_sem_json,
     model_from_json,
     model_to_json,
-    population_iv_loss,
     population_kclass,
     population_moments,
-    population_ols_loss,
     population_pulse_underid,
     reduced_form_solve,
     round_interval_inward,
@@ -196,16 +194,16 @@ class TestPopulationMoments:
             roles=("y", "x"),
         )
         mom = population_moments(model)
-        assert mom.yy == pytest.approx(2.0, abs=1e-12)
-        assert mom.zz[0, 0] == pytest.approx(1.5**2 + 3.0, abs=1e-12)
-        assert mom.az[0, 0] == pytest.approx(1.5, abs=1e-12)
+        assert mom.yty == pytest.approx(2.0, abs=1e-12)
+        assert mom.ztz[0, 0] == pytest.approx(1.5**2 + 3.0, abs=1e-12)
+        assert mom.atz[0, 0] == pytest.approx(1.5, abs=1e-12)
 
     def test_e1_hand_algebra(self):
         mom = population_moments(e1_model())
-        assert mom.zz[0, 0] == pytest.approx(2.0, abs=1e-12)
-        assert mom.zy[0] == pytest.approx(2.5, abs=1e-12)
-        assert mom.az[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert mom.yy == pytest.approx(4.0, abs=1e-12)
+        assert mom.ztz[0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert mom.zty[0] == pytest.approx(2.5, abs=1e-12)
+        assert mom.atz[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert mom.yty == pytest.approx(4.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sample_moments_agree(self, seed):
@@ -228,10 +226,10 @@ class TestPopulationMoments:
         mom = population_moments(model)
         z = ds.x[:, 0]
         pairs = [
-            (z * z, mom.zz[0, 0]),
-            (z * ds.y, mom.zy[0]),
-            (ds.a[:, 0] * z, mom.az[0, 0]),
-            (ds.y * ds.y, mom.yy),
+            (z * z, mom.ztz[0, 0]),
+            (z * ds.y, mom.zty[0]),
+            (ds.a[:, 0] * z, mom.atz[0, 0]),
+            (ds.y * ds.y, mom.yty),
         ]
         for sample_terms, exact in pairs:
             se = float(np.std(sample_terms)) / np.sqrt(n)
@@ -270,12 +268,12 @@ class TestPopulationKclass:
         model = SemModel(b=b, m=m, noise_cov=noise, anchor_cov=anchor_cov, roles=("y", "x"))
         for part in (ModelPartition((0,)), ModelPartition((0,), (0,))):
             mom = population_moments(model, None, part)
-            iv_gram = mom.az.T @ np.linalg.solve(mom.aa, mom.az)
-            iv_rhs = mom.az.T @ np.linalg.solve(mom.aa, mom.ay)
+            iv_gram = mom.atz.T @ np.linalg.solve(mom.ata, mom.atz)
+            iv_rhs = mom.atz.T @ np.linalg.solve(mom.ata, mom.aty)
             for kappa in (0.0, 0.5, 0.9, 1.0):
                 want = np.linalg.solve(
-                    (1.0 - kappa) * mom.zz + kappa * iv_gram,
-                    (1.0 - kappa) * mom.zy + kappa * iv_rhs,
+                    (1.0 - kappa) * mom.ztz + kappa * iv_gram,
+                    (1.0 - kappa) * mom.zty + kappa * iv_rhs,
                 )
                 np.testing.assert_allclose(
                     population_kclass(model, part, kappa), want, rtol=0.0, atol=1e-12
@@ -298,6 +296,41 @@ class TestPopulationKclass:
                 population_kclass(collinear, ModelPartition((0,), (0,)), kappa)
 
 
+class TestPopulationGramEstimands:
+    """Gram-only estimators run on the population moments give population estimands."""
+
+    def test_modified_tsls_is_the_underidentified_pulse_limit(self):
+        alpha = modified_tsls(population_moments(e3_model())).alpha
+        want = np.array(population_pulse_underid(1.0, 1.0, 1.0))
+        np.testing.assert_allclose(alpha, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("partition", [ModelPartition((1,)), ModelPartition((-1,))])
+    def test_partition_is_validated_like_a_sample_view(self, partition):
+        with pytest.raises(ValueError, match="out of range"):
+            population_moments(e1_model(), None, partition)
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0])
+    def test_anchor_is_population_kclass(self, lam):
+        b = np.zeros((2, 2))
+        b[1, 0] = 0.8  # X -> Y
+        correlated = SemModel(
+            b=b,
+            m=np.array([[0.3, 0.7], [0.0, -0.4]]),
+            noise_cov=np.array([[1.0, 0.5], [0.5, 1.0]]),
+            anchor_cov=np.array([[2.0, 0.6], [0.6, 1.0]]),
+            roles=("y", "x"),
+        )
+        cases = [
+            (e1_model(), ModelPartition((0,))),
+            (correlated, ModelPartition((0,))),
+            (correlated, ModelPartition((0,), (0,))),
+        ]
+        for model, part in cases:
+            alpha = anchor_estimate(population_moments(model, None, part), lam).alpha
+            want = population_kclass(model, part, lam / (1.0 + lam))
+            np.testing.assert_allclose(alpha, want, rtol=0.0, atol=1e-12)
+
+
 class TestWorstCaseMspe:
     def test_kappa_zero_is_population_ols_loss(self):
         model = e1_model()
@@ -305,7 +338,7 @@ class TestWorstCaseMspe:
         mom = population_moments(model)
         alpha = np.array([1.1])
         assert worst_case_mspe(model, part, alpha, 0.0) == pytest.approx(
-            population_ols_loss(mom, alpha), abs=1e-12
+            mom.ols_loss(alpha), abs=1e-12
         )
 
     def test_matches_hard_intervention_parametrization(self):
@@ -368,12 +401,12 @@ class TestPopulationPulseUnderid:
         part = ModelPartition((0, 1))
         mom = population_moments(model, None, part)
         alpha = np.array(population_pulse_underid(1.0, 1.0, 1.0))
-        assert population_iv_loss(mom, alpha) == pytest.approx(0.0, abs=1e-12)
+        assert mom.iv_loss(alpha) == pytest.approx(0.0, abs=1e-12)
         # and it is loss-minimal along the moment-condition line
         for shift in (-0.2, 0.2):
             other = alpha + shift * np.array([-1.0, 1.0])
-            if population_iv_loss(mom, other) < 1e-10:
-                assert population_ols_loss(mom, alpha) <= population_ols_loss(mom, other)
+            if mom.iv_loss(other) < 1e-10:
+                assert mom.ols_loss(alpha) <= mom.ols_loss(other)
 
 
 class TestJsonConfig:
