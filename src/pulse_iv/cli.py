@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import CsvSchema, DesignView, ModelPartition, center, load_csv
 from .estimators import EstimatorSpec, estimate
@@ -264,9 +266,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     header = list(ds.a_names) + list(ds.x_names) + [ds.y_name]
     with out.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(ds.n):
-            vals = [*ds.a[i], *ds.x[i], ds.y[i]]
-            fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+        row = ",".join(["%.17g"] * len(header)) + "\n"
+        for vals in np.column_stack([ds.a, ds.x, ds.y]):
+            fh.write(row % tuple(vals.tolist()))
     manifest = {
         "seed": args.seed,
         "n": args.n,

@@ -11,11 +11,12 @@ All objects are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -185,6 +186,15 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     The file must be UTF-8 with a header row, decimal points and no thousands
     separators; missing values are an error.
 
+    The header is read with :mod:`csv` and the data rows with numpy's C parser
+    in one call.  A file that parser cannot stand in for (one it rejects or
+    warns about, one with no data rows, or one with a quote character, which
+    :mod:`csv` would unquote) is read again by :func:`_row_loop`, the
+    ``float()``-per-cell row loop.  That loop names the first bad cell and reads
+    what ``float()`` accepts but numpy does not, such as ``1_0`` and quoted
+    cells.  Both parse a cell with Python's own string-to-double conversion,
+    so they give the same bits.
+
     Raises
     ------
     DataError
@@ -194,18 +204,77 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
+    wanted = [schema.target, *schema.endogenous, *schema.exogenous]
+    with path.open(newline="", encoding="utf-8") as fh:
+        cols = _wanted_columns(csv.reader(fh), path, wanted)
+        mat = _fast_rows(fh, cols)
+    if mat is None:
+        mat = _row_loop(path, wanted)
+    nx = len(schema.endogenous)
+    return Dataset(
+        y=mat[:, 0],
+        x=mat[:, 1 : 1 + nx],
+        a=mat[:, 1 + nx :],
+        y_name=schema.target,
+        x_names=schema.endogenous,
+        a_names=schema.exogenous,
+    )
+
+
+def _wanted_columns(reader: Iterator[list[str]], path: Path, wanted: list[str]) -> list[int]:
+    """Read the header row from ``reader``; the index of each wanted column."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path} is empty") from None
+    header = [h.strip() for h in header]
+    missing = [c for c in wanted if c not in header]
+    if missing:
+        raise DataError(f"missing column(s) {missing} in {path}; header is {header}")
+    return [header.index(c) for c in wanted]
+
+
+def _fast_rows(fh: TextIO, cols: list[int]) -> np.ndarray | None:
+    """The rest of ``fh`` parsed by ``np.loadtxt``, or ``None`` where only the
+    row loop gives the right values or error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mat = np.loadtxt(
+                _unquoted(fh),
+                delimiter=",",
+                usecols=cols,
+                ndmin=2,
+                comments=None,
+                dtype=float,
+            )
+    except (ValueError, Warning):  # the row loop raises the authoritative error
+        return None
+    return mat if mat.shape[0] else None
+
+
+def _unquoted(lines: Iterator[str]) -> Iterator[str]:
+    """``lines``, stopped by :class:`ValueError` at the first quote character:
+    :mod:`csv` unquotes, while numpy would split a quoted comma into two cells."""
+    for line in lines:
+        if '"' in line:
+            raise ValueError("quoted cell")
+        yield line
+
+
+def _row_loop(path: Path, wanted: list[str]) -> np.ndarray:
+    """Reference loader: the wanted columns of every non-blank row, one
+    ``float()`` per cell, in ``wanted`` order.
+
+    Raises
+    ------
+    DataError
+        As :func:`load_csv`, naming the first non-numeric cell by data row
+        and column.
+    """
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        wanted = [schema.target, *schema.endogenous, *schema.exogenous]
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise DataError(f"missing column(s) {missing} in {path}; header is {header}")
-        idx = {c: header.index(c) for c in wanted}
+        idx = dict(zip(wanted, _wanted_columns(reader, path, wanted)))
         rows: list[list[float]] = []
         for i, rec in enumerate(reader, start=1):
             if not rec or all(cell.strip() == "" for cell in rec):
@@ -222,16 +291,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path} contains no data rows")
-    mat = np.asarray(rows, dtype=float)
-    nx = len(schema.endogenous)
-    return Dataset(
-        y=mat[:, 0],
-        x=mat[:, 1 : 1 + nx],
-        a=mat[:, 1 + nx :],
-        y_name=schema.target,
-        x_names=schema.endogenous,
-        a_names=schema.exogenous,
-    )
+    return np.asarray(rows, dtype=float)
 
 
 ALL_ROLES = frozenset({"target", "endogenous", "exogenous"})

@@ -9,11 +9,11 @@ typed for a :class:`~pulse_iv.data.GramView` read only its Gram products, so on
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from .data import RCOND_GRAM, DesignView, GramView, IdentificationClass, rcond_symmetric
 from .exceptions import InfeasibleConstraint, SingularGram, UnderIdentified
@@ -203,9 +203,17 @@ def modified_tsls(view: GramView) -> EstimateResult:
     return EstimateResult(alpha=alpha, kappa_used=None, lambda_used=None, diagnostics=diag)
 
 
-#: The LAPACK routines under ``scipy.linalg.cholesky`` and ``solve_triangular``
-#: for float64, called directly to skip their per-call wrapper cost.
-_POTRF, _TRTRS = scipy.linalg.get_lapack_funcs(("potrf", "trtrs"), (np.empty((1, 1)),))
+@functools.cache
+def _potrf_trtrs() -> tuple[Any, Any]:
+    """The float64 LAPACK routines under ``scipy.linalg.cholesky`` and
+    ``solve_triangular``, called directly to skip their per-call wrapper cost.
+
+    Fetched on first use, so importing this module (and the CLI) does not load
+    ``scipy.linalg``; only LIML and Fuller pay for it.
+    """
+    import scipy.linalg
+
+    return tuple(scipy.linalg.get_lapack_funcs(("potrf", "trtrs"), (np.empty((1, 1)),)))
 
 
 def min_generalized_eigenvalue(w1: np.ndarray, w: np.ndarray) -> float:
@@ -218,11 +226,12 @@ def min_generalized_eigenvalue(w1: np.ndarray, w: np.ndarray) -> float:
     finiteness check and arguments (``potrf`` returns ``L`` F-contiguous, so
     ``trtrs`` takes it as is), hence the same bits.
     """
-    low, info = _POTRF(np.asarray_chkfinite(w), lower=True, clean=True)
+    potrf, trtrs = _potrf_trtrs()
+    low, info = potrf(np.asarray_chkfinite(w), lower=True, clean=True)
     if info > 0:
         raise SingularGram("W", rcond_symmetric(w))
-    inner, _ = _TRTRS(low, np.asarray_chkfinite(w1), lower=True)
-    inner, _ = _TRTRS(low, inner.T, lower=True)
+    inner, _ = trtrs(low, np.asarray_chkfinite(w1), lower=True)
+    inner, _ = trtrs(low, inner.T, lower=True)
     inner = 0.5 * (inner + inner.T)
     return float(np.linalg.eigvalsh(inner)[0])
 

@@ -219,6 +219,8 @@ class ExperimentConfig:
         empty = [f for f in _SEQUENCE_FIELDS if getattr(self, f) is not None and not getattr(self, f)]
         if empty:
             raise ValueError(f"empty {', '.join(empty)}; give a value, or null for the default")
+        if self.design == "robustness-e1" and self.n_values is not None and len(self.n_values) > 1:
+            raise ValueError(f"robustness-e1 takes one n, got n_values {list(self.n_values)}")
         if self.design == "univariate" and not self.allow_extensions:
             grids = {
                 "q": self.q_values,

@@ -3,14 +3,28 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pulse_iv
 from pulse_iv.cli import main
 from pulse_iv.data import CsvSchema, DesignView, center, load_csv
 from pulse_iv.estimators import ols_estimate
 from pulse_iv.sem import e1_model, model_to_json
+
+
+def run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's ``pulse_iv``."""
+    src = str(Path(pulse_iv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @pytest.fixture()
@@ -315,6 +329,14 @@ class TestEstimate:
             err = capsys.readouterr().err
             assert err.startswith("data error:") and "two rows" in err
 
+    def test_header_only_file_exits_three_without_warning(self, tmp_path):
+        data = tmp_path / "empty.csv"
+        data.write_text("y,x1,a1\n")
+        args = ["--data", "empty.csv", "--target", "y", "--endogenous", "x1", "--instruments", "a1"]
+        proc = run_python("-m", "pulse_iv.cli", "estimate", *args, cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == "data error: empty.csv contains no data rows\n"
+
     def test_singular_gram_exits_four(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         data = tmp_path / "dup.csv"
@@ -399,6 +421,7 @@ class TestExperiment:
             ({"design": "underid-e3", "repetitions": 2.5}, "repetitions"),
             ({"design": "underid-e3", "n_values": 5}, "n_values"),
             ({"repetitions": 2}, "design"),
+            ({"design": "robustness-e1", "n_values": [100, 5000]}, "one n"),
         ],
     )
     def test_malformed_config_is_data_error(self, tmp_path, capsys, doc, needle):
@@ -490,3 +513,9 @@ class TestDiagnose:
         assert code == 0
         assert "identification: just" in captured.out
         assert "min eigenvalue" in captured.out
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    proc = run_python("-c", "import sys, pulse_iv.cli; print('scipy.linalg' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pulse_iv import data
 from pulse_iv.data import (
     CsvSchema,
     Dataset,
@@ -71,6 +72,92 @@ class TestLoadCsv:
         path.write_text("y,x1\n1,2\n")
         with pytest.raises(DataError, match=r"missing column.*a1"):
             load_csv(path, CsvSchema("y", ("x1",), ("a1",)))
+
+
+#: Files the fast path must read exactly like the row loop: same bits, or the
+#: same error.  Columns ``a1,x1,y`` unless the case has its own header.
+LOADER_CASES = {
+    "crlf": "a1,x1,y\r\n1,2,3\r\n4,5,7\r\n",
+    "padded_cells": "a1,x1,y\n 1 , 2 ,3 \n4,5,7\n",
+    "tab_padding": "a1,x1,y\n\t1\t,2,\t3\n4,5,7\n",
+    "blank_lines": "a1,x1,y\n1,2,3\n\n4,5,7\n\n",
+    "line_of_blank_cells": "a1,x1,y\n1,2,3\n , ,\n4,5,7\n",
+    "quoted_cells": 'a1,x1,y\n"1",2,3\n4,"5",7\n',
+    "quoted_comma_in_unused_column": 'a1,note,x1,y\n1,"u,5,6,v",2,3\n4,w,5,7\n',
+    "underscore_digits": "a1,x1,y\n1_0,2,3\n4,5,7\n",
+    "nan": "a1,x1,y\nnan,2,3\n4,5,7\n",
+    "infinity": "a1,x1,y\n1,Infinity,3\n4,5,7\n",
+    "hash_line": "a1,x1,y\n1,2,3\n# note\n4,5,7\n",
+    "hex": "a1,x1,y\n0x10,2,3\n4,5,7\n",
+    "fortran_exponent": "a1,x1,y\n1d5,2,3\n4,5,7\n",
+    "short_row": "a1,x1,y\n1,2\n4,5,7\n",
+    "long_rows": "a1,x1,y\n1,2,3,9\n4,5,7,8,1\n",
+    "empty_cell": "a1,x1,y\n1,,3\n4,5,7\n",
+    "unused_text_column": "a1,name,x1,y\n1,foo,2,3\n4,bar,5,7\n",
+    "header_only": "a1,x1,y\n",
+    "one_row": "a1,x1,y\n1,2,3\n",
+    "no_final_newline": "a1,x1,y\n1,2,3\n4,5,7",
+    "empty_file": "",
+    "reordered_header": "y,x1,a1\n3,2,1\n7,5,4\n",
+    "extreme_digits": "a1,x1,y\n0.1000000000000000055511151231257827,2.2250738585072011e-308,4.9e-324\n"
+    "+1.5e+3,-2E-3,.5\n",
+    "non_ascii_space_and_digits": "a1,x1,y\n\xa01,\u0661,3\n4,5,7\n",
+    "bad_utf8": b"a1,x1,y\n1,2,3\n4,\xff,7\n",
+}
+
+
+def outcome(load):
+    """The loaded ``(y, x, a)`` bits, or the type and text of the error raised."""
+    try:
+        ds = load()
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+    return ds.y.tobytes(), ds.x.tobytes(), ds.a.tobytes()
+
+
+def via_row_loop(path):
+    """The row-loop helper called directly, split into a dataset as ``load_csv`` does."""
+    mat = data._row_loop(path, ["y", "x1", "a1"])
+    return Dataset(y=mat[:, 0], x=mat[:, 1:2], a=mat[:, 2:])
+
+
+@pytest.fixture()
+def no_row_loop(monkeypatch):
+    """Make any call of the row-loop helper fail the test."""
+
+    def refuse(*args):
+        raise AssertionError("the row loop ran")
+
+    monkeypatch.setattr(data, "_row_loop", refuse)
+
+
+class TestLoaderAgreesWithRowLoop:
+    @pytest.mark.parametrize("name", sorted(LOADER_CASES))
+    def test_same_bits_or_same_error(self, tmp_path, name):
+        text = LOADER_CASES[name]
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        schema = CsvSchema("y", ("x1",), ("a1",))
+        assert outcome(lambda: load_csv(path, schema)) == outcome(lambda: via_row_loop(path))
+
+    @pytest.mark.parametrize("fmt", ["%.17g", "repr"])
+    def test_random_file_bit_equal(self, tmp_path, request, fmt):
+        rng = np.random.default_rng(12)
+        table = rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-300, 300, size=(2000, 3))
+        cell = repr if fmt == "repr" else (lambda v: fmt % v)
+        path = tmp_path / "random.csv"
+        lines = ["a1,x1,y"] + [",".join(cell(v) for v in row) for row in table.tolist()]
+        path.write_text("\n".join(lines) + "\n")
+        expected = outcome(lambda: via_row_loop(path))
+        assert expected[2] == table[:, 0].tobytes()
+        request.getfixturevalue("no_row_loop")
+        assert outcome(lambda: load_csv(path, CsvSchema("y", ("x1",), ("a1",)))) == expected
+
+    def test_clean_file_takes_the_fast_path(self, tmp_path, no_row_loop):
+        path = tmp_path / "clean.csv"
+        path.write_text("a1,x1,y\n1,2,3\n4,5,7\n")
+        ds = load_csv(path, CsvSchema("y", ("x1",), ("a1",)))
+        assert ds.y.tolist() == [3.0, 7.0] and ds.a.tolist() == [[1.0], [4.0]]
 
 
 class TestCenter:

@@ -162,6 +162,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(design="univariate", **{**grids, field: []})
 
+    def test_robustness_e1_takes_one_n(self):
+        with pytest.raises(ValueError, match="robustness-e1 takes one n"):
+            ExperimentConfig(design="robustness-e1", n_values=(100, 5000), repetitions=2)
+        assert ExperimentConfig(design="robustness-e1", n_values=(100,)).n_values == (100,)
+
     @pytest.mark.parametrize("n_models", [0, -1])
     def test_n_models_must_be_positive(self, n_models):
         with pytest.raises(ValueError, match="n_models"):
