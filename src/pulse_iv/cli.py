@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -105,11 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--design", help=f"one of: {', '.join(DESIGNS)}")
     exp.add_argument("--reps", type=int, help="repetitions per cell")
     exp.add_argument("--seed", type=int, help="master seed")
-    exp.add_argument(
-        "--threads",
-        type=int,
-        help="worker threads over grid cells (default env PULSE_THREADS or 1)",
-    )
     exp.add_argument("--out", required=True, help="output directory")
 
     diag = sub.add_parser("diagnose", help="weak-instrument and identification diagnostics")
@@ -295,15 +289,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         cfg = replace(cfg, repetitions=args.reps)
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("PULSE_THREADS", "1")
-        try:
-            threads = int(env)
-        except ValueError:
-            print(f"error: PULSE_THREADS must be an integer, got {env!r}", file=sys.stderr)
-            return USAGE_ERROR
-    result = run_experiment(cfg, threads=max(1, threads))
+    result = run_experiment(cfg)
     csv_path, manifest_path = write_result(result, args.out)
     print(f"wrote {csv_path} and {manifest_path}")
     return 0

@@ -5,7 +5,7 @@ The central object is :class:`GramView`: the Gram products of one
 :class:`KClassPath` built on them.  :class:`DesignView` builds them from the rows
 of a :class:`Dataset`; :func:`~pulse_iv.sem.population_moments` gives the exact
 population ones.
-All objects are immutable after construction and safe to share across workers.
+All objects are immutable after construction.
 """
 
 from __future__ import annotations

@@ -4,18 +4,15 @@ Designs: a univariate weak-instrument grid, two multivariate confounding
 studies, a distributional-robustness path study, and an under-identified
 convergence study.  Every run is deterministic given the master seed: cells
 and repetitions own derived counter-based streams and metric reductions use
-numpy's pairwise summation in repetition order, so threading does not change
-results.
+numpy's pairwise summation in repetition order.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -25,7 +22,7 @@ from . import __version__
 from .data import DesignView, checked_solve
 from .estimators import EstimatorSpec, estimate
 from .exceptions import DataError, PulseIVError
-from .inference import weak_instrument_stat
+from .inference import TestConfig, weak_instrument_stat
 from .pulse import PulseConfig, pulse_estimate
 from .sem import (
     SemModel,
@@ -216,6 +213,11 @@ class ExperimentConfig:
             raise ValueError("repetitions must be positive")
         if self.n_models < 1:
             raise ValueError("n_models must be positive")
+        if self.sample_size < 1:
+            raise ValueError(f"sample_size must be positive, got {self.sample_size}")
+        if self.n_values is not None and any(n < 1 for n in self.n_values):
+            raise ValueError(f"n_values must be positive, got {list(self.n_values)}")
+        TestConfig(p_min=self.p_min)  # raises on p_min outside (0, 1)
         empty = [f for f in _SEQUENCE_FIELDS if getattr(self, f) is not None and not getattr(self, f)]
         if empty:
             raise ValueError(f"empty {', '.join(empty)}; give a value, or null for the default")
@@ -510,19 +512,14 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute a design and return cells plus canonical CSV rows.
 
-    Deterministic for a fixed ``master_seed`` regardless of ``threads``.
+    Deterministic for a fixed ``master_seed``.  Cells always run serially;
+    ``threads`` is ignored and stays only until the benchmark is next revised.
     """
     if cfg.design == "robustness-e1":
         return _run_robustness_e1(cfg)
     param_names, default_estimators = _GRID_DESIGNS[cfg.design]
     specs = tuple((e, EstimatorSpec.parse(e)) for e in cfg.estimators or default_estimators)
-    cells = _cells(cfg)
-    args = (cells, range(len(cells)), repeat(specs), repeat(cfg))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_cell, *args))
-    else:
-        results = list(map(_run_cell, *args))
+    results = [_run_cell(cell, i, specs, cfg) for i, cell in enumerate(_cells(cfg))]
 
     rows = [row for cell in results for row in _metric_rows(cell, param_names)]
     columns = [*param_names, "estimator", "metric", "value", "repetitions_used"]

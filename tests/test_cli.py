@@ -422,6 +422,9 @@ class TestExperiment:
             ({"design": "underid-e3", "n_values": 5}, "n_values"),
             ({"repetitions": 2}, "design"),
             ({"design": "robustness-e1", "n_values": [100, 5000]}, "one n"),
+            ({"design": "mv-fixed", "sample_size": 0, "repetitions": 1, "n_models": 1}, "sample_size"),
+            ({"design": "underid-e3", "p_min": 1.5}, "p_min"),
+            ({"design": "robustness-e1", "n_values": [0]}, "n_values"),
         ],
     )
     def test_malformed_config_is_data_error(self, tmp_path, capsys, doc, needle):
@@ -454,42 +457,26 @@ class TestExperiment:
         assert main(["experiment", "--out", str(tmp_path)]) == 2
 
     def test_threads_default_from_environment(self, tmp_path, monkeypatch):
+        """PULSE_THREADS no longer sets a default: a run with it set writes the same CSV."""
+        args = ["experiment", "--design", "underid-e3", "--reps", "3", "--seed", "1"]
+        plain = tmp_path / "plain"
+        assert main([*args, "--out", str(plain)]) == 0
         monkeypatch.setenv("PULSE_THREADS", "2")
-        out = tmp_path / "threaded"
-        code = main(
-            [
-                "experiment",
-                "--design",
-                "underid-e3",
-                "--reps",
-                "3",
-                "--seed",
-                "1",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert (out / "underid-e3.csv").exists()
+        threaded = tmp_path / "threaded"
+        assert main([*args, "--out", str(threaded)]) == 0
+        csv_bytes = (threaded / "underid-e3.csv").read_bytes()
+        assert csv_bytes == (plain / "underid-e3.csv").read_bytes()
 
-    def test_non_integer_threads_environment_is_usage_error(
-        self, e1_config, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("PULSE_THREADS", "two")
+    def test_threads_flag_and_environment_are_gone(self, tmp_path, monkeypatch, capsys):
+        args = ["experiment", "--design", "underid-e3", "--reps", "2", "--seed", "1"]
         with pytest.raises(SystemExit) as exc:
-            main(["--version"])
-        assert exc.value.code == 0
-        data = tmp_path / "d.csv"
-        main(["simulate", "--sem", str(e1_config), "--n", "50", "--seed", "4", "--out", str(data)])
-        estimate_args = ["estimate", "--data", str(data), "--target", "y"]
-        estimate_args += ["--endogenous", "x1", "--instruments", "a1", "--estimator", "ols"]
-        assert main(estimate_args) == 0
-        capsys.readouterr()
-        out = tmp_path / "e"
-        code = main(["experiment", "--design", "underid-e3", "--reps", "2", "--out", str(out)])
-        assert code == 2
-        assert "PULSE_THREADS" in capsys.readouterr().err
-        assert not out.exists()
+            main([*args, "--threads", "2", "--out", str(tmp_path / "flag")])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        monkeypatch.setenv("PULSE_THREADS", "two")
+        out = tmp_path / "env"
+        assert main([*args, "--out", str(out)]) == 0
+        assert (out / "underid-e3.csv").exists()
 
 
 class TestDiagnose:
