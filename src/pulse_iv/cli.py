@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument(
         "--estimator",
         default="pulse",
-        help="comma-separated list: ols|tsls|kclass:K|liml|fuller:A|pulse|modified-tsls",
+        help="comma-separated list: ols|tsls|kclass:K|anchor:L|liml|fuller[:A]|pulse|modified-tsls",
     )
     est.add_argument("--pmin", type=float, default=0.05, help="test level (default 0.05)")
     est.add_argument(
@@ -87,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     est.add_argument(
         "--fallback",
-        default="fuller:4",
-        help="PULSE fallback estimator (tsls|liml|fuller:A) or 'none'",
+        default="fuller",
+        help="PULSE fallback estimator (tsls|liml|fuller[:A]) or 'none'",
     )
     est.add_argument("--json", dest="json_out", help="also write a JSON report to this file")
 
@@ -156,7 +156,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 p_min=args.pmin,
                 scaling=scaling,
                 precision_n=args.precision,
-                fallback=fallback_spec or EstimatorSpec.fuller(4.0),
+                fallback=fallback_spec or EstimatorSpec("fuller"),
             )
             result = pulse_estimate(view, pulse_cfg)
             if result.fallback_used and fallback_spec is None:

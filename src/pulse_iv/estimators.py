@@ -10,6 +10,7 @@ typed for a :class:`~pulse_iv.data.GramView` read only its Gram products, so on
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -21,78 +22,51 @@ from .exceptions import InfeasibleConstraint, SingularGram, UnderIdentified
 _KINDS = ("ols", "tsls", "kclass", "anchor", "liml", "fuller", "modified-tsls", "pulse")
 
 
+#: Each kind that takes a value: the value's name, its default, and the
+#: exclusive lower bound of its domain (a value must also be finite).  Every
+#: other kind in ``_KINDS`` takes no value.
+_PARAMS = {
+    "kclass": ("kappa", None, -math.inf),
+    "anchor": ("lambda", None, -1.0),
+    "fuller": ("a", 4.0, 0.0),
+}
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Named estimator with its hyperparameter, parseable from ``kind:value``."""
+    """An estimator kind and the one value it takes, parseable from ``kind[:value]``.
+
+    Construction applies ``_PARAMS``, filling in the default and checking the
+    domain, so every spec that exists is valid.
+    """
 
     kind: str
-    kappa: float | None = None
-    lam: float | None = None
-    a: float | None = None
+    value: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}; valid: {_KINDS}")
-        if self.kind == "kclass" and self.kappa is None:
-            raise ValueError("kclass spec requires kappa")
-        if self.kind == "anchor":
-            if self.lam is None:
-                raise ValueError("anchor spec requires lambda")
-            if self.lam <= -1.0:
-                raise ValueError(f"anchor requires lambda > -1, got {self.lam}")
-        if self.kind == "fuller" and (self.a is None or self.a <= 0):
-            raise ValueError("fuller spec requires a > 0")
-
-    @staticmethod
-    def ols() -> "EstimatorSpec":
-        return EstimatorSpec("ols")
-
-    @staticmethod
-    def tsls() -> "EstimatorSpec":
-        return EstimatorSpec("tsls")
-
-    @staticmethod
-    def kclass(kappa: float) -> "EstimatorSpec":
-        return EstimatorSpec("kclass", kappa=float(kappa))
-
-    @staticmethod
-    def anchor(lam: float) -> "EstimatorSpec":
-        return EstimatorSpec("anchor", lam=float(lam))
-
-    @staticmethod
-    def liml() -> "EstimatorSpec":
-        return EstimatorSpec("liml")
-
-    @staticmethod
-    def fuller(a: float) -> "EstimatorSpec":
-        return EstimatorSpec("fuller", a=float(a))
-
-    @staticmethod
-    def modified_tsls() -> "EstimatorSpec":
-        return EstimatorSpec("modified-tsls")
+        if self.kind not in _PARAMS:
+            if self.value is not None:
+                raise ValueError(f"estimator {self.kind!r} takes no parameter")
+            return
+        name, default, above = _PARAMS[self.kind]
+        value = default if self.value is None else float(self.value)
+        if value is None:
+            raise ValueError(f"{self.kind} requires {name}")
+        if not (math.isfinite(value) and value > above):
+            bound = "" if above == -math.inf else f" > {above:g}"
+            raise ValueError(f"{self.kind} requires a finite {name}{bound}, got {value!r}")
+        object.__setattr__(self, "value", value)
 
     @staticmethod
     def parse(text: str) -> "EstimatorSpec":
         """Parse CLI syntax such as ``ols``, ``kclass:0.6`` or ``fuller:4``."""
         kind, _, value = text.strip().lower().partition(":")
-        if kind == "kclass":
-            return EstimatorSpec.kclass(float(value))
-        if kind == "anchor":
-            return EstimatorSpec.anchor(float(value))
-        if kind == "fuller":
-            return EstimatorSpec.fuller(float(value) if value else 4.0)
-        if value:
-            raise ValueError(f"estimator {kind!r} takes no parameter")
-        return EstimatorSpec(kind)
+        return EstimatorSpec(kind, float(value) if value else None)
 
     def label(self) -> str:
-        if self.kind == "kclass":
-            return f"kclass:{self.kappa:g}"
-        if self.kind == "anchor":
-            return f"anchor:{self.lam:g}"
-        if self.kind == "fuller":
-            return f"fuller:{self.a:g}"
-        return self.kind
+        return self.kind if self.value is None else f"{self.kind}:{self.value:g}"
 
 
 @dataclass
@@ -146,9 +120,7 @@ def anchor_estimate(view: GramView, lam: float) -> EstimateResult:
 
     Equals ``kclass_estimate(lambda / (1 + lambda))`` for ``lambda >= 0``.
     """
-    lam = float(lam)
-    if lam <= -1.0:
-        raise ValueError(f"anchor regression requires lambda > -1, got {lam}")
+    lam = EstimatorSpec("anchor", lam).value  # the spec checks the domain
     alpha = view.path.alpha(lam)
     return EstimateResult(
         alpha=alpha,
@@ -279,8 +251,7 @@ def liml_kappa(view: DesignView) -> float:
 
 def fuller_kappa(view: DesignView, a: float) -> float:
     """Fuller adjustment ``kappa_LIML - a / (n - q)``; requires ``n > q``."""
-    if a <= 0:
-        raise ValueError(f"fuller parameter must be positive, got {a}")
+    EstimatorSpec("fuller", a)  # the spec checks the domain
     if view.n <= view.q:
         raise ValueError(f"fuller requires n > q; got n={view.n}, q={view.q}")
     return liml_kappa(view) - a / (view.n - view.q)
@@ -307,13 +278,13 @@ def estimate(view: DesignView, spec: EstimatorSpec) -> EstimateResult:
     if spec.kind == "tsls":
         return tsls_estimate(view)
     if spec.kind == "kclass":
-        return kclass_estimate(view, spec.kappa)
+        return kclass_estimate(view, spec.value)
     if spec.kind == "anchor":
-        return anchor_estimate(view, spec.lam)
+        return anchor_estimate(view, spec.value)
     if spec.kind == "liml":
         return liml_estimate(view)
     if spec.kind == "fuller":
-        return fuller_estimate(view, spec.a)
+        return fuller_estimate(view, spec.value)
     if spec.kind == "modified-tsls":
         return modified_tsls(view)
     raise ValueError(f"estimator kind {spec.kind!r} is not dispatched here")

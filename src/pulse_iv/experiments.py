@@ -25,11 +25,13 @@ from .exceptions import DataError, PulseIVError
 from .inference import TestConfig, weak_instrument_stat
 from .pulse import PulseConfig, pulse_estimate
 from .sem import (
+    MODEL_STREAM,
     SemModel,
     e1_model,
     e3_model,
     mv_fixed_model,
     mv_varying_model,
+    philox_generator,
     population_pulse_underid,
     sem_sample,
     univariate_model,
@@ -218,6 +220,11 @@ class ExperimentConfig:
         if self.n_values is not None and any(n < 1 for n in self.n_values):
             raise ValueError(f"n_values must be positive, got {list(self.n_values)}")
         TestConfig(p_min=self.p_min)  # raises on p_min outside (0, 1)
+        labels = self.estimators or ()
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"estimators repeat a label: {list(labels)}")
+        for label in labels:
+            EstimatorSpec.parse(label)  # raises on a label that is no valid spec
         empty = [f for f in _SEQUENCE_FIELDS if getattr(self, f) is not None and not getattr(self, f)]
         if empty:
             raise ValueError(f"empty {', '.join(empty)}; give a value, or null for the default")
@@ -461,11 +468,7 @@ def _metric_rows(cell: CellResult, param_names: tuple[str, ...]) -> list[dict[st
 
 
 def _model_rng(cfg: ExperimentConfig, cell_index: int) -> np.random.Generator:
-    # model coefficients (not data) may use numpy's default stream; the data
-    # path keeps the documented counter-based contract
-    return np.random.Generator(
-        np.random.Philox(key=[cell_seed(cfg.master_seed, cell_index, 0), 2])
-    )
+    return philox_generator(cell_seed(cfg.master_seed, cell_index, 0), MODEL_STREAM)
 
 
 def _cells(cfg: ExperimentConfig) -> list[_Cell]:

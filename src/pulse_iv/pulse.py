@@ -54,7 +54,7 @@ class PulseConfig:
     p_min: float = 0.05
     scaling: str = ANDERSON_RUBIN
     precision_n: int = 2**20
-    fallback: EstimatorSpec = field(default_factory=lambda: EstimatorSpec.fuller(4.0))
+    fallback: EstimatorSpec = EstimatorSpec("fuller")
 
     def __post_init__(self) -> None:
         _ = self.test_cfg  # TestConfig validates p_min and scaling

@@ -27,17 +27,24 @@ from .exceptions import DataError, NonStationary, SingularGram, SingularPopulati
 
 SPECTRAL_MARGIN = 1e-8
 
+#: Philox streams under one seed: a sample's anchors and noise, a cell's model.
 _A_STREAM = 0
 _NOISE_STREAM = 1
+MODEL_STREAM = 2
 
 
 def _mask64(seed: int) -> int:
     return int(seed) & 0xFFFFFFFFFFFFFFFF
 
 
+def philox_generator(seed: int, stream: int) -> np.random.Generator:
+    """The generator on the Philox counter stream keyed by ``(seed, stream)``."""
+    return np.random.Generator(np.random.Philox(key=[_mask64(seed), _mask64(stream)]))
+
+
 def _gaussians(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normal draws via inverse CDF on a Philox counter stream."""
-    gen = np.random.Generator(np.random.Philox(key=[_mask64(seed), _mask64(stream)]))
+    gen = philox_generator(seed, stream)
     u = (gen.integers(0, 1 << 53, size=shape).astype(float) + 0.5) / float(1 << 53)
     return scipy.special.ndtri(u)
 

@@ -272,6 +272,17 @@ class TestEstimate:
         # the fallback is only checked when PULSE runs
         assert main([*args, "--estimator", "ols", "--fallback", "ols"]) == 0
 
+    def test_out_of_domain_estimator_value_is_usage_error(self, e1_config, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        main(["simulate", "--sem", str(e1_config), "--n", "200", "--seed", "3", "--out", str(data)])
+        capsys.readouterr()
+        args = ["estimate", "--data", str(data), "--target", "y"]
+        args += ["--endogenous", "x1", "--instruments", "a1", "--estimator", "ols,fuller:nan"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "fuller" in captured.err and "non-finite" not in captured.err
+        assert captured.out == ""
+
     def test_intercept_counts_toward_dof(self, e1_config, tmp_path, capsys):
         data = tmp_path / "data.csv"
         main(["simulate", "--sem", str(e1_config), "--n", "64", "--seed", "4", "--out", str(data)])
@@ -425,6 +436,14 @@ class TestExperiment:
             ({"design": "mv-fixed", "sample_size": 0, "repetitions": 1, "n_models": 1}, "sample_size"),
             ({"design": "underid-e3", "p_min": 1.5}, "p_min"),
             ({"design": "robustness-e1", "n_values": [0]}, "n_values"),
+            (
+                {"design": "underid-e3", "estimators": ["pulse", "pulse"], "repetitions": 3,
+                 "n_values": [100]},
+                "repeat",
+            ),
+            ({"design": "underid-e3", "estimators": ["bogus"]}, "bogus"),
+            ({"design": "underid-e3", "estimators": ["kclass"]}, "kclass requires kappa"),
+            ({"design": "underid-e3", "estimators": ["kclass:nan"]}, "finite kappa"),
         ],
     )
     def test_malformed_config_is_data_error(self, tmp_path, capsys, doc, needle):

@@ -35,7 +35,7 @@ class TestEstimatorDispatch:
 
     def test_modified_tsls_dispatch_under_identified(self):
         view = make_instance(71, n=80, d1=2, q=1)
-        res = estimate(view, EstimatorSpec.modified_tsls())
+        res = estimate(view, EstimatorSpec("modified-tsls"))
         assert res.alpha.shape == (2,)
 
     def test_pulse_kind_is_not_dispatched_here(self):

@@ -28,7 +28,7 @@ from pulse_iv.exceptions import (
     UnderIdentified,
     UnidentifiedAtOne,
 )
-from pulse_iv.pulse import PulseMessage, pulse_estimate
+from pulse_iv.pulse import PulseConfig, PulseMessage, pulse_estimate
 from pulse_iv.sem import e3_model, population_kclass, population_pulse_underid, sem_sample
 
 from conftest import make_instance, penalized_loss_minimizer, raw_matrices
@@ -325,8 +325,8 @@ class TestLimlCache:
 class TestSpecParsing:
     def test_parse_forms(self):
         assert EstimatorSpec.parse("ols").kind == "ols"
-        assert EstimatorSpec.parse("kclass:0.6").kappa == 0.6
-        assert EstimatorSpec.parse("fuller:4").a == 4.0
+        assert EstimatorSpec.parse("kclass:0.6").value == 0.6
+        assert EstimatorSpec.parse("fuller:4").value == 4.0
         assert EstimatorSpec.parse("modified-tsls").kind == "modified-tsls"
 
     def test_parse_rejects_bad_input(self):
@@ -336,6 +336,33 @@ class TestSpecParsing:
             EstimatorSpec.parse("nope")
         with pytest.raises(ValueError):
             EstimatorSpec.parse("anchor:-2")
+
+    @pytest.mark.parametrize(
+        "make, needle",
+        [
+            (lambda: EstimatorSpec("ols", 0.5), "'ols' takes no parameter"),
+            (lambda: EstimatorSpec.parse("kclass"), "kclass requires kappa"),
+            (lambda: EstimatorSpec.parse("anchor:-1"), "anchor requires a finite lambda > -1"),
+            (lambda: EstimatorSpec.parse("anchor:inf"), "anchor requires a finite lambda > -1"),
+            (lambda: EstimatorSpec.parse("kclass:nan"), "kclass requires a finite kappa"),
+            (lambda: EstimatorSpec.parse("fuller:nan"), "fuller requires a finite a > 0"),
+            (lambda: EstimatorSpec.parse("fuller:0"), "fuller requires a finite a > 0"),
+        ],
+        ids=["ols-value", "kclass-missing", "anchor-minus-one", "anchor-inf", "kclass-nan",
+             "fuller-nan", "fuller-zero"],
+    )
+    def test_one_rule_names_kind_and_parameter(self, make, needle):
+        with pytest.raises(ValueError, match=needle):
+            make()
+
+    def test_label_round_trips_for_every_kind(self):
+        valued = {"kclass": 0.6, "anchor": 2.5, "fuller": 1.0}
+        for kind in estimators._KINDS:
+            spec = EstimatorSpec(kind, valued.get(kind))
+            assert EstimatorSpec.parse(spec.label()) == spec
+
+    def test_fuller_default_is_stated_once(self):
+        assert EstimatorSpec.parse("fuller").value == PulseConfig().fallback.value == 4.0
 
 
 class TestConsistency:

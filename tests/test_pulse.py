@@ -115,7 +115,7 @@ class TestPulseEstimate:
 
     def test_fallback_spec_is_honoured(self):
         view = invalid_instrument_view()
-        cfg = PulseConfig(fallback=EstimatorSpec.tsls())
+        cfg = PulseConfig(fallback=EstimatorSpec("tsls"))
         res = pulse_estimate(view, cfg)
         assert res.diagnostics["fallback"] == "tsls"
 
@@ -159,7 +159,7 @@ class TestPulseEstimate:
 
     def test_rejects_inconsistent_config(self):
         with pytest.raises(ValueError, match="consistent estimator"):
-            PulseConfig(fallback=EstimatorSpec.ols())
+            PulseConfig(fallback=EstimatorSpec("ols"))
 
 
 class TestExtremePenalties:
