@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -149,8 +149,9 @@ class Dataset:
     def q(self) -> int:
         return self.a.shape[1]
 
-    def with_intercept(self, name: str = "const") -> "Dataset":
-        """Append a constant exogenous column (used by the intercept pipeline)."""
+    def with_intercept(self) -> "Dataset":
+        """Append a constant exogenous column named ``const`` (used by the
+        intercept pipeline)."""
         ones = np.ones((self.n, 1))
         return Dataset(
             y=self.y,
@@ -158,7 +159,7 @@ class Dataset:
             a=np.hstack([self.a, ones]),
             y_name=self.y_name,
             x_names=self.x_names,
-            a_names=self.a_names + (name,),
+            a_names=self.a_names + ("const",),
         )
 
 
@@ -294,9 +295,6 @@ def _row_loop(path: Path, wanted: list[str]) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-ALL_ROLES = frozenset({"target", "endogenous", "exogenous"})
-
-
 def _demean(arr: np.ndarray) -> np.ndarray:
     # two passes: the second removes the cancellation residue left when the
     # column offset dwarfs its spread
@@ -304,18 +302,14 @@ def _demean(arr: np.ndarray) -> np.ndarray:
     return out - out.mean(axis=0)
 
 
-def center(ds: Dataset, roles: Sequence[str] = ("target", "endogenous", "exogenous")) -> Dataset:
-    """Subtract the sample mean from each column of the selected roles."""
-    roleset = frozenset(roles)
-    unknown = roleset - ALL_ROLES
-    if unknown:
-        raise ValueError(f"unknown roles {sorted(unknown)}; valid roles are {sorted(ALL_ROLES)}")
+def center(ds: Dataset) -> Dataset:
+    """Subtract the sample mean from every column: target, endogenous and exogenous."""
     if ds.n < 2:
         raise ValueError("centering requires at least two rows")
-    y = _demean(ds.y) if "target" in roleset else ds.y
-    x = _demean(ds.x) if "endogenous" in roleset else ds.x
-    a = _demean(ds.a) if "exogenous" in roleset else ds.a
-    return Dataset(y=y, x=x, a=a, y_name=ds.y_name, x_names=ds.x_names, a_names=ds.a_names)
+    return Dataset(
+        y=_demean(ds.y), x=_demean(ds.x), a=_demean(ds.a),
+        y_name=ds.y_name, x_names=ds.x_names, a_names=ds.a_names,
+    )
 
 
 @dataclass(frozen=True)
@@ -419,7 +413,9 @@ class KClassPath:
 class GramView:
     """The six cross products of ``(y, Z, A)`` under one partition, and all that is
     computed from them alone: identification, condition numbers, both losses and
-    the cached :class:`KClassPath`.
+    the cached :class:`KClassPath`.  Construction only stores the products;
+    the condition numbers, the whitened pieces and the path are each computed
+    on first read and cached.
 
     ``Z = [X_* A_*]`` stacks the included endogenous regressors first and the
     included exogenous regressors second; this ordering is the cross-module
@@ -438,7 +434,16 @@ class GramView:
         self.k = self.d1 + self.q1
         self.ztz, self.zty, self.atz, self.aty, self.ata = map(_readonly, (ztz, zty, atz, aty, ata))
         self.yty = float(yty)
-        self.rcond_ztz, self.rcond_ata = rcond_symmetric(self.ztz), rcond_symmetric(self.ata)
+
+    @cached_property
+    def rcond_ztz(self) -> float:
+        """Reciprocal condition number of ``Z^T Z``, computed on first read."""
+        return rcond_symmetric(self.ztz)
+
+    @cached_property
+    def rcond_ata(self) -> float:
+        """Reciprocal condition number of ``A^T A``, computed on first read."""
+        return rcond_symmetric(self.ata)
 
     @property
     def identification(self) -> IdentificationClass:
@@ -486,7 +491,7 @@ class GramView:
 
 class DesignView(GramView):
     """A :class:`GramView` built from the rows of a :class:`Dataset`, which it keeps:
-    ``dataset``, ``y``, ``a``, ``z = [X_* A_*]``, ``d2`` and ``coef_names``."""
+    ``dataset``, ``y``, ``a``, ``z = [X_* A_*]`` and ``coef_names``."""
 
     def __init__(self, dataset: Dataset, partition: ModelPartition | None = None):
         if partition is None:
@@ -498,7 +503,6 @@ class DesignView(GramView):
         x_star = dataset.x[:, list(partition.included_endogenous)]
         a_star = dataset.a[:, list(partition.included_exogenous)]  # (n, 0) when q1 = 0
         self.z = _readonly(np.hstack([x_star, a_star]))
-        self.d2 = dataset.d - partition.d1
         self.coef_names = tuple(dataset.x_names[i] for i in partition.included_endogenous) + tuple(
             dataset.a_names[i] for i in partition.included_exogenous
         )

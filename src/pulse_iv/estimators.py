@@ -61,9 +61,22 @@ class EstimatorSpec:
 
     @staticmethod
     def parse(text: str) -> "EstimatorSpec":
-        """Parse CLI syntax such as ``ols``, ``kclass:0.6`` or ``fuller:4``."""
+        """Parse CLI syntax such as ``ols``, ``kclass:0.6`` or ``fuller:4``.
+
+        A value that is no number is refused with the label, the kind and the
+        parameter's name.
+        """
         kind, _, value = text.strip().lower().partition(":")
-        return EstimatorSpec(kind, float(value) if value else None)
+        try:
+            number = float(value) if value else None
+        except ValueError:
+            if kind not in _PARAMS:
+                EstimatorSpec(kind, 0.0)  # raises: an unknown kind, or one that takes no value
+            raise ValueError(
+                f"estimator {text.strip()!r}: {kind} requires a number as its "
+                f"{_PARAMS[kind][0]}, got {value!r}"
+            ) from None
+        return EstimatorSpec(kind, number)
 
     def label(self) -> str:
         return self.kind if self.value is None else f"{self.kind}:{self.value:g}"
@@ -75,7 +88,10 @@ class EstimateResult:
 
     ``alpha`` is ordered ``[endogenous by input order, included exogenous by
     input order]``.  When both ``kappa_used`` and ``lambda_used`` are present
-    they satisfy ``kappa = lambda / (1 + lambda)``.
+    they satisfy ``kappa = lambda / (1 + lambda)``.  ``diagnostics`` holds only
+    what the estimator itself adds: ``warnings`` (every K-class solve,
+    OLS, LIML and Fuller included), ``kappa_liml`` (LIML), ``fuller_a``
+    (Fuller) and ``moment_gap`` (modified TSLS).
     """
 
     alpha: np.ndarray
@@ -89,16 +105,6 @@ class EstimateResult:
             raise ValueError("estimate contains non-finite coefficients")
 
 
-def _base_diagnostics(view: GramView) -> dict[str, Any]:
-    return {
-        "identification": view.identification.value,
-        "identification_degree": view.identification_degree,
-        "rcond_ztz": view.rcond_ztz,
-        "rcond_ata": view.rcond_ata,
-        "warnings": [],
-    }
-
-
 def kclass_estimate(view: DesignView, kappa: float) -> EstimateResult:
     """K-class estimator with parameter ``kappa``.
 
@@ -107,7 +113,7 @@ def kclass_estimate(view: DesignView, kappa: float) -> EstimateResult:
     Values outside ``[0, 1]`` are permitted but flagged in the diagnostics.
     """
     kappa = float(kappa)
-    diag = _base_diagnostics(view)
+    diag: dict[str, Any] = {"warnings": []}
     if not 0.0 <= kappa <= 1.0:
         diag["warnings"].append(f"kappa={kappa:g} outside [0, 1]; library guarantees void")
     alpha = view.kclass_solve(kappa)
@@ -122,12 +128,7 @@ def anchor_estimate(view: GramView, lam: float) -> EstimateResult:
     """
     lam = EstimatorSpec("anchor", lam).value  # the spec checks the domain
     alpha = view.path.alpha(lam)
-    return EstimateResult(
-        alpha=alpha,
-        kappa_used=lam / (1.0 + lam),
-        lambda_used=lam,
-        diagnostics=_base_diagnostics(view),
-    )
+    return EstimateResult(alpha=alpha, kappa_used=lam / (1.0 + lam), lambda_used=lam)
 
 
 def ols_estimate(view: DesignView) -> EstimateResult:
@@ -141,9 +142,7 @@ def tsls_estimate(view: DesignView) -> EstimateResult:
             f"TSLS undefined with q2={view.q2} < d1={view.d1}; use modified_tsls"
         )
     alpha = view.kclass_solve(1.0)
-    return EstimateResult(
-        alpha=alpha, kappa_used=1.0, lambda_used=None, diagnostics=_base_diagnostics(view)
-    )
+    return EstimateResult(alpha=alpha, kappa_used=1.0, lambda_used=None)
 
 
 def modified_tsls(view: GramView) -> EstimateResult:
@@ -170,9 +169,9 @@ def modified_tsls(view: GramView) -> EstimateResult:
         sol = np.linalg.pinv(kkt, rcond=RCOND_GRAM) @ rhs
     alpha = sol[:k]
     moment_gap = float(np.linalg.norm(view.atz @ alpha - view.aty))
-    diag = _base_diagnostics(view)
-    diag["moment_gap"] = moment_gap
-    return EstimateResult(alpha=alpha, kappa_used=None, lambda_used=None, diagnostics=diag)
+    return EstimateResult(
+        alpha=alpha, kappa_used=None, lambda_used=None, diagnostics={"moment_gap": moment_gap}
+    )
 
 
 @functools.cache

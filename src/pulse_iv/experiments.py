@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -95,8 +95,9 @@ class MseOrder(str, Enum):
     INCOMPARABLE = "incomparable"
 
 
-def mse_partial_order(mse_a: np.ndarray, mse_b: np.ndarray, tol_scale: float = 1e-9) -> MseOrder:
-    """Compare MSE matrices in the PSD cone with a Monte Carlo noise floor."""
+def mse_partial_order(mse_a: np.ndarray, mse_b: np.ndarray) -> MseOrder:
+    """Compare MSE matrices in the PSD cone with a Monte Carlo noise floor of
+    ``1e-9`` times the larger trace."""
     a = np.atleast_2d(np.asarray(mse_a, dtype=float))
     b = np.atleast_2d(np.asarray(mse_b, dtype=float))
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
@@ -104,7 +105,7 @@ def mse_partial_order(mse_a: np.ndarray, mse_b: np.ndarray, tol_scale: float = 1
     for name, mat in (("mse_a", a), ("mse_b", b)):
         if not np.allclose(mat, mat.T, atol=1e-10 * max(1.0, float(np.abs(mat).max()))):
             raise ValueError(f"{name} must be symmetric")
-    tol = tol_scale * max(float(np.trace(a)), float(np.trace(b)), 1e-300)
+    tol = 1e-9 * max(float(np.trace(a)), float(np.trace(b)), 1e-300)
     diff = b - a
     a_le = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0]) >= -tol
     b_le = float(np.linalg.eigvalsh(0.5 * (-diff - diff.T))[0]) >= -tol
@@ -220,11 +221,14 @@ class ExperimentConfig:
         if self.n_values is not None and any(n < 1 for n in self.n_values):
             raise ValueError(f"n_values must be positive, got {list(self.n_values)}")
         TestConfig(p_min=self.p_min)  # raises on p_min outside (0, 1)
-        labels = self.estimators or ()
-        if len(set(labels)) < len(labels):
-            raise ValueError(f"estimators repeat a label: {list(labels)}")
-        for label in labels:
-            EstimatorSpec.parse(label)  # raises on a label that is no valid spec
+        seen: dict[EstimatorSpec, str] = {}
+        for label in self.estimators or ():
+            spec = EstimatorSpec.parse(label)  # raises on a label that is no valid spec
+            if spec in seen:
+                raise ValueError(
+                    f"estimators repeat {spec.label()}: {seen[spec]!r} and {label!r}"
+                )
+            seen[spec] = label
         empty = [f for f in _SEQUENCE_FIELDS if getattr(self, f) is not None and not getattr(self, f)]
         if empty:
             raise ValueError(f"empty {', '.join(empty)}; give a value, or null for the default")
@@ -246,6 +250,16 @@ class ExperimentConfig:
                         f"{name} values {extras} outside the declared grid "
                         f"{UNIVARIATE_DECLARED[name]}; set allow_extensions=True to proceed"
                     )
+        reads = _EVERY_DESIGN_READS + _GRID_DESIGNS[self.design].reads
+        unread = [
+            f.name for f in fields(self)
+            if f.name not in reads and getattr(self, f.name) != f.default
+        ]
+        if unread:
+            raise ValueError(
+                f"design {self.design} does not read {', '.join(unread)}; "
+                "leave it out or at its default"
+            )
 
     def to_json(self) -> dict[str, Any]:
         return asdict(self)
@@ -341,15 +355,43 @@ class _Cell:
     target: np.ndarray
 
 
-#: CSV parameter columns and default estimators of each grid design.
-_GRID_DESIGNS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "univariate": (("q", "rho", "r2", "n"), ("ols", "tsls", "fuller:1", "fuller:4", "pulse")),
-    "mv-random": (("model_index", "rho_norm"), ("ols", "fuller:1", "fuller:4", "pulse")),
-    "mv-fixed": (
+class _Design(NamedTuple):
+    """A design's CSV parameter columns, its default estimators, and the
+    :class:`ExperimentConfig` fields it reads besides :data:`_EVERY_DESIGN_READS`.
+
+    ``robustness-e1`` runs no estimators and writes one row per repetition and
+    ``kappa``, so its ``columns`` are all of its CSV columns.
+    """
+
+    columns: tuple[str, ...]
+    estimators: tuple[str, ...]
+    reads: tuple[str, ...]
+
+
+#: The config fields every design reads.
+_EVERY_DESIGN_READS = ("design", "repetitions", "master_seed")
+
+#: Every design; :meth:`ExperimentConfig.__post_init__` refuses a field that
+#: its design does not read unless it is left at its default.
+_GRID_DESIGNS: dict[str, _Design] = {
+    "univariate": _Design(
+        ("q", "rho", "r2", "n"),
+        ("ols", "tsls", "fuller:1", "fuller:4", "pulse"),
+        ("estimators", "p_min", "q_values", "rho_values", "r2_values", "n_values",
+         "allow_extensions"),
+    ),
+    "mv-random": _Design(
+        ("model_index", "rho_norm"),
+        ("ols", "fuller:1", "fuller:4", "pulse"),
+        ("estimators", "p_min", "n_models", "sample_size"),
+    ),
+    "mv-fixed": _Design(
         ("eta", "phi1", "phi2", "rho_norm", "model_index"),
         ("ols", "fuller:1", "fuller:4", "pulse"),
+        ("estimators", "p_min", "n_models", "sample_size", "noise_triples"),
     ),
-    "underid-e3": (("n",), ("pulse", "modified-tsls")),
+    "robustness-e1": _Design(("rep", "kappa", "estimate", "wcmspe"), (), ("n_values",)),
+    "underid-e3": _Design(("n",), ("pulse", "modified-tsls"), ("estimators", "p_min", "n_values")),
 }
 
 
@@ -403,10 +445,11 @@ def _run_cell(
         weak["gn_repetitions"] = float(g_count)
 
     pairwise: dict[str, dict[str, Any]] = {}
-    if "pulse" in metrics:
-        ref = metrics["pulse"]
+    pulse_label = next((label for label, spec in estimators if spec.kind == "pulse"), None)
+    if pulse_label in metrics:
+        ref = metrics[pulse_label]
         for label, met in metrics.items():
-            if label == "pulse":
+            if label == pulse_label:
                 continue
             entry: dict[str, Any] = {
                 "mse_order_vs_pulse": mse_partial_order(ref.mse, met.mse).value,
@@ -520,7 +563,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """
     if cfg.design == "robustness-e1":
         return _run_robustness_e1(cfg)
-    param_names, default_estimators = _GRID_DESIGNS[cfg.design]
+    param_names, default_estimators, _ = _GRID_DESIGNS[cfg.design]
     specs = tuple((e, EstimatorSpec.parse(e)) for e in cfg.estimators or default_estimators)
     results = [_run_cell(cell, i, specs, cfg) for i, cell in enumerate(_cells(cfg))]
 
@@ -542,8 +585,7 @@ def _run_robustness_e1(cfg: ExperimentConfig) -> ExperimentResult:
             est = float(view.kclass_solve(kappa)[0])
             wc = float(wcmspe_curve_e1(est, [ROBUSTNESS_REFERENCE_X])[0])
             rows.append({"rep": rep, "kappa": kappa, "estimate": est, "wcmspe": wc})
-    columns = ["rep", "kappa", "estimate", "wcmspe"]
-    return ExperimentResult(cfg.design, cfg, [], rows, columns)
+    return ExperimentResult(cfg.design, cfg, [], rows, list(_GRID_DESIGNS[cfg.design].columns))
 
 
 def write_result(result: ExperimentResult, outdir: str | Path) -> tuple[Path, Path]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 import scipy.special
@@ -47,10 +46,6 @@ def chi2_quantile(q_dof: int, prob: float) -> float:
     return float(2.0 * scipy.special.gammaincinv(q_dof / 2.0, prob))
 
 
-def chi2_cdf(q_dof: int, value: float) -> float:
-    return float(scipy.special.gammainc(q_dof / 2.0, value / 2.0))
-
-
 @dataclass(frozen=True)
 class TestConfig:
     """Level and scaling scheme of the uncorrelatedness test.
@@ -83,12 +78,15 @@ class TestConfig:
 
 @dataclass
 class TestResult:
-    """Statistic, threshold and verdict; ``accepted`` iff statistic <= threshold."""
+    """Statistic, threshold and verdict; ``accepted`` iff statistic <= threshold.
+
+    No p-value is computed: every caller reads only the verdict against the
+    threshold, which :func:`chi2_quantile` gives once per level.
+    """
 
     statistic: float
     threshold: float
     accepted: bool
-    p_value_bound: float | None = None
 
 
 @dataclass
@@ -98,7 +96,6 @@ class WeakInstrumentReport:
     g_matrix: np.ndarray
     min_eigenvalue: float
     rule_of_thumb_pass: bool
-    details: dict[str, Any] | None = None
 
 
 class ViewTest:
@@ -123,7 +120,6 @@ class ViewTest:
             statistic=stat,
             threshold=float(self.threshold),
             accepted=bool(stat <= self.threshold),
-            p_value_bound=1.0 - chi2_cdf(self.view.q, stat),
         )
 
 
@@ -202,5 +198,4 @@ def weak_instrument_stat(view: DesignView) -> WeakInstrumentReport:
         g_matrix=g,
         min_eigenvalue=min_eig,
         rule_of_thumb_pass=bool(min_eig > WEAK_INSTRUMENT_RULE),
-        details={"trace": float(np.trace(g)), "n": n, "q": q},
     )

@@ -283,6 +283,19 @@ class TestEstimate:
         assert "fuller" in captured.err and "non-finite" not in captured.err
         assert captured.out == ""
 
+    def test_non_numeric_estimator_value_is_usage_error(self, e1_config, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        main(["simulate", "--sem", str(e1_config), "--n", "200", "--seed", "3", "--out", str(data)])
+        capsys.readouterr()
+        args = ["estimate", "--data", str(data), "--target", "y"]
+        args += ["--endogenous", "x1", "--instruments", "a1", "--estimator", "ols,kclass:abc"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: estimator 'kclass:abc': kclass requires a number as its kappa, got 'abc'\n"
+        )
+        assert captured.out == ""
+
     def test_intercept_counts_toward_dof(self, e1_config, tmp_path, capsys):
         data = tmp_path / "data.csv"
         main(["simulate", "--sem", str(e1_config), "--n", "64", "--seed", "4", "--out", str(data)])
@@ -444,6 +457,14 @@ class TestExperiment:
             ({"design": "underid-e3", "estimators": ["bogus"]}, "bogus"),
             ({"design": "underid-e3", "estimators": ["kclass"]}, "kclass requires kappa"),
             ({"design": "underid-e3", "estimators": ["kclass:nan"]}, "finite kappa"),
+            ({"design": "underid-e3", "estimators": ["kclass:abc"]}, "'kclass:abc': kclass"),
+            ({"design": "underid-e3", "estimators": ["pulse", "PULSE"]}, "repeat pulse"),
+            ({"design": "underid-e3", "estimators": ["fuller", "fuller:4"]}, "repeat fuller:4"),
+            ({"design": "robustness-e1", "estimators": ["ols"]}, "does not read estimators"),
+            (
+                {"design": "mv-fixed", "n_values": [1000], "n_models": 1, "repetitions": 1},
+                "does not read n_values",
+            ),
         ],
     )
     def test_malformed_config_is_data_error(self, tmp_path, capsys, doc, needle):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulse_iv import data
+from pulse_iv.cli import main
 from pulse_iv.data import (
     CsvSchema,
     Dataset,
@@ -18,7 +19,9 @@ from pulse_iv.data import (
     load_csv,
     psd_inverse_sqrt,
 )
+from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.exceptions import DataError, SingularGram
+from pulse_iv.pulse import pulse_estimate
 
 from conftest import loss_by_residuals, make_instance, raw_matrices
 
@@ -185,12 +188,6 @@ class TestCenter:
         scale = np.abs(out.a).max(axis=0)
         assert np.all(np.abs(out.a.mean(axis=0)) <= 1e-12 * np.maximum(scale, 1.0))
 
-    def test_role_selection(self):
-        ds = Dataset(y=[1.0, 3.0], x=[[2.0], [4.0]], a=[[5.0], [7.0]])
-        out = center(ds, roles=("exogenous",))
-        np.testing.assert_allclose(out.y, ds.y)
-        np.testing.assert_allclose(out.a[:, 0], [-1.0, 1.0])
-
 
 class TestProjection:
     def test_fixes_its_range(self):
@@ -240,6 +237,38 @@ class TestViewCache:
             with pytest.raises(SingularGram, match="A\\^T A"):
                 getattr(view, attr)
         assert "iv_pieces" not in vars(view) and "path" not in vars(view)
+
+
+class TestLazyConditionNumbers:
+    """``rcond_ztz`` and ``rcond_ata`` are computed on first read, not when a
+    view is built, and no estimate reads ``rcond_ata``."""
+
+    def test_building_a_view_computes_neither(self):
+        view = make_instance(3)
+        assert "rcond_ztz" not in vars(view) and "rcond_ata" not in vars(view)
+        assert view.rcond_ata == data.rcond_symmetric(view.ata)
+        assert "rcond_ata" in vars(view) and "rcond_ztz" not in vars(view)
+
+    def test_estimates_do_not_read_rcond_ata(self):
+        view = make_instance(4, q=3)
+        for label in ("ols", "tsls", "fuller:4"):
+            estimate(view, EstimatorSpec.parse(label))
+        pulse_estimate(view)
+        assert "rcond_ata" not in vars(view)
+        assert "rcond_ztz" in vars(view)  # read once by the path's Z^T Z check
+
+    def test_diagnose_prints_the_condition_numbers(self, tmp_path, capsys):
+        rows = [
+            (1.0, 2.0, 0.5, 1.0), (2.5, 1.0, 1.5, -1.0), (0.5, 3.0, -0.5, 2.0),
+            (3.0, 2.5, 2.0, 0.0), (-1.0, 0.5, -1.5, 1.5), (2.0, 4.0, 1.0, 3.0),
+            (0.0, -1.0, -2.0, -0.5), (1.5, 1.5, 0.0, 0.5),
+        ]
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1,a1,a2\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+        args = ["diagnose", "--data", str(path), "--target", "y", "--endogenous", "x1"]
+        assert main([*args, "--instruments", "a1,a2", "--intercept"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "rcond(Z^T Z) = 6.790e-02   rcond(A^T A) = 2.210e-01"
 
 
 class TestLosses:

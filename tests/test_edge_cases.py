@@ -78,11 +78,6 @@ class TestDataEdges:
         with pytest.raises(ValueError, match="two rows"):
             center(ds)
 
-    def test_center_rejects_unknown_role(self):
-        ds = Dataset(y=[1.0, 2.0], x=[[1.0], [2.0]], a=[[1.0], [2.0]])
-        with pytest.raises(ValueError, match="unknown roles"):
-            center(ds, roles=("targets",))
-
     def test_load_csv_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_csv(tmp_path / "absent.csv", CsvSchema("y", ("x",), ("a",)))

@@ -347,9 +347,13 @@ class TestSpecParsing:
             (lambda: EstimatorSpec.parse("kclass:nan"), "kclass requires a finite kappa"),
             (lambda: EstimatorSpec.parse("fuller:nan"), "fuller requires a finite a > 0"),
             (lambda: EstimatorSpec.parse("fuller:0"), "fuller requires a finite a > 0"),
+            (
+                lambda: EstimatorSpec.parse("kclass:abc"),
+                "estimator 'kclass:abc': kclass requires a number as its kappa, got 'abc'",
+            ),
         ],
         ids=["ols-value", "kclass-missing", "anchor-minus-one", "anchor-inf", "kclass-nan",
-             "fuller-nan", "fuller-zero"],
+             "fuller-nan", "fuller-zero", "kclass-not-a-number"],
     )
     def test_one_rule_names_kind_and_parameter(self, make, needle):
         with pytest.raises(ValueError, match=needle):

@@ -181,6 +181,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(design="underid-e3", **{field: value})
 
+    @pytest.mark.parametrize(
+        "labels", [("pulse", "PULSE"), ("fuller", "fuller:4")], ids=["pulse-case", "fuller-default"]
+    )
+    def test_two_labels_for_one_estimator_are_rejected(self, labels):
+        with pytest.raises(ValueError, match="repeat"):
+            ExperimentConfig(design="underid-e3", estimators=labels)
+
+    @pytest.mark.parametrize(
+        "design, field, value",
+        [
+            ("mv-fixed", "n_values", (1000,)),
+            ("robustness-e1", "estimators", ("ols",)),
+            ("robustness-e1", "p_min", 0.1),
+            ("underid-e3", "sample_size", 10),
+            ("univariate", "noise_triples", ((0.8, 0.19, 0.19),)),
+            ("mv-random", "allow_extensions", True),
+        ],
+    )
+    def test_fields_the_design_does_not_read_are_rejected(self, design, field, value):
+        with pytest.raises(ValueError, match=f"{design} does not read {field}"):
+            ExperimentConfig(design=design, **{field: value})
+        # left at its default, the field is accepted
+        default = ExperimentConfig.__dataclass_fields__[field].default
+        ExperimentConfig(design=design, **{field: default})
+
     def test_json_round_trip(self):
         cfg = ExperimentConfig(
             design="univariate",
@@ -252,6 +277,21 @@ class TestRunExperiment:
         assert any("tsls" in a for a in cell.alerts)
         exclusion_rows = [r for r in result.rows if r["metric"] == "excluded_UnderIdentified"]
         assert len(exclusion_rows) == 1 and exclusion_rows[0]["value"] == 8
+
+    def test_pulse_is_compared_whatever_its_spelling(self):
+        def pairwise_rows(pulse_label):
+            cfg = ExperimentConfig(
+                design="underid-e3", repetitions=3, n_values=(100,),
+                estimators=(pulse_label, "modified-tsls"),
+            )
+            return [
+                (r["estimator"], r["metric"], r["value"])
+                for r in run_experiment(cfg).rows if r["metric"].endswith("_vs_pulse")
+            ]
+
+        rows = pairwise_rows("pulse")
+        assert len(rows) == 4 and {r[0] for r in rows} == {"modified-tsls"}
+        assert pairwise_rows("PULSE") == rows
 
     def test_robustness_e1_schema(self):
         cfg = ExperimentConfig(design="robustness-e1", repetitions=3, master_seed=5)
