@@ -159,7 +159,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 fallback=fallback_spec or EstimatorSpec("fuller"),
             )
             result = pulse_estimate(view, pulse_cfg)
-            if result.fallback_used and fallback_spec is None:
+            if result.message is PulseMessage.TSLS_REJECTED_FALLBACK and fallback_spec is None:
                 print(MESSAGE_TEXT[PulseMessage.TSLS_REJECTED_FALLBACK])
                 print("error: dual representation infeasible and no fallback requested", file=sys.stderr)
                 return INFEASIBLE_ERROR

@@ -491,22 +491,21 @@ class GramView:
 
 class DesignView(GramView):
     """A :class:`GramView` built from the rows of a :class:`Dataset`, which it keeps:
-    ``dataset``, ``y``, ``a``, ``z = [X_* A_*]`` and ``coef_names``."""
+    ``dataset`` (whose ``y`` and ``a`` are the response and instruments),
+    ``z = [X_* A_*]`` and ``coef_names``."""
 
     def __init__(self, dataset: Dataset, partition: ModelPartition | None = None):
         if partition is None:
             partition = ModelPartition.all_endogenous(dataset.d)
         partition.validate(dataset.d, dataset.q)
         self.dataset = dataset
-        self.y = dataset.y
-        self.a = dataset.a
         x_star = dataset.x[:, list(partition.included_endogenous)]
         a_star = dataset.a[:, list(partition.included_exogenous)]  # (n, 0) when q1 = 0
         self.z = _readonly(np.hstack([x_star, a_star]))
         self.coef_names = tuple(dataset.x_names[i] for i in partition.included_endogenous) + tuple(
             dataset.a_names[i] for i in partition.included_exogenous
         )
-        z, a, y = self.z, self.a, self.y
+        z, a, y = self.z, dataset.a, dataset.y
         super().__init__(
             partition, dataset.q, dataset.n,
             ztz=z.T @ z, ata=a.T @ a, atz=a.T @ z, zty=z.T @ y, aty=a.T @ y, yty=y @ y,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -84,20 +84,17 @@ class EstimatorSpec:
 
 @dataclass
 class EstimateResult:
-    """Coefficient vector with the parameter that produced it and diagnostics.
+    """Coefficient vector with the parameter that produced it.
 
     ``alpha`` is ordered ``[endogenous by input order, included exogenous by
     input order]``.  When both ``kappa_used`` and ``lambda_used`` are present
-    they satisfy ``kappa = lambda / (1 + lambda)``.  ``diagnostics`` holds only
-    what the estimator itself adds: ``warnings`` (every K-class solve,
-    OLS, LIML and Fuller included), ``kappa_liml`` (LIML), ``fuller_a``
-    (Fuller) and ``moment_gap`` (modified TSLS).
+    they satisfy ``kappa = lambda / (1 + lambda)``; LIML and Fuller report their
+    data-driven ``kappa`` as ``kappa_used``.
     """
 
     alpha: np.ndarray
     kappa_used: float | None = None
     lambda_used: float | None = None
-    diagnostics: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.alpha = np.asarray(self.alpha, dtype=float).reshape(-1)
@@ -110,15 +107,12 @@ def kclass_estimate(view: DesignView, kappa: float) -> EstimateResult:
 
     For ``kappa`` in ``[0, 1)`` this is the unique minimizer of
     ``(1 - kappa) * l_OLS + kappa * l_IV``; at ``kappa = 1`` it is TSLS.
-    Values outside ``[0, 1]`` are permitted but flagged in the diagnostics.
+    Values outside ``[0, 1]`` are solved without these guarantees.
     """
     kappa = float(kappa)
-    diag: dict[str, Any] = {"warnings": []}
-    if not 0.0 <= kappa <= 1.0:
-        diag["warnings"].append(f"kappa={kappa:g} outside [0, 1]; library guarantees void")
     alpha = view.kclass_solve(kappa)
     lam = kappa / (1.0 - kappa) if kappa < 1.0 else None
-    return EstimateResult(alpha=alpha, kappa_used=kappa, lambda_used=lam, diagnostics=diag)
+    return EstimateResult(alpha=alpha, kappa_used=kappa, lambda_used=lam)
 
 
 def anchor_estimate(view: GramView, lam: float) -> EstimateResult:
@@ -167,11 +161,7 @@ def modified_tsls(view: GramView) -> EstimateResult:
         sol = np.linalg.solve(kkt, rhs)
     else:
         sol = np.linalg.pinv(kkt, rcond=RCOND_GRAM) @ rhs
-    alpha = sol[:k]
-    moment_gap = float(np.linalg.norm(view.atz @ alpha - view.aty))
-    return EstimateResult(
-        alpha=alpha, kappa_used=None, lambda_used=None, diagnostics={"moment_gap": moment_gap}
-    )
+    return EstimateResult(alpha=sol[:k])
 
 
 @functools.cache
@@ -209,7 +199,7 @@ def min_generalized_eigenvalue(w1: np.ndarray, w: np.ndarray) -> float:
 
 def _liml_blocks(view: DesignView) -> tuple[np.ndarray, np.ndarray]:
     """Cross-product matrices ``W`` and ``W1`` for the LIML eigenproblem."""
-    m0 = np.column_stack([view.y, view.z[:, : view.d1]])
+    m0 = np.column_stack([view.dataset.y, view.z[:, : view.d1]])
     gram0 = m0.T @ m0
 
     def residual_gram(basis: np.ndarray) -> np.ndarray:
@@ -218,7 +208,7 @@ def _liml_blocks(view: DesignView) -> tuple[np.ndarray, np.ndarray]:
         proj = basis @ np.linalg.lstsq(basis, m0, rcond=None)[0]
         return gram0 - proj.T @ proj
 
-    w = residual_gram(view.a)
+    w = residual_gram(view.dataset.a)
     w1 = residual_gram(view.z[:, view.d1 :])  # the included exogenous A_*
     return w1, w
 
@@ -257,17 +247,11 @@ def fuller_kappa(view: DesignView, a: float) -> float:
 
 
 def liml_estimate(view: DesignView) -> EstimateResult:
-    kappa = liml_kappa(view)
-    res = kclass_estimate(view, kappa)
-    res.diagnostics["kappa_liml"] = kappa
-    return res
+    return kclass_estimate(view, liml_kappa(view))
 
 
 def fuller_estimate(view: DesignView, a: float) -> EstimateResult:
-    kappa = fuller_kappa(view, a)
-    res = kclass_estimate(view, kappa)
-    res.diagnostics["fuller_a"] = a
-    return res
+    return kclass_estimate(view, fuller_kappa(view, a))
 
 
 def estimate(view: DesignView, spec: EstimatorSpec) -> EstimateResult:

@@ -62,6 +62,9 @@ FIXED_NOISE_DECLARED = (
     (0.20, 0.62, 0.62),
 )
 
+#: Default sample sizes of the under-identified convergence study.
+UNDERID_N = (100, 1000, 10000)
+
 #: Reference hard-intervention strength for the robustness path study.
 ROBUSTNESS_REFERENCE_X = 2.0
 
@@ -138,7 +141,6 @@ def _pairwise_sum(arr: np.ndarray) -> np.ndarray:
 class EstimatorMetrics:
     """Monte Carlo summary of one estimator within one grid cell."""
 
-    estimator: str
     n_used: int
     bias: np.ndarray
     mse: np.ndarray
@@ -150,7 +152,7 @@ class EstimatorMetrics:
     median_abs_error: float
 
 
-def summarize_estimates(estimator: str, estimates: np.ndarray, target: np.ndarray) -> EstimatorMetrics:
+def summarize_estimates(estimates: np.ndarray, target: np.ndarray) -> EstimatorMetrics:
     """Bias/MSE summaries from stacked per-repetition estimates."""
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
     target = np.asarray(target, dtype=float).reshape(-1)
@@ -165,7 +167,6 @@ def summarize_estimates(estimator: str, estimates: np.ndarray, target: np.ndarra
     quart = np.quantile(est, [0.25, 0.75], axis=0, method="linear")
     trace_mse = float(np.trace(mse))
     return EstimatorMetrics(
-        estimator=estimator,
         n_used=n_used,
         bias=mean_err,
         mse=mse,
@@ -187,7 +188,6 @@ class CellResult:
     failures: dict[str, dict[str, int]]
     weak: dict[str, float] = field(default_factory=dict)
     pairwise: dict[str, dict[str, Any]] = field(default_factory=dict)
-    alerts: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -216,8 +216,6 @@ class ExperimentConfig:
             raise ValueError("repetitions must be positive")
         if self.n_models < 1:
             raise ValueError("n_models must be positive")
-        if self.sample_size < 1:
-            raise ValueError(f"sample_size must be positive, got {self.sample_size}")
         if self.n_values is not None and any(n < 1 for n in self.n_values):
             raise ValueError(f"n_values must be positive, got {list(self.n_values)}")
         TestConfig(p_min=self.p_min)  # raises on p_min outside (0, 1)
@@ -260,6 +258,13 @@ class ExperimentConfig:
                 f"design {self.design} does not read {', '.join(unread)}; "
                 "leave it out or at its default"
             )
+        if self.design != "robustness-e1":  # the one design that runs no estimators
+            source, n, q = _smallest_n_largest_q(self)
+            if n <= q:
+                raise ValueError(
+                    f"{source} gives {self.design} a cell with n={n} and q={q}; "
+                    "every cell needs n > q"
+                )
 
     def to_json(self) -> dict[str, Any]:
         return asdict(self)
@@ -310,6 +315,19 @@ _SEQUENCE_FIELDS = {
     "n_values": "int",
     "noise_triples": "triple",
 }
+
+
+def _smallest_n_largest_q(cfg: ExperimentConfig) -> tuple[str, int, int]:
+    """The field that sets the sample sizes of a design that runs estimators, the
+    smallest sample size ``n`` and the largest instrument count ``q`` among its
+    cells.  No design has more than ``q + 1`` regressors, so ``n > q`` also
+    gives ``n >= d``."""
+    if cfg.design == "univariate":
+        n_grid = cfg.n_values or UNIVARIATE_DECLARED["n"]
+        return "n_values", min(n_grid), max(cfg.q_values or UNIVARIATE_DECLARED["q"])
+    if cfg.design == "underid-e3":
+        return "n_values", min(cfg.n_values or UNDERID_N), 1
+    return "sample_size", cfg.sample_size, 2  # mv-random and mv-fixed
 
 
 def _json_is(value: Any, kind: str) -> bool:
@@ -426,17 +444,11 @@ def _run_cell(
                 cause = type(exc).__name__
                 failures[label][cause] = failures[label].get(cause, 0) + 1
 
-    metrics: dict[str, EstimatorMetrics] = {}
-    alerts: list[str] = []
-    for label, _ in estimators:
-        stack = collected[label]
-        if not stack:
-            alerts.append(f"{label}: no successful repetitions")
-            continue
-        metrics[label] = summarize_estimates(label, np.vstack(stack), cell.target)
-        excluded = cfg.repetitions - len(stack)
-        if excluded > 0.01 * cfg.repetitions:
-            alerts.append(f"{label}: {excluded} of {cfg.repetitions} repetitions excluded")
+    metrics = {
+        label: summarize_estimates(np.vstack(stack), cell.target)
+        for label, stack in collected.items()
+        if stack
+    }
 
     weak: dict[str, float] = {}
     if min_eigs:
@@ -468,7 +480,6 @@ def _run_cell(
         failures={k: v for k, v in failures.items() if v},
         weak=weak,
         pairwise=pairwise,
-        alerts=alerts,
     )
 
 
@@ -527,7 +538,7 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
     if cfg.design == "underid-e3":
         target = np.array(population_pulse_underid(1.0, 1.0, 1.0))
         model = e3_model()
-        return [_Cell({"n": n}, model, n, target) for n in cfg.n_values or (100, 1000, 10000)]
+        return [_Cell({"n": n}, model, n, target) for n in cfg.n_values or UNDERID_N]
     cells: list[_Cell] = []
     if cfg.design == "mv-random":
         for idx in range(cfg.n_models):

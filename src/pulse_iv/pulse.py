@@ -1,13 +1,13 @@
 """The PULSE estimator: one root find on the K-class path, fallback wrapper,
-and primal oracle.
+and the primal (constrained) definition.
 
 PULSE minimizes the OLS loss over the acceptance region of the
 uncorrelatedness test.  Along the K-class path (:class:`~pulse_iv.data.KClassPath`)
 the test statistic is monotone in the penalty, so the smallest accepted
 penalty ``lambda*`` is found by one bracket-plus-bisection; the estimate is the
 path point at ``lambda*``, which stays exact where ``kappa = lambda / (1 + lambda)``
-rounds to one.  The primal (constrained) formulation, kept as an independent
-route for equivalence checking, shares the bisection.
+rounds to one.  :func:`primal_solve` states the paper's constrained
+formulation, ``argmin l_OLS`` subject to ``l_IV <= t``, on the same path.
 """
 
 from __future__ import annotations
@@ -74,55 +74,52 @@ class PulseConfig:
 
 @dataclass
 class PulseResult:
-    """PULSE estimate plus the penalty that produced it and the branch taken."""
+    """PULSE estimate, the penalty that produced it and the branch taken (``message``).
+    Only a fallback fills ``diagnostics``: the fallback's label and the TSLS statistic."""
 
     alpha: np.ndarray
     lambda_star: float
     kappa_star: float | None
     message: PulseMessage
     test_at_solution: TestResult
-    fallback_used: bool
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-class _PathTest(ViewTest):
-    """The view's acceptance test with PULSE's branch and penalty search."""
-
-    def branch(self) -> tuple[PulseMessage, float | None]:
-        """Fallback if over-identified with TSLS on or outside the acceptance
-        region, else OLS if accepted, else ``NONE`` (search); plus the TSLS
-        statistic when computed."""
-        stat_tsls = None
-        if self.view.identification is IdentificationClass.OVER:
-            stat_tsls = self.statistic(self.view.kclass_solve(1.0))
-            if stat_tsls >= self.threshold:
-                return PulseMessage.TSLS_REJECTED_FALLBACK, stat_tsls
-        if self.accepts(self.view.kclass_solve(0.0)):
-            return PulseMessage.OLS_ACCEPTED, stat_tsls
-        return PulseMessage.NONE, stat_tsls
-
-    def penalty(self, precision_n: int) -> tuple[PulseMessage, float, float | None]:
-        """The branch, its penalty and the TSLS statistic (when computed): ``inf``
-        on fallback, ``0`` if OLS is accepted, else the smallest accepted penalty
-        within ``1/precision_n``."""
-        branch, stat_tsls = self.branch()
-        if branch is PulseMessage.TSLS_REJECTED_FALLBACK:
-            return branch, math.inf, stat_tsls
-        if branch is PulseMessage.OLS_ACCEPTED:
-            return branch, 0.0, stat_tsls
-        path = self.view.path
-        lam = _smallest_accepted(lambda lam: self.accepts(path.alpha(lam)), 1.0 / precision_n)
-        return branch, lam, stat_tsls
+def _penalty(test: ViewTest, precision_n: int) -> tuple[PulseMessage, float, float | None]:
+    """PULSE's branch on the test's view, its penalty and the TSLS statistic (when
+    computed): over-identified with TSLS on or outside the acceptance region falls
+    back with penalty ``inf``; an accepted OLS gives ``0``; otherwise the search
+    gives the smallest accepted penalty within ``1/precision_n``."""
+    view = test.view
+    stat_tsls = None
+    if view.identification is IdentificationClass.OVER:
+        stat_tsls = test.statistic(view.kclass_solve(1.0))
+        if stat_tsls >= test.threshold:
+            return PulseMessage.TSLS_REJECTED_FALLBACK, math.inf, stat_tsls
+    if test.accepts(view.kclass_solve(0.0)):
+        return PulseMessage.OLS_ACCEPTED, 0.0, stat_tsls
+    path = view.path
+    lam = _smallest_accepted(lambda lam: test.accepts(path.alpha(lam)), 1.0 / precision_n)
+    return PulseMessage.NONE, lam, stat_tsls
 
 
-def _bisect(
-    accepts: Callable[[float], bool], rejected: float, accepted: float, width: float
-) -> tuple[float, float]:
-    """Bisect between a rejected and an accepted point of a monotone predicate.
+def _smallest_accepted(accepts: Callable[[float], bool], width: float) -> float:
+    """Smallest accepted penalty within ``width`` (or one ulp), given that 0 is
+    rejected: the bracket squares 2, 4, 16, ... until accepted, then bisects
+    from 0 to that width or to adjacent doubles.  Returns the accepted end.
 
-    Stops when the two are at most ``width`` apart or adjacent doubles, so it
-    always terminates; returns the final ``(rejected, accepted)`` pair.
+    Raises
+    ------
+    NonMonotoneDetected
+        If no penalty below float overflow is accepted.
     """
+    rejected, accepted = 0.0, 2.0
+    while not accepts(accepted):
+        accepted *= accepted
+        if math.isinf(accepted):
+            raise NonMonotoneDetected(
+                "no accepted penalty below float overflow; monotone descent broke down"
+            )
     while abs(accepted - rejected) > width:
         mid = 0.5 * (rejected + accepted)
         if mid == rejected or mid == accepted:
@@ -131,27 +128,7 @@ def _bisect(
             accepted = mid
         else:
             rejected = mid
-    return rejected, accepted
-
-
-def _smallest_accepted(accepts: Callable[[float], bool], width: float) -> float:
-    """Smallest accepted penalty within ``width`` (or one ulp), given that 0 is
-    rejected: the bracket squares 2, 4, 16, ... until accepted, then bisects
-    from 0.  Returns the accepted endpoint.
-
-    Raises
-    ------
-    NonMonotoneDetected
-        If no penalty below float overflow is accepted.
-    """
-    hi = 2.0
-    while not accepts(hi):
-        hi *= hi
-        if math.isinf(hi):
-            raise NonMonotoneDetected(
-                "no accepted penalty below float overflow; monotone descent broke down"
-            )
-    return _bisect(accepts, 0.0, hi, width)[1]
+    return accepted
 
 
 def lambda_star_search(view: DesignView, cfg: PulseConfig | None = None) -> float:
@@ -170,7 +147,7 @@ def lambda_star_search(view: DesignView, cfg: PulseConfig | None = None) -> floa
         signalling numerical breakdown rather than infeasibility.
     """
     cfg = cfg or PulseConfig()
-    return _PathTest(view, cfg.test_cfg).penalty(cfg.precision_n)[1]
+    return _penalty(ViewTest(view, cfg.test_cfg), cfg.precision_n)[1]
 
 
 def pulse_estimate(view: DesignView, cfg: PulseConfig | None = None) -> PulseResult:
@@ -183,7 +160,7 @@ def pulse_estimate(view: DesignView, cfg: PulseConfig | None = None) -> PulseRes
     """
     cfg = cfg or PulseConfig()
     tc = cfg.test_cfg
-    branch, lam, stat_tsls = _PathTest(view, tc).penalty(cfg.precision_n)
+    branch, lam, stat_tsls = _penalty(ViewTest(view, tc), cfg.precision_n)
     fallback = branch is PulseMessage.TSLS_REJECTED_FALLBACK
     alpha = estimate(view, cfg.fallback).alpha if fallback else view.path.alpha(lam)
     return PulseResult(
@@ -192,18 +169,10 @@ def pulse_estimate(view: DesignView, cfg: PulseConfig | None = None) -> PulseRes
         kappa_star=None if fallback else lam / (1.0 + lam),
         message=branch,
         test_at_solution=test_statistic(view, alpha, tc),
-        fallback_used=fallback,
         diagnostics=(
             {"fallback": cfg.fallback.label(), "tsls_statistic": stat_tsls} if fallback else {}
         ),
     )
-
-
-def _domain(view: DesignView) -> tuple[float, float]:
-    """Solvable constraint-bound domain ``(inf l_IV, l_IV(OLS)]``."""
-    inf_iv = view.min_iv_loss()
-    iv_at_ols = view.iv_loss(view.kclass_solve(0.0))
-    return inf_iv, iv_at_ols
 
 
 def primal_solve(view: DesignView, t: float) -> np.ndarray:
@@ -211,16 +180,17 @@ def primal_solve(view: DesignView, t: float) -> np.ndarray:
 
     Exploits monotonicity of ``l_IV`` along the K-class path: the constraint
     is active at the smallest penalty whose solution has IV loss at most
-    ``t``, found to adjacent doubles by the search's root find.
+    ``t``, found to adjacent doubles by bracketing and bisection.
 
     Raises
     ------
     OutOfDomain
-        If ``t`` lies outside ``(inf l_IV, l_IV(OLS)]``.
+        If ``t`` lies outside ``(inf l_IV, l_IV(OLS)]``, or is NaN.
     """
     t = float(t)
-    inf_iv, iv_at_ols = _domain(view)
-    if t <= inf_iv or t > iv_at_ols * (1.0 + 1e-12) + 1e-300:
+    inf_iv = view.min_iv_loss()
+    iv_at_ols = view.iv_loss(view.kclass_solve(0.0))
+    if not inf_iv < t <= iv_at_ols * (1.0 + 1e-12) + 1e-300:
         raise OutOfDomain(
             f"constraint bound t={t:g} outside ({inf_iv:g}, {iv_at_ols:g}]"
         )
@@ -228,25 +198,3 @@ def primal_solve(view: DesignView, t: float) -> np.ndarray:
         return view.kclass_solve(0.0)
     path = view.path
     return path.alpha(_smallest_accepted(lambda lam: view.iv_loss(path.alpha(lam)) <= t, 0.0))
-
-
-def t_star(view: DesignView, cfg: PulseConfig | None = None) -> float:
-    """Largest constraint bound whose primal solution still passes the test.
-
-    Uses that the statistic is weakly increasing along the primal path and
-    bisects the bound to adjacent doubles.  Returns ``-inf`` when no bound in
-    the domain is accepted.  Used as an independent oracle for the dual search.
-    """
-    cfg = cfg or PulseConfig()
-    test = _PathTest(view, cfg.test_cfg)
-    branch, _ = test.branch()
-    inf_iv, iv_at_ols = _domain(view)
-    if branch is PulseMessage.OLS_ACCEPTED:
-        return iv_at_ols
-    if branch is PulseMessage.TSLS_REJECTED_FALLBACK:
-        return -math.inf
-    rejected, accepted = _bisect(
-        lambda t: test.accepts(primal_solve(view, t)), iv_at_ols, inf_iv, 0.0
-    )
-    # no bound accepted: they hug inf l_IV (outside the open domain); guess the midpoint
-    return accepted if accepted > inf_iv else 0.5 * (inf_iv + rejected)

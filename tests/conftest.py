@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from pulse_iv.data import Dataset, DesignView, ModelPartition
+from pulse_iv.data import Dataset, DesignView, IdentificationClass, ModelPartition
+from pulse_iv.pulse import PulseConfig, primal_solve
 
 
 def make_instance(
@@ -40,7 +43,7 @@ def make_instance(
 
 def raw_matrices(view: DesignView) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(y, Z, A) as plain arrays for oracle computations."""
-    return np.array(view.y), np.array(view.z), np.array(view.a)
+    return np.array(view.dataset.y), np.array(view.z), np.array(view.dataset.a)
 
 
 def loss_by_residuals(y: np.ndarray, z: np.ndarray, a: np.ndarray, alpha: np.ndarray):
@@ -105,3 +108,40 @@ def oracle_lambda_bisection(view: DesignView, test_cfg, precision: float) -> flo
         else:
             hi = mid
     return hi
+
+
+def t_star(view: DesignView, cfg: PulseConfig | None = None) -> float:
+    """Reference for the largest constraint bound ``t`` whose primal solution
+    ``primal_solve(view, t)`` still passes the test, written plainly.
+
+    The statistic is weakly increasing in ``t`` along the primal path, so ``t``
+    is bisected over ``(inf l_IV, l_IV(OLS)]`` to adjacent doubles in this
+    function's own loop; it shares no search code with the dual search it
+    checks.  Returns ``l_IV(OLS)`` when OLS is accepted, and ``-inf`` when the
+    setup is over-identified and TSLS is on or outside the acceptance region.
+    """
+    test_cfg = (cfg or PulseConfig()).test_cfg
+    scale = test_cfg.scale(view.n, view.q)
+    threshold = test_cfg.threshold(view.q)
+
+    def stat(alpha: np.ndarray) -> float:
+        return scale * view.iv_loss(alpha) / view.ols_loss(alpha)
+
+    ols = view.kclass_solve(0.0)
+    if view.identification is IdentificationClass.OVER and stat(view.kclass_solve(1.0)) >= threshold:
+        return -math.inf
+    iv_at_ols = view.iv_loss(ols)
+    if stat(ols) <= threshold:
+        return iv_at_ols
+    inf_iv = view.min_iv_loss()
+    lo, hi = inf_iv, iv_at_ols  # the accepted side (an open end) and the rejected one
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if stat(primal_solve(view, mid)) <= threshold:
+            lo = mid
+        else:
+            hi = mid
+    # no bound accepted: lo still sits on inf l_IV, outside the open domain
+    return lo if lo > inf_iv else 0.5 * (inf_iv + hi)

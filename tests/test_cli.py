@@ -465,6 +465,16 @@ class TestExperiment:
                 {"design": "mv-fixed", "n_values": [1000], "n_models": 1, "repetitions": 1},
                 "does not read n_values",
             ),
+            ({"design": "underid-e3", "n_values": [1], "repetitions": 2}, "n=1 and q=1"),
+            (
+                {"design": "mv-fixed", "sample_size": 2, "n_models": 1, "repetitions": 1},
+                "n=2 and q=2",
+            ),
+            (
+                {"design": "univariate", "allow_extensions": True, "q_values": [1, 30],
+                 "rho_values": [0.5], "r2_values": [0.1], "n_values": [30], "repetitions": 1},
+                "n=30 and q=30",
+            ),
         ],
     )
     def test_malformed_config_is_data_error(self, tmp_path, capsys, doc, needle):

@@ -283,7 +283,7 @@ class TestLosses:
 
     def test_ols_at_zero_coefficient(self):
         view = make_instance(6)
-        expected = float(view.y @ view.y) / view.n
+        expected = float(view.dataset.y @ view.dataset.y) / view.n
         assert view.ols_loss(np.zeros(view.k)) == pytest.approx(expected, rel=1e-12)
 
     def test_losses_match_residual_oracle(self):

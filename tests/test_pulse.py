@@ -27,10 +27,9 @@ from pulse_iv.pulse import (
     lambda_star_search,
     primal_solve,
     pulse_estimate,
-    t_star,
 )
 
-from conftest import make_instance, oracle_lambda_bisection
+from conftest import make_instance, oracle_lambda_bisection, t_star
 
 
 def weak_confounding_view(seed: int = 1) -> DesignView:
@@ -103,14 +102,13 @@ class TestPulseEstimate:
         res = pulse_estimate(view)
         assert res.message is PulseMessage.OLS_ACCEPTED
         assert res.lambda_star == 0.0 and res.kappa_star == 0.0
-        assert not res.fallback_used
         np.testing.assert_array_equal(res.alpha, view.kclass_solve(0.0))
 
     def test_fallback_branch(self):
         view = invalid_instrument_view()
         res = pulse_estimate(view)
         assert res.message is PulseMessage.TSLS_REJECTED_FALLBACK
-        assert res.fallback_used and math.isinf(res.lambda_star)
+        assert math.isinf(res.lambda_star) and res.kappa_star is None
         np.testing.assert_allclose(res.alpha, fuller_estimate(view, 4.0).alpha, atol=1e-12)
 
     def test_fallback_spec_is_honoured(self):
@@ -249,6 +247,12 @@ class TestPrimal:
         with pytest.raises(OutOfDomain):
             primal_solve(view, view.min_iv_loss() * 0.99 - 1e-12)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_is_out_of_domain(self, t):
+        view = make_instance(49, n=70, d1=2, q=3, confounding=0.8)
+        with pytest.raises(OutOfDomain):
+            primal_solve(view, t)
+
     def test_constraint_active(self):
         view = make_instance(49, n=70, d1=2, q=3, confounding=0.8)
         iv_at_ols = view.iv_loss(view.kclass_solve(0.0))
@@ -296,4 +300,4 @@ class TestPlainScalingPath:
         stat = inference.test_statistic(view, res.alpha, cfg.test_cfg)
         if res.message is PulseMessage.NONE:
             assert abs(stat.statistic - chi2_quantile(view.q, 0.95)) <= 1e-3 * stat.threshold
-        assert stat.accepted or res.fallback_used
+        assert stat.accepted or res.message is PulseMessage.TSLS_REJECTED_FALLBACK

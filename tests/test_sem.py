@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulse_iv.data import DesignView, ModelPartition
 from pulse_iv.estimators import anchor_estimate, kclass_estimate, modified_tsls
@@ -25,6 +27,7 @@ from pulse_iv.sem import (
     load_sem_json,
     model_from_json,
     model_to_json,
+    mv_varying_model,
     population_kclass,
     population_moments,
     population_pulse_underid,
@@ -370,6 +373,60 @@ class TestWorstCaseMspe:
             for k in (0.0, 0.75, 1.0)
         }
         assert vals[0.75] <= vals[0.0] and vals[0.75] <= vals[1.0]
+
+
+def _uniforms(size: int, lo: float, hi: float) -> st.SearchStrategy[np.ndarray]:
+    return st.lists(st.floats(lo, hi), min_size=size, max_size=size).map(np.array)
+
+
+#: Random e3 and mv-varying models, each under the observed partition and under
+#: one with an included exogenous anchor (``q1 = 1``).
+_ROBUSTNESS_CASES = st.one_of(
+    st.builds(
+        lambda p, part: (e3_model(*p), part),
+        _uniforms(5, -2.0, 2.0),
+        st.sampled_from([ModelPartition((0, 1)), ModelPartition((0,), (0,))]),
+    ),
+    st.builds(
+        lambda xi, delta, mu, sig, part: (mv_varying_model(xi, delta, mu, tuple(sig)), part),
+        _uniforms(4, -2.0, 2.0),
+        _uniforms(4, -2.0, 2.0),
+        _uniforms(2, -2.0, 2.0),
+        _uniforms(2, 0.1, 1.0),
+        st.sampled_from([ModelPartition((0, 1)), ModelPartition((0, 1), (0,))]),
+    ),
+)
+
+
+class TestRobustnessIdentity:
+    """The penalized loss is the MSPE under the largest shift it guards against:
+    ``l_OLS + lam l_IV`` at any ``alpha`` equals the MSPE under ``E[AA^T] =
+    (1 + lam) E[AA^T]_obs``, and no intervention below that bound does worse."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=_ROBUSTNESS_CASES,
+        kappa=st.floats(0.0, 0.99),
+        alpha=_uniforms(3, -2.0, 2.0),
+        shrink=_uniforms(2, 0.0, 1.0),
+        turn=_uniforms(4, -1.0, 1.0),
+    )
+    def test_shift_identity_and_bound(self, case, kappa, alpha, shrink, turn):
+        model, part = case
+        alpha = alpha[: part.d1 + part.q1]
+        lam = kappa / (1.0 - kappa)
+        bound = (1.0 + lam) * model.anchor_cov
+        penalized = worst_case_mspe(model, part, alpha, kappa)
+        at_bound = population_moments(model, InterventionSpec.stochastic(bound), part)
+        assert at_bound.ols_loss(alpha) == pytest.approx(penalized, rel=1e-10)
+
+        # with bound = L L^T and U orthogonal, L U diag(shrink) U^T L^T lies below the bound
+        q = model.q
+        u = np.linalg.qr(turn[: q * q].reshape(q, q))[0]
+        root = np.linalg.cholesky(bound) @ u
+        below = root @ np.diag(shrink[:q]) @ root.T
+        inside = population_moments(model, InterventionSpec.stochastic(below), part)
+        assert inside.ols_loss(alpha) <= penalized * (1.0 + 1e-10)
 
 
 class TestE1Curve:
