@@ -12,11 +12,13 @@ import numpy as np
 from pulse_iv import (
     Dataset,
     DesignView,
+    EstimatorSpec,
     PulseConfig,
+    estimate,
     fuller_estimate,
     ols_estimate,
-    pulse_estimate,
     sem_sample,
+    test_statistic,
     tsls_estimate,
     univariate_model,
 )
@@ -25,18 +27,17 @@ from pulse_iv.pulse import MESSAGE_TEXT, PulseMessage
 
 def show(title: str, view: DesignView) -> None:
     print(f"\n--- {title}")
-    res = pulse_estimate(view, PulseConfig(p_min=0.05))
+    cfg = PulseConfig(p_min=0.05)
+    res = estimate(view, EstimatorSpec("pulse"), cfg)  # PULSE is one more K-class kind
+    test = test_statistic(view, res.alpha, cfg)  # a PulseConfig is the test it searched with
     print(f"  OLS    {ols_estimate(view).alpha.round(4)}")
     try:
         print(f"  TSLS   {tsls_estimate(view).alpha.round(4)}")
     except Exception as exc:
         print(f"  TSLS   unavailable ({type(exc).__name__})")
     print(f"  FUL(4) {fuller_estimate(view, 4.0).alpha.round(4)}")
-    print(f"  PULSE  {res.alpha.round(4)}   lambda* = {res.lambda_star:.4g}")
-    print(
-        f"  test {res.test_at_solution.statistic:.4f} vs threshold "
-        f"{res.test_at_solution.threshold:.4f}"
-    )
+    print(f"  PULSE  {res.alpha.round(4)}   lambda* = {res.lambda_used:.4g}")
+    print(f"  test {test.statistic:.4f} vs threshold {test.threshold:.4f}")
     if res.message is not PulseMessage.NONE:
         print(f"  {MESSAGE_TEXT[res.message]}")
 

@@ -34,6 +34,6 @@ for n in (100, 1000, 10_000):
 
 view = DesignView(sem_sample(model, 10_000, seed=99))
 res = pulse_estimate(view)
-print(f"\none large sample: PULSE = {res.alpha.round(4)}, lambda* = {res.lambda_star:.3g}")
+print(f"\none large sample: PULSE = {res.alpha.round(4)}, lambda* = {res.lambda_used:.3g}")
 print("the estimate assigns weight to the descendant regressor by design:")
 print("it trades a little invariance for a large gain in prediction.")

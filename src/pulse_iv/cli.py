@@ -17,11 +17,13 @@ import numpy as np
 
 from . import __version__
 from .data import CsvSchema, DesignView, ModelPartition, center, load_csv
-from .estimators import EstimatorSpec, estimate
+from .estimators import EstimateResult, EstimatorSpec, estimate
 from .exceptions import DataError, PulseIVError
 from .experiments import DESIGNS, ExperimentConfig, run_experiment, write_result
-from .inference import ANDERSON_RUBIN, PLAIN, TestConfig, test_statistic, weak_instrument_stat
-from .pulse import MESSAGE_TEXT, PulseConfig, PulseMessage, pulse_estimate
+from .inference import (
+    ANDERSON_RUBIN, PLAIN, TestConfig, TestResult, test_statistic, weak_instrument_stat,
+)
+from .pulse import MESSAGE_TEXT, PulseConfig, PulseMessage, PulseResult
 from .sem import intervention_from_json, load_json, load_sem_json, model_to_json, sem_sample
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR, INFEASIBLE_ERROR = 2, 3, 4, 5
@@ -144,11 +146,11 @@ def _fmt(value: float | None) -> str:
 def cmd_estimate(args: argparse.Namespace) -> int:
     view, use_intercept = _load_view(args)
     scaling = ANDERSON_RUBIN if args.scaling == "ar" else PLAIN
-    test_cfg = TestConfig(p_min=args.pmin, scaling=scaling)
+    test_config = TestConfig(p_min=args.pmin, scaling=scaling)
     fallback_spec = None if args.fallback == "none" else EstimatorSpec.parse(args.fallback)
     pulse_cfg = None
 
-    rows: list[dict] = []
+    rows: list[tuple[str, EstimateResult, TestResult, str]] = []
     for label in _csv_list(args.estimator):
         spec = EstimatorSpec.parse(label)
         if spec.kind == "pulse":
@@ -158,50 +160,30 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 precision_n=args.precision,
                 fallback=fallback_spec or EstimatorSpec("fuller"),
             )
-            result = pulse_estimate(view, pulse_cfg)
-            if result.message is PulseMessage.TSLS_REJECTED_FALLBACK and fallback_spec is None:
-                print(MESSAGE_TEXT[PulseMessage.TSLS_REJECTED_FALLBACK])
-                print("error: dual representation infeasible and no fallback requested", file=sys.stderr)
-                return INFEASIBLE_ERROR
-            if result.message is not PulseMessage.NONE:
-                print(MESSAGE_TEXT[result.message])
-            rows.append(
-                {
-                    "estimator": label,
-                    "alpha": result.alpha,
-                    "kappa": result.kappa_star,
-                    "lambda": result.lambda_star,
-                    "test": result.test_at_solution,
-                    "message": result.message.value,
-                }
-            )
-        else:
-            res = estimate(view, spec)
-            rows.append(
-                {
-                    "estimator": label,
-                    "alpha": res.alpha,
-                    "kappa": res.kappa_used,
-                    "lambda": res.lambda_used,
-                    "test": test_statistic(view, res.alpha, test_cfg),
-                    "message": "",
-                }
-            )
+        res = estimate(view, spec, pulse_cfg)
+        test = test_statistic(view, res.alpha, test_config)
+        message = res.message if isinstance(res, PulseResult) else None
+        if message is PulseMessage.TSLS_REJECTED_FALLBACK and fallback_spec is None:
+            print(MESSAGE_TEXT[message])
+            print("error: dual representation infeasible and no fallback requested", file=sys.stderr)
+            return INFEASIBLE_ERROR
+        if message in MESSAGE_TEXT:
+            print(MESSAGE_TEXT[message])
+        rows.append((label, res, test, "" if message is None else message.value))
 
     coef_names = view.coef_names
     print(f"data: {args.data}  n={view.n}  d1={view.d1}  q1={view.q1}  q={view.q}")
     print(f"identification: {view.identification.value} (degree {view.identification_degree})")
     header = ["estimator", *coef_names, "kappa", "lambda", "test", "threshold", "message"]
     print("  ".join(f"{h:>12}" for h in header))
-    for row in rows:
-        cells = [f"{row['estimator']:>12}"]
-        cells += [f"{_fmt(float(v)):>12}" for v in row["alpha"]]
-        cells.append(f"{_fmt(row['kappa']):>12}")
-        lam = row["lambda"]
-        cells.append(f"{_fmt(lam if lam is None else float(lam)):>12}")
-        cells.append(f"{_fmt(row['test'].statistic):>12}")
-        cells.append(f"{_fmt(row['test'].threshold):>12}")
-        cells.append(f"{row['message']:>12}")
+    for label, res, test, message in rows:
+        cells = [f"{label:>12}"]
+        cells += [f"{_fmt(float(v)):>12}" for v in res.alpha]
+        cells.append(f"{_fmt(res.kappa_used):>12}")
+        cells.append(f"{_fmt(res.lambda_used):>12}")
+        cells.append(f"{_fmt(test.statistic):>12}")
+        cells.append(f"{_fmt(test.threshold):>12}")
+        cells.append(f"{message:>12}")
         print("  ".join(cells))
 
     try:
@@ -226,18 +208,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "p_min": args.pmin,
             "estimates": [
                 {
-                    "estimator": row["estimator"],
-                    "alpha": {nm: _round10(float(v)) for nm, v in zip(coef_names, row["alpha"])},
-                    "kappa": None if row["kappa"] is None else _round10(float(row["kappa"])),
-                    "lambda": None
-                    if row["lambda"] is None
-                    else ("inf" if math.isinf(row["lambda"]) else _round10(float(row["lambda"]))),
-                    "test_statistic": _round10(row["test"].statistic),
-                    "threshold": _round10(row["test"].threshold),
-                    "accepted": row["test"].accepted,
-                    "message": row["message"],
+                    "estimator": label,
+                    "alpha": {nm: _round10(float(v)) for nm, v in zip(coef_names, res.alpha)},
+                    "kappa": None if res.kappa_used is None else _round10(float(res.kappa_used)),
+                    "lambda": None if res.lambda_used is None else (
+                        "inf" if math.isinf(res.lambda_used) else _round10(float(res.lambda_used))
+                    ),
+                    "test_statistic": _round10(test.statistic),
+                    "threshold": _round10(test.threshold),
+                    "accepted": test.accepted,
+                    "message": message,
                 }
-                for row in rows
+                for label, res, test, message in rows
             ],
         }
         if weak is not None:

@@ -490,9 +490,9 @@ class GramView:
 
 
 class DesignView(GramView):
-    """A :class:`GramView` built from the rows of a :class:`Dataset`, which it keeps:
-    ``dataset`` (whose ``y`` and ``a`` are the response and instruments),
-    ``z = [X_* A_*]`` and ``coef_names``."""
+    """A :class:`GramView` built from the rows of a :class:`Dataset`, which it keeps
+    as ``dataset`` (``Z = [X_* A_*]`` is its columns under ``partition``), with
+    ``coef_names``."""
 
     def __init__(self, dataset: Dataset, partition: ModelPartition | None = None):
         if partition is None:
@@ -501,11 +501,11 @@ class DesignView(GramView):
         self.dataset = dataset
         x_star = dataset.x[:, list(partition.included_endogenous)]
         a_star = dataset.a[:, list(partition.included_exogenous)]  # (n, 0) when q1 = 0
-        self.z = _readonly(np.hstack([x_star, a_star]))
+        z = np.hstack([x_star, a_star])
         self.coef_names = tuple(dataset.x_names[i] for i in partition.included_endogenous) + tuple(
             dataset.a_names[i] for i in partition.included_exogenous
         )
-        z, a, y = self.z, dataset.a, dataset.y
+        a, y = dataset.a, dataset.y
         super().__init__(
             partition, dataset.q, dataset.n,
             ztz=z.T @ z, ata=a.T @ a, atz=a.T @ z, zty=z.T @ y, aty=a.T @ y, yty=y @ y,

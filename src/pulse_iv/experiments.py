@@ -23,7 +23,7 @@ from .data import DesignView, checked_solve
 from .estimators import EstimatorSpec, estimate
 from .exceptions import DataError, PulseIVError
 from .inference import TestConfig, weak_instrument_stat
-from .pulse import PulseConfig, pulse_estimate
+from .pulse import PulseConfig
 from .sem import (
     MODEL_STREAM,
     SemModel,
@@ -67,6 +67,9 @@ UNDERID_N = (100, 1000, 10000)
 
 #: Reference hard-intervention strength for the robustness path study.
 ROBUSTNESS_REFERENCE_X = 2.0
+
+#: Default sample size of the robustness path study.
+ROBUSTNESS_N = 2000
 
 
 def cell_seed(master_seed: int, cell_index: int, rep_index: int) -> int:
@@ -258,13 +261,12 @@ class ExperimentConfig:
                 f"design {self.design} does not read {', '.join(unread)}; "
                 "leave it out or at its default"
             )
-        if self.design != "robustness-e1":  # the one design that runs no estimators
-            source, n, q = _smallest_n_largest_q(self)
-            if n <= q:
-                raise ValueError(
-                    f"{source} gives {self.design} a cell with n={n} and q={q}; "
-                    "every cell needs n > q"
-                )
+        source, n, q = _smallest_n_largest_q(self)
+        if n <= q:
+            raise ValueError(
+                f"{source} gives {self.design} a cell with n={n} and q={q}; "
+                "every cell needs n > q"
+            )
 
     def to_json(self) -> dict[str, Any]:
         return asdict(self)
@@ -318,10 +320,11 @@ _SEQUENCE_FIELDS = {
 
 
 def _smallest_n_largest_q(cfg: ExperimentConfig) -> tuple[str, int, int]:
-    """The field that sets the sample sizes of a design that runs estimators, the
-    smallest sample size ``n`` and the largest instrument count ``q`` among its
-    cells.  No design has more than ``q + 1`` regressors, so ``n > q`` also
-    gives ``n >= d``."""
+    """The field that sets a design's sample sizes, the smallest sample size ``n``
+    and the largest instrument count ``q`` among its cells.  No design has more
+    than ``q + 1`` regressors, so ``n > q`` also gives ``n >= d``."""
+    if cfg.design == "robustness-e1":
+        return "n_values", (cfg.n_values or (ROBUSTNESS_N,))[0], 1
     if cfg.design == "univariate":
         n_grid = cfg.n_values or UNIVARIATE_DECLARED["n"]
         return "n_values", min(n_grid), max(cfg.q_values or UNIVARIATE_DECLARED["q"])
@@ -435,11 +438,7 @@ def _run_cell(
             pass
         for label, spec in estimators:
             try:
-                if spec.kind == "pulse":
-                    alpha = pulse_estimate(view, pulse_cfg).alpha
-                else:
-                    alpha = estimate(view, spec).alpha
-                collected[label].append(alpha)
+                collected[label].append(estimate(view, spec, pulse_cfg).alpha)
             except PulseIVError as exc:
                 cause = type(exc).__name__
                 failures[label][cause] = failures[label].get(cause, 0) + 1
@@ -585,7 +584,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
 def _run_robustness_e1(cfg: ExperimentConfig) -> ExperimentResult:
     """Path study: K-class estimates of the benchmark model and their worst-case MSPE."""
-    n = (cfg.n_values or (2000,))[0]
+    n = (cfg.n_values or (ROBUSTNESS_N,))[0]
     kappas = (0.0, 0.75, 1.0)
     model = e1_model()
     rows: list[dict[str, Any]] = []

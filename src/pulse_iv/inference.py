@@ -4,7 +4,9 @@ The test statistic is ``T = c(n) * l_IV(alpha) / l_OLS(alpha)`` compared with
 the ``1 - p_min`` quantile of a chi-squared with ``q`` degrees of freedom.
 Two scaling schemes are supported: plain (``c(n) = n``) and the one that makes
 the test equivalent to the asymptotic Anderson-Rubin test
-(``c(n) = n - q + Q``).
+(``c(n) = n - q + Q``).  :class:`TestConfig` holds the level and the scaling;
+:class:`ViewTest` binds them to one view and is the one place the statistic is
+computed, for :func:`test_statistic` and for the PULSE search alike.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ class TestConfig:
     """Level and scaling scheme of the uncorrelatedness test.
 
     The one owner of both settings: :class:`ViewTest` reads them, and
-    :attr:`pulse_iv.pulse.PulseConfig.test_cfg` builds this object from its
-    own ``p_min`` and ``scaling``.  The degrees of freedom ``q`` are the data's.
+    :class:`pulse_iv.pulse.PulseConfig` extends this class, so a PULSE config is
+    the test it searches with.  The degrees of freedom ``q`` are the data's.
     """
 
     p_min: float = 0.05
@@ -109,7 +111,13 @@ class ViewTest:
         self.scale, self.threshold = cfg.scale(view.n, view.q), cfg.threshold(view.q)
 
     def statistic(self, alpha: np.ndarray) -> float:
-        return scaled_ratio(self.view, alpha, self.scale)
+        """``scale * l_IV(alpha) / l_OLS(alpha)``; :class:`ZeroResidual` if
+        ``l_OLS`` is numerically zero."""
+        view = self.view
+        denom = view.ols_loss(alpha)
+        if denom <= 1e-14 * view.yty / view.n:
+            raise ZeroResidual("l_OLS(alpha) is numerically zero; the test ratio is undefined")
+        return float(self.scale * view.iv_loss(alpha) / denom)
 
     def accepts(self, alpha: np.ndarray) -> bool:
         return self.statistic(alpha) <= self.threshold
@@ -134,15 +142,6 @@ def test_statistic(view: DesignView, alpha: np.ndarray, cfg: TestConfig | None =
         undefined.
     """
     return ViewTest(view, cfg).result(alpha)
-
-
-def scaled_ratio(view: DesignView, alpha: np.ndarray, scale: float) -> float:
-    """``scale * l_IV(alpha) / l_OLS(alpha)``, the statistic of :func:`test_statistic`
-    and of the PULSE search; :class:`ZeroResidual` if ``l_OLS`` is numerically zero."""
-    denom = view.ols_loss(alpha)
-    if denom <= 1e-14 * view.yty / view.n:
-        raise ZeroResidual("l_OLS(alpha) is numerically zero; the test ratio is undefined")
-    return float(scale * view.iv_loss(alpha) / denom)
 
 
 def ar_statistic(view: DesignView, alpha: np.ndarray) -> float:

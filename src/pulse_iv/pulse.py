@@ -8,6 +8,13 @@ penalty ``lambda*`` is found by one bracket-plus-bisection; the estimate is the
 path point at ``lambda*``, which stays exact where ``kappa = lambda / (1 + lambda)``
 rounds to one.  :func:`primal_solve` states the paper's constrained
 formulation, ``argmin l_OLS`` subject to ``l_IV <= t``, on the same path.
+
+PULSE is one more K-class kind: ``estimate(view, EstimatorSpec("pulse"), cfg)``
+runs :func:`pulse_estimate`, whose :class:`PulseResult` is an
+:class:`~pulse_iv.estimators.EstimateResult` reporting ``lambda*`` as
+``lambda_used``.  :class:`PulseConfig` is a
+:class:`~pulse_iv.inference.TestConfig`, so the statistic at the estimate is
+``test_statistic(view, result.alpha, cfg)``.
 """
 
 from __future__ import annotations
@@ -20,9 +27,9 @@ from typing import Any, Callable
 import numpy as np
 
 from .data import DesignView, IdentificationClass
-from .estimators import EstimatorSpec, estimate
+from .estimators import EstimateResult, EstimatorSpec, estimate
 from .exceptions import NonMonotoneDetected, OutOfDomain
-from .inference import ANDERSON_RUBIN, TestConfig, TestResult, ViewTest, test_statistic
+from .inference import TestConfig, ViewTest
 
 _FALLBACK_KINDS = ("tsls", "liml", "fuller")
 
@@ -43,21 +50,16 @@ MESSAGE_TEXT = {
 
 
 @dataclass(frozen=True)
-class PulseConfig:
-    """Test level and scaling, search precision ``1/N`` and fallback estimator.
+class PulseConfig(TestConfig):
+    """The uncorrelatedness test PULSE searches with (``p_min`` and ``scaling``,
+    inherited and validated by :class:`~pulse_iv.inference.TestConfig`), the
+    search precision ``1/precision_n`` and the fallback estimator."""
 
-    Each setting is stored once, here.  The test's two, ``p_min`` and
-    ``scaling``, are handed on (and validated) as :attr:`test_cfg`; the search
-    reads ``precision_n`` and the fallback branch ``fallback``.
-    """
-
-    p_min: float = 0.05
-    scaling: str = ANDERSON_RUBIN
     precision_n: int = 2**20
     fallback: EstimatorSpec = EstimatorSpec("fuller")
 
     def __post_init__(self) -> None:
-        _ = self.test_cfg  # TestConfig validates p_min and scaling
+        super().__post_init__()
         if self.precision_n < 1:
             raise ValueError(f"precision_n must be >= 1, got {self.precision_n}")
         if self.fallback.kind not in _FALLBACK_KINDS:
@@ -66,22 +68,15 @@ class PulseConfig:
                 f"got {self.fallback.kind!r}"
             )
 
-    @property
-    def test_cfg(self) -> TestConfig:
-        """The uncorrelatedness test these settings define."""
-        return TestConfig(p_min=self.p_min, scaling=self.scaling)
 
+@dataclass(kw_only=True)
+class PulseResult(EstimateResult):
+    """PULSE estimate with the branch taken (``message``).  ``lambda_used`` is the
+    penalty that produced it (``inf`` on the fallback branch, where ``kappa_used``
+    is ``None``).  Only a fallback fills ``diagnostics``: the fallback's label and
+    the TSLS statistic."""
 
-@dataclass
-class PulseResult:
-    """PULSE estimate, the penalty that produced it and the branch taken (``message``).
-    Only a fallback fills ``diagnostics``: the fallback's label and the TSLS statistic."""
-
-    alpha: np.ndarray
-    lambda_star: float
-    kappa_star: float | None
     message: PulseMessage
-    test_at_solution: TestResult
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
@@ -147,7 +142,7 @@ def lambda_star_search(view: DesignView, cfg: PulseConfig | None = None) -> floa
         signalling numerical breakdown rather than infeasibility.
     """
     cfg = cfg or PulseConfig()
-    return _penalty(ViewTest(view, cfg.test_cfg), cfg.precision_n)[1]
+    return _penalty(ViewTest(view, cfg), cfg.precision_n)[1]
 
 
 def pulse_estimate(view: DesignView, cfg: PulseConfig | None = None) -> PulseResult:
@@ -157,21 +152,19 @@ def pulse_estimate(view: DesignView, cfg: PulseConfig | None = None) -> PulseRes
     region falls back to the configured consistent estimator; (ii) an accepted
     OLS returns exactly the OLS solution; (iii) otherwise the search
     determines the penalty and the K-class path point there is returned.
+    :func:`~pulse_iv.estimators.estimate` calls this for the ``pulse`` kind.
     """
     cfg = cfg or PulseConfig()
-    tc = cfg.test_cfg
-    branch, lam, stat_tsls = _penalty(ViewTest(view, tc), cfg.precision_n)
-    fallback = branch is PulseMessage.TSLS_REJECTED_FALLBACK
-    alpha = estimate(view, cfg.fallback).alpha if fallback else view.path.alpha(lam)
+    branch, lam, stat_tsls = _penalty(ViewTest(view, cfg), cfg.precision_n)
+    if branch is PulseMessage.TSLS_REJECTED_FALLBACK:
+        return PulseResult(
+            alpha=estimate(view, cfg.fallback).alpha,
+            lambda_used=lam,
+            message=branch,
+            diagnostics={"fallback": cfg.fallback.label(), "tsls_statistic": stat_tsls},
+        )
     return PulseResult(
-        alpha=alpha,
-        lambda_star=lam,
-        kappa_star=None if fallback else lam / (1.0 + lam),
-        message=branch,
-        test_at_solution=test_statistic(view, alpha, tc),
-        diagnostics=(
-            {"fallback": cfg.fallback.label(), "tsls_statistic": stat_tsls} if fallback else {}
-        ),
+        alpha=view.path.alpha(lam), kappa_used=lam / (1.0 + lam), lambda_used=lam, message=branch
     )
 
 

@@ -41,9 +41,27 @@ def make_instance(
     return DesignView(ds, partition)
 
 
+def weak_confounding_view(seed: int = 1) -> DesignView:
+    """Instance where the OLS solution passes the test."""
+    return make_instance(seed, n=50, d1=1, q=1, confounding=0.05, instrument_strength=0.25)
+
+
+def invalid_instrument_view(seed: int = 0, n: int = 400) -> DesignView:
+    """Over-identified instance whose instruments enter the target equation, so
+    TSLS is rejected and PULSE falls back."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 2))
+    x = a @ np.array([1.0, 0.5]) + rng.normal(size=n)
+    y = 0.5 * x + a @ np.array([0.9, -0.7]) + rng.normal(size=n)
+    return DesignView(Dataset(y=y, x=x[:, None], a=a))
+
+
 def raw_matrices(view: DesignView) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y, Z, A) as plain arrays for oracle computations."""
-    return np.array(view.dataset.y), np.array(view.z), np.array(view.dataset.a)
+    """(y, Z, A) as plain arrays for oracle computations, ``Z = [X_* A_*]`` sliced
+    from the view's dataset by its partition."""
+    ds, part = view.dataset, view.partition
+    z = np.hstack([ds.x[:, list(part.included_endogenous)], ds.a[:, list(part.included_exogenous)]])
+    return np.array(ds.y), z, np.array(ds.a)
 
 
 def loss_by_residuals(y: np.ndarray, z: np.ndarray, a: np.ndarray, alpha: np.ndarray):
@@ -120,7 +138,7 @@ def t_star(view: DesignView, cfg: PulseConfig | None = None) -> float:
     checks.  Returns ``l_IV(OLS)`` when OLS is accepted, and ``-inf`` when the
     setup is over-identified and TSLS is on or outside the acceptance region.
     """
-    test_cfg = (cfg or PulseConfig()).test_cfg
+    test_cfg = cfg or PulseConfig()
     scale = test_cfg.scale(view.n, view.q)
     threshold = test_cfg.threshold(view.q)
 

@@ -118,7 +118,7 @@ def test_c03_primal_dual_pulse_equivalence():
         worst_gap = max(worst_gap, gap)
         checked += 1
         if res.message is PulseMessage.NONE:
-            tr = res.test_at_solution
+            tr = inference.test_statistic(view, res.alpha, cfg)
             worst_boundary = max(
                 worst_boundary, abs(tr.statistic - tr.threshold) / tr.threshold
             )
@@ -145,14 +145,14 @@ def test_c04_binary_search_precision():
         d1, q = [(1, 1), (1, 2), (2, 2)][i % 3]
         view = make_instance(40_000 + i, n=80 + (i % 5) * 20, d1=d1, q=q, confounding=0.9)
         cfg0 = PulseConfig()
-        stat_ols = inference.test_statistic(view, view.kclass_solve(0.0), cfg0.test_cfg)
+        stat_ols = inference.test_statistic(view, view.kclass_solve(0.0), cfg0)
         if stat_ols.accepted:
             continue
         for n_prec in worst:
             from pulse_iv.pulse import lambda_star_search
 
             result = lambda_star_search(view, PulseConfig(precision_n=n_prec))
-            oracle = oracle_lambda_bisection(view, cfg0.test_cfg, precision=0.1 / n_prec)
+            oracle = oracle_lambda_bisection(view, cfg0, precision=0.1 / n_prec)
             worst[n_prec] = max(worst[n_prec], abs(result - oracle))
     ok = all(gap <= 1.0 / n_prec for n_prec, gap in worst.items())
     report(
@@ -382,8 +382,9 @@ def test_settler_mortality_plumbing_on_synthetic_data():
     for included, dof in expected_dof.items():
         view = _ajr_view(data, names, included)
         assert view.q == dof
-        res = pulse_estimate(view, PulseConfig(p_min=0.05))
-        assert res.test_at_solution.threshold == pytest.approx(
+        cfg = PulseConfig(p_min=0.05)
+        res = pulse_estimate(view, cfg)
+        assert inference.test_statistic(view, res.alpha, cfg).threshold == pytest.approx(
             chi2_quantile(dof, 0.95), rel=1e-12
         )
         for fn in (ols_estimate, tsls_estimate):
@@ -444,10 +445,11 @@ def test_c12_settler_mortality_golden_values():
         expected_msg = PulseMessage.OLS_ACCEPTED if message == "ols" else PulseMessage.NONE
         if res.message is not expected_msg:
             failures.append(f"{name} message: {res.message} vs {expected_msg}")
-        if abs(res.test_at_solution.statistic - stat_v) > 5e-4:
-            failures.append(f"{name} stat: {res.test_at_solution.statistic:.4f} vs {stat_v}")
-        if abs(res.test_at_solution.threshold - thr_v) > 5e-4:
-            failures.append(f"{name} threshold: {res.test_at_solution.threshold:.4f} vs {thr_v}")
+        tr = inference.test_statistic(view, res.alpha, cfg)
+        if abs(tr.statistic - stat_v) > 5e-4:
+            failures.append(f"{name} stat: {tr.statistic:.4f} vs {stat_v}")
+        if abs(tr.threshold - thr_v) > 5e-4:
+            failures.append(f"{name} threshold: {tr.threshold:.4f} vs {thr_v}")
     report("C12", not failures, "settler-mortality M1-M8 golden values" + (
         "" if not failures else "; " + "; ".join(failures)
     ))

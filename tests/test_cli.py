@@ -45,6 +45,19 @@ def write_invalid_instrument_csv(path, n=400, seed=0):
             fh.write(f"{y[i]:.17g},{x[i]:.17g},{a[i, 0]:.17g},{a[i, 1]:.17g}\n")
 
 
+def write_weak_instrument_csv(path):
+    """Just-identified data with a weak instrument and weak confounding: PULSE accepts OLS."""
+    rng = np.random.default_rng(1)
+    n = 60
+    a = rng.normal(size=(n, 1))
+    x = 0.2 * a[:, 0] + rng.normal(size=n)
+    y = x + rng.normal(size=n)
+    with open(path, "w") as fh:
+        fh.write("y,x1,a1\n")
+        for i in range(n):
+            fh.write(f"{y[i]:.17g},{x[i]:.17g},{a[i, 0]:.17g}\n")
+
+
 class TestSimulate:
     def test_shape_and_columns(self, e1_config, tmp_path, capsys):
         out = tmp_path / "sample.csv"
@@ -181,16 +194,8 @@ class TestEstimate:
         assert doc["centering"] == "all"
 
     def test_ols_accepted_message_verbatim(self, tmp_path, capsys):
-        rng = np.random.default_rng(1)
-        n = 60
-        a = rng.normal(size=(n, 1))
-        x = 0.2 * a[:, 0] + rng.normal(size=n)
-        y = x + rng.normal(size=n)
         data = tmp_path / "weak.csv"
-        with open(data, "w") as fh:
-            fh.write("y,x1,a1\n")
-            for i in range(n):
-                fh.write(f"{y[i]:.17g},{x[i]:.17g},{a[i, 0]:.17g}\n")
+        write_weak_instrument_csv(data)
         code = main(
             [
                 "estimate",
@@ -475,6 +480,7 @@ class TestExperiment:
                  "rho_values": [0.5], "r2_values": [0.1], "n_values": [30], "repetitions": 1},
                 "n=30 and q=30",
             ),
+            ({"design": "robustness-e1", "n_values": [1]}, "n=1 and q=1"),
         ],
     )
     def test_malformed_config_is_data_error(self, tmp_path, capsys, doc, needle):
@@ -485,6 +491,13 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and needle in err
         assert not out.exists()
+
+    def test_robustness_accepts_the_smallest_n_above_q(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"design": "robustness-e1", "n_values": [2], "repetitions": 2}))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+        assert len((out / "robustness-e1.csv").read_text().splitlines()) == 1 + 2 * 3
 
     @pytest.mark.parametrize(
         "doc, needle",
@@ -556,3 +569,48 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     proc = run_python("-c", "import sys, pulse_iv.cli; print('scipy.linalg' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+#: Each PULSE branch: how its data is written, its instruments, the estimators
+#: (every kind the data admits, PULSE last) and any further flags.
+_PINNED = {
+    "search": (
+        lambda path: main(["simulate", "--sem", "e1.json", "--n", "200", "--seed", "3",
+                           "--out", str(path)]),
+        "a1",
+        "ols,tsls,kclass:0.5,anchor:1,liml,fuller,fuller:1,modified-tsls,pulse",
+        [],
+    ),
+    "ols-accepted": (
+        write_weak_instrument_csv,
+        "a1",
+        "ols,tsls,kclass:0.5,anchor:1,liml,fuller,fuller:1,modified-tsls,pulse",
+        [],
+    ),
+    "fallback": (
+        write_invalid_instrument_csv,
+        "a1,a2",
+        "ols,tsls,kclass:0.5,anchor:1,liml,fuller,fuller:1,pulse",
+        ["--fallback", "tsls"],
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_PINNED))
+def test_estimate_output_is_pinned(branch, e1_config, tmp_path, monkeypatch, capsys):
+    """``estimate`` prints and reports, byte for byte, what ``tests/golden`` holds
+    for each PULSE branch next to every other kind."""
+    write_data, instruments, estimators, flags = _PINNED[branch]
+    monkeypatch.chdir(tmp_path)
+    write_data(tmp_path / "data.csv")
+    capsys.readouterr()
+    args = ["estimate", "--data", "data.csv", "--target", "y", "--endogenous", "x1"]
+    args += ["--instruments", instruments, "--estimator", estimators, *flags]
+    assert main([*args, "--json", "report.json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"estimate-{branch}.txt").read_text()
+    assert (tmp_path / "report.json").read_text() == (GOLDEN / f"estimate-{branch}.json").read_text()

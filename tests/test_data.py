@@ -376,8 +376,9 @@ class TestPartitionAndView:
         )
         view = DesignView(ds, ModelPartition((1,), (2, 0)))
         assert view.coef_names == ("r", "w", "u")
-        np.testing.assert_allclose(view.z[:, 0], ds.x[:, 1])
-        np.testing.assert_allclose(view.z[:, 1], ds.a[:, 2])
+        z = np.column_stack([ds.x[:, 1], ds.a[:, 2], ds.a[:, 0]])
+        np.testing.assert_allclose(view.ztz, z.T @ z, rtol=1e-12)
+        np.testing.assert_allclose(view.atz, ds.a.T @ z, rtol=1e-12)
 
     def test_gram_caches_match_direct_products(self):
         view = make_instance(15, n=30, d1=2, q=3, q1=1)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from pulse_iv import inference
 from pulse_iv.data import Dataset, DesignView, center, load_csv, CsvSchema
 from pulse_iv.estimators import (
     EstimateResult,
@@ -14,7 +17,8 @@ from pulse_iv.estimators import (
     kclass_estimate,
 )
 from pulse_iv.exceptions import DataError
-from pulse_iv.pulse import PulseConfig
+from pulse_iv.inference import ANDERSON_RUBIN, PLAIN, TestConfig
+from pulse_iv.pulse import PulseConfig, PulseMessage, pulse_estimate
 from pulse_iv.sem import (
     InterventionSpec,
     draw_anchors,
@@ -23,7 +27,18 @@ from pulse_iv.sem import (
     sem_sample,
 )
 
-from conftest import make_instance
+from conftest import invalid_instrument_view, make_instance, weak_confounding_view
+
+
+#: A view builder and a config for each PULSE branch, keyed by its message.
+_PULSE_BRANCHES = {
+    "none": (
+        lambda: make_instance(43, n=150, d1=1, q=1, confounding=0.9),
+        PulseConfig(precision_n=2**10),
+    ),
+    "ols_accepted": (weak_confounding_view, PulseConfig()),
+    "tsls_rejected_fallback": (invalid_instrument_view, PulseConfig(fallback=EstimatorSpec("liml"))),
+}
 
 
 class TestEstimatorDispatch:
@@ -38,10 +53,30 @@ class TestEstimatorDispatch:
         res = estimate(view, EstimatorSpec("modified-tsls"))
         assert res.alpha.shape == (2,)
 
-    def test_pulse_kind_is_not_dispatched_here(self):
+    @pytest.mark.parametrize("branch", list(_PULSE_BRANCHES))
+    def test_pulse_kind_dispatches_to_pulse_estimate(self, branch):
+        make_view, cfg = _PULSE_BRANCHES[branch]
+        got = estimate(make_view(), EstimatorSpec("pulse"), cfg)
+        want = pulse_estimate(make_view(), cfg)
+        assert want.message is PulseMessage(branch)
+        assert got.alpha.tobytes() == want.alpha.tobytes()
+        assert (got.lambda_used, got.kappa_used) == (want.lambda_used, want.kappa_used)
+        assert got.message is want.message and got.diagnostics == want.diagnostics
+
+    def test_pulse_config_is_a_test_config(self):
+        for p_min, scaling in ((0.0, ANDERSON_RUBIN), (1.0, PLAIN), (-0.1, PLAIN),
+                               (float("nan"), ANDERSON_RUBIN), (0.05, "ar")):
+            with pytest.raises(ValueError) as refused:
+                TestConfig(p_min, scaling)
+            with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+                PulseConfig(p_min, scaling)
         view = make_instance(72, n=80, d1=1, q=2)
-        with pytest.raises(ValueError, match="not dispatched"):
-            estimate(view, EstimatorSpec("pulse"))
+        for p_min, scaling in ((0.05, ANDERSON_RUBIN), (0.2, PLAIN)):
+            for kappa in (0.0, 0.5, 1.0):
+                alpha = view.kclass_solve(kappa)
+                assert inference.test_statistic(
+                    view, alpha, PulseConfig(p_min, scaling)
+                ) == inference.test_statistic(view, alpha, TestConfig(p_min, scaling))
 
     def test_result_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):

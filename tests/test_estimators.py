@@ -31,14 +31,15 @@ from pulse_iv.exceptions import (
 from pulse_iv.pulse import PulseConfig, PulseMessage, pulse_estimate
 from pulse_iv.sem import e3_model, population_kclass, population_pulse_underid, sem_sample
 
-from conftest import make_instance, penalized_loss_minimizer, raw_matrices
+from conftest import invalid_instrument_view, make_instance, penalized_loss_minimizer, raw_matrices
 
 
 class TestKclass:
     def test_kappa_zero_is_ols(self):
         view = make_instance(0, n=60, d1=2, q=2)
         res = kclass_estimate(view, 0.0)
-        expected = np.linalg.lstsq(view.z, view.dataset.y, rcond=None)[0]
+        y, z, _ = raw_matrices(view)
+        expected = np.linalg.lstsq(z, y, rcond=None)[0]
         np.testing.assert_allclose(res.alpha, expected, atol=1e-10)
         assert res.kappa_used == 0.0 and res.lambda_used == 0.0
 
@@ -231,16 +232,6 @@ class TestLimlFuller:
         view = make_instance(34, n=50, d1=1, q=2, q1=2)
         with pytest.raises(ValueError, match="excluded instrument"):
             liml_kappa(view)
-
-
-def invalid_instrument_view(seed: int = 0, n: int = 400) -> DesignView:
-    """Over-identified design whose instruments enter ``y`` directly, so TSLS is
-    rejected and PULSE falls back to Fuller(4)."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, 2))
-    x = a @ np.array([1.0, 0.5]) + rng.normal(size=n)
-    y = 0.5 * x + a @ np.array([0.9, -0.7]) + rng.normal(size=n)
-    return DesignView(Dataset(y=y, x=x[:, None], a=a))
 
 
 class TestLimlCache:

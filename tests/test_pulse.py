@@ -29,12 +29,13 @@ from pulse_iv.pulse import (
     pulse_estimate,
 )
 
-from conftest import make_instance, oracle_lambda_bisection, t_star
-
-
-def weak_confounding_view(seed: int = 1) -> DesignView:
-    """Instance where the OLS solution passes the test."""
-    return make_instance(seed, n=50, d1=1, q=1, confounding=0.05, instrument_strength=0.25)
+from conftest import (
+    invalid_instrument_view,
+    make_instance,
+    oracle_lambda_bisection,
+    t_star,
+    weak_confounding_view,
+)
 
 
 def weak_just_identified_view(n: int = 200, strength: float = 1e-9) -> DesignView:
@@ -60,20 +61,11 @@ def weak_under_identified_view(n: int = 200, strength: float = 1e-9) -> DesignVi
     return DesignView(Dataset(y=y, x=x, a=a))
 
 
-def invalid_instrument_view(seed: int = 0, n: int = 400) -> DesignView:
-    """Over-identified instance whose instruments enter the target equation."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, 2))
-    x = a @ np.array([1.0, 0.5]) + rng.normal(size=n)
-    y = 0.5 * x + a @ np.array([0.9, -0.7]) + rng.normal(size=n)
-    return DesignView(Dataset(y=y, x=x[:, None], a=a))
-
-
 class TestLambdaStarSearch:
     def test_zero_when_ols_accepted(self):
         view = weak_confounding_view()
         cfg = PulseConfig()
-        stat_ols = inference.test_statistic(view, view.kclass_solve(0.0), cfg.test_cfg)
+        stat_ols = inference.test_statistic(view, view.kclass_solve(0.0), cfg)
         assert stat_ols.accepted
         assert lambda_star_search(view, cfg) == 0.0
 
@@ -85,9 +77,9 @@ class TestLambdaStarSearch:
         view = make_instance(40, n=120, d1=1, q=1, confounding=0.9)
         cfg = PulseConfig(precision_n=10**6)
         result = lambda_star_search(view, cfg)
-        oracle = oracle_lambda_bisection(view, cfg.test_cfg, precision=1e-7)
+        oracle = oracle_lambda_bisection(view, cfg, precision=1e-7)
         assert abs(result - oracle) <= 2e-6
-        stat = inference.test_statistic(view, view.kclass_solve(result / (1 + result)), cfg.test_cfg)
+        stat = inference.test_statistic(view, view.kclass_solve(result / (1 + result)), cfg)
         assert abs(stat.statistic - stat.threshold) <= 1e-6 * stat.threshold
 
     def test_finite_in_under_identified_setup(self):
@@ -101,14 +93,14 @@ class TestPulseEstimate:
         view = weak_confounding_view()
         res = pulse_estimate(view)
         assert res.message is PulseMessage.OLS_ACCEPTED
-        assert res.lambda_star == 0.0 and res.kappa_star == 0.0
+        assert res.lambda_used == 0.0 and res.kappa_used == 0.0
         np.testing.assert_array_equal(res.alpha, view.kclass_solve(0.0))
 
     def test_fallback_branch(self):
         view = invalid_instrument_view()
         res = pulse_estimate(view)
         assert res.message is PulseMessage.TSLS_REJECTED_FALLBACK
-        assert math.isinf(res.lambda_star) and res.kappa_star is None
+        assert math.isinf(res.lambda_used) and res.kappa_used is None
         np.testing.assert_allclose(res.alpha, fuller_estimate(view, 4.0).alpha, atol=1e-12)
 
     def test_fallback_spec_is_honoured(self):
@@ -121,18 +113,16 @@ class TestPulseEstimate:
         view = make_instance(43, n=150, d1=1, q=1, confounding=0.9)
         res = pulse_estimate(view)
         assert res.message is PulseMessage.NONE
-        assert res.kappa_star == pytest.approx(
-            res.lambda_star / (1.0 + res.lambda_star), abs=1e-12
+        assert res.kappa_used == pytest.approx(
+            res.lambda_used / (1.0 + res.lambda_used), abs=1e-12
         )
         np.testing.assert_allclose(
-            res.alpha, view.kclass_solve(res.kappa_star), atol=1e-10
+            res.alpha, view.kclass_solve(res.kappa_used), atol=1e-10
         )
         # acceptance membership and boundary activity
-        assert res.test_at_solution.statistic <= res.test_at_solution.threshold * (1 + 1e-9)
-        assert (
-            abs(res.test_at_solution.statistic - res.test_at_solution.threshold)
-            <= 1e-4 * res.test_at_solution.threshold
-        )
+        tr = inference.test_statistic(view, res.alpha, PulseConfig())
+        assert tr.statistic <= tr.threshold * (1 + 1e-9)
+        assert abs(tr.statistic - tr.threshold) <= 1e-4 * tr.threshold
 
     def test_interior_results_pass_the_reported_test(self):
         # the search decides with the predicate test_statistic reports, so no
@@ -145,7 +135,7 @@ class TestPulseEstimate:
             res = pulse_estimate(view, cfg)
             if res.message is PulseMessage.NONE:
                 interior += 1
-                assert inference.test_statistic(view, res.alpha, cfg.test_cfg).accepted
+                assert inference.test_statistic(view, res.alpha, cfg).accepted
         assert interior >= 30
 
     def test_message_strings_match_algorithm(self):
@@ -170,8 +160,8 @@ class TestExtremePenalties:
         res = pulse_estimate(view, cfg)
         tsls = tsls_estimate(view).alpha
         assert res.message is PulseMessage.NONE
-        assert res.lambda_star > 1e9
-        assert inference.test_statistic(view, res.alpha, cfg.test_cfg).accepted
+        assert res.lambda_used > 1e9
+        assert inference.test_statistic(view, res.alpha, cfg).accepted
         assert abs(res.alpha[0]) < 1e-3 * abs(tsls[0])
 
     def test_weak_under_identified_is_finite(self):
@@ -179,8 +169,8 @@ class TestExtremePenalties:
         cfg = PulseConfig()
         res = pulse_estimate(view, cfg)
         assert res.message is PulseMessage.NONE
-        assert math.isfinite(res.lambda_star) and np.all(np.isfinite(res.alpha))
-        assert inference.test_statistic(view, res.alpha, cfg.test_cfg).accepted
+        assert math.isfinite(res.lambda_used) and np.all(np.isfinite(res.alpha))
+        assert inference.test_statistic(view, res.alpha, cfg).accepted
 
     def test_anchor_kclass_identity_at_large_penalty(self):
         view = weak_just_identified_view()
@@ -297,7 +287,7 @@ class TestPlainScalingPath:
         view = make_instance(51, n=100, d1=1, q=2, confounding=0.9)
         cfg = PulseConfig(p_min=0.05, scaling=PLAIN)
         res = pulse_estimate(view, cfg)
-        stat = inference.test_statistic(view, res.alpha, cfg.test_cfg)
+        stat = inference.test_statistic(view, res.alpha, cfg)
         if res.message is PulseMessage.NONE:
             assert abs(stat.statistic - chi2_quantile(view.q, 0.95)) <= 1e-3 * stat.threshold
         assert stat.accepted or res.message is PulseMessage.TSLS_REJECTED_FALLBACK
