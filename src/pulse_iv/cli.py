@@ -175,16 +175,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     print(f"data: {args.data}  n={view.n}  d1={view.d1}  q1={view.q1}  q={view.q}")
     print(f"identification: {view.identification.value} (degree {view.identification_degree})")
     header = ["estimator", *coef_names, "kappa", "lambda", "test", "threshold", "message"]
-    print("  ".join(f"{h:>12}" for h in header))
-    for label, res, test, message in rows:
-        cells = [f"{label:>12}"]
-        cells += [f"{_fmt(float(v)):>12}" for v in res.alpha]
-        cells.append(f"{_fmt(res.kappa_used):>12}")
-        cells.append(f"{_fmt(res.lambda_used):>12}")
-        cells.append(f"{_fmt(test.statistic):>12}")
-        cells.append(f"{_fmt(test.threshold):>12}")
-        cells.append(f"{message:>12}")
-        print("  ".join(cells))
+    table = [header] + [
+        [label, *(_fmt(float(v)) for v in res.alpha), _fmt(res.kappa_used),
+         _fmt(res.lambda_used), _fmt(test.statistic), _fmt(test.threshold), message]
+        for label, res, test, message in rows
+    ]
+    # each column as wide as its longest cell, and at least 12
+    widths = [max(12, *(len(cell) for cell in column)) for column in zip(*table)]
+    for cells in table:
+        print("  ".join(f"{cell:>{width}}" for cell, width in zip(cells, widths)))
 
     try:
         weak = weak_instrument_stat(view)

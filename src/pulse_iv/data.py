@@ -379,10 +379,17 @@ class KClassPath:
     under-identified design, and their ``b1``, exact zeros.  Penalties in
     ``[0, KAPPA_FORM_MAX]`` use the ``kappa`` form, bit for bit as earlier releases;
     the others the ``lambda`` form, exact where ``kappa`` rounds towards one.
+
+    With ``y'y`` and ``s_y's_y`` kept too, :meth:`losses` gives both losses at a
+    path point in ``O(k)``, without the point: at ``c = (b0 + lam b1) / (1 + lam d)``,
+    ``n l_OLS = y'y - 2 c.b0 + c.c`` and ``n l_IV = s_y's_y - 2 c.b1 + sum_i d_i c_i^2``.
     """
 
-    def __init__(self, ztz: np.ndarray, zty: np.ndarray, s: np.ndarray, sy: np.ndarray):
+    def __init__(
+        self, ztz: np.ndarray, zty: np.ndarray, s: np.ndarray, sy: np.ndarray, yty: float
+    ):
         self.ztz, self.zty, self.sts, self.sty = ztz, zty, s.T @ s, s.T @ sy
+        self.yty, self.syy = float(yty), float(sy @ sy)
         k = ztz.shape[0]
         low = np.linalg.cholesky(ztz)
         u, sig, rt = np.linalg.svd(np.linalg.solve(low, s.T).T)
@@ -393,6 +400,19 @@ class KClassPath:
         self.b0 = self.v.T @ zty
         self.b1 = np.zeros(k)
         self.b1[:r] = sig * (u[:, :r].T @ sy)
+        # Python floats: at k of a few, a numpy call costs more than the sum
+        self._terms = tuple(zip(self.b0.tolist(), self.b1.tolist(), self.d.tolist()))
+
+    def losses(self, lam: float) -> tuple[float, float]:
+        """``(n l_OLS, n l_IV)`` at the point at penalty ``lam``, in ``O(k)`` from the
+        eigenbasis; they agree with :meth:`GramView.ols_loss` and
+        :meth:`GramView.iv_loss` of :meth:`alpha` up to rounding, not bit for bit."""
+        ols, iv = self.yty, self.syy
+        for b0, b1, d in self._terms:
+            c = (b0 + lam * b1) / (1.0 + lam * d)
+            ols += c * (c - 2.0 * b0)
+            iv += c * (d * c - 2.0 * b1)
+        return ols, iv
 
     def alpha(self, lam: float) -> np.ndarray:
         """The point at penalty ``lam > -1``, any size up to overflow."""
@@ -486,7 +506,7 @@ class GramView:
         s, sy = self.iv_pieces
         if self.rcond_ztz < RCOND_GRAM:
             raise SingularGram("Z^T Z", self.rcond_ztz)
-        return KClassPath(self.ztz, self.zty, s, sy)
+        return KClassPath(self.ztz, self.zty, s, sy, self.yty)
 
 
 class DesignView(GramView):

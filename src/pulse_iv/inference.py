@@ -27,6 +27,10 @@ _SCALINGS = (PLAIN, ANDERSON_RUBIN)
 #: Conventional non-weak-instrument rule of thumb on the first-stage F.
 WEAK_INSTRUMENT_RULE = 10.0
 
+#: ``l_OLS`` at or below this multiple of ``y'y / n`` is numerically zero, and
+#: :meth:`ViewTest.statistic` raises :class:`ZeroResidual` there.
+ZERO_RESIDUAL = 1e-14
+
 
 @functools.lru_cache(maxsize=256)
 def chi2_quantile(q_dof: int, prob: float) -> float:
@@ -115,7 +119,7 @@ class ViewTest:
         ``l_OLS`` is numerically zero."""
         view = self.view
         denom = view.ols_loss(alpha)
-        if denom <= 1e-14 * view.yty / view.n:
+        if denom <= ZERO_RESIDUAL * view.yty / view.n:
             raise ZeroResidual("l_OLS(alpha) is numerically zero; the test ratio is undefined")
         return float(self.scale * view.iv_loss(alpha) / denom)
 

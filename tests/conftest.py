@@ -5,9 +5,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from pulse_iv.data import Dataset, DesignView, IdentificationClass, ModelPartition
 from pulse_iv.pulse import PulseConfig, primal_solve
+
+#: CI runs the tier-1 tests with ``--hypothesis-profile=ci``: properties that do
+#: not pin ``max_examples`` get ten times the default, on a fixed example sequence.
+settings.register_profile("ci", max_examples=1000, derandomize=True)
 
 
 def make_instance(

@@ -149,9 +149,7 @@ def test_c04_binary_search_precision():
         if stat_ols.accepted:
             continue
         for n_prec in worst:
-            from pulse_iv.pulse import lambda_star_search
-
-            result = lambda_star_search(view, PulseConfig(precision_n=n_prec))
+            result = pulse_estimate(view, PulseConfig(precision_n=n_prec)).lambda_used
             oracle = oracle_lambda_bisection(view, cfg0, precision=0.1 / n_prec)
             worst[n_prec] = max(worst[n_prec], abs(result - oracle))
     ok = all(gap <= 1.0 / n_prec for n_prec, gap in worst.items())

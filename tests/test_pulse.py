@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulse_iv import inference
-from pulse_iv.data import KAPPA_FORM_MAX, Dataset, DesignView
+from pulse_iv.data import KAPPA_FORM_MAX, Dataset, DesignView, KClassPath
 from pulse_iv.estimators import (
     EstimatorSpec,
     anchor_estimate,
@@ -19,15 +19,17 @@ from pulse_iv.estimators import (
     tsls_estimate,
 )
 from pulse_iv.exceptions import OutOfDomain
-from pulse_iv.inference import PLAIN, chi2_quantile
+from pulse_iv.experiments import UNIVARIATE_DECLARED
+from pulse_iv.inference import PLAIN, ViewTest, chi2_quantile
 from pulse_iv.pulse import (
     MESSAGE_TEXT,
     PulseConfig,
     PulseMessage,
-    lambda_star_search,
+    _smallest_accepted,
     primal_solve,
     pulse_estimate,
 )
+from pulse_iv.sem import e3_model, mv_fixed_model, sem_sample, univariate_model
 
 from conftest import (
     invalid_instrument_view,
@@ -38,10 +40,10 @@ from conftest import (
 )
 
 
-def weak_just_identified_view(n: int = 200, strength: float = 1e-9) -> DesignView:
+def weak_just_identified_view(n: int = 200, strength: float = 1e-9, seed: int = 0) -> DesignView:
     """One instrument of the given strength, exactly orthogonal to the
     first-stage noise, that also enters the response: ``lambda*`` is huge."""
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     a = rng.normal(size=n)
     u = rng.normal(size=n)
     u -= a * (a @ u) / (a @ a)
@@ -50,9 +52,9 @@ def weak_just_identified_view(n: int = 200, strength: float = 1e-9) -> DesignVie
     return DesignView(Dataset(y=y, x=x[:, None], a=a[:, None]))
 
 
-def weak_under_identified_view(n: int = 200, strength: float = 1e-9) -> DesignView:
+def weak_under_identified_view(n: int = 200, strength: float = 1e-9, seed: int = 0) -> DesignView:
     """d=2, q=1 analogue of :func:`weak_just_identified_view`."""
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, 1))
     u = rng.normal(size=(n, 2))
     u -= a @ np.linalg.lstsq(a, u, rcond=None)[0]
@@ -67,16 +69,16 @@ class TestLambdaStarSearch:
         cfg = PulseConfig()
         stat_ols = inference.test_statistic(view, view.kclass_solve(0.0), cfg)
         assert stat_ols.accepted
-        assert lambda_star_search(view, cfg) == 0.0
+        assert pulse_estimate(view, cfg).lambda_used == 0.0
 
     def test_infinite_when_tsls_rejected(self):
         view = invalid_instrument_view()
-        assert lambda_star_search(view, PulseConfig()) == math.inf
+        assert pulse_estimate(view, PulseConfig()).lambda_used == math.inf
 
     def test_matches_fine_oracle(self):
         view = make_instance(40, n=120, d1=1, q=1, confounding=0.9)
         cfg = PulseConfig(precision_n=10**6)
-        result = lambda_star_search(view, cfg)
+        result = pulse_estimate(view, cfg).lambda_used
         oracle = oracle_lambda_bisection(view, cfg, precision=1e-7)
         assert abs(result - oracle) <= 2e-6
         stat = inference.test_statistic(view, view.kclass_solve(result / (1 + result)), cfg)
@@ -84,7 +86,7 @@ class TestLambdaStarSearch:
 
     def test_finite_in_under_identified_setup(self):
         view = make_instance(41, n=100, d1=2, q=1, confounding=0.9)
-        lam = lambda_star_search(view, PulseConfig())
+        lam = pulse_estimate(view, PulseConfig()).lambda_used
         assert math.isfinite(lam)
 
 
@@ -191,6 +193,112 @@ class TestExtremePenalties:
                     (view.path.b0 + lam * view.path.b1) / (1.0 + lam * view.path.d)
                 )
                 np.testing.assert_allclose(view.path.alpha(lam), eigen, rtol=1e-9, atol=1e-12)
+
+
+def exact_search(view: DesignView, cfg: PulseConfig) -> tuple[float, np.ndarray]:
+    """The unfiltered search, whose every step asks the reported predicate."""
+    test, path = ViewTest(view, cfg), view.path
+    lam = _smallest_accepted(lambda lam: test.accepts(path.alpha(lam)), 1.0 / cfg.precision_n)[1]
+    return lam, path.alpha(lam)
+
+
+def count_path_points(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """A one-element counter of the ``KClassPath.alpha`` calls made from now on."""
+    count = [0]
+    alpha = KClassPath.alpha
+
+    def counted(self: KClassPath, lam: float) -> np.ndarray:
+        count[0] += 1
+        return alpha(self, lam)
+
+    monkeypatch.setattr(KClassPath, "alpha", counted)
+    return count
+
+
+def design_view(design: str, seed: int, n: int, q: int, r2: float) -> DesignView:
+    """A sample of one of the harness's designs, or one of the extreme-penalty
+    views at instrument strength ``r2``."""
+    if design == "univariate":
+        return DesignView(sem_sample(univariate_model(q, 0.9, r2), n, seed))
+    if design == "mv-fixed":
+        xi = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(2, 2))
+        return DesignView(sem_sample(mv_fixed_model(xi, 0.8, 0.47, 0.47), n, seed))
+    if design == "underid-e3":
+        return DesignView(sem_sample(e3_model(), n, seed))
+    weak = weak_just_identified_view if design == "weak-just" else weak_under_identified_view
+    return weak(n, strength=r2, seed=seed)
+
+
+class TestFilteredSearch:
+    """The search decides its steps by the O(k) gap and checks its bracket with
+    the reported predicate; it must give the exact search's bits."""
+
+    @settings(deadline=None)
+    @given(
+        design=st.sampled_from(("univariate", "mv-fixed", "underid-e3", "weak-just", "weak-under")),
+        seed=st.integers(0, 10**6),
+        n=st.sampled_from((20, 150, 1000)),
+        q=st.integers(1, 10),
+        r2=st.sampled_from(UNIVARIATE_DECLARED["r2"] + (1e-9, 1e-6)),
+    )
+    def test_same_bits_as_exact_search(self, design, seed, n, q, r2):
+        view = design_view(design, seed, n, q, r2)
+        cfg = PulseConfig()
+        res = pulse_estimate(view, cfg)
+        if res.message is not PulseMessage.NONE:
+            return
+        lam, alpha = exact_search(view, cfg)
+        assert res.lambda_used.hex() == lam.hex()
+        assert res.alpha.tobytes() == alpha.tobytes()
+
+    @pytest.mark.parametrize(
+        "seed, wrong",
+        [
+            # lambda* is 1.55: the flipped filter rejects up to float overflow
+            (43, "flipped"),
+            # lambda* is 2.21: the flipped filter's accepted end is rejected exactly
+            (40, "flipped"),
+            # the shifted filter rejects just above lambda*, so only the exact
+            # check of the rejected end shows the bracket is late
+            (43, "shifted"),
+        ],
+    )
+    def test_wrong_filter_falls_back_to_exact_search(self, monkeypatch, seed, wrong):
+        view = make_instance(seed, n=150 if seed == 43 else 120, d1=1, q=1, confounding=0.9)
+        cfg = PulseConfig()
+        lam, alpha = exact_search(view, cfg)
+        test, losses = ViewTest(view, cfg), KClassPath.losses
+        shift = 1e-3 * (view.path.syy + test.threshold / test.scale * view.path.yty)
+
+        def wrong_gap(self: KClassPath, lam: float) -> tuple[float, float]:
+            ols, iv = losses(self, lam)  # l_OLS kept; the gap flipped or raised
+            if wrong == "flipped":
+                return ols, (2.0 * test.threshold * ols - test.scale * iv) / test.scale
+            return ols, iv + shift
+
+        monkeypatch.setattr(KClassPath, "losses", wrong_gap)
+        count = count_path_points(monkeypatch)
+        res = pulse_estimate(view, cfg)
+        assert res.lambda_used.hex() == lam.hex()
+        assert res.alpha.tobytes() == alpha.tobytes()
+        assert count[0] > 20  # the exact search ran
+
+    def test_typical_search_runs_few_exact_points(self, monkeypatch):
+        view = DesignView(sem_sample(univariate_model(2, 0.9, 0.1), 150, 12))
+        view.path  # built before counting
+        count = count_path_points(monkeypatch)
+        res = pulse_estimate(view)
+        assert res.message is PulseMessage.NONE
+        assert count[0] <= 3
+
+    def test_losses_match_gram_losses(self):
+        for d1, q, q1 in ((1, 1, 0), (1, 5, 0), (2, 3, 0), (2, 4, 1)):
+            view = make_instance(70 + q, n=120, d1=d1, q=q, q1=q1, confounding=0.8)
+            for lam in (0.0, 0.3, 7.0, KAPPA_FORM_MAX, 1e5):
+                ols, iv = view.path.losses(lam)
+                alpha = view.path.alpha(lam)
+                assert ols / view.n == pytest.approx(view.ols_loss(alpha), rel=1e-12)
+                assert iv / view.n == pytest.approx(view.iv_loss(alpha), rel=1e-12)
 
 
 class TestMonotonicity:
