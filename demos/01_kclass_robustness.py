@@ -12,10 +12,11 @@ import numpy as np
 
 from pulse_iv import (
     DesignView,
+    EstimatorSpec,
     ModelPartition,
     e1_model,
     e1_superiority_interval,
-    kclass_estimate,
+    estimate,
     population_kclass,
     sem_sample,
     wcmspe_curve_e1,
@@ -33,7 +34,7 @@ for kappa in (0.0, 0.75, 1.0):
 print("\nfinite-sample estimates, n = 2000, five seeds")
 for seed in range(5):
     view = DesignView(sem_sample(model, 2000, seed=seed))
-    row = [kclass_estimate(view, k).alpha[0] for k in (0.0, 0.75, 1.0)]
+    row = [estimate(view, EstimatorSpec("kclass", k)).alpha[0] for k in (0.0, 0.75, 1.0)]
     print("  seed %d:  %.4f  %.4f  %.4f" % (seed, *row))
 
 print("\nworst-case MSPE against maximum intervention strength x")

@@ -15,13 +15,11 @@ from pulse_iv import (
     EstimatorSpec,
     PulseConfig,
     estimate,
-    fuller_estimate,
-    ols_estimate,
     sem_sample,
     test_statistic,
-    tsls_estimate,
     univariate_model,
 )
+from pulse_iv.exceptions import PulseIVError
 from pulse_iv.pulse import MESSAGE_TEXT, PulseMessage
 
 
@@ -30,12 +28,11 @@ def show(title: str, view: DesignView) -> None:
     cfg = PulseConfig(p_min=0.05)
     res = estimate(view, EstimatorSpec("pulse"), cfg)  # PULSE is one more K-class kind
     test = test_statistic(view, res.alpha, cfg)  # a PulseConfig is the test it searched with
-    print(f"  OLS    {ols_estimate(view).alpha.round(4)}")
-    try:
-        print(f"  TSLS   {tsls_estimate(view).alpha.round(4)}")
-    except Exception as exc:
-        print(f"  TSLS   unavailable ({type(exc).__name__})")
-    print(f"  FUL(4) {fuller_estimate(view, 4.0).alpha.round(4)}")
+    for name, spec in (("OLS", "ols"), ("TSLS", "tsls"), ("FUL(4)", "fuller:4")):
+        try:  # every K-class kind is one more spec for the same entry
+            print(f"  {name:6} {estimate(view, EstimatorSpec.parse(spec)).alpha.round(4)}")
+        except PulseIVError as exc:
+            print(f"  {name:6} unavailable ({type(exc).__name__})")
     print(f"  PULSE  {res.alpha.round(4)}   lambda* = {res.lambda_used:.4g}")
     print(f"  test {test.statistic:.4f} vs threshold {test.threshold:.4f}")
     if res.message is not PulseMessage.NONE:

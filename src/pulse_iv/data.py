@@ -20,7 +20,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .exceptions import DataError, SingularGram, UnidentifiedAtOne
+from .exceptions import DataError, SingularGram, UnderIdentified
 
 #: Reciprocal condition number (min/max singular value) below which a Gram
 #: matrix is declared singular.
@@ -535,12 +535,14 @@ class DesignView(GramView):
         """Closed-form K-class solution, the minimizer of ``(1 - kappa) l_OLS + kappa l_IV``:
         :attr:`path` in ``kappa`` form, equal to its ``lambda`` form
         ``V (b0 + lam b1) / (1 + lam d)`` at ``lam = kappa / (1 - kappa)``.
-        ``kappa = 1`` is TSLS and raises :class:`UnidentifiedAtOne` if
+        ``kappa = 1`` is TSLS and raises :class:`UnderIdentified` if
         ``q2 < d1``; :class:`SingularGram` marks a singular Gram or K-class matrix.
         """
         kappa = float(kappa)
         if kappa == 1.0 and self.q2 < self.d1:
-            raise UnidentifiedAtOne(f"kappa=1 needs q2 >= d1; got q2={self.q2}, d1={self.d1}")
+            raise UnderIdentified(
+                f"TSLS (kappa=1) undefined with q2={self.q2} < d1={self.d1}; use modified_tsls"
+            )
         return self.path.kclass(kappa)
 
     def min_iv_loss(self) -> float:

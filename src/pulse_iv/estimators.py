@@ -1,11 +1,18 @@
-"""Closed-form and eigenvalue-based single-equation estimators.
+"""Single-equation estimators of the K-class family, run through one entry,
+:func:`estimate`.
 
-OLS, TSLS, anchor regression, K-class, LIML, Fuller(a), and the modified TSLS
-for under-identified systems; :func:`estimate` dispatches on every kind,
-PULSE's (:mod:`pulse_iv.pulse`) included.  Every routine consumes a shared immutable
-:class:`~pulse_iv.data.DesignView` and is a pure function of its inputs; those
-typed for a :class:`~pulse_iv.data.GramView` read only its Gram products, so on
-:func:`~pulse_iv.sem.population_moments` they give the population estimand.
+OLS, TSLS, K-class, LIML and Fuller(a) are points of the K-class path, each
+picked by a rule for its ``kappa``: ``0``, ``1``, the given value,
+:func:`liml_kappa` and :func:`fuller_kappa`.  :func:`estimate` applies the
+rule and makes one :meth:`~pulse_iv.data.DesignView.kclass_solve`.  Anchor
+regression is given by its penalty ``lambda``, so it is solved in the path's
+``lambda`` parametrisation (:meth:`~pulse_iv.data.KClassPath.alpha`): that
+takes any ``lambda > -1``, stays exact where ``kappa`` would round towards one,
+and needs only a :class:`~pulse_iv.data.GramView`, so anchor regression also
+runs on :func:`~pulse_iv.sem.population_moments`, as :func:`modified_tsls` for
+under-identified systems does.  PULSE (:mod:`pulse_iv.pulse`) is one more kind.
+Every routine is a pure function of its view's cached Gram products, apart
+from LIML's ``kappa``, which reads the view's rows.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .data import RCOND_GRAM, DesignView, GramView, IdentificationClass, rcond_symmetric
-from .exceptions import InfeasibleConstraint, SingularGram, UnderIdentified
+from .exceptions import InfeasibleConstraint, SingularGram
 
 if TYPE_CHECKING:
     from .pulse import PulseConfig
@@ -104,43 +111,6 @@ class EstimateResult:
         self.alpha = np.asarray(self.alpha, dtype=float).reshape(-1)
         if not np.all(np.isfinite(self.alpha)):
             raise ValueError("estimate contains non-finite coefficients")
-
-
-def kclass_estimate(view: DesignView, kappa: float) -> EstimateResult:
-    """K-class estimator with parameter ``kappa``.
-
-    For ``kappa`` in ``[0, 1)`` this is the unique minimizer of
-    ``(1 - kappa) * l_OLS + kappa * l_IV``; at ``kappa = 1`` it is TSLS.
-    Values outside ``[0, 1]`` are solved without these guarantees.
-    """
-    kappa = float(kappa)
-    alpha = view.kclass_solve(kappa)
-    lam = kappa / (1.0 - kappa) if kappa < 1.0 else None
-    return EstimateResult(alpha=alpha, kappa_used=kappa, lambda_used=lam)
-
-
-def anchor_estimate(view: GramView, lam: float) -> EstimateResult:
-    """Anchor regression estimator, the minimizer of ``l_OLS + lambda * l_IV``.
-
-    Equals ``kclass_estimate(lambda / (1 + lambda))`` for ``lambda >= 0``.
-    """
-    lam = EstimatorSpec("anchor", lam).value  # the spec checks the domain
-    alpha = view.path.alpha(lam)
-    return EstimateResult(alpha=alpha, kappa_used=lam / (1.0 + lam), lambda_used=lam)
-
-
-def ols_estimate(view: DesignView) -> EstimateResult:
-    return kclass_estimate(view, 0.0)
-
-
-def tsls_estimate(view: DesignView) -> EstimateResult:
-    """Two-stage least squares; requires a just- or over-identified setup."""
-    if view.identification is IdentificationClass.UNDER:
-        raise UnderIdentified(
-            f"TSLS undefined with q2={view.q2} < d1={view.d1}; use modified_tsls"
-        )
-    alpha = view.kclass_solve(1.0)
-    return EstimateResult(alpha=alpha, kappa_used=1.0, lambda_used=None)
 
 
 def modified_tsls(view: GramView) -> EstimateResult:
@@ -256,33 +226,45 @@ def fuller_kappa(view: DesignView, a: float) -> float:
     return liml_kappa(view) - a / (view.n - view.q)
 
 
-def liml_estimate(view: DesignView) -> EstimateResult:
-    return kclass_estimate(view, liml_kappa(view))
-
-
-def fuller_estimate(view: DesignView, a: float) -> EstimateResult:
-    return kclass_estimate(view, fuller_kappa(view, a))
+#: Each K-class kind's rule for its ``kappa``, from the view and the spec's value.
+_KAPPA = {
+    "ols": lambda view, value: 0.0,
+    "tsls": lambda view, value: 1.0,
+    "kclass": lambda view, value: value,
+    "liml": lambda view, value: liml_kappa(view),
+    "fuller": fuller_kappa,
+}
 
 
 def estimate(
-    view: DesignView, spec: EstimatorSpec, cfg: PulseConfig | None = None
+    view: GramView, spec: EstimatorSpec, cfg: PulseConfig | None = None
 ) -> EstimateResult:
-    """Dispatch on an :class:`EstimatorSpec`; ``cfg`` configures the ``pulse`` kind
-    (default ``PulseConfig()``) and is not read by any other."""
-    if spec.kind == "ols":
-        return ols_estimate(view)
-    if spec.kind == "tsls":
-        return tsls_estimate(view)
-    if spec.kind == "kclass":
-        return kclass_estimate(view, spec.value)
+    """The estimate of ``spec``'s kind on ``view``; ``cfg`` configures the ``pulse``
+    kind (default ``PulseConfig()``) and is not read by any other.
+
+    ``ols``, ``tsls``, ``kclass``, ``liml`` and ``fuller`` are each a rule for
+    ``kappa`` (``_KAPPA``) feeding one :meth:`~pulse_iv.data.DesignView.kclass_solve`,
+    which needs a :class:`~pulse_iv.data.DesignView`; they report ``kappa_used``
+    and ``lambda_used = kappa / (1 - kappa)`` (``None`` at ``kappa >= 1``).
+    ``tsls`` (or any ``kappa = 1``) raises
+    :class:`~pulse_iv.exceptions.UnderIdentified` if ``q2 < d1``.
+    ``anchor`` is given as its ``lambda`` and solved by
+    :meth:`~pulse_iv.data.KClassPath.alpha`, which takes any ``lambda > -1`` and
+    stays exact for large penalties, where ``kappa = lambda / (1 + lambda)``
+    rounds towards one.  Like ``modified-tsls``, it reads only the Gram
+    products, so on :func:`~pulse_iv.sem.population_moments` both give the
+    population estimand.
+    """
     if spec.kind == "anchor":
-        return anchor_estimate(view, spec.value)
-    if spec.kind == "liml":
-        return liml_estimate(view)
-    if spec.kind == "fuller":
-        return fuller_estimate(view, spec.value)
+        lam = spec.value
+        return EstimateResult(view.path.alpha(lam), kappa_used=lam / (1.0 + lam), lambda_used=lam)
     if spec.kind == "modified-tsls":
         return modified_tsls(view)
-    from .pulse import pulse_estimate  # here, since pulse imports this module for its fallback
+    if spec.kind == "pulse":
+        from .pulse import pulse_estimate  # here, since pulse imports this module for its fallback
 
-    return pulse_estimate(view, cfg)
+        return pulse_estimate(view, cfg)
+    kappa = _KAPPA[spec.kind](view, spec.value)
+    alpha = view.kclass_solve(kappa)
+    lam = kappa / (1.0 - kappa) if kappa < 1.0 else None
+    return EstimateResult(alpha=alpha, kappa_used=kappa, lambda_used=lam)

@@ -28,12 +28,8 @@ class SingularPopulationGram(PulseIVError):
     """A population moment matrix is numerically singular."""
 
 
-class UnidentifiedAtOne(PulseIVError):
-    """kappa = 1 requested but A^T Z lacks full column rank (under-identified)."""
-
-
 class UnderIdentified(PulseIVError):
-    """The classical TSLS estimator does not exist; use ``modified_tsls``."""
+    """TSLS (``kappa = 1``) does not exist, as ``q2 < d1``; use ``modified_tsls``."""
 
 
 class InfeasibleConstraint(PulseIVError):

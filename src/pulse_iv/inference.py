@@ -173,7 +173,9 @@ def weak_instrument_stat(view: DesignView) -> WeakInstrumentReport:
 
     ``G_n = Sigma^{-1/2} X^T P_A X Sigma^{-1/2} / q`` with
     ``Sigma = (n - q)^{-1} X^T P_A^perp X``.  Instruments pass the rule of
-    thumb when the smallest eigenvalue exceeds 10.
+    thumb when the smallest eigenvalue exceeds 10.  With ``q < d1``, ``G_n`` has
+    rank at most ``q``, so its smallest eigenvalue is ``0.0`` by construction and
+    is reported as such, not as the rounding residue an eigensolver returns.
 
     Raises
     ------
@@ -196,7 +198,7 @@ def weak_instrument_stat(view: DesignView) -> WeakInstrumentReport:
     isqrt = psd_inverse_sqrt("X^T P_A^perp X", sigma)
     g = isqrt @ x_pa_x @ isqrt / q
     g = 0.5 * (g + g.T)
-    min_eig = float(np.linalg.eigvalsh(g)[0])
+    min_eig = 0.0 if q < d1 else float(np.linalg.eigvalsh(g)[0])
     return WeakInstrumentReport(
         g_matrix=g,
         min_eigenvalue=min_eig,

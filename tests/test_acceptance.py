@@ -17,12 +17,7 @@ import pytest
 
 from pulse_iv import inference
 from pulse_iv.data import Dataset, DesignView, ModelPartition
-from pulse_iv.estimators import (
-    fuller_estimate,
-    kclass_estimate,
-    ols_estimate,
-    tsls_estimate,
-)
+from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.experiments import ExperimentConfig, run_experiment
 from pulse_iv.inference import ANDERSON_RUBIN, PLAIN, TestConfig, chi2_quantile
 from pulse_iv.pulse import PulseConfig, PulseMessage, primal_solve, pulse_estimate
@@ -55,7 +50,7 @@ def test_c01_kclass_closed_form_vs_optimizer():
         q = int(rng.integers(d1, d1 + 4))
         view = make_instance(10_000 + i, n=n, d1=d1, q=q, confounding=0.6)
         kappa = kappas[i % 4]
-        closed = kclass_estimate(view, kappa).alpha
+        closed = estimate(view, EstimatorSpec("kclass", kappa)).alpha
         oracle = penalized_loss_minimizer(view, kappa)
         gap = float(np.linalg.norm(closed - oracle)) / (1.0 + float(np.linalg.norm(closed)))
         worst = max(worst, gap)
@@ -173,7 +168,7 @@ def test_c05_e1_population_and_finite_sample():
     for seed in range(seeds):
         view = DesignView(sem_sample(model, 2000, seed=500 + seed))
         for k in targets:
-            sums[k] += float(kclass_estimate(view, k).alpha[0])
+            sums[k] += float(estimate(view, EstimatorSpec("kclass", k)).alpha[0])
     mean_gap = {k: abs(sums[k] / seeds - targets[k]) for k in targets}
     ok = pop_ok and all(g <= 0.03 for g in mean_gap.values())
     report(
@@ -385,8 +380,8 @@ def test_settler_mortality_plumbing_on_synthetic_data():
         assert inference.test_statistic(view, res.alpha, cfg).threshold == pytest.approx(
             chi2_quantile(dof, 0.95), rel=1e-12
         )
-        for fn in (ols_estimate, tsls_estimate):
-            assert np.all(np.isfinite(fn(view).alpha))
+        for kind in ("ols", "tsls"):
+            assert np.all(np.isfinite(estimate(view, EstimatorSpec(kind)).alpha))
     # subset filters drop the flagged rows only
     assert data[data[:, names.index("rich4")] < 0.5].shape[0] == 60
     assert data[data[:, names.index("africa")] < 0.5].shape[0] == 39
@@ -430,9 +425,9 @@ def test_c12_settler_mortality_golden_values():
     for name, (subset, included) in model_spec.items():
         view = _ajr_view(subsets[subset], names, included)
         got = {
-            "OLS": float(ols_estimate(view).alpha[0]),
-            "TSLS": float(tsls_estimate(view).alpha[0]),
-            "FUL": float(fuller_estimate(view, 4.0).alpha[0]),
+            "OLS": float(estimate(view, EstimatorSpec("ols")).alpha[0]),
+            "TSLS": float(estimate(view, EstimatorSpec("tsls")).alpha[0]),
+            "FUL": float(estimate(view, EstimatorSpec("fuller", 4.0)).alpha[0]),
         }
         res = pulse_estimate(view, cfg)
         got["PULSE"] = float(res.alpha[0])

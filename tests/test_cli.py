@@ -14,7 +14,7 @@ import pytest
 import pulse_iv
 from pulse_iv.cli import main
 from pulse_iv.data import CsvSchema, DesignView, center, load_csv
-from pulse_iv.estimators import ols_estimate
+from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.sem import e1_model, model_to_json
 
 
@@ -188,7 +188,7 @@ class TestEstimate:
         assert code == 0
         doc = json.loads(json_out.read_text())
         ds = center(load_csv(data, CsvSchema("y", ("x1",), ("a1",))))
-        expected = float(ols_estimate(DesignView(ds)).alpha[0])
+        expected = float(estimate(DesignView(ds), EstimatorSpec("ols")).alpha[0])
         reported = doc["estimates"][0]["alpha"]["x1"]
         assert reported == float(f"{expected:.10g}")
         assert doc["centering"] == "all"
@@ -563,6 +563,22 @@ class TestDiagnose:
         assert code == 0
         assert "identification: just" in captured.out
         assert "min eigenvalue" in captured.out
+
+    def test_rank_deficient_gn_prints_zero(self, tmp_path, capsys):
+        # q = 1 < d1 = 2: G_n has rank one, so its smallest eigenvalue is exactly 0
+        rng = np.random.default_rng(8)
+        a1 = rng.normal(size=8)
+        x1, x2 = a1 + rng.normal(size=8), 0.5 * a1 + rng.normal(size=8)
+        y = x1 - x2 + rng.normal(size=8)
+        data = tmp_path / "d.csv"
+        rows = ["y,x1,x2,a1", *(",".join(repr(float(v)) for v in r) for r in zip(y, x1, x2, a1))]
+        data.write_text("\n".join(rows) + "\n")
+        code = main(["diagnose", "--data", str(data), "--target", "y",
+                     "--endogenous", "x1,x2", "--instruments", "a1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "identification: under" in captured.out
+        assert "min eigenvalue = 0.0000\n" in captured.out
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

@@ -9,13 +9,7 @@ import pytest
 
 from pulse_iv import inference
 from pulse_iv.data import Dataset, DesignView, center, load_csv, CsvSchema
-from pulse_iv.estimators import (
-    EstimateResult,
-    EstimatorSpec,
-    anchor_estimate,
-    estimate,
-    kclass_estimate,
-)
+from pulse_iv.estimators import EstimateResult, EstimatorSpec, estimate
 from pulse_iv.exceptions import DataError
 from pulse_iv.inference import ANDERSON_RUBIN, PLAIN, TestConfig
 from pulse_iv.pulse import PulseConfig, PulseMessage, pulse_estimate
@@ -88,9 +82,9 @@ class TestNegativeAnchorPenalty:
         # lambda in (-1, 0) maps to negative kappa; the identity still holds
         view = make_instance(73, n=90, d1=1, q=2)
         lam = -0.5
-        res = anchor_estimate(view, lam)
+        res = estimate(view, EstimatorSpec("anchor", lam))
         np.testing.assert_allclose(
-            res.alpha, kclass_estimate(view, lam / (1.0 + lam)).alpha, atol=1e-10
+            res.alpha, estimate(view, EstimatorSpec("kclass", lam / (1.0 + lam))).alpha, atol=1e-10
         )
         assert res.kappa_used == pytest.approx(-1.0, abs=1e-12)
 

@@ -10,24 +10,13 @@ from pulse_iv import estimators
 from pulse_iv.data import Dataset, DesignView, ModelPartition
 from pulse_iv.estimators import (
     EstimatorSpec,
-    anchor_estimate,
     estimate,
-    fuller_estimate,
     fuller_kappa,
-    kclass_estimate,
-    liml_estimate,
     liml_kappa,
     min_generalized_eigenvalue,
     modified_tsls,
-    ols_estimate,
-    tsls_estimate,
 )
-from pulse_iv.exceptions import (
-    InfeasibleConstraint,
-    SingularGram,
-    UnderIdentified,
-    UnidentifiedAtOne,
-)
+from pulse_iv.exceptions import InfeasibleConstraint, SingularGram, UnderIdentified
 from pulse_iv.pulse import PulseConfig, PulseMessage, pulse_estimate
 from pulse_iv.sem import e3_model, population_kclass, population_pulse_underid, sem_sample
 
@@ -37,7 +26,7 @@ from conftest import invalid_instrument_view, make_instance, penalized_loss_mini
 class TestKclass:
     def test_kappa_zero_is_ols(self):
         view = make_instance(0, n=60, d1=2, q=2)
-        res = kclass_estimate(view, 0.0)
+        res = estimate(view, EstimatorSpec("kclass", 0.0))
         y, z, _ = raw_matrices(view)
         expected = np.linalg.lstsq(z, y, rcond=None)[0]
         np.testing.assert_allclose(res.alpha, expected, atol=1e-10)
@@ -45,7 +34,7 @@ class TestKclass:
 
     def test_kappa_one_just_identified_moment_condition(self):
         view = make_instance(1, n=60, d1=1, q=1)
-        res = kclass_estimate(view, 1.0)
+        res = estimate(view, EstimatorSpec("kclass", 1.0))
         y, z, a = raw_matrices(view)
         moment = a.T @ (y - z @ res.alpha)
         assert np.linalg.norm(moment) <= 1e-9 * np.linalg.norm(a.T @ y)
@@ -53,21 +42,21 @@ class TestKclass:
     def test_matches_numerical_minimizer(self):
         view = make_instance(2, n=50, d1=2, q=3)
         for kappa in (0.3, 0.6):
-            closed = kclass_estimate(view, kappa).alpha
+            closed = estimate(view, EstimatorSpec("kclass", kappa)).alpha
             oracle = penalized_loss_minimizer(view, kappa)
             assert np.linalg.norm(closed - oracle) <= 1e-6 * (1.0 + np.linalg.norm(closed))
 
     def test_kappa_one_under_identified_raises(self):
         view = make_instance(4, n=60, d1=2, q=1)
-        with pytest.raises(UnidentifiedAtOne):
-            kclass_estimate(view, 1.0)
+        with pytest.raises(UnderIdentified):
+            estimate(view, EstimatorSpec("kclass", 1.0))
 
     def test_normal_equation_residual(self):
         view = make_instance(5, n=80, d1=2, q=3, q1=1)
         y, z, a = raw_matrices(view)
         q_basis, _ = np.linalg.qr(a)
         for kappa in (0.0, 0.25, 0.5, 0.9, 1.0):
-            alpha = kclass_estimate(view, kappa).alpha
+            alpha = estimate(view, EstimatorSpec("kclass", kappa)).alpha
 
             def weighted(v):
                 return (1.0 - kappa) * v + kappa * (q_basis @ (q_basis.T @ v))
@@ -81,46 +70,49 @@ class TestAnchor:
     def test_lambda_zero_is_ols(self):
         view = make_instance(6, n=50, d1=1, q=2)
         np.testing.assert_allclose(
-            anchor_estimate(view, 0.0).alpha, ols_estimate(view).alpha, atol=1e-12
+            estimate(view, EstimatorSpec("anchor", 0.0)).alpha,
+            estimate(view, EstimatorSpec("ols")).alpha,
+            atol=1e-12,
         )
 
     def test_reparametrization_identity(self):
         view = make_instance(7, n=60, d1=2, q=3)
-        res = anchor_estimate(view, 3.0)
-        np.testing.assert_allclose(res.alpha, kclass_estimate(view, 0.75).alpha, atol=1e-10)
+        res = estimate(view, EstimatorSpec("anchor", 3.0))
+        kclass = estimate(view, EstimatorSpec("kclass", 0.75))
+        np.testing.assert_allclose(res.alpha, kclass.alpha, atol=1e-10)
         assert res.kappa_used == pytest.approx(res.lambda_used / (1 + res.lambda_used), abs=1e-12)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 10.0, 100.0])
     def test_reparametrization_across_lambda(self, lam):
         view = make_instance(8, n=60, d1=1, q=2, q1=1)
         np.testing.assert_allclose(
-            anchor_estimate(view, lam).alpha,
-            kclass_estimate(view, lam / (1.0 + lam)).alpha,
+            estimate(view, EstimatorSpec("anchor", lam)).alpha,
+            estimate(view, EstimatorSpec("kclass", lam / (1.0 + lam))).alpha,
             atol=1e-10,
         )
 
     def test_matches_numerical_minimizer(self):
         view = make_instance(9, n=50, d1=1, q=2)
         lam = 10.0
-        closed = anchor_estimate(view, lam).alpha
+        closed = estimate(view, EstimatorSpec("anchor", lam)).alpha
         oracle = penalized_loss_minimizer(view, lam / (1.0 + lam))
         assert np.linalg.norm(closed - oracle) <= 1e-6 * (1.0 + np.linalg.norm(closed))
 
     def test_rejects_lambda_at_minus_one(self):
         view = make_instance(10, n=50, d1=1, q=1)
         with pytest.raises(ValueError, match="lambda > -1"):
-            anchor_estimate(view, -1.0)
+            estimate(view, EstimatorSpec("anchor", -1.0))
 
 
 class TestTsls:
     def test_just_identified_zero_iv_loss(self):
         view = make_instance(11, n=60, d1=1, q=1)
-        res = tsls_estimate(view)
+        res = estimate(view, EstimatorSpec("tsls"))
         assert view.iv_loss(res.alpha) <= 1e-10
 
     def test_over_identified_minimizes_iv_loss(self):
         view = make_instance(12, n=80, d1=1, q=3)
-        res = tsls_estimate(view)
+        res = estimate(view, EstimatorSpec("tsls"))
         base = view.iv_loss(res.alpha)
         rng = np.random.default_rng(13)
         probes = res.alpha + rng.normal(scale=0.5, size=(1000, view.k))
@@ -128,21 +120,27 @@ class TestTsls:
 
     def test_limit_of_kclass(self):
         view = make_instance(14, n=80, d1=2, q=3)
-        tsls = tsls_estimate(view).alpha
-        near = kclass_estimate(view, 0.999999).alpha
+        tsls = estimate(view, EstimatorSpec("tsls")).alpha
+        near = estimate(view, EstimatorSpec("kclass", 0.999999)).alpha
         assert np.linalg.norm(near - tsls) <= 1e-3 * (1.0 + np.linalg.norm(tsls))
 
     def test_under_identified_raises(self):
         view = make_instance(15, n=60, d1=2, q=1)
         with pytest.raises(UnderIdentified, match="modified_tsls"):
-            tsls_estimate(view)
+            estimate(view, EstimatorSpec("tsls"))
+
+    @pytest.mark.parametrize("spec", [EstimatorSpec("tsls"), EstimatorSpec("kclass", 1.0)])
+    def test_kappa_one_under_identified_is_one_exception(self, spec):
+        view = DesignView(sem_sample(e3_model(), 100, seed=2))
+        with pytest.raises(UnderIdentified, match="modified_tsls"):
+            estimate(view, spec)
 
 
 class TestModifiedTsls:
     def test_just_identified_equals_tsls(self):
         view = make_instance(16, n=60, d1=1, q=1)
         np.testing.assert_allclose(
-            modified_tsls(view).alpha, tsls_estimate(view).alpha, atol=1e-9
+            modified_tsls(view).alpha, estimate(view, EstimatorSpec("tsls")).alpha, atol=1e-9
         )
 
     def test_duplicated_regressor_splits_weight(self):
@@ -188,7 +186,9 @@ class TestLimlFuller:
     def test_just_identified_liml_equals_tsls(self):
         view = make_instance(21, n=80, d1=1, q=1)
         np.testing.assert_allclose(
-            liml_estimate(view).alpha, tsls_estimate(view).alpha, atol=1e-6
+            estimate(view, EstimatorSpec("liml")).alpha,
+            estimate(view, EstimatorSpec("tsls")).alpha,
+            atol=1e-6,
         )
 
     def test_equal_matrices_give_unit_eigenvalue(self):
@@ -224,7 +224,7 @@ class TestLimlFuller:
 
     def test_fuller_estimate_runs(self):
         view = make_instance(33, n=70, d1=1, q=2)
-        res = fuller_estimate(view, 4.0)
+        res = estimate(view, EstimatorSpec("fuller", 4.0))
         assert res.kappa_used == fuller_kappa(view, 4.0)
         assert res.kappa_used < liml_kappa(view)
 
@@ -262,9 +262,9 @@ class TestLimlCache:
 
         monkeypatch.setattr(estimators, "_liml_blocks", counting)
         view = invalid_instrument_view()
-        fuller1 = fuller_estimate(view, 1.0)
-        fuller4 = fuller_estimate(view, 4.0)
-        liml = liml_estimate(view)
+        fuller1 = estimate(view, EstimatorSpec("fuller", 1.0))
+        fuller4 = estimate(view, EstimatorSpec("fuller", 4.0))
+        liml = estimate(view, EstimatorSpec("liml"))
         result = pulse_estimate(view)
         assert result.message is PulseMessage.TSLS_REJECTED_FALLBACK
         assert np.array_equal(result.alpha, fuller4.alpha)
@@ -373,7 +373,7 @@ class TestConsistency:
             views = {n: DesignView(sem_sample(model, n, seed=seed)) for n in (100, 10_000)}
             for kappa, pop in pops.items():
                 err = {
-                    n: np.linalg.norm(kclass_estimate(v, kappa).alpha - pop)
+                    n: np.linalg.norm(estimate(v, EstimatorSpec("kclass", kappa)).alpha - pop)
                     for n, v in views.items()
                 }
                 if err[10_000] < err[100]:

@@ -297,6 +297,16 @@ class TestRunExperiment:
         exclusion_rows = [r for r in result.rows if r["metric"] == "excluded_UnderIdentified"]
         assert len(exclusion_rows) == 1 and exclusion_rows[0]["value"] == 8
 
+    def test_kclass_at_one_is_excluded_as_under_identified(self):
+        cfg = ExperimentConfig(
+            design="underid-e3", repetitions=3, n_values=(100,),
+            estimators=("pulse", "kclass:1"),
+        )
+        result = run_experiment(cfg)
+        assert result.cells[0].failures["kclass:1"] == {"UnderIdentified": 3}
+        rows = [r for r in result.rows if r["estimator"] == "kclass:1"]
+        assert [(r["metric"], r["value"]) for r in rows] == [("excluded_UnderIdentified", 3)]
+
     def test_pulse_is_compared_whatever_its_spelling(self):
         def pairwise_rows(pulse_label):
             cfg = ExperimentConfig(

@@ -8,9 +8,10 @@ import scipy.special
 import scipy.stats
 
 from pulse_iv.data import Dataset, DesignView
-from pulse_iv.estimators import tsls_estimate
+from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.exceptions import DegenerateResidual, SingularGram, ZeroResidual
 from pulse_iv import inference
+from pulse_iv.sem import e3_model, sem_sample
 from pulse_iv.inference import (
     ANDERSON_RUBIN,
     PLAIN,
@@ -196,6 +197,14 @@ class TestWeakInstruments:
         view = DesignView(Dataset(y=rng.normal(size=30), x=x[:, None], a=a))
         assert weak_instrument_stat(view).min_eigenvalue == pytest.approx(0.0, abs=1e-10)
 
+    def test_rank_deficient_gn_reports_exact_zero(self):
+        # e3 has q = 1 < d1 = 2: G_n has rank one, so its smallest eigenvalue is 0
+        view = DesignView(sem_sample(e3_model(), 200, seed=3))
+        report = weak_instrument_stat(view)
+        assert report.min_eigenvalue == 0.0
+        assert report.rule_of_thumb_pass is False
+        assert np.linalg.matrix_rank(report.g_matrix) == 1
+
     def test_two_step_regression_oracle(self):
         rng = np.random.default_rng(14)
         a = rng.normal(size=(20, 2))
@@ -229,5 +238,5 @@ class TestWeakInstruments:
 
     def test_tsls_inside_acceptance_region_for_valid_instruments(self):
         view = make_instance(16, n=200, d1=1, q=2)
-        res = tsls_estimate(view)
+        res = estimate(view, EstimatorSpec("tsls"))
         assert inference.test_statistic(view, res.alpha).accepted

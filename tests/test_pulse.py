@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 
 from pulse_iv import inference
 from pulse_iv.data import KAPPA_FORM_MAX, Dataset, DesignView, KClassPath
-from pulse_iv.estimators import (
-    EstimatorSpec,
-    anchor_estimate,
-    fuller_estimate,
-    kclass_estimate,
-    tsls_estimate,
-)
+from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.exceptions import OutOfDomain
 from pulse_iv.experiments import UNIVARIATE_DECLARED
 from pulse_iv.inference import PLAIN, ViewTest, chi2_quantile
@@ -103,7 +97,8 @@ class TestPulseEstimate:
         res = pulse_estimate(view)
         assert res.message is PulseMessage.TSLS_REJECTED_FALLBACK
         assert math.isinf(res.lambda_used) and res.kappa_used is None
-        np.testing.assert_allclose(res.alpha, fuller_estimate(view, 4.0).alpha, atol=1e-12)
+        fuller = estimate(view, EstimatorSpec("fuller", 4.0))
+        np.testing.assert_allclose(res.alpha, fuller.alpha, atol=1e-12)
 
     def test_fallback_spec_is_honoured(self):
         view = invalid_instrument_view()
@@ -160,7 +155,7 @@ class TestExtremePenalties:
         view = weak_just_identified_view()
         cfg = PulseConfig()
         res = pulse_estimate(view, cfg)
-        tsls = tsls_estimate(view).alpha
+        tsls = estimate(view, EstimatorSpec("tsls")).alpha
         assert res.message is PulseMessage.NONE
         assert res.lambda_used > 1e9
         assert inference.test_statistic(view, res.alpha, cfg).accepted
@@ -178,8 +173,8 @@ class TestExtremePenalties:
         view = weak_just_identified_view()
         lam = 1e8
         np.testing.assert_allclose(
-            kclass_estimate(view, lam / (1.0 + lam)).alpha,
-            anchor_estimate(view, lam).alpha,
+            estimate(view, EstimatorSpec("kclass", lam / (1.0 + lam))).alpha,
+            estimate(view, EstimatorSpec("anchor", lam)).alpha,
             rtol=1e-6,
         )
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulse_iv.data import DesignView, ModelPartition
-from pulse_iv.estimators import anchor_estimate, kclass_estimate, modified_tsls
+from pulse_iv.estimators import EstimatorSpec, estimate, modified_tsls
 from pulse_iv.exceptions import DataError, NonStationary, SingularPopulationGram
 from pulse_iv.sem import (
     _A_STREAM,
@@ -258,7 +258,7 @@ class TestPopulationKclass:
         view = DesignView(sem_sample(model, 100_000, seed=13))
         for kappa in (0.0, 0.5, 1.0):
             pop = population_kclass(model, part, kappa)[0]
-            est = kclass_estimate(view, kappa).alpha[0]
+            est = estimate(view, EstimatorSpec("kclass", kappa)).alpha[0]
             assert est == pytest.approx(pop, abs=0.02)
 
     def test_correlated_anchors_match_normal_equations(self):
@@ -329,7 +329,8 @@ class TestPopulationGramEstimands:
             (correlated, ModelPartition((0,), (0,))),
         ]
         for model, part in cases:
-            alpha = anchor_estimate(population_moments(model, None, part), lam).alpha
+            pop = population_moments(model, None, part)
+            alpha = estimate(pop, EstimatorSpec("anchor", lam)).alpha
             want = population_kclass(model, part, lam / (1.0 + lam))
             np.testing.assert_allclose(alpha, want, rtol=0.0, atol=1e-12)
 
