@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .data import CsvSchema, DesignView, ModelPartition, center, load_csv
 from .estimators import EstimateResult, EstimatorSpec, estimate
-from .exceptions import DataError, PulseIVError
+from .exceptions import DataError, PulseIVError, SingularGram
 from .experiments import DESIGNS, ExperimentConfig, run_experiment, write_result
 from .inference import (
     ANDERSON_RUBIN, PLAIN, TestConfig, TestResult, test_statistic, weak_instrument_stat,
@@ -106,6 +106,13 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--design", help=f"one of: {', '.join(DESIGNS)}")
     exp.add_argument("--reps", type=int, help="repetitions per cell")
     exp.add_argument("--seed", type=int, help="master seed")
+    exp.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes that run the repetitions (default 1: run them in this "
+        "process), at most one per chunk and per CPU; the output does not depend on it",
+    )
     exp.add_argument("--out", required=True, help="output directory")
 
     diag = sub.add_parser("diagnose", help="weak-instrument and identification diagnostics")
@@ -150,7 +157,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     fallback_spec = None if args.fallback == "none" else EstimatorSpec.parse(args.fallback)
     pulse_cfg = None
 
-    rows: list[tuple[str, EstimateResult, TestResult, str]] = []
+    rows: list[tuple[str, EstimateResult, TestResult | None, str]] = []
     for label in _csv_list(args.estimator):
         spec = EstimatorSpec.parse(label)
         if spec.kind == "pulse":
@@ -161,7 +168,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 fallback=fallback_spec or EstimatorSpec("fuller"),
             )
         res = estimate(view, spec, pulse_cfg)
-        test = test_statistic(view, res.alpha, test_config)
+        try:
+            test = test_statistic(view, res.alpha, test_config)
+        except SingularGram:  # the test needs a regular A^T A, which OLS does not
+            test = None
         message = res.message if isinstance(res, PulseResult) else None
         if message is PulseMessage.TSLS_REJECTED_FALLBACK and fallback_spec is None:
             print(MESSAGE_TEXT[message])
@@ -177,7 +187,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     header = ["estimator", *coef_names, "kappa", "lambda", "test", "threshold", "message"]
     table = [header] + [
         [label, *(_fmt(float(v)) for v in res.alpha), _fmt(res.kappa_used),
-         _fmt(res.lambda_used), _fmt(test.statistic), _fmt(test.threshold), message]
+         _fmt(res.lambda_used), _fmt(test and test.statistic), _fmt(test and test.threshold),
+         message]
         for label, res, test, message in rows
     ]
     # each column as wide as its longest cell, and at least 12
@@ -213,9 +224,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                     "lambda": None if res.lambda_used is None else (
                         "inf" if math.isinf(res.lambda_used) else _round10(float(res.lambda_used))
                     ),
-                    "test_statistic": _round10(test.statistic),
-                    "threshold": _round10(test.threshold),
-                    "accepted": test.accepted,
+                    "test_statistic": test and _round10(test.statistic),
+                    "threshold": test and _round10(test.threshold),
+                    "accepted": test and test.accepted,
                     "message": message,
                 }
                 for label, res, test, message in rows
@@ -262,6 +273,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if bool(args.config) == bool(args.design):
         print("error: provide exactly one of --config or --design", file=sys.stderr)
         return USAGE_ERROR
+    if args.workers < 1:
+        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return USAGE_ERROR
     if args.config:
         cfg = ExperimentConfig.from_json(load_json(args.config, "experiment config"))
     else:
@@ -270,7 +284,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         cfg = replace(cfg, repetitions=args.reps)
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, threads=args.workers)
     csv_path, manifest_path = write_result(result, args.out)
     print(f"wrote {csv_path} and {manifest_path}")
     return 0

@@ -537,8 +537,14 @@ class DesignView(GramView):
         ``V (b0 + lam b1) / (1 + lam d)`` at ``lam = kappa / (1 - kappa)``.
         ``kappa = 1`` is TSLS and raises :class:`UnderIdentified` if
         ``q2 < d1``; :class:`SingularGram` marks a singular Gram or K-class matrix.
+        ``kappa = 0`` is OLS, which solves ``Z^T Z alpha = Z^T y`` directly (the
+        same bits as the path) and so needs no regular ``A^T A``.
         """
         kappa = float(kappa)
+        if kappa == 0.0:
+            if self.rcond_ztz < RCOND_GRAM:
+                raise SingularGram("Z^T Z", self.rcond_ztz)
+            return np.linalg.solve(self.ztz, self.zty)
         if kappa == 1.0 and self.q2 < self.d1:
             raise UnderIdentified(
                 f"TSLS (kappa=1) undefined with q2={self.q2} < d1={self.d1}; use modified_tsls"

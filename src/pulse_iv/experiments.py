@@ -9,12 +9,17 @@ numpy's pairwise summation in repetition order.
 
 from __future__ import annotations
 
+import atexit
 import csv
+import itertools
 import json
+import os
+import sys
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -416,32 +421,69 @@ _GRID_DESIGNS: dict[str, _Design] = {
 }
 
 
-def _run_cell(
-    cell: _Cell, index: int, estimators: tuple[tuple[str, EstimatorSpec], ...], cfg: ExperimentConfig
+class _Chunk(NamedTuple):
+    """Repetitions ``reps`` of the cell at ``index``: all the step needs, as data."""
+
+    model: SemModel
+    n: int
+    index: int
+    reps: range
+    specs: tuple[EstimatorSpec, ...]
+    master_seed: int
+    p_min: float
+
+
+#: One repetition's outputs: per estimator its ``alpha``, or the class name of the
+#: error it raised; then ``(min_eigenvalue, g_matrix)`` of ``weak_instrument_stat``,
+#: or ``None`` where it raised.
+_RepOutput = tuple[tuple[Any, ...], tuple[float, np.ndarray] | None]
+
+
+def _run_chunk(chunk: _Chunk) -> Iterator[_RepOutput]:
+    """The step: sample each repetition of ``chunk``, fit every estimator on it and
+    yield its outputs.  Where it runs does not matter: each repetition draws from
+    its own stream."""
+    pulse_cfg = PulseConfig(p_min=chunk.p_min)
+    for rep in chunk.reps:
+        ds = sem_sample(chunk.model, chunk.n, cell_seed(chunk.master_seed, chunk.index, rep))
+        view = DesignView(ds)
+        try:
+            report = weak_instrument_stat(view)
+            weak = (report.min_eigenvalue, report.g_matrix)
+        except PulseIVError:
+            weak = None
+        alphas = []
+        for spec in chunk.specs:
+            try:
+                alphas.append(estimate(view, spec, pulse_cfg).alpha)
+            except PulseIVError as exc:
+                alphas.append(type(exc).__name__)
+        yield tuple(alphas), weak
+
+
+def _reduce_cell(
+    cell: _Cell, estimators: tuple[tuple[str, EstimatorSpec], ...], outputs: Iterable[_RepOutput]
 ) -> CellResult:
-    pulse_cfg = PulseConfig(p_min=cfg.p_min)
+    """The reduction: a cell's metrics from its repetitions' outputs, consumed in
+    repetition order, so the sums and their bits do not depend on where the
+    repetitions ran."""
     collected: dict[str, list[np.ndarray]] = {label: [] for label, _ in estimators}
     failures: dict[str, dict[str, int]] = {label: {} for label, _ in estimators}
     min_eigs: list[float] = []
     g_sum: np.ndarray | None = None
     g_count = 0
 
-    for rep in range(cfg.repetitions):
-        ds = sem_sample(cell.model, cell.n, cell_seed(cfg.master_seed, index, rep))
-        view = DesignView(ds)
-        try:
-            report = weak_instrument_stat(view)
-            min_eigs.append(report.min_eigenvalue)
-            g_sum = report.g_matrix if g_sum is None else g_sum + report.g_matrix
+    for alphas, weak in outputs:
+        if weak is not None:
+            min_eig, g_matrix = weak
+            min_eigs.append(min_eig)
+            g_sum = g_matrix if g_sum is None else g_sum + g_matrix
             g_count += 1
-        except PulseIVError:
-            pass
-        for label, spec in estimators:
-            try:
-                collected[label].append(estimate(view, spec, pulse_cfg).alpha)
-            except PulseIVError as exc:
-                cause = type(exc).__name__
-                failures[label][cause] = failures[label].get(cause, 0) + 1
+        for (label, _), alpha in zip(estimators, alphas):
+            if isinstance(alpha, str):
+                failures[label][alpha] = failures[label].get(alpha, 0) + 1
+            else:
+                collected[label].append(alpha)
 
     metrics = {
         label: summarize_estimates(np.vstack(stack), cell.target)
@@ -565,17 +607,232 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
     return cells
 
 
+#: Repetitions per chunk sent to a worker; a cell with more is split.
+CHUNK_REPS = 100
+
+#: Chunks queued on each worker while the parent waits for the oldest one.
+_QUEUE_DEPTH = 2
+
+#: Worker environment: one BLAS thread each.  Serial studies already keep about
+#: two cores busy through BLAS threads, so workers that kept theirs would fight.
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+class _Workers:
+    """Worker processes that run :func:`_run_chunk` on pickled chunks: each is a
+    fresh interpreter with this process's ``sys.path`` and one BLAS thread,
+    reading chunks on stdin, answering on stdout and exiting at end of input."""
+
+    def __init__(self, n: int):
+        import subprocess
+
+        code = f"import sys; sys.path[:] = {sys.path!r}; from pulse_iv.experiments import _serve; _serve()"
+        env = {**os.environ, **_ONE_BLAS_THREAD}
+        self.procs = [
+            subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, env=env)
+            for _ in range(n)
+        ]
+
+    def map(self, chunks: Iterable[_Chunk]) -> Iterator[list[_RepOutput]]:
+        """Each chunk's outputs, in chunk order.  Chunk ``j`` runs on worker
+        ``j % n``, and at most ``_QUEUE_DEPTH`` chunks wait on each worker.  A
+        pickled chunk is a few KB, far below a pipe's buffer, so a send never
+        blocks on a worker that is itself blocked until its answer is read."""
+        import pickle
+
+        # a worker stays in ``in_flight`` from before its chunk is sent until its
+        # answer has been read, so a stop at any point sees what is still owed
+        in_flight: deque[Any] = deque()
+        try:
+            for proc, chunk in zip(itertools.cycle(self.procs), chunks):
+                in_flight.append(proc)
+                try:
+                    pickle.dump(chunk, proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+                    proc.stdin.flush()
+                except OSError as exc:  # a broken pipe: the worker stopped
+                    _worker_failed(proc, exc)
+                if len(in_flight) == _QUEUE_DEPTH * len(self.procs):
+                    yield self._receive(in_flight)
+            while in_flight:
+                yield self._receive(in_flight)
+        finally:
+            if in_flight:  # stopped early: answers still on their way would be read as the next call's
+                shutdown_workers(kill=True)
+
+    @staticmethod
+    def _receive(in_flight: deque[Any]) -> list[_RepOutput]:
+        """The answer of the oldest worker in ``in_flight``, which leaves it once read."""
+        import pickle
+
+        proc = in_flight[0]
+        try:
+            ok, value = pickle.load(proc.stdout)
+        except Exception as exc:  # end of stream or a garbled answer: the worker stopped
+            _worker_failed(proc, exc)
+        in_flight.popleft()
+        if not ok:
+            raise value
+        return value
+
+    def close(self, kill: bool = False) -> None:
+        for proc in self.procs:
+            if kill:
+                proc.kill()
+            for stream in (proc.stdin, proc.stdout):
+                try:
+                    stream.close()
+                except OSError:  # the pipe of a worker that died
+                    pass
+        for proc in self.procs:
+            proc.wait()
+
+
+_WORKERS: _Workers | None = None
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _workers(n: int) -> _Workers:
+    """The running workers, started first if there are none or not ``n``."""
+    global _WORKERS
+    if _WORKERS is None or len(_WORKERS.procs) != n:
+        shutdown_workers()
+        _WORKERS = _Workers(n)
+    return _WORKERS
+
+
+def _worker_failed(proc: Any, cause: Exception) -> NoReturn:
+    shutdown_workers(kill=True)
+    raise RuntimeError(
+        f"experiment worker {proc.pid} stopped with exit status {proc.returncode}; "
+        "its error, if any, is on stderr above"
+    ) from cause
+
+
+def shutdown_workers(kill: bool = False) -> None:
+    """Stop the worker processes of :func:`run_experiment` and wait for them to
+    exit; ``kill`` stops them mid-chunk.  Runs at interpreter exit; the next call
+    with ``threads > 1`` starts new ones."""
+    global _WORKERS
+    workers, _WORKERS = _WORKERS, None
+    if workers is not None:
+        workers.close(kill)
+
+
+atexit.register(shutdown_workers)
+
+
+def _serve() -> None:
+    """A worker's loop: answer each pickled chunk on stdin with ``(True, outputs)``,
+    or ``(False, error)`` if the step raised; return at end of input."""
+    import pickle
+    import signal
+    import traceback
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and stops its workers
+    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+    sys.stdout = sys.stderr  # nothing but answers may reach the answer stream
+    while True:
+        try:
+            chunk = pickle.load(stdin)
+        except EOFError:
+            return
+        try:
+            answer = (True, list(_run_chunk(chunk)))
+        except Exception as exc:  # the parent raises it in turn; its traceback goes to stderr
+            traceback.print_exc()
+            answer = (False, exc)
+        pickle.dump(answer, stdout, protocol=pickle.HIGHEST_PROTOCOL)
+        stdout.flush()
+
+
+def _step_replaced() -> bool:
+    """Whether a function the step calls was replaced in this process, as a
+    test's monkeypatch or a tracer does.  A worker imports the package afresh
+    and would run the original, so the step then runs here."""
+    return any(globals()[name] is not fn for name, fn in _STEP_FUNCTIONS.items())
+
+
+_STEP_FUNCTIONS = {
+    name: globals()[name] for name in ("_run_chunk", "sem_sample", "weak_instrument_stat", "estimate")
+}
+
+
+def _cell_outputs(
+    cells: list[_Cell], specs: tuple[EstimatorSpec, ...], cfg: ExperimentConfig, threads: int
+) -> Iterator[Iterable[_RepOutput]]:
+    """Each cell's repetition outputs, in cell order: from workers in chunks of
+    ``CHUNK_REPS``, one per chunk up to ``threads`` and the CPU count, or from
+    this process where that leaves one or a step function was replaced."""
+    def chunk(index: int, reps: range) -> _Chunk:
+        cell = cells[index]
+        return _Chunk(cell.model, cell.n, index, reps, specs, cfg.master_seed, cfg.p_min)
+
+    starts = range(0, cfg.repetitions, CHUNK_REPS)
+    n = min(threads, len(cells) * len(starts), _cpu_count())
+    if n <= 1 or _step_replaced():
+        for index in range(len(cells)):
+            yield _run_chunk(chunk(index, range(cfg.repetitions)))
+        return
+    answers = _workers(n).map(
+        chunk(index, range(start, min(start + CHUNK_REPS, cfg.repetitions)))
+        for index in range(len(cells))
+        for start in starts
+    )
+    try:
+        for _ in cells:
+            yield itertools.chain.from_iterable(itertools.islice(answers, len(starts)))
+    finally:
+        answers.close()
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Execute a design and return cells plus canonical CSV rows.
 
-    Deterministic for a fixed ``master_seed``.  Cells always run serially;
-    ``threads`` is ignored and stays only until the benchmark is next revised.
+    Deterministic for a fixed ``master_seed``, and the same bytes for every
+    ``threads``: each repetition draws from its own stream, and each cell is
+    reduced in this process in repetition order.  ``threads = 1`` runs every
+    repetition here.  ``threads = N > 1`` runs the repetitions of a grid design
+    on worker processes, in chunks of up to ``CHUNK_REPS`` repetitions of one
+    cell, while this process reduces each cell as its chunks come back.  It
+    starts at most N workers, and no more than there are chunks or CPUs; where
+    that leaves one, the repetitions run here.  They run here too when a
+    function the step calls has been replaced in this process (a test's
+    monkeypatch, a tracer), since a worker would run the original.  The
+    workers start on first use and serve later calls with the same count,
+    until :func:`shutdown_workers` or interpreter exit: starting them costs
+    more than a short study (about 0.5 s against 0.3 s for the benchmark's
+    ``mc-mv-parallel`` grid).  Each runs one BLAS thread: a serial study
+    already keeps about two cores busy through BLAS threads, so workers that
+    kept theirs would compete for the cores and run slower than serial.
+    ``robustness-e1`` always runs here.
+
+    Raises
+    ------
+    ValueError
+        If ``threads`` is below 1.
+    RuntimeError
+        If a worker process stops; the workers are then stopped too.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if cfg.design == "robustness-e1":
         return _run_robustness_e1(cfg)
     param_names, default_estimators, _ = _GRID_DESIGNS[cfg.design]
-    specs = tuple((e, EstimatorSpec.parse(e)) for e in cfg.estimators or default_estimators)
-    results = [_run_cell(cell, i, specs, cfg) for i, cell in enumerate(_cells(cfg))]
+    estimators = tuple((e, EstimatorSpec.parse(e)) for e in cfg.estimators or default_estimators)
+    cells = _cells(cfg)
+    outputs = _cell_outputs(cells, tuple(spec for _, spec in estimators), cfg, threads)
+    try:
+        results = [_reduce_cell(cell, estimators, out) for cell, out in zip(cells, outputs)]
+    finally:
+        outputs.close()  # a stopped call leaves no answer in flight for the next
 
     rows = [row for cell in results for row in _metric_rows(cell, param_names)]
     columns = [*param_names, "estimator", "metric", "value", "repetitions_used"]

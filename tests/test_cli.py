@@ -366,7 +366,8 @@ class TestEstimate:
         assert proc.returncode == 3
         assert proc.stderr == "data error: empty.csv contains no data rows\n"
 
-    def test_singular_gram_exits_four(self, tmp_path, capsys):
+    @staticmethod
+    def _duplicated_instrument(tmp_path):
         rng = np.random.default_rng(5)
         data = tmp_path / "dup.csv"
         with open(data, "w") as fh:
@@ -374,24 +375,28 @@ class TestEstimate:
             for _ in range(30):
                 y, x, a = rng.normal(size=3)
                 fh.write(f"{y},{x},{a},{a}\n")  # duplicated instrument column
-        code = main(
-            [
-                "estimate",
-                "--data",
-                str(data),
-                "--target",
-                "y",
-                "--endogenous",
-                "x1",
-                "--instruments",
-                "a1,a2",
-                "--estimator",
-                "tsls",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 4
-        assert "SingularGram" in captured.err
+        return data, ["estimate", "--data", str(data), "--target", "y", "--endogenous", "x1",
+                      "--instruments", "a1,a2"]
+
+    def test_singular_gram_exits_four(self, tmp_path, capsys):
+        _, args = self._duplicated_instrument(tmp_path)
+        for label in ("tsls", "pulse"):
+            code = main([*args, "--estimator", label])
+            captured = capsys.readouterr()
+            assert code == 4
+            assert "SingularGram: Gram matrix A^T A" in captured.err
+
+    def test_ols_needs_no_regular_instrument_gram(self, tmp_path, capsys):
+        """OLS on a singular ``A^T A`` is reported, without a test statistic."""
+        data, args = self._duplicated_instrument(tmp_path)
+        report = tmp_path / "r.json"
+        assert main([*args, "--estimator", "ols", "--json", str(report)]) == 0
+        assert "weak instruments: unavailable" in capsys.readouterr().out
+        (row,) = json.loads(report.read_text())["estimates"]
+        assert row["test_statistic"] is None and row["accepted"] is None
+        table = np.loadtxt(data, delimiter=",", skiprows=1)
+        y, x = table[:, 0] - table[:, 0].mean(), table[:, 1] - table[:, 1].mean()
+        assert row["alpha"]["x1"] == pytest.approx((x @ y) / (x @ x), rel=1e-9)
 
 
 class TestExperiment:
@@ -529,6 +534,21 @@ class TestExperiment:
         assert main([*args, "--out", str(threaded)]) == 0
         csv_bytes = (threaded / "underid-e3.csv").read_bytes()
         assert csv_bytes == (plain / "underid-e3.csv").read_bytes()
+
+    def test_workers_write_the_same_files(self, tmp_path):
+        args = ["experiment", "--design", "underid-e3", "--reps", "3", "--seed", "1"]
+        assert main([*args, "--out", str(tmp_path / "one")]) == 0
+        assert main([*args, "--workers", "2", "--out", str(tmp_path / "two")]) == 0
+        for name in ("underid-e3.csv", "manifest.json"):
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_a_usage_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        args = ["experiment", "--design", "underid-e3", "--workers", workers, "--out", str(out)]
+        assert main(args) == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_flag_and_environment_are_gone(self, tmp_path, monkeypatch, capsys):
         args = ["experiment", "--design", "underid-e3", "--reps", "2", "--seed", "1"]

@@ -32,6 +32,19 @@ class TestKclass:
         np.testing.assert_allclose(res.alpha, expected, atol=1e-10)
         assert res.kappa_used == 0.0 and res.lambda_used == 0.0
 
+    def test_ols_ignores_collinear_instruments(self):
+        """OLS reads only ``Z^T Z`` and ``Z^T y``; a repeated instrument column
+        makes ``A^T A`` singular, which only the estimators that need it report."""
+        rng = np.random.default_rng(5)
+        y, x, a = rng.normal(size=(3, 50))
+        view = DesignView(Dataset(y=y, x=x[:, None], a=np.column_stack([a, a])))
+        res = estimate(view, EstimatorSpec("ols"))
+        expected = np.linalg.lstsq(x[:, None], y, rcond=None)[0]
+        np.testing.assert_allclose(res.alpha, expected, rtol=1e-12, atol=0)
+        for label in ("tsls", "pulse"):
+            with pytest.raises(SingularGram, match=r"A\^T A"):
+                estimate(view, EstimatorSpec.parse(label))
+
     def test_kappa_one_just_identified_moment_condition(self):
         view = make_instance(1, n=60, d1=1, q=1)
         res = estimate(view, EstimatorSpec("kclass", 1.0))

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import shutil
+import sys
+
 import numpy as np
 import pytest
 
+from pulse_iv import experiments
 from pulse_iv.data import DesignView
 from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.exceptions import SingularGram
@@ -267,7 +271,7 @@ class TestRunExperiment:
         r1 = run_experiment(cfg)
         r2 = run_experiment(cfg)
         assert r1.rows == r2.rows
-        # the keyword the benchmark passes is accepted and changes nothing
+        # worker processes run the repetitions; the parent reduces them in order
         assert run_experiment(cfg, threads=2).rows == r1.rows
 
     def test_csv_and_manifest_round_trip(self, tmp_path):
@@ -498,5 +502,113 @@ class TestCellMapping:
         "cfg", [c[0] for c in CELL_MAPPING_CASES], ids=[c[0].design for c in CELL_MAPPING_CASES]
     )
     def test_two_threads_give_the_same_rows(self, cfg):
-        # cells run serially whatever ``threads`` says: two runs of each design agree
+        # two worker processes run the repetitions; the parent reduces them in order
         assert run_experiment(cfg, threads=2).rows == run_experiment(cfg).rows
+
+
+#: Every design of ``CELL_MAPPING_CASES``, and one whose ``kclass:1`` fails on every
+#: repetition, so the workers' ``excluded_UnderIdentified`` counts are merged too.
+WORKER_CASES = [c[0] for c in CELL_MAPPING_CASES] + [
+    ExperimentConfig(
+        design="underid-e3", repetitions=7, master_seed=17, n_values=(100, 10000),
+        estimators=("pulse", "modified-tsls", "kclass:1"),
+    ),
+]
+
+
+class TestWorkers:
+    """``threads > 1`` runs the repetitions on worker processes: the same bytes."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        """As many workers as asked for, up to 3, on any machine."""
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 3)
+
+    @pytest.mark.parametrize(
+        "cfg", WORKER_CASES, ids=[c[0].design for c in CELL_MAPPING_CASES] + ["underid-e3-kclass1"]
+    )
+    def test_any_worker_count_gives_the_same_files(self, cfg, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "CHUNK_REPS", 2)  # cells split across workers
+        serial = run_experiment(cfg)
+        files = [p.read_bytes() for p in write_result(serial, tmp_path / "1")]
+        for threads in (2, 3):
+            result = run_experiment(cfg, threads=threads)
+            assert result.rows == serial.rows
+            assert [p.read_bytes() for p in write_result(result, tmp_path / str(threads))] == files
+        if cfg.estimators and "kclass:1" in cfg.estimators:
+            assert [c.failures["kclass:1"] for c in result.cells] == [{"UnderIdentified": 7}] * 2
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_fewer_than_one_thread_is_refused(self, threads):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_experiment(CELL_MAPPING_CASES[0][0], threads=threads)
+
+    def test_workers_exit_when_shut_down(self):
+        cfg = CELL_MAPPING_CASES[2][0]
+        first = run_experiment(cfg, threads=2)
+        procs = list(experiments._WORKERS.procs)
+        assert run_experiment(cfg, threads=2).rows == first.rows
+        assert experiments._WORKERS.procs == procs  # a later call reuses them
+        experiments.shutdown_workers()
+        assert experiments._WORKERS is None
+        assert [p.returncode for p in procs] == [0, 0]
+        assert run_experiment(cfg, threads=2).rows == first.rows  # and new ones start on demand
+        experiments.shutdown_workers()
+
+    @pytest.mark.parametrize("cpus, chunk_reps, started", [(3, 5, 2), (3, 1, 3), (1, 1, 0)])
+    def test_workers_are_no_more_than_chunks_or_cpus(self, monkeypatch, cpus, chunk_reps, started):
+        cfg = CELL_MAPPING_CASES[3][0]  # 2 cells of 5 repetitions
+        serial = run_experiment(cfg)
+        experiments.shutdown_workers()
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(experiments, "CHUNK_REPS", chunk_reps)
+        assert run_experiment(cfg, threads=1000).rows == serial.rows
+        workers = experiments._WORKERS
+        assert (len(workers.procs) if workers else 0) == started
+        experiments.shutdown_workers()
+
+    def test_a_replaced_step_function_runs_in_this_process(self, monkeypatch):
+        """A monkeypatch or a tracer sees every call: a worker would run the original."""
+        cfg = CELL_MAPPING_CASES[3][0]
+        serial = run_experiment(cfg)
+        experiments.shutdown_workers()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].kind)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "estimate", counted)
+        assert run_experiment(cfg, threads=2).rows == serial.rows
+        assert experiments._WORKERS is None
+        assert len(calls) == len(serial.cells) * cfg.repetitions * len(serial.cells[0].metrics)
+
+    def test_a_worker_that_dies_at_start_is_an_error_not_a_respawn(self, monkeypatch):
+        false = shutil.which("false")
+        if false is None:
+            pytest.skip("no `false` executable")
+        experiments.shutdown_workers()
+        monkeypatch.setattr(sys, "executable", false)
+        with pytest.raises(RuntimeError, match="experiment worker .* stopped"):
+            run_experiment(CELL_MAPPING_CASES[2][0], threads=2)
+        assert experiments._WORKERS is None
+
+    def test_a_stopped_call_leaves_no_answer_for_the_next(self, monkeypatch):
+        """A reduction that raises mid-study, its traceback still held, leaves no
+        answer in flight for the next call to read as its own."""
+        cfg = CELL_MAPPING_CASES[2][0]
+        serial = run_experiment(cfg)
+        monkeypatch.setattr(experiments, "CHUNK_REPS", 1)  # several chunks in flight
+        reduce_cell = experiments._reduce_cell
+
+        def reduce_one_then_fail(cell, estimators, outputs):
+            next(iter(outputs))
+            raise KeyError("stop")
+
+        monkeypatch.setattr(experiments, "_reduce_cell", reduce_one_then_fail)
+        with pytest.raises(KeyError) as held:
+            run_experiment(cfg, threads=2)
+        monkeypatch.setattr(experiments, "_reduce_cell", reduce_cell)
+        assert run_experiment(cfg, threads=2).rows == serial.rows
+        assert held.traceback  # held to here, and with it the stopped call's frames
+        experiments.shutdown_workers()
