@@ -17,7 +17,7 @@ from pulse_iv import (
     e1_model,
     e1_superiority_interval,
     estimate,
-    population_kclass,
+    population_moments,
     sem_sample,
     wcmspe_curve_e1,
 )
@@ -27,8 +27,9 @@ model = e1_model()
 partition = ModelPartition.all_endogenous(1)
 
 print("population K-class coefficients")
+moments = population_moments(model, None, partition)
 for kappa in (0.0, 0.75, 1.0):
-    value = population_kclass(model, partition, kappa)[0]
+    value = estimate(moments, EstimatorSpec("kclass", kappa)).alpha[0]
     print(f"  kappa = {kappa:4.2f}  ->  {value:.4f}")
 
 print("\nfinite-sample estimates, n = 2000, five seeds")

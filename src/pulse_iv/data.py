@@ -28,6 +28,8 @@ RCOND_GRAM = 1e-12
 
 #: Largest penalty that :meth:`KClassPath.alpha` solves in ``kappa`` form;
 #: rounding ``kappa`` moves a penalty ``lam`` by at most ``lam^2 2^-53 < 2^-33``.
+#: It stays as the ``lambda`` form moves estimates by about 1e-15, which adds or
+#: drops ``rel_change_*`` rows in cells whose repetitions coincide (ROADMAP 1, 3).
 KAPPA_FORM_MAX = 2.0**10
 
 
@@ -377,8 +379,10 @@ class KClassPath:
     ``b1 = V^T S^T s_y``, and each system's condition in ``O(k)``.  Taken as the SVD
     of ``S L^{-T}`` (``Z^T Z = L L^T``), it makes the ``k - q`` zero ``d`` of an
     under-identified design, and their ``b1``, exact zeros.  Penalties in
-    ``[0, KAPPA_FORM_MAX]`` use the ``kappa`` form, bit for bit as earlier releases;
-    the others the ``lambda`` form, exact where ``kappa`` rounds towards one.
+    ``[0, KAPPA_FORM_MAX]`` use the ``kappa`` form, as the ``lambda`` form moves
+    estimates by about 1e-15, which adds or drops ``rel_change_*`` rows in cells
+    whose repetitions coincide (ROADMAP items 1 and 3); the others use the
+    ``lambda`` form, exact where ``kappa`` rounds towards one.
 
     With ``y'y`` and ``s_y's_y`` kept too, :meth:`losses` gives both losses at a
     path point in ``O(k)``, without the point: at ``c = (b0 + lam b1) / (1 + lam d)``,
@@ -432,8 +436,8 @@ class KClassPath:
 
 class GramView:
     """The six cross products of ``(y, Z, A)`` under one partition, and all that is
-    computed from them alone: identification, condition numbers, both losses and
-    the cached :class:`KClassPath`.  Construction only stores the products;
+    computed from them alone: identification, condition numbers, both losses, the
+    cached :class:`KClassPath` and its solves.  Construction only stores the products;
     the condition numbers, the whitened pieces and the path are each computed
     on first read and cached.
 
@@ -508,29 +512,6 @@ class GramView:
             raise SingularGram("Z^T Z", self.rcond_ztz)
         return KClassPath(self.ztz, self.zty, s, sy, self.yty)
 
-
-class DesignView(GramView):
-    """A :class:`GramView` built from the rows of a :class:`Dataset`, which it keeps
-    as ``dataset`` (``Z = [X_* A_*]`` is its columns under ``partition``), with
-    ``coef_names``."""
-
-    def __init__(self, dataset: Dataset, partition: ModelPartition | None = None):
-        if partition is None:
-            partition = ModelPartition.all_endogenous(dataset.d)
-        partition.validate(dataset.d, dataset.q)
-        self.dataset = dataset
-        x_star = dataset.x[:, list(partition.included_endogenous)]
-        a_star = dataset.a[:, list(partition.included_exogenous)]  # (n, 0) when q1 = 0
-        z = np.hstack([x_star, a_star])
-        self.coef_names = tuple(dataset.x_names[i] for i in partition.included_endogenous) + tuple(
-            dataset.a_names[i] for i in partition.included_exogenous
-        )
-        a, y = dataset.a, dataset.y
-        super().__init__(
-            partition, dataset.q, dataset.n,
-            ztz=z.T @ z, ata=a.T @ a, atz=a.T @ z, zty=z.T @ y, aty=a.T @ y, yty=y @ y,
-        )
-
     def kclass_solve(self, kappa: float) -> np.ndarray:
         """Closed-form K-class solution, the minimizer of ``(1 - kappa) l_OLS + kappa l_IV``:
         :attr:`path` in ``kappa`` form, equal to its ``lambda`` form
@@ -556,3 +537,30 @@ class DesignView(GramView):
         if self.identification is IdentificationClass.OVER:
             return self.iv_loss(self.kclass_solve(1.0))
         return 0.0
+
+
+class DesignView(GramView):
+    """A :class:`GramView` built from the rows of a :class:`Dataset`, which it keeps
+    as ``dataset`` (``Z = [X_* A_*]`` is its columns under ``partition``), with
+    ``coef_names``."""
+
+    def __init__(self, dataset: Dataset, partition: ModelPartition | None = None):
+        if partition is None:
+            partition = ModelPartition.all_endogenous(dataset.d)
+        partition.validate(dataset.d, dataset.q)
+        self.dataset = dataset
+        x_star = dataset.x[:, list(partition.included_endogenous)]
+        a_star = dataset.a[:, list(partition.included_exogenous)]  # (n, 0) when q1 = 0
+        z = np.hstack([x_star, a_star])
+        self.coef_names = tuple(dataset.x_names[i] for i in partition.included_endogenous) + tuple(
+            dataset.a_names[i] for i in partition.included_exogenous
+        )
+        a, y = dataset.a, dataset.y
+        super().__init__(
+            partition, dataset.q, dataset.n,
+            ztz=z.T @ z, ata=a.T @ a, atz=a.T @ z, zty=z.T @ y, aty=a.T @ y, yty=y @ y,
+        )
+
+    # bench/spans.py counts K-class solves by wrapping this class's own entry, which
+    # its self-test asserts is found; once it wraps GramView's, the alias can go.
+    kclass_solve = GramView.kclass_solve

@@ -4,15 +4,14 @@
 OLS, TSLS, K-class, LIML and Fuller(a) are points of the K-class path, each
 picked by a rule for its ``kappa``: ``0``, ``1``, the given value,
 :func:`liml_kappa` and :func:`fuller_kappa`.  :func:`estimate` applies the
-rule and makes one :meth:`~pulse_iv.data.DesignView.kclass_solve`.  Anchor
+rule and makes one :meth:`~pulse_iv.data.GramView.kclass_solve`.  Anchor
 regression is given by its penalty ``lambda``, so it is solved in the path's
 ``lambda`` parametrisation (:meth:`~pulse_iv.data.KClassPath.alpha`): that
-takes any ``lambda > -1``, stays exact where ``kappa`` would round towards one,
-and needs only a :class:`~pulse_iv.data.GramView`, so anchor regression also
-runs on :func:`~pulse_iv.sem.population_moments`, as :func:`modified_tsls` for
-under-identified systems does.  PULSE (:mod:`pulse_iv.pulse`) is one more kind.
-Every routine is a pure function of its view's cached Gram products, apart
-from LIML's ``kappa``, which reads the view's rows.
+takes any ``lambda > -1`` and stays exact where ``kappa`` would round towards
+one.  PULSE (:mod:`pulse_iv.pulse`) is one more kind.  Every routine is a pure
+function of its view's cached Gram products, so it runs on any
+:class:`~pulse_iv.data.GramView`, :func:`~pulse_iv.sem.population_moments`
+included, apart from LIML's ``kappa``, which reads a ``DesignView``'s rows.
 """
 
 from __future__ import annotations
@@ -171,6 +170,12 @@ def min_generalized_eigenvalue(w1: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(inner)[0])
 
 
+def _check_rows(view: GramView) -> None:
+    """LIML's ``kappa`` reads data rows, which only a ``DesignView`` has."""
+    if not isinstance(view, DesignView):
+        raise TypeError(f"LIML and Fuller need a DesignView's rows, not a {type(view).__name__}")
+
+
 def _liml_blocks(view: DesignView) -> tuple[np.ndarray, np.ndarray]:
     """Cross-product matrices ``W`` and ``W1`` for the LIML eigenproblem."""
     ds, part = view.dataset, view.partition
@@ -193,7 +198,7 @@ def _liml_blocks(view: DesignView) -> tuple[np.ndarray, np.ndarray]:
     return w1, w
 
 
-def liml_kappa(view: DesignView) -> float:
+def liml_kappa(view: GramView) -> float:
     """Data-driven ``kappa`` of the limited-information ML estimator.
 
     Smallest eigenvalue of ``W1 W^{-1}`` where ``W`` and ``W1`` are the
@@ -204,8 +209,10 @@ def liml_kappa(view: DesignView) -> float:
 
     Computed once per view: the first successful call stores the value on
     ``view``, and later calls (LIML, Fuller for every ``a``, PULSE's fallback)
-    return it.  A failure is not stored, so it is raised on every call.
+    return it.  A failure is not stored, so it is raised on every call.  A view
+    without rows, such as :func:`~pulse_iv.sem.population_moments`, gives a TypeError.
     """
+    _check_rows(view)
     if view.q2 < 1:
         raise ValueError("LIML requires at least one excluded instrument (q2 >= 1)")
     cache = vars(view)  # this module's entry in the view's instance dict
@@ -218,9 +225,10 @@ def liml_kappa(view: DesignView) -> float:
     return cache["liml_kappa"]
 
 
-def fuller_kappa(view: DesignView, a: float) -> float:
-    """Fuller adjustment ``kappa_LIML - a / (n - q)``; requires ``n > q``."""
+def fuller_kappa(view: GramView, a: float) -> float:
+    """Fuller adjustment ``kappa_LIML - a / (n - q)``; requires ``n > q`` and rows."""
     EstimatorSpec("fuller", a)  # the spec checks the domain
+    _check_rows(view)
     if view.n <= view.q:
         raise ValueError(f"fuller requires n > q; got n={view.n}, q={view.q}")
     return liml_kappa(view) - a / (view.n - view.q)
@@ -243,17 +251,16 @@ def estimate(
     kind (default ``PulseConfig()``) and is not read by any other.
 
     ``ols``, ``tsls``, ``kclass``, ``liml`` and ``fuller`` are each a rule for
-    ``kappa`` (``_KAPPA``) feeding one :meth:`~pulse_iv.data.DesignView.kclass_solve`,
-    which needs a :class:`~pulse_iv.data.DesignView`; they report ``kappa_used``
-    and ``lambda_used = kappa / (1 - kappa)`` (``None`` at ``kappa >= 1``).
-    ``tsls`` (or any ``kappa = 1``) raises
+    ``kappa`` (``_KAPPA``) feeding one :meth:`~pulse_iv.data.GramView.kclass_solve`;
+    they report ``kappa_used`` and ``lambda_used = kappa / (1 - kappa)`` (``None``
+    at ``kappa >= 1``).  ``tsls`` (or any ``kappa = 1``) raises
     :class:`~pulse_iv.exceptions.UnderIdentified` if ``q2 < d1``.
     ``anchor`` is given as its ``lambda`` and solved by
     :meth:`~pulse_iv.data.KClassPath.alpha`, which takes any ``lambda > -1`` and
     stays exact for large penalties, where ``kappa = lambda / (1 + lambda)``
-    rounds towards one.  Like ``modified-tsls``, it reads only the Gram
-    products, so on :func:`~pulse_iv.sem.population_moments` both give the
-    population estimand.
+    rounds towards one.  Every kind but ``liml`` and ``fuller`` reads only the
+    Gram products, so on :func:`~pulse_iv.sem.population_moments` it gives the
+    population estimand; those two raise :class:`TypeError` on a view without rows.
     """
     if spec.kind == "anchor":
         lam = spec.value

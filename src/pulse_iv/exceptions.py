@@ -23,9 +23,9 @@ class SingularGram(PulseIVError):
         detail = f" (rcond={rcond:.3e})" if rcond is not None else ""
         super().__init__(f"Gram matrix {matrix_name} is numerically singular{detail}")
 
-
-class SingularPopulationGram(PulseIVError):
-    """A population moment matrix is numerically singular."""
+    def __reduce__(self):
+        # the default passes the formatted message back in as ``matrix_name``
+        return SingularGram, (self.matrix_name, self.rcond)
 
 
 class UnderIdentified(PulseIVError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .data import DesignView, psd_inverse_sqrt, RCOND_GRAM
+from .data import GramView, psd_inverse_sqrt, RCOND_GRAM
 from .exceptions import DegenerateResidual, SingularGram, ZeroResidual
 
 PLAIN = "plain"
@@ -109,7 +109,7 @@ class ViewTest:
     ``threshold`` are fixed once, and every verdict (:meth:`accepts`,
     :meth:`result`, the PULSE search) compares :meth:`statistic` with them."""
 
-    def __init__(self, view: DesignView, cfg: TestConfig | None = None):
+    def __init__(self, view: GramView, cfg: TestConfig | None = None):
         cfg = cfg or TestConfig()
         self.view = view
         self.scale, self.threshold = cfg.scale(view.n, view.q), cfg.threshold(view.q)
@@ -135,7 +135,7 @@ class ViewTest:
         )
 
 
-def test_statistic(view: DesignView, alpha: np.ndarray, cfg: TestConfig | None = None) -> TestResult:
+def test_statistic(view: GramView, alpha: np.ndarray, cfg: TestConfig | None = None) -> TestResult:
     """Test the hypothesis that the exogenous variables are uncorrelated with
     the residual ``y - Z alpha``.
 
@@ -148,7 +148,7 @@ def test_statistic(view: DesignView, alpha: np.ndarray, cfg: TestConfig | None =
     return ViewTest(view, cfg).result(alpha)
 
 
-def ar_statistic(view: DesignView, alpha: np.ndarray) -> float:
+def ar_statistic(view: GramView, alpha: np.ndarray) -> float:
     """Anderson-Rubin F-form statistic ``(n-q)/q * l_IV / (l_OLS - l_IV)``.
 
     Accepting ``ar_statistic(alpha) <= chi2_quantile(q, 1-p)/q`` is equivalent
@@ -168,7 +168,7 @@ def ar_statistic(view: DesignView, alpha: np.ndarray) -> float:
     return float((view.n - view.q) / view.q * li / gap)
 
 
-def weak_instrument_stat(view: DesignView) -> WeakInstrumentReport:
+def weak_instrument_stat(view: GramView) -> WeakInstrumentReport:
     """Multivariate first-stage F-statistic ``G_n`` for the included endogenous block.
 
     ``G_n = Sigma^{-1/2} X^T P_A X Sigma^{-1/2} / q`` with

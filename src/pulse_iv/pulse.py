@@ -51,7 +51,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .data import DesignView, IdentificationClass
+from .data import GramView, IdentificationClass
 from .estimators import EstimateResult, EstimatorSpec, estimate
 from .exceptions import NonMonotoneDetected, OutOfDomain, ZeroResidual
 from .inference import ZERO_RESIDUAL, TestConfig, ViewTest
@@ -197,7 +197,7 @@ def _smallest_accepted(accepts: Callable[[float], bool], width: float) -> tuple[
     return rejected, accepted
 
 
-def pulse_estimate(view: DesignView, cfg: PulseConfig | None = None) -> PulseResult:
+def pulse_estimate(view: GramView, cfg: PulseConfig | None = None) -> PulseResult:
     """PULSE with fallback: total on every input satisfying the rank conditions.
 
     Branches: (i) over-identified with TSLS on or outside the acceptance
@@ -229,7 +229,7 @@ def pulse_estimate(view: DesignView, cfg: PulseConfig | None = None) -> PulseRes
     return PulseResult(alpha=alpha, kappa_used=lam / (1.0 + lam), lambda_used=lam, message=branch)
 
 
-def primal_solve(view: DesignView, t: float) -> np.ndarray:
+def primal_solve(view: GramView, t: float) -> np.ndarray:
     """Unique minimizer of ``l_OLS`` subject to ``l_IV <= t``.
 
     Exploits monotonicity of ``l_IV`` along the K-class path: the constraint

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.special
 
 from .data import Dataset, GramView, ModelPartition, rcond_symmetric, RCOND_GRAM
-from .exceptions import DataError, NonStationary, SingularGram, SingularPopulationGram
+from .exceptions import DataError, NonStationary
 
 SPECTRAL_MARGIN = 1e-8
 
@@ -46,6 +46,8 @@ def _gaussians(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normal draws via inverse CDF on a Philox counter stream."""
     gen = philox_generator(seed, stream)
     u = (gen.integers(0, 1 << 53, size=shape).astype(float) + 0.5) / float(1 << 53)
+    # k = 2^53 - 1 rounds to u = 1.0, where ndtri is inf; the cap moves that k alone
+    np.minimum(u, np.nextafter(1.0, 0.0), out=u)
     return scipy.special.ndtri(u)
 
 
@@ -279,21 +281,6 @@ def population_moments(
         ata=e_aa,
         yty=e_vv[y, y],
     )
-
-
-def population_kclass(
-    model: SemModel, partition: ModelPartition, kappa: float
-) -> np.ndarray:
-    """Population K-class estimand, ``kappa`` in ``[0, 1]``: the
-    :meth:`~pulse_iv.data.KClassPath.kclass` point of the population moments'
-    path; :class:`SingularPopulationGram` if one of its systems is singular."""
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
-    mom = population_moments(model, None, partition)
-    try:
-        return mom.path.kclass(kappa)
-    except SingularGram as exc:
-        raise SingularPopulationGram(str(exc)) from None
 
 
 def worst_case_mspe(

@@ -8,11 +8,18 @@ import numpy as np
 from hypothesis import settings
 
 from pulse_iv.data import Dataset, DesignView, IdentificationClass, ModelPartition
+from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.pulse import PulseConfig, primal_solve
+from pulse_iv.sem import SemModel, population_moments
 
 #: CI runs the tier-1 tests with ``--hypothesis-profile=ci``: properties that do
 #: not pin ``max_examples`` get ten times the default, on a fixed example sequence.
 settings.register_profile("ci", max_examples=1000, derandomize=True)
+
+
+def kclass_estimand(model: SemModel, partition: ModelPartition, kappa: float) -> np.ndarray:
+    """The population K-class point at ``kappa``: ``estimate`` on the exact moments."""
+    return estimate(population_moments(model, None, partition), EstimatorSpec("kclass", kappa)).alpha
 
 
 def make_instance(

@@ -24,14 +24,19 @@ from pulse_iv.pulse import PulseConfig, PulseMessage, primal_solve, pulse_estima
 from pulse_iv.sem import (
     e1_model,
     e1_superiority_interval,
-    population_kclass,
     population_pulse_underid,
     round_interval_inward,
     sem_sample,
     univariate_model,
 )
 
-from conftest import make_instance, oracle_lambda_bisection, penalized_loss_minimizer, t_star
+from conftest import (
+    kclass_estimand,
+    make_instance,
+    oracle_lambda_bisection,
+    penalized_loss_minimizer,
+    t_star,
+)
 
 
 def report(cid: str, ok: bool, detail: str) -> None:
@@ -161,7 +166,7 @@ def test_c05_e1_population_and_finite_sample():
     part = ModelPartition((0,))
     targets = {0.0: 1.25, 0.75: 1.1, 1.0: 1.0}
     pop_ok = all(
-        abs(population_kclass(model, part, k)[0] - v) <= 1e-10 for k, v in targets.items()
+        abs(kclass_estimand(model, part, k)[0] - v) <= 1e-10 for k, v in targets.items()
     )
     sums = {k: 0.0 for k in targets}
     seeds = 50

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from pulse_iv import inference
 from pulse_iv.data import Dataset, DesignView, center, load_csv, CsvSchema
 from pulse_iv.estimators import EstimateResult, EstimatorSpec, estimate
-from pulse_iv.exceptions import DataError
+from pulse_iv.exceptions import DataError, SingularGram
 from pulse_iv.inference import ANDERSON_RUBIN, PLAIN, TestConfig
 from pulse_iv.pulse import PulseConfig, PulseMessage, pulse_estimate
 from pulse_iv.sem import (
@@ -99,6 +100,14 @@ class TestInterventionValidation:
     def test_sample_size_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             sem_sample(e1_model(), 0, seed=0)
+
+
+class TestExceptionPickling:
+    @pytest.mark.parametrize("rcond", [None, 0.0])
+    def test_singular_gram_round_trip(self, rcond):
+        exc = SingularGram("A^T A", rcond)
+        back = pickle.loads(pickle.dumps(exc))
+        assert (back.matrix_name, back.rcond, str(back)) == ("A^T A", rcond, str(exc))
 
 
 class TestDataEdges:

@@ -18,9 +18,15 @@ from pulse_iv.estimators import (
 )
 from pulse_iv.exceptions import InfeasibleConstraint, SingularGram, UnderIdentified
 from pulse_iv.pulse import PulseConfig, PulseMessage, pulse_estimate
-from pulse_iv.sem import e3_model, population_kclass, population_pulse_underid, sem_sample
+from pulse_iv.sem import e3_model, population_pulse_underid, sem_sample
 
-from conftest import invalid_instrument_view, make_instance, penalized_loss_minimizer, raw_matrices
+from conftest import (
+    invalid_instrument_view,
+    kclass_estimand,
+    make_instance,
+    penalized_loss_minimizer,
+    raw_matrices,
+)
 
 
 class TestKclass:
@@ -379,7 +385,7 @@ class TestConsistency:
 
         model = univariate_model(q=2, rho=0.5, r2=0.3)
         partition = ModelPartition((0,))
-        pops = {k: population_kclass(model, partition, k) for k in (0.0, 0.5, 0.9)}
+        pops = {k: kclass_estimand(model, partition, k) for k in (0.0, 0.5, 0.9)}
         wins = {k: 0 for k in pops}
         seeds = 100
         for seed in range(seeds):

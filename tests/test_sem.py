@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pulse_iv import sem
 from pulse_iv.data import DesignView, ModelPartition
 from pulse_iv.estimators import EstimatorSpec, estimate, modified_tsls
-from pulse_iv.exceptions import DataError, NonStationary, SingularPopulationGram
+from pulse_iv.exceptions import DataError, NonStationary, SingularGram, UnderIdentified
 from pulse_iv.sem import (
     _A_STREAM,
     _NOISE_STREAM,
@@ -28,7 +29,6 @@ from pulse_iv.sem import (
     model_from_json,
     model_to_json,
     mv_varying_model,
-    population_kclass,
     population_moments,
     population_pulse_underid,
     reduced_form_solve,
@@ -38,6 +38,8 @@ from pulse_iv.sem import (
     wcmspe_curve_e1,
     worst_case_mspe,
 )
+
+from conftest import kclass_estimand
 
 
 class TestModelValidation:
@@ -150,6 +152,18 @@ class TestSampling:
         assert np.var(ds.a[:, 0]) == pytest.approx(4.0, abs=0.05)
 
 
+class TestUniforms:
+    def test_top_integer_gives_a_finite_draw(self, monkeypatch):
+        # k + 0.5 rounds up to 2^53 for k = 2^53 - 1, so without a cap u = 1.0
+        class TopDraws:
+            def integers(self, low, high, size):
+                return np.full(size, high - 1, dtype=np.int64)
+
+        monkeypatch.setattr(sem, "philox_generator", lambda seed, stream: TopDraws())
+        z = _gaussians(0, _A_STREAM, (3, 2))
+        assert np.all(np.isfinite(z)) and np.all(z > 8.0)
+
+
 class TestCachedRoots:
     """Sampling with the roots kept per model is bit-equal to recomputing them
     on every draw."""
@@ -243,21 +257,21 @@ class TestPopulationKclass:
     def test_e1_reference_values(self):
         model = e1_model()
         part = ModelPartition((0,))
-        assert population_kclass(model, part, 0.0)[0] == pytest.approx(1.25, abs=1e-10)
-        assert population_kclass(model, part, 0.75)[0] == pytest.approx(1.1, abs=1e-10)
-        assert population_kclass(model, part, 1.0)[0] == pytest.approx(1.0, abs=1e-10)
+        assert kclass_estimand(model, part, 0.0)[0] == pytest.approx(1.25, abs=1e-10)
+        assert kclass_estimand(model, part, 0.75)[0] == pytest.approx(1.1, abs=1e-10)
+        assert kclass_estimand(model, part, 1.0)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_kappa_one_recovers_causal_coefficient(self):
         model = univariate_model(q=2, rho=0.6, r2=0.4, gamma=-0.7)
         part = ModelPartition((0,))
-        assert population_kclass(model, part, 1.0)[0] == pytest.approx(-0.7, abs=1e-10)
+        assert kclass_estimand(model, part, 1.0)[0] == pytest.approx(-0.7, abs=1e-10)
 
     def test_finite_sample_consistency(self):
         model = univariate_model(q=2, rho=0.4, r2=0.3)
         part = ModelPartition((0,))
         view = DesignView(sem_sample(model, 100_000, seed=13))
         for kappa in (0.0, 0.5, 1.0):
-            pop = population_kclass(model, part, kappa)[0]
+            pop = kclass_estimand(model, part, kappa)[0]
             est = estimate(view, EstimatorSpec("kclass", kappa)).alpha[0]
             assert est == pytest.approx(pop, abs=0.02)
 
@@ -279,13 +293,13 @@ class TestPopulationKclass:
                     (1.0 - kappa) * mom.zty + kappa * iv_rhs,
                 )
                 np.testing.assert_allclose(
-                    population_kclass(model, part, kappa), want, rtol=0.0, atol=1e-12
+                    kclass_estimand(model, part, kappa), want, rtol=0.0, atol=1e-12
                 )
 
     def test_singular_population_systems_raise(self):
         model = e3_model()
-        with pytest.raises(SingularPopulationGram):
-            population_kclass(model, model.observed_partition(), 1.0)
+        with pytest.raises(UnderIdentified):
+            kclass_estimand(model, model.observed_partition(), 1.0)
         # X := A exactly, with A also included: E[ZZ^T] is singular at every kappa
         collinear = SemModel(
             b=np.array([[0.0, 0.0], [1.0, 0.0]]),
@@ -295,8 +309,8 @@ class TestPopulationKclass:
             roles=("y", "x"),
         )
         for kappa in (0.0, 0.5):
-            with pytest.raises(SingularPopulationGram):
-                population_kclass(collinear, ModelPartition((0,), (0,)), kappa)
+            with pytest.raises(SingularGram, match=r"Z\^T Z"):
+                kclass_estimand(collinear, ModelPartition((0,), (0,)), kappa)
 
 
 class TestPopulationGramEstimands:
@@ -306,6 +320,16 @@ class TestPopulationGramEstimands:
         alpha = modified_tsls(population_moments(e3_model())).alpha
         want = np.array(population_pulse_underid(1.0, 1.0, 1.0))
         np.testing.assert_allclose(alpha, want, rtol=0.0, atol=1e-12)
+
+    def test_every_gram_only_kind_runs_on_population_moments(self):
+        mom = population_moments(e1_model())
+        want = {"ols": 1.25, "kclass:0.75": 1.1, "tsls": 1.0, "anchor:3": 1.1, "modified-tsls": 1.0}
+        for label, value in want.items():
+            alpha = estimate(mom, EstimatorSpec.parse(label)).alpha
+            assert alpha[0] == pytest.approx(value, abs=1e-10), label
+        for label in ("liml", "fuller"):
+            with pytest.raises(TypeError, match="need a DesignView"):
+                estimate(mom, EstimatorSpec.parse(label))
 
     @pytest.mark.parametrize("partition", [ModelPartition((1,)), ModelPartition((-1,))])
     def test_partition_is_validated_like_a_sample_view(self, partition):
@@ -331,7 +355,7 @@ class TestPopulationGramEstimands:
         for model, part in cases:
             pop = population_moments(model, None, part)
             alpha = estimate(pop, EstimatorSpec("anchor", lam)).alpha
-            want = population_kclass(model, part, lam / (1.0 + lam))
+            want = kclass_estimand(model, part, lam / (1.0 + lam))
             np.testing.assert_allclose(alpha, want, rtol=0.0, atol=1e-12)
 
 
@@ -360,7 +384,7 @@ class TestWorstCaseMspe:
         model = e1_model()
         part = ModelPartition((0,))
         kappa = 0.75
-        star = population_kclass(model, part, kappa)
+        star = kclass_estimand(model, part, kappa)
         best = worst_case_mspe(model, part, star, kappa)
         for g in np.linspace(0.5, 1.5, 201):
             assert best <= worst_case_mspe(model, part, np.array([g]), kappa) + 1e-12
@@ -370,7 +394,7 @@ class TestWorstCaseMspe:
         part = ModelPartition((0,))
         kappa = 0.75
         vals = {
-            k: worst_case_mspe(model, part, population_kclass(model, part, k), kappa)
+            k: worst_case_mspe(model, part, kclass_estimand(model, part, k), kappa)
             for k in (0.0, 0.75, 1.0)
         }
         assert vals[0.75] <= vals[0.0] and vals[0.75] <= vals[1.0]
