@@ -186,8 +186,8 @@ class CsvSchema:
 def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     """Load a dataset from a headered CSV file.
 
-    The file must be UTF-8 with a header row, decimal points and no thousands
-    separators; missing values are an error.
+    The file must be UTF-8 (a leading byte-order mark is skipped) with a header
+    row, decimal points and no thousands separators; missing values are an error.
 
     The header is read with :mod:`csv` and the data rows with numpy's C parser
     in one call.  A file that parser cannot stand in for (one it rejects or
@@ -208,7 +208,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     if not path.exists():
         raise DataError(f"file not found: {path}")
     wanted = [schema.target, *schema.endogenous, *schema.exogenous]
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         cols = _wanted_columns(csv.reader(fh), path, wanted)
         mat = _fast_rows(fh, cols)
     if mat is None:
@@ -275,7 +275,7 @@ def _row_loop(path: Path, wanted: list[str]) -> np.ndarray:
         As :func:`load_csv`, naming the first non-numeric cell by data row
         and column.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         idx = dict(zip(wanted, _wanted_columns(reader, path, wanted)))
         rows: list[list[float]] = []

@@ -16,10 +16,9 @@ included, apart from LIML's ``kappa``, which reads a ``DesignView``'s rows.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -137,19 +136,6 @@ def modified_tsls(view: GramView) -> EstimateResult:
     return EstimateResult(alpha=sol[:k])
 
 
-@functools.cache
-def _potrf_trtrs() -> tuple[Any, Any]:
-    """The float64 LAPACK routines under ``scipy.linalg.cholesky`` and
-    ``solve_triangular``, called directly to skip their per-call wrapper cost.
-
-    Fetched on first use, so importing this module (and the CLI) does not load
-    ``scipy.linalg``; only LIML and Fuller pay for it.
-    """
-    import scipy.linalg
-
-    return tuple(scipy.linalg.get_lapack_funcs(("potrf", "trtrs"), (np.empty((1, 1)),)))
-
-
 def min_generalized_eigenvalue(w1: np.ndarray, w: np.ndarray) -> float:
     """Smallest eigenvalue of ``W1 W^{-1}`` via Cholesky of ``W``.
 
@@ -158,9 +144,12 @@ def min_generalized_eigenvalue(w1: np.ndarray, w: np.ndarray) -> float:
     The factor and the triangular solves are the ``potrf``/``trtrs`` calls
     that ``scipy.linalg.cholesky``/``solve_triangular`` make, with the same
     finiteness check and arguments (``potrf`` returns ``L`` F-contiguous, so
-    ``trtrs`` takes it as is), hence the same bits.
+    ``trtrs`` takes it as is), hence the same bits.  They are called directly
+    to skip those wrappers' per-call cost, and imported here so that importing
+    this module (and the CLI) does not load ``scipy.linalg``.
     """
-    potrf, trtrs = _potrf_trtrs()
+    from scipy.linalg.lapack import dpotrf as potrf, dtrtrs as trtrs
+
     low, info = potrf(np.asarray_chkfinite(w), lower=True, clean=True)
     if info > 0:
         raise SingularGram("W", rcond_symmetric(w))

@@ -47,8 +47,6 @@ from .sem import (
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
 
-DESIGNS = ("univariate", "mv-random", "mv-fixed", "robustness-e1", "underid-e3")
-
 #: Declared grids of the univariate study; other values need the extension flag.
 UNIVARIATE_DECLARED = {
     "q": (1, 2, 3, 4, 5, 10, 20, 30),
@@ -266,6 +264,13 @@ class ExperimentConfig:
                 f"design {self.design} does not read {', '.join(unread)}; "
                 "leave it out or at its default"
             )
+        for eta, phi1, phi2 in self.noise_triples or ():
+            try:
+                if not abs(eta) < 1.0:  # rho_norm divides by 1 - eta^2
+                    raise ValueError("|eta| must be < 1")
+                mv_fixed_model(np.zeros((2, 2)), eta, phi1, phi2)
+            except ValueError as exc:
+                raise ValueError(f"noise triple {[eta, phi1, phi2]}: {exc}") from None
         source, n, q = _smallest_n_largest_q(self)
         if n <= q:
             raise ValueError(
@@ -419,6 +424,8 @@ _GRID_DESIGNS: dict[str, _Design] = {
     "robustness-e1": _Design(("rep", "kappa", "estimate", "wcmspe"), (), ("n_values",)),
     "underid-e3": _Design(("n",), ("pulse", "modified-tsls"), ("estimators", "p_min", "n_values")),
 }
+
+DESIGNS = tuple(_GRID_DESIGNS)
 
 
 class _Chunk(NamedTuple):
@@ -864,15 +871,10 @@ def write_result(result: ExperimentResult, outdir: str | Path) -> tuple[Path, Pa
         writer = csv.DictWriter(fh, fieldnames=result.columns)
         writer.writeheader()
         for row in result.rows:
-            writer.writerow({k: _fmt_cell(row.get(k)) for k in result.columns})
+            writer.writerow({k: row.get(k) for k in result.columns})
     manifest_path = outdir / "manifest.json"
     manifest_path.write_text(
         json.dumps(result.manifest(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return csv_path, manifest_path
 
-
-def _fmt_cell(value: Any) -> Any:
-    if isinstance(value, float):
-        return repr(value)
-    return value

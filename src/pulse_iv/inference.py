@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .data import GramView, psd_inverse_sqrt, RCOND_GRAM
+from .data import GramView, RCOND_GRAM
 from .exceptions import DegenerateResidual, SingularGram, ZeroResidual
 
 PLAIN = "plain"
@@ -107,7 +107,7 @@ class WeakInstrumentReport:
 class ViewTest:
     """The uncorrelatedness test bound to one view: its ``scale`` and
     ``threshold`` are fixed once, and every verdict (:meth:`accepts`,
-    :meth:`result`, the PULSE search) compares :meth:`statistic` with them."""
+    :func:`test_statistic`, the PULSE search) compares :meth:`statistic` with them."""
 
     def __init__(self, view: GramView, cfg: TestConfig | None = None):
         cfg = cfg or TestConfig()
@@ -126,14 +126,6 @@ class ViewTest:
     def accepts(self, alpha: np.ndarray) -> bool:
         return self.statistic(alpha) <= self.threshold
 
-    def result(self, alpha: np.ndarray) -> TestResult:
-        stat = self.statistic(alpha)
-        return TestResult(
-            statistic=stat,
-            threshold=float(self.threshold),
-            accepted=bool(stat <= self.threshold),
-        )
-
 
 def test_statistic(view: GramView, alpha: np.ndarray, cfg: TestConfig | None = None) -> TestResult:
     """Test the hypothesis that the exogenous variables are uncorrelated with
@@ -145,7 +137,11 @@ def test_statistic(view: GramView, alpha: np.ndarray, cfg: TestConfig | None = N
         If the OLS loss at ``alpha`` is numerically zero, making the ratio
         undefined.
     """
-    return ViewTest(view, cfg).result(alpha)
+    test = ViewTest(view, cfg)
+    stat = test.statistic(alpha)
+    return TestResult(
+        statistic=stat, threshold=float(test.threshold), accepted=bool(stat <= test.threshold)
+    )
 
 
 def ar_statistic(view: GramView, alpha: np.ndarray) -> float:
@@ -171,11 +167,14 @@ def ar_statistic(view: GramView, alpha: np.ndarray) -> float:
 def weak_instrument_stat(view: GramView) -> WeakInstrumentReport:
     """Multivariate first-stage F-statistic ``G_n`` for the included endogenous block.
 
-    ``G_n = Sigma^{-1/2} X^T P_A X Sigma^{-1/2} / q`` with
-    ``Sigma = (n - q)^{-1} X^T P_A^perp X``.  Instruments pass the rule of
-    thumb when the smallest eigenvalue exceeds 10.  With ``q < d1``, ``G_n`` has
-    rank at most ``q``, so its smallest eigenvalue is ``0.0`` by construction and
-    is reported as such, not as the rounding residue an eigensolver returns.
+    Stock and Yogo's (2005) ``G_T``: ``G_n = Sigma^{-1/2} X^T (P_A - P_{A_*}) X
+    Sigma^{-1/2} / q2`` with ``Sigma = (n - q)^{-1} X^T P_A^perp X``, so the
+    included exogenous regressors ``A_*`` (an intercept among them) are partialled
+    out and only the ``q2`` excluded instruments count as strength.  Instruments
+    pass the rule of thumb when the smallest eigenvalue exceeds 10.  With
+    ``q2 < d1``, ``G_n`` has rank at most ``q2``, so its smallest eigenvalue is
+    ``0.0`` by construction and is reported as such, not as the rounding residue
+    an eigensolver returns; with ``q2 = 0``, ``G_n`` is the zero matrix.
 
     Raises
     ------
@@ -184,21 +183,31 @@ def weak_instrument_stat(view: GramView) -> WeakInstrumentReport:
         at most ``RCOND_GRAM`` times the trace of ``X^T X / (n - q)``: below
         that, ``Sigma`` is rounding residue of ``X`` lying in ``span(A)``.
     """
-    n, q, d1 = view.n, view.q, view.d1
+    n, q, d1, q2 = view.n, view.q, view.d1, view.q2
     if n <= q:
         raise ValueError(f"G_n requires n > q; got n={n}, q={q}")
     s, _ = view.iv_pieces
     s_x = s[:, :d1]
     xtx = view.ztz[:d1, :d1]
-    x_pa_x = s_x.T @ s_x
-    sigma = (xtx - x_pa_x) / (n - q)
-    w_min, scale = float(np.linalg.eigvalsh(sigma)[0]), float(np.trace(xtx)) / (n - q)
+    concentration = s_x.T @ s_x  # X^T P_A X
+    sigma = (xtx - concentration) / (n - q)
+    w, v = np.linalg.eigh(sigma)
+    w_min, scale = float(w[0]), float(np.trace(xtx)) / (n - q)
     if not w_min > RCOND_GRAM * scale:
         raise SingularGram("X^T P_A^perp X", w_min / scale if scale > 0.0 else 0.0)
-    isqrt = psd_inverse_sqrt("X^T P_A^perp X", sigma)
-    g = isqrt @ x_pa_x @ isqrt / q
+    if q2 == 0:  # P_A = P_{A_*}: no excluded instrument, so no strength to measure
+        return WeakInstrumentReport(np.zeros((d1, d1)), 0.0, False)
+    isqrt = (v * (1.0 / np.sqrt(w))) @ v.T
+    if view.q1:
+        # A_*^T A_* is a principal block of A^T A, which iv_pieces found regular
+        inc = list(view.partition.included_exogenous)
+        astar_x = view.atz[inc, :d1]
+        concentration = concentration - astar_x.T @ np.linalg.solve(
+            view.ata[np.ix_(inc, inc)], astar_x
+        )
+    g = isqrt @ concentration @ isqrt / q2
     g = 0.5 * (g + g.T)
-    min_eig = 0.0 if q < d1 else float(np.linalg.eigvalsh(g)[0])
+    min_eig = 0.0 if q2 < d1 else float(np.linalg.eigvalsh(g)[0])
     return WeakInstrumentReport(
         g_matrix=g,
         min_eigenvalue=min_eig,

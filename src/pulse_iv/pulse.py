@@ -117,27 +117,6 @@ class PulseResult(EstimateResult):
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
-def _penalty(
-    test: ViewTest, precision_n: int
-) -> tuple[PulseMessage, float, np.ndarray | None, float | None]:
-    """PULSE's branch on the test's view, its penalty, the path point there
-    (``None`` on fallback) and the TSLS statistic (when computed):
-    over-identified with TSLS on or outside the acceptance region falls back with
-    penalty ``inf``; an accepted OLS gives ``0``; otherwise :func:`_search` gives
-    the smallest accepted penalty within ``1/precision_n``."""
-    view = test.view
-    stat_tsls = None
-    if view.identification is IdentificationClass.OVER:
-        stat_tsls = test.statistic(view.kclass_solve(1.0))
-        if stat_tsls >= test.threshold:
-            return PulseMessage.TSLS_REJECTED_FALLBACK, math.inf, None, stat_tsls
-    ols = view.kclass_solve(0.0)
-    if test.accepts(ols):
-        return PulseMessage.OLS_ACCEPTED, 0.0, ols, stat_tsls
-    lam, alpha = _search(test, 1.0 / precision_n)
-    return PulseMessage.NONE, lam, alpha, stat_tsls
-
-
 def _search(test: ViewTest, width: float) -> tuple[float, np.ndarray]:
     """The exact search's penalty and path point, given that 0 is rejected, by
     the filtered run and endpoint check of the module docstring; the exact
@@ -218,15 +197,25 @@ def pulse_estimate(view: GramView, cfg: PulseConfig | None = None) -> PulseResul
         signalling numerical breakdown rather than infeasibility.
     """
     cfg = cfg or PulseConfig()
-    branch, lam, alpha, stat_tsls = _penalty(ViewTest(view, cfg), cfg.precision_n)
-    if branch is PulseMessage.TSLS_REJECTED_FALLBACK:
+    test = ViewTest(view, cfg)
+    if view.identification is IdentificationClass.OVER:
+        stat_tsls = test.statistic(view.kclass_solve(1.0))
+        if stat_tsls >= test.threshold:
+            return PulseResult(
+                alpha=estimate(view, cfg.fallback).alpha,
+                lambda_used=math.inf,
+                message=PulseMessage.TSLS_REJECTED_FALLBACK,
+                diagnostics={"fallback": cfg.fallback.label(), "tsls_statistic": stat_tsls},
+            )
+    ols = view.kclass_solve(0.0)
+    if test.accepts(ols):
         return PulseResult(
-            alpha=estimate(view, cfg.fallback).alpha,
-            lambda_used=lam,
-            message=branch,
-            diagnostics={"fallback": cfg.fallback.label(), "tsls_statistic": stat_tsls},
+            alpha=ols, kappa_used=0.0, lambda_used=0.0, message=PulseMessage.OLS_ACCEPTED
         )
-    return PulseResult(alpha=alpha, kappa_used=lam / (1.0 + lam), lambda_used=lam, message=branch)
+    lam, alpha = _search(test, 1.0 / cfg.precision_n)
+    return PulseResult(
+        alpha=alpha, kappa_used=lam / (1.0 + lam), lambda_used=lam, message=PulseMessage.NONE
+    )
 
 
 def primal_solve(view: GramView, t: float) -> np.ndarray:

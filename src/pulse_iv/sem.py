@@ -227,14 +227,7 @@ def sem_sample(
     a = draw_anchors(model, n, seed, iv)
     eps = draw_noise(model, n, seed)
     v = reduced_form_solve(model, a, eps)
-    x_cols = list(model.x_indices)
-    return Dataset(
-        y=v[:, model.y_index],
-        x=v[:, x_cols],
-        a=a,
-        x_names=tuple(f"x{i + 1}" for i in range(len(x_cols))),
-        a_names=tuple(f"a{i + 1}" for i in range(model.q)),
-    )
+    return Dataset(y=v[:, model.y_index], x=v[:, list(model.x_indices)], a=a)
 
 
 def population_moments(

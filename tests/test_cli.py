@@ -329,6 +329,26 @@ class TestEstimate:
         assert doc["estimates"][0]["threshold"] == pytest.approx(5.9915, abs=5e-5)
         assert "const" in doc["coefficients"]
 
+    def test_intercept_gn_counts_only_excluded_instruments(self, tmp_path, capsys):
+        """The constant is partialled out of G_n like the centering it replaces, so
+        only the residual degrees of freedom differ: n - q - 1 against n - q."""
+        rng = np.random.default_rng(21)
+        n, q = 300, 2
+        a = rng.normal(size=(n, q))
+        x = 5.0 + 0.1 * a[:, 0] + rng.normal(size=n)
+        y = x + rng.normal(size=n)
+        data = tmp_path / "data.csv"
+        rows = ["y,x1,a1,a2", *(",".join(repr(float(v)) for v in r) for r in zip(y, x, *a.T))]
+        data.write_text("\n".join(rows) + "\n")
+        g = {}
+        for flag in ("--center", "--intercept"):
+            json_out = tmp_path / f"{flag}.json"
+            assert main(["estimate", "--data", str(data), "--target", "y", "--endogenous", "x1",
+                         "--instruments", "a1,a2", flag, "--estimator", "ols",
+                         "--json", str(json_out)]) == 0
+            g[flag] = json.loads(json_out.read_text())["weak_instruments"]["min_eigenvalue"]
+        assert g["--intercept"] == pytest.approx(g["--center"] * (n - q - 1) / (n - q), rel=1e-6)
+
     def test_missing_column_exits_three(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("y,x1\n1,2\n3,4\n")
@@ -486,6 +506,10 @@ class TestExperiment:
                 "n=30 and q=30",
             ),
             ({"design": "robustness-e1", "n_values": [1]}, "n=1 and q=1"),
+            ({"design": "mv-fixed", "noise_triples": [[1.0, 0.1, 0.1]], "n_models": 1,
+              "repetitions": 2}, "noise triple [1.0, 0.1, 0.1]: |eta| must be < 1"),
+            ({"design": "mv-fixed", "noise_triples": [[0.99, 0.99, 0.1]], "n_models": 1,
+              "repetitions": 2}, "noise triple [0.99, 0.99, 0.1]: noise_cov must be positive"),
         ],
     )
     def test_malformed_config_is_data_error(self, tmp_path, capsys, doc, needle):

@@ -156,6 +156,23 @@ class TestLoaderAgreesWithRowLoop:
         request.getfixturevalue("no_row_loop")
         assert outcome(lambda: load_csv(path, CsvSchema("y", ("x1",), ("a1",)))) == expected
 
+    @pytest.mark.parametrize(
+        "body", ["1,2,3\n4,5,7\n", '"1",2,3\n4,"5",7\n'], ids=["loadtxt", "row_loop"]
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, request, body):
+        """Excel's "CSV UTF-8" export starts the file with a byte-order mark."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("a1,x1,y\n" + body, encoding="utf-8")
+        marked.write_text("a1,x1,y\n" + body, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfa1,")
+        schema = CsvSchema("y", ("x1",), ("a1",))
+        expected = outcome(lambda: load_csv(plain, schema))
+        assert expected[0] == np.array([3.0, 7.0]).tobytes()
+        assert outcome(lambda: via_row_loop(marked)) == expected
+        if '"' not in body:
+            request.getfixturevalue("no_row_loop")
+        assert outcome(lambda: load_csv(marked, schema)) == expected
+
     def test_clean_file_takes_the_fast_path(self, tmp_path, no_row_loop):
         path = tmp_path / "clean.csv"
         path.write_text("a1,x1,y\n1,2,3\n4,5,7\n")

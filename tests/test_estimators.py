@@ -307,9 +307,6 @@ class TestLimlCache:
         assert len(seen) == 2
 
     def test_lapack_route_bit_equal_to_scipy_wrappers(self):
-        routines = estimators._potrf_trtrs()
-        assert routines == (scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dtrtrs)
-        assert estimators._potrf_trtrs() is routines
         rng = np.random.default_rng(44)
         for _ in range(200):
             k = int(rng.integers(1, 5))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import shutil
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -283,6 +284,14 @@ class TestRunExperiment:
         assert header == "q,rho,r2,n,estimator,metric,value,repetitions_used"
         again_csv, _ = write_result(run_experiment(cfg), tmp_path / "again")
         assert csv_path.read_bytes() == again_csv.read_bytes()
+
+    def test_numpy_float_grid_values_write_plain_cells(self, tmp_path):
+        cfg = small_univariate_config(reps=4)
+        plain, _ = write_result(run_experiment(cfg), tmp_path / "plain")
+        numpy_cfg = replace(cfg, rho_values=(np.float64(0.3),))
+        numpy_csv, _ = write_result(run_experiment(numpy_cfg), tmp_path / "numpy")
+        assert numpy_csv.read_bytes() == plain.read_bytes()
+        assert "np.float64" not in numpy_csv.read_text()
 
     def test_repetition_accounting(self):
         cfg = ExperimentConfig(

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 
-from pulse_iv.data import Dataset, DesignView
+from pulse_iv.data import Dataset, DesignView, ModelPartition
 from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.exceptions import DegenerateResidual, SingularGram, ZeroResidual
 from pulse_iv import inference
@@ -216,6 +218,45 @@ class TestWeakInstruments:
         ess, rss = float(fitted @ fitted), float((x - fitted) @ (x - fitted))
         f_anova = (ess / 2) / (rss / (20 - 2))
         assert weak_instrument_stat(view).min_eigenvalue == pytest.approx(f_anova, rel=1e-10)
+
+    @pytest.mark.parametrize("d1, q1", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_included_exogenous_are_partialled_out(self, d1, q1):
+        """Stock and Yogo's G_T from rows: X and the excluded instruments
+        residualized on the included exogenous A_*, Sigma from X's residual on A."""
+        rng = np.random.default_rng(30 + 3 * d1 + q1)
+        n, q2 = 80, 3
+        a = rng.normal(size=(n, q1 + q2)) + 2.0
+        x = 4.0 + a @ rng.normal(size=(q1 + q2, d1)) + rng.normal(size=(n, d1))
+        partition = ModelPartition(tuple(range(d1)), tuple(range(q1)))
+        view = DesignView(Dataset(y=rng.normal(size=n), x=x, a=a), partition)
+
+        def residual(basis, m):
+            return m - basis @ np.linalg.lstsq(basis, m, rcond=None)[0]
+
+        a_star, a_excl = a[:, :q1], a[:, q1:]
+        x_perp = residual(a_star, x)
+        fitted = x_perp - residual(residual(a_star, a_excl), x_perp)
+        x_resid = residual(a, x)
+        sigma = x_resid.T @ x_resid / (n - q1 - q2)
+        w, v = np.linalg.eigh(sigma)
+        isqrt = (v / np.sqrt(w)) @ v.T
+        g = isqrt @ (fitted.T @ fitted) @ isqrt / q2
+        report = weak_instrument_stat(view)
+        np.testing.assert_allclose(report.g_matrix, g, rtol=1e-10, atol=1e-12 * np.abs(g).max())
+        assert report.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(g)[0], rel=1e-10)
+
+    def test_no_excluded_instrument_gives_zero_matrix(self):
+        # every anchor is an included regressor: P_A = P_{A_*}, and q2 = 0 divides nothing
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(50, 2))
+        x = a @ np.array([1.0, 1.0]) + rng.normal(size=50)
+        ds = Dataset(y=rng.normal(size=50), x=x[:, None], a=a)
+        view = DesignView(ds, ModelPartition((0,), (0, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = weak_instrument_stat(view)
+        assert report.g_matrix.tolist() == [[0.0]]
+        assert report.min_eigenvalue == 0.0 and report.rule_of_thumb_pass is False
 
     @pytest.mark.parametrize("d1", [1, 2])
     def test_regressors_in_anchor_span_are_singular(self, d1):
