@@ -1,7 +1,8 @@
 """Command-line front door: estimate on CSV data, simulate, run experiments.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure,
-5 dual infeasibility when no fallback was requested.
+Exit codes: 0 success, 2 usage error, 3 data error (an output path that
+cannot be written among them), 4 numerical failure, 5 dual infeasibility
+when no fallback was requested.
 """
 
 from __future__ import annotations
@@ -10,14 +11,16 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__
 from .data import CsvSchema, DesignView, ModelPartition, center, load_csv
-from .estimators import EstimateResult, EstimatorSpec, estimate
+from .estimators import EstimateResult, EstimatorSpec, estimate, parse_estimators
 from .exceptions import DataError, PulseIVError, SingularGram
 from .experiments import DESIGNS, ExperimentConfig, run_experiment, write_result
 from .inference import (
@@ -35,6 +38,15 @@ def _round10(value: float) -> float:
 
 def _csv_list(text: str) -> list[str]:
     return [c.strip() for c in text.split(",") if c.strip()]
+
+
+@contextmanager
+def _writing(path: str | Path) -> Iterator[None]:
+    """Report an ``OSError`` raised while writing ``path`` as a data error."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -158,8 +170,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     pulse_cfg = None
 
     rows: list[tuple[str, EstimateResult, TestResult | None, str]] = []
-    for label in _csv_list(args.estimator):
-        spec = EstimatorSpec.parse(label)
+    for label, spec in parse_estimators(_csv_list(args.estimator)):
         if spec.kind == "pulse":
             pulse_cfg = pulse_cfg or PulseConfig(
                 p_min=args.pmin,
@@ -238,7 +249,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 "min_eigenvalue": _round10(weak.min_eigenvalue),
                 "rule_of_thumb_pass": weak.rule_of_thumb_pass,
             }
-        Path(args.json_out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        with _writing(args.json_out):
+            Path(args.json_out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
@@ -248,13 +260,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         iv = intervention_from_json(load_json(args.intervene, "intervention file"), model.q)
     ds = sem_sample(model, args.n, args.seed, iv)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     header = list(ds.a_names) + list(ds.x_names) + [ds.y_name]
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        row = ",".join(["%.17g"] * len(header)) + "\n"
-        for vals in np.column_stack([ds.a, ds.x, ds.y]):
-            fh.write(row % tuple(vals.tolist()))
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with out.open("w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            row = ",".join(["%.17g"] * len(header)) + "\n"
+            for vals in np.column_stack([ds.a, ds.x, ds.y]):
+                fh.write(row % tuple(vals.tolist()))
     manifest = {
         "seed": args.seed,
         "n": args.n,
@@ -262,9 +275,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "columns": header,
         "library_version": __version__,
     }
-    Path(str(out) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    manifest_path = Path(str(out) + ".manifest.json")
+    with _writing(manifest_path):
+        manifest_path.write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     print(f"wrote {ds.n} rows to {out}")
     return 0
 
@@ -284,8 +299,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         cfg = replace(cfg, repetitions=args.reps)
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
+    with _writing(args.out):  # before any cell runs
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     result = run_experiment(cfg, threads=args.workers)
-    csv_path, manifest_path = write_result(result, args.out)
+    with _writing(args.out):
+        csv_path, manifest_path = write_result(result, args.out)
     print(f"wrote {csv_path} and {manifest_path}")
     return 0
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -89,6 +89,26 @@ class EstimatorSpec:
 
     def label(self) -> str:
         return self.kind if self.value is None else f"{self.kind}:{self.value:g}"
+
+
+def parse_estimators(labels: Iterable[str]) -> tuple[tuple[str, EstimatorSpec], ...]:
+    """Each label of an estimator list with its parsed spec, in order.
+
+    Raises
+    ------
+    ValueError
+        If the list is empty, a label is no valid spec, or two labels parse to
+        one estimator (``pulse`` and ``PULSE``, ``fuller`` and ``fuller:4``).
+    """
+    seen: dict[EstimatorSpec, str] = {}
+    for label in labels:
+        spec = EstimatorSpec.parse(label)
+        if spec in seen:
+            raise ValueError(f"estimators repeat {spec.label()}: {seen[spec]!r} and {label!r}")
+        seen[spec] = label
+    if not seen:
+        raise ValueError("empty estimators; name at least one")
+    return tuple((label, spec) for spec, label in seen.items())
 
 
 @dataclass

@@ -3,14 +3,15 @@
 Designs: a univariate weak-instrument grid, two multivariate confounding
 studies, a distributional-robustness path study, and an under-identified
 convergence study.  Every run is deterministic given the master seed: cells
-and repetitions own derived counter-based streams and metric reductions use
-numpy's pairwise summation in repetition order.
+and repetitions own derived counter-based streams and metric reductions sum
+in repetition order (see :func:`summarize_stacks`).
 """
 
 from __future__ import annotations
 
 import atexit
 import csv
+import io
 import itertools
 import json
 import os
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .data import DesignView, checked_solve
-from .estimators import EstimatorSpec, estimate
+from .estimators import EstimatorSpec, estimate, parse_estimators
 from .exceptions import DataError, PulseIVError
 from .inference import TestConfig, weak_instrument_stat
 from .pulse import PulseConfig
@@ -111,20 +112,37 @@ def mse_partial_order(mse_a: np.ndarray, mse_b: np.ndarray) -> MseOrder:
     b = np.atleast_2d(np.asarray(mse_b, dtype=float))
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"MSE matrices must be square and same shape; got {a.shape}, {b.shape}")
-    for name, mat in (("mse_a", a), ("mse_b", b)):
-        if not np.allclose(mat, mat.T, atol=1e-10 * max(1.0, float(np.abs(mat).max()))):
+    return _mse_orders(a, b[None])[0]
+
+
+def _mse_orders(mse_a: np.ndarray, mse_bs: np.ndarray) -> list[MseOrder]:
+    """:func:`mse_partial_order` of the ``(k, k)`` matrix ``mse_a`` against each
+    matrix of the ``(C, k, k)`` stack ``mse_bs``, in one numpy pass: stacked
+    ``eigvalsh`` and ``trace`` give each pair the bits of its own call."""
+    for name, mats in (("mse_a", mse_a[None]), ("mse_b", mse_bs)):
+        flipped = mats.transpose(0, 2, 1)
+        atol = 1e-10 * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))[:, None, None]
+        with np.errstate(invalid="ignore"):  # np.allclose's test, with each matrix's own atol
+            close = (np.abs(mats - flipped) <= atol + 1e-5 * np.abs(flipped)) & np.isfinite(flipped)
+        if not (close | (mats == flipped)).all():
             raise ValueError(f"{name} must be symmetric")
-    tol = 1e-9 * max(float(np.trace(a)), float(np.trace(b)), 1e-300)
-    diff = b - a
-    a_le = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0]) >= -tol
-    b_le = float(np.linalg.eigvalsh(0.5 * (-diff - diff.T))[0]) >= -tol
-    if a_le and b_le:
-        return MseOrder.EQUAL
-    if a_le:
-        return MseOrder.A_LESS_OR_EQUAL
-    if b_le:
-        return MseOrder.B_LESS_OR_EQUAL
-    return MseOrder.INCOMPARABLE
+    traces = np.trace(mse_bs, axis1=1, axis2=2)
+    tol = 1e-9 * np.maximum(np.maximum(np.trace(mse_a), traces), 1e-300)
+    diff = mse_bs - mse_a
+    flipped = diff.transpose(0, 2, 1)
+    sym = np.concatenate([0.5 * (diff + flipped), 0.5 * (-diff - flipped)])
+    psd = np.linalg.eigvalsh(sym)[:, 0] >= -np.concatenate([tol, tol])  # b - a, then a - b
+    orders = []
+    for a_le, b_le in zip(psd[: len(diff)], psd[len(diff):]):
+        if a_le and b_le:
+            orders.append(MseOrder.EQUAL)
+        elif a_le:
+            orders.append(MseOrder.A_LESS_OR_EQUAL)
+        elif b_le:
+            orders.append(MseOrder.B_LESS_OR_EQUAL)
+        else:
+            orders.append(MseOrder.INCOMPARABLE)
+    return orders
 
 
 def rho_norm_multivariate(mu: np.ndarray, delta: np.ndarray, sigma_sq: tuple[float, float]) -> float:
@@ -135,12 +153,6 @@ def rho_norm_multivariate(mu: np.ndarray, delta: np.ndarray, sigma_sq: tuple[flo
     dtm = delta.T @ mu
     val = float(mu @ delta @ checked_solve("delta^T delta + diag(sigma^2)", inner, dtm))
     return float(np.sqrt(max(val, 0.0) / (mu @ mu + 1.0)))
-
-
-def _pairwise_sum(arr: np.ndarray) -> np.ndarray:
-    # numpy reduces float64 sums pairwise for contiguous axes; fixing the
-    # repetition order therefore fixes the bits of the result.
-    return np.sum(np.ascontiguousarray(arr), axis=0)
 
 
 @dataclass
@@ -161,28 +173,47 @@ class EstimatorMetrics:
 def summarize_estimates(estimates: np.ndarray, target: np.ndarray) -> EstimatorMetrics:
     """Bias/MSE summaries from stacked per-repetition estimates."""
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
+    return summarize_stacks(est[None], target)[0]
+
+
+def summarize_stacks(stacks: np.ndarray, target: np.ndarray) -> list[EstimatorMetrics]:
+    """:func:`summarize_estimates` of each estimator of an ``(E, R, k)`` stack of
+    per-repetition estimates, in one numpy pass over the stack.
+
+    Each estimator's summary has the bits of its own call: repetition order
+    fixes the bits of every sum.  A bias sums each coordinate's errors row
+    after row (numpy's pairwise summation where ``k`` is 1); an MSE entry sums
+    one contiguous product vector, pairwise.
+    """
+    stacks = np.asarray(stacks, dtype=float)
     target = np.asarray(target, dtype=float).reshape(-1)
-    n_used, k = est.shape
-    err = est - target
-    mean_err = _pairwise_sum(err) / n_used
-    mse = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            mse[i, j] = mse[j, i] = float(_pairwise_sum(err[:, i] * err[:, j])) / n_used
-    variance = mse - np.outer(mean_err, mean_err)
-    quart = np.quantile(est, [0.25, 0.75], axis=0, method="linear")
-    trace_mse = float(np.trace(mse))
-    return EstimatorMetrics(
-        n_used=n_used,
-        bias=mean_err,
-        mse=mse,
-        variance=variance,
-        trace_mse=trace_mse,
-        det_mse=float(np.linalg.det(mse)),
-        rmse=float(np.sqrt(trace_mse)),
-        iqr=quart[1] - quart[0],
-        median_abs_error=float(np.median(np.linalg.norm(err, axis=1))),
-    )
+    n_used, k = stacks.shape[1:]
+    err = stacks - target
+    mean_err = np.sum(err, axis=1) / n_used
+    rows, cols = np.triu_indices(k)
+    by_coord = np.ascontiguousarray(err.transpose(0, 2, 1))  # (E, k, R)
+    upper = np.sum(by_coord[:, rows] * by_coord[:, cols], axis=2) / n_used
+    mse = np.empty((len(stacks), k, k))
+    mse[:, rows, cols] = mse[:, cols, rows] = upper
+    variance = mse - mean_err[:, :, None] * mean_err[:, None, :]
+    quart = np.quantile(stacks, [0.25, 0.75], axis=1, method="linear")
+    trace_mse = np.trace(mse, axis1=1, axis2=2)
+    det_mse = np.linalg.det(mse)
+    median_abs_error = np.median(np.linalg.norm(err, axis=2), axis=1)
+    return [
+        EstimatorMetrics(
+            n_used=n_used,
+            bias=mean_err[e],
+            mse=mse[e],
+            variance=variance[e],
+            trace_mse=float(trace_mse[e]),
+            det_mse=float(det_mse[e]),
+            rmse=float(np.sqrt(trace_mse[e])),
+            iqr=quart[1, e] - quart[0, e],
+            median_abs_error=float(median_abs_error[e]),
+        )
+        for e in range(len(stacks))
+    ]
 
 
 @dataclass
@@ -225,14 +256,8 @@ class ExperimentConfig:
         if self.n_values is not None and any(n < 1 for n in self.n_values):
             raise ValueError(f"n_values must be positive, got {list(self.n_values)}")
         TestConfig(p_min=self.p_min)  # raises on p_min outside (0, 1)
-        seen: dict[EstimatorSpec, str] = {}
-        for label in self.estimators or ():
-            spec = EstimatorSpec.parse(label)  # raises on a label that is no valid spec
-            if spec in seen:
-                raise ValueError(
-                    f"estimators repeat {spec.label()}: {seen[spec]!r} and {label!r}"
-                )
-            seen[spec] = label
+        if self.estimators:  # an empty list is refused below, with the other empty fields
+            parse_estimators(self.estimators)
         empty = [f for f in _SEQUENCE_FIELDS if getattr(self, f) is not None and not getattr(self, f)]
         if empty:
             raise ValueError(f"empty {', '.join(empty)}; give a value, or null for the default")
@@ -358,13 +383,15 @@ def _json_is(value: Any, kind: str) -> bool:
 
 @dataclass
 class ExperimentResult:
-    """Cells (or per-repetition rows), canonical CSV rows, and the manifest."""
+    """Cells (or per-repetition rows), canonical CSV rows, their rendered CSV
+    text, and the manifest."""
 
     design: str
     config: ExperimentConfig
     cells: list[CellResult]
     rows: list[dict[str, Any]]
     columns: list[str]
+    csv_text: str
 
     def manifest(self) -> dict[str, Any]:
         return {
@@ -492,11 +519,15 @@ def _reduce_cell(
             else:
                 collected[label].append(alpha)
 
-    metrics = {
-        label: summarize_estimates(np.vstack(stack), cell.target)
-        for label, stack in collected.items()
-        if stack
-    }
+    by_length: dict[int, list[str]] = {}
+    for label, stack in collected.items():
+        if stack:
+            by_length.setdefault(len(stack), []).append(label)
+    summaries: dict[str, EstimatorMetrics] = {}
+    for labels in by_length.values():  # one numpy pass per group of equal-length stacks
+        stacks = np.array([collected[label] for label in labels], dtype=float)
+        summaries.update(zip(labels, summarize_stacks(stacks, cell.target)))
+    metrics = {label: summaries[label] for label in collected if label in summaries}
 
     weak: dict[str, float] = {}
     if min_eigs:
@@ -506,14 +537,13 @@ def _reduce_cell(
 
     pairwise: dict[str, dict[str, Any]] = {}
     pulse_label = next((label for label, spec in estimators if spec.kind == "pulse"), None)
-    if pulse_label in metrics:
+    others = [label for label in metrics if label != pulse_label]
+    if pulse_label in metrics and others:
         ref = metrics[pulse_label]
-        for label, met in metrics.items():
-            if label == pulse_label:
-                continue
-            entry: dict[str, Any] = {
-                "mse_order_vs_pulse": mse_partial_order(ref.mse, met.mse).value,
-            }
+        orders = _mse_orders(ref.mse, np.array([metrics[label].mse for label in others]))
+        for label, order in zip(others, orders):
+            met = metrics[label]
+            entry: dict[str, Any] = {"mse_order_vs_pulse": order.value}
             for scalar in ("rmse", "trace_mse", "det_mse"):
                 ref_val = getattr(ref, scalar)
                 if ref_val > 0:
@@ -531,42 +561,46 @@ def _reduce_cell(
     )
 
 
-def _metric_rows(cell: CellResult, param_names: tuple[str, ...]) -> list[dict[str, Any]]:
-    rows: list[dict[str, Any]] = []
-
-    def base(estimator: str, metric: str, value: Any, reps: int) -> dict[str, Any]:
-        row = {name: cell.params.get(name) for name in param_names}
-        row.update(
-            {"estimator": estimator, "metric": metric, "value": value, "repetitions_used": reps}
-        )
-        return row
-
+def _cell_lines(cell: CellResult) -> list[tuple[str, str, Any, int]]:
+    """A cell's ``(estimator, metric, value, repetitions_used)`` lines in CSV order."""
+    lines: list[tuple[str, str, Any, int]] = []
     for label in sorted(cell.metrics):
         met = cell.metrics[label]
-        k = met.bias.shape[0]
-        for i in range(k):
-            rows.append(base(label, f"bias_{i}", float(met.bias[i]), met.n_used))
-            rows.append(base(label, f"iqr_{i}", float(met.iqr[i]), met.n_used))
-        for i in range(k):
-            for j in range(i, k):
-                rows.append(base(label, f"mse_{i}{j}", float(met.mse[i, j]), met.n_used))
-                rows.append(base(label, f"var_{i}{j}", float(met.variance[i, j]), met.n_used))
-        rows.append(base(label, "trace_mse", met.trace_mse, met.n_used))
-        rows.append(base(label, "det_mse", met.det_mse, met.n_used))
-        rows.append(base(label, "rmse", met.rmse, met.n_used))
-        rows.append(base(label, "median_abs_error", met.median_abs_error, met.n_used))
+        reps = met.n_used
+        bias, iqr, mse, variance = (
+            a.tolist() for a in (met.bias, met.iqr, met.mse, met.variance)
+        )
+        for i in range(len(bias)):
+            lines.append((label, f"bias_{i}", bias[i], reps))
+            lines.append((label, f"iqr_{i}", iqr[i], reps))
+        for i in range(len(bias)):
+            for j in range(i, len(bias)):
+                lines.append((label, f"mse_{i}{j}", mse[i][j], reps))
+                lines.append((label, f"var_{i}{j}", variance[i][j], reps))
+        lines.append((label, "trace_mse", met.trace_mse, reps))
+        lines.append((label, "det_mse", met.det_mse, reps))
+        lines.append((label, "rmse", met.rmse, reps))
+        lines.append((label, "median_abs_error", met.median_abs_error, reps))
     for label in sorted(cell.failures):
         reps = cell.metrics[label].n_used if label in cell.metrics else 0
         for cause, count in sorted(cell.failures[label].items()):
-            rows.append(base(label, f"excluded_{cause}", count, reps))
+            lines.append((label, f"excluded_{cause}", count, reps))
     for label in sorted(cell.pairwise):
         for metric, value in sorted(cell.pairwise[label].items()):
-            rows.append(base(label, metric, value, cell.metrics[label].n_used))
+            lines.append((label, metric, value, cell.metrics[label].n_used))
     reps_weak = int(cell.weak.get("gn_repetitions", 0))
     for metric in ("mean_min_eig_gn", "min_eig_mean_gn"):
         if metric in cell.weak:
-            rows.append(base("_instruments", metric, cell.weak[metric], reps_weak))
-    return rows
+            lines.append(("_instruments", metric, cell.weak[metric], reps_weak))
+    return lines
+
+
+def _csv_writer(columns: list[str]) -> tuple[io.StringIO, Any]:
+    """The one CSV renderer: a ``csv.writer`` into text, its header written."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    return text, writer
 
 
 def _model_rng(cfg: ExperimentConfig, cell_index: int) -> np.random.Generator:
@@ -801,18 +835,18 @@ def _cell_outputs(
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Execute a design and return cells plus canonical CSV rows.
+    """Execute a design and return cells, canonical CSV rows and their CSV text.
 
     Deterministic for a fixed ``master_seed``, and the same bytes for every
     ``threads``: each repetition draws from its own stream, and each cell is
     reduced in this process in repetition order.  ``threads = 1`` runs every
     repetition here.  ``threads = N > 1`` runs the repetitions of a grid design
     on worker processes, in chunks of up to ``CHUNK_REPS`` repetitions of one
-    cell, while this process reduces each cell as its chunks come back.  It
-    starts at most N workers, and no more than there are chunks or CPUs; where
-    that leaves one, the repetitions run here.  They run here too when a
-    function the step calls has been replaced in this process (a test's
-    monkeypatch, a tracer), since a worker would run the original.  The
+    cell, while this process reduces each cell and renders its CSV lines as its
+    chunks come back.  It starts at most N workers, and no more than there are
+    chunks or CPUs; where that leaves one, the repetitions run here.  They run
+    here too when a function the step calls has been replaced in this process
+    (a test's monkeypatch, a tracer), since a worker would run the original.  The
     workers start on first use and serve later calls with the same count,
     until :func:`shutdown_workers` or interpreter exit: starting them costs
     more than a short study (about 0.5 s against 0.3 s for the benchmark's
@@ -833,17 +867,28 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if cfg.design == "robustness-e1":
         return _run_robustness_e1(cfg)
     param_names, default_estimators, _ = _GRID_DESIGNS[cfg.design]
-    estimators = tuple((e, EstimatorSpec.parse(e)) for e in cfg.estimators or default_estimators)
+    estimators = parse_estimators(cfg.estimators or default_estimators)
     cells = _cells(cfg)
+    columns = [*param_names, "estimator", "metric", "value", "repetitions_used"]
+    text, writer = _csv_writer(columns)
+    results: list[CellResult] = []
+    rows: list[dict[str, Any]] = []
     outputs = _cell_outputs(cells, tuple(spec for _, spec in estimators), cfg, threads)
     try:
-        results = [_reduce_cell(cell, estimators, out) for cell, out in zip(cells, outputs)]
+        for cell, out in zip(cells, outputs):
+            # reduced and rendered while the workers run later cells
+            result = _reduce_cell(cell, estimators, out)
+            params = [result.params[name] for name in param_names]
+            # formatted once per cell: ``str`` is what ``csv`` writes for a float,
+            # an int or a numpy float
+            prefix = [str(value) for value in params]
+            lines = _cell_lines(result)
+            writer.writerows([*prefix, *line] for line in lines)
+            rows.extend(dict(zip(columns, (*params, *line))) for line in lines)
+            results.append(result)
     finally:
         outputs.close()  # a stopped call leaves no answer in flight for the next
-
-    rows = [row for cell in results for row in _metric_rows(cell, param_names)]
-    columns = [*param_names, "estimator", "metric", "value", "repetitions_used"]
-    return ExperimentResult(cfg.design, cfg, results, rows, columns)
+    return ExperimentResult(cfg.design, cfg, results, rows, columns, text.getvalue())
 
 
 def _run_robustness_e1(cfg: ExperimentConfig) -> ExperimentResult:
@@ -859,22 +904,21 @@ def _run_robustness_e1(cfg: ExperimentConfig) -> ExperimentResult:
             est = float(view.kclass_solve(kappa)[0])
             wc = float(wcmspe_curve_e1(est, [ROBUSTNESS_REFERENCE_X])[0])
             rows.append({"rep": rep, "kappa": kappa, "estimate": est, "wcmspe": wc})
-    return ExperimentResult(cfg.design, cfg, [], rows, list(_GRID_DESIGNS[cfg.design].columns))
+    columns = list(_GRID_DESIGNS[cfg.design].columns)
+    text, writer = _csv_writer(columns)
+    writer.writerows(row.values() for row in rows)
+    return ExperimentResult(cfg.design, cfg, [], rows, columns, text.getvalue())
 
 
 def write_result(result: ExperimentResult, outdir: str | Path) -> tuple[Path, Path]:
-    """Write ``<design>.csv`` and ``manifest.json``; returns both paths."""
+    """Write ``<design>.csv``, the text :func:`run_experiment` rendered, and
+    ``manifest.json``; returns both paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{result.design}.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=result.columns)
-        writer.writeheader()
-        for row in result.rows:
-            writer.writerow({k: row.get(k) for k in result.columns})
+    csv_path.write_text(result.csv_text, encoding="utf-8", newline="")
     manifest_path = outdir / "manifest.json"
     manifest_path.write_text(
         json.dumps(result.manifest(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return csv_path, manifest_path
-

@@ -15,7 +15,7 @@ import pulse_iv
 from pulse_iv.cli import main
 from pulse_iv.data import CsvSchema, DesignView, center, load_csv
 from pulse_iv.estimators import EstimatorSpec, estimate
-from pulse_iv.sem import e1_model, model_to_json
+from pulse_iv.sem import e1_model, model_to_json, sem_sample
 
 
 def run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
@@ -163,6 +163,15 @@ class TestSimulate:
         assert "invalid JSON" in capsys.readouterr().err
 
 
+    def test_unwritable_out_is_data_error(self, e1_config, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        out = blocker / "x.csv"
+        args = ["simulate", "--sem", str(e1_config), "--n", "5", "--seed", "1", "--out", str(out)]
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"data error: cannot write {out}: File exists\n"
+
+
 class TestEstimate:
     def test_round_trip_matches_in_process(self, e1_config, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -300,6 +309,42 @@ class TestEstimate:
             "error: estimator 'kclass:abc': kclass requires a number as its kappa, got 'abc'\n"
         )
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ("", "empty estimators; name at least one"),
+            (" , ", "empty estimators; name at least one"),
+            ("ols,ols", "estimators repeat ols: 'ols' and 'ols'"),
+            ("pulse,liml,PULSE", "estimators repeat pulse: 'pulse' and 'PULSE'"),
+            ("fuller,fuller:4", "estimators repeat fuller:4: 'fuller' and 'fuller:4'"),
+        ],
+        ids=["empty", "blank", "twice", "case", "default-value"],
+    )
+    def test_empty_or_repeated_estimator_list_is_usage_error(
+        self, e1_config, tmp_path, capsys, labels, message
+    ):
+        data = tmp_path / "data.csv"
+        main(["simulate", "--sem", str(e1_config), "--n", "200", "--seed", "3", "--out", str(data)])
+        capsys.readouterr()
+        args = ["estimate", "--data", str(data), "--target", "y"]
+        args += ["--endogenous", "x1", "--instruments", "a1", "--estimator", labels]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_unwritable_json_is_data_error(self, e1_config, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        main(["simulate", "--sem", str(e1_config), "--n", "200", "--seed", "3", "--out", str(data)])
+        capsys.readouterr()
+        report = tmp_path / "missing" / "r.json"
+        args = ["estimate", "--data", str(data), "--target", "y", "--endogenous", "x1"]
+        args += ["--instruments", "a1", "--estimator", "ols", "--json", str(report)]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: cannot write {report}: No such file or directory\n"
+        assert "ols" in captured.out  # the table came first
 
     def test_intercept_counts_toward_dof(self, e1_config, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -573,6 +618,26 @@ class TestExperiment:
         assert main(args) == 2
         assert "--workers must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_that_is_a_file_is_data_error_before_any_cell_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from pulse_iv import experiments
+
+        samples = []
+
+        def counted(*args, **kwargs):
+            samples.append(args)
+            return sem_sample(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "sem_sample", counted)
+        out = tmp_path / "afile"
+        out.write_text("kept\n")
+        args = ["experiment", "--design", "underid-e3", "--reps", "2", "--out", str(out)]
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"data error: cannot write {out}: File exists\n"
+        assert samples == []  # no cell ran
+        assert out.read_text() == "kept\n"
 
     def test_threads_flag_and_environment_are_gone(self, tmp_path, monkeypatch, capsys):
         args = ["experiment", "--design", "underid-e3", "--reps", "2", "--seed", "1"]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import shutil
 import sys
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from pulse_iv import experiments
 from pulse_iv.data import DesignView
-from pulse_iv.estimators import EstimatorSpec, estimate
+from pulse_iv.estimators import EstimatorSpec, estimate, parse_estimators
 from pulse_iv.exceptions import SingularGram
 from pulse_iv.experiments import (
     FIXED_NOISE_DECLARED,
@@ -23,6 +25,7 @@ from pulse_iv.experiments import (
     rho_norm_multivariate,
     run_experiment,
     summarize_estimates,
+    summarize_stacks,
     write_result,
     xi_from_r2,
 )
@@ -144,6 +147,153 @@ class TestSummaries:
         est = np.arange(1.0, 6.0)[:, None]  # 1..5
         met = summarize_estimates(est, np.zeros(1))
         assert met.iqr[0] == pytest.approx(2.0, abs=1e-12)
+
+
+def summarize_one_by_one(estimates, target):
+    """Oracle: the per-estimator summary the stacked pass replaced, field by field
+    in :class:`EstimatorMetrics` order."""
+    est = np.atleast_2d(np.asarray(estimates, dtype=float))
+    target = np.asarray(target, dtype=float).reshape(-1)
+    n_used, k = est.shape
+    err = est - target
+    mean_err = np.sum(np.ascontiguousarray(err), axis=0) / n_used
+    mse = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            mse[i, j] = mse[j, i] = float(np.sum(err[:, i] * err[:, j])) / n_used
+    quart = np.quantile(est, [0.25, 0.75], axis=0, method="linear")
+    trace_mse = float(np.trace(mse))
+    return (
+        n_used, mean_err, mse, mse - np.outer(mean_err, mean_err), trace_mse,
+        float(np.linalg.det(mse)), float(np.sqrt(trace_mse)), quart[1] - quart[0],
+        float(np.median(np.linalg.norm(err, axis=1))),
+    )
+
+
+def mse_order_one_pair(mse_a, mse_b):
+    """Oracle: the per-pair PSD order the stacked pass replaced."""
+    a = np.atleast_2d(np.asarray(mse_a, dtype=float))
+    b = np.atleast_2d(np.asarray(mse_b, dtype=float))
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise ValueError(f"MSE matrices must be square and same shape; got {a.shape}, {b.shape}")
+    for name, mat in (("mse_a", a), ("mse_b", b)):
+        if not np.allclose(mat, mat.T, atol=1e-10 * max(1.0, float(np.abs(mat).max()))):
+            raise ValueError(f"{name} must be symmetric")
+    tol = 1e-9 * max(float(np.trace(a)), float(np.trace(b)), 1e-300)
+    diff = b - a
+    a_le = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0]) >= -tol
+    b_le = float(np.linalg.eigvalsh(0.5 * (-diff - diff.T))[0]) >= -tol
+    if a_le and b_le:
+        return MseOrder.EQUAL
+    if a_le:
+        return MseOrder.A_LESS_OR_EQUAL
+    if b_le:
+        return MseOrder.B_LESS_OR_EQUAL
+    return MseOrder.INCOMPARABLE
+
+
+def assert_same_bits(met, oracle):
+    names = [f.name for f in dataclass_fields(met)]
+    assert len(names) == len(oracle)
+    for name, want in zip(names, oracle):
+        assert np.array_equal(getattr(met, name), want), name
+
+
+class TestStackedSummaries:
+    """One numpy pass over an ``(E, R, k)`` stack gives each estimator its own bits."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("reps", [1, 2, 7, 8, 9, 128, 129, 1000])
+    def test_stack_matches_each_estimator_alone(self, reps, k):
+        rng = np.random.default_rng(1000 * reps + k)
+        stacks = rng.standard_normal((4, reps, k)) * rng.uniform(0.01, 100.0, size=(4, 1, k))
+        stacks += rng.normal(size=(4, 1, k))
+        target = rng.normal(size=k)
+        for est, met in zip(stacks, summarize_stacks(stacks, target)):
+            assert_same_bits(met, summarize_one_by_one(est, target))
+            assert_same_bits(summarize_estimates(est, target), summarize_one_by_one(est, target))
+
+    def test_reduction_groups_unequal_lengths(self):
+        """Estimators that failed on different repetitions form groups of their
+        own length, and one that failed on every repetition has no summary."""
+        rng = np.random.default_rng(7)
+        labels = ("pulse", "ols", "tsls", "fuller:4", "kclass:1")
+        estimators = parse_estimators(labels)
+        fails = {"ols": {3}, "tsls": {0, 5, 9}, "fuller:4": {3}, "kclass:1": set(range(12))}
+        outputs, kept = [], {label: [] for label in labels}
+        for rep in range(12):
+            alphas = []
+            for label in labels:
+                if rep in fails.get(label, ()):
+                    alphas.append("UnderIdentified")
+                else:
+                    alpha = rng.normal(size=2)
+                    kept[label].append(alpha)
+                    alphas.append(alpha)
+            outputs.append((tuple(alphas), None))
+        target = np.array([0.5, -0.5])
+        cell = experiments._Cell({"n": 100}, e3_model(), 100, target)
+        result = experiments._reduce_cell(cell, estimators, outputs)
+        assert list(result.metrics) == ["pulse", "ols", "tsls", "fuller:4"]
+        assert result.failures["kclass:1"] == {"UnderIdentified": 12}
+        for label, met in result.metrics.items():
+            assert_same_bits(met, summarize_one_by_one(np.vstack(kept[label]), target))
+        assert [m.n_used for m in result.metrics.values()] == [12, 11, 9, 11]
+        ref = result.metrics["pulse"].mse
+        for label in ("ols", "tsls", "fuller:4"):
+            want = mse_order_one_pair(ref, result.metrics[label].mse)
+            assert result.pairwise[label]["mse_order_vs_pulse"] == want.value
+
+
+class TestStackedOrders:
+    """One stacked ``eigvalsh`` pass gives each pair the order of its own call."""
+
+    def test_each_pair_matches_its_own_call(self):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for k in (1, 2, 3):
+            for _ in range(60):
+                base = rng.normal(size=(k, k))
+                a = base @ base.T + 0.1 * np.eye(k)
+                others = []
+                for _ in range(4):
+                    v = rng.normal(size=k)
+                    pick = rng.integers(5)
+                    if pick == 0:
+                        others.append(a.copy())  # equal
+                    elif pick == 1:
+                        others.append(a + np.outer(v, v))  # a <= b
+                    elif pick == 2:
+                        others.append(a - 0.05 * np.outer(v, v) / (v @ v))  # b <= a
+                    elif pick == 3:
+                        w = rng.normal(size=k)
+                        others.append(a + np.outer(v, v) - np.outer(w, w))  # incomparable for k > 1
+                    else:
+                        others.append(a + 1e-10 * np.trace(a) * np.outer(v, v) / (v @ v))
+                got = experiments._mse_orders(a, np.array(others))
+                for b, order in zip(others, got):
+                    assert order is mse_order_one_pair(a, b)
+                    assert mse_partial_order(a, b) is order
+                    seen.add(order)
+        assert seen == set(MseOrder)
+
+    def test_same_errors_as_one_pair(self):
+        sym = np.array([[2.0, 0.3], [0.3, 1.0]])
+        skew = np.array([[2.0, 0.3], [0.1, 1.0]])
+        for a, b, match in (
+            (skew, sym, "mse_a must be symmetric"),
+            (sym, skew, "mse_b must be symmetric"),
+            (skew, skew, "mse_a must be symmetric"),
+            (np.eye(2), np.eye(3), "same shape"),
+            (np.ones((2, 3)), np.ones((2, 3)), "square"),
+        ):
+            with pytest.raises(ValueError) as want:
+                mse_order_one_pair(a, b)
+            with pytest.raises(ValueError, match=match) as got:
+                mse_partial_order(a, b)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="mse_b must be symmetric"):
+            experiments._mse_orders(sym, np.array([sym, skew]))
 
 
 class TestConfigValidation:
@@ -292,6 +442,34 @@ class TestRunExperiment:
         numpy_csv, _ = write_result(run_experiment(numpy_cfg), tmp_path / "numpy")
         assert numpy_csv.read_bytes() == plain.read_bytes()
         assert "np.float64" not in numpy_csv.read_text()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            small_univariate_config(reps=9),
+            replace(small_univariate_config(reps=4), rho_values=(np.float64(0.3),)),
+            ExperimentConfig(design="robustness-e1", repetitions=4, master_seed=2),
+            ExperimentConfig(
+                design="underid-e3", repetitions=5, master_seed=4, n_values=(100, 200),
+                estimators=("pulse", "modified-tsls", "tsls"),
+            ),
+        ],
+        ids=["univariate", "numpy-float-grid", "robustness-e1", "underid-e3-tsls"],
+    )
+    def test_rendered_text_is_what_dictwriter_writes_of_the_rows(self, cfg, tmp_path):
+        """Oracle: the ``csv.DictWriter`` rendering of ``rows`` that ``write_result``
+        made before each cell's text was rendered as it was reduced."""
+        result = run_experiment(cfg)
+        oracle = tmp_path / "oracle.csv"
+        with oracle.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=result.columns)
+            writer.writeheader()
+            for row in result.rows:
+                writer.writerow({k: row.get(k) for k in result.columns})
+        csv_path, _ = write_result(result, tmp_path / "out")
+        assert csv_path.read_bytes() == oracle.read_bytes()
+        if cfg.estimators and "tsls" in cfg.estimators:
+            assert b",tsls,excluded_UnderIdentified,5,0\r\n" in oracle.read_bytes()
 
     def test_repetition_accounting(self):
         cfg = ExperimentConfig(
