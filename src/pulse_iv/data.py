@@ -47,15 +47,39 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def rcond_symmetric(mat: np.ndarray) -> float:
-    """Reciprocal condition number of a symmetric matrix via its spectrum."""
-    if mat.size == 0:
-        return 0.0
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, made read-only in place: the stacks whose slices views cache."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _t(mat: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack (or of one matrix)."""
+    return mat.swapaxes(-1, -2)
+
+
+def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``mat @ vec`` for each matrix and vector of two stacks: the matrix-vector
+    product of one ``matmul`` call, whose bits per item are those of the 2-D call."""
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _dot(vec: np.ndarray) -> np.ndarray:
+    """``vec @ vec`` for each vector of a stack, as a ``(1, n)`` by ``(n, 1)`` ``matmul``:
+    it has the bits of the 1-D ``vec @ vec``, where ``einsum`` does not."""
+    return (vec[..., None, :] @ vec[..., None])[..., 0, 0]
+
+
+def rcond_symmetric(mat: np.ndarray) -> float | np.ndarray:
+    """Reciprocal condition number of a symmetric matrix via its spectrum; of each
+    matrix of a stack, as an array of the leading shape."""
+    if mat.shape[-1] == 0:
+        return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
     w = np.abs(np.linalg.eigvalsh(mat))
-    top = w.max()
-    if top == 0.0:
-        return 0.0
-    return float(w.min() / top)
+    top = w.max(axis=-1)
+    rc = np.divide(w.min(axis=-1), top, out=np.zeros_like(top), where=top != 0.0)
+    return float(rc) if rc.ndim == 0 else rc
 
 
 def checked_solve(name: str, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -73,6 +97,18 @@ def checked_solve(name: str, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(mat, rhs)
 
 
+def _inverse_sqrts(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric inverse square roots of a stack of PSD matrices by eigendecomposition:
+    each matrix's reciprocal condition (0 where its top eigenvalue is not positive),
+    the mask of those that pass :data:`RCOND_GRAM`, and the roots of those, stacked."""
+    w, v = np.linalg.eigh(mats)
+    top = w.max(axis=-1)
+    rc = np.divide(w.min(axis=-1), top, out=np.zeros_like(top), where=top > 0.0)
+    ok = rc >= RCOND_GRAM
+    w, v = w[ok], v[ok]
+    return rc, ok, (v * (1.0 / np.sqrt(w))[..., None, :]) @ _t(v)
+
+
 def psd_inverse_sqrt(name: str, mat: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root of a PSD matrix by eigendecomposition.
 
@@ -81,11 +117,28 @@ def psd_inverse_sqrt(name: str, mat: np.ndarray) -> np.ndarray:
     SingularGram
         If the matrix fails the reciprocal-condition check.
     """
-    w, v = np.linalg.eigh(mat)
-    top = float(w.max()) if w.size else 0.0
-    if top <= 0.0 or float(w.min()) / top < RCOND_GRAM:
-        raise SingularGram(name, 0.0 if top <= 0.0 else float(w.min()) / top)
-    return (v * (1.0 / np.sqrt(w))) @ v.T
+    rc, ok, roots = _inverse_sqrts(mat[None])
+    if not ok[0]:
+        raise SingularGram(name, float(rc[0]))
+    return roots[0]
+
+
+def _iv_pieces(
+    ata: np.ndarray, atz: np.ndarray, aty: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:attr:`GramView.iv_pieces` of a stack of designs: the reciprocal condition of
+    each ``A^T A``, the mask of those that pass, and ``S`` and ``s_y`` of those, stacked
+    and read-only."""
+    rc, ok, isqrt = _inverse_sqrts(ata)
+    return (rc, ok, *_frozen(isqrt @ atz[ok], _mv(isqrt, aty[ok])))
+
+
+def _gram_products(y: np.ndarray, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``Z^T Z, Z^T y, A^T Z, A^T y, A^T A, y^T y`` of each design of ``(R, n)``,
+    ``(R, n, k)`` and ``(R, n, q)`` stacks, read-only.  Each is one ``matmul``
+    call whose bits per item are those of the 2-D call."""
+    zt, at = _t(z), _t(a)
+    return _frozen(zt @ z, _mv(zt, y), at @ z, _mv(at, y), at @ a, _dot(y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +180,7 @@ class Dataset:
         if n < max(d, q):
             raise DataError(f"need n >= max(d, q); got n={n}, d={d}, q={q}")
         for name, arr in (("y", y), ("x", x), ("a", a)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise DataError(f"non-finite values in {name}")
         object.__setattr__(self, "y", _readonly(y))
         object.__setattr__(self, "x", _readonly(x))
@@ -368,6 +421,22 @@ class ModelPartition:
         return ModelPartition(tuple(range(d)), ())
 
 
+def _partition_for(d: int, q: int, partition: ModelPartition | None) -> ModelPartition:
+    """``partition``, checked against ``d`` and ``q``; every endogenous regressor if ``None``."""
+    if partition is None:
+        partition = ModelPartition.all_endogenous(d)
+    partition.validate(d, q)
+    return partition
+
+
+def _z(x: np.ndarray, a: np.ndarray, partition: ModelPartition) -> np.ndarray:
+    """``Z = [X_* A_*]`` of each sample of a stack (``A_*`` has no column when ``q1 = 0``)."""
+    return np.concatenate(
+        [x[..., list(partition.included_endogenous)], a[..., list(partition.included_exogenous)]],
+        axis=-1,
+    )
+
+
 class KClassPath:
     """The K-class path of one design: ``alpha(lam)`` minimizes ``l_OLS + lam l_IV``,
     equivalently ``(1 - kappa) l_OLS + kappa l_IV`` at ``kappa = lam / (1 + lam)``.
@@ -390,22 +459,37 @@ class KClassPath:
     """
 
     def __init__(
-        self, ztz: np.ndarray, zty: np.ndarray, s: np.ndarray, sy: np.ndarray, yty: float
+        self, ztz: np.ndarray, zty: np.ndarray, yty: float, sts: np.ndarray, sty: np.ndarray,
+        syy: float, v: np.ndarray, d: np.ndarray, b0: np.ndarray, b1: np.ndarray,
     ):
-        self.ztz, self.zty, self.sts, self.sty = ztz, zty, s.T @ s, s.T @ sy
-        self.yty, self.syy = float(yty), float(sy @ sy)
-        k = ztz.shape[0]
-        low = np.linalg.cholesky(ztz)
-        u, sig, rt = np.linalg.svd(np.linalg.solve(low, s.T).T)
-        r = sig.size
-        self.v = np.linalg.solve(low.T, rt.T)
-        self.d = np.zeros(k)
-        self.d[:r] = sig * sig
-        self.b0 = self.v.T @ zty
-        self.b1 = np.zeros(k)
-        self.b1[:r] = sig * (u[:, :r].T @ sy)
+        """One design's path from the read-only arrays that :meth:`stack` computes."""
+        self.ztz, self.zty, self.sts, self.sty = ztz, zty, sts, sty
+        self.yty, self.syy = float(yty), float(syy)
+        self.v, self.d, self.b0, self.b1 = v, d, b0, b1
         # Python floats: at k of a few, a numpy call costs more than the sum
-        self._terms = tuple(zip(self.b0.tolist(), self.b1.tolist(), self.d.tolist()))
+        self._terms = tuple(zip(b0.tolist(), b1.tolist(), d.tolist()))
+
+    @classmethod
+    def stack(
+        cls, ztz: np.ndarray, zty: np.ndarray, s: np.ndarray, sy: np.ndarray, yty: np.ndarray
+    ) -> list["KClassPath"]:
+        """The path of each design of a stack of ``Z^T Z``, ``Z^T y``, ``S``, ``s_y``
+        and ``y^T y``, one numpy call per step over the whole stack; ``cholesky``,
+        ``solve``, ``svd`` and ``matmul`` give each item the bits of its own call.
+        Each ``Z^T Z`` must be positive definite."""
+        if not len(ztz):
+            return []
+        st = _t(s)
+        low = np.linalg.cholesky(ztz)
+        u, sig, rt = np.linalg.svd(_t(np.linalg.solve(low, st)))
+        r = sig.shape[-1]
+        v = np.linalg.solve(_t(low), _t(rt))
+        d, b1 = np.zeros(zty.shape), np.zeros(zty.shape)
+        d[..., :r] = sig * sig
+        b1[..., :r] = sig * _mv(_t(u[..., :r]), sy)
+        arrays = (_readonly(ztz), _readonly(zty), yty,
+                  *_frozen(st @ s, _mv(st, sy)), _dot(sy), *_frozen(v, d, _mv(_t(v), zty), b1))
+        return [cls(*items) for items in zip(*arrays)]
 
     def losses(self, lam: float) -> tuple[float, float]:
         """``(n l_OLS, n l_IV)`` at the point at penalty ``lam``, in ``O(k)`` from the
@@ -479,10 +563,12 @@ class GramView:
 
     @cached_property
     def iv_pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Whitened cross products ``S = (A^T A)^{-1/2} A^T Z`` and ``s_y``;
+        """Whitened cross products ``S = (A^T A)^{-1/2} A^T Z`` and ``s_y``, read-only;
         :class:`SingularGram` (not cached) if ``A^T A`` is singular."""
-        isqrt = psd_inverse_sqrt("A^T A", self.ata)
-        return isqrt @ self.atz, isqrt @ self.aty
+        rc, ok, s, sy = _iv_pieces(self.ata[None], self.atz[None], self.aty[None])
+        if not ok[0]:
+            raise SingularGram("A^T A", float(rc[0]))
+        return s[0], sy[0]
 
     def ols_loss(self, alpha: np.ndarray) -> float:
         """Mean squared residual ``n^{-1} ||y - Z alpha||^2``."""
@@ -510,7 +596,7 @@ class GramView:
         s, sy = self.iv_pieces
         if self.rcond_ztz < RCOND_GRAM:
             raise SingularGram("Z^T Z", self.rcond_ztz)
-        return KClassPath(self.ztz, self.zty, s, sy, self.yty)
+        return KClassPath.stack(self.ztz[None], self.zty[None], s[None], sy[None], [self.yty])[0]
 
     def kclass_solve(self, kappa: float) -> np.ndarray:
         """Closed-form K-class solution, the minimizer of ``(1 - kappa) l_OLS + kappa l_IV``:
@@ -542,24 +628,62 @@ class GramView:
 class DesignView(GramView):
     """A :class:`GramView` built from the rows of a :class:`Dataset`, which it keeps
     as ``dataset`` (``Z = [X_* A_*]`` is its columns under ``partition``), with
-    ``coef_names``."""
+    ``coef_names``.  :meth:`stack` builds the views of a stack of samples at once."""
 
     def __init__(self, dataset: Dataset, partition: ModelPartition | None = None):
-        if partition is None:
-            partition = ModelPartition.all_endogenous(dataset.d)
-        partition.validate(dataset.d, dataset.q)
+        partition = _partition_for(dataset.d, dataset.q, partition)
+        y, x, a = dataset.y[None], dataset.x[None], dataset.a[None]
+        self._fill(dataset, partition, [g[0] for g in _gram_products(y, _z(x, a, partition), a)])
+
+    def _fill(self, dataset: Dataset, partition: ModelPartition, grams: list[np.ndarray]) -> None:
+        ztz, zty, atz, aty, ata, yty = grams
         self.dataset = dataset
-        x_star = dataset.x[:, list(partition.included_endogenous)]
-        a_star = dataset.a[:, list(partition.included_exogenous)]  # (n, 0) when q1 = 0
-        z = np.hstack([x_star, a_star])
         self.coef_names = tuple(dataset.x_names[i] for i in partition.included_endogenous) + tuple(
             dataset.a_names[i] for i in partition.included_exogenous
         )
-        a, y = dataset.a, dataset.y
         super().__init__(
-            partition, dataset.q, dataset.n,
-            ztz=z.T @ z, ata=a.T @ a, atz=a.T @ z, zty=z.T @ y, aty=a.T @ y, yty=y @ y,
+            partition, dataset.q, dataset.n, ztz=ztz, zty=zty, atz=atz, aty=aty, ata=ata, yty=yty
         )
+
+    @classmethod
+    def stack(
+        cls, y: np.ndarray, x: np.ndarray, a: np.ndarray, partition: ModelPartition | None = None
+    ) -> list["DesignView"]:
+        """The view of each sample of ``(R, n)``, ``(R, n, d)`` and ``(R, n, q)`` stacks,
+        as :func:`~pulse_iv.sem.sample_stack` draws them: view ``r`` has the bits of
+        ``DesignView(Dataset(y[r], x[r], a[r]), partition)`` in every product and
+        cache.  The products, :attr:`rcond_ztz`, :attr:`iv_pieces` and :attr:`path`
+        are each one numpy pass over the stack, and each view caches its slice.  A
+        view whose ``A^T A`` (or ``Z^T Z``) fails its check caches no ``iv_pieces``
+        (or ``path``), so reading it raises the same :class:`SingularGram` as the
+        single view.
+
+        Raises
+        ------
+        DataError
+            As :class:`Dataset` does, for the first sample that fails its checks.
+        """
+        y, x, a = (np.asarray(arr, dtype=float) for arr in (y, x, a))
+        datasets = [Dataset(y=yr, x=xr, a=ar) for yr, xr, ar in zip(y, x, a)]
+        partition = _partition_for(x.shape[-1], a.shape[-1], partition)
+        grams = ztz, zty, atz, aty, ata, yty = _gram_products(y, _z(x, a, partition), a)
+        rc_ztz = rcond_symmetric(ztz)
+        _, ok, s, sy = _iv_pieces(ata, atz, aty)
+        good = ok & (rc_ztz >= RCOND_GRAM)
+        paths = iter(KClassPath.stack(ztz[good], zty[good], s[good[ok]], sy[good[ok]], yty[good]))
+        pieces = zip(s, sy)
+        views = []
+        for r, ds in enumerate(datasets):
+            view = cls.__new__(cls)
+            view._fill(ds, partition, [g[r] for g in grams])
+            cache = vars(view)
+            cache["rcond_ztz"] = float(rc_ztz[r])
+            if ok[r]:
+                cache["iv_pieces"] = next(pieces)
+            if good[r]:
+                cache["path"] = next(paths)
+            views.append(view)
+        return views
 
     # bench/spans.py counts K-class solves by wrapping this class's own entry, which
     # its self-test asserts is found; once it wraps GramView's, the alias can go.

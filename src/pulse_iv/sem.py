@@ -9,6 +9,13 @@ Sampling is reproducible by contract: Gaussians come from the counter-based
 Philox generator keyed by ``(seed, stream)`` and are transformed by the
 inverse normal CDF applied to offset 53-bit uniforms, so identical seeds give
 byte-identical draws on every platform.
+
+:func:`sample_stack` draws one sample per seed as ``(R, n)``, ``(R, n, d)`` and
+``(R, n, q)`` stacks, and :func:`sem_sample` is its one-seed case.  Each seed
+keeps its own Philox streams; after the draws, every step (the uniform
+transform, ``ndtri``, the matmuls and the reduced-form ``solve``) is one numpy
+call over the whole stack, elementwise or per matrix, so each item has the bits
+that :func:`sem_sample` gives for its seed alone.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 import scipy.special
@@ -42,13 +49,19 @@ def philox_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[_mask64(seed), _mask64(stream)]))
 
 
-def _gaussians(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normal draws via inverse CDF on a Philox counter stream."""
-    gen = philox_generator(seed, stream)
-    u = (gen.integers(0, 1 << 53, size=shape).astype(float) + 0.5) / float(1 << 53)
+def _gaussians(seed: int | Sequence[int], stream: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normal draws of ``shape`` via inverse CDF on the Philox counter
+    stream of ``seed``; for a sequence of seeds, their ``(R, *shape)`` stack."""
+    one = isinstance(seed, (int, np.integer))
+    seeds = [seed] if one else seed
+    u = np.empty((len(seeds), *shape))
+    for row, s in zip(u, seeds):
+        np.add(philox_generator(s, stream).integers(0, 1 << 53, size=shape), 0.5, out=row)
+    u /= float(1 << 53)
     # k = 2^53 - 1 rounds to u = 1.0, where ndtri is inf; the cap moves that k alone
     np.minimum(u, np.nextafter(1.0, 0.0), out=u)
-    return scipy.special.ndtri(u)
+    scipy.special.ndtri(u, out=u)
+    return u[0] if one else u
 
 
 def _psd_root(mat: np.ndarray, name: str) -> np.ndarray:
@@ -190,44 +203,58 @@ class SemModel:
         return ModelPartition.all_endogenous(len(self.x_indices))
 
 
-def draw_noise(model: SemModel, n: int, seed: int) -> np.ndarray:
-    """The ``(n, k)`` noise matrix; a fixed stream independent of interventions."""
-    z = _gaussians(seed, _NOISE_STREAM, (n, model.k))
-    return z @ model.noise_root.T
+def draw_noise(model: SemModel, n: int, seed: int | Sequence[int]) -> np.ndarray:
+    """The ``(n, k)`` noise matrix; a fixed stream independent of interventions.
+    For a sequence of seeds, their ``(R, n, k)`` stack."""
+    return _gaussians(seed, _NOISE_STREAM, (n, model.k)) @ model.noise_root.T
 
 
 def draw_anchors(
-    model: SemModel, n: int, seed: int, iv: InterventionSpec | None = None
+    model: SemModel, n: int, seed: int | Sequence[int], iv: InterventionSpec | None = None
 ) -> np.ndarray:
-    """The ``(n, q)`` anchor matrix under the (possibly intervened) law of A."""
+    """The ``(n, q)`` anchor matrix under the (possibly intervened) law of A.
+    For a sequence of seeds, their ``(R, n, q)`` stack."""
     iv = iv or InterventionSpec.none()
     mean, cov = iv.law(model)
     root = model.anchor_root if iv.kind == "none" else _psd_root(cov, "intervention cov")
-    z = _gaussians(seed, _A_STREAM, (n, model.q))
-    return mean + z @ root.T
+    return mean + _gaussians(seed, _A_STREAM, (n, model.q)) @ root.T
 
 
 def reduced_form_solve(model: SemModel, a: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Endogenous matrix ``[Y X H]`` solving the SEM for given ``(A, eps)`` rows."""
+    """Endogenous matrix ``[Y X H]`` solving the SEM for given ``(A, eps)`` rows, or
+    the stack of them for ``(R, n, q)`` and ``(R, n, k)`` stacks."""
     rhs = a @ model.m + eps
-    return np.linalg.solve(model.gamma.T, rhs.T).T
+    return np.linalg.solve(model.gamma.T, rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def sample_stack(
+    model: SemModel, n: int, seeds: Sequence[int], iv: InterventionSpec | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``n`` i.i.d. rows from the (possibly intervened) SEM for each seed: the
+    ``(R, n)``, ``(R, n, d)`` and ``(R, n, q)`` stacks of ``y``, ``x`` and ``a``,
+    item ``r`` the bits of ``sem_sample(model, n, seeds[r], iv)``.  ``a`` is
+    C-contiguous; ``y`` and ``x`` select rows of the solved ``(R, k, n)`` block, so
+    each ``y[r]`` is contiguous and each ``x[r]`` Fortran-ordered, with no
+    transposing copy (about 70 us per sample at ``n = 1e4``).
+
+    Hidden coordinates are dropped.  The noise stream does not depend on the
+    intervention, so samples with the same seed share their noise rows across
+    interventions.  Unlike :func:`sem_sample`, nothing checks the values.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    a = draw_anchors(model, n, seeds, iv)
+    vt = reduced_form_solve(model, a, draw_noise(model, n, seeds)).swapaxes(-1, -2)
+    return vt[:, model.y_index], vt[:, list(model.x_indices)].swapaxes(-1, -2), a
 
 
 def sem_sample(
     model: SemModel, n: int, seed: int, iv: InterventionSpec | None = None
 ) -> Dataset:
-    """Draw ``n`` i.i.d. rows from the (possibly intervened) SEM.
-
-    Hidden coordinates never appear in the returned dataset.  The noise
-    stream does not depend on the intervention, so samples with the same seed
-    share their noise rows across interventions.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    a = draw_anchors(model, n, seed, iv)
-    eps = draw_noise(model, n, seed)
-    v = reduced_form_solve(model, a, eps)
-    return Dataset(y=v[:, model.y_index], x=v[:, list(model.x_indices)], a=a)
+    """Draw ``n`` i.i.d. rows from the (possibly intervened) SEM: the one-seed
+    case of :func:`sample_stack`, as a checked :class:`Dataset`."""
+    y, x, a = sample_stack(model, n, [seed], iv)
+    return Dataset(y=y[0], x=x[0], a=a[0])
 
 
 def population_moments(

@@ -15,7 +15,7 @@ import pulse_iv
 from pulse_iv.cli import main
 from pulse_iv.data import CsvSchema, DesignView, center, load_csv
 from pulse_iv.estimators import EstimatorSpec, estimate
-from pulse_iv.sem import e1_model, model_to_json, sem_sample
+from pulse_iv.sem import e1_model, model_to_json, sample_stack
 
 
 def run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
@@ -628,9 +628,9 @@ class TestExperiment:
 
         def counted(*args, **kwargs):
             samples.append(args)
-            return sem_sample(*args, **kwargs)
+            return sample_stack(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "sem_sample", counted)
+        monkeypatch.setattr(experiments, "sample_stack", counted)
         out = tmp_path / "afile"
         out.write_text("kept\n")
         args = ["experiment", "--design", "underid-e3", "--reps", "2", "--out", str(out)]
@@ -638,6 +638,8 @@ class TestExperiment:
         assert capsys.readouterr().err == f"data error: cannot write {out}: File exists\n"
         assert samples == []  # no cell ran
         assert out.read_text() == "kept\n"
+        assert main([*args[:-1], str(tmp_path / "dir")]) == 0
+        assert samples  # the count sees the study's sampler
 
     def test_threads_flag_and_environment_are_gone(self, tmp_path, monkeypatch, capsys):
         args = ["experiment", "--design", "underid-e3", "--reps", "2", "--seed", "1"]

@@ -232,7 +232,7 @@ class TestStackedSummaries:
                     alphas.append(alpha)
             outputs.append((tuple(alphas), None))
         target = np.array([0.5, -0.5])
-        cell = experiments._Cell({"n": 100}, e3_model(), 100, target)
+        cell = experiments._Cell({"n": 100}, e3_model, 100, target)
         result = experiments._reduce_cell(cell, estimators, outputs)
         assert list(result.metrics) == ["pulse", "ols", "tsls", "fuller:4"]
         assert result.failures["kclass:1"] == {"UnderIdentified": 12}
