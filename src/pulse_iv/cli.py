@@ -24,7 +24,7 @@ from .estimators import EstimateResult, EstimatorSpec, estimate, parse_estimator
 from .exceptions import DataError, PulseIVError, SingularGram
 from .experiments import DESIGNS, ExperimentConfig, run_experiment, write_result
 from .inference import (
-    ANDERSON_RUBIN, PLAIN, TestConfig, TestResult, test_statistic, weak_instrument_stat,
+    ANDERSON_RUBIN, PLAIN, TestResult, test_statistic, weak_instrument_stat,
 )
 from .pulse import MESSAGE_TEXT, PulseConfig, PulseMessage, PulseResult
 from .sem import intervention_from_json, load_json, load_sem_json, model_to_json, sem_sample
@@ -165,22 +165,20 @@ def _fmt(value: float | None) -> str:
 def cmd_estimate(args: argparse.Namespace) -> int:
     view, use_intercept = _load_view(args)
     scaling = ANDERSON_RUBIN if args.scaling == "ar" else PLAIN
-    test_config = TestConfig(p_min=args.pmin, scaling=scaling)
     fallback_spec = None if args.fallback == "none" else EstimatorSpec.parse(args.fallback)
-    pulse_cfg = None
+    # the test every row reports, and PULSE's search: checked whichever estimators run
+    cfg = PulseConfig(
+        p_min=args.pmin,
+        scaling=scaling,
+        precision_n=args.precision,
+        fallback=fallback_spec or EstimatorSpec("fuller"),
+    )
 
     rows: list[tuple[str, EstimateResult, TestResult | None, str]] = []
     for label, spec in parse_estimators(_csv_list(args.estimator)):
-        if spec.kind == "pulse":
-            pulse_cfg = pulse_cfg or PulseConfig(
-                p_min=args.pmin,
-                scaling=scaling,
-                precision_n=args.precision,
-                fallback=fallback_spec or EstimatorSpec("fuller"),
-            )
-        res = estimate(view, spec, pulse_cfg)
+        res = estimate(view, spec, cfg)
         try:
-            test = test_statistic(view, res.alpha, test_config)
+            test = test_statistic(view, res.alpha, cfg)
         except SingularGram:  # the test needs a regular A^T A, which OLS does not
             test = None
         message = res.message if isinstance(res, PulseResult) else None

@@ -82,21 +82,6 @@ def rcond_symmetric(mat: np.ndarray) -> float | np.ndarray:
     return float(rc) if rc.ndim == 0 else rc
 
 
-def checked_solve(name: str, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``mat @ x = rhs`` after verifying the condition of ``mat``.
-
-    Raises
-    ------
-    SingularGram
-        If the reciprocal condition number of ``mat`` falls below
-        :data:`RCOND_GRAM`. The exception names the offending matrix.
-    """
-    rc = rcond_symmetric(mat)
-    if rc < RCOND_GRAM:
-        raise SingularGram(name, rc)
-    return np.linalg.solve(mat, rhs)
-
-
 def _inverse_sqrts(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric inverse square roots of a stack of PSD matrices by eigendecomposition:
     each matrix's reciprocal condition (0 where its top eigenvalue is not positive),
@@ -107,20 +92,6 @@ def _inverse_sqrts(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ok = rc >= RCOND_GRAM
     w, v = w[ok], v[ok]
     return rc, ok, (v * (1.0 / np.sqrt(w))[..., None, :]) @ _t(v)
-
-
-def psd_inverse_sqrt(name: str, mat: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of a PSD matrix by eigendecomposition.
-
-    Raises
-    ------
-    SingularGram
-        If the matrix fails the reciprocal-condition check.
-    """
-    rc, ok, roots = _inverse_sqrts(mat[None])
-    if not ok[0]:
-        raise SingularGram(name, float(rc[0]))
-    return roots[0]
 
 
 def _iv_pieces(

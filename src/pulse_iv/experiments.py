@@ -15,20 +15,18 @@ import io
 import itertools
 import json
 import os
-import sys
-from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .data import DesignView, checked_solve
+from .data import RCOND_GRAM, DesignView, rcond_symmetric
 from .estimators import EstimatorSpec, estimate, parse_estimators
-from .exceptions import DataError, PulseIVError
+from .exceptions import DataError, PulseIVError, SingularGram
 from .inference import TestConfig, weak_instrument_stat
 from .pulse import PulseConfig
 from .sem import (
@@ -152,8 +150,10 @@ def rho_norm_multivariate(mu: np.ndarray, delta: np.ndarray, sigma_sq: tuple[flo
     mu = np.asarray(mu, dtype=float).reshape(2)
     delta = np.asarray(delta, dtype=float).reshape(2, 2)
     inner = delta.T @ delta + np.diag(sigma_sq)
-    dtm = delta.T @ mu
-    val = float(mu @ delta @ checked_solve("delta^T delta + diag(sigma^2)", inner, dtm))
+    rc = rcond_symmetric(inner)
+    if rc < RCOND_GRAM:
+        raise SingularGram("delta^T delta + diag(sigma^2)", rc)
+    val = float(mu @ delta @ np.linalg.solve(inner, delta.T @ mu))
     return float(np.sqrt(max(val, 0.0) / (mu @ mu + 1.0)))
 
 
@@ -677,85 +677,12 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
 #: Repetitions per chunk sent to a worker; a cell with more is split.
 CHUNK_REPS = 100
 
-#: Chunks queued on each worker while the parent waits for the oldest one.
-_QUEUE_DEPTH = 2
-
 #: Worker environment: one BLAS thread each.  Serial studies already keep about
 #: two cores busy through BLAS threads, so workers that kept theirs would fight.
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-
-class _Workers:
-    """Worker processes that run :func:`_run_chunk` on pickled chunks: each is a
-    fresh interpreter with this process's ``sys.path`` and one BLAS thread,
-    reading chunks on stdin, answering on stdout and exiting at end of input."""
-
-    def __init__(self, n: int):
-        import subprocess
-
-        code = f"import sys; sys.path[:] = {sys.path!r}; from pulse_iv.experiments import _serve; _serve()"
-        env = {**os.environ, **_ONE_BLAS_THREAD}
-        self.procs = [
-            subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
-                             stdout=subprocess.PIPE, env=env)
-            for _ in range(n)
-        ]
-
-    def map(self, chunks: Iterable[_Chunk]) -> Iterator[list[_RepOutput]]:
-        """Each chunk's outputs, in chunk order.  Chunk ``j`` runs on worker
-        ``j % n``, and at most ``_QUEUE_DEPTH`` chunks wait on each worker.  A
-        pickled chunk is a few KB, far below a pipe's buffer, so a send never
-        blocks on a worker that is itself blocked until its answer is read."""
-        import pickle
-
-        # a worker stays in ``in_flight`` from before its chunk is sent until its
-        # answer has been read, so a stop at any point sees what is still owed
-        in_flight: deque[Any] = deque()
-        try:
-            for proc, chunk in zip(itertools.cycle(self.procs), chunks):
-                in_flight.append(proc)
-                try:
-                    pickle.dump(chunk, proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-                    proc.stdin.flush()
-                except OSError as exc:  # a broken pipe: the worker stopped
-                    _worker_failed(proc, exc)
-                if len(in_flight) == _QUEUE_DEPTH * len(self.procs):
-                    yield self._receive(in_flight)
-            while in_flight:
-                yield self._receive(in_flight)
-        finally:
-            if in_flight:  # stopped early: answers still on their way would be read as the next call's
-                shutdown_workers(kill=True)
-
-    @staticmethod
-    def _receive(in_flight: deque[Any]) -> list[_RepOutput]:
-        """The answer of the oldest worker in ``in_flight``, which leaves it once read."""
-        import pickle
-
-        proc = in_flight[0]
-        try:
-            ok, value = pickle.load(proc.stdout)
-        except Exception as exc:  # end of stream or a garbled answer: the worker stopped
-            _worker_failed(proc, exc)
-        in_flight.popleft()
-        if not ok:
-            raise value
-        return value
-
-    def close(self, kill: bool = False) -> None:
-        for proc in self.procs:
-            if kill:
-                proc.kill()
-            for stream in (proc.stdin, proc.stdout):
-                try:
-                    stream.close()
-                except OSError:  # the pipe of a worker that died
-                    pass
-        for proc in self.procs:
-            proc.wait()
-
-
-_WORKERS: _Workers | None = None
+#: The worker count and process pool that later calls with that count reuse.
+_WORKERS: tuple[int, Any] | None = None
 
 
 def _cpu_count() -> int:
@@ -766,58 +693,61 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(n: int) -> _Workers:
-    """The running workers, started first if there are none or not ``n``."""
+def _chunk_outputs(chunk: _Chunk) -> list[_RepOutput]:
+    """A chunk's outputs, run on a worker."""
+    return list(_run_chunk(chunk))
+
+
+def _pooled(n: int, chunks: Iterable[_Chunk]) -> Iterator[list[_RepOutput]]:
+    """Each chunk's outputs, in chunk order, from a pool of ``n`` worker processes,
+    started first if there is none or not of ``n``.  Each worker is a fresh
+    interpreter (a ``spawn`` start: a fork would copy this process's running BLAS
+    threads) that ignores Ctrl-C, which this process handles.  The pool starts its
+    workers inside ``map``, so they read the one-BLAS-thread environment set only
+    around that call.  A lost worker breaks the pool: it is shut down, not respawned."""
+    import multiprocessing
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     global _WORKERS
-    if _WORKERS is None or len(_WORKERS.procs) != n:
+    if _WORKERS is None or _WORKERS[0] != n:
         shutdown_workers()
-        _WORKERS = _Workers(n)
-    return _WORKERS
+        _WORKERS = n, ProcessPoolExecutor(
+            n, mp_context=multiprocessing.get_context("spawn"),
+            initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN),
+        )
+    try:
+        saved = {name: os.environ.get(name) for name in _ONE_BLAS_THREAD}
+        os.environ.update(_ONE_BLAS_THREAD)
+        try:
+            answers = _WORKERS[1].map(_chunk_outputs, chunks)
+        except OSError as exc:  # a worker that stops at start can close the pool's pipes
+            raise BrokenProcessPool("an experiment worker stopped as it started") from exc
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    del os.environ[name]
+                else:
+                    os.environ[name] = value
+        # closing this generator early cancels the chunks not yet started
+        yield from answers
+    except BrokenProcessPool:
+        shutdown_workers()
+        raise
 
 
-def _worker_failed(proc: Any, cause: Exception) -> NoReturn:
-    shutdown_workers(kill=True)
-    raise RuntimeError(
-        f"experiment worker {proc.pid} stopped with exit status {proc.returncode}; "
-        "its error, if any, is on stderr above"
-    ) from cause
-
-
-def shutdown_workers(kill: bool = False) -> None:
+def shutdown_workers() -> None:
     """Stop the worker processes of :func:`run_experiment` and wait for them to
-    exit; ``kill`` stops them mid-chunk.  Runs at interpreter exit; the next call
-    with ``threads > 1`` starts new ones."""
+    exit; a chunk still running finishes first.  Runs at interpreter exit; the
+    next call with ``threads > 1`` starts new ones."""
     global _WORKERS
     workers, _WORKERS = _WORKERS, None
     if workers is not None:
-        workers.close(kill)
+        workers[1].shutdown(cancel_futures=True)
 
 
 atexit.register(shutdown_workers)
-
-
-def _serve() -> None:
-    """A worker's loop: answer each pickled chunk on stdin with ``(True, outputs)``,
-    or ``(False, error)`` if the step raised; return at end of input."""
-    import pickle
-    import signal
-    import traceback
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and stops its workers
-    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
-    sys.stdout = sys.stderr  # nothing but answers may reach the answer stream
-    while True:
-        try:
-            chunk = pickle.load(stdin)
-        except EOFError:
-            return
-        try:
-            answer = (True, list(_run_chunk(chunk)))
-        except Exception as exc:  # the parent raises it in turn; its traceback goes to stderr
-            traceback.print_exc()
-            answer = (False, exc)
-        pickle.dump(answer, stdout, protocol=pickle.HIGHEST_PROTOCOL)
-        stdout.flush()
 
 
 def _step_replaced() -> bool:
@@ -848,11 +778,11 @@ def _cell_outputs(
         for index in range(len(cells)):
             yield _run_chunk(chunk(index, range(cfg.repetitions)))
         return
-    answers = _workers(n).map(
+    answers = _pooled(n, (
         chunk(index, range(start, min(start + CHUNK_REPS, cfg.repetitions)))
         for index in range(len(cells))
         for start in starts
-    )
+    ))
     try:
         for _ in cells:
             yield itertools.chain.from_iterable(itertools.islice(answers, len(starts)))
@@ -873,20 +803,26 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     chunks or CPUs; where that leaves one, the repetitions run here.  They run
     here too when a function the step calls has been replaced in this process
     (a test's monkeypatch, a tracer), since a worker would run the original.  The
-    workers start on first use and serve later calls with the same count,
-    until :func:`shutdown_workers` or interpreter exit: starting them costs
-    more than a short study (about 0.5 s against 0.3 s for the benchmark's
-    ``mc-mv-parallel`` grid).  Each runs one BLAS thread: a serial study
-    already keeps about two cores busy through BLAS threads, so workers that
-    kept theirs would compete for the cores and run slower than serial.
-    ``robustness-e1`` always runs here.
+    workers are a standard-library process pool with ``spawn`` starts, so a
+    script that calls this with ``threads > 1`` at top level needs an
+    ``if __name__ == "__main__":`` guard: each worker imports the script's main
+    module afresh.  The workers start on first use and serve later calls with
+    the same count, until :func:`shutdown_workers` or interpreter exit: starting
+    them costs more than a short study (about 0.8 s against 0.2-0.3 s serially
+    for the benchmark's ``mc-mv-parallel`` grid).  A call stopped by an error or
+    Ctrl-C drops its chunks that have not started; one that is running finishes
+    and its answer is discarded, so exit waits for at most one chunk per worker.
+    Each worker runs one BLAS thread: a serial study already keeps about two
+    cores busy through BLAS threads, so workers that kept theirs would compete
+    for the cores and run slower than serial.  ``robustness-e1`` always runs here.
 
     Raises
     ------
     ValueError
         If ``threads`` is below 1.
-    RuntimeError
-        If a worker process stops; the workers are then stopped too.
+    concurrent.futures.process.BrokenProcessPool
+        A ``RuntimeError``: if a worker process stops.  The workers are then
+        shut down, not replaced; the next call starts new ones.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")

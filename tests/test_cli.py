@@ -283,8 +283,23 @@ class TestEstimate:
         assert reports["Pulse"].pop("estimator") == "Pulse"
         assert reports["pulse"].pop("estimator") == "pulse"
         assert reports["Pulse"] == reports["pulse"]
-        # the fallback is only checked when PULSE runs
-        assert main([*args, "--estimator", "ols", "--fallback", "ols"]) == 0
+
+    @pytest.mark.parametrize("estimator", ["ols", "pulse", "tsls,liml"])
+    @pytest.mark.parametrize(
+        "flags, error",
+        [(["--precision", "0"], "precision_n"), (["--fallback", "ols"], "fallback"), (["--pmin", "2"], "p_min")],
+    )
+    def test_pulse_flags_are_checked_whichever_estimators_run(
+        self, e1_config, tmp_path, capsys, estimator, flags, error
+    ):
+        data = tmp_path / "data.csv"
+        main(["simulate", "--sem", str(e1_config), "--n", "200", "--seed", "3", "--out", str(data)])
+        capsys.readouterr()
+        args = ["estimate", "--data", str(data), "--target", "y", "--endogenous", "x1"]
+        args += ["--instruments", "a1", "--estimator", estimator, *flags]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and error in captured.err
 
     def test_out_of_domain_estimator_value_is_usage_error(self, e1_config, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -696,6 +711,14 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     proc = run_python("-c", "import sys, pulse_iv.cli; print('scipy.linalg' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the experiment's worker pool imports these on first use, not every estimate process
+    code = "import sys, pulse_iv.cli; print([m in sys.modules for m in ('multiprocessing', 'concurrent.futures.process')])"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False]\n"
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

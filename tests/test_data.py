@@ -17,7 +17,6 @@ from pulse_iv.data import (
     ModelPartition,
     center,
     load_csv,
-    psd_inverse_sqrt,
 )
 from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.exceptions import DataError, SingularGram
@@ -27,9 +26,10 @@ from conftest import loss_by_residuals, make_instance, raw_matrices
 
 
 def projection_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``P_A v`` through the whitening ``(A^T A)^{-1/2}`` that ``DesignView.iv_loss`` uses."""
-    isqrt = psd_inverse_sqrt("A^T A", a.T @ a)
-    return a @ (isqrt @ (isqrt @ (a.T @ v)))
+    """``P_A v`` through the whitening ``(A^T A)^{-1/2}`` that ``DesignView.iv_pieces`` uses."""
+    _, ok, isqrt = data._inverse_sqrts((a.T @ a)[None])
+    assert ok[0]
+    return a @ (isqrt[0] @ (isqrt[0] @ (a.T @ v)))
 
 
 class TestDataset:
@@ -233,8 +233,9 @@ class TestProjection:
 
     def test_singular_gram(self):
         a = np.ones((5, 2))  # duplicated column
+        view = DesignView(Dataset(y=np.arange(5.0), x=np.arange(5.0)[:, None] ** 2, a=a))
         with pytest.raises(SingularGram, match="A\\^T A"):
-            projection_apply(a, np.ones(5))
+            view.iv_pieces
 
 
 class TestViewCache:

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import csv
+import multiprocessing
+import os
 import shutil
-import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
+from multiprocessing import resource_tracker, spawn
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -733,13 +737,38 @@ class TestWorkers:
     def test_workers_exit_when_shut_down(self):
         cfg = CELL_MAPPING_CASES[2][0]
         first = run_experiment(cfg, threads=2)
-        procs = list(experiments._WORKERS.procs)
+        procs = multiprocessing.active_children()
+        assert len(procs) == 2
         assert run_experiment(cfg, threads=2).rows == first.rows
-        assert experiments._WORKERS.procs == procs  # a later call reuses them
+        # a later call reuses them
+        assert {p.pid for p in multiprocessing.active_children()} == {p.pid for p in procs}
         experiments.shutdown_workers()
         assert experiments._WORKERS is None
-        assert [p.returncode for p in procs] == [0, 0]
+        assert multiprocessing.active_children() == []
+        assert [p.exitcode for p in procs] == [0, 0]
         assert run_experiment(cfg, threads=2).rows == first.rows  # and new ones start on demand
+        experiments.shutdown_workers()
+
+    @pytest.mark.parametrize("preset", [None, "4"])
+    def test_each_worker_runs_one_blas_thread(self, monkeypatch, preset):
+        """The workers start with one BLAS thread; the caller's environment is left as it was."""
+        if not Path("/proc/self/environ").exists():
+            pytest.skip("no /proc to read a worker's environment from")
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        if preset is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        before = dict(os.environ)
+        experiments.shutdown_workers()
+        run_experiment(CELL_MAPPING_CASES[2][0], threads=2)
+        procs = multiprocessing.active_children()
+        assert len(procs) == 2
+        for proc in procs:
+            entries = Path(f"/proc/{proc.pid}/environ").read_bytes().split(b"\0")
+            env = dict(entry.decode().split("=", 1) for entry in entries if b"=" in entry)
+            assert [env.get(name) for name in names] == ["1", "1", "1"]
+        assert dict(os.environ) == before
         experiments.shutdown_workers()
 
     @pytest.mark.parametrize("cpus, chunk_reps, started", [(3, 5, 2), (3, 1, 3), (1, 1, 0)])
@@ -750,8 +779,7 @@ class TestWorkers:
         monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(experiments, "CHUNK_REPS", chunk_reps)
         assert run_experiment(cfg, threads=1000).rows == serial.rows
-        workers = experiments._WORKERS
-        assert (len(workers.procs) if workers else 0) == started
+        assert len(multiprocessing.active_children()) == started
         experiments.shutdown_workers()
 
     def test_a_replaced_step_function_runs_in_this_process(self, monkeypatch):
@@ -770,15 +798,23 @@ class TestWorkers:
         assert experiments._WORKERS is None
         assert len(calls) == len(serial.cells) * cfg.repetitions * len(serial.cells[0].metrics)
 
-    def test_a_worker_that_dies_at_start_is_an_error_not_a_respawn(self, monkeypatch):
+    def test_a_worker_that_dies_at_start_is_an_error_not_a_respawn(self):
         false = shutil.which("false")
         if false is None:
             pytest.skip("no `false` executable")
+        cfg = CELL_MAPPING_CASES[2][0]
         experiments.shutdown_workers()
-        monkeypatch.setattr(sys, "executable", false)
-        with pytest.raises(RuntimeError, match="experiment worker .* stopped"):
-            run_experiment(CELL_MAPPING_CASES[2][0], threads=2)
+        resource_tracker.ensure_running()  # started from the real interpreter, not `false`
+        executable = spawn.get_executable()
+        multiprocessing.set_executable(false)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                run_experiment(cfg, threads=2)
+        finally:
+            multiprocessing.set_executable(executable)
         assert experiments._WORKERS is None
+        assert run_experiment(cfg, threads=2).rows == run_experiment(cfg).rows
+        experiments.shutdown_workers()
 
     def test_a_stopped_call_leaves_no_answer_for_the_next(self, monkeypatch):
         """A reduction that raises mid-study, its traceback still held, leaves no
