@@ -16,17 +16,17 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .exceptions import DataError, SingularGram, UnderIdentified
+from .exceptions import DataError, PulseIVError, SingularGram, UnderIdentified
 
 #: Reciprocal condition number (min/max singular value) below which a Gram
 #: matrix is declared singular.
 RCOND_GRAM = 1e-12
 
-#: Largest penalty that :meth:`KClassPath.alpha` solves in ``kappa`` form;
+#: Largest penalty that :meth:`PathStack.alpha` solves in ``kappa`` form;
 #: rounding ``kappa`` moves a penalty ``lam`` by at most ``lam^2 2^-53 < 2^-33``.
 #: It stays as the ``lambda`` form moves estimates by about 1e-15, which adds or
 #: drops ``rel_change_*`` rows in cells whose repetitions coincide (ROADMAP 1, 3).
@@ -65,10 +65,49 @@ def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat @ vec[..., None])[..., 0]
 
 
-def _dot(vec: np.ndarray) -> np.ndarray:
-    """``vec @ vec`` for each vector of a stack, as a ``(1, n)`` by ``(n, 1)`` ``matmul``:
-    it has the bits of the 1-D ``vec @ vec``, where ``einsum`` does not."""
-    return (vec[..., None, :] @ vec[..., None])[..., 0, 0]
+def _dot(vec: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``vec @ other`` for each pair of vectors of two stacks, as a ``(1, n)`` by ``(n, 1)``
+    ``matmul``: it has the bits of the 1-D ``vec @ other``, where ``einsum`` does not."""
+    return (vec[..., None, :] @ other[..., None])[..., 0, 0]
+
+
+def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(mat, rhs)`` for each system of a stack with one right-hand side,
+    with the bits of the 2-D call (both make one ``gesv`` call per system)."""
+    return np.linalg.solve(mat, rhs[..., None])[..., 0]
+
+
+#: What a stacked routine reports for the items it could not compute: each one's error,
+#: by its index in the stack.  The routine's values at those items are placeholders.
+Failed = dict[int, PulseIVError]
+
+#: The item of a one-view stack, as the single-view routines pass it.
+_ONE = np.zeros(1, dtype=np.intp)
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(arrays)``, at a tenth of its cost for one array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _rows(arr: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """``arr[items]``; ``arr`` itself where ``items`` is every row, as the items a
+    routine runs on are always a sorted subset of its stack's."""
+    return arr if len(items) == len(arr) else arr[items]
+
+
+def passed(items: np.ndarray, failed: Failed) -> np.ndarray:
+    """The mask of ``items`` that are not in ``failed``."""
+    if not failed:
+        return np.ones(len(items), dtype=bool)
+    return np.array([r not in failed for r in items.tolist()], dtype=bool)
+
+
+def only(values: np.ndarray, failed: Failed):
+    """The value of a one-item stacked routine, or its item's error, raised."""
+    if failed:
+        raise next(iter(failed.values()))
+    return values[0]
 
 
 def rcond_symmetric(mat: np.ndarray) -> float | np.ndarray:
@@ -109,7 +148,7 @@ def _gram_products(y: np.ndarray, z: np.ndarray, a: np.ndarray) -> tuple[np.ndar
     ``(R, n, k)`` and ``(R, n, q)`` stacks, read-only.  Each is one ``matmul``
     call whose bits per item are those of the 2-D call."""
     zt, at = _t(z), _t(a)
-    return _frozen(zt @ z, _mv(zt, y), at @ z, _mv(at, y), at @ a, _dot(y))
+    return _frozen(zt @ z, _mv(zt, y), at @ z, _mv(at, y), at @ a, _dot(y, y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,13 +498,14 @@ class KClassPath:
         d[..., :r] = sig * sig
         b1[..., :r] = sig * _mv(_t(u[..., :r]), sy)
         arrays = (_readonly(ztz), _readonly(zty), yty,
-                  *_frozen(st @ s, _mv(st, sy)), _dot(sy), *_frozen(v, d, _mv(_t(v), zty), b1))
+                  *_frozen(st @ s, _mv(st, sy)), _dot(sy, sy), *_frozen(v, d, _mv(_t(v), zty), b1))
         return [cls(*items) for items in zip(*arrays)]
 
     def losses(self, lam: float) -> tuple[float, float]:
         """``(n l_OLS, n l_IV)`` at the point at penalty ``lam``, in ``O(k)`` from the
         eigenbasis; they agree with :meth:`GramView.ols_loss` and
-        :meth:`GramView.iv_loss` of :meth:`alpha` up to rounding, not bit for bit."""
+        :meth:`GramView.iv_loss` of the point (:meth:`PathStack.alpha`) up to
+        rounding, not bit for bit."""
         ols, iv = self.yty, self.syy
         for b0, b1, d in self._terms:
             c = (b0 + lam * b1) / (1.0 + lam * d)
@@ -473,20 +513,55 @@ class KClassPath:
             iv += c * (d * c - 2.0 * b1)
         return ols, iv
 
-    def alpha(self, lam: float) -> np.ndarray:
-        """The point at penalty ``lam > -1``, any size up to overflow."""
-        if 0.0 <= lam <= KAPPA_FORM_MAX:
-            return self.kclass(lam / (1.0 + lam))
-        return self.v @ ((self.b0 + lam * self.b1) / (1.0 + lam * self.d))
 
-    def kclass(self, kappa: float) -> np.ndarray:
-        """The point at ``kappa``; :class:`SingularGram` if its system is
-        numerically singular, which below one needs ``1 - kappa < 1e-12``."""
-        den = (1.0 - kappa) + kappa * self.d  # the system's spectrum in the V basis
-        if np.abs(den).min() <= RCOND_GRAM * np.abs(den).max():
-            raise SingularGram("Z^T P_A Z" if kappa == 1.0 else "Z^T (I - kappa P_A^perp) Z")
-        mat = (1.0 - kappa) * self.ztz + kappa * self.sts
-        return np.linalg.solve(mat, (1.0 - kappa) * self.zty + kappa * self.sty)
+class PathStack:
+    """The K-class paths of a stack of designs with ``k`` coefficients each, as
+    ``(R, ...)`` arrays, with their stacked point routines.  An item without a path
+    (``None``) holds zeros, which no routine may be asked for."""
+
+    def __init__(self, paths: Sequence[KClassPath | None], k: int):
+        self.paths = filled = paths
+        if None in paths:
+            mat, vec = np.zeros((k, k)), np.zeros(k)
+            blank = KClassPath(mat, vec, 0.0, mat, vec, 0.0, mat, vec, vec, vec)
+            filled = [blank if path is None else path for path in paths]
+        for name in ("ztz", "zty", "sts", "sty", "v", "d", "b0", "b1"):
+            setattr(self, name, _stack([getattr(path, name) for path in filled]))
+        self.yty = np.array([path.yty for path in filled])
+        self.syy = np.array([path.syy for path in filled])
+
+    def kclass(self, kappa: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, Failed]:
+        """The point at ``kappa[i]`` of each item ``items[i]``; :class:`SingularGram`
+        where its system is numerically singular, which below one needs
+        ``1 - kappa < 1e-12``."""
+        kap, rest = kappa[:, None], 1.0 - kappa[:, None]
+        den = np.abs(rest + kap * _rows(self.d, items))  # each system's spectrum in the V basis
+        bad = den.min(axis=-1) <= RCOND_GRAM * den.max(axis=-1)
+        if bad.any():
+            alpha = np.zeros((len(items), self.d.shape[-1]))
+            alpha[~bad], _ = self.kclass(kappa[~bad], items[~bad])
+            return alpha, {
+                r: SingularGram("Z^T P_A Z" if kk == 1.0 else "Z^T (I - kappa P_A^perp) Z")
+                for r, kk in zip(items[bad].tolist(), kappa[bad].tolist())
+            }
+        mat = rest[..., None] * _rows(self.ztz, items) + kap[..., None] * _rows(self.sts, items)
+        return _solve(mat, rest * _rows(self.zty, items) + kap * _rows(self.sty, items)), {}
+
+    def alpha(self, lam: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, Failed]:
+        """The point at penalty ``lam[i] > -1`` of each item ``items[i]``, any size up to
+        overflow: in ``kappa`` form (:meth:`kclass`) up to :data:`KAPPA_FORM_MAX`, else in
+        ``lambda`` form."""
+        kform = (0.0 <= lam) & (lam <= KAPPA_FORM_MAX)
+        if kform.all():
+            return self.kclass(lam / (1.0 + lam), items)
+        alpha, failed = np.zeros((len(items), self.d.shape[-1])), {}
+        if kform.any():
+            kl = lam[kform]
+            alpha[kform], failed = self.kclass(kl / (1.0 + kl), items[kform])
+        rest, lr = items[~kform], lam[~kform][:, None]
+        point = (self.b0[rest] + lr * self.b1[rest]) / (1.0 + lr * self.d[rest])
+        alpha[~kform] = _mv(self.v[rest], point)
+        return alpha, failed
 
 
 class GramView:
@@ -542,17 +617,14 @@ class GramView:
         return s[0], sy[0]
 
     def ols_loss(self, alpha: np.ndarray) -> float:
-        """Mean squared residual ``n^{-1} ||y - Z alpha||^2``."""
-        alpha = self._check_alpha(alpha)
-        val = (self.yty - 2.0 * (alpha @ self.zty) + alpha @ self.ztz @ alpha) / self.n
-        return max(float(val), 0.0)
+        """Mean squared residual ``n^{-1} ||y - Z alpha||^2``: :meth:`GramStack.ols_loss`
+        of this view alone."""
+        return float(GramStack([self]).ols_loss(_ONE, self._check_alpha(alpha)[None])[0])
 
     def iv_loss(self, alpha: np.ndarray) -> float:
-        """Projected mean squared residual ``n^{-1} (y - Z alpha)^T P_A (y - Z alpha)``."""
-        alpha = self._check_alpha(alpha)
-        s, sy = self.iv_pieces
-        r = sy - s @ alpha
-        return max(float(r @ r) / self.n, 0.0)
+        """Projected mean squared residual ``n^{-1} (y - Z alpha)^T P_A (y - Z alpha)``:
+        :meth:`GramStack.iv_loss` of this view alone."""
+        return float(only(*GramStack([self]).iv_loss(_ONE, self._check_alpha(alpha)[None])))
 
     def _check_alpha(self, alpha: np.ndarray) -> np.ndarray:
         alpha = np.asarray(alpha, dtype=float).reshape(-1)
@@ -571,29 +643,18 @@ class GramView:
 
     def kclass_solve(self, kappa: float) -> np.ndarray:
         """Closed-form K-class solution, the minimizer of ``(1 - kappa) l_OLS + kappa l_IV``:
-        :attr:`path` in ``kappa`` form, equal to its ``lambda`` form
-        ``V (b0 + lam b1) / (1 + lam d)`` at ``lam = kappa / (1 - kappa)``.
-        ``kappa = 1`` is TSLS and raises :class:`UnderIdentified` if
-        ``q2 < d1``; :class:`SingularGram` marks a singular Gram or K-class matrix.
-        ``kappa = 0`` is OLS, which solves ``Z^T Z alpha = Z^T y`` directly (the
-        same bits as the path) and so needs no regular ``A^T A``.
-        """
-        kappa = float(kappa)
-        if kappa == 0.0:
-            if self.rcond_ztz < RCOND_GRAM:
-                raise SingularGram("Z^T Z", self.rcond_ztz)
-            return np.linalg.solve(self.ztz, self.zty)
-        if kappa == 1.0 and self.q2 < self.d1:
-            raise UnderIdentified(
-                f"TSLS (kappa=1) undefined with q2={self.q2} < d1={self.d1}; use modified_tsls"
-            )
-        return self.path.kclass(kappa)
+        :meth:`GramStack.kclass_solve` of this view alone."""
+        return only(*GramStack([self]).kclass_solve(np.array([float(kappa)]), _ONE))
 
     def min_iv_loss(self) -> float:
         """Infimum of the IV loss: zero unless the setup is over-identified."""
         if self.identification is IdentificationClass.OVER:
             return self.iv_loss(self.kclass_solve(1.0))
         return 0.0
+
+
+#: The values a :class:`GramView` computes on first read and caches.
+_CACHES = ("rcond_ztz", "rcond_ata", "iv_pieces", "path")
 
 
 class DesignView(GramView):
@@ -656,6 +717,163 @@ class DesignView(GramView):
             views.append(view)
         return views
 
+    def without_rows(self) -> GramView:
+        """This view's products and cached condition numbers, pieces and path, as a
+        :class:`GramView`, which keeps no rows."""
+        view = GramView(self.partition, self.q, self.n, self.ztz, self.zty, self.atz, self.aty,
+                        self.ata, self.yty)
+        vars(view).update((name, vars(self)[name]) for name in _CACHES if name in vars(self))
+        return view
+
     # bench/spans.py counts K-class solves by wrapping this class's own entry, which
     # its self-test asserts is found; once it wraps GramView's, the alias can go.
     kclass_solve = GramView.kclass_solve
+
+
+class GramStack:
+    """Views of one partition, sample size and anchor count, as one stack: the Gram
+    core's routines run once over the stack, one numpy call per step, and give each
+    item the bits of its own view's call.  A view's method of the same name is the
+    one-item case.
+
+    The products are the views' own, stacked on first read, and so are their cached
+    whitened pieces and paths.  A routine takes the indices of the items it runs on
+    (``items``) and returns its values for each, and a :data:`Failed` entry for each
+    item that raised, at which its value is a placeholder.
+    """
+
+    def __init__(self, views: Sequence[GramView]):
+        self.views = tuple(views)
+        head = self.views[0]
+        for view in self.views:
+            if (view.partition, view.n, view.q) != (head.partition, head.n, head.q):
+                raise ValueError("a stack's views must share one partition, n and q")
+        self.partition, self.q, self.n = head.partition, head.q, head.n
+        self.d1, self.q1, self.q2, self.k = head.d1, head.q1, head.q2, head.k
+        self.identification = head.identification
+        self.items = np.arange(len(self.views))
+
+    def __len__(self) -> int:
+        return len(self.views)
+
+    def take(self, items: np.ndarray) -> "GramStack":
+        """The stack of the views at ``items``."""
+        return GramStack([self.views[r] for r in items.tolist()])
+
+    def _stacked(self, name: str) -> np.ndarray:
+        return _stack([getattr(view, name) for view in self.views])
+
+    @cached_property
+    def ztz(self) -> np.ndarray:
+        return self._stacked("ztz")
+
+    @cached_property
+    def zty(self) -> np.ndarray:
+        return self._stacked("zty")
+
+    @cached_property
+    def atz(self) -> np.ndarray:
+        return self._stacked("atz")
+
+    @cached_property
+    def aty(self) -> np.ndarray:
+        return self._stacked("aty")
+
+    @cached_property
+    def ata(self) -> np.ndarray:
+        return self._stacked("ata")
+
+    @cached_property
+    def yty(self) -> np.ndarray:
+        return np.array([view.yty for view in self.views])
+
+    @cached_property
+    def rcond_ztz(self) -> np.ndarray:
+        return np.array([view.rcond_ztz for view in self.views])
+
+    @cached_property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray, Failed]:
+        """Each view's :attr:`~GramView.iv_pieces`, stacked, and the error of each
+        view whose ``A^T A`` is singular."""
+        s, sy = np.zeros((len(self), self.q, self.k)), np.zeros((len(self), self.q))
+        failed: Failed = {}
+        for r, view in enumerate(self.views):
+            try:
+                s[r], sy[r] = view.iv_pieces
+            except SingularGram as exc:
+                failed[r] = exc
+        return s, sy, failed
+
+    @cached_property
+    def paths(self) -> tuple[PathStack, Failed]:
+        """Each view's :attr:`~GramView.path`, stacked, and the error of each view
+        whose ``A^T A`` or ``Z^T Z`` is singular."""
+        paths: list[KClassPath | None] = []
+        failed: Failed = {}
+        for r, view in enumerate(self.views):
+            try:
+                paths.append(view.path)
+            except SingularGram as exc:
+                paths.append(None)
+                failed[r] = exc
+        return PathStack(paths, self.k), failed
+
+    def ols_loss(self, items: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """Mean squared residual ``n^{-1} ||y - Z alpha||^2`` of each item at its row of
+        ``alpha``."""
+        row = alpha[:, None, :]
+        val = _rows(self.yty, items) - 2.0 * (row @ _rows(self.zty, items)[..., None])[:, 0, 0]
+        val = (val + (row @ _rows(self.ztz, items) @ alpha[..., None])[:, 0, 0]) / self.n
+        return np.maximum(val, 0.0)  # no -0.0 to keep: y'y - 2 a.Z'y is not one
+
+    def iv_loss(self, items: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, Failed]:
+        """Projected mean squared residual ``n^{-1} (y - Z alpha)^T P_A (y - Z alpha)``
+        of each item at its row of ``alpha``; :class:`SingularGram` where ``A^T A`` is
+        singular."""
+        s, sy, failed = self.pieces
+        res = _rows(sy, items) - _mv(_rows(s, items), alpha)
+        if failed:
+            failed = {r: failed[r] for r in items[~passed(items, failed)].tolist()}
+        return _dot(res, res) / self.n, failed  # a sum of squares: never below zero
+
+    def kclass_solve(self, kappa: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, Failed]:
+        """Closed-form K-class solution of each item at ``kappa[i]``, the minimizer of
+        ``(1 - kappa) l_OLS + kappa l_IV``: the view's :attr:`~GramView.path` in
+        ``kappa`` form (:meth:`PathStack.kclass`), equal to its ``lambda`` form
+        ``V (b0 + lam b1) / (1 + lam d)`` at ``lam = kappa / (1 - kappa)``.
+        ``kappa = 1`` is TSLS and fails with :class:`UnderIdentified` if ``q2 < d1``;
+        :class:`SingularGram` marks a singular Gram or K-class matrix.  ``kappa = 0``
+        is OLS, which solves ``Z^T Z alpha = Z^T y`` directly (the same bits as the
+        path) and so needs no regular ``A^T A``.
+        """
+        alpha = np.zeros((len(items), self.k))
+        failed: Failed = {}
+        ols = kappa == 0.0
+        if ols.any():
+            at = items[ols]
+            rc = _rows(self.rcond_ztz, at)
+            singular = rc < RCOND_GRAM
+            if singular.any():
+                failed.update(
+                    (r, SingularGram("Z^T Z", c))
+                    for r, c in zip(at[singular].tolist(), rc[singular].tolist())
+                )
+            at, solved = at[~singular], np.flatnonzero(ols)[~singular]
+            alpha[solved] = _solve(_rows(self.ztz, at), _rows(self.zty, at))
+            if ols.all():
+                return alpha, failed
+        rest = np.flatnonzero(~ols)
+        if self.q2 < self.d1:
+            tsls = kappa[rest] == 1.0
+            failed.update((r, UnderIdentified(
+                f"TSLS (kappa=1) undefined with q2={self.q2} < d1={self.d1}; use modified_tsls"
+            )) for r in items[rest[tsls]].tolist())
+            rest = rest[~tsls]
+        paths, singular_paths = self.paths
+        if singular_paths:
+            on_path = passed(items[rest], singular_paths)
+            failed.update((r, singular_paths[r]) for r in items[rest[~on_path]].tolist())
+            rest = rest[on_path]
+        alpha[rest], path_failed = paths.kclass(kappa[rest], items[rest])
+        failed.update(path_failed)
+        return alpha, failed

@@ -6,12 +6,22 @@ picked by a rule for its ``kappa``: ``0``, ``1``, the given value,
 :func:`liml_kappa` and :func:`fuller_kappa`.  :func:`estimate` applies the
 rule and makes one :meth:`~pulse_iv.data.GramView.kclass_solve`.  Anchor
 regression is given by its penalty ``lambda``, so it is solved in the path's
-``lambda`` parametrisation (:meth:`~pulse_iv.data.KClassPath.alpha`): that
+``lambda`` parametrisation (:meth:`~pulse_iv.data.PathStack.alpha`): that
 takes any ``lambda > -1`` and stays exact where ``kappa`` would round towards
 one.  PULSE (:mod:`pulse_iv.pulse`) is one more kind.  Every routine is a pure
 function of its view's cached Gram products, so it runs on any
 :class:`~pulse_iv.data.GramView`, :func:`~pulse_iv.sem.population_moments`
 included, apart from LIML's ``kappa``, which reads a ``DesignView``'s rows.
+
+:func:`estimate` also takes a :class:`~pulse_iv.data.GramStack`, views of one
+partition, ``n`` and ``q``: each kind then runs once over the stack, as the
+Monte Carlo harness runs it.  The K-class kinds take each item's ``kappa`` by
+their rule, per view (LIML's cached on the view), and make one stacked
+:meth:`~pulse_iv.data.GramStack.kclass_solve`; ``anchor``, ``modified-tsls``
+and PULSE's branch checks are stacked too.  Each item gets the bits of its own
+one-view call, and its error is kept per item in :class:`Estimates`, so a
+singular item leaves its neighbours' values as they are.  A view is the
+one-item case, whose error is raised.
 """
 
 from __future__ import annotations
@@ -22,8 +32,11 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .data import RCOND_GRAM, DesignView, GramView, IdentificationClass, rcond_symmetric
-from .exceptions import InfeasibleConstraint, SingularGram
+from .data import (
+    RCOND_GRAM, DesignView, Failed, GramStack, GramView, IdentificationClass, _solve, _t, passed,
+    rcond_symmetric,
+)
+from .exceptions import InfeasibleConstraint, PulseIVError, SingularGram
 
 if TYPE_CHECKING:
     from .pulse import PulseConfig
@@ -131,29 +144,67 @@ class EstimateResult:
             raise ValueError("estimate contains non-finite coefficients")
 
 
-def modified_tsls(view: GramView) -> EstimateResult:
+@dataclass
+class Estimates:
+    """One kind's estimates on a :class:`~pulse_iv.data.GramStack`: each item's
+    ``alpha`` (a row of zeros where it failed), ``kappa_used`` and ``lambda_used``
+    (NaN for ``None``), and the error of each item that failed.  :meth:`result`
+    is one item's :class:`EstimateResult`."""
+
+    alpha: np.ndarray
+    kappa: np.ndarray
+    lam: np.ndarray
+    failed: Failed
+
+    def __post_init__(self) -> None:
+        if not np.all(np.isfinite(self.alpha)):
+            raise ValueError("estimate contains non-finite coefficients")
+
+    def result(self, r: int) -> EstimateResult:
+        """Item ``r``'s estimate; the error it failed with, raised."""
+        if r in self.failed:
+            raise self.failed[r]
+        return EstimateResult(self.alpha[r], _number(self.kappa[r]), _number(self.lam[r]))
+
+
+def _number(value: float) -> float | None:
+    return None if math.isnan(value) else float(value)
+
+
+def _unused(stack: GramStack) -> np.ndarray:
+    """A ``kappa_used`` or ``lambda_used`` of ``None`` for every item."""
+    return np.full(len(stack), math.nan)
+
+
+def modified_tsls(view: GramView | GramStack) -> EstimateResult | Estimates:
     """Loss-minimal point of the exact moment-condition solution space.
 
     Solves ``argmin l_OLS`` subject to ``A^T Z alpha = A^T y`` through the KKT
     system of the equality-constrained least-squares problem, falling back to
     the pseudo-inverse (minimum-norm tie-breaking) when the KKT block is
-    rank-deficient at the standard threshold.
+    rank-deficient at the standard threshold.  On a stack the KKT systems are
+    checked and solved in one numpy call each; ``pinv`` runs per item.
     """
-    if view.identification is IdentificationClass.OVER:
-        raise InfeasibleConstraint(
-            f"exact moment condition infeasible with q2={view.q2} > d1={view.d1}"
-        )
-    k, q = view.k, view.q
-    kkt = np.zeros((k + q, k + q))
-    kkt[:k, :k] = view.ztz
-    kkt[:k, k:] = view.atz.T
-    kkt[k:, :k] = view.atz
-    rhs = np.concatenate([view.zty, view.aty])
-    if rcond_symmetric(kkt) >= RCOND_GRAM:
-        sol = np.linalg.solve(kkt, rhs)
-    else:
-        sol = np.linalg.pinv(kkt, rcond=RCOND_GRAM) @ rhs
-    return EstimateResult(alpha=sol[:k])
+    if isinstance(view, GramView):
+        return modified_tsls(GramStack([view])).result(0)
+    stack, failed = view, {}
+    if stack.identification is IdentificationClass.OVER:
+        failed = {r: InfeasibleConstraint(
+            f"exact moment condition infeasible with q2={stack.q2} > d1={stack.d1}"
+        ) for r in range(len(stack))}
+        return Estimates(np.zeros((len(stack), stack.k)), _unused(stack), _unused(stack), failed)
+    k, q = stack.k, stack.q
+    kkt = np.zeros((len(stack), k + q, k + q))
+    kkt[:, :k, :k] = stack.ztz
+    kkt[:, :k, k:] = _t(stack.atz)
+    kkt[:, k:, :k] = stack.atz
+    rhs = np.concatenate([stack.zty, stack.aty], axis=-1)
+    regular = rcond_symmetric(kkt) >= RCOND_GRAM
+    sol = np.zeros(rhs.shape)
+    sol[regular] = _solve(kkt[regular], rhs[regular])
+    for r in np.flatnonzero(~regular).tolist():
+        sol[r] = np.linalg.pinv(kkt[r], rcond=RCOND_GRAM) @ rhs[r]
+    return Estimates(sol[:, :k], _unused(stack), _unused(stack), failed)
 
 
 def min_generalized_eigenvalue(w1: np.ndarray, w: np.ndarray) -> float:
@@ -214,7 +265,9 @@ def liml_kappa(view: GramView) -> float:
     cross products of ``[y X_*]`` after projecting out all exogenous
     variables and only the included ones, respectively.  Always ``>= 1`` up
     to roundoff.  With no included exogenous variables the ``W1`` projection
-    is the identity.
+    is the identity.  :class:`SingularGram` (named ``W``) if the smallest
+    eigenvalue of ``W`` is at most ``RCOND_GRAM`` times the trace of
+    ``[y X_*]^T [y X_*]``.
 
     Computed once per view: the first successful call stores the value on
     ``view``, and later calls (LIML, Fuller for every ``a``, PULSE's fallback)
@@ -227,9 +280,13 @@ def liml_kappa(view: GramView) -> float:
     cache = vars(view)  # this module's entry in the view's instance dict
     if "liml_kappa" not in cache:
         w1, w = _liml_blocks(view)
-        rcond = rcond_symmetric(w)
-        if rcond < RCOND_GRAM:
-            raise SingularGram("W", rcond)
+        # W <= [y X_*]^T [y X_*], so its smallest eigenvalue is read against that
+        # matrix's trace: W's own condition cannot tell rounding residue, left where
+        # [y X_*] has no residual degrees of freedom, from a regular W
+        low = float(np.linalg.eigvalsh(w)[0])
+        scale = view.yty + float(np.trace(view.ztz[: view.d1, : view.d1]))
+        if not low > RCOND_GRAM * scale:
+            raise SingularGram("W", low / scale if scale > 0.0 else 0.0)
         cache["liml_kappa"] = min_generalized_eigenvalue(w1, w)
     return cache["liml_kappa"]
 
@@ -254,33 +311,55 @@ _KAPPA = {
 
 
 def estimate(
-    view: GramView, spec: EstimatorSpec, cfg: PulseConfig | None = None
-) -> EstimateResult:
+    view: GramView | GramStack, spec: EstimatorSpec, cfg: PulseConfig | None = None
+) -> EstimateResult | Estimates:
     """The estimate of ``spec``'s kind on ``view``; ``cfg`` configures the ``pulse``
     kind (default ``PulseConfig()``) and is not read by any other.
 
+    On a :class:`~pulse_iv.data.GramStack` every kind runs once over the stack,
+    with each item's bits and errors, and returns its :class:`Estimates`; a view is
+    the one-item case, whose error is raised.
+
     ``ols``, ``tsls``, ``kclass``, ``liml`` and ``fuller`` are each a rule for
-    ``kappa`` (``_KAPPA``) feeding one :meth:`~pulse_iv.data.GramView.kclass_solve`;
-    they report ``kappa_used`` and ``lambda_used = kappa / (1 - kappa)`` (``None``
-    at ``kappa >= 1``).  ``tsls`` (or any ``kappa = 1``) raises
-    :class:`~pulse_iv.exceptions.UnderIdentified` if ``q2 < d1``.
-    ``anchor`` is given as its ``lambda`` and solved by
-    :meth:`~pulse_iv.data.KClassPath.alpha`, which takes any ``lambda > -1`` and
+    ``kappa`` (``_KAPPA``, per view) feeding one
+    :meth:`~pulse_iv.data.GramStack.kclass_solve`; they report ``kappa_used`` and
+    ``lambda_used = kappa / (1 - kappa)`` (``None`` at ``kappa >= 1``).  ``tsls``
+    (or any ``kappa = 1``) raises :class:`~pulse_iv.exceptions.UnderIdentified` if
+    ``q2 < d1``.  ``anchor`` is given as its ``lambda`` and solved by
+    :meth:`~pulse_iv.data.PathStack.alpha`, which takes any ``lambda > -1`` and
     stays exact for large penalties, where ``kappa = lambda / (1 + lambda)``
     rounds towards one.  Every kind but ``liml`` and ``fuller`` reads only the
     Gram products, so on :func:`~pulse_iv.sem.population_moments` it gives the
     population estimand; those two raise :class:`TypeError` on a view without rows.
     """
-    if spec.kind == "anchor":
-        lam = spec.value
-        return EstimateResult(view.path.alpha(lam), kappa_used=lam / (1.0 + lam), lambda_used=lam)
+    if isinstance(view, GramView):
+        return _estimates(GramStack([view]), spec, cfg).result(0)
+    return _estimates(view, spec, cfg)
+
+
+def _estimates(stack: GramStack, spec: EstimatorSpec, cfg: PulseConfig | None) -> Estimates:
     if spec.kind == "modified-tsls":
-        return modified_tsls(view)
+        return modified_tsls(stack)
     if spec.kind == "pulse":
         from .pulse import pulse_estimate  # here, since pulse imports this module for its fallback
 
-        return pulse_estimate(view, cfg)
-    kappa = _KAPPA[spec.kind](view, spec.value)
-    alpha = view.kclass_solve(kappa)
-    lam = kappa / (1.0 - kappa) if kappa < 1.0 else None
-    return EstimateResult(alpha=alpha, kappa_used=kappa, lambda_used=lam)
+        return pulse_estimate(stack, cfg)
+    alpha = np.zeros((len(stack), stack.k))
+    if spec.kind == "anchor":
+        lam = np.full(len(stack), spec.value)
+        paths, singular = stack.paths
+        items = stack.items[passed(stack.items, singular)]
+        alpha[items], failed = paths.alpha(lam[items], items)
+        return Estimates(alpha, lam / (1.0 + lam), lam, {**singular, **failed})
+    kappa, failed = np.zeros(len(stack)), {}
+    rule = _KAPPA[spec.kind]
+    for r, view in enumerate(stack.views):
+        try:
+            kappa[r] = rule(view, spec.value)
+        except PulseIVError as exc:
+            failed[r] = exc
+    items = stack.items[passed(stack.items, failed)]
+    alpha[items], solve_failed = stack.kclass_solve(kappa[items], items)
+    failed.update(solve_failed)
+    lam = np.divide(kappa, 1.0 - kappa, out=_unused(stack), where=kappa < 1.0)
+    return Estimates(alpha, kappa, lam, failed)

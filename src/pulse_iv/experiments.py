@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
-from .data import RCOND_GRAM, DesignView, rcond_symmetric
+from .data import RCOND_GRAM, DesignView, GramStack, GramView, IdentificationClass, rcond_symmetric
 from .estimators import EstimatorSpec, estimate, parse_estimators
 from .exceptions import DataError, PulseIVError, SingularGram
 from .inference import TestConfig, weak_instrument_stat
@@ -491,34 +491,50 @@ _RepOutput = tuple[tuple[Any, ...], tuple[float, np.ndarray] | None]
 STACK_ELEMENTS = 2**16
 
 
-def _views(model: SemModel, n: int, seeds: list[int]) -> Iterator[DesignView]:
-    """The view of each seed's sample, in seed order, sampled and built in stacks of
-    up to :data:`STACK_ELEMENTS` values; each has the bits of
+def _views(model: SemModel, n: int, seeds: list[int]) -> Iterator[list[DesignView]]:
+    """The views of the seeds' samples, in seed order, sampled and built in stacks of
+    up to :data:`STACK_ELEMENTS` values, one list per stack; each has the bits of
     ``DesignView(sem_sample(model, n, seed))``."""
     per_stack = max(1, STACK_ELEMENTS // (n * (model.q + model.k)))
     for start in range(0, len(seeds), per_stack):
-        yield from DesignView.stack(*sample_stack(model, n, seeds[start : start + per_stack]))
+        yield DesignView.stack(*sample_stack(model, n, seeds[start : start + per_stack]))
+
+
+def _reads_rows(chunk: _Chunk, pulse_cfg: PulseConfig) -> bool:
+    """Whether an estimator of ``chunk`` reads a view's rows, as LIML's ``kappa`` does
+    for ``liml``, ``fuller`` and the fallback of an over-identified PULSE."""
+    kinds = {spec.kind for spec in chunk.specs}
+    model = chunk.model
+    over = model.observed_partition().identification_class(model.q) is IdentificationClass.OVER
+    if "pulse" in kinds and over:
+        kinds.add(pulse_cfg.fallback.kind)
+    return not kinds.isdisjoint(("liml", "fuller"))
 
 
 def _run_chunk(chunk: _Chunk) -> Iterator[_RepOutput]:
     """The step: sample each repetition of ``chunk``, fit every estimator on it and
-    yield its outputs.  Where it runs does not matter: each repetition draws from
-    its own stream."""
+    yield its outputs.  Each stack of samples is one :class:`GramStack`, which
+    ``weak_instrument_stat`` and each estimator run over at once, with each
+    repetition's bits and errors.  Where it runs does not matter: each repetition
+    draws from its own stream."""
     pulse_cfg = PulseConfig(p_min=chunk.p_min)
     seeds = [cell_seed(chunk.master_seed, chunk.index, rep) for rep in chunk.reps]
-    for view in _views(chunk.model, chunk.n, seeds):
-        try:
-            report = weak_instrument_stat(view)
-            weak = (report.min_eigenvalue, report.g_matrix)
-        except PulseIVError:
-            weak = None
-        alphas = []
-        for spec in chunk.specs:
-            try:
-                alphas.append(estimate(view, spec, pulse_cfg).alpha)
-            except PulseIVError as exc:
-                alphas.append(type(exc).__name__)
-        yield tuple(alphas), weak
+    stacks: Iterable[list[GramView]] = _views(chunk.model, chunk.n, seeds)
+    if not _reads_rows(chunk, pulse_cfg):
+        # one stack of row-free views for the chunk: a large n, sampled one repetition
+        # at a time, is still estimated in one stack, while only one sample's rows live
+        stacks = [[view.without_rows() for views in stacks for view in views]]
+    for views in stacks:
+        stack = GramStack(views)
+        reports = weak_instrument_stat(stack)
+        fits = [estimate(stack, spec, pulse_cfg) for spec in chunk.specs]
+        for r, report in enumerate(reports):
+            failed = isinstance(report, PulseIVError)
+            weak = None if failed else (report.min_eigenvalue, report.g_matrix)
+            alphas = tuple(
+                type(fit.failed[r]).__name__ if r in fit.failed else fit.alpha[r] for fit in fits
+            )
+            yield alphas, weak
 
 
 def _reduce_cell(
@@ -860,7 +876,7 @@ def _run_robustness_e1(cfg: ExperimentConfig) -> ExperimentResult:
     model = e1_model()
     rows: list[dict[str, Any]] = []
     seeds = [cell_seed(cfg.master_seed, 0, rep) for rep in range(cfg.repetitions)]
-    for rep, view in enumerate(_views(model, n, seeds)):
+    for rep, view in enumerate(itertools.chain.from_iterable(_views(model, n, seeds))):
         for kappa in kappas:
             est = float(view.kclass_solve(kappa)[0])
             wc = float(wcmspe_curve_e1(est, [ROBUSTNESS_REFERENCE_X])[0])

@@ -5,8 +5,8 @@ the ``1 - p_min`` quantile of a chi-squared with ``q`` degrees of freedom.
 Two scaling schemes are supported: plain (``c(n) = n``) and the one that makes
 the test equivalent to the asymptotic Anderson-Rubin test
 (``c(n) = n - q + Q``).  :class:`TestConfig` holds the level and the scaling;
-:class:`ViewTest` binds them to one view and is the one place the statistic is
-computed, for :func:`test_statistic` and for the PULSE search alike.
+:class:`StackTest` binds them to a stack of views and is the one place the statistic
+is computed, for :func:`test_statistic` and for the PULSE search alike.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .data import GramView, RCOND_GRAM
-from .exceptions import DegenerateResidual, SingularGram, ZeroResidual
+from .data import _ONE, RCOND_GRAM, Failed, GramStack, GramView, _rows, _t, only, passed
+from .exceptions import DegenerateResidual, PulseIVError, SingularGram, ZeroResidual
 
 PLAIN = "plain"
 ANDERSON_RUBIN = "anderson-rubin"
@@ -28,7 +28,7 @@ _SCALINGS = (PLAIN, ANDERSON_RUBIN)
 WEAK_INSTRUMENT_RULE = 10.0
 
 #: ``l_OLS`` at or below this multiple of ``y'y / n`` is numerically zero, and
-#: :meth:`ViewTest.statistic` raises :class:`ZeroResidual` there.
+#: :meth:`StackTest.statistic` fails with :class:`ZeroResidual` there.
 ZERO_RESIDUAL = 1e-14
 
 
@@ -56,7 +56,7 @@ def chi2_quantile(q_dof: int, prob: float) -> float:
 class TestConfig:
     """Level and scaling scheme of the uncorrelatedness test.
 
-    The one owner of both settings: :class:`ViewTest` reads them, and
+    The one owner of both settings: :class:`StackTest` reads them, and
     :class:`pulse_iv.pulse.PulseConfig` extends this class, so a PULSE config is
     the test it searches with.  The degrees of freedom ``q`` are the data's.
     """
@@ -104,32 +104,41 @@ class WeakInstrumentReport:
     rule_of_thumb_pass: bool
 
 
-class ViewTest:
-    """The uncorrelatedness test bound to one view: its ``scale`` and
+class StackTest:
+    """The uncorrelatedness test bound to a stack of views: its ``scale`` and
     ``threshold`` are fixed once, and every verdict (:meth:`accepts`,
     :func:`test_statistic`, the PULSE search) compares :meth:`statistic` with them."""
 
-    def __init__(self, view: GramView, cfg: TestConfig | None = None):
+    def __init__(self, stack: GramStack, cfg: TestConfig | None = None):
         cfg = cfg or TestConfig()
-        self.view = view
-        self.scale, self.threshold = cfg.scale(view.n, view.q), cfg.threshold(view.q)
+        self.stack = stack
+        self.scale, self.threshold = cfg.scale(stack.n, stack.q), cfg.threshold(stack.q)
+        self._zero = ZERO_RESIDUAL * stack.yty / stack.n
 
-    def statistic(self, alpha: np.ndarray) -> float:
-        """``scale * l_IV(alpha) / l_OLS(alpha)``; :class:`ZeroResidual` if
-        ``l_OLS`` is numerically zero."""
-        view = self.view
-        denom = view.ols_loss(alpha)
-        if denom <= ZERO_RESIDUAL * view.yty / view.n:
-            raise ZeroResidual("l_OLS(alpha) is numerically zero; the test ratio is undefined")
-        return float(self.scale * view.iv_loss(alpha) / denom)
+    def statistic(self, items: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, Failed]:
+        """``scale * l_IV(alpha) / l_OLS(alpha)`` of each item at its row of ``alpha``;
+        :class:`ZeroResidual` where ``l_OLS`` is numerically zero."""
+        stack = self.stack
+        denom = stack.ols_loss(items, alpha)
+        zero = denom <= _rows(self._zero, items)
+        iv, failed = stack.iv_loss(items, alpha)
+        if not zero.any():
+            return self.scale * iv / denom, failed
+        failed = {
+            **failed,
+            **{r: ZeroResidual("l_OLS(alpha) is numerically zero; the test ratio is undefined")
+               for r in items[zero].tolist()},
+        }
+        return np.divide(self.scale * iv, denom, out=np.zeros_like(denom), where=~zero), failed
 
-    def accepts(self, alpha: np.ndarray) -> bool:
-        return self.statistic(alpha) <= self.threshold
+    def accepts(self, items: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, Failed]:
+        stat, failed = self.statistic(items, alpha)
+        return stat <= self.threshold, failed
 
 
 def test_statistic(view: GramView, alpha: np.ndarray, cfg: TestConfig | None = None) -> TestResult:
     """Test the hypothesis that the exogenous variables are uncorrelated with
-    the residual ``y - Z alpha``.
+    the residual ``y - Z alpha``: :meth:`StackTest.statistic` of this view alone.
 
     Raises
     ------
@@ -137,8 +146,8 @@ def test_statistic(view: GramView, alpha: np.ndarray, cfg: TestConfig | None = N
         If the OLS loss at ``alpha`` is numerically zero, making the ratio
         undefined.
     """
-    test = ViewTest(view, cfg)
-    stat = test.statistic(alpha)
+    test = StackTest(GramStack([view]), cfg)
+    stat = float(only(*test.statistic(_ONE, view._check_alpha(alpha)[None])))
     return TestResult(
         statistic=stat, threshold=float(test.threshold), accepted=bool(stat <= test.threshold)
     )
@@ -164,7 +173,9 @@ def ar_statistic(view: GramView, alpha: np.ndarray) -> float:
     return float((view.n - view.q) / view.q * li / gap)
 
 
-def weak_instrument_stat(view: GramView) -> WeakInstrumentReport:
+def weak_instrument_stat(
+    view: GramView | GramStack,
+) -> WeakInstrumentReport | list[WeakInstrumentReport | PulseIVError]:
     """Multivariate first-stage F-statistic ``G_n`` for the included endogenous block.
 
     Stock and Yogo's (2005) ``G_T``: ``G_n = Sigma^{-1/2} X^T (P_A - P_{A_*}) X
@@ -176,6 +187,10 @@ def weak_instrument_stat(view: GramView) -> WeakInstrumentReport:
     ``0.0`` by construction and is reported as such, not as the rounding residue
     an eigensolver returns; with ``q2 = 0``, ``G_n`` is the zero matrix.
 
+    On a :class:`~pulse_iv.data.GramStack` it runs once over the stack, one numpy
+    call per step with each item's bits, and returns each item's report, or the
+    error the item raised; a view is the one-item case.
+
     Raises
     ------
     SingularGram
@@ -183,33 +198,48 @@ def weak_instrument_stat(view: GramView) -> WeakInstrumentReport:
         at most ``RCOND_GRAM`` times the trace of ``X^T X / (n - q)``: below
         that, ``Sigma`` is rounding residue of ``X`` lying in ``span(A)``.
     """
-    n, q, d1, q2 = view.n, view.q, view.d1, view.q2
+    if isinstance(view, GramStack):
+        return _weak_instrument_reports(view)
+    report = _weak_instrument_reports(GramStack([view]))[0]
+    if isinstance(report, PulseIVError):
+        raise report
+    return report
+
+
+def _weak_instrument_reports(stack: GramStack) -> list[WeakInstrumentReport | PulseIVError]:
+    n, q, d1, q2 = stack.n, stack.q, stack.d1, stack.q2
     if n <= q:
         raise ValueError(f"G_n requires n > q; got n={n}, q={q}")
-    s, _ = view.iv_pieces
-    s_x = s[:, :d1]
-    xtx = view.ztz[:d1, :d1]
-    concentration = s_x.T @ s_x  # X^T P_A X
-    sigma = (xtx - concentration) / (n - q)
-    w, v = np.linalg.eigh(sigma)
-    w_min, scale = float(w[0]), float(np.trace(xtx)) / (n - q)
-    if not w_min > RCOND_GRAM * scale:
-        raise SingularGram("X^T P_A^perp X", w_min / scale if scale > 0.0 else 0.0)
+    s, _, failed = stack.pieces
+    out: list[WeakInstrumentReport | PulseIVError] = [failed.get(r) for r in range(len(stack))]
+    items = stack.items[passed(stack.items, failed)]
+    s_x = s[items][..., :d1]
+    xtx = stack.ztz[items][..., :d1, :d1]
+    concentration = _t(s_x) @ s_x  # X^T P_A X
+    w, v = np.linalg.eigh((xtx - concentration) / (n - q))
+    w_min, scale = w[:, 0], np.trace(xtx, axis1=-2, axis2=-1) / (n - q)
+    regular = w_min > RCOND_GRAM * scale
+    singular = zip(items[~regular].tolist(), w_min[~regular].tolist(), scale[~regular].tolist())
+    for r, low, top in singular:
+        out[r] = SingularGram("X^T P_A^perp X", low / top if top > 0.0 else 0.0)
+    items, concentration, w, v = items[regular], concentration[regular], w[regular], v[regular]
     if q2 == 0:  # P_A = P_{A_*}: no excluded instrument, so no strength to measure
-        return WeakInstrumentReport(np.zeros((d1, d1)), 0.0, False)
-    isqrt = (v * (1.0 / np.sqrt(w))) @ v.T
-    if view.q1:
+        for r in items.tolist():
+            out[r] = WeakInstrumentReport(np.zeros((d1, d1)), 0.0, False)
+        return out
+    isqrt = (v * (1.0 / np.sqrt(w))[:, None, :]) @ _t(v)
+    if stack.q1:
         # A_*^T A_* is a principal block of A^T A, which iv_pieces found regular
-        inc = list(view.partition.included_exogenous)
-        astar_x = view.atz[inc, :d1]
-        concentration = concentration - astar_x.T @ np.linalg.solve(
-            view.ata[np.ix_(inc, inc)], astar_x
+        inc = list(stack.partition.included_exogenous)
+        astar_x = stack.atz[items][:, inc, :d1]
+        concentration = concentration - _t(astar_x) @ np.linalg.solve(
+            stack.ata[items][:, inc][:, :, inc], astar_x
         )
     g = isqrt @ concentration @ isqrt / q2
-    g = 0.5 * (g + g.T)
-    min_eig = 0.0 if q2 < d1 else float(np.linalg.eigvalsh(g)[0])
-    return WeakInstrumentReport(
-        g_matrix=g,
-        min_eigenvalue=min_eig,
-        rule_of_thumb_pass=bool(min_eig > WEAK_INSTRUMENT_RULE),
-    )
+    g = 0.5 * (g + _t(g))
+    min_eig = np.zeros(len(items)) if q2 < d1 else np.linalg.eigvalsh(g)[:, 0]
+    for r, g_r, low in zip(items.tolist(), g, min_eig.tolist()):
+        out[r] = WeakInstrumentReport(
+            g_matrix=g_r, min_eigenvalue=low, rule_of_thumb_pass=bool(low > WEAK_INSTRUMENT_RULE)
+        )
+    return out

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pulse_iv import estimators
-from pulse_iv.data import Dataset, DesignView, ModelPartition
+from pulse_iv import data, estimators
+from pulse_iv.data import RCOND_GRAM, Dataset, DesignView, ModelPartition
 from pulse_iv.estimators import (
     EstimatorSpec,
     estimate,
@@ -305,6 +305,20 @@ class TestLimlCache:
             with pytest.raises(SingularGram, match="W"):
                 liml_kappa(view)
         assert len(seen) == 2
+
+    @pytest.mark.parametrize("center", [False, True], ids=["raw", "centred"])
+    def test_w_without_residual_degrees_of_freedom_is_singular(self, center):
+        # A spans every column of [y X], so W is rounding residue; its own eigenvalue
+        # ratio could still read healthy, and about one design in ten returned a
+        # kappa near 1e14 before W was read against the trace of [y X]^T [y X]
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = 4 if center else 3
+            ds = Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, 1)), a=rng.normal(size=(n, 3)))
+            view = DesignView(data.center(ds) if center else ds)
+            with pytest.raises(SingularGram, match="W") as err:
+                liml_kappa(view)
+            assert err.value.rcond < RCOND_GRAM
 
     def test_lapack_route_bit_equal_to_scipy_wrappers(self):
         rng = np.random.default_rng(44)

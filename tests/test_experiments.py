@@ -790,7 +790,7 @@ class TestWorkers:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[1].kind)
+            calls.extend([args[1].kind] * len(args[0]))  # one per repetition of the stack
             return estimate(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "estimate", counted)

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulse_iv import inference
-from pulse_iv.data import KAPPA_FORM_MAX, Dataset, DesignView, KClassPath
+from pulse_iv.data import KAPPA_FORM_MAX, Dataset, DesignView, GramStack, KClassPath, PathStack
 from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.exceptions import OutOfDomain
 from pulse_iv.experiments import UNIVARIATE_DECLARED
-from pulse_iv.inference import PLAIN, ViewTest, chi2_quantile
+from pulse_iv.inference import PLAIN, StackTest, chi2_quantile
 from pulse_iv.pulse import (
     MESSAGE_TEXT,
     PulseConfig,
@@ -187,26 +187,42 @@ class TestExtremePenalties:
                 eigen = view.path.v @ (
                     (view.path.b0 + lam * view.path.b1) / (1.0 + lam * view.path.d)
                 )
-                np.testing.assert_allclose(view.path.alpha(lam), eigen, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(path_point(view, lam), eigen, rtol=1e-9, atol=1e-12)
+
+
+def path_point(view: DesignView, lam: float) -> np.ndarray:
+    """The view's K-class path point at penalty ``lam``."""
+    return estimate(view, EstimatorSpec("anchor", lam)).alpha
 
 
 def exact_search(view: DesignView, cfg: PulseConfig) -> tuple[float, np.ndarray]:
     """The unfiltered search, whose every step asks the reported predicate."""
-    test, path = ViewTest(view, cfg), view.path
-    lam = _smallest_accepted(lambda lam: test.accepts(path.alpha(lam)), 1.0 / cfg.precision_n)[1]
-    return lam, path.alpha(lam)
+    stack = GramStack([view])
+    test, paths = StackTest(stack, cfg), stack.paths[0]
+
+    def accepts(lams: list[float], items: list[int]) -> tuple[list[bool], dict]:
+        at = np.array(items)
+        alpha, failed = paths.alpha(np.array(lams), at)
+        verdicts, rejected = test.accepts(at, alpha)
+        return verdicts.tolist(), {**rejected, **failed}
+
+    _, accepted, failed = _smallest_accepted(accepts, 1.0 / cfg.precision_n, [0])
+    if failed:
+        raise failed[0]
+    return accepted[0], path_point(view, accepted[0])
 
 
 def count_path_points(monkeypatch: pytest.MonkeyPatch) -> list[int]:
-    """A one-element counter of the ``KClassPath.alpha`` calls made from now on."""
+    """A one-element counter of the path points (``PathStack.alpha`` items) computed
+    from now on."""
     count = [0]
-    alpha = KClassPath.alpha
+    alpha = PathStack.alpha
 
-    def counted(self: KClassPath, lam: float) -> np.ndarray:
-        count[0] += 1
-        return alpha(self, lam)
+    def counted(self: PathStack, lam: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, dict]:
+        count[0] += len(items)
+        return alpha(self, lam, items)
 
-    monkeypatch.setattr(KClassPath, "alpha", counted)
+    monkeypatch.setattr(PathStack, "alpha", counted)
     return count
 
 
@@ -262,7 +278,7 @@ class TestFilteredSearch:
         view = make_instance(seed, n=150 if seed == 43 else 120, d1=1, q=1, confounding=0.9)
         cfg = PulseConfig()
         lam, alpha = exact_search(view, cfg)
-        test, losses = ViewTest(view, cfg), KClassPath.losses
+        test, losses = StackTest(GramStack([view]), cfg), KClassPath.losses
         shift = 1e-3 * (view.path.syy + test.threshold / test.scale * view.path.yty)
 
         def wrong_gap(self: KClassPath, lam: float) -> tuple[float, float]:
@@ -291,7 +307,7 @@ class TestFilteredSearch:
             view = make_instance(70 + q, n=120, d1=d1, q=q, q1=q1, confounding=0.8)
             for lam in (0.0, 0.3, 7.0, KAPPA_FORM_MAX, 1e5):
                 ols, iv = view.path.losses(lam)
-                alpha = view.path.alpha(lam)
+                alpha = path_point(view, lam)
                 assert ols / view.n == pytest.approx(view.ols_loss(alpha), rel=1e-12)
                 assert iv / view.n == pytest.approx(view.iv_loss(alpha), rel=1e-12)
 
