@@ -463,9 +463,10 @@ class KClassPath:
     whose repetitions coincide (ROADMAP items 1 and 3); the others use the
     ``lambda`` form, exact where ``kappa`` rounds towards one.
 
-    With ``y'y`` and ``s_y's_y`` kept too, :meth:`losses` gives both losses at a
-    path point in ``O(k)``, without the point: at ``c = (b0 + lam b1) / (1 + lam d)``,
-    ``n l_OLS = y'y - 2 c.b0 + c.c`` and ``n l_IV = s_y's_y - 2 c.b1 + sum_i d_i c_i^2``.
+    With ``y'y`` and ``s_y's_y`` kept too, both losses along the path are rational in
+    ``lam``, without the point: at ``c = (b0 + lam b1) / (1 + lam d)``,
+    ``n l_OLS = y'y - 2 c.b0 + c.c`` and ``n l_IV = s_y's_y - 2 c.b1 + sum_i d_i c_i^2``;
+    PULSE finds ``lambda*`` as a root of the polynomial they give (:mod:`pulse_iv.pulse`).
     """
 
     def __init__(
@@ -476,8 +477,6 @@ class KClassPath:
         self.ztz, self.zty, self.sts, self.sty = ztz, zty, sts, sty
         self.yty, self.syy = float(yty), float(syy)
         self.v, self.d, self.b0, self.b1 = v, d, b0, b1
-        # Python floats: at k of a few, a numpy call costs more than the sum
-        self._terms = tuple(zip(b0.tolist(), b1.tolist(), d.tolist()))
 
     @classmethod
     def stack(
@@ -500,18 +499,6 @@ class KClassPath:
         arrays = (_readonly(ztz), _readonly(zty), yty,
                   *_frozen(st @ s, _mv(st, sy)), _dot(sy, sy), *_frozen(v, d, _mv(_t(v), zty), b1))
         return [cls(*items) for items in zip(*arrays)]
-
-    def losses(self, lam: float) -> tuple[float, float]:
-        """``(n l_OLS, n l_IV)`` at the point at penalty ``lam``, in ``O(k)`` from the
-        eigenbasis; they agree with :meth:`GramView.ols_loss` and
-        :meth:`GramView.iv_loss` of the point (:meth:`PathStack.alpha`) up to
-        rounding, not bit for bit."""
-        ols, iv = self.yty, self.syy
-        for b0, b1, d in self._terms:
-            c = (b0 + lam * b1) / (1.0 + lam * d)
-            ols += c * (c - 2.0 * b0)
-            iv += c * (d * c - 2.0 * b1)
-        return ols, iv
 
 
 class PathStack:

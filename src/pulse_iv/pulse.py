@@ -1,51 +1,55 @@
-"""The PULSE estimator: one bracket-plus-bisection on the K-class path, fallback
-wrapper, and the primal (constrained) definition.
+"""The PULSE estimator: the smallest accepted penalty as the root of one polynomial
+per design, checked on the K-class path; fallback wrapper, and the primal
+(constrained) definition.
 
 PULSE minimizes the OLS loss over the acceptance region of the
 uncorrelatedness test.  Along the K-class path (:class:`~pulse_iv.data.KClassPath`)
 the test statistic is monotone in the penalty, so the smallest accepted
-penalty ``lambda*`` is found by one bracket-plus-bisection; the estimate is the
-path point at ``lambda*``, which stays exact where ``kappa = lambda / (1 + lambda)``
+penalty ``lambda*`` is found by one bracket-plus-bisection (:func:`_bisection`:
+the accepted end squares 2, 4, 16, ..., then bisects to ``1/N``); the estimate is
+the path point at ``lambda*``, which stays exact where ``kappa = lambda / (1 + lambda)``
 rounds to one.  :func:`primal_solve` states the paper's constrained
 formulation, ``argmin l_OLS`` subject to ``l_IV <= t``, on the same path.
 
 The search (:func:`_search`) gives the bits of the exact search, whose every step
-asks ``StackTest.accepts(path.alpha(lam))``, while running that predicate at few
-steps:
+asks ``StackTest.accepts(path.alpha(lam))``, while running that predicate at two
+penalties per item:
 
-- *The filter.*  A step is decided by the sign of
-  ``gap = scale n l_IV - threshold n l_OLS`` (accepted iff ``gap <= 0``), with both
-  losses from :meth:`~pulse_iv.data.KClassPath.losses` in ``O(k)``.  The gap only
-  decides; :meth:`~pulse_iv.inference.StackTest.statistic` stays the one reported
-  statistic.
-- *The band.*  The exact predicate decides instead where
-  ``|gap| <= BAND (scale s_y's_y + threshold y'y)``, where the two forms could
-  round to different signs, and where ``n l_OLS`` is within four orders of the
-  :data:`~pulse_iv.inference.ZERO_RESIDUAL` guard, so that a step at which the
-  exact predicate raises still raises.
+- *The root.*  At the path point ``c = (b0 + lam b1) / (1 + lam d)``, with
+  ``e = b1 - d b0``, ``n l_OLS = n l_OLS(0) + lam^2 sum_i e_i^2 / (1 + lam d_i)^2``
+  and ``n l_IV = n l_IV(0) - lam sum_i e_i^2 (2 + lam d_i) / (1 + lam d_i)^2``.  So
+  the gap ``scale n l_IV - threshold n l_OLS`` (accepted iff ``<= 0``) times
+  ``prod_i (1 + lam d_i)^2`` is a polynomial of degree ``2 m``, ``m`` the number of
+  non-zero ``d`` (:func:`_gap_polynomials`), and its smallest positive real root,
+  from the eigenvalues of its companion matrix (:func:`_roots`), is ``lambda*``.
+  The items of a stack with one ``m`` take one ``eigvals`` call.
+- *The bracket.*  Each item runs the bisection with every step decided by
+  ``lam >= root`` (:func:`_decided`), which asks no predicate.
 - *The endpoint check.*  The exact predicate must accept the final bracket's
   accepted end and reject its rejected end (0 is already rejected exactly).
-  Every penalty the filtered run accepted lies at or above the accepted end, and
+  Every penalty the decided run accepted lies at or above the accepted end, and
   every one it rejected at or below the rejected end: bisection moves the ends
   inwards only, and a power of two the bracket phase rejected is a midpoint of
-  ``[0, 2^(2^m)]``, so bisection either lies above it or revisits it.  Where the
+  ``[0, 2^(2^j)]``, so bisection either lies above it or revisits it.  Where the
   exact predicate is monotone, the check therefore proves that it agrees with
-  every filtered decision, so the filtered run took the exact run's steps and
-  ends on its bits; the accepted end's point is reused as the estimate.  A
-  failed check, or a filtered run that raises, runs the exact search.
+  every decision of the run, whatever made them, so the run took the exact run's
+  steps and ends on its bits; the accepted end's point is reused as the estimate.
+- *The fallback.*  The exact search runs where the check fails or raises, where
+  the polynomial has no positive real root (its bracket overflows), and where
+  ``n l_OLS(0)`` is within four orders of the
+  :data:`~pulse_iv.inference.ZERO_RESIDUAL` guard: ``l_OLS`` only grows along the
+  path, so above that no step the run skipped could raise.  A root only decides
+  steps, so a wrong one costs the exact search, never a bit.  It is seldom exact
+  enough where ``lambda*`` is about 4e8 or more and the grid's step a few ulps.
 
 *The stacked route.*  On a :class:`~pulse_iv.data.GramStack`, :func:`pulse_estimate`
 takes the branch checks (the TSLS statistic of an over-identified stack, the OLS
-solve and its acceptance) as one numpy pass over the stack, and runs the searches
-of the items that reach them in lockstep (:func:`_smallest_accepted`): each round
-asks the filter once for the next penalty of every item still searching.  The
-brackets and the gap stay Python floats, one item at a time, as a numpy pass per
-round cost more than it saved on stacks of 5 to 40 items; the
-exact predicate runs once per round over the items in the band, and the endpoint
-checks once over the stack.  An item whose filtered run fails searches again
-exactly, in lockstep with the others that do.  Each item takes the steps it takes
-alone, so it gets the bits, and the error, of its own one-view call, which is the
-one-item case.
+solve and its acceptance), the polynomials and their roots, and the endpoint
+checks as numpy passes over the stack.  The items that fall back search exactly in
+lockstep (:func:`_smallest_accepted`): each round asks the exact predicate once,
+for the next penalty of every item still searching.  Each item takes the steps it
+takes alone, so it gets the bits, and the error, of its own one-view call, which
+is the one-item case.
 
 PULSE is one more K-class kind: ``estimate(view, EstimatorSpec("pulse"), cfg)``
 runs :func:`pulse_estimate`, whose :class:`PulseResult` is an
@@ -60,28 +64,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Generator, Iterator
 
 import numpy as np
 
-from .data import _ONE, Failed, GramStack, GramView, IdentificationClass, only, passed
+from .data import _ONE, Failed, GramStack, GramView, IdentificationClass, _dot, _rows, only, passed
 from .estimators import EstimateResult, Estimates, EstimatorSpec, _number, estimate
 from .exceptions import NonMonotoneDetected, OutOfDomain, ZeroResidual
 from .inference import ZERO_RESIDUAL, StackTest, TestConfig
 
 _FALLBACK_KINDS = ("tsls", "liml", "fuller")
-
-#: Half-width of the filter's band, relative to ``scale s_y's_y + threshold y'y``.
-#: The two forms of the gap differ only by rounding: each sums terms of about the
-#: normaliser's size (more where ``||Z alpha||^2`` exceeds ``y'y``) to a few ulps,
-#: and the exact point solves a ``k x k`` system to its condition number times an
-#: ulp.  Over 600 sampled univariate, e3 and mv-fixed views (n from 20 to 1000)
-#: and 160 weak-instrument views with ``lambda*`` up to 1e9, they differed by
-#: 1e-16 of the normaliser in the median and 3e-13 at most, so ``1e-9`` leaves
-#: over three orders for worse conditioning.  A wider band only runs the exact
-#: predicate more often; a narrower one risks a filtered decision that differs,
-#: which the endpoint check catches at the cost of the exact search.
-BAND = 1e-9
 
 
 class PulseMessage(Enum):
@@ -161,61 +153,131 @@ class PulseEstimates(Estimates):
 Predicate = Callable[[list[float], list[int]], tuple[list[bool], Failed]]
 
 
+def _bisection(width: float) -> Generator[float, bool, tuple[float, float]]:
+    """One item's search for the smallest accepted penalty within ``width`` (or one
+    ulp), given that 0 is rejected: it yields each penalty to ask, is sent whether it
+    is accepted, and returns the final bracket ``(rejected, accepted)``.  The accepted
+    end squares 2, 4, 16, ... until accepted, then the bracket bisects from 0 to that
+    width or to adjacent doubles, on Python floats.  Raises
+    :class:`NonMonotoneDetected` if no penalty below float overflow is accepted."""
+    accepted = 2.0
+    while not (yield accepted):
+        accepted *= accepted
+        if math.isinf(accepted):
+            raise NonMonotoneDetected(
+                "no accepted penalty below float overflow; monotone descent broke down"
+            )
+    rejected = 0.0
+    while True:
+        mid = 0.5 * (rejected + accepted)
+        if not (abs(accepted - rejected) > width and mid != rejected and mid != accepted):
+            return rejected, accepted
+        if (yield mid):
+            accepted = mid
+        else:
+            rejected = mid
+
+
 def _smallest_accepted(
     accepts: Predicate, width: float, items: list[int]
 ) -> tuple[dict[int, float], dict[int, float], Failed]:
-    """Smallest accepted penalty of each item within ``width`` (or one ulp), given
-    that 0 is rejected, searched in lockstep: each round asks ``accepts`` once, for
-    the next penalty of every item still searching.  Per item, the bracket squares
-    2, 4, 16, ... until accepted, then bisects from 0 to that width or to adjacent
-    doubles, on Python floats.  Returns each item's final bracket, ``rejected`` and
-    ``accepted``, and the error of each item at which ``accepts`` raised, or
-    :class:`NonMonotoneDetected` if no penalty below float overflow is accepted.
-    """
-    rejected, accepted = dict.fromkeys(items, 0.0), dict.fromkeys(items, 2.0)
+    """Each item's :func:`_bisection`, searched in lockstep: each round asks
+    ``accepts`` once, for the next penalty of every item still searching.  Returns
+    each item's final bracket, ``rejected`` and ``accepted``, and the error of each
+    item at which ``accepts`` or its search raised."""
+    searches = {r: _bisection(width) for r in items}
+    asked = {r: next(search) for r, search in searches.items()}
+    rejected: dict[int, float] = {}
+    accepted: dict[int, float] = {}
     failed: Failed = {}
-    live = list(items)
-    while live:
-        verdicts, raised = accepts([accepted[r] for r in live], live)
+    while asked:
+        live = list(asked)
+        verdicts, raised = accepts(list(asked.values()), live)
         failed.update(raised)
-        growing = []
+        asked = {}
         for r, yes in zip(live, verdicts):
-            if yes or r in raised:
-                continue
-            accepted[r] *= accepted[r]
-            if math.isinf(accepted[r]):
-                failed[r] = NonMonotoneDetected(
-                    "no accepted penalty below float overflow; monotone descent broke down"
-                )
-            else:
-                growing.append(r)
-        live = growing
-    live = [r for r in items if r not in failed]
-    while live:
-        asked, lams = [], []
-        for r in live:
-            low, high = rejected[r], accepted[r]
-            mid = 0.5 * (low + high)
-            if abs(high - low) > width and mid != low and mid != high:
-                asked.append(r)
-                lams.append(mid)
-        if not asked:
-            break
-        verdicts, raised = accepts(lams, asked)
-        failed.update(raised)
-        live = []
-        for r, mid, yes in zip(asked, lams, verdicts):
             if r in raised:
                 continue
-            if yes:
-                accepted[r] = mid
-            else:
-                rejected[r] = mid
-            live.append(r)
+            try:
+                asked[r] = searches[r].send(yes)
+            except StopIteration as stop:
+                rejected[r], accepted[r] = stop.value
+            except NonMonotoneDetected as exc:
+                failed[r] = exc
     return rejected, accepted, failed
 
 
-#: The errors of a filtered run after which the exact search runs.
+def _decided(root: float, width: float) -> tuple[float, float]:
+    """The final bracket of the :func:`_bisection` whose every step is decided by
+    ``lam >= root``."""
+    search = _bisection(width)
+    lam = next(search)
+    try:
+        while True:
+            lam = search.send(lam >= root)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _gap_polynomials(
+    test: StackTest, items: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The gap polynomial (module docstring) of each item at ``items[at]`` with ``m``
+    non-zero ``d``, as ascending coefficients ``(len(at), 2 m + 1)``, one ``at`` per
+    ``m``; none for an item with no non-zero ``d``, or with ``n l_OLS(0)`` within four
+    orders of the :data:`~pulse_iv.inference.ZERO_RESIDUAL` guard."""
+    paths, _ = test.stack.paths
+    scale, threshold = test.scale, test.threshold
+    b0, b1, d = _rows(paths.b0, items), _rows(paths.b1, items), _rows(paths.d, items)
+    yty = _rows(paths.yty, items)
+    e2 = (b1 - d * b0) ** 2
+    ols0 = yty - _dot(b0, b0)
+    gap0 = scale * (_rows(paths.syy, items) + _dot(b0, d * b0 - 2.0 * b1)) - threshold * ols0
+    rank = (d != 0.0).sum(axis=1)  # an under-identified design's zero d drop out
+    rank[ols0 <= 1e4 * ZERO_RESIDUAL * yty] = 0
+    for m in sorted(set(rank.tolist()) - {0}):
+        at = np.flatnonzero(rank == m)
+        dm, em = _rows(d, at)[:, :m], _rows(e2, at)[:, :m]
+        drop1, drop2 = 2.0 * scale * em, (scale * dm + threshold) * em
+        # prod_i (1 + d_i lam)^2, and sum_i lam (2 scale + (scale d_i + threshold) lam)
+        # e_i^2 prod_{j != i} (1 + d_j lam)^2, grown one factor at a time
+        pair = np.zeros((2, len(at), 2 * m + 1))
+        pair[0, :, 0] = 1.0
+        for i in range(m):
+            whole = pair[0]
+            by1, by2 = drop1[:, i, None] * whole[:, :-1], drop2[:, i, None] * whole[:, :-2]
+            for _ in range(2):  # times 1 + d_i lam
+                pair[:, :, 1:] += dm[:, i, None] * pair[:, :, :-1]
+            pair[1, :, 1:] += by1
+            pair[1, :, 2:] += by2
+        yield at, _rows(gap0, at)[:, None] * pair[0] - pair[1]
+
+
+def _roots(test: StackTest, items: np.ndarray) -> np.ndarray:
+    """The smallest positive real root of each item's gap polynomial, from the
+    eigenvalues of its companion matrix; ``inf`` where it has none, where that matrix
+    would overflow, or where :func:`_gap_polynomials` gives no polynomial."""
+    roots = np.full(len(items), math.inf)
+    for at, poly in _gap_polynomials(test, items):
+        lead = poly[:, -1]
+        fit = np.abs(poly).max(axis=1) * 2.0**-500 < np.abs(lead)  # no ratio above 2^500
+        if not fit.all():
+            at, poly, lead = at[fit], poly[fit], lead[fit]
+        deg = poly.shape[1] - 1
+        companion = np.empty((len(at), deg, deg))
+        companion[:] = np.eye(deg, k=-1)
+        companion[:, :, -1] = poly[:, :-1] / -lead[:, None]
+        try:
+            found = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:  # no convergence: these items search exactly
+            continue
+        real = found.real
+        real[(found.imag != 0.0) | (real <= 0.0)] = math.inf
+        roots[at] = real.min(axis=1)
+    return roots
+
+
+#: The errors of the endpoint check after which the exact search runs.
 _RETRIED = (NonMonotoneDetected, ZeroResidual)
 
 
@@ -223,13 +285,10 @@ def _search(
     test: StackTest, items: np.ndarray, width: float
 ) -> tuple[np.ndarray, np.ndarray, Failed]:
     """The exact search's penalty and path point of each item, given that 0 is
-    rejected, by the filtered run and endpoint check of the module docstring, for
-    all items in lockstep; the exact predicate is ``test.accepts(path.alpha(lam))``,
-    run once per round over the items that need it."""
+    rejected, by the root, bracket, endpoint check and fallback of the module
+    docstring; the exact predicate is ``test.accepts(path.alpha(lam))``, run over
+    the stack's endpoints, and per round of the fallback's lockstep search."""
     paths, singular = test.stack.paths
-    scale, threshold = test.scale, test.threshold
-    band = (BAND * (scale * paths.syy + threshold * paths.yty)).tolist()
-    floor = (1e4 * ZERO_RESIDUAL * paths.yty).tolist()
     failed: Failed = {r: singular[r] for r in items[~passed(items, singular)].tolist()}
     retry: set[int] = set()
 
@@ -244,35 +303,24 @@ def _search(
         verdicts[ok], rejected = test.accepts(at[ok], alpha[ok])
         return verdicts.tolist(), {**rejected, **raised}
 
-    def filtered(lams: list[float], asked: list[int]) -> tuple[list[bool], Failed]:
-        verdicts, near = [], []
-        for j, (lam, r) in enumerate(zip(lams, asked)):
-            ols, iv = paths.paths[r].losses(lam)
-            gap = scale * iv - threshold * ols
-            if abs(gap) <= band[r] or ols <= floor[r]:
-                near.append(j)
-            verdicts.append(gap <= 0.0)
-        if not near:
-            return verdicts, {}
-        checked, raised = exact([lams[j] for j in near], [asked[j] for j in near])
-        for j, yes in zip(near, checked):
-            verdicts[j] = yes
-        return verdicts, raised
-
     def settle(raised: Failed) -> None:
         """Add the final errors of ``raised`` to ``failed``, and the items whose
-        filtered run failed to ``retry``, to be searched again exactly."""
+        endpoint check failed to ``retry``, to be searched again exactly."""
         for r, exc in raised.items():
             if isinstance(exc, _RETRIED):
                 retry.add(r)
             else:
                 failed[r] = exc
 
-    searched = [r for r in items.tolist() if r not in failed]
-    rejected, accepted, raised = _smallest_accepted(filtered, width, searched)
-    settle(raised)
-    ends = np.array([r for r in searched if r not in raised], dtype=np.intp)
-    alpha, raised = paths.alpha(np.array([accepted[r] for r in ends.tolist()]), ends)
+    searched = items[passed(items, failed)]
+    rejected, accepted = {}, {}
+    for r, root in zip(searched.tolist(), _roots(test, searched).tolist()):
+        try:  # an infinite root rejects every step, so its bracket overflows
+            rejected[r], accepted[r] = _decided(root, width)
+        except NonMonotoneDetected:
+            retry.add(r)
+    ends = np.array(list(accepted), dtype=np.intp)
+    alpha, raised = paths.alpha(np.array(list(accepted.values())), ends)
     failed.update(raised)
     ends, alpha = ends[passed(ends, raised)], alpha[passed(ends, raised)]
     verdicts, raised = test.accepts(ends, alpha)
@@ -317,9 +365,9 @@ def pulse_estimate(
     returned point passes :func:`~pulse_iv.inference.test_statistic`.
     :func:`~pulse_iv.estimators.estimate` calls this for the ``pulse`` kind.
 
-    On a :class:`~pulse_iv.data.GramStack` the branch checks run once over the
-    stack and the searches in lockstep, with each item's bits and errors, and it
-    returns the :class:`PulseEstimates`; a view is the one-item case.
+    On a :class:`~pulse_iv.data.GramStack` the branch checks, the roots and the
+    endpoint checks run once over the stack, with each item's bits and errors, and
+    it returns the :class:`PulseEstimates`; a view is the one-item case.
 
     Raises
     ------

@@ -15,6 +15,10 @@ from pulse_iv.sem import SemModel, population_moments
 #: CI runs the tier-1 tests with ``--hypothesis-profile=ci``: properties that do
 #: not pin ``max_examples`` get ten times the default, on a fixed example sequence.
 settings.register_profile("ci", max_examples=1000, derandomize=True)
+#: CI also runs PULSE's root search against the exact search under
+#: ``--hypothesis-profile=search``: five times the ``ci`` examples, as a wrong root
+#: shows only on rare views.
+settings.register_profile("search", max_examples=5000, derandomize=True)
 
 
 def kclass_estimand(model: SemModel, partition: ModelPartition, kappa: float) -> np.ndarray:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulse_iv import inference
-from pulse_iv.data import KAPPA_FORM_MAX, Dataset, DesignView, GramStack, KClassPath, PathStack
+from pulse_iv import inference, pulse
+from pulse_iv.data import KAPPA_FORM_MAX, Dataset, DesignView, GramStack, PathStack
 from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.exceptions import OutOfDomain
 from pulse_iv.experiments import UNIVARIATE_DECLARED
@@ -19,6 +19,7 @@ from pulse_iv.pulse import (
     MESSAGE_TEXT,
     PulseConfig,
     PulseMessage,
+    _gap_polynomials,
     _smallest_accepted,
     primal_solve,
     pulse_estimate,
@@ -195,8 +196,9 @@ def path_point(view: DesignView, lam: float) -> np.ndarray:
     return estimate(view, EstimatorSpec("anchor", lam)).alpha
 
 
-def exact_search(view: DesignView, cfg: PulseConfig) -> tuple[float, np.ndarray]:
-    """The unfiltered search, whose every step asks the reported predicate."""
+def exact_predicate(view: DesignView, cfg: PulseConfig):
+    """The reported predicate ``StackTest.accepts(path.alpha(lam))`` of the view, as
+    a search predicate of its one-item stack."""
     stack = GramStack([view])
     test, paths = StackTest(stack, cfg), stack.paths[0]
 
@@ -206,7 +208,12 @@ def exact_search(view: DesignView, cfg: PulseConfig) -> tuple[float, np.ndarray]
         verdicts, rejected = test.accepts(at, alpha)
         return verdicts.tolist(), {**rejected, **failed}
 
-    _, accepted, failed = _smallest_accepted(accepts, 1.0 / cfg.precision_n, [0])
+    return accepts
+
+
+def exact_search(view: DesignView, cfg: PulseConfig) -> tuple[float, np.ndarray]:
+    """The search whose every step asks the reported predicate."""
+    _, accepted, failed = _smallest_accepted(exact_predicate(view, cfg), 1.0 / cfg.precision_n, [0])
     if failed:
         raise failed[0]
     return accepted[0], path_point(view, accepted[0])
@@ -240,18 +247,23 @@ def design_view(design: str, seed: int, n: int, q: int, r2: float) -> DesignView
     return weak(n, strength=r2, seed=seed)
 
 
-class TestFilteredSearch:
-    """The search decides its steps by the O(k) gap and checks its bracket with
-    the reported predicate; it must give the exact search's bits."""
+#: The views of the search's properties: samples of the harness's designs, and the
+#: extreme-penalty views at instrument strength ``r2``.
+SEARCH_VIEWS = dict(
+    design=st.sampled_from(("univariate", "mv-fixed", "underid-e3", "weak-just", "weak-under")),
+    seed=st.integers(0, 10**6),
+    n=st.sampled_from((20, 150, 1000)),
+    q=st.integers(1, 10),
+    r2=st.sampled_from(UNIVARIATE_DECLARED["r2"] + (1e-9, 1e-6)),
+)
+
+
+class TestRootSearch:
+    """The search decides its steps by the root of the gap polynomial and checks its
+    bracket with the reported predicate; it must give the exact search's bits."""
 
     @settings(deadline=None)
-    @given(
-        design=st.sampled_from(("univariate", "mv-fixed", "underid-e3", "weak-just", "weak-under")),
-        seed=st.integers(0, 10**6),
-        n=st.sampled_from((20, 150, 1000)),
-        q=st.integers(1, 10),
-        r2=st.sampled_from(UNIVARIATE_DECLARED["r2"] + (1e-9, 1e-6)),
-    )
+    @given(**SEARCH_VIEWS)
     def test_same_bits_as_exact_search(self, design, seed, n, q, r2):
         view = design_view(design, seed, n, q, r2)
         cfg = PulseConfig()
@@ -262,32 +274,50 @@ class TestFilteredSearch:
         assert res.lambda_used.hex() == lam.hex()
         assert res.alpha.tobytes() == alpha.tobytes()
 
+    @settings(deadline=None)
+    @given(**SEARCH_VIEWS)
+    def test_lambda_is_the_first_accepted_grid_point(self, design, seed, n, q, r2):
+        # the bisection's grid below lambda: a step of the largest power of two
+        # within 1/N, or of one ulp where the doubles are coarser
+        view = design_view(design, seed, n, q, r2)
+        cfg = PulseConfig()
+        res = pulse_estimate(view, cfg)
+        if res.message is not PulseMessage.NONE:
+            return
+        lam = res.lambda_used
+        step = 2.0 ** math.floor(math.log2(1.0 / cfg.precision_n))
+        below = min(lam - step, math.nextafter(lam, 0.0))
+        verdicts, failed = exact_predicate(view, cfg)([lam, below], [0, 0])
+        assert not failed
+        assert verdicts == [True, False]
+
     @pytest.mark.parametrize(
         "seed, wrong",
         [
-            # lambda* is 1.55: the flipped filter rejects up to float overflow
+            # lambda* is 1.55: with no positive root every step is rejected, up to
+            # float overflow
             (43, "flipped"),
-            # lambda* is 2.21: the flipped filter's accepted end is rejected exactly
+            # lambda* is 2.21, above the bracket's first end: likewise
             (40, "flipped"),
-            # the shifted filter rejects just above lambda*, so only the exact
-            # check of the rejected end shows the bracket is late
+            # the root lies just above lambda*, so only the exact check of the
+            # rejected end shows the bracket is late
             (43, "shifted"),
+            # the root lies just below lambda*, so the exact check of the accepted
+            # end rejects it
+            (40, "early"),
         ],
     )
-    def test_wrong_filter_falls_back_to_exact_search(self, monkeypatch, seed, wrong):
+    def test_wrong_root_falls_back_to_exact_search(self, monkeypatch, seed, wrong):
         view = make_instance(seed, n=150 if seed == 43 else 120, d1=1, q=1, confounding=0.9)
         cfg = PulseConfig()
         lam, alpha = exact_search(view, cfg)
-        test, losses = StackTest(GramStack([view]), cfg), KClassPath.losses
-        shift = 1e-3 * (view.path.syy + test.threshold / test.scale * view.path.yty)
+        roots = pulse._roots
+        shift = {"flipped": math.inf, "shifted": 1e-3, "early": -1e-3}[wrong]
 
-        def wrong_gap(self: KClassPath, lam: float) -> tuple[float, float]:
-            ols, iv = losses(self, lam)  # l_OLS kept; the gap flipped or raised
-            if wrong == "flipped":
-                return ols, (2.0 * test.threshold * ols - test.scale * iv) / test.scale
-            return ols, iv + shift
+        def wrong_roots(test: StackTest, items: np.ndarray) -> np.ndarray:
+            return roots(test, items) * (1.0 + shift)
 
-        monkeypatch.setattr(KClassPath, "losses", wrong_gap)
+        monkeypatch.setattr(pulse, "_roots", wrong_roots)
         count = count_path_points(monkeypatch)
         res = pulse_estimate(view, cfg)
         assert res.lambda_used.hex() == lam.hex()
@@ -302,14 +332,25 @@ class TestFilteredSearch:
         assert res.message is PulseMessage.NONE
         assert count[0] <= 3
 
-    def test_losses_match_gram_losses(self):
-        for d1, q, q1 in ((1, 1, 0), (1, 5, 0), (2, 3, 0), (2, 4, 1)):
+    def test_polynomial_sign_is_the_exact_verdict(self):
+        # on a grid of penalties away from the root, including an under-identified
+        # design (d1 = 2, q = 1) whose zero d drop out of the polynomial
+        cfg = PulseConfig()
+        grid = np.concatenate([[0.0], np.logspace(-3, 6, 46)])
+        seen = set()
+        for d1, q, q1 in ((1, 1, 0), (1, 5, 0), (2, 1, 0), (2, 3, 0), (2, 4, 1)):
             view = make_instance(70 + q, n=120, d1=d1, q=q, q1=q1, confounding=0.8)
-            for lam in (0.0, 0.3, 7.0, KAPPA_FORM_MAX, 1e5):
-                ols, iv = view.path.losses(lam)
-                alpha = path_point(view, lam)
-                assert ols / view.n == pytest.approx(view.ols_loss(alpha), rel=1e-12)
-                assert iv / view.n == pytest.approx(view.iv_loss(alpha), rel=1e-12)
+            test = StackTest(GramStack([view]), cfg)
+            (at, poly), = _gap_polynomials(test, np.array([0]))
+            assert at.tolist() == [0] and poly.shape == (1, 2 * min(view.k, view.q) + 1)
+            root = pulse._roots(test, np.array([0]))[0]
+            lams = [lam for lam in grid.tolist() if abs(lam / root - 1.0) > 1e-6]
+            signs = [float(np.polyval(poly[0, ::-1], lam)) <= 0.0 for lam in lams]
+            verdicts, failed = exact_predicate(view, cfg)(lams, [0] * len(lams))
+            assert not failed
+            assert signs == verdicts, (d1, q, q1)
+            seen.update(verdicts)
+        assert seen == {True, False}
 
 
 class TestMonotonicity:
