@@ -4,7 +4,9 @@ The central object is :class:`GramView`: the Gram products of one
 :class:`ModelPartition` that every estimator consumes, plus the
 :class:`KClassPath` built on them.  :class:`DesignView` builds them from the rows
 of a :class:`Dataset`; :func:`~pulse_iv.sem.population_moments` gives the exact
-population ones.
+population ones.  :class:`GramStack` holds a stack of designs, as views or as
+arrays built straight from sampled rows (:meth:`GramStack.from_rows`), and runs
+each routine once over the stack.
 All objects are immutable after construction.
 """
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -133,14 +135,26 @@ def _inverse_sqrts(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return rc, ok, (v * (1.0 / np.sqrt(w))[..., None, :]) @ _t(v)
 
 
+def _scattered(mask: np.ndarray, arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Stacks computed for the items where ``mask`` is true, as read-only stacks of
+    every item with zeros at the others."""
+    if mask.all():
+        return tuple(arrays)
+    full = [np.zeros((len(mask), *arr.shape[1:])) for arr in arrays]
+    for out, arr in zip(full, arrays):
+        out[mask] = arr
+    return _frozen(*full)
+
+
 def _iv_pieces(
     ata: np.ndarray, atz: np.ndarray, aty: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:attr:`GramView.iv_pieces` of a stack of designs: the reciprocal condition of
-    each ``A^T A``, the mask of those that pass, and ``S`` and ``s_y`` of those, stacked
-    and read-only."""
+    each ``A^T A``, the mask of those that pass, and ``S`` and ``s_y`` of every item,
+    stacked and read-only, with zeros where ``A^T A`` fails."""
     rc, ok, isqrt = _inverse_sqrts(ata)
-    return (rc, ok, *_frozen(isqrt @ atz[ok], _mv(isqrt, aty[ok])))
+    at = np.flatnonzero(ok)
+    return (rc, ok, *_scattered(ok, _frozen(isqrt @ _rows(atz, at), _mv(isqrt, _rows(aty, at)))))
 
 
 def _gram_products(y: np.ndarray, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -149,6 +163,61 @@ def _gram_products(y: np.ndarray, z: np.ndarray, a: np.ndarray) -> tuple[np.ndar
     call whose bits per item are those of the 2-D call."""
     zt, at = _t(z), _t(a)
     return _frozen(zt @ z, _mv(zt, y), at @ z, _mv(at, y), at @ a, _dot(y, y))
+
+
+def _path_arrays(
+    ztz: np.ndarray, zty: np.ndarray, s: np.ndarray, sy: np.ndarray, yty: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The K-class path of each design of a stack of ``Z^T Z``, ``Z^T y``, ``S``, ``s_y``
+    and ``y^T y``: the arrays :data:`_PATH_FIELDS` names, those computed here
+    read-only.  One numpy call per step over the whole stack; ``cholesky``,
+    ``solve``, ``svd`` and ``matmul`` give each item the bits of its own call.  Each
+    ``Z^T Z`` must be positive definite."""
+    st = _t(s)
+    low = np.linalg.cholesky(ztz)
+    u, sig, rt = np.linalg.svd(_t(np.linalg.solve(low, st)))
+    r = sig.shape[-1]
+    v = np.linalg.solve(_t(low), _t(rt))
+    d, b1 = np.zeros(zty.shape), np.zeros(zty.shape)
+    d[..., :r] = sig * sig
+    b1[..., :r] = sig * _mv(_t(u[..., :r]), sy)
+    return (ztz, zty, yty, *_frozen(st @ s, _mv(st, sy), _dot(sy, sy), v, d, _mv(_t(v), zty), b1))
+
+
+def _check_shapes(n: int, x_shape: tuple[int, ...], a_shape: tuple[int, ...]) -> None:
+    """:class:`Dataset`'s checks on the rows of ``y`` and the ``(n, d)`` and ``(n, q)``
+    shapes of ``x`` and ``a``."""
+    if x_shape[0] != n or a_shape[0] != n:
+        raise DataError(f"row mismatch: y has {n} rows, x has {x_shape[0]}, a has {a_shape[0]}")
+    d, q = x_shape[1], a_shape[1]
+    if n < 1:
+        raise DataError("dataset must contain at least one row")
+    if d < 1 or q < 1:
+        raise DataError("x and a must each contain at least one column")
+    if n < max(d, q):
+        raise DataError(f"need n >= max(d, q); got n={n}, d={d}, q={q}")
+
+
+def _checked_rows(y: np.ndarray, x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(R, n)``, ``(R, n, d)`` and ``(R, n, q)`` stacks of samples as float arrays,
+    checked as :class:`Dataset` checks each sample, with its :class:`DataError` for
+    the first sample that fails.  The finiteness check is one pass per array."""
+    y, x, a = (np.asarray(arr, dtype=float) for arr in (y, x, a))
+    if y.ndim != 2 or x.ndim != 3 or a.ndim != 3 or not len(y) == len(x) == len(a):
+        raise ValueError(
+            f"need (R, n), (R, n, d) and (R, n, q) stacks; got {y.shape}, {x.shape}, {a.shape}"
+        )
+    _check_shapes(y.shape[1], x.shape[1:], a.shape[1:])
+    arrays = {"y": y, "x": x, "a": a}
+    if not all(np.isfinite(arr).all() for arr in arrays.values()):
+        finite = {
+            name: np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+            for name, arr in arrays.items()
+        }
+        first = int(np.argmin(finite["y"] & finite["x"] & finite["a"]))
+        name = next(name for name, ok in finite.items() if not ok[first])
+        raise DataError(f"non-finite values in {name}")
+    return y, x, a
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,18 +246,8 @@ class Dataset:
         y = np.asarray(self.y, dtype=float).reshape(-1)
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        if x.shape[0] != y.shape[0] or a.shape[0] != y.shape[0]:
-            raise DataError(
-                f"row mismatch: y has {y.shape[0]} rows, x has {x.shape[0]}, a has {a.shape[0]}"
-            )
-        n, d = x.shape
-        q = a.shape[1]
-        if n < 1:
-            raise DataError("dataset must contain at least one row")
-        if d < 1 or q < 1:
-            raise DataError("x and a must each contain at least one column")
-        if n < max(d, q):
-            raise DataError(f"need n >= max(d, q); got n={n}, d={d}, q={q}")
+        _check_shapes(y.shape[0], x.shape, a.shape)
+        d, q = x.shape[1], a.shape[1]
         for name, arr in (("y", y), ("x", x), ("a", a)):
             if not np.isfinite(arr).all():
                 raise DataError(f"non-finite values in {name}")
@@ -473,49 +532,48 @@ class KClassPath:
         self, ztz: np.ndarray, zty: np.ndarray, yty: float, sts: np.ndarray, sty: np.ndarray,
         syy: float, v: np.ndarray, d: np.ndarray, b0: np.ndarray, b1: np.ndarray,
     ):
-        """One design's path from the read-only arrays that :meth:`stack` computes."""
+        """One design's path from the read-only arrays that :func:`_path_arrays` computes."""
         self.ztz, self.zty, self.sts, self.sty = ztz, zty, sts, sty
         self.yty, self.syy = float(yty), float(syy)
         self.v, self.d, self.b0, self.b1 = v, d, b0, b1
 
-    @classmethod
-    def stack(
-        cls, ztz: np.ndarray, zty: np.ndarray, s: np.ndarray, sy: np.ndarray, yty: np.ndarray
-    ) -> list["KClassPath"]:
-        """The path of each design of a stack of ``Z^T Z``, ``Z^T y``, ``S``, ``s_y``
-        and ``y^T y``, one numpy call per step over the whole stack; ``cholesky``,
-        ``solve``, ``svd`` and ``matmul`` give each item the bits of its own call.
-        Each ``Z^T Z`` must be positive definite."""
-        if not len(ztz):
-            return []
-        st = _t(s)
-        low = np.linalg.cholesky(ztz)
-        u, sig, rt = np.linalg.svd(_t(np.linalg.solve(low, st)))
-        r = sig.shape[-1]
-        v = np.linalg.solve(_t(low), _t(rt))
-        d, b1 = np.zeros(zty.shape), np.zeros(zty.shape)
-        d[..., :r] = sig * sig
-        b1[..., :r] = sig * _mv(_t(u[..., :r]), sy)
-        arrays = (_readonly(ztz), _readonly(zty), yty,
-                  *_frozen(st @ s, _mv(st, sy)), _dot(sy, sy), *_frozen(v, d, _mv(_t(v), zty), b1))
-        return [cls(*items) for items in zip(*arrays)]
+
+#: The arrays of a path, in the order :func:`_path_arrays` returns them.
+_PATH_FIELDS = ("ztz", "zty", "yty", "sts", "sty", "syy", "v", "d", "b0", "b1")
 
 
 class PathStack:
     """The K-class paths of a stack of designs with ``k`` coefficients each, as
-    ``(R, ...)`` arrays, with their stacked point routines.  An item without a path
-    (``None``) holds zeros, which no routine may be asked for."""
+    ``(R, ...)`` arrays (:data:`_PATH_FIELDS`), with their stacked point routines.  An
+    item without a path holds zeros, which no routine may be asked for."""
 
-    def __init__(self, paths: Sequence[KClassPath | None], k: int):
-        self.paths = filled = paths
+    def __init__(self, *arrays: np.ndarray):
+        for name, arr in zip(_PATH_FIELDS, arrays, strict=True):
+            setattr(self, name, arr)
+
+    @classmethod
+    def of(cls, paths: Sequence[KClassPath | None], k: int) -> "PathStack":
+        """The stack of ``paths``, each a view's (``None`` for one without a path)."""
         if None in paths:
             mat, vec = np.zeros((k, k)), np.zeros(k)
             blank = KClassPath(mat, vec, 0.0, mat, vec, 0.0, mat, vec, vec, vec)
-            filled = [blank if path is None else path for path in paths]
-        for name in ("ztz", "zty", "sts", "sty", "v", "d", "b0", "b1"):
-            setattr(self, name, _stack([getattr(path, name) for path in filled]))
-        self.yty = np.array([path.yty for path in filled])
-        self.syy = np.array([path.syy for path in filled])
+            paths = [blank if path is None else path for path in paths]
+        return cls(*(
+            np.array([getattr(path, name) for path in paths]) if name in ("yty", "syy")
+            else _stack([getattr(path, name) for path in paths])
+            for name in _PATH_FIELDS
+        ))
+
+    def take(self, items: np.ndarray) -> "PathStack":
+        """The paths at ``items``, read-only."""
+        return PathStack(*_frozen(*(getattr(self, name)[items] for name in _PATH_FIELDS)))
+
+    @classmethod
+    def concat(cls, stacks: Sequence["PathStack"]) -> "PathStack":
+        """The paths of ``stacks``, one after another, read-only."""
+        return cls(*_frozen(*(
+            np.concatenate([getattr(paths, name) for paths in stacks]) for name in _PATH_FIELDS
+        )))
 
     def kclass(self, kappa: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, Failed]:
         """The point at ``kappa[i]`` of each item ``items[i]``; :class:`SingularGram`
@@ -626,7 +684,8 @@ class GramView:
         s, sy = self.iv_pieces
         if self.rcond_ztz < RCOND_GRAM:
             raise SingularGram("Z^T Z", self.rcond_ztz)
-        return KClassPath.stack(self.ztz[None], self.zty[None], s[None], sy[None], [self.yty])[0]
+        one = (self.ztz[None], self.zty[None], s[None], sy[None], np.array([self.yty]))
+        return KClassPath(*(arr[0] for arr in _path_arrays(*one)))
 
     def kclass_solve(self, kappa: float) -> np.ndarray:
         """Closed-form K-class solution, the minimizer of ``(1 - kappa) l_OLS + kappa l_IV``:
@@ -640,112 +699,172 @@ class GramView:
         return 0.0
 
 
-#: The values a :class:`GramView` computes on first read and caches.
-_CACHES = ("rcond_ztz", "rcond_ata", "iv_pieces", "path")
-
-
 class DesignView(GramView):
     """A :class:`GramView` built from the rows of a :class:`Dataset`, which it keeps
     as ``dataset`` (``Z = [X_* A_*]`` is its columns under ``partition``), with
-    ``coef_names``.  :meth:`stack` builds the views of a stack of samples at once."""
+    ``coef_names``.  :meth:`GramStack.from_rows` builds the same products, caches and
+    paths for a stack of samples at once."""
 
     def __init__(self, dataset: Dataset, partition: ModelPartition | None = None):
         partition = _partition_for(dataset.d, dataset.q, partition)
         y, x, a = dataset.y[None], dataset.x[None], dataset.a[None]
-        self._fill(dataset, partition, [g[0] for g in _gram_products(y, _z(x, a, partition), a)])
-
-    def _fill(self, dataset: Dataset, partition: ModelPartition, grams: list[np.ndarray]) -> None:
-        ztz, zty, atz, aty, ata, yty = grams
+        ztz, zty, atz, aty, ata, yty = (g[0] for g in _gram_products(y, _z(x, a, partition), a))
         self.dataset = dataset
         self.coef_names = tuple(dataset.x_names[i] for i in partition.included_endogenous) + tuple(
             dataset.a_names[i] for i in partition.included_exogenous
         )
-        super().__init__(
-            partition, dataset.q, dataset.n, ztz=ztz, zty=zty, atz=atz, aty=aty, ata=ata, yty=yty
-        )
-
-    @classmethod
-    def stack(
-        cls, y: np.ndarray, x: np.ndarray, a: np.ndarray, partition: ModelPartition | None = None
-    ) -> list["DesignView"]:
-        """The view of each sample of ``(R, n)``, ``(R, n, d)`` and ``(R, n, q)`` stacks,
-        as :func:`~pulse_iv.sem.sample_stack` draws them: view ``r`` has the bits of
-        ``DesignView(Dataset(y[r], x[r], a[r]), partition)`` in every product and
-        cache.  The products, :attr:`rcond_ztz`, :attr:`iv_pieces` and :attr:`path`
-        are each one numpy pass over the stack, and each view caches its slice.  A
-        view whose ``A^T A`` (or ``Z^T Z``) fails its check caches no ``iv_pieces``
-        (or ``path``), so reading it raises the same :class:`SingularGram` as the
-        single view.
-
-        Raises
-        ------
-        DataError
-            As :class:`Dataset` does, for the first sample that fails its checks.
-        """
-        y, x, a = (np.asarray(arr, dtype=float) for arr in (y, x, a))
-        datasets = [Dataset(y=yr, x=xr, a=ar) for yr, xr, ar in zip(y, x, a)]
-        partition = _partition_for(x.shape[-1], a.shape[-1], partition)
-        grams = ztz, zty, atz, aty, ata, yty = _gram_products(y, _z(x, a, partition), a)
-        rc_ztz = rcond_symmetric(ztz)
-        _, ok, s, sy = _iv_pieces(ata, atz, aty)
-        good = ok & (rc_ztz >= RCOND_GRAM)
-        paths = iter(KClassPath.stack(ztz[good], zty[good], s[good[ok]], sy[good[ok]], yty[good]))
-        pieces = zip(s, sy)
-        views = []
-        for r, ds in enumerate(datasets):
-            view = cls.__new__(cls)
-            view._fill(ds, partition, [g[r] for g in grams])
-            cache = vars(view)
-            cache["rcond_ztz"] = float(rc_ztz[r])
-            if ok[r]:
-                cache["iv_pieces"] = next(pieces)
-            if good[r]:
-                cache["path"] = next(paths)
-            views.append(view)
-        return views
-
-    def without_rows(self) -> GramView:
-        """This view's products and cached condition numbers, pieces and path, as a
-        :class:`GramView`, which keeps no rows."""
-        view = GramView(self.partition, self.q, self.n, self.ztz, self.zty, self.atz, self.aty,
-                        self.ata, self.yty)
-        vars(view).update((name, vars(self)[name]) for name in _CACHES if name in vars(self))
-        return view
+        super().__init__(partition, dataset.q, dataset.n, ztz, zty, atz, aty, ata, yty)
 
     # bench/spans.py counts K-class solves by wrapping this class's own entry, which
     # its self-test asserts is found; once it wraps GramView's, the alias can go.
     kclass_solve = GramView.kclass_solve
 
 
+def _at(mask: np.ndarray, values: np.ndarray) -> Iterator[tuple[int, float]]:
+    """Each index where ``mask`` is true, with the value there."""
+    return zip(np.flatnonzero(mask).tolist(), values[mask].tolist())
+
+
+#: The arrays of a :meth:`GramStack.from_rows` stack with one row per item besides
+#: its :attr:`~GramStack.pieces`, :attr:`~GramStack.paths` and rows, which
+#: :meth:`GramStack.take` slices and :meth:`GramStack.concat` joins with them.
+_ITEM_ARRAYS = ("ztz", "zty", "atz", "aty", "ata", "yty", "rcond_ztz")
+
+
+def _taken_failed(failed: Failed, items: np.ndarray) -> Failed:
+    """The entries of ``failed`` at ``items``, numbered by their place in ``items``."""
+    return {j: failed[r] for j, r in enumerate(items.tolist()) if r in failed}
+
+
+def _joined_failed(parts: Sequence[Failed], starts: Sequence[int]) -> Failed:
+    """The entries of stacks' ``parts``, numbered from each stack's start."""
+    return {start + r: exc for start, part in zip(starts, parts) for r, exc in part.items()}
+
+
 class GramStack:
-    """Views of one partition, sample size and anchor count, as one stack: the Gram
+    """Designs of one partition, sample size and anchor count, as one stack: the Gram
     core's routines run once over the stack, one numpy call per step, and give each
     item the bits of its own view's call.  A view's method of the same name is the
     one-item case.
 
-    The products are the views' own, stacked on first read, and so are their cached
-    whitened pieces and paths.  A routine takes the indices of the items it runs on
-    (``items``) and returns its values for each, and a :data:`Failed` entry for each
-    item that raised, at which its value is a placeholder.
+    ``GramStack(views)`` stacks the views' products on first read, and so their
+    cached whitened pieces and paths.  :meth:`from_rows` builds a stack from sampled
+    rows with no view: the products, :attr:`rcond_ztz`, :attr:`pieces` and
+    :attr:`paths` are each one numpy pass over the stack, and the rows stay for the
+    estimators that read them (LIML).  :meth:`take` and :meth:`concat` slice and join
+    such stacks with what they have computed.  A routine takes the indices of the
+    items it runs on (``items``) and returns its values for each, and a
+    :data:`Failed` entry for each item that raised, at which its value is a
+    placeholder.
     """
 
     def __init__(self, views: Sequence[GramView]):
-        self.views = tuple(views)
+        self.views: tuple[GramView, ...] | None = tuple(views)
         head = self.views[0]
         for view in self.views:
             if (view.partition, view.n, view.q) != (head.partition, head.n, head.q):
                 raise ValueError("a stack's views must share one partition, n and q")
-        self.partition, self.q, self.n = head.partition, head.q, head.n
-        self.d1, self.q1, self.q2, self.k = head.d1, head.q1, head.q2, head.k
-        self.identification = head.identification
-        self.items = np.arange(len(self.views))
+        self._shape(head.partition, head.q, head.n, len(self.views))
+
+    def _shape(self, partition: ModelPartition, q: int, n: int, size: int) -> None:
+        self.partition, self.q, self.n = partition, q, n
+        self.d1, self.q1, self.q2 = partition.d1, partition.q1, q - partition.q1
+        self.k = self.d1 + self.q1
+        self.identification = partition.identification_class(q)
+        self.items = np.arange(size)
+
+    @classmethod
+    def from_rows(
+        cls, y: np.ndarray, x: np.ndarray, a: np.ndarray, partition: ModelPartition | None = None
+    ) -> "GramStack":
+        """The stack of the samples of ``(R, n)``, ``(R, n, d)`` and ``(R, n, q)``
+        stacks, as :func:`~pulse_iv.sem.sample_stack` draws them: item ``r`` has the
+        bits of ``DesignView(Dataset(y[r], x[r], a[r]), partition)`` in every product,
+        condition number, whitened piece and path, and its error where ``A^T A`` or
+        ``Z^T Z`` is singular.  The stack keeps read-only views of the rows, which
+        the caller must not change.
+
+        Raises
+        ------
+        DataError
+            As :class:`Dataset` does, for the first sample that fails its checks.
+        """
+        y, x, a = _checked_rows(y, x, a)
+        partition = _partition_for(x.shape[-1], a.shape[-1], partition)
+        ztz, zty, atz, aty, ata, yty = grams = _gram_products(y, _z(x, a, partition), a)
+        stack = cls._bare(partition, a.shape[-1], a.shape[-2], len(a))
+        vars(stack).update(zip(("ztz", "zty", "atz", "aty", "ata", "yty"), grams))
+        stack.rows = _frozen(y.view(), x.view(), a.view())
+        stack.rcond_ztz = rc_ztz = _frozen(rcond_symmetric(ztz))[0]
+        rc_ata, ok, s, sy = _iv_pieces(ata, atz, aty)
+        failed: Failed = {r: SingularGram("A^T A", c) for r, c in _at(~ok, rc_ata)}
+        stack.pieces = s, sy, failed
+        good = ok & (rc_ztz >= RCOND_GRAM)
+        failed = {**failed, **{r: SingularGram("Z^T Z", c) for r, c in _at(ok & ~good, rc_ztz)}}
+        at = np.flatnonzero(good)
+        arrays = _path_arrays(*(_rows(arr, at) for arr in (ztz, zty, s, sy, yty)))
+        stack.paths = PathStack(*_scattered(good, arrays)), dict(sorted(failed.items()))
+        return stack
+
+    @classmethod
+    def _bare(cls, partition: ModelPartition, q: int, n: int, size: int) -> "GramStack":
+        """A stack of ``size`` items with no views, whose arrays the caller sets."""
+        stack = cls.__new__(cls)
+        stack.views = None
+        stack._shape(partition, q, n, size)
+        return stack
+
+    @classmethod
+    def concat(cls, stacks: Iterable["GramStack"]) -> "GramStack":
+        """One stack of the items of ``stacks``, each built by :meth:`from_rows` with one
+        partition, ``n`` and ``q``, with their products, condition numbers, pieces and
+        paths, and LIML's ``kappa`` where the estimators have cached it on each.  It
+        keeps no rows: from a generator, at most two stacks' rows are alive at once."""
+        parts: list[GramStack] = []
+        for stack in stacks:
+            if stack.views is not None:
+                raise ValueError("only stacks built from rows can be joined")
+            part = cls.__new__(cls)
+            vars(part).update(vars(stack), rows=None)
+            parts.append(part)
+        head = parts[0]
+        if any((p.partition, p.n, p.q) != (head.partition, head.n, head.q) for p in parts):
+            raise ValueError("joined stacks must share one partition, n and q")
+        starts = np.cumsum([0] + [len(part) for part in parts[:-1]]).tolist()
+        stack = cls._bare(head.partition, head.q, head.n, sum(len(part) for part in parts))
+        for name in _ITEM_ARRAYS:
+            setattr(stack, name, _frozen(np.concatenate([getattr(p, name) for p in parts]))[0])
+        s, sy = (_frozen(np.concatenate([p.pieces[i] for p in parts]))[0] for i in (0, 1))
+        stack.pieces = s, sy, _joined_failed([p.pieces[2] for p in parts], starts)
+        stack.paths = (PathStack.concat([p.paths[0] for p in parts]),
+                       _joined_failed([p.paths[1] for p in parts], starts))
+        stack.rows = None
+        if all("liml_kappa" in vars(part) for part in parts):  # the estimators' cache
+            kappa = _frozen(np.concatenate([p.liml_kappa[0] for p in parts]))[0]
+            stack.liml_kappa = kappa, _joined_failed([p.liml_kappa[1] for p in parts], starts)
+        return stack
 
     def __len__(self) -> int:
-        return len(self.views)
+        return len(self.items)
 
     def take(self, items: np.ndarray) -> "GramStack":
-        """The stack of the views at ``items``."""
-        return GramStack([self.views[r] for r in items.tolist()])
+        """The stack of the items at ``items``, with what this stack has computed for
+        them: its arrays, pieces, paths and rows, and LIML's ``kappa`` where the
+        estimators have cached it on the stack."""
+        if self.views is not None:
+            return GramStack([self.views[r] for r in items.tolist()])
+        stack = GramStack._bare(self.partition, self.q, self.n, len(items))
+        for name in _ITEM_ARRAYS:
+            setattr(stack, name, _frozen(getattr(self, name)[items])[0])
+        s, sy, failed = self.pieces
+        stack.pieces = (*_frozen(s[items], sy[items]), _taken_failed(failed, items))
+        paths, failed = self.paths
+        stack.paths = paths.take(items), _taken_failed(failed, items)
+        stack.rows = None if self.rows is None else _frozen(*(arr[items] for arr in self.rows))
+        if "liml_kappa" in vars(self):  # the estimators' cache
+            kappa, failed = self.liml_kappa
+            stack.liml_kappa = _frozen(kappa[items])[0], _taken_failed(failed, items)
+        return stack
 
     def _stacked(self, name: str) -> np.ndarray:
         return _stack([getattr(view, name) for view in self.views])
@@ -775,13 +894,22 @@ class GramStack:
         return np.array([view.yty for view in self.views])
 
     @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Each item's ``y``, ``x`` and ``a`` rows, stacked; ``None`` where an item has
+        none: a view without a dataset, or a stack from :meth:`concat`."""
+        datasets = [getattr(view, "dataset", None) for view in self.views]
+        if None in datasets:
+            return None
+        return tuple(_stack([getattr(ds, name) for ds in datasets]) for name in ("y", "x", "a"))
+
+    @cached_property
     def rcond_ztz(self) -> np.ndarray:
         return np.array([view.rcond_ztz for view in self.views])
 
     @cached_property
     def pieces(self) -> tuple[np.ndarray, np.ndarray, Failed]:
-        """Each view's :attr:`~GramView.iv_pieces`, stacked, and the error of each
-        view whose ``A^T A`` is singular."""
+        """Each item's whitened pieces :attr:`~GramView.iv_pieces`, stacked, and the
+        error of each item whose ``A^T A`` is singular."""
         s, sy = np.zeros((len(self), self.q, self.k)), np.zeros((len(self), self.q))
         failed: Failed = {}
         for r, view in enumerate(self.views):
@@ -793,8 +921,8 @@ class GramStack:
 
     @cached_property
     def paths(self) -> tuple[PathStack, Failed]:
-        """Each view's :attr:`~GramView.path`, stacked, and the error of each view
-        whose ``A^T A`` or ``Z^T Z`` is singular."""
+        """Each item's K-class path :attr:`~GramView.path`, stacked, and the error of
+        each item whose ``A^T A`` or ``Z^T Z`` is singular."""
         paths: list[KClassPath | None] = []
         failed: Failed = {}
         for r, view in enumerate(self.views):
@@ -803,7 +931,7 @@ class GramStack:
             except SingularGram as exc:
                 paths.append(None)
                 failed[r] = exc
-        return PathStack(paths, self.k), failed
+        return PathStack.of(paths, self.k), failed
 
     def ols_loss(self, items: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Mean squared residual ``n^{-1} ||y - Z alpha||^2`` of each item at its row of

@@ -13,15 +13,16 @@ function of its view's cached Gram products, so it runs on any
 :class:`~pulse_iv.data.GramView`, :func:`~pulse_iv.sem.population_moments`
 included, apart from LIML's ``kappa``, which reads a ``DesignView``'s rows.
 
-:func:`estimate` also takes a :class:`~pulse_iv.data.GramStack`, views of one
+:func:`estimate` also takes a :class:`~pulse_iv.data.GramStack` of one
 partition, ``n`` and ``q``: each kind then runs once over the stack, as the
 Monte Carlo harness runs it.  The K-class kinds take each item's ``kappa`` by
-their rule, per view (LIML's cached on the view), and make one stacked
-:meth:`~pulse_iv.data.GramStack.kclass_solve`; ``anchor``, ``modified-tsls``
-and PULSE's branch checks are stacked too.  Each item gets the bits of its own
-one-view call, and its error is kept per item in :class:`Estimates`, so a
-singular item leaves its neighbours' values as they are.  A view is the
-one-item case, whose error is raised.
+their rule and make one stacked :meth:`~pulse_iv.data.GramStack.kclass_solve`;
+LIML's ``kappa`` is one pass over a stack built from rows, cached on the stack
+(per view, cached on the view, on a stack of views).  ``anchor``,
+``modified-tsls`` and PULSE's branch checks are stacked too.  Each item gets the
+bits of its own one-view call, and its error is kept per item in
+:class:`Estimates`, so a singular item leaves its neighbours' values as they
+are.  A view is the one-item case, whose error is raised.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .data import (
-    RCOND_GRAM, DesignView, Failed, GramStack, GramView, IdentificationClass, _solve, _t, passed,
-    rcond_symmetric,
+    RCOND_GRAM, DesignView, Failed, GramStack, GramView, IdentificationClass, _rows, _solve,
+    _frozen, _stack, _t, only, passed, rcond_symmetric,
 )
 from .exceptions import InfeasibleConstraint, PulseIVError, SingularGram
 
@@ -208,26 +209,42 @@ def modified_tsls(view: GramView | GramStack) -> EstimateResult | Estimates:
 
 
 def min_generalized_eigenvalue(w1: np.ndarray, w: np.ndarray) -> float:
-    """Smallest eigenvalue of ``W1 W^{-1}`` via Cholesky of ``W``.
+    """Smallest eigenvalue of ``W1 W^{-1}`` via Cholesky of ``W``: the one-item case
+    of :func:`_min_generalized_eigenvalues`, whose error it raises.
 
     Factors ``W = L L^T`` and returns the smallest eigenvalue of the
     symmetrized ``L^{-1} W1 L^{-T}``, avoiding the non-symmetric product.
-    The factor and the triangular solves are the ``potrf``/``trtrs`` calls
+    """
+    values, failed = _min_generalized_eigenvalues(np.asarray(w1)[None], np.asarray(w)[None])
+    return float(only(values, failed))
+
+
+def _min_generalized_eigenvalues(w1: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, Failed]:
+    """:func:`min_generalized_eigenvalue` of each pair of two ``(R, k, k)`` stacks, and
+    :class:`SingularGram` (named ``W``) for each ``W`` that is not positive definite.
+
+    Each ``W`` is factored and solved per item by the ``potrf``/``trtrs`` calls
     that ``scipy.linalg.cholesky``/``solve_triangular`` make, with the same
     finiteness check and arguments (``potrf`` returns ``L`` F-contiguous, so
-    ``trtrs`` takes it as is), hence the same bits.  They are called directly
-    to skip those wrappers' per-call cost, and imported here so that importing
-    this module (and the CLI) does not load ``scipy.linalg``.
+    ``trtrs`` takes it as is), hence the same bits; no numpy route gives
+    ``trtrs``'s bits.  They are called directly to skip those wrappers' per-call
+    cost, and imported here so that importing this module (and the CLI) does not
+    load ``scipy.linalg``.  The symmetrisation and ``eigvalsh`` are stacked.
     """
     from scipy.linalg.lapack import dpotrf as potrf, dtrtrs as trtrs
 
-    low, info = potrf(np.asarray_chkfinite(w), lower=True, clean=True)
-    if info > 0:
-        raise SingularGram("W", rcond_symmetric(w))
-    inner, _ = trtrs(low, np.asarray_chkfinite(w1), lower=True)
-    inner, _ = trtrs(low, inner.T, lower=True)
-    inner = 0.5 * (inner + inner.T)
-    return float(np.linalg.eigvalsh(inner)[0])
+    w, w1 = np.asarray_chkfinite(w), np.asarray_chkfinite(w1)
+    failed: Failed = {}
+    inner = np.zeros(w.shape)
+    for r, mat in enumerate(w):
+        low, info = potrf(mat, lower=True, clean=True)
+        if info > 0:
+            failed[r] = SingularGram("W", rcond_symmetric(mat))
+            continue
+        half, _ = trtrs(low, w1[r], lower=True)
+        inner[r], _ = trtrs(low, half.T, lower=True)
+    inner = 0.5 * (inner + _t(inner))
+    return np.linalg.eigvalsh(inner)[:, 0], failed
 
 
 def _check_rows(view: GramView) -> None:
@@ -236,26 +253,56 @@ def _check_rows(view: GramView) -> None:
         raise TypeError(f"LIML and Fuller need a DesignView's rows, not a {type(view).__name__}")
 
 
-def _liml_blocks(view: DesignView) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-product matrices ``W`` and ``W1`` for the LIML eigenproblem."""
-    ds, part = view.dataset, view.partition
+def _liml_blocks(stack: GramStack) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's cross-product matrices ``W1`` and ``W`` of the LIML eigenproblem,
+    from its rows: ``[y X_*]^T [y X_*]`` less the Gram of its projection on the
+    included exogenous ``A_*`` and on all of ``A``.  The Grams and projections are
+    stacked ``matmul`` calls with each item's bits; each projection's least-squares
+    fit is one ``np.linalg.lstsq`` call per item."""
+    y, x, a = stack.rows
     # [y X_*] column by column: a fancy-indexed n-row temporary here raised the
     # peak RSS of `pulse-iv estimate` on 1e5 rows by 5.6 MB
-    m0 = np.empty((view.n, 1 + view.d1))
-    m0[:, 0] = ds.y
-    for j, i in enumerate(part.included_endogenous):
-        m0[:, 1 + j] = ds.x[:, i]
-    gram0 = m0.T @ m0
+    m0 = np.empty((len(stack), stack.n, 1 + stack.d1))
+    m0[..., 0] = y
+    for j, i in enumerate(stack.partition.included_endogenous):
+        m0[..., 1 + j] = x[..., i]
+    gram0 = _t(m0) @ m0
 
     def residual_gram(basis: np.ndarray) -> np.ndarray:
-        if basis.shape[1] == 0:
+        if basis.shape[-1] == 0:
             return gram0
-        proj = basis @ np.linalg.lstsq(basis, m0, rcond=None)[0]
-        return gram0 - proj.T @ proj
+        proj = basis @ _stack([np.linalg.lstsq(b, m, rcond=None)[0] for b, m in zip(basis, m0)])
+        return gram0 - _t(proj) @ proj
 
-    w = residual_gram(ds.a)
-    w1 = residual_gram(ds.a[:, list(part.included_exogenous)])  # the included exogenous A_*
-    return w1, w
+    w = residual_gram(a)
+    return residual_gram(a[..., list(stack.partition.included_exogenous)]), w
+
+
+def _liml_kappas(stack: GramStack) -> tuple[np.ndarray, Failed]:
+    """LIML's ``kappa`` of each item of a stack that keeps its rows, and the error of
+    each item that failed, in one pass over the stack (:func:`liml_kappa`)."""
+    if stack.rows is None:
+        raise TypeError("LIML and Fuller need each design's rows, which this stack does not keep")
+    if stack.q2 < 1:
+        raise ValueError("LIML requires at least one excluded instrument (q2 >= 1)")
+    w1, w = _liml_blocks(stack)
+    # W <= [y X_*]^T [y X_*], so its smallest eigenvalue is read against that
+    # matrix's trace: W's own condition cannot tell rounding residue, left where
+    # [y X_*] has no residual degrees of freedom, from a regular W
+    low = np.linalg.eigvalsh(w)[:, 0]
+    d1 = stack.d1
+    scale = stack.yty + np.trace(stack.ztz[:, :d1, :d1], axis1=1, axis2=2)
+    regular = low > RCOND_GRAM * scale
+    failed: Failed = {
+        r: SingularGram("W", lo / sc if sc > 0.0 else 0.0)
+        for r, lo, sc in zip(np.flatnonzero(~regular).tolist(), low[~regular].tolist(),
+                             scale[~regular].tolist())
+    }
+    items = stack.items[regular]
+    kappa = np.zeros(len(stack))
+    kappa[items], raised = _min_generalized_eigenvalues(_rows(w1, items), _rows(w, items))
+    failed.update((int(items[j]), exc) for j, exc in raised.items())
+    return _frozen(kappa)[0], dict(sorted(failed.items()))
 
 
 def liml_kappa(view: GramView) -> float:
@@ -269,45 +316,59 @@ def liml_kappa(view: GramView) -> float:
     eigenvalue of ``W`` is at most ``RCOND_GRAM`` times the trace of
     ``[y X_*]^T [y X_*]``.
 
-    Computed once per view: the first successful call stores the value on
+    The one-view case of the stacked pass that :func:`estimate` makes once per
+    :class:`~pulse_iv.data.GramStack` built from rows, and caches on the stack:
+    each step but the per-item ``lstsq``, ``potrf`` and ``trtrs`` calls is one
+    numpy call over the stack (:func:`_liml_blocks`,
+    :func:`_min_generalized_eigenvalues`), and each item gets the bits of this
+    call.  Computed once per view: the first successful call stores the value on
     ``view``, and later calls (LIML, Fuller for every ``a``, PULSE's fallback)
-    return it.  A failure is not stored, so it is raised on every call.  A view
-    without rows, such as :func:`~pulse_iv.sem.population_moments`, gives a TypeError.
+    return it.  A failure is not stored, so it
+    is raised on every call.  A view without rows, such as
+    :func:`~pulse_iv.sem.population_moments`, gives a TypeError.
     """
     _check_rows(view)
-    if view.q2 < 1:
-        raise ValueError("LIML requires at least one excluded instrument (q2 >= 1)")
     cache = vars(view)  # this module's entry in the view's instance dict
     if "liml_kappa" not in cache:
-        w1, w = _liml_blocks(view)
-        # W <= [y X_*]^T [y X_*], so its smallest eigenvalue is read against that
-        # matrix's trace: W's own condition cannot tell rounding residue, left where
-        # [y X_*] has no residual degrees of freedom, from a regular W
-        low = float(np.linalg.eigvalsh(w)[0])
-        scale = view.yty + float(np.trace(view.ztz[: view.d1, : view.d1]))
-        if not low > RCOND_GRAM * scale:
-            raise SingularGram("W", low / scale if scale > 0.0 else 0.0)
-        cache["liml_kappa"] = min_generalized_eigenvalue(w1, w)
+        cache["liml_kappa"] = float(only(*_liml_kappas(GramStack([view]))))
     return cache["liml_kappa"]
+
+
+def _stack_liml_kappas(stack: GramStack) -> tuple[np.ndarray, Failed]:
+    """LIML's ``kappa`` of each item and the error of each item that failed: on a
+    stack of views, each view's own (:func:`liml_kappa`, cached on the view); on a
+    stack built from rows, one pass over the stack, cached on the stack."""
+    if stack.views is None:
+        cache = vars(stack)  # this module's entry in the stack's instance dict
+        if "liml_kappa" not in cache:
+            cache["liml_kappa"] = _liml_kappas(stack)
+        return cache["liml_kappa"]
+    kappa, failed = np.zeros(len(stack)), {}
+    for r, view in enumerate(stack.views):
+        try:
+            kappa[r] = liml_kappa(view)
+        except PulseIVError as exc:
+            failed[r] = exc
+    return kappa, failed
+
+
+def _fuller_offset(n: int, q: int, a: float) -> float:
+    """Fuller's ``a / (n - q)``; requires ``n > q``."""
+    if n <= q:
+        raise ValueError(f"fuller requires n > q; got n={n}, q={q}")
+    return a / (n - q)
 
 
 def fuller_kappa(view: GramView, a: float) -> float:
     """Fuller adjustment ``kappa_LIML - a / (n - q)``; requires ``n > q`` and rows."""
     EstimatorSpec("fuller", a)  # the spec checks the domain
     _check_rows(view)
-    if view.n <= view.q:
-        raise ValueError(f"fuller requires n > q; got n={view.n}, q={view.q}")
-    return liml_kappa(view) - a / (view.n - view.q)
+    return liml_kappa(view) - _fuller_offset(view.n, view.q, a)
 
 
-#: Each K-class kind's rule for its ``kappa``, from the view and the spec's value.
-_KAPPA = {
-    "ols": lambda view, value: 0.0,
-    "tsls": lambda view, value: 1.0,
-    "kclass": lambda view, value: value,
-    "liml": lambda view, value: liml_kappa(view),
-    "fuller": fuller_kappa,
-}
+#: The ``kappa`` of each K-class kind with a fixed one; ``kclass`` takes its value,
+#: and LIML and Fuller read each design's rows.
+_FIXED_KAPPA = {"ols": 0.0, "tsls": 1.0}
 
 
 def estimate(
@@ -321,8 +382,8 @@ def estimate(
     the one-item case, whose error is raised.
 
     ``ols``, ``tsls``, ``kclass``, ``liml`` and ``fuller`` are each a rule for
-    ``kappa`` (``_KAPPA``, per view) feeding one
-    :meth:`~pulse_iv.data.GramStack.kclass_solve`; they report ``kappa_used`` and
+    ``kappa`` (fixed, the spec's value, or :func:`liml_kappa`'s stacked pass)
+    feeding one :meth:`~pulse_iv.data.GramStack.kclass_solve`; they report ``kappa_used`` and
     ``lambda_used = kappa / (1 - kappa)`` (``None`` at ``kappa >= 1``).  ``tsls``
     (or any ``kappa = 1``) raises :class:`~pulse_iv.exceptions.UnderIdentified` if
     ``q2 < d1``.  ``anchor`` is given as its ``lambda`` and solved by
@@ -351,13 +412,13 @@ def _estimates(stack: GramStack, spec: EstimatorSpec, cfg: PulseConfig | None) -
         items = stack.items[passed(stack.items, singular)]
         alpha[items], failed = paths.alpha(lam[items], items)
         return Estimates(alpha, lam / (1.0 + lam), lam, {**singular, **failed})
-    kappa, failed = np.zeros(len(stack)), {}
-    rule = _KAPPA[spec.kind]
-    for r, view in enumerate(stack.views):
-        try:
-            kappa[r] = rule(view, spec.value)
-        except PulseIVError as exc:
-            failed[r] = exc
+    if spec.kind in ("liml", "fuller"):
+        kappa, failed = _stack_liml_kappas(stack)
+        failed = dict(failed)
+        if spec.kind == "fuller":
+            kappa = kappa - _fuller_offset(stack.n, stack.q, spec.value)
+    else:
+        kappa, failed = np.full(len(stack), _FIXED_KAPPA.get(spec.kind, spec.value)), {}
     items = stack.items[passed(stack.items, failed)]
     alpha[items], solve_failed = stack.kclass_solve(kappa[items], items)
     failed.update(solve_failed)

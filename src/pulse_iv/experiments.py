@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
-from .data import RCOND_GRAM, DesignView, GramStack, GramView, IdentificationClass, rcond_symmetric
+from .data import RCOND_GRAM, GramStack, IdentificationClass, rcond_symmetric
 from .estimators import EstimatorSpec, estimate, parse_estimators
 from .exceptions import DataError, PulseIVError, SingularGram
 from .inference import TestConfig, weak_instrument_stat
@@ -484,20 +484,20 @@ _RepOutput = tuple[tuple[Any, ...], tuple[float, np.ndarray] | None]
 
 
 #: Sampled values (``n`` rows of ``q`` anchors and ``k`` SEM coordinates) per stack of
-#: repetitions that :func:`_views` samples and views in one numpy pass per step.  A
+#: repetitions that :func:`_stacks` samples and builds in one numpy pass per step.  A
 #: repetition with more is a stack of its own: at ``n = 1e4`` (``underid-e3``) a whole
 #: chunk ran at 4.8 ms per repetition in stacks of 40 against 4.5 ms one at a time
 #: (median of 5 runs of 40 repetitions, 2-core Xeon, numpy 2.4.6).
 STACK_ELEMENTS = 2**16
 
 
-def _views(model: SemModel, n: int, seeds: list[int]) -> Iterator[list[DesignView]]:
-    """The views of the seeds' samples, in seed order, sampled and built in stacks of
-    up to :data:`STACK_ELEMENTS` values, one list per stack; each has the bits of
+def _stacks(model: SemModel, n: int, seeds: list[int]) -> Iterator[GramStack]:
+    """The seeds' samples, in seed order, sampled and built into stacks of up to
+    :data:`STACK_ELEMENTS` values; item ``r`` of each has the bits of
     ``DesignView(sem_sample(model, n, seed))``."""
     per_stack = max(1, STACK_ELEMENTS // (n * (model.q + model.k)))
     for start in range(0, len(seeds), per_stack):
-        yield DesignView.stack(*sample_stack(model, n, seeds[start : start + per_stack]))
+        yield GramStack.from_rows(*sample_stack(model, n, seeds[start : start + per_stack]))
 
 
 def _reads_rows(chunk: _Chunk, pulse_cfg: PulseConfig) -> bool:
@@ -519,13 +519,12 @@ def _run_chunk(chunk: _Chunk) -> Iterator[_RepOutput]:
     draws from its own stream."""
     pulse_cfg = PulseConfig(p_min=chunk.p_min)
     seeds = [cell_seed(chunk.master_seed, chunk.index, rep) for rep in chunk.reps]
-    stacks: Iterable[list[GramView]] = _views(chunk.model, chunk.n, seeds)
+    stacks: Iterable[GramStack] = _stacks(chunk.model, chunk.n, seeds)
     if not _reads_rows(chunk, pulse_cfg):
-        # one stack of row-free views for the chunk: a large n, sampled one repetition
-        # at a time, is still estimated in one stack, while only one sample's rows live
-        stacks = [[view.without_rows() for views in stacks for view in views]]
-    for views in stacks:
-        stack = GramStack(views)
+        # one row-free stack for the chunk: a large n, sampled one repetition at a
+        # time, is still estimated in one stack, while at most two stacks' rows live
+        stacks = [GramStack.concat(stacks)]
+    for stack in stacks:
         reports = weak_instrument_stat(stack)
         fits = [estimate(stack, spec, pulse_cfg) for spec in chunk.specs]
         for r, report in enumerate(reports):
@@ -876,11 +875,17 @@ def _run_robustness_e1(cfg: ExperimentConfig) -> ExperimentResult:
     model = e1_model()
     rows: list[dict[str, Any]] = []
     seeds = [cell_seed(cfg.master_seed, 0, rep) for rep in range(cfg.repetitions)]
-    for rep, view in enumerate(itertools.chain.from_iterable(_views(model, n, seeds))):
-        for kappa in kappas:
-            est = float(view.kclass_solve(kappa)[0])
-            wc = float(wcmspe_curve_e1(est, [ROBUSTNESS_REFERENCE_X])[0])
-            rows.append({"rep": rep, "kappa": kappa, "estimate": est, "wcmspe": wc})
+    done = 0
+    for stack in _stacks(model, n, seeds):
+        fits = [stack.kclass_solve(np.full(len(stack), kappa), stack.items) for kappa in kappas]
+        for r in stack.items.tolist():
+            for kappa, (alpha, failed) in zip(kappas, fits):
+                if r in failed:
+                    raise failed[r]
+                est = float(alpha[r, 0])
+                wc = float(wcmspe_curve_e1(est, [ROBUSTNESS_REFERENCE_X])[0])
+                rows.append({"rep": done + r, "kappa": kappa, "estimate": est, "wcmspe": wc})
+        done += len(stack)
     columns = list(_GRID_DESIGNS[cfg.design].columns)
     text, writer = _csv_writer(columns)
     writer.writerows(row.values() for row in rows)

@@ -725,7 +725,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 #: Each PULSE branch: how its data is written, its instruments, the estimators
-#: (every kind the data admits, PULSE last) and any further flags.
+#: (every kind the data admits, PULSE last) and any further flags; and the
+#: intercept route, whose included ``const`` makes LIML residualise ``W1`` too.
 _PINNED = {
     "search": (
         lambda path: main(["simulate", "--sem", "e1.json", "--n", "200", "--seed", "3",
@@ -746,13 +747,19 @@ _PINNED = {
         "ols,tsls,kclass:0.5,anchor:1,liml,fuller,fuller:1,pulse",
         ["--fallback", "tsls"],
     ),
+    "intercept": (
+        write_invalid_instrument_csv,
+        "a1,a2",
+        "ols,tsls,liml,fuller:1,pulse",
+        ["--intercept"],
+    ),
 }
 
 
 @pytest.mark.parametrize("branch", sorted(_PINNED))
 def test_estimate_output_is_pinned(branch, e1_config, tmp_path, monkeypatch, capsys):
     """``estimate`` prints and reports, byte for byte, what ``tests/golden`` holds
-    for each PULSE branch next to every other kind."""
+    for each PULSE branch next to every other kind, and for the intercept route."""
     write_data, instruments, estimators, flags = _PINNED[branch]
     monkeypatch.chdir(tmp_path)
     write_data(tmp_path / "data.csv")

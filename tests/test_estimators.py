@@ -226,7 +226,7 @@ class TestLimlFuller:
         kappa = liml_kappa(view)
         from pulse_iv.estimators import _liml_blocks
 
-        w1, w = _liml_blocks(view)
+        w1, w = (block[0] for block in _liml_blocks(data.GramStack([view])))
         eigs = scipy.linalg.eigvals(w1, w)
         assert kappa == pytest.approx(float(np.min(eigs.real)), rel=1e-8)
 

@@ -15,10 +15,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
-from pulse_iv import experiments, inference, pulse
-from pulse_iv.data import KAPPA_FORM_MAX, Dataset, DesignView, GramStack, ModelPartition, PathStack
+from pulse_iv import estimators, experiments, inference, pulse
+from pulse_iv.data import (
+    KAPPA_FORM_MAX, RCOND_GRAM, Dataset, DesignView, GramStack, ModelPartition, PathStack,
+)
 from pulse_iv.estimators import EstimatorSpec, estimate, liml_kappa
 from pulse_iv.exceptions import DataError, PulseIVError, SingularGram
 from pulse_iv.inference import StackTest, weak_instrument_stat
@@ -43,59 +46,65 @@ def bits(value) -> bytes:
     return repr(arr.shape).encode() + arr.tobytes()
 
 
-def assert_same_view(stacked: DesignView, single: DesignView) -> None:
-    """Every product and cache of ``stacked``, filled by the stack builder, has the
-    bits of the lazily built single view."""
-    for name in ("y", "x", "a"):
-        assert bits(getattr(stacked.dataset, name)) == bits(getattr(single.dataset, name)), name
+def assert_same_item(stack: GramStack, r: int, single: DesignView) -> None:
+    """Item ``r`` of a stack built from rows has, in every row, product, condition
+    number, whitened piece and path array, the bits of the lazily built single view."""
+    for name, rows in zip(("y", "x", "a"), stack.rows):
+        assert bits(rows[r]) == bits(getattr(single.dataset, name)), name
     for name in PRODUCTS:
-        assert bits(getattr(stacked, name)) == bits(getattr(single, name)), name
-    assert bits(stacked.yty) == bits(single.yty)
-    assert stacked.coef_names == single.coef_names
-    cache = vars(stacked)
-    assert "rcond_ztz" in cache and "iv_pieces" in cache and "path" in cache
-    assert bits(stacked.rcond_ztz) == bits(single.rcond_ztz)
-    for got, want in zip(stacked.iv_pieces, single.iv_pieces):
-        assert bits(got) == bits(want)
+        assert bits(getattr(stack, name)[r]) == bits(getattr(single, name)), name
+    assert bits(stack.yty[r]) == bits(single.yty)
+    assert {"rcond_ztz", "pieces", "paths"} <= set(vars(stack))  # computed as it was built
+    assert bits(stack.rcond_ztz[r]) == bits(single.rcond_ztz)
+    s, sy, _ = stack.pieces
+    assert bits(s[r]) == bits(single.iv_pieces[0]) and bits(sy[r]) == bits(single.iv_pieces[1])
+    paths, failed = stack.paths
+    assert r not in failed
     for name in PATH_ARRAYS:
-        assert bits(getattr(stacked.path, name)) == bits(getattr(single.path, name)), name
-    assert bits(stacked.path.yty) == bits(single.path.yty)
-    assert bits(stacked.path.syy) == bits(single.path.syy)
+        assert bits(getattr(paths, name)[r]) == bits(getattr(single.path, name)), name
+    assert bits(paths.yty[r]) == bits(single.path.yty)
+    assert bits(paths.syy[r]) == bits(single.path.syy)
 
 
-def assert_per_matrix_formulas(view: DesignView) -> None:
-    """The view's products and caches have the bits of the plain per-matrix numpy
+def assert_per_matrix_formulas(stack: GramStack, r: int) -> None:
+    """Item ``r``'s products and paths have the bits of the plain per-matrix numpy
     formulas on its own rows: 2-D ``matmul``, ``y @ y``, ``eigh``, ``cholesky``,
     ``solve`` and ``svd``, one call per matrix, as before any stacking."""
-    ds, part = view.dataset, view.partition
-    y, a = ds.y, ds.a
-    z = np.hstack([ds.x[:, list(part.included_endogenous)], a[:, list(part.included_exogenous)]])
+    part = stack.partition
+    y, x, a = (rows[r] for rows in stack.rows)
+    z = np.hstack([x[:, list(part.included_endogenous)], a[:, list(part.included_exogenous)]])
     want = {"ztz": z.T @ z, "zty": z.T @ y, "atz": a.T @ z, "aty": a.T @ y, "ata": a.T @ a}
     for name, value in want.items():
-        assert bits(getattr(view, name)) == bits(value), name
-    assert bits(view.yty) == bits(y @ y)
+        assert bits(getattr(stack, name)[r]) == bits(value), name
+    assert bits(stack.yty[r]) == bits(y @ y)
     w = np.abs(np.linalg.eigvalsh(want["ztz"]))
-    assert bits(view.rcond_ztz) == bits(w.min() / w.max())
+    assert bits(stack.rcond_ztz[r]) == bits(w.min() / w.max())
     w, v = np.linalg.eigh(want["ata"])
     isqrt = (v * (1.0 / np.sqrt(w))) @ v.T
     s, sy = isqrt @ want["atz"], isqrt @ want["aty"]
-    assert bits(view.iv_pieces[0]) == bits(s) and bits(view.iv_pieces[1]) == bits(sy)
+    assert bits(stack.pieces[0][r]) == bits(s) and bits(stack.pieces[1][r]) == bits(sy)
     k = z.shape[1]
     low = np.linalg.cholesky(want["ztz"])
     u, sig, rt = np.linalg.svd(np.linalg.solve(low, s.T).T)
-    r = sig.size
+    rank = sig.size
     d, b1 = np.zeros(k), np.zeros(k)
-    d[:r] = sig * sig
-    b1[:r] = sig * (u[:, :r].T @ sy)
+    d[:rank] = sig * sig
+    b1[:rank] = sig * (u[:, :rank].T @ sy)
     eigv = np.linalg.solve(low.T, rt.T)
     path = {"sts": s.T @ s, "sty": s.T @ sy, "v": eigv, "d": d, "b0": eigv.T @ want["zty"], "b1": b1}
+    paths, _ = stack.paths
     for name, value in path.items():
-        assert bits(getattr(view.path, name)) == bits(value), name
-    assert bits(view.path.syy) == bits(sy @ sy)
+        assert bits(getattr(paths, name)[r]) == bits(value), name
+    assert bits(paths.syy[r]) == bits(sy @ sy)
 
 
 def single_views(model, n, seeds, partition=None):
     return [DesignView(sem_sample(model, n, seed), partition) for seed in seeds]
+
+
+def views_of(y, x, a, partition=None) -> list[DesignView]:
+    """The single view of each sample of a stack of rows."""
+    return [DesignView(Dataset(y=y[r], x=x[r], a=a[r]), partition) for r in range(len(y))]
 
 
 CASES = {
@@ -113,27 +122,26 @@ class TestStackedViews:
     def test_stack_matches_single_views(self, case):
         model, n = CASES[case]
         seeds = [experiments.cell_seed(7, 3, r) for r in range(9)] + [0]
-        stacked = DesignView.stack(*sample_stack(model, n, seeds))
-        assert len(stacked) == len(seeds)
-        for got, want in zip(stacked, single_views(model, n, seeds)):
-            assert_same_view(got, want)
-            assert_per_matrix_formulas(got)
+        stack = GramStack.from_rows(*sample_stack(model, n, seeds))
+        assert len(stack) == len(seeds) and stack.views is None
+        for r, want in enumerate(single_views(model, n, seeds)):
+            assert_same_item(stack, r, want)
+            assert_per_matrix_formulas(stack, r)
 
     def test_included_exogenous_partition(self):
         model, n, seeds = univariate_model(3, 0.7, 0.2), 80, [11, 12, 13]
         part = ModelPartition((0,), (1,))
-        stacked = DesignView.stack(*sample_stack(model, n, seeds), partition=part)
-        for got, want in zip(stacked, single_views(model, n, seeds, part)):
-            assert got.coef_names == ("x1", "a2")
-            assert_same_view(got, want)
-            assert_per_matrix_formulas(got)
+        stack = GramStack.from_rows(*sample_stack(model, n, seeds), partition=part)
+        assert (stack.partition, stack.k, stack.q2) == (part, 2, 2)
+        for r, want in enumerate(single_views(model, n, seeds, part)):
+            assert_same_item(stack, r, want)
+            assert_per_matrix_formulas(stack, r)
 
     def test_underidentified_path_has_exact_zeros(self):
         # one anchor, two regressors: S has rank one, so d[1] and b1[1] are exact zeros
-        seeds = [21, 22, 23]
-        for view in DesignView.stack(*sample_stack(e3_model(), 100, seeds)):
-            assert bits(view.path.d[1:]) == bits(np.zeros(1))
-            assert bits(view.path.b1[1:]) == bits(np.zeros(1))
+        paths, _ = GramStack.from_rows(*sample_stack(e3_model(), 100, [21, 22, 23])).paths
+        assert bits(paths.d[:, 1:]) == bits(np.zeros((3, 1)))
+        assert bits(paths.b1[:, 1:]) == bits(np.zeros((3, 1)))
 
     def test_chunk_split_at_the_element_budget(self, monkeypatch):
         model, n = univariate_model(30, 0.9, 0.3), 150
@@ -145,11 +153,11 @@ class TestStackedViews:
             return sample_stack(model, n, seeds, iv)
 
         monkeypatch.setattr(experiments, "sample_stack", counted)
-        views = [view for stack in experiments._views(model, n, seeds) for view in stack]
+        items = [(stack, r) for stack in experiments._stacks(model, n, seeds) for r in stack.items]
         per_stack = experiments.STACK_ELEMENTS // (n * (model.q + model.k))
         assert sizes == [per_stack, len(seeds) - per_stack]
-        for got, want in zip(views, single_views(model, n, seeds)):
-            assert_same_view(got, want)
+        for (stack, r), want in zip(items, single_views(model, n, seeds)):
+            assert_same_item(stack, r, want)
 
     def test_a_sample_above_the_budget_is_a_stack_of_its_own(self, monkeypatch):
         model, n = e3_model(), experiments.STACK_ELEMENTS
@@ -160,7 +168,7 @@ class TestStackedViews:
             return sample_stack(model, n, seeds, iv)
 
         monkeypatch.setattr(experiments, "sample_stack", counted)
-        assert [len(stack) for stack in experiments._views(model, n, [1, 2])] == [1, 1]
+        assert [len(stack) for stack in experiments._stacks(model, n, [1, 2])] == [1, 1]
         assert sizes == [1, 1]
 
 
@@ -169,26 +177,24 @@ class TestStackedFailures:
         y, x, a = sample_stack(univariate_model(2, 0.9, 0.1), 60, [1, 2, 3, 4])
         a[1, :, 1] = 2.0 * a[1, :, 0]  # collinear anchors: A^T A singular
         x[2] = 0.0  # Z^T Z = 0 while A^T A stays regular
-        views = DesignView.stack(y, x, a)
-        singles = [DesignView(Dataset(y=y[r], x=x[r], a=a[r])) for r in range(4)]
+        stack = GramStack.from_rows(y, x, a)
+        singles = views_of(y, x, a)
         for r in (0, 3):
-            assert_same_view(views[r], singles[r])
-        for attr in ("iv_pieces", "path", "iv_pieces"):
-            with pytest.raises(SingularGram, match=r"A\^T A") as got:
-                getattr(views[1], attr)
-            with pytest.raises(SingularGram) as want:
-                getattr(singles[1], attr)
-            assert str(got.value) == str(want.value)
-        assert "iv_pieces" not in vars(views[1]) and "path" not in vars(views[1])
-        assert "iv_pieces" in vars(views[2]) and "path" not in vars(views[2])
-        for got, want in zip(views[2].iv_pieces, singles[2].iv_pieces):
-            assert bits(got) == bits(want)
-        with pytest.raises(SingularGram, match=r"Z\^T Z") as got:
-            views[2].path
-        with pytest.raises(SingularGram) as want:
+            assert_same_item(stack, r, singles[r])
+        s, sy, pieces_failed = stack.pieces
+        paths, paths_failed = stack.paths
+        assert list(pieces_failed) == [1] and list(paths_failed) == [1, 2]
+        for failed in (pieces_failed, paths_failed):
+            with pytest.raises(SingularGram, match=r"A\^T A") as want:
+                singles[1].iv_pieces
+            assert str(failed[1]) == str(want.value)
+        assert bits(s[1]) == bits(np.zeros((2, 1))) and bits(sy[1]) == bits(np.zeros(2))
+        assert bits(s[2]) == bits(singles[2].iv_pieces[0])
+        assert bits(sy[2]) == bits(singles[2].iv_pieces[1])
+        with pytest.raises(SingularGram, match=r"Z\^T Z") as want:
             singles[2].path
-        assert str(got.value) == str(want.value)
-        assert bits(views[2].rcond_ztz) == bits(singles[2].rcond_ztz) == bits(0.0)
+        assert str(paths_failed[2]) == str(want.value)
+        assert bits(stack.rcond_ztz[2]) == bits(singles[2].rcond_ztz) == bits(0.0)
 
     @pytest.mark.parametrize("name", ["y", "x", "a"])
     def test_non_finite_item_gives_the_dataset_error(self, name):
@@ -197,12 +203,18 @@ class TestStackedFailures:
         with pytest.raises(DataError) as want:
             Dataset(y=stacks["y"][1], x=stacks["x"][1], a=stacks["a"][1])
         with pytest.raises(DataError) as got:
-            DesignView.stack(stacks["y"], stacks["x"], stacks["a"])
+            GramStack.from_rows(stacks["y"], stacks["x"], stacks["a"])
         assert str(got.value) == str(want.value) == f"non-finite values in {name}"
+
+    def test_the_first_non_finite_item_names_the_error(self):
+        y, x, a = sample_stack(univariate_model(2, 0.9, 0.1), 40, [1, 2, 3])
+        y[2, 0], a[1, 3, 1] = np.nan, np.inf  # item 1 fails on a before item 2 on y
+        with pytest.raises(DataError, match="non-finite values in a"):
+            GramStack.from_rows(y, x, a)
 
     def test_too_few_rows_gives_the_dataset_error(self):
         with pytest.raises(DataError, match="need n >= max"):
-            DesignView.stack(*sample_stack(univariate_model(5, 0.5, 0.1), 3, [1, 2]))
+            GramStack.from_rows(*sample_stack(univariate_model(5, 0.5, 0.1), 3, [1, 2]))
 
 
 class TestSampleStack:
@@ -252,16 +264,31 @@ class TestReadOnlyCaches:
     """A cached array cannot be changed in place, so no caller can move a view's
     later losses or solves."""
 
-    @pytest.mark.parametrize("build", ["single", "stacked"])
-    def test_pieces_and_path_arrays_are_read_only(self, build):
-        model, seeds = univariate_model(2, 0.9, 0.1), [5, 6]
-        if build == "single":
-            view = DesignView(sem_sample(model, 100, seeds[0]))
-        else:
-            view = DesignView.stack(*sample_stack(model, 100, seeds))[0]
+    def test_pieces_and_path_arrays_are_read_only(self):
+        view = DesignView(sem_sample(univariate_model(2, 0.9, 0.1), 100, 5))
         s, sy = view.iv_pieces
         arrays = [s, sy] + [getattr(view.path, name) for name in PATH_ARRAYS]
         arrays += [getattr(view, name) for name in PRODUCTS]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] += 1.0
+
+    @pytest.mark.parametrize("build", ["from rows", "taken", "joined"])
+    def test_stacked_arrays_are_read_only(self, build):
+        rows = sample_stack(univariate_model(2, 0.9, 0.1), 100, [5, 6, 7])
+        stack, other = GramStack.from_rows(*rows), GramStack.from_rows(*rows)
+        for built in (stack, other):
+            estimate(built, EstimatorSpec("liml"))  # its kappa, cached on the stack
+        if build == "taken":
+            stack = stack.take(np.array([0, 2]))
+        elif build == "joined":
+            stack = GramStack.concat([stack, other])
+        paths, _ = stack.paths
+        arrays = [*stack.pieces[:2], stack.rcond_ztz, stack.yty]
+        arrays += [getattr(paths, name) for name in PATH_ARRAYS + ("yty", "syy")]
+        arrays += [getattr(stack, name) for name in PRODUCTS]
+        arrays += [] if stack.rows is None else list(stack.rows)
+        arrays.append(estimators._stack_liml_kappas(stack)[0])
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] += 1.0
@@ -275,26 +302,33 @@ SPECS = ("ols", "tsls", "kclass:0.6", "liml", "fuller:1", "fuller:4", "anchor:3"
          "modified-tsls", "pulse")
 
 
-def grid_views(q: int, n: int, reps: int, seed: int = 7) -> list[DesignView]:
-    """Views of the univariate grid at one ``q`` and ``n``, over three instrument
+def grid_rows(q: int, n: int, reps: int, seed: int = 7) -> tuple[np.ndarray, ...]:
+    """Samples of the univariate grid at one ``q`` and ``n``, over three instrument
     strengths, so that a stack mixes PULSE's branches."""
-    views = []
-    for index, r2 in enumerate((0.01, 0.1, 0.3)):
-        seeds = [experiments.cell_seed(seed, index, r) for r in range(reps)]
-        views += DesignView.stack(*sample_stack(univariate_model(q, 0.9, r2), n, seeds))
-    return views
+    stacks = [
+        sample_stack(univariate_model(q, 0.9, r2), n,
+                     [experiments.cell_seed(seed, index, r) for r in range(reps)])
+        for index, r2 in enumerate((0.01, 0.1, 0.3))
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*stacks))
 
 
+#: Each case's rows and partition.
 STACKS = {
-    "univariate q=2": lambda: grid_views(2, 150, 12),
-    "univariate q=10": lambda: grid_views(10, 150, 12),
-    "mv-fixed": lambda: DesignView.stack(*sample_stack(CASES["mv-fixed"][0], 50, list(range(20)))),
-    "e3": lambda: DesignView.stack(*sample_stack(e3_model(), 100, list(range(20)))),
-    "included exogenous": lambda: DesignView.stack(
-        *sample_stack(univariate_model(3, 0.7, 0.2), 80, list(range(12))),
-        partition=ModelPartition((0,), (1,)),
+    "univariate q=2": lambda: (grid_rows(2, 150, 12), None),
+    "univariate q=10": lambda: (grid_rows(10, 150, 12), None),
+    "mv-fixed": lambda: (sample_stack(CASES["mv-fixed"][0], 50, list(range(20))), None),
+    "e3": lambda: (sample_stack(e3_model(), 100, list(range(20))), None),
+    "included exogenous": lambda: (
+        sample_stack(univariate_model(3, 0.7, 0.2), 80, list(range(12))), ModelPartition((0,), (1,))
     ),
 }
+
+
+def built(case: str) -> tuple[GramStack, list[DesignView]]:
+    """A case's stack, built from its rows, and the single view of each sample."""
+    rows, partition = STACKS[case]()
+    return GramStack.from_rows(*rows, partition=partition), views_of(*rows, partition)
 
 
 def outcome(fit, r: int):
@@ -339,8 +373,32 @@ def estimate_formula(view: DesignView, spec: EstimatorSpec) -> np.ndarray:
     if spec.kind in ("tsls", "kclass"):
         return kclass_formula(view, 1.0 if spec.kind == "tsls" else spec.value)
     if spec.kind == "fuller":
-        return kclass_formula(view, liml_kappa(view) - spec.value / (view.n - view.q))
-    return kclass_formula(view, liml_kappa(view))
+        return kclass_formula(view, liml_formula(view) - spec.value / (view.n - view.q))
+    return kclass_formula(view, liml_formula(view))
+
+
+def liml_formula(view: DesignView) -> float | str:
+    """LIML's ``kappa`` by the plain per-view calls, as before any stacking: a row
+    ``lstsq`` per projection, scipy's ``potrf``/``trtrs`` and ``eigvalsh``; the name of
+    the error where ``W`` is singular."""
+    ds, part = view.dataset, view.partition
+    m0 = np.column_stack([ds.y, ds.x[:, list(part.included_endogenous)]])
+
+    def residual_gram(basis: np.ndarray) -> np.ndarray:
+        if basis.shape[1] == 0:
+            return m0.T @ m0
+        proj = basis @ np.linalg.lstsq(basis, m0, rcond=None)[0]
+        return m0.T @ m0 - proj.T @ proj
+
+    w, w1 = residual_gram(ds.a), residual_gram(ds.a[:, list(part.included_exogenous)])
+    scale = view.yty + float(np.trace(view.ztz[: view.d1, : view.d1]))
+    if not float(np.linalg.eigvalsh(w)[0]) > RCOND_GRAM * scale:
+        return "SingularGram"
+    low, info = scipy.linalg.lapack.dpotrf(w, lower=True, clean=True)
+    assert info == 0
+    inner, _ = scipy.linalg.lapack.dtrtrs(low, w1, lower=True)
+    inner, _ = scipy.linalg.lapack.dtrtrs(low, inner.T, lower=True)
+    return float(np.linalg.eigvalsh(0.5 * (inner + inner.T))[0])
 
 
 def loss_formulas(view: DesignView, alpha: np.ndarray) -> tuple[float, float]:
@@ -370,8 +428,7 @@ def weak_formula(view: DesignView) -> tuple[float, np.ndarray]:
 class TestStackedEstimators:
     @pytest.mark.parametrize("case", sorted(STACKS))
     def test_every_kind_matches_the_per_view_route(self, case):
-        views = STACKS[case]()
-        stack = GramStack(views)
+        stack, views = built(case)
         for label in SPECS:
             spec = EstimatorSpec.parse(label)
             fit = estimate(stack, spec)
@@ -382,8 +439,7 @@ class TestStackedEstimators:
 
     @pytest.mark.parametrize("case", sorted(STACKS))
     def test_losses_statistic_and_g_n_match_the_per_view_formulas(self, case):
-        views = STACKS[case]()
-        stack = GramStack(views)
+        stack, views = built(case)
         rng = np.random.default_rng(3)
         alpha = rng.normal(size=(len(views), stack.k))
         ols = stack.ols_loss(stack.items, alpha)
@@ -408,9 +464,8 @@ class TestStackedEstimators:
         y, x, a = sample_stack(univariate_model(2, 0.9, 0.1), 60, [1, 2, 3, 4, 5])
         a[1, :, 1] = 2.0 * a[1, :, 0]  # collinear anchors: A^T A singular
         x[3] = 0.0  # Z^T Z = 0 while A^T A stays regular
-        views = DesignView.stack(y, x, a)
-        stack = GramStack(views)
-        singles = [DesignView(Dataset(y=y[r], x=x[r], a=a[r])) for r in range(5)]
+        stack = GramStack.from_rows(y, x, a)
+        singles = views_of(y, x, a)
         for label in SPECS:
             spec = EstimatorSpec.parse(label)
             fit = estimate(stack, spec)
@@ -432,13 +487,15 @@ class TestStackedEstimators:
         assert isinstance(reports[1], SingularGram) and isinstance(reports[3], SingularGram)
 
     def test_all_three_pulse_branches_in_one_stack(self):
-        views = grid_views(10, 150, 20)
-        fit = estimate(GramStack(views), EstimatorSpec("pulse"))
+        rows = grid_rows(10, 150, 20)
+        stack, views = GramStack.from_rows(*rows), views_of(*rows)
+        fit = estimate(stack, EstimatorSpec("pulse"))
         assert set(fit.messages) == set(PulseMessage)
         assert fit.message is PulseMessage.NONE  # the stack's branch: its items' differ
         for r in (fit.messages.index(PulseMessage.OLS_ACCEPTED), fit.messages.index(
                 PulseMessage.TSLS_REJECTED_FALLBACK)):
-            assert estimate(GramStack(views[r : r + 1]), EstimatorSpec("pulse")).message is fit.messages[r]
+            one = stack.take(np.array([r]))
+            assert estimate(one, EstimatorSpec("pulse")).message is fit.messages[r]
         for r, view in enumerate(views):
             want = pulse_estimate(view)
             got = fit.result(r)
@@ -449,7 +506,8 @@ class TestStackedEstimators:
             assert got.diagnostics == want.diagnostics
 
     def test_searches_of_different_lengths_run_in_lockstep(self, monkeypatch):
-        views = grid_views(2, 150, 20)
+        rows = grid_rows(2, 150, 20)
+        stack, views = GramStack.from_rows(*rows), views_of(*rows)
         steps: dict[int, int] = {}
         roots, alpha = pulse._roots, PathStack.alpha
 
@@ -465,7 +523,7 @@ class TestStackedEstimators:
 
         monkeypatch.setattr(pulse, "_roots", no_root_at_most_items)
         monkeypatch.setattr(PathStack, "alpha", counted)
-        fit = estimate(GramStack(views), EstimatorSpec("pulse"))
+        fit = estimate(stack, EstimatorSpec("pulse"))
         monkeypatch.undo()
         searched = [r for r in range(len(views)) if fit.messages[r] is PulseMessage.NONE]
         counts = {steps[r] for r in searched if r % 3 != 0}
@@ -477,18 +535,19 @@ class TestStackedEstimators:
 
     @pytest.mark.parametrize("cuts", [(1,), (7,), (11, 29)], ids=["ones", "sevens", "uneven"])
     def test_same_view_same_bits_whatever_the_stack(self, cuts):
-        views = grid_views(10, 150, 12) + grid_views(10, 150, 4, seed=3)
-        whole = {label: estimate(GramStack(views), EstimatorSpec.parse(label)) for label in SPECS}
-        bounds = list(range(0, len(views), cuts[0])) if len(cuts) == 1 else [0, *cuts]
-        for start, stop in zip(bounds, bounds[1:] + [len(views)]):
-            part = GramStack(views[start:stop])
+        rows = tuple(np.concatenate(parts) for parts in zip(grid_rows(10, 150, 12),
+                                                            grid_rows(10, 150, 4, seed=3)))
+        whole = GramStack.from_rows(*rows)
+        fits = {label: estimate(whole, EstimatorSpec.parse(label)) for label in SPECS}
+        wanted = weak_instrument_stat(whole)
+        bounds = list(range(0, len(whole), cuts[0])) if len(cuts) == 1 else [0, *cuts]
+        for start, stop in zip(bounds, bounds[1:] + [len(whole)]):
+            part = GramStack.from_rows(*(arr[start:stop] for arr in rows))
             for label in SPECS:
                 fit = estimate(part, EstimatorSpec.parse(label))
                 for r in range(stop - start):
-                    assert outcome(fit, r) == outcome(whole[label], start + r), (label, start + r)
-            reports = weak_instrument_stat(part)
-            wanted = weak_instrument_stat(GramStack(views))[start:stop]
-            for got, want in zip(reports, wanted):
+                    assert outcome(fit, r) == outcome(fits[label], start + r), (label, start + r)
+            for got, want in zip(weak_instrument_stat(part), wanted[start:stop]):
                 assert bits(got.g_matrix) == bits(want.g_matrix)
 
     def test_views_of_different_shapes_are_refused(self):
@@ -496,3 +555,118 @@ class TestStackedEstimators:
         b = DesignView(sem_sample(univariate_model(3, 0.9, 0.1), 50, 1))
         with pytest.raises(ValueError, match="share one partition"):
             GramStack([a, b])
+
+
+class TestStackedLiml:
+    """LIML's ``kappa`` runs once per stack built from rows, one numpy call per step
+    but the per-item ``lstsq`` and ``trtrs``, with each item's bits and error."""
+
+    @pytest.mark.parametrize("case", sorted(STACKS))
+    def test_kappa_matches_the_per_view_formula(self, case):
+        stack, views = built(case)
+        liml = estimate(stack, EstimatorSpec("liml"))
+        fuller = estimate(stack, EstimatorSpec("fuller", 1.0))
+        regular = 0
+        for r, view in enumerate(views):
+            want = liml_formula(view)
+            if isinstance(want, str):
+                assert isinstance(liml.failed[r], SingularGram) and r in fuller.failed
+                continue
+            regular += 1
+            assert bits(liml.kappa[r]) == bits(want), r
+            assert bits(fuller.kappa[r]) == bits(want - 1.0 / (view.n - view.q)), r
+            assert bits(liml.kappa[r]) == bits(liml_kappa(view)), r
+        assert regular > len(views) // 2
+
+    def test_kappa_is_computed_once_per_stack(self, monkeypatch):
+        stack, _ = built("univariate q=10")
+        seen = []
+        original = estimators._liml_blocks
+        monkeypatch.setattr(estimators, "_liml_blocks", lambda s: seen.append(len(s)) or original(s))
+        fits = [estimate(stack, EstimatorSpec.parse(label)) for label in
+                ("liml", "fuller:1", "fuller:4", "pulse")]
+        assert seen == [len(stack)]
+        assert PulseMessage.TSLS_REJECTED_FALLBACK in fits[-1].messages  # reads fuller:4's kappa
+        taken = stack.take(np.array([3, 5]))
+        assert bits(estimate(taken, EstimatorSpec("liml")).kappa) == bits(fits[0].kappa[[3, 5]])
+        assert seen == [len(stack)]
+
+    def test_w_singular_items_fail_at_their_own_index(self):
+        y, x, a = sample_stack(univariate_model(2, 0.9, 0.1), 60, [1, 2, 3, 4, 5])
+        y[1] = 2.0 * x[1, :, 0] + a[1] @ np.array([0.3, 0.1])  # y in span(X, A): W has rank one
+        x[3, :, 0], y[3] = a[3] @ np.array([1.0, -0.5]), a[3] @ np.array([0.2, 0.4])  # W is residue
+        stack, views = GramStack.from_rows(y, x, a), views_of(y, x, a)
+        for label in ("liml", "fuller:1"):
+            fit = estimate(stack, EstimatorSpec.parse(label))
+            assert sorted(fit.failed) == [1, 3], label
+            for r, view in enumerate(views):
+                if r in fit.failed:
+                    with pytest.raises(SingularGram, match="W") as want:
+                        estimate(view, EstimatorSpec.parse(label))
+                    assert str(fit.failed[r]) == str(want.value)
+                else:
+                    assert outcome(fit, r) == single_outcome(view, EstimatorSpec.parse(label))
+
+    def test_a_w_that_is_not_positive_definite_fails_alone(self):
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=(4, 9, 3))
+        w = np.transpose(m, (0, 2, 1)) @ m
+        w1 = w + np.eye(3)
+        w[2] = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # singular
+        values, failed = estimators._min_generalized_eigenvalues(w1, w)
+        assert list(failed) == [2] and isinstance(failed[2], SingularGram)
+        with pytest.raises(SingularGram, match="W") as want:
+            estimators.min_generalized_eigenvalue(w1[2], w[2])
+        assert str(failed[2]) == str(want.value)
+        for r in (0, 1, 3):
+            assert bits(values[r]) == bits(estimators.min_generalized_eigenvalue(w1[r], w[r]))
+
+
+class TestJoinAndTake:
+    def test_joined_stacks_keep_each_items_values_without_rows(self):
+        model, n = univariate_model(2, 0.9, 0.1), 60
+        y, x, a = sample_stack(model, n, list(range(7)))
+        a[4, :, 1] = 2.0 * a[4, :, 0]  # A^T A singular at item 4 of the whole
+        whole = GramStack.from_rows(y, x, a)
+        parts = [GramStack.from_rows(y[lo:hi], x[lo:hi], a[lo:hi]) for lo, hi in ((0, 3), (3, 7))]
+        joined = GramStack.concat(iter(parts))
+        assert joined.rows is None and len(joined) == 7 and joined.views is None
+        for name in PRODUCTS + ("yty", "rcond_ztz"):
+            assert bits(getattr(joined, name)) == bits(getattr(whole, name)), name
+        for got, want in zip(joined.pieces[:2], whole.pieces[:2]):
+            assert bits(got) == bits(want)
+        for name in PATH_ARRAYS + ("yty", "syy"):
+            assert bits(getattr(joined.paths[0], name)) == bits(getattr(whole.paths[0], name))
+        assert list(joined.pieces[2]) == [4] and list(joined.paths[1]) == [4]
+        assert str(joined.paths[1][4]) == str(whole.paths[1][4])
+        for label in ("ols", "tsls", "pulse", "modified-tsls"):
+            spec = EstimatorSpec.parse(label)
+            got, want = estimate(joined, spec), estimate(whole, spec)
+            assert [outcome(got, r) for r in range(7)] == [outcome(want, r) for r in range(7)]
+        with pytest.raises(TypeError, match="rows"):
+            estimate(joined, EstimatorSpec("liml"))
+
+    def test_stacks_of_different_shapes_are_not_joined(self):
+        one = GramStack.from_rows(*sample_stack(univariate_model(2, 0.9, 0.1), 60, [1]))
+        other = GramStack.from_rows(*sample_stack(univariate_model(2, 0.9, 0.1), 50, [1]))
+        with pytest.raises(ValueError, match="share one partition"):
+            GramStack.concat([one, other])
+        with pytest.raises(ValueError, match="built from rows"):
+            GramStack.concat([GramStack([DesignView(sem_sample(e1_model(), 60, 1))])])
+
+    def test_take_keeps_each_items_values_and_errors(self):
+        y, x, a = sample_stack(univariate_model(2, 0.9, 0.1), 60, list(range(6)))
+        x[4] = 0.0  # Z^T Z = 0 at item 4
+        whole = GramStack.from_rows(y, x, a)
+        items = np.array([1, 4, 5])
+        taken = whole.take(items)
+        part = GramStack.from_rows(y[items], x[items], a[items])
+        for name in PRODUCTS + ("yty", "rcond_ztz"):
+            assert bits(getattr(taken, name)) == bits(getattr(part, name)), name
+        for got, want in zip(taken.rows, part.rows):
+            assert bits(got) == bits(want)
+        assert list(taken.paths[1]) == [1] and not taken.pieces[2]
+        for label in SPECS:
+            spec = EstimatorSpec.parse(label)
+            got, want = estimate(taken, spec), estimate(part, spec)
+            assert [outcome(got, r) for r in range(3)] == [outcome(want, r) for r in range(3)]
