@@ -1,12 +1,13 @@
 """Observed data, model partition, preprocessing, and loss primitives.
 
-The central object is :class:`GramView`: the Gram products of one
-:class:`ModelPartition` that every estimator consumes, plus the
-:class:`KClassPath` built on them.  :class:`DesignView` builds them from the rows
-of a :class:`Dataset`; :func:`~pulse_iv.sem.population_moments` gives the exact
-population ones.  :class:`GramStack` holds a stack of designs, as views or as
-arrays built straight from sampled rows (:meth:`GramStack.from_rows`), and runs
-each routine once over the stack.
+The central object is :class:`GramStack`: the Gram products of a stack of designs
+under one :class:`ModelPartition`, which every estimator consumes, with the
+condition numbers, whitened pieces and K-class paths (:class:`PathStack`) built
+on them in one numpy pass each.  :meth:`GramStack.from_rows` builds one from
+sampled rows.  A :class:`GramView` holds one design's products, and runs every
+routine on its cached one-item stack; :class:`DesignView` builds them from the
+rows of a :class:`Dataset`, and :func:`~pulse_iv.sem.population_moments` gives
+the exact population ones.
 All objects are immutable after construction.
 """
 
@@ -149,7 +150,8 @@ def _scattered(mask: np.ndarray, arrays: Sequence[np.ndarray]) -> tuple[np.ndarr
 def _iv_pieces(
     ata: np.ndarray, atz: np.ndarray, aty: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:attr:`GramView.iv_pieces` of a stack of designs: the reciprocal condition of
+    """The whitened pieces ``S = (A^T A)^{-1/2} A^T Z`` and ``s_y = (A^T A)^{-1/2} A^T y``
+    of a stack of designs (:attr:`GramStack.pieces`): the reciprocal condition of
     each ``A^T A``, the mask of those that pass, and ``S`` and ``s_y`` of every item,
     stacked and read-only, with zeros where ``A^T A`` fails."""
     rc, ok, isqrt = _inverse_sqrts(ata)
@@ -506,14 +508,21 @@ def _z(x: np.ndarray, a: np.ndarray, partition: ModelPartition) -> np.ndarray:
     )
 
 
-class KClassPath:
-    """The K-class path of one design: ``alpha(lam)`` minimizes ``l_OLS + lam l_IV``,
-    equivalently ``(1 - kappa) l_OLS + kappa l_IV`` at ``kappa = lam / (1 + lam)``.
+#: The arrays of a path, in the order :func:`_path_arrays` returns them.
+_PATH_FIELDS = ("ztz", "zty", "yty", "sts", "sty", "syy", "v", "d", "b0", "b1")
 
-    In ``kappa`` form it solves ``((1 - kappa) Z^T Z + kappa S^T S) alpha =
-    (1 - kappa) Z^T y + kappa S^T s_y`` with ``S = (A^T A)^{-1/2} A^T Z``.  One
-    generalised eigendecomposition ``S^T S V = Z^T Z V diag(d)``, ``V^T Z^T Z V = I``,
-    gives the ``lambda`` form ``V (b0 + lam b1) / (1 + lam d)`` with ``b0 = V^T Z^T y``,
+
+class PathStack:
+    """The K-class paths of a stack of designs with ``k`` coefficients each, as
+    ``(R, ...)`` arrays (:data:`_PATH_FIELDS`), with their stacked point routines.  An
+    item without a path holds zeros, which no routine may be asked for.
+
+    A design's path ``alpha(lam)`` minimizes ``l_OLS + lam l_IV``, equivalently
+    ``(1 - kappa) l_OLS + kappa l_IV`` at ``kappa = lam / (1 + lam)``.  In ``kappa``
+    form it solves ``((1 - kappa) Z^T Z + kappa S^T S) alpha = (1 - kappa) Z^T y +
+    kappa S^T s_y`` with ``S = (A^T A)^{-1/2} A^T Z``.  One generalised
+    eigendecomposition ``S^T S V = Z^T Z V diag(d)``, ``V^T Z^T Z V = I``, gives the
+    ``lambda`` form ``V (b0 + lam b1) / (1 + lam d)`` with ``b0 = V^T Z^T y``,
     ``b1 = V^T S^T s_y``, and each system's condition in ``O(k)``.  Taken as the SVD
     of ``S L^{-T}`` (``Z^T Z = L L^T``), it makes the ``k - q`` zero ``d`` of an
     under-identified design, and their ``b1``, exact zeros.  Penalties in
@@ -528,41 +537,9 @@ class KClassPath:
     PULSE finds ``lambda*`` as a root of the polynomial they give (:mod:`pulse_iv.pulse`).
     """
 
-    def __init__(
-        self, ztz: np.ndarray, zty: np.ndarray, yty: float, sts: np.ndarray, sty: np.ndarray,
-        syy: float, v: np.ndarray, d: np.ndarray, b0: np.ndarray, b1: np.ndarray,
-    ):
-        """One design's path from the read-only arrays that :func:`_path_arrays` computes."""
-        self.ztz, self.zty, self.sts, self.sty = ztz, zty, sts, sty
-        self.yty, self.syy = float(yty), float(syy)
-        self.v, self.d, self.b0, self.b1 = v, d, b0, b1
-
-
-#: The arrays of a path, in the order :func:`_path_arrays` returns them.
-_PATH_FIELDS = ("ztz", "zty", "yty", "sts", "sty", "syy", "v", "d", "b0", "b1")
-
-
-class PathStack:
-    """The K-class paths of a stack of designs with ``k`` coefficients each, as
-    ``(R, ...)`` arrays (:data:`_PATH_FIELDS`), with their stacked point routines.  An
-    item without a path holds zeros, which no routine may be asked for."""
-
     def __init__(self, *arrays: np.ndarray):
         for name, arr in zip(_PATH_FIELDS, arrays, strict=True):
             setattr(self, name, arr)
-
-    @classmethod
-    def of(cls, paths: Sequence[KClassPath | None], k: int) -> "PathStack":
-        """The stack of ``paths``, each a view's (``None`` for one without a path)."""
-        if None in paths:
-            mat, vec = np.zeros((k, k)), np.zeros(k)
-            blank = KClassPath(mat, vec, 0.0, mat, vec, 0.0, mat, vec, vec, vec)
-            paths = [blank if path is None else path for path in paths]
-        return cls(*(
-            np.array([getattr(path, name) for path in paths]) if name in ("yty", "syy")
-            else _stack([getattr(path, name) for path in paths])
-            for name in _PATH_FIELDS
-        ))
 
     def take(self, items: np.ndarray) -> "PathStack":
         """The paths at ``items``, read-only."""
@@ -611,10 +588,11 @@ class PathStack:
 
 class GramView:
     """The six cross products of ``(y, Z, A)`` under one partition, and all that is
-    computed from them alone: identification, condition numbers, both losses, the
-    cached :class:`KClassPath` and its solves.  Construction only stores the products;
-    the condition numbers, the whitened pieces and the path are each computed
-    on first read and cached.
+    computed from them alone: identification, condition numbers, both losses and the
+    K-class solves.  Construction only stores the products.  Every routine runs on
+    :attr:`stack`, the view as a one-item :class:`GramStack`, which is built on first
+    read with the condition number of ``Z^T Z``, the whitened pieces and the K-class
+    path, and keeps each one's error.
 
     ``Z = [X_* A_*]`` stacks the included endogenous regressors first and the
     included exogenous regressors second; this ordering is the cross-module
@@ -635,9 +613,19 @@ class GramView:
         self.yty = float(yty)
 
     @cached_property
+    def stack(self) -> "GramStack":
+        """This view's products as a one-item :class:`GramStack`, built on first read;
+        a :class:`DesignView`'s keeps its dataset's rows, as views of them."""
+        ds = getattr(self, "dataset", None)
+        rows = None if ds is None else (ds.y[None], ds.x[None], ds.a[None])
+        products = (self.ztz, self.zty, self.atz, self.aty, self.ata, np.array(self.yty))
+        return GramStack(self.partition, self.q, self.n, *_frozen(*(arr[None] for arr in products)),
+                         rows=rows)
+
+    @property
     def rcond_ztz(self) -> float:
-        """Reciprocal condition number of ``Z^T Z``, computed on first read."""
-        return rcond_symmetric(self.ztz)
+        """Reciprocal condition number of ``Z^T Z``: :attr:`stack`'s."""
+        return float(self.stack.rcond_ztz[0])
 
     @cached_property
     def rcond_ata(self) -> float:
@@ -652,24 +640,15 @@ class GramView:
     def identification_degree(self) -> int:
         return self.partition.identification_degree(self.q)
 
-    @cached_property
-    def iv_pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Whitened cross products ``S = (A^T A)^{-1/2} A^T Z`` and ``s_y``, read-only;
-        :class:`SingularGram` (not cached) if ``A^T A`` is singular."""
-        rc, ok, s, sy = _iv_pieces(self.ata[None], self.atz[None], self.aty[None])
-        if not ok[0]:
-            raise SingularGram("A^T A", float(rc[0]))
-        return s[0], sy[0]
-
     def ols_loss(self, alpha: np.ndarray) -> float:
         """Mean squared residual ``n^{-1} ||y - Z alpha||^2``: :meth:`GramStack.ols_loss`
         of this view alone."""
-        return float(GramStack([self]).ols_loss(_ONE, self._check_alpha(alpha)[None])[0])
+        return float(self.stack.ols_loss(_ONE, self._check_alpha(alpha)[None])[0])
 
     def iv_loss(self, alpha: np.ndarray) -> float:
         """Projected mean squared residual ``n^{-1} (y - Z alpha)^T P_A (y - Z alpha)``:
         :meth:`GramStack.iv_loss` of this view alone."""
-        return float(only(*GramStack([self]).iv_loss(_ONE, self._check_alpha(alpha)[None])))
+        return float(only(*self.stack.iv_loss(_ONE, self._check_alpha(alpha)[None])))
 
     def _check_alpha(self, alpha: np.ndarray) -> np.ndarray:
         alpha = np.asarray(alpha, dtype=float).reshape(-1)
@@ -677,20 +656,10 @@ class GramView:
             raise ValueError(f"coefficient vector must have length {self.k}, got {alpha.shape[0]}")
         return alpha
 
-    @cached_property
-    def path(self) -> KClassPath:
-        """The cached K-class path; :class:`SingularGram` (not cached) if ``A^T A``
-        or ``Z^T Z`` is singular."""
-        s, sy = self.iv_pieces
-        if self.rcond_ztz < RCOND_GRAM:
-            raise SingularGram("Z^T Z", self.rcond_ztz)
-        one = (self.ztz[None], self.zty[None], s[None], sy[None], np.array([self.yty]))
-        return KClassPath(*(arr[0] for arr in _path_arrays(*one)))
-
     def kclass_solve(self, kappa: float) -> np.ndarray:
         """Closed-form K-class solution, the minimizer of ``(1 - kappa) l_OLS + kappa l_IV``:
         :meth:`GramStack.kclass_solve` of this view alone."""
-        return only(*GramStack([self]).kclass_solve(np.array([float(kappa)]), _ONE))
+        return only(*self.stack.kclass_solve(np.array([float(kappa)]), _ONE))
 
     def min_iv_loss(self) -> float:
         """Infimum of the IV loss: zero unless the setup is over-identified."""
@@ -702,8 +671,8 @@ class GramView:
 class DesignView(GramView):
     """A :class:`GramView` built from the rows of a :class:`Dataset`, which it keeps
     as ``dataset`` (``Z = [X_* A_*]`` is its columns under ``partition``), with
-    ``coef_names``.  :meth:`GramStack.from_rows` builds the same products, caches and
-    paths for a stack of samples at once."""
+    ``coef_names``.  :meth:`GramStack.from_rows` builds the same products and stack
+    for many samples at once."""
 
     def __init__(self, dataset: Dataset, partition: ModelPartition | None = None):
         partition = _partition_for(dataset.d, dataset.q, partition)
@@ -725,8 +694,8 @@ def _at(mask: np.ndarray, values: np.ndarray) -> Iterator[tuple[int, float]]:
     return zip(np.flatnonzero(mask).tolist(), values[mask].tolist())
 
 
-#: The arrays of a :meth:`GramStack.from_rows` stack with one row per item besides
-#: its :attr:`~GramStack.pieces`, :attr:`~GramStack.paths` and rows, which
+#: The arrays of a :class:`GramStack` with one row per item besides its
+#: :attr:`~GramStack.pieces`, :attr:`~GramStack.paths` and rows, which
 #: :meth:`GramStack.take` slices and :meth:`GramStack.concat` joins with them.
 _ITEM_ARRAYS = ("ztz", "zty", "atz", "aty", "ata", "yty", "rcond_ztz")
 
@@ -745,26 +714,37 @@ class GramStack:
     """Designs of one partition, sample size and anchor count, as one stack: the Gram
     core's routines run once over the stack, one numpy call per step, and give each
     item the bits of its own view's call.  A view's method of the same name is the
-    one-item case.
+    one-item case, run on its :attr:`~GramView.stack`.
 
-    ``GramStack(views)`` stacks the views' products on first read, and so their
-    cached whitened pieces and paths.  :meth:`from_rows` builds a stack from sampled
-    rows with no view: the products, :attr:`rcond_ztz`, :attr:`pieces` and
-    :attr:`paths` are each one numpy pass over the stack, and the rows stay for the
-    estimators that read them (LIML).  :meth:`take` and :meth:`concat` slice and join
-    such stacks with what they have computed.  A routine takes the indices of the
-    items it runs on (``items``) and returns its values for each, and a
-    :data:`Failed` entry for each item that raised, at which its value is a
-    placeholder.
+    A stack is built from its ``(R, ...)`` Gram products, which the caller must not
+    change: :attr:`rcond_ztz`, the whitened :attr:`pieces` and the K-class
+    :attr:`paths` are each one numpy pass over the stack, with the error of each item
+    whose ``A^T A`` or ``Z^T Z`` is singular.  ``rows``, each item's ``y``, ``x`` and
+    ``a`` rows or ``None``, stay for the estimators that read them (LIML).
+    :meth:`from_rows` builds a stack from sampled rows; :meth:`take` and
+    :meth:`concat` slice and join stacks with what they have computed.  A routine
+    takes the indices of the items it runs on (``items``) and returns its values for
+    each, and a :data:`Failed` entry for each item that raised, at which its value is
+    a placeholder.
     """
 
-    def __init__(self, views: Sequence[GramView]):
-        self.views: tuple[GramView, ...] | None = tuple(views)
-        head = self.views[0]
-        for view in self.views:
-            if (view.partition, view.n, view.q) != (head.partition, head.n, head.q):
-                raise ValueError("a stack's views must share one partition, n and q")
-        self._shape(head.partition, head.q, head.n, len(self.views))
+    def __init__(
+        self, partition: ModelPartition, q: int, n: int, ztz: np.ndarray, zty: np.ndarray,
+        atz: np.ndarray, aty: np.ndarray, ata: np.ndarray, yty: np.ndarray,
+        rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ):
+        self._shape(partition, q, n, len(ztz))
+        self.ztz, self.zty, self.atz, self.aty, self.ata, self.yty = ztz, zty, atz, aty, ata, yty
+        self.rows = rows
+        self.rcond_ztz = rc_ztz = _frozen(rcond_symmetric(ztz))[0]
+        rc_ata, ok, s, sy = _iv_pieces(ata, atz, aty)
+        failed: Failed = {r: SingularGram("A^T A", c) for r, c in _at(~ok, rc_ata)}
+        self.pieces = s, sy, failed
+        good = ok & (rc_ztz >= RCOND_GRAM)
+        failed = {**failed, **{r: SingularGram("Z^T Z", c) for r, c in _at(ok & ~good, rc_ztz)}}
+        at = np.flatnonzero(good)
+        arrays = _path_arrays(*(_rows(arr, at) for arr in (ztz, zty, s, sy, yty)))
+        self.paths = PathStack(*_scattered(good, arrays)), dict(sorted(failed.items()))
 
     def _shape(self, partition: ModelPartition, q: int, n: int, size: int) -> None:
         self.partition, self.q, self.n = partition, q, n
@@ -791,39 +771,25 @@ class GramStack:
         """
         y, x, a = _checked_rows(y, x, a)
         partition = _partition_for(x.shape[-1], a.shape[-1], partition)
-        ztz, zty, atz, aty, ata, yty = grams = _gram_products(y, _z(x, a, partition), a)
-        stack = cls._bare(partition, a.shape[-1], a.shape[-2], len(a))
-        vars(stack).update(zip(("ztz", "zty", "atz", "aty", "ata", "yty"), grams))
-        stack.rows = _frozen(y.view(), x.view(), a.view())
-        stack.rcond_ztz = rc_ztz = _frozen(rcond_symmetric(ztz))[0]
-        rc_ata, ok, s, sy = _iv_pieces(ata, atz, aty)
-        failed: Failed = {r: SingularGram("A^T A", c) for r, c in _at(~ok, rc_ata)}
-        stack.pieces = s, sy, failed
-        good = ok & (rc_ztz >= RCOND_GRAM)
-        failed = {**failed, **{r: SingularGram("Z^T Z", c) for r, c in _at(ok & ~good, rc_ztz)}}
-        at = np.flatnonzero(good)
-        arrays = _path_arrays(*(_rows(arr, at) for arr in (ztz, zty, s, sy, yty)))
-        stack.paths = PathStack(*_scattered(good, arrays)), dict(sorted(failed.items()))
-        return stack
+        grams = _gram_products(y, _z(x, a, partition), a)
+        rows = _frozen(y.view(), x.view(), a.view())
+        return cls(partition, a.shape[-1], a.shape[-2], *grams, rows=rows)
 
     @classmethod
     def _bare(cls, partition: ModelPartition, q: int, n: int, size: int) -> "GramStack":
-        """A stack of ``size`` items with no views, whose arrays the caller sets."""
+        """A stack of ``size`` items whose arrays the caller sets."""
         stack = cls.__new__(cls)
-        stack.views = None
         stack._shape(partition, q, n, size)
         return stack
 
     @classmethod
     def concat(cls, stacks: Iterable["GramStack"]) -> "GramStack":
-        """One stack of the items of ``stacks``, each built by :meth:`from_rows` with one
-        partition, ``n`` and ``q``, with their products, condition numbers, pieces and
-        paths, and LIML's ``kappa`` where the estimators have cached it on each.  It
-        keeps no rows: from a generator, at most two stacks' rows are alive at once."""
+        """One stack of the items of ``stacks``, of one partition, ``n`` and ``q``, with
+        their products, condition numbers, pieces and paths, and LIML's ``kappa`` where
+        the estimators have cached it on each.  It keeps no rows: from a generator, at
+        most two stacks' rows are alive at once."""
         parts: list[GramStack] = []
         for stack in stacks:
-            if stack.views is not None:
-                raise ValueError("only stacks built from rows can be joined")
             part = cls.__new__(cls)
             vars(part).update(vars(stack), rows=None)
             parts.append(part)
@@ -848,11 +814,12 @@ class GramStack:
         return len(self.items)
 
     def take(self, items: np.ndarray) -> "GramStack":
-        """The stack of the items at ``items``, with what this stack has computed for
-        them: its arrays, pieces, paths and rows, and LIML's ``kappa`` where the
-        estimators have cached it on the stack."""
-        if self.views is not None:
-            return GramStack([self.views[r] for r in items.tolist()])
+        """The stack of the items at ``items``, a sorted subset of this stack's, with
+        what this stack has computed for them: its arrays, pieces, paths and rows, and
+        LIML's ``kappa`` where the estimators have cached it on the stack.  The stack of
+        every item is this one, so a value the estimators cache on it stays shared."""
+        if len(items) == len(self):
+            return self
         stack = GramStack._bare(self.partition, self.q, self.n, len(items))
         for name in _ITEM_ARRAYS:
             setattr(stack, name, _frozen(getattr(self, name)[items])[0])
@@ -865,73 +832,6 @@ class GramStack:
             kappa, failed = self.liml_kappa
             stack.liml_kappa = _frozen(kappa[items])[0], _taken_failed(failed, items)
         return stack
-
-    def _stacked(self, name: str) -> np.ndarray:
-        return _stack([getattr(view, name) for view in self.views])
-
-    @cached_property
-    def ztz(self) -> np.ndarray:
-        return self._stacked("ztz")
-
-    @cached_property
-    def zty(self) -> np.ndarray:
-        return self._stacked("zty")
-
-    @cached_property
-    def atz(self) -> np.ndarray:
-        return self._stacked("atz")
-
-    @cached_property
-    def aty(self) -> np.ndarray:
-        return self._stacked("aty")
-
-    @cached_property
-    def ata(self) -> np.ndarray:
-        return self._stacked("ata")
-
-    @cached_property
-    def yty(self) -> np.ndarray:
-        return np.array([view.yty for view in self.views])
-
-    @cached_property
-    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Each item's ``y``, ``x`` and ``a`` rows, stacked; ``None`` where an item has
-        none: a view without a dataset, or a stack from :meth:`concat`."""
-        datasets = [getattr(view, "dataset", None) for view in self.views]
-        if None in datasets:
-            return None
-        return tuple(_stack([getattr(ds, name) for ds in datasets]) for name in ("y", "x", "a"))
-
-    @cached_property
-    def rcond_ztz(self) -> np.ndarray:
-        return np.array([view.rcond_ztz for view in self.views])
-
-    @cached_property
-    def pieces(self) -> tuple[np.ndarray, np.ndarray, Failed]:
-        """Each item's whitened pieces :attr:`~GramView.iv_pieces`, stacked, and the
-        error of each item whose ``A^T A`` is singular."""
-        s, sy = np.zeros((len(self), self.q, self.k)), np.zeros((len(self), self.q))
-        failed: Failed = {}
-        for r, view in enumerate(self.views):
-            try:
-                s[r], sy[r] = view.iv_pieces
-            except SingularGram as exc:
-                failed[r] = exc
-        return s, sy, failed
-
-    @cached_property
-    def paths(self) -> tuple[PathStack, Failed]:
-        """Each item's K-class path :attr:`~GramView.path`, stacked, and the error of
-        each item whose ``A^T A`` or ``Z^T Z`` is singular."""
-        paths: list[KClassPath | None] = []
-        failed: Failed = {}
-        for r, view in enumerate(self.views):
-            try:
-                paths.append(view.path)
-            except SingularGram as exc:
-                paths.append(None)
-                failed[r] = exc
-        return PathStack.of(paths, self.k), failed
 
     def ols_loss(self, items: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Mean squared residual ``n^{-1} ||y - Z alpha||^2`` of each item at its row of
@@ -953,7 +853,7 @@ class GramStack:
 
     def kclass_solve(self, kappa: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, Failed]:
         """Closed-form K-class solution of each item at ``kappa[i]``, the minimizer of
-        ``(1 - kappa) l_OLS + kappa l_IV``: the view's :attr:`~GramView.path` in
+        ``(1 - kappa) l_OLS + kappa l_IV``: the item's path (:attr:`paths`) in
         ``kappa`` form (:meth:`PathStack.kclass`), equal to its ``lambda`` form
         ``V (b0 + lam b1) / (1 + lam d)`` at ``lam = kappa / (1 - kappa)``.
         ``kappa = 1`` is TSLS and fails with :class:`UnderIdentified` if ``q2 < d1``;

@@ -4,7 +4,7 @@
 OLS, TSLS, K-class, LIML and Fuller(a) are points of the K-class path, each
 picked by a rule for its ``kappa``: ``0``, ``1``, the given value,
 :func:`liml_kappa` and :func:`fuller_kappa`.  :func:`estimate` applies the
-rule and makes one :meth:`~pulse_iv.data.GramView.kclass_solve`.  Anchor
+rule and makes one :meth:`~pulse_iv.data.GramStack.kclass_solve`.  Anchor
 regression is given by its penalty ``lambda``, so it is solved in the path's
 ``lambda`` parametrisation (:meth:`~pulse_iv.data.PathStack.alpha`): that
 takes any ``lambda > -1`` and stays exact where ``kappa`` would round towards
@@ -17,12 +17,12 @@ included, apart from LIML's ``kappa``, which reads a ``DesignView``'s rows.
 partition, ``n`` and ``q``: each kind then runs once over the stack, as the
 Monte Carlo harness runs it.  The K-class kinds take each item's ``kappa`` by
 their rule and make one stacked :meth:`~pulse_iv.data.GramStack.kclass_solve`;
-LIML's ``kappa`` is one pass over a stack built from rows, cached on the stack
-(per view, cached on the view, on a stack of views).  ``anchor``,
-``modified-tsls`` and PULSE's branch checks are stacked too.  Each item gets the
-bits of its own one-view call, and its error is kept per item in
-:class:`Estimates`, so a singular item leaves its neighbours' values as they
-are.  A view is the one-item case, whose error is raised.
+LIML's ``kappa`` is one pass over a stack that keeps its rows, cached on the
+stack.  ``anchor``, ``modified-tsls`` and PULSE's branch checks are stacked too.
+Each item gets the bits of its own one-view call, and its error is kept per item
+in :class:`Estimates`, so a singular item leaves its neighbours' values as they
+are.  A view is the one-item case, run on its cached
+:attr:`~pulse_iv.data.GramView.stack`, whose error is raised.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .data import (
-    RCOND_GRAM, DesignView, Failed, GramStack, GramView, IdentificationClass, _rows, _solve,
-    _frozen, _stack, _t, only, passed, rcond_symmetric,
+    RCOND_GRAM, Failed, GramStack, GramView, IdentificationClass, _rows, _solve, _frozen,
+    _stack, _t, only, passed, rcond_symmetric,
 )
-from .exceptions import InfeasibleConstraint, PulseIVError, SingularGram
+from .exceptions import InfeasibleConstraint, SingularGram
 
 if TYPE_CHECKING:
     from .pulse import PulseConfig
@@ -187,7 +187,7 @@ def modified_tsls(view: GramView | GramStack) -> EstimateResult | Estimates:
     checked and solved in one numpy call each; ``pinv`` runs per item.
     """
     if isinstance(view, GramView):
-        return modified_tsls(GramStack([view])).result(0)
+        return modified_tsls(view.stack).result(0)
     stack, failed = view, {}
     if stack.identification is IdentificationClass.OVER:
         failed = {r: InfeasibleConstraint(
@@ -247,12 +247,6 @@ def _min_generalized_eigenvalues(w1: np.ndarray, w: np.ndarray) -> tuple[np.ndar
     return np.linalg.eigvalsh(inner)[:, 0], failed
 
 
-def _check_rows(view: GramView) -> None:
-    """LIML's ``kappa`` reads data rows, which only a ``DesignView`` has."""
-    if not isinstance(view, DesignView):
-        raise TypeError(f"LIML and Fuller need a DesignView's rows, not a {type(view).__name__}")
-
-
 def _liml_blocks(stack: GramStack) -> tuple[np.ndarray, np.ndarray]:
     """Each item's cross-product matrices ``W1`` and ``W`` of the LIML eigenproblem,
     from its rows: ``[y X_*]^T [y X_*]`` less the Gram of its projection on the
@@ -280,9 +274,11 @@ def _liml_blocks(stack: GramStack) -> tuple[np.ndarray, np.ndarray]:
 
 def _liml_kappas(stack: GramStack) -> tuple[np.ndarray, Failed]:
     """LIML's ``kappa`` of each item of a stack that keeps its rows, and the error of
-    each item that failed, in one pass over the stack (:func:`liml_kappa`)."""
+    each item that failed, in one pass over the stack (:func:`liml_kappa`).  A stack
+    without rows (of a view other than a ``DesignView``, or from
+    :meth:`~pulse_iv.data.GramStack.concat`) gives a TypeError."""
     if stack.rows is None:
-        raise TypeError("LIML and Fuller need each design's rows, which this stack does not keep")
+        raise TypeError("LIML and Fuller need a DesignView's rows, which this stack does not keep")
     if stack.q2 < 1:
         raise ValueError("LIML requires at least one excluded instrument (q2 >= 1)")
     w1, w = _liml_blocks(stack)
@@ -317,39 +313,25 @@ def liml_kappa(view: GramView) -> float:
     ``[y X_*]^T [y X_*]``.
 
     The one-view case of the stacked pass that :func:`estimate` makes once per
-    :class:`~pulse_iv.data.GramStack` built from rows, and caches on the stack:
-    each step but the per-item ``lstsq``, ``potrf`` and ``trtrs`` calls is one
-    numpy call over the stack (:func:`_liml_blocks`,
-    :func:`_min_generalized_eigenvalues`), and each item gets the bits of this
-    call.  Computed once per view: the first successful call stores the value on
-    ``view``, and later calls (LIML, Fuller for every ``a``, PULSE's fallback)
-    return it.  A failure is not stored, so it
-    is raised on every call.  A view without rows, such as
-    :func:`~pulse_iv.sem.population_moments`, gives a TypeError.
+    :class:`~pulse_iv.data.GramStack`: each step but the per-item ``lstsq``, ``potrf``
+    and ``trtrs`` calls is one numpy call over the stack (:func:`_liml_blocks`,
+    :func:`_min_generalized_eigenvalues`), and each item gets the bits of this call.
+    It runs on the view's :attr:`~pulse_iv.data.GramView.stack`, once: the value, or
+    the error, is stored on that stack, so later calls (LIML, Fuller for every
+    ``a``, PULSE's fallback) return the value or raise the error again.  A view
+    without rows, such as :func:`~pulse_iv.sem.population_moments`, gives a
+    TypeError on every call.
     """
-    _check_rows(view)
-    cache = vars(view)  # this module's entry in the view's instance dict
-    if "liml_kappa" not in cache:
-        cache["liml_kappa"] = float(only(*_liml_kappas(GramStack([view]))))
-    return cache["liml_kappa"]
+    return float(only(*_stack_liml_kappas(view.stack)))
 
 
 def _stack_liml_kappas(stack: GramStack) -> tuple[np.ndarray, Failed]:
-    """LIML's ``kappa`` of each item and the error of each item that failed: on a
-    stack of views, each view's own (:func:`liml_kappa`, cached on the view); on a
-    stack built from rows, one pass over the stack, cached on the stack."""
-    if stack.views is None:
-        cache = vars(stack)  # this module's entry in the stack's instance dict
-        if "liml_kappa" not in cache:
-            cache["liml_kappa"] = _liml_kappas(stack)
-        return cache["liml_kappa"]
-    kappa, failed = np.zeros(len(stack)), {}
-    for r, view in enumerate(stack.views):
-        try:
-            kappa[r] = liml_kappa(view)
-        except PulseIVError as exc:
-            failed[r] = exc
-    return kappa, failed
+    """LIML's ``kappa`` of each item and the error of each item that failed
+    (:func:`_liml_kappas`), computed on the first call and cached on the stack."""
+    cache = vars(stack)  # this module's entry in the stack's instance dict
+    if "liml_kappa" not in cache:
+        cache["liml_kappa"] = _liml_kappas(stack)
+    return cache["liml_kappa"]
 
 
 def _fuller_offset(n: int, q: int, a: float) -> float:
@@ -362,7 +344,6 @@ def _fuller_offset(n: int, q: int, a: float) -> float:
 def fuller_kappa(view: GramView, a: float) -> float:
     """Fuller adjustment ``kappa_LIML - a / (n - q)``; requires ``n > q`` and rows."""
     EstimatorSpec("fuller", a)  # the spec checks the domain
-    _check_rows(view)
     return liml_kappa(view) - _fuller_offset(view.n, view.q, a)
 
 
@@ -394,7 +375,7 @@ def estimate(
     population estimand; those two raise :class:`TypeError` on a view without rows.
     """
     if isinstance(view, GramView):
-        return _estimates(GramStack([view]), spec, cfg).result(0)
+        return _estimates(view.stack, spec, cfg).result(0)
     return _estimates(view, spec, cfg)
 
 

@@ -5,8 +5,8 @@ the ``1 - p_min`` quantile of a chi-squared with ``q`` degrees of freedom.
 Two scaling schemes are supported: plain (``c(n) = n``) and the one that makes
 the test equivalent to the asymptotic Anderson-Rubin test
 (``c(n) = n - q + Q``).  :class:`TestConfig` holds the level and the scaling;
-:class:`StackTest` binds them to a stack of views and is the one place the statistic
-is computed, for :func:`test_statistic` and for the PULSE search alike.
+:class:`StackTest` binds them to a stack of designs and is the one place the
+statistic is computed, for :func:`test_statistic` and for the PULSE search alike.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class WeakInstrumentReport:
 
 
 class StackTest:
-    """The uncorrelatedness test bound to a stack of views: its ``scale`` and
+    """The uncorrelatedness test bound to a stack of designs: its ``scale`` and
     ``threshold`` are fixed once, and every verdict (:meth:`accepts`,
     :func:`test_statistic`, the PULSE search) compares :meth:`statistic` with them."""
 
@@ -146,7 +146,7 @@ def test_statistic(view: GramView, alpha: np.ndarray, cfg: TestConfig | None = N
         If the OLS loss at ``alpha`` is numerically zero, making the ratio
         undefined.
     """
-    test = StackTest(GramStack([view]), cfg)
+    test = StackTest(view.stack, cfg)
     stat = float(only(*test.statistic(_ONE, view._check_alpha(alpha)[None])))
     return TestResult(
         statistic=stat, threshold=float(test.threshold), accepted=bool(stat <= test.threshold)
@@ -200,7 +200,7 @@ def weak_instrument_stat(
     """
     if isinstance(view, GramStack):
         return _weak_instrument_reports(view)
-    report = _weak_instrument_reports(GramStack([view]))[0]
+    report = _weak_instrument_reports(view.stack)[0]
     if isinstance(report, PulseIVError):
         raise report
     return report
@@ -229,7 +229,7 @@ def _weak_instrument_reports(stack: GramStack) -> list[WeakInstrumentReport | Pu
         return out
     isqrt = (v * (1.0 / np.sqrt(w))[:, None, :]) @ _t(v)
     if stack.q1:
-        # A_*^T A_* is a principal block of A^T A, which iv_pieces found regular
+        # A_*^T A_* is a principal block of A^T A, which the stack's pieces found regular
         inc = list(stack.partition.included_exogenous)
         astar_x = stack.atz[items][:, inc, :d1]
         concentration = concentration - _t(astar_x) @ np.linalg.solve(

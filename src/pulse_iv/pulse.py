@@ -3,7 +3,7 @@ per design, checked on the K-class path; fallback wrapper, and the primal
 (constrained) definition.
 
 PULSE minimizes the OLS loss over the acceptance region of the
-uncorrelatedness test.  Along the K-class path (:class:`~pulse_iv.data.KClassPath`)
+uncorrelatedness test.  Along the K-class path (:class:`~pulse_iv.data.PathStack`)
 the test statistic is monotone in the penalty, so the smallest accepted
 penalty ``lambda*`` is found by one bracket-plus-bisection (:func:`_bisection`:
 the accepted end squares 2, 4, 16, ..., then bisects to ``1/N``); the estimate is
@@ -367,7 +367,8 @@ def pulse_estimate(
 
     On a :class:`~pulse_iv.data.GramStack` the branch checks, the roots and the
     endpoint checks run once over the stack, with each item's bits and errors, and
-    it returns the :class:`PulseEstimates`; a view is the one-item case.
+    it returns the :class:`PulseEstimates`; a view is the one-item case, run on its
+    cached :attr:`~pulse_iv.data.GramView.stack`.
 
     Raises
     ------
@@ -376,7 +377,7 @@ def pulse_estimate(
         signalling numerical breakdown rather than infeasibility.
     """
     if isinstance(view, GramView):
-        return _pulse_estimates(GramStack([view]), cfg).result(0)
+        return _pulse_estimates(view.stack, cfg).result(0)
     return _pulse_estimates(view, cfg)
 
 
@@ -419,7 +420,7 @@ def _pulse_estimates(stack: GramStack, cfg: PulseConfig | None) -> PulseEstimate
     for r in done.tolist():
         messages[r] = PulseMessage.OLS_ACCEPTED
     items = items[~accepted]
-    if items.size:  # else no path is read, as a single OLS-accepted view builds none
+    if items.size:  # else no item searches
         penalty, point, raised = _search(test, items, 1.0 / cfg.precision_n)
         items, penalty, point = kept(items, raised, penalty, point)
         alpha[items], kappa[items], lam[items] = point, penalty / (1.0 + penalty), penalty
@@ -447,7 +448,7 @@ def primal_solve(view: GramView, t: float) -> np.ndarray:
         )
     if t >= iv_at_ols * (1.0 - 1e-14):
         return view.kclass_solve(0.0)
-    stack = GramStack([view])
+    stack = view.stack
     paths, singular = stack.paths
     if singular:
         raise singular[0]

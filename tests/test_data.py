@@ -26,7 +26,7 @@ from conftest import loss_by_residuals, make_instance, raw_matrices
 
 
 def projection_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``P_A v`` through the whitening ``(A^T A)^{-1/2}`` that ``DesignView.iv_pieces`` uses."""
+    """``P_A v`` through the whitening ``(A^T A)^{-1/2}`` of a ``GramStack``'s pieces."""
     _, ok, isqrt = data._inverse_sqrts((a.T @ a)[None])
     assert ok[0]
     return a @ (isqrt[0] @ (isqrt[0] @ (a.T @ v)))
@@ -235,37 +235,44 @@ class TestProjection:
         a = np.ones((5, 2))  # duplicated column
         view = DesignView(Dataset(y=np.arange(5.0), x=np.arange(5.0)[:, None] ** 2, a=a))
         with pytest.raises(SingularGram, match="A\\^T A"):
-            view.iv_pieces
+            view.iv_loss(np.zeros(1))
 
 
 class TestViewCache:
-    def test_pieces_and_path_built_once(self):
+    def test_stack_built_once(self):
         rng = np.random.default_rng(8)
         ds = Dataset(y=rng.normal(size=20), x=rng.normal(size=(20, 1)), a=rng.normal(size=(20, 2)))
         view = DesignView(ds)
-        assert view.iv_pieces is view.iv_pieces
-        assert view.path is view.path
+        assert view.stack is view.stack
+        assert not view.stack.pieces[2] and not view.stack.paths[1]
 
-    def test_singular_gram_raised_on_every_access(self):
+    def test_singular_gram_recorded_and_raised_on_every_call(self):
         rng = np.random.default_rng(9)
         col = rng.normal(size=(20, 1))
         ds = Dataset(y=rng.normal(size=20), x=rng.normal(size=(20, 1)), a=np.hstack([col, col]))
         view = DesignView(ds)
-        for attr in ("iv_pieces", "path", "iv_pieces", "path"):
-            with pytest.raises(SingularGram, match="A\\^T A"):
-                getattr(view, attr)
-        assert "iv_pieces" not in vars(view) and "path" not in vars(view)
+        stack = view.stack
+        pieces_failed, paths_failed = stack.pieces[2], stack.paths[1]
+        assert list(pieces_failed) == [0] and list(paths_failed) == [0]
+        assert isinstance(pieces_failed[0], SingularGram) and "A^T A" in str(pieces_failed[0])
+        assert str(paths_failed[0]) == str(pieces_failed[0])
+        for _ in range(2):
+            with pytest.raises(SingularGram, match="A\\^T A") as err:
+                estimate(view, EstimatorSpec("tsls"))
+            assert err.value is paths_failed[0]
+        assert view.stack is stack
 
 
 class TestLazyConditionNumbers:
-    """``rcond_ztz`` and ``rcond_ata`` are computed on first read, not when a
-    view is built, and no estimate reads ``rcond_ata``."""
+    """``rcond_ztz`` (with the view's stack) and ``rcond_ata`` are computed on first
+    read, not when a view is built, and no estimate reads ``rcond_ata``."""
 
     def test_building_a_view_computes_neither(self):
         view = make_instance(3)
-        assert "rcond_ztz" not in vars(view) and "rcond_ata" not in vars(view)
+        assert "stack" not in vars(view) and "rcond_ata" not in vars(view)
         assert view.rcond_ata == data.rcond_symmetric(view.ata)
-        assert "rcond_ata" in vars(view) and "rcond_ztz" not in vars(view)
+        assert "rcond_ata" in vars(view) and "stack" not in vars(view)
+        assert view.rcond_ztz == data.rcond_symmetric(view.ztz) and "stack" in vars(view)
 
     def test_estimates_do_not_read_rcond_ata(self):
         view = make_instance(4, q=3)
@@ -273,7 +280,7 @@ class TestLazyConditionNumbers:
             estimate(view, EstimatorSpec.parse(label))
         pulse_estimate(view)
         assert "rcond_ata" not in vars(view)
-        assert "rcond_ztz" in vars(view)  # read once by the path's Z^T Z check
+        assert "stack" in vars(view)  # its rcond_ztz read once by the path's Z^T Z check
 
     def test_diagnose_prints_the_condition_numbers(self, tmp_path, capsys):
         rows = [

@@ -226,7 +226,7 @@ class TestLimlFuller:
         kappa = liml_kappa(view)
         from pulse_iv.estimators import _liml_blocks
 
-        w1, w = (block[0] for block in _liml_blocks(data.GramStack([view])))
+        w1, w = (block[0] for block in _liml_blocks(view.stack))
         eigs = scipy.linalg.eigvals(w1, w)
         assert kappa == pytest.approx(float(np.min(eigs.real)), rel=1e-8)
 
@@ -292,7 +292,7 @@ class TestLimlCache:
         fuller_kappa(make_instance(42, n=60, d1=1, q=2), 4.0)
         assert len(seen) == 2
 
-    def test_failure_is_not_cached(self, monkeypatch):
+    def test_failure_is_stored_and_raised_on_every_call(self, monkeypatch):
         # y lies exactly in span(X, A), so W has rank one
         rng = np.random.default_rng(43)
         a = rng.normal(size=(50, 2))
@@ -301,10 +301,13 @@ class TestLimlCache:
         seen = []
         original = estimators._liml_blocks
         monkeypatch.setattr(estimators, "_liml_blocks", lambda v: seen.append(v) or original(v))
-        for _ in range(2):
-            with pytest.raises(SingularGram, match="W"):
-                liml_kappa(view)
-        assert len(seen) == 2
+        raised = []
+        for call in (liml_kappa, liml_kappa, lambda v: estimate(v, EstimatorSpec("fuller"))):
+            with pytest.raises(SingularGram, match="W") as err:
+                call(view)
+            raised.append(err.value)
+        assert all(exc is raised[0] for exc in raised)
+        assert seen == [view.stack]
 
     @pytest.mark.parametrize("center", [False, True], ids=["raw", "centred"])
     def test_w_without_residual_degrees_of_freedom_is_singular(self, center):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulse_iv import inference, pulse
-from pulse_iv.data import KAPPA_FORM_MAX, Dataset, DesignView, GramStack, PathStack
+from pulse_iv.data import KAPPA_FORM_MAX, Dataset, DesignView, PathStack
 from pulse_iv.estimators import EstimatorSpec, estimate
 from pulse_iv.exceptions import OutOfDomain
 from pulse_iv.experiments import UNIVARIATE_DECLARED
@@ -184,10 +184,10 @@ class TestExtremePenalties:
         # eigenbasis lambda form above it: both must give the same point
         for d1, q in ((1, 1), (2, 1), (2, 3)):
             view = make_instance(60 + q, n=90, d1=d1, q=q, confounding=0.8)
+            paths = view.stack.paths[0]
+            v, b0, b1, d = paths.v[0], paths.b0[0], paths.b1[0], paths.d[0]
             for lam in (0.5, 37.0, KAPPA_FORM_MAX):
-                eigen = view.path.v @ (
-                    (view.path.b0 + lam * view.path.b1) / (1.0 + lam * view.path.d)
-                )
+                eigen = v @ ((b0 + lam * b1) / (1.0 + lam * d))
                 np.testing.assert_allclose(path_point(view, lam), eigen, rtol=1e-9, atol=1e-12)
 
 
@@ -199,7 +199,7 @@ def path_point(view: DesignView, lam: float) -> np.ndarray:
 def exact_predicate(view: DesignView, cfg: PulseConfig):
     """The reported predicate ``StackTest.accepts(path.alpha(lam))`` of the view, as
     a search predicate of its one-item stack."""
-    stack = GramStack([view])
+    stack = view.stack
     test, paths = StackTest(stack, cfg), stack.paths[0]
 
     def accepts(lams: list[float], items: list[int]) -> tuple[list[bool], dict]:
@@ -326,7 +326,7 @@ class TestRootSearch:
 
     def test_typical_search_runs_few_exact_points(self, monkeypatch):
         view = DesignView(sem_sample(univariate_model(2, 0.9, 0.1), 150, 12))
-        view.path  # built before counting
+        view.stack  # built before counting
         count = count_path_points(monkeypatch)
         res = pulse_estimate(view)
         assert res.message is PulseMessage.NONE
@@ -340,7 +340,7 @@ class TestRootSearch:
         seen = set()
         for d1, q, q1 in ((1, 1, 0), (1, 5, 0), (2, 1, 0), (2, 3, 0), (2, 4, 1)):
             view = make_instance(70 + q, n=120, d1=d1, q=q, q1=q1, confounding=0.8)
-            test = StackTest(GramStack([view]), cfg)
+            test = StackTest(view.stack, cfg)
             (at, poly), = _gap_polynomials(test, np.array([0]))
             assert at.tolist() == [0] and poly.shape == (1, 2 * min(view.k, view.q) + 1)
             root = pulse._roots(test, np.array([0]))[0]

@@ -1,12 +1,13 @@
 """Stacked sampling, view building and estimation against the per-repetition path,
 bit for bit.
 
-``sample_stack`` and ``DesignView.stack`` run each step once over a stack of
-repetitions.  Every product and cache of a stacked view must carry the bits of
-``DesignView(sem_sample(model, n, seed))``, and every estimator, loss, statistic and
-``G_n`` run over a ``GramStack`` the bits (or the error) of the plain per-view numpy
-formulas and of the one-view call: the Monte Carlo outputs are compared byte for
-byte across versions, so a last-bit difference is a failure here.
+``sample_stack`` and ``GramStack.from_rows`` run each step once over a stack of
+repetitions.  Every product and cache of a stack's item must carry the bits of
+``DesignView(sem_sample(model, n, seed))``'s one-item stack and of the plain
+per-matrix numpy formulas, and every estimator, loss, statistic and ``G_n`` run
+over a ``GramStack`` the bits (or the error) of those formulas and of the one-view
+call: the Monte Carlo outputs are compared byte for byte across versions, so a
+last-bit difference is a failure here.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-from pulse_iv import estimators, experiments, inference, pulse
+from pulse_iv import data, estimators, experiments, inference, pulse
 from pulse_iv.data import (
     KAPPA_FORM_MAX, RCOND_GRAM, Dataset, DesignView, GramStack, ModelPartition, PathStack,
 )
 from pulse_iv.estimators import EstimatorSpec, estimate, liml_kappa
 from pulse_iv.exceptions import DataError, PulseIVError, SingularGram
 from pulse_iv.inference import StackTest, weak_instrument_stat
-from pulse_iv.pulse import PulseConfig, PulseMessage, pulse_estimate
+from pulse_iv.pulse import PulseConfig, PulseMessage, primal_solve, pulse_estimate
 from pulse_iv.sem import (
     InterventionSpec,
     e1_model,
@@ -48,22 +49,22 @@ def bits(value) -> bytes:
 
 def assert_same_item(stack: GramStack, r: int, single: DesignView) -> None:
     """Item ``r`` of a stack built from rows has, in every row, product, condition
-    number, whitened piece and path array, the bits of the lazily built single view."""
-    for name, rows in zip(("y", "x", "a"), stack.rows):
-        assert bits(rows[r]) == bits(getattr(single.dataset, name)), name
+    number, whitened piece and path array, the bits of the single view and of item 0
+    of its one-item stack."""
+    one = single.stack
+    for name, rows, one_rows in zip(("y", "x", "a"), stack.rows, one.rows):
+        assert bits(rows[r]) == bits(getattr(single.dataset, name)) == bits(one_rows[0]), name
     for name in PRODUCTS:
         assert bits(getattr(stack, name)[r]) == bits(getattr(single, name)), name
     assert bits(stack.yty[r]) == bits(single.yty)
     assert {"rcond_ztz", "pieces", "paths"} <= set(vars(stack))  # computed as it was built
     assert bits(stack.rcond_ztz[r]) == bits(single.rcond_ztz)
     s, sy, _ = stack.pieces
-    assert bits(s[r]) == bits(single.iv_pieces[0]) and bits(sy[r]) == bits(single.iv_pieces[1])
+    assert bits(s[r]) == bits(one.pieces[0][0]) and bits(sy[r]) == bits(one.pieces[1][0])
     paths, failed = stack.paths
-    assert r not in failed
-    for name in PATH_ARRAYS:
-        assert bits(getattr(paths, name)[r]) == bits(getattr(single.path, name)), name
-    assert bits(paths.yty[r]) == bits(single.path.yty)
-    assert bits(paths.syy[r]) == bits(single.path.syy)
+    assert r not in failed and not one.paths[1]
+    for name in PATH_ARRAYS + ("yty", "syy"):
+        assert bits(getattr(paths, name)[r]) == bits(getattr(one.paths[0], name)[0]), name
 
 
 def assert_per_matrix_formulas(stack: GramStack, r: int) -> None:
@@ -123,7 +124,7 @@ class TestStackedViews:
         model, n = CASES[case]
         seeds = [experiments.cell_seed(7, 3, r) for r in range(9)] + [0]
         stack = GramStack.from_rows(*sample_stack(model, n, seeds))
-        assert len(stack) == len(seeds) and stack.views is None
+        assert len(stack) == len(seeds)
         for r, want in enumerate(single_views(model, n, seeds)):
             assert_same_item(stack, r, want)
             assert_per_matrix_formulas(stack, r)
@@ -184,16 +185,16 @@ class TestStackedFailures:
         s, sy, pieces_failed = stack.pieces
         paths, paths_failed = stack.paths
         assert list(pieces_failed) == [1] and list(paths_failed) == [1, 2]
-        for failed in (pieces_failed, paths_failed):
-            with pytest.raises(SingularGram, match=r"A\^T A") as want:
-                singles[1].iv_pieces
-            assert str(failed[1]) == str(want.value)
+        want = singles[1].stack.pieces[2][0]
+        assert isinstance(want, SingularGram) and "A^T A" in str(want)
+        for got in (pieces_failed[1], paths_failed[1], singles[1].stack.paths[1][0]):
+            assert str(got) == str(want)
         assert bits(s[1]) == bits(np.zeros((2, 1))) and bits(sy[1]) == bits(np.zeros(2))
-        assert bits(s[2]) == bits(singles[2].iv_pieces[0])
-        assert bits(sy[2]) == bits(singles[2].iv_pieces[1])
-        with pytest.raises(SingularGram, match=r"Z\^T Z") as want:
-            singles[2].path
-        assert str(paths_failed[2]) == str(want.value)
+        assert bits(s[2]) == bits(singles[2].stack.pieces[0][0])
+        assert bits(sy[2]) == bits(singles[2].stack.pieces[1][0])
+        want = singles[2].stack.paths[1][0]
+        assert isinstance(want, SingularGram) and "Z^T Z" in str(want)
+        assert str(paths_failed[2]) == str(want)
         assert bits(stack.rcond_ztz[2]) == bits(singles[2].rcond_ztz) == bits(0.0)
 
     @pytest.mark.parametrize("name", ["y", "x", "a"])
@@ -264,11 +265,13 @@ class TestReadOnlyCaches:
     """A cached array cannot be changed in place, so no caller can move a view's
     later losses or solves."""
 
-    def test_pieces_and_path_arrays_are_read_only(self):
+    def test_a_views_arrays_are_read_only(self):
         view = DesignView(sem_sample(univariate_model(2, 0.9, 0.1), 100, 5))
-        s, sy = view.iv_pieces
-        arrays = [s, sy] + [getattr(view.path, name) for name in PATH_ARRAYS]
+        stack = view.stack
+        arrays = [*stack.pieces[:2], stack.rcond_ztz, stack.yty, *stack.rows]
+        arrays += [getattr(stack.paths[0], name) for name in PATH_ARRAYS + ("yty", "syy")]
         arrays += [getattr(view, name) for name in PRODUCTS]
+        arrays += [getattr(stack, name) for name in PRODUCTS]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] += 1.0
@@ -349,9 +352,16 @@ def single_outcome(view: DesignView, spec: EstimatorSpec):
     return bits(res.alpha) + bits(kappa) + bits(lam)
 
 
+def path_of(view: DesignView):
+    """The view's K-class path: item 0 of its one-item stack's, as ``(k, ...)`` arrays."""
+    paths, failed = view.stack.paths
+    assert not failed
+    return PathStack(*(getattr(paths, name)[0] for name in data._PATH_FIELDS))
+
+
 def kclass_formula(view: DesignView, kappa: float) -> np.ndarray:
     """The per-view K-class solve as before any stacking."""
-    path = view.path
+    path = path_of(view)
     mat = (1.0 - kappa) * path.ztz + kappa * path.sts
     return np.linalg.solve(mat, (1.0 - kappa) * path.zty + kappa * path.sty)
 
@@ -361,7 +371,7 @@ def estimate_formula(view: DesignView, spec: EstimatorSpec) -> np.ndarray:
     if spec.kind == "ols":
         return np.linalg.solve(view.ztz, view.zty)
     if spec.kind == "anchor":
-        lam, path = spec.value, view.path
+        lam, path = spec.value, path_of(view)
         if lam <= KAPPA_FORM_MAX:
             return kclass_formula(view, lam / (1.0 + lam))
         return path.v @ ((path.b0 + lam * path.b1) / (1.0 + lam * path.d))
@@ -403,7 +413,7 @@ def liml_formula(view: DesignView) -> float | str:
 
 def loss_formulas(view: DesignView, alpha: np.ndarray) -> tuple[float, float]:
     ols = (view.yty - 2.0 * (alpha @ view.zty) + alpha @ view.ztz @ alpha) / view.n
-    s, sy = view.iv_pieces
+    s, sy = (piece[0] for piece in view.stack.pieces[:2])
     res = sy - s @ alpha
     return max(float(ols), 0.0), max(float(res @ res) / view.n, 0.0)
 
@@ -411,7 +421,7 @@ def loss_formulas(view: DesignView, alpha: np.ndarray) -> tuple[float, float]:
 def weak_formula(view: DesignView) -> tuple[float, np.ndarray]:
     """``G_n`` by the per-view numpy calls, as before any stacking."""
     n, q, d1, q2 = view.n, view.q, view.d1, view.q2
-    s_x = view.iv_pieces[0][:, :d1]
+    s_x = view.stack.pieces[0][0][:, :d1]
     xtx = view.ztz[:d1, :d1]
     conc = s_x.T @ s_x
     w, v = np.linalg.eigh((xtx - conc) / (n - q))
@@ -550,12 +560,6 @@ class TestStackedEstimators:
             for got, want in zip(weak_instrument_stat(part), wanted[start:stop]):
                 assert bits(got.g_matrix) == bits(want.g_matrix)
 
-    def test_views_of_different_shapes_are_refused(self):
-        a = DesignView(sem_sample(univariate_model(2, 0.9, 0.1), 50, 1))
-        b = DesignView(sem_sample(univariate_model(3, 0.9, 0.1), 50, 1))
-        with pytest.raises(ValueError, match="share one partition"):
-            GramStack([a, b])
-
 
 class TestStackedLiml:
     """LIML's ``kappa`` runs once per stack built from rows, one numpy call per step
@@ -630,7 +634,7 @@ class TestJoinAndTake:
         whole = GramStack.from_rows(y, x, a)
         parts = [GramStack.from_rows(y[lo:hi], x[lo:hi], a[lo:hi]) for lo, hi in ((0, 3), (3, 7))]
         joined = GramStack.concat(iter(parts))
-        assert joined.rows is None and len(joined) == 7 and joined.views is None
+        assert joined.rows is None and len(joined) == 7
         for name in PRODUCTS + ("yty", "rcond_ztz"):
             assert bits(getattr(joined, name)) == bits(getattr(whole, name)), name
         for got, want in zip(joined.pieces[:2], whole.pieces[:2]):
@@ -651,8 +655,6 @@ class TestJoinAndTake:
         other = GramStack.from_rows(*sample_stack(univariate_model(2, 0.9, 0.1), 50, [1]))
         with pytest.raises(ValueError, match="share one partition"):
             GramStack.concat([one, other])
-        with pytest.raises(ValueError, match="built from rows"):
-            GramStack.concat([GramStack([DesignView(sem_sample(e1_model(), 60, 1))])])
 
     def test_take_keeps_each_items_values_and_errors(self):
         y, x, a = sample_stack(univariate_model(2, 0.9, 0.1), 60, list(range(6)))
@@ -670,3 +672,57 @@ class TestJoinAndTake:
             spec = EstimatorSpec.parse(label)
             got, want = estimate(taken, spec), estimate(part, spec)
             assert [outcome(got, r) for r in range(3)] == [outcome(want, r) for r in range(3)]
+
+    def test_a_views_stack_joins_stacks_from_rows(self):
+        y, x, a = sample_stack(univariate_model(2, 0.9, 0.1), 60, list(range(4)))
+        a[2, :, 1] = 2.0 * a[2, :, 0]  # A^T A singular at item 2 of the whole
+        whole = GramStack.from_rows(y, x, a)
+        view = views_of(y[:1], x[:1], a[:1])[0]
+        joined = GramStack.concat([view.stack, GramStack.from_rows(y[1:], x[1:], a[1:])])
+        assert joined.rows is None and view.stack.rows is not None
+        items = np.array([0, 2, 3])
+        for got, want in ((joined, whole), (joined.take(items), whole.take(items))):
+            for name in PRODUCTS + ("yty", "rcond_ztz"):
+                assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+            for piece, wanted in zip(got.pieces[:2], want.pieces[:2]):
+                assert bits(piece) == bits(wanted)
+            for name in PATH_ARRAYS + ("yty", "syy"):
+                assert bits(getattr(got.paths[0], name)) == bits(getattr(want.paths[0], name))
+            for mine, theirs in ((got.pieces[2], want.pieces[2]), (got.paths[1], want.paths[1])):
+                assert {r: str(exc) for r, exc in mine.items()} == {
+                    r: str(exc) for r, exc in theirs.items()}
+            for label in SPECS:
+                spec = EstimatorSpec.parse(label)
+                if spec.kind in ("liml", "fuller"):  # they read rows, which neither keeps
+                    continue
+                fit, wanted = estimate(got, spec), estimate(want, spec)
+                assert [outcome(fit, r) for r in got.items] == [
+                    outcome(wanted, r) for r in want.items], label
+
+
+class TestOneViewStack:
+    def test_every_single_view_entry_point_shares_one_stack(self, monkeypatch):
+        counts = {(data, "_iv_pieces"): 0, (data, "_path_arrays"): 0,
+                  (estimators, "_liml_blocks"): 0}
+
+        def counted(key):
+            original = getattr(*key)
+
+            def call(*args):
+                counts[key] += 1
+                return original(*args)
+
+            return call
+
+        for key in counts:
+            monkeypatch.setattr(*key, counted(key))
+        view = DesignView(sem_sample(univariate_model(10, 0.9, 0.01), 150, 4))
+        # first, so that its fallback's LIML kappa is the one the view's stack keeps
+        assert pulse_estimate(view).message is PulseMessage.TSLS_REJECTED_FALLBACK
+        outcomes = [single_outcome(view, EstimatorSpec.parse(label)) for label in SPECS]
+        assert outcomes[SPECS.index("modified-tsls")] == "InfeasibleConstraint"
+        ols = estimate(view, EstimatorSpec("ols")).alpha
+        inference.test_statistic(view, ols)
+        weak_instrument_stat(view)
+        primal_solve(view, 0.5 * (view.min_iv_loss() + view.iv_loss(ols)))
+        assert list(counts.values()) == [1, 1, 1]
