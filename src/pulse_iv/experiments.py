@@ -79,7 +79,7 @@ ROBUSTNESS_N = 2000
 def cell_seed(master_seed: int, cell_index: int, rep_index: int) -> int:
     """Derived 64-bit stream seed: golden-ratio cell offset, XOR repetition.
 
-    Known defect: ``sem_sample`` hands a seed of 2^63 or more to Philox as a
+    Known defect: ``sem._philox_key`` converts a seed of 2^63 or more through
     float64, which drops the low 11 bits that carry ``rep_index``; nearly every
     repetition of such a cell (about half of all cells) draws the same sample.
     See ROADMAP item 1.

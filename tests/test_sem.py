@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +16,11 @@ from pulse_iv import sem
 from pulse_iv.data import DesignView, ModelPartition
 from pulse_iv.estimators import EstimatorSpec, estimate, modified_tsls
 from pulse_iv.exceptions import DataError, NonStationary, SingularGram, UnderIdentified
+from pulse_iv.experiments import cell_seed
 from pulse_iv.sem import (
     _A_STREAM,
     _NOISE_STREAM,
+    MODEL_STREAM,
     InterventionSpec,
     SemModel,
     _gaussians,
@@ -29,6 +34,7 @@ from pulse_iv.sem import (
     model_from_json,
     model_to_json,
     mv_varying_model,
+    philox_generator,
     population_moments,
     population_pulse_underid,
     reduced_form_solve,
@@ -154,14 +160,92 @@ class TestSampling:
 
 class TestUniforms:
     def test_top_integer_gives_a_finite_draw(self, monkeypatch):
-        # k + 0.5 rounds up to 2^53 for k = 2^53 - 1, so without a cap u = 1.0
-        class TopDraws:
-            def integers(self, low, high, size):
-                return np.full(size, high - 1, dtype=np.int64)
-
-        monkeypatch.setattr(sem, "philox_generator", lambda seed, stream: TopDraws())
+        # the all-ones word shifts to k = 2^53 - 1, and k + 0.5 rounds up to 2^53,
+        # so without a cap u = 1.0
+        monkeypatch.setattr(
+            sem, "_philox_words",
+            lambda seed, stream, shape: np.full(shape, 2**64 - 1, dtype=np.uint64),
+        )
         z = _gaussians(0, _A_STREAM, (3, 2))
         assert np.all(np.isfinite(z)) and np.all(z > 8.0)
+
+
+def _fresh_gaussians(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The draws of a fresh Philox generator keyed by the list ``[seed, stream]``,
+    through 53-bit integers, offset uniforms, the cap and ``ndtri``."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+    u = (rng.integers(0, 1 << 53, size=shape).astype(float) + 0.5) / float(1 << 53)
+    return scipy.special.ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
+
+
+class TestStreamSource:
+    """Each stream read from the thread's re-keyed Philox has the bits of a fresh
+    generator keyed by ``[seed, stream]``."""
+
+    # below 2^63; then [2^63, 2^64 - 1024), where numpy converts the list key
+    # through float64 (ROADMAP item 1), including one cell's repetition seeds
+    SEEDS = (0, 3, 2**32 + 7, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1025) + tuple(
+        cell_seed(7, 1, r) for r in range(3)
+    )
+
+    def test_gaussians_equal_a_fresh_generators(self):
+        shape = (37, 3)
+        for seed in self.SEEDS:
+            for stream in (_A_STREAM, _NOISE_STREAM, MODEL_STREAM):
+                expected = _fresh_gaussians(seed, stream, shape)
+                assert _gaussians(seed, stream, shape).tobytes() == expected.tobytes()
+                # a fresh model-stream generator between streams leaves them alone
+                model_rng = philox_generator(seed, MODEL_STREAM)
+                fresh = np.random.Generator(np.random.Philox(key=[seed, MODEL_STREAM]))
+                assert model_rng.uniform(size=5).tobytes() == fresh.uniform(size=5).tobytes()
+        for stream in (_NOISE_STREAM, _A_STREAM):
+            stack = _gaussians(list(self.SEEDS), stream, shape)
+            for row, seed in zip(stack, self.SEEDS):
+                assert row.tobytes() == _fresh_gaussians(seed, stream, shape).tobytes()
+
+    def test_words_are_numpys_bounded_integers(self):
+        # Lemire's method on the range 2^53 never rejects and keeps a word's top
+        # 53 bits; a numpy that draws bounded integers otherwise fails here
+        for seed, stream, shape in ((5, 0, (1,)), (2**63 + 5, 1, (7,)), (9, 2, (150, 2))):
+            raw = np.random.Philox(key=[seed, stream]).random_raw(shape)
+            ints = np.random.Generator(np.random.Philox(key=[seed, stream])).integers(
+                0, 2**53, size=shape
+            )
+            assert np.array_equal(raw >> 11, ints)
+            assert np.array_equal(sem._philox_words(seed, stream, shape), raw)
+            u = ((raw >> 11).astype(float) + 0.5) / float(1 << 53)
+            z = scipy.special.ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
+            assert _gaussians(seed, stream, shape).tobytes() == z.tobytes()
+
+    def test_threads_get_their_serial_bits(self):
+        # three threads, each on seeds of its own
+        shape, rounds = (40, 2), 300
+        work = [[11, 2**63 + 5], [cell_seed(3, 2, r) for r in range(2)], [4, 2**40 + 1]]
+        expected = [
+            [_fresh_gaussians(s, _NOISE_STREAM, shape).tobytes() for s in seeds]
+            for seeds in work
+        ]
+        barrier = threading.Barrier(len(work))
+        right = [0] * len(work)
+
+        def sample(t: int) -> None:
+            barrier.wait()
+            for _ in range(rounds):
+                got = [row.tobytes() for row in _gaussians(work[t], _NOISE_STREAM, shape)]
+                right[t] += got == expected[t]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=sample, args=(t,)) for t in range(len(work))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert right == [rounds] * len(work)
 
 
 class TestCachedRoots:
