@@ -88,11 +88,6 @@ Failed = dict[int, PulseIVError]
 _ONE = np.zeros(1, dtype=np.intp)
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """``np.stack(arrays)``, at a tenth of its cost for one array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _rows(arr: np.ndarray, items: np.ndarray) -> np.ndarray:
     """``arr[items]``; ``arr`` itself where ``items`` is every row, as the items a
     routine runs on are always a sorted subset of its stack's."""

@@ -32,10 +32,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .data import (
     RCOND_GRAM, Failed, GramStack, GramView, IdentificationClass, _rows, _solve, _frozen,
-    _stack, _t, only, passed, rcond_symmetric,
+    _t, only, passed, rcond_symmetric,
 )
 from .exceptions import InfeasibleConstraint, SingularGram
 
@@ -247,12 +248,37 @@ def _min_generalized_eigenvalues(w1: np.ndarray, w: np.ndarray) -> tuple[np.ndar
     return np.linalg.eigvalsh(inner)[:, 0], failed
 
 
+def _raise_lstsq_error(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(b, m, rcond=None)[0]`` of each pair of an ``(R, n, q)`` stack
+    ``basis`` and an ``(R, n, p)`` stack ``rhs``, in one call, with each pair's bits.
+
+    ``np.linalg.lstsq`` takes one matrix, but the LAPACK ``gelsd`` gufunc it wraps,
+    in numpy's private ``_umath_linalg`` module, takes a stack.  It is called here
+    with the wrapper's own arguments: ``rcond = eps max(n, q)``, the ``ddd->ddid``
+    signature, and the error state whose ``invalid`` flag calls a handler that raises
+    the wrapper's :class:`~numpy.linalg.LinAlgError`.  So each item makes the same
+    ``gelsd`` call with the same workspace.  numpy 1.x splits the gufunc by shape into
+    ``lstsq_m`` (``n <= q``) and ``lstsq_n``, and its wrapper passes that error state as
+    ``extobj``, which its ufuncs otherwise read from ``np.errstate``."""
+    n, q = basis.shape[-2:]
+    gelsd = getattr(_umath_linalg, "lstsq", None) or getattr(
+        _umath_linalg, "lstsq_m" if n <= q else "lstsq_n"
+    )
+    with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return gelsd(basis, rhs, np.finfo(np.float64).eps * max(n, q), signature="ddd->ddid")[0]
+
+
 def _liml_blocks(stack: GramStack) -> tuple[np.ndarray, np.ndarray]:
     """Each item's cross-product matrices ``W1`` and ``W`` of the LIML eigenproblem,
     from its rows: ``[y X_*]^T [y X_*]`` less the Gram of its projection on the
-    included exogenous ``A_*`` and on all of ``A``.  The Grams and projections are
-    stacked ``matmul`` calls with each item's bits; each projection's least-squares
-    fit is one ``np.linalg.lstsq`` call per item."""
+    included exogenous ``A_*`` and on all of ``A``.  The Grams, each projection's
+    least-squares fit (:func:`_lstsq`) and the projections are one numpy call each
+    over the stack, with each item's bits."""
     y, x, a = stack.rows
     # [y X_*] column by column: a fancy-indexed n-row temporary here raised the
     # peak RSS of `pulse-iv estimate` on 1e5 rows by 5.6 MB
@@ -265,7 +291,7 @@ def _liml_blocks(stack: GramStack) -> tuple[np.ndarray, np.ndarray]:
     def residual_gram(basis: np.ndarray) -> np.ndarray:
         if basis.shape[-1] == 0:
             return gram0
-        proj = basis @ _stack([np.linalg.lstsq(b, m, rcond=None)[0] for b, m in zip(basis, m0)])
+        proj = basis @ _lstsq(basis, m0)
         return gram0 - _t(proj) @ proj
 
     w = residual_gram(a)
@@ -313,8 +339,8 @@ def liml_kappa(view: GramView) -> float:
     ``[y X_*]^T [y X_*]``.
 
     The one-view case of the stacked pass that :func:`estimate` makes once per
-    :class:`~pulse_iv.data.GramStack`: each step but the per-item ``lstsq``, ``potrf``
-    and ``trtrs`` calls is one numpy call over the stack (:func:`_liml_blocks`,
+    :class:`~pulse_iv.data.GramStack`: each step but the per-item ``potrf`` and
+    ``trtrs`` calls is one numpy call over the stack (:func:`_liml_blocks`,
     :func:`_min_generalized_eigenvalues`), and each item gets the bits of this call.
     It runs on the view's :attr:`~pulse_iv.data.GramView.stack`, once: the value, or
     the error, is stored on that stack, so later calls (LIML, Fuller for every

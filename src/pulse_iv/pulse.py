@@ -23,8 +23,11 @@ penalties per item:
   non-zero ``d`` (:func:`_gap_polynomials`), and its smallest positive real root,
   from the eigenvalues of its companion matrix (:func:`_roots`), is ``lambda*``.
   The items of a stack with one ``m`` take one ``eigvals`` call.
-- *The bracket.*  Each item runs the bisection with every step decided by
-  ``lam >= root`` (:func:`_decided`), which asks no predicate.
+- *The bracket.*  The bisection whose every step is decided by ``lam >= root``
+  ends on a bracket that depends on the root alone, so each item's is taken in
+  closed form, as one numpy pass over the stack's roots (:func:`_brackets`): the
+  root rounded up to the bisection's final grid, and one step or one double below
+  it.  It asks no predicate.
 - *The endpoint check.*  The exact predicate must accept the final bracket's
   accepted end and reject its rejected end (0 is already rejected exactly).
   Every penalty the decided run accepted lies at or above the accepted end, and
@@ -35,8 +38,8 @@ penalties per item:
   every decision of the run, whatever made them, so the run took the exact run's
   steps and ends on its bits; the accepted end's point is reused as the estimate.
 - *The fallback.*  The exact search runs where the check fails or raises, where
-  the polynomial has no positive real root (its bracket overflows), and where
-  ``n l_OLS(0)`` is within four orders of the
+  the polynomial has no positive real root at most 2^512 (above that the bracket
+  overflows), and where ``n l_OLS(0)`` is within four orders of the
   :data:`~pulse_iv.inference.ZERO_RESIDUAL` guard: ``l_OLS`` only grows along the
   path, so above that no step the run skipped could raise.  A root only decides
   steps, so a wrong one costs the exact search, never a bit.  It is seldom exact
@@ -44,10 +47,11 @@ penalties per item:
 
 *The stacked route.*  On a :class:`~pulse_iv.data.GramStack`, :func:`pulse_estimate`
 takes the branch checks (the TSLS statistic of an over-identified stack, the OLS
-solve and its acceptance), the polynomials and their roots, and the endpoint
-checks as numpy passes over the stack.  The items that fall back search exactly in
-lockstep (:func:`_smallest_accepted`): each round asks the exact predicate once,
-for the next penalty of every item still searching.  Each item takes the steps it
+solve and its acceptance), the polynomials, their roots and brackets, and the
+endpoint checks as numpy passes over the stack, with the items as index arrays.
+The items that fall back search exactly in lockstep (:func:`_smallest_accepted`):
+each round asks the exact predicate once, for the next penalty of every item
+still searching.  Each item takes the steps it
 takes alone, so it gets the bits, and the error, of its own one-view call, which
 is the one-item case.
 
@@ -64,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Generator, Iterator
+from typing import Any, Callable, Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -104,6 +108,14 @@ class PulseConfig(TestConfig):
         super().__post_init__()
         if self.precision_n < 1:
             raise ValueError(f"precision_n must be >= 1, got {self.precision_n}")
+        try:
+            width = 1.0 / self.precision_n
+        except OverflowError:  # an int that rounds to a float of 2**1024 or more
+            width = 0.0
+        if not width > 0.0:
+            raise ValueError(
+                "precision_n must be small enough that 1/precision_n is a positive float"
+            )
         if self.fallback.kind not in _FALLBACK_KINDS:
             raise ValueError(
                 f"fallback must be a consistent estimator kind {_FALLBACK_KINDS}, "
@@ -150,7 +162,7 @@ class PulseEstimates(Estimates):
 
 #: A search predicate: whether each penalty ``lams[j]`` is accepted at the stack's item
 #: ``items[j]``, and the error of each item at which it raised.
-Predicate = Callable[[list[float], list[int]], tuple[list[bool], Failed]]
+Predicate = Callable[[np.ndarray, np.ndarray], tuple[Sequence[bool], Failed]]
 
 
 def _bisection(width: float) -> Generator[float, bool, tuple[float, float]]:
@@ -192,14 +204,14 @@ def _smallest_accepted(
     failed: Failed = {}
     while asked:
         live = list(asked)
-        verdicts, raised = accepts(list(asked.values()), live)
+        verdicts, raised = accepts(np.array(list(asked.values())), np.array(live, dtype=np.intp))
         failed.update(raised)
         asked = {}
         for r, yes in zip(live, verdicts):
             if r in raised:
                 continue
             try:
-                asked[r] = searches[r].send(yes)
+                asked[r] = searches[r].send(bool(yes))
             except StopIteration as stop:
                 rejected[r], accepted[r] = stop.value
             except NonMonotoneDetected as exc:
@@ -207,16 +219,26 @@ def _smallest_accepted(
     return rejected, accepted, failed
 
 
-def _decided(root: float, width: float) -> tuple[float, float]:
-    """The final bracket of the :func:`_bisection` whose every step is decided by
-    ``lam >= root``."""
-    search = _bisection(width)
-    lam = next(search)
-    try:
-        while True:
-            lam = search.send(lam >= root)
-    except StopIteration as stop:
-        return stop.value
+#: The largest root whose bracket the bisection reaches: its accepted end squares up
+#: to 2^512, and the next square overflows.
+_ROOT_MAX = 2.0**512
+
+
+def _brackets(roots: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The final bracket ``(rejected, accepted)`` of each root's :func:`_bisection`
+    whose every step is decided by ``lam >= root``, for roots in ``(0, 2^512]``.
+
+    The accepted end starts at a power of two and each step halves the bracket, so
+    both ends stay on the grid of step ``h = 2^floor(log2 width)`` until the step
+    reaches ``h``, or the ends adjacent doubles.  The accepted end is thus the root
+    rounded up to that grid, which is the root itself where ``h`` is below its ulp
+    (and ``root / h`` may overflow), and the rejected end ``h`` or one double below
+    it, whichever is lower (0 where the accepted end is ``h``)."""
+    step = math.ldexp(1.0, math.frexp(width)[1] - 1)
+    accepted = roots.copy()
+    coarse = np.spacing(roots) <= step
+    accepted[coarse] = np.ceil(roots[coarse] / step) * step
+    return np.minimum(accepted - step, np.nextafter(accepted, 0.0)), accepted
 
 
 def _gap_polynomials(
@@ -287,65 +309,62 @@ def _search(
     """The exact search's penalty and path point of each item, given that 0 is
     rejected, by the root, bracket, endpoint check and fallback of the module
     docstring; the exact predicate is ``test.accepts(path.alpha(lam))``, run over
-    the stack's endpoints, and per round of the fallback's lockstep search."""
+    the stack's endpoints, and per round of the fallback's lockstep search.  The
+    items are kept as index arrays of positions in ``items``: ``on``, those still on
+    their root's bracket, and ``retry``, those to search exactly."""
     paths, singular = test.stack.paths
     failed: Failed = {r: singular[r] for r in items[~passed(items, singular)].tolist()}
-    retry: set[int] = set()
+    lam, point = np.zeros(len(items)), np.zeros((len(items), test.stack.k))
+    retry: list[np.ndarray] = []
 
-    def exact(lams: list[float], asked: list[int]) -> tuple[list[bool], Failed]:
-        at = np.array(asked, dtype=np.intp)
-        alpha, raised = paths.alpha(np.array(lams), at)
+    def exact(lams: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, Failed]:
+        """The exact predicate's verdict at each item's penalty, the path point it
+        asks there, and the errors."""
+        alpha, raised = paths.alpha(lams, at)
         if not raised:
             verdicts, raised = test.accepts(at, alpha)
-            return verdicts.tolist(), raised
+            return verdicts, alpha, raised
         ok = passed(at, raised)
         verdicts = np.zeros(len(at), dtype=bool)
         verdicts[ok], rejected = test.accepts(at[ok], alpha[ok])
-        return verdicts.tolist(), {**rejected, **raised}
+        return verdicts, alpha, {**rejected, **raised}
 
-    def settle(raised: Failed) -> None:
-        """Add the final errors of ``raised`` to ``failed``, and the items whose
-        endpoint check failed to ``retry``, to be searched again exactly."""
-        for r, exc in raised.items():
-            if isinstance(exc, _RETRIED):
-                retry.add(r)
-            else:
-                failed[r] = exc
+    def accepts(lams: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, Failed]:
+        verdicts, _, raised = exact(lams, at)
+        return verdicts, raised
 
-    searched = items[passed(items, failed)]
-    rejected, accepted = {}, {}
-    for r, root in zip(searched.tolist(), _roots(test, searched).tolist()):
-        try:  # an infinite root rejects every step, so its bracket overflows
-            rejected[r], accepted[r] = _decided(root, width)
-        except NonMonotoneDetected:
-            retry.add(r)
-    ends = np.array(list(accepted), dtype=np.intp)
-    alpha, raised = paths.alpha(np.array(list(accepted.values())), ends)
-    failed.update(raised)
-    ends, alpha = ends[passed(ends, raised)], alpha[passed(ends, raised)]
-    verdicts, raised = test.accepts(ends, alpha)
-    settle(raised)
-    checked = {r for r, yes in zip(ends.tolist(), verdicts.tolist()) if yes and r not in raised}
-    below = [r for r in ends.tolist() if r in checked and rejected[r] != 0.0]
-    verdicts, raised = exact([rejected[r] for r in below], below)
-    settle(raised)
-    late = {r for r, yes in zip(below, verdicts) if yes} | set(raised)
-    found = {r: (accepted[r], point) for r, point in zip(ends.tolist(), alpha)
-             if r in checked and r not in late}
-    retry.update(r for r in ends.tolist() if r not in found and r not in failed)
-    if retry:
-        again = sorted(retry)
-        _, accepted, raised = _smallest_accepted(exact, width, again)
+    def checked(on: np.ndarray, good: np.ndarray, raised: Failed) -> np.ndarray:
+        """The positions ``on`` whose endpoint passed its check (``good``, and not
+        ``raised``); of the others, those not failed with a final error retry."""
+        good &= passed(items[on], raised)
+        failed.update((r, exc) for r, exc in raised.items() if not isinstance(exc, _RETRIED))
+        out = on[~good]
+        retry.append(out[passed(items[out], failed)])
+        return good
+
+    on = np.flatnonzero(passed(items, failed))
+    roots = _roots(test, items[on])
+    bounded = roots <= _ROOT_MAX  # else the bracket overflows, as an infinite root's does
+    retry.append(on[~bounded])
+    on = on[bounded]
+    rejected, accepted = _brackets(roots[bounded], width)
+    verdicts, alpha, raised = exact(accepted, items[on])
+    keep = checked(on, verdicts, raised)
+    on, rejected, accepted, alpha = on[keep], rejected[keep], accepted[keep], alpha[keep]
+    below = np.flatnonzero(rejected != 0.0)  # 0 is rejected exactly
+    verdicts, _, raised = exact(rejected[below], items[on[below]])
+    keep = np.ones(len(on), dtype=bool)
+    keep[below] = checked(on[below], ~verdicts, raised)
+    on = on[keep]
+    lam[on], point[on] = accepted[keep], alpha[keep]
+    again = np.sort(np.concatenate(retry))
+    if again.size:
+        _, found, raised = _smallest_accepted(accepts, width, items[again].tolist())
         failed.update(raised)
-        ends = np.array([r for r in again if r not in raised], dtype=np.intp)
-        alpha, raised = paths.alpha(np.array([accepted[r] for r in ends.tolist()]), ends)
+        again = again[passed(items[again], raised)]
+        lam[again] = [found[r] for r in items[again].tolist()]
+        point[again], raised = paths.alpha(lam[again], items[again])
         failed.update(raised)
-        found.update((r, (accepted[r], point)) for r, point in zip(ends.tolist(), alpha)
-                     if r not in raised)
-    lam, point = np.zeros(len(items)), np.zeros((len(items), test.stack.k))
-    for j, r in enumerate(items.tolist()):
-        if r in found:
-            lam[j], point[j] = found[r]
     return lam, point, failed
 
 
@@ -453,11 +472,10 @@ def primal_solve(view: GramView, t: float) -> np.ndarray:
     if singular:
         raise singular[0]
 
-    def within(lams: list[float], asked: list[int]) -> tuple[list[bool], Failed]:
-        at = np.array(asked, dtype=np.intp)
-        alpha, raised = paths.alpha(np.array(lams), at)
+    def within(lams: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, Failed]:
+        alpha, raised = paths.alpha(lams, at)
         iv, singular_iv = stack.iv_loss(at, alpha)
-        return (iv <= t).tolist(), {**singular_iv, **raised}
+        return iv <= t, {**singular_iv, **raised}
 
     _, accepted, failed = _smallest_accepted(within, 0.0, [0])
     if failed:

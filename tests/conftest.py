@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from pulse_iv.data import Dataset, DesignView, IdentificationClass, ModelPartition
 from pulse_iv.estimators import EstimatorSpec, estimate
-from pulse_iv.pulse import PulseConfig, primal_solve
+from pulse_iv.pulse import PulseConfig, _bisection, primal_solve
 from pulse_iv.sem import SemModel, population_moments
 
 #: CI runs the tier-1 tests with ``--hypothesis-profile=ci``: properties that do
@@ -142,6 +142,21 @@ def oracle_lambda_bisection(view: DesignView, test_cfg, precision: float) -> flo
         else:
             hi = mid
     return hi
+
+
+def decided_bracket(root: float, width: float) -> tuple[float, float]:
+    """The final bracket ``(rejected, accepted)`` of the
+    :func:`~pulse_iv.pulse._bisection` whose every step is decided by ``lam >= root``,
+    run step by step: the oracle of the closed form :func:`~pulse_iv.pulse._brackets`.
+    Raises :class:`~pulse_iv.exceptions.NonMonotoneDetected` where the bracket
+    overflows, as it does for a root above 2^512."""
+    search = _bisection(width)
+    lam = next(search)
+    try:
+        while True:
+            lam = search.send(lam >= root)
+    except StopIteration as stop:
+        return stop.value
 
 
 def t_star(view: DesignView, cfg: PulseConfig | None = None) -> float:

@@ -287,7 +287,12 @@ class TestEstimate:
     @pytest.mark.parametrize("estimator", ["ols", "pulse", "tsls,liml"])
     @pytest.mark.parametrize(
         "flags, error",
-        [(["--precision", "0"], "precision_n"), (["--fallback", "ols"], "fallback"), (["--pmin", "2"], "p_min")],
+        [
+            (["--precision", "0"], "precision_n"),
+            (["--precision", str(2**1024)], "precision_n"),
+            (["--fallback", "ols"], "fallback"),
+            (["--pmin", "2"], "p_min"),
+        ],
     )
     def test_pulse_flags_are_checked_whichever_estimators_run(
         self, e1_config, tmp_path, capsys, estimator, flags, error

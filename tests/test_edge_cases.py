@@ -137,6 +137,12 @@ class TestPulseConfigEdges:
         with pytest.raises(ValueError, match="precision_n"):
             PulseConfig(precision_n=0)
 
+    def test_precision_whose_reciprocal_is_no_positive_float_is_refused(self):
+        # 1/2**1024 overflows the int-to-float conversion the search width makes
+        with pytest.raises(ValueError, match="precision_n"):
+            PulseConfig(precision_n=2**1024)
+        assert 0.0 < 1.0 / PulseConfig(precision_n=2**1023).precision_n
+
     def test_p_min_must_be_interior(self):
         with pytest.raises(ValueError, match="p_min"):
             PulseConfig(p_min=1.0)

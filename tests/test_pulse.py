@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pulse_iv import inference, pulse
 from pulse_iv.data import KAPPA_FORM_MAX, Dataset, DesignView, PathStack
 from pulse_iv.estimators import EstimatorSpec, estimate
-from pulse_iv.exceptions import OutOfDomain
+from pulse_iv.exceptions import NonMonotoneDetected, OutOfDomain
 from pulse_iv.experiments import UNIVARIATE_DECLARED
 from pulse_iv.inference import PLAIN, StackTest, chi2_quantile
 from pulse_iv.pulse import (
@@ -27,6 +27,7 @@ from pulse_iv.pulse import (
 from pulse_iv.sem import e3_model, mv_fixed_model, sem_sample, univariate_model
 
 from conftest import (
+    decided_bracket,
     invalid_instrument_view,
     make_instance,
     oracle_lambda_bisection,
@@ -258,6 +259,31 @@ SEARCH_VIEWS = dict(
 )
 
 
+@st.composite
+def roots_and_widths(draw) -> tuple[float, float]:
+    """A search width, the grid's ones and the subnormal ones of ``precision_n`` near
+    2^1023 included, and a positive root at or next to a point where the bisection's
+    bracket changes shape: a tiny or subnormal root, a power of two, a growth point
+    ``2^(2^j)`` of the accepted end (2^512 and above take the exact search), or a
+    point of the width's grid."""
+    width = draw(st.one_of(
+        st.sampled_from((2.0**-20, 1e-3, 0.3, 1.0)),
+        st.integers(1, 2**1023).map(lambda n: 1.0 / n),
+        st.integers(2**1000, 2**1023).map(lambda n: 1.0 / n),
+    ))
+    step = 2.0 ** (math.frexp(width)[1] - 1)
+    root = draw(st.one_of(
+        st.floats(5e-324, 1e-300),
+        st.floats(1e-300, 2.0**512),
+        st.integers(-1074, 513).map(lambda e: math.ldexp(1.0, e)),
+        st.integers(0, 9).map(lambda j: 2.0 ** 2**j),
+        st.floats(2.0**512, math.inf),
+        st.integers(1, 2**60).map(lambda i: min(i * step, 2.0**512)),
+    ))
+    root = math.nextafter(root, draw(st.sampled_from((0.0, root, math.inf))))
+    return max(root, 5e-324), width
+
+
 class TestRootSearch:
     """The search decides its steps by the root of the gap polynomial and checks its
     bracket with the reported predicate; it must give the exact search's bits."""
@@ -290,6 +316,18 @@ class TestRootSearch:
         verdicts, failed = exact_predicate(view, cfg)([lam, below], [0, 0])
         assert not failed
         assert verdicts == [True, False]
+
+    @settings(deadline=None)
+    @given(roots_and_widths())
+    def test_closed_form_bracket_is_the_decided_bisections(self, case):
+        root, width = case
+        if not root <= 2.0**512:  # the bracket overflows: the exact search runs
+            with pytest.raises(NonMonotoneDetected):
+                decided_bracket(root, width)
+            return
+        rejected, accepted = pulse._brackets(np.array([root]), width)
+        want = decided_bracket(root, width)
+        assert (rejected[0].hex(), accepted[0].hex()) == (want[0].hex(), want[1].hex())
 
     @pytest.mark.parametrize(
         "seed, wrong",

@@ -563,7 +563,7 @@ class TestStackedEstimators:
 
 class TestStackedLiml:
     """LIML's ``kappa`` runs once per stack built from rows, one numpy call per step
-    but the per-item ``lstsq`` and ``trtrs``, with each item's bits and error."""
+    but the per-item ``potrf`` and ``trtrs``, with each item's bits and error."""
 
     @pytest.mark.parametrize("case", sorted(STACKS))
     def test_kappa_matches_the_per_view_formula(self, case):
@@ -624,6 +624,50 @@ class TestStackedLiml:
         assert str(failed[2]) == str(want.value)
         for r in (0, 1, 3):
             assert bits(values[r]) == bits(estimators.min_generalized_eigenvalue(w1[r], w[r]))
+
+
+class TestStackedLstsq:
+    """LIML's projections are one stacked ``gelsd`` call (``estimators._lstsq``) with
+    each item's ``np.linalg.lstsq(b, m, rcond=None)`` bits and error."""
+
+    @staticmethod
+    def assert_per_item_bits(basis: np.ndarray, rhs: np.ndarray) -> None:
+        got = estimators._lstsq(basis, rhs)
+        assert got.shape == (len(basis), basis.shape[-1], rhs.shape[-1])
+        for r, (b, m) in enumerate(zip(basis, rhs)):
+            assert bits(got[r]) == bits(np.linalg.lstsq(b, m, rcond=None)[0]), r
+
+    @pytest.mark.parametrize("case", sorted(STACKS))
+    def test_each_projection_keeps_every_items_bits(self, case):
+        # the included exogenous case projects on one column and on A's three
+        stack, _ = built(case)
+        y, x, a = stack.rows
+        part = stack.partition
+        m0 = np.concatenate([y[..., None], x[..., list(part.included_endogenous)]], axis=-1)
+        for basis in (a, a[..., list(part.included_exogenous)]):
+            if basis.shape[-1]:
+                self.assert_per_item_bits(basis, m0)
+
+    @pytest.mark.parametrize("tilt", [1e-9, 1e-15, 0.0])
+    def test_a_near_collinear_item_among_regular_neighbours(self, tilt):
+        y, x, a = sample_stack(univariate_model(3, 0.9, 0.1), 60, [1, 2, 3, 4, 5])
+        a[2, :, 2] = a[2, :, 0] + tilt * a[2, :, 2]
+        assert np.linalg.matrix_rank(a[2]) == (3 if tilt > 1e-12 else 2)
+        self.assert_per_item_bits(a, np.concatenate([y[..., None], x], axis=-1))
+
+    def test_more_columns_than_rows(self):
+        rng = np.random.default_rng(4)
+        self.assert_per_item_bits(rng.normal(size=(4, 3, 5)), rng.normal(size=(4, 3, 2)))
+
+    def test_an_items_gelsd_failure_raises_lstsqs_error(self):
+        rng = np.random.default_rng(3)
+        basis, rhs = rng.normal(size=(3, 20, 2)), rng.normal(size=(3, 20, 2))
+        basis[1, 0, 0] = math.nan  # gelsd's SVD does not converge
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.lstsq(basis[1], rhs[1], rcond=None)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            estimators._lstsq(basis, rhs)
+        assert str(got.value) == str(want.value)
 
 
 class TestJoinAndTake:
