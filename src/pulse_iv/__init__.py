@@ -1,6 +1,14 @@
 """K-class and PULSE instrumental-variable estimators with a linear-SEM lab."""
 
+import logging
+
 __version__ = "0.1.0"
+
+# The package's logger prints nothing unless the application configures logging;
+# a re-import finds its handler and adds no second one.
+_LOGGER = logging.getLogger("pulse_iv")
+if not any(isinstance(handler, logging.NullHandler) for handler in _LOGGER.handlers):
+    _LOGGER.addHandler(logging.NullHandler())
 
 from .data import (
     CsvSchema,

@@ -12,14 +12,14 @@ from __future__ import annotations
 import atexit
 import csv
 import io
-import itertools
 import json
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,23 +112,23 @@ def mse_partial_order(mse_a: np.ndarray, mse_b: np.ndarray) -> MseOrder:
     b = np.atleast_2d(np.asarray(mse_b, dtype=float))
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"MSE matrices must be square and same shape; got {a.shape}, {b.shape}")
-    return _mse_orders(a, b[None])[0]
+    return _mse_orders(a[None], b[None])[0]
 
 
-def _mse_orders(mse_a: np.ndarray, mse_bs: np.ndarray) -> list[MseOrder]:
-    """:func:`mse_partial_order` of the ``(k, k)`` matrix ``mse_a`` against each
-    matrix of the ``(C, k, k)`` stack ``mse_bs``, in one numpy pass: stacked
-    ``eigvalsh`` and ``trace`` give each pair the bits of its own call."""
-    for name, mats in (("mse_a", mse_a[None]), ("mse_b", mse_bs)):
+def _mse_orders(mse_as: np.ndarray, mse_bs: np.ndarray) -> list[MseOrder]:
+    """:func:`mse_partial_order` of each pair of matrices of the ``(P, k, k)`` stacks
+    ``mse_as`` and ``mse_bs``, in one numpy pass: stacked ``eigvalsh`` and ``trace``
+    give each pair its own noise floor and the bits of its own call."""
+    for name, mats in (("mse_a", mse_as), ("mse_b", mse_bs)):
         flipped = mats.transpose(0, 2, 1)
         atol = 1e-10 * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))[:, None, None]
         with np.errstate(invalid="ignore"):  # np.allclose's test, with each matrix's own atol
             close = (np.abs(mats - flipped) <= atol + 1e-5 * np.abs(flipped)) & np.isfinite(flipped)
         if not (close | (mats == flipped)).all():
             raise ValueError(f"{name} must be symmetric")
-    traces = np.trace(mse_bs, axis1=1, axis2=2)
-    tol = 1e-9 * np.maximum(np.maximum(np.trace(mse_a), traces), 1e-300)
-    diff = mse_bs - mse_a
+    traces = [np.trace(mats, axis1=1, axis2=2) for mats in (mse_as, mse_bs)]
+    tol = 1e-9 * np.maximum(np.maximum(*traces), 1e-300)
+    diff = mse_bs - mse_as
     flipped = diff.transpose(0, 2, 1)
     sym = np.concatenate([0.5 * (diff + flipped), 0.5 * (-diff - flipped)])
     psd = np.linalg.eigvalsh(sym)[:, 0] >= -np.concatenate([tol, tol])  # b - a, then a - b
@@ -180,7 +180,9 @@ def summarize_estimates(estimates: np.ndarray, target: np.ndarray) -> EstimatorM
 
 def summarize_stacks(stacks: np.ndarray, target: np.ndarray) -> list[EstimatorMetrics]:
     """:func:`summarize_estimates` of each estimator of an ``(E, R, k)`` stack of
-    per-repetition estimates, in one numpy pass over the stack.
+    per-repetition estimates, in one numpy pass over the stack.  ``target`` is the
+    estimand of all of them, or an ``(E, k)`` stack of one per estimator, so that
+    one pass summarizes the estimators of many cells.
 
     Each estimator's summary has the bits of its own call: repetition order
     fixes the bits of every sum.  A bias sums each coordinate's errors row
@@ -188,9 +190,8 @@ def summarize_stacks(stacks: np.ndarray, target: np.ndarray) -> list[EstimatorMe
     one contiguous product vector, pairwise.
     """
     stacks = np.asarray(stacks, dtype=float)
-    target = np.asarray(target, dtype=float).reshape(-1)
     n_used, k = stacks.shape[1:]
-    err = stacks - target
+    err = stacks - np.asarray(target, dtype=float).reshape(-1, 1, k)
     mean_err = np.sum(err, axis=1) / n_used
     rows, cols = np.triu_indices(k)
     by_coord = np.ascontiguousarray(err.transpose(0, 2, 1))  # (E, k, R)
@@ -408,19 +409,15 @@ class ExperimentResult:
 @dataclass(frozen=True, eq=False)
 class _Cell:
     """One grid cell: its CSV parameters, the constructor of its model with the
-    model's draws bound, the sample size and the estimand.  The model is built on
-    first read, when the cell's first chunk is made, so a pooled study sends its
-    first chunk before the later cells' models exist; the reduction reads only
-    ``params`` and ``target``."""
+    model's draws bound, its ``shape`` (sample size ``n``, anchor count ``q`` and
+    regressor count ``d``) and the estimand.  The step builds the model, in the
+    process that samples the cell; the reduction reads only ``params`` and
+    ``target``, and the chunking only ``shape``."""
 
     params: dict[str, Any]
     build: Callable[[], SemModel]
-    n: int
+    shape: tuple[int, int, int]
     target: np.ndarray
-
-    @cached_property
-    def model(self) -> SemModel:
-        return self.build()
 
 
 class _Design(NamedTuple):
@@ -466,140 +463,200 @@ DESIGNS = tuple(_GRID_DESIGNS)
 
 
 class _Chunk(NamedTuple):
-    """Repetitions ``reps`` of the cell at ``index``: all the step needs, as data."""
+    """Repetitions of consecutive cells of one shape, all the step needs, as data:
+    ``parts`` holds, in cell order, each cell's index, the constructor of its model
+    and the repetitions ``reps`` of it in the chunk."""
 
-    model: SemModel
+    parts: tuple[tuple[int, Callable[[], SemModel], range], ...]
     n: int
-    index: int
-    reps: range
     specs: tuple[EstimatorSpec, ...]
     master_seed: int
     p_min: float
 
 
-#: One repetition's outputs: per estimator its ``alpha``, or the class name of the
-#: error it raised; then ``(min_eigenvalue, g_matrix)`` of ``weak_instrument_stat``,
-#: or ``None`` where it raised.
-_RepOutput = tuple[tuple[Any, ...], tuple[float, np.ndarray] | None]
+class _Outputs(NamedTuple):
+    """The step's outputs for ``R`` consecutive repetitions of one cell, as arrays with
+    a row per repetition: each estimator's ``alpha`` (``(R, E, k)``, NaN where it
+    raised) and the class name of the error it raised (``(R, E)``, ``""`` where it did
+    not); then ``weak_instrument_stat``'s smallest eigenvalue (``(R,)``) and ``G_n``
+    (``(R, d1, d1)``), NaN where it raised."""
+
+    alpha: np.ndarray
+    errors: np.ndarray
+    min_eig: np.ndarray
+    g: np.ndarray
+
+
+def _joined(outputs: list[_Outputs]) -> _Outputs:
+    """The outputs of consecutive runs of repetitions, as one."""
+    if len(outputs) == 1:
+        return outputs[0]
+    return _Outputs(*(np.concatenate(arrays) for arrays in zip(*outputs)))
 
 
 #: Sampled values (``n`` rows of ``q`` anchors and ``k`` SEM coordinates) per stack of
 #: repetitions that :func:`_stacks` samples and builds in one numpy pass per step.  A
 #: repetition with more is a stack of its own: at ``n = 1e4`` (``underid-e3``) a whole
 #: chunk ran at 4.8 ms per repetition in stacks of 40 against 4.5 ms one at a time
-#: (median of 5 runs of 40 repetitions, 2-core Xeon, numpy 2.4.6).
+#: (median of 5 runs of 40 repetitions, 2-core Xeon, numpy 2.4.6).  A stack runs on
+#: from one cell of a chunk to the next; only this budget and a chunk's end cut it.
 STACK_ELEMENTS = 2**16
 
 
-def _stacks(model: SemModel, n: int, seeds: list[int]) -> Iterator[GramStack]:
-    """The seeds' samples, in seed order, sampled and built into stacks of up to
-    :data:`STACK_ELEMENTS` values; item ``r`` of each has the bits of
-    ``DesignView(sem_sample(model, n, seed))``."""
-    per_stack = max(1, STACK_ELEMENTS // (n * (model.q + model.k)))
-    for start in range(0, len(seeds), per_stack):
-        yield GramStack.from_rows(*sample_stack(model, n, seeds[start : start + per_stack]))
+def _stacks(
+    models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]]
+) -> Iterator[GramStack]:
+    """The samples of each model at its seeds, in order, built into stacks of up to
+    :data:`STACK_ELEMENTS` values that run on from one model's samples to the
+    next's; item ``r`` of each has the bits of ``DesignView(sem_sample(model, n,
+    seed))``.  A model's seeds in one stack are sampled in one pass."""
+    per_stack = max(1, STACK_ELEMENTS // (n * (models[0].q + models[0].k)))
+    samples: list[tuple[np.ndarray, ...]] = []
+    room = per_stack
+    for model, own in zip(models, seeds):
+        start = 0
+        while start < len(own):
+            taken = own[start : start + room]
+            samples.append(sample_stack(model, n, taken))
+            start, room = start + len(taken), room - len(taken)
+            if not room:
+                yield _from_samples(samples)
+                samples, room = [], per_stack
+    if samples:
+        yield _from_samples(samples)
 
 
-def _reads_rows(chunk: _Chunk, pulse_cfg: PulseConfig) -> bool:
-    """Whether an estimator of ``chunk`` reads a view's rows, as LIML's ``kappa`` does
-    for ``liml``, ``fuller`` and the fallback of an over-identified PULSE."""
-    kinds = {spec.kind for spec in chunk.specs}
-    model = chunk.model
+def _from_samples(samples: list[tuple[np.ndarray, ...]]) -> GramStack:
+    """The stack of the samples of :func:`~pulse_iv.sem.sample_stack` calls, joined
+    in order."""
+    rows = samples[0] if len(samples) == 1 else (np.concatenate(arrays) for arrays in zip(*samples))
+    return GramStack.from_rows(*rows)
+
+
+def _reads_rows(model: SemModel, specs: tuple[EstimatorSpec, ...], pulse_cfg: PulseConfig) -> bool:
+    """Whether an estimator of ``specs`` reads a view's rows on ``model``'s samples, as
+    LIML's ``kappa`` does for ``liml``, ``fuller`` and the fallback of an
+    over-identified PULSE."""
+    kinds = {spec.kind for spec in specs}
     over = model.observed_partition().identification_class(model.q) is IdentificationClass.OVER
     if "pulse" in kinds and over:
         kinds.add(pulse_cfg.fallback.kind)
     return not kinds.isdisjoint(("liml", "fuller"))
 
 
-def _run_chunk(chunk: _Chunk) -> Iterator[_RepOutput]:
-    """The step: sample each repetition of ``chunk``, fit every estimator on it and
-    yield its outputs.  Each stack of samples is one :class:`GramStack`, which
-    ``weak_instrument_stat`` and each estimator run over at once, with each
-    repetition's bits and errors.  Where it runs does not matter: each repetition
-    draws from its own stream."""
+def _run_chunk(chunk: _Chunk) -> list[_Outputs]:
+    """The step: build each part's model, sample each repetition of ``chunk`` with
+    its cell's model, fit every estimator on it and return each part's outputs.
+    The samples are built into stacks that run across parts, each one
+    :class:`GramStack` that ``weak_instrument_stat`` and each estimator run over at
+    once, with each repetition's bits and errors.  Where it runs does not matter:
+    each repetition draws from its own stream."""
     pulse_cfg = PulseConfig(p_min=chunk.p_min)
-    seeds = [cell_seed(chunk.master_seed, chunk.index, rep) for rep in chunk.reps]
-    stacks: Iterable[GramStack] = _stacks(chunk.model, chunk.n, seeds)
-    if not _reads_rows(chunk, pulse_cfg):
+    models = [build() for _, build, _ in chunk.parts]
+    seeds = [
+        [cell_seed(chunk.master_seed, index, rep) for rep in reps] for index, _, reps in chunk.parts
+    ]
+    stacks: Iterable[GramStack] = _stacks(models, chunk.n, seeds)
+    if not _reads_rows(models[0], chunk.specs, pulse_cfg):
         # one row-free stack for the chunk: a large n, sampled one repetition at a
         # time, is still estimated in one stack, while at most two stacks' rows live
         stacks = [GramStack.concat(stacks)]
+    outputs = []
     for stack in stacks:
         reports = weak_instrument_stat(stack)
         fits = [estimate(stack, spec, pulse_cfg) for spec in chunk.specs]
-        for r, report in enumerate(reports):
-            failed = isinstance(report, PulseIVError)
-            weak = None if failed else (report.min_eigenvalue, report.g_matrix)
-            alphas = tuple(
-                type(fit.failed[r]).__name__ if r in fit.failed else fit.alpha[r] for fit in fits
-            )
-            yield alphas, weak
+        alpha = np.stack([fit.alpha for fit in fits], axis=1)
+        errors = np.full(alpha.shape[:2], "", dtype=object)
+        for e, fit in enumerate(fits):
+            alpha[list(fit.failed), e] = np.nan
+            errors[list(fit.failed), e] = [type(exc).__name__ for exc in fit.failed.values()]
+        weak = [not isinstance(report, PulseIVError) for report in reports]
+        min_eig = np.full(len(stack), np.nan)
+        g = np.full((len(stack), stack.d1, stack.d1), np.nan)
+        if any(weak):
+            min_eig[weak] = [report.min_eigenvalue for report, ok in zip(reports, weak) if ok]
+            g[weak] = [report.g_matrix for report, ok in zip(reports, weak) if ok]
+        outputs.append(_Outputs(alpha, errors, min_eig, g))
+    joined = _joined(outputs)
+    stops = np.cumsum([len(reps) for _, _, reps in chunk.parts]).tolist()
+    return [
+        _Outputs(*(arr[start:stop] for arr in joined)) for start, stop in zip([0, *stops], stops)
+    ]
 
 
-def _reduce_cell(
-    cell: _Cell, estimators: tuple[tuple[str, EstimatorSpec], ...], outputs: Iterable[_RepOutput]
-) -> CellResult:
-    """The reduction: a cell's metrics from its repetitions' outputs, consumed in
-    repetition order, so the sums and their bits do not depend on where the
-    repetitions ran."""
-    collected: dict[str, list[np.ndarray]] = {label: [] for label, _ in estimators}
-    failures: dict[str, dict[str, int]] = {label: {} for label, _ in estimators}
-    min_eigs: list[float] = []
-    g_sum: np.ndarray | None = None
-    g_count = 0
+def _reduce_cells(
+    batch: list[tuple[_Cell, list[_Outputs]]], estimators: tuple[tuple[str, EstimatorSpec], ...]
+) -> list[CellResult]:
+    """The reduction: the metrics of each cell of ``batch`` from its outputs, joined
+    in repetition order, so the sums and their bits do not depend on where the
+    repetitions ran.  All of the batch's cells share one numpy pass per step: one
+    :func:`summarize_stacks` call per count of repetitions used, one
+    :func:`_mse_orders` call and one ``eigvalsh`` of the mean ``G_n``."""
+    labels = [label for label, _ in estimators]
+    kept: list[list[np.ndarray]] = []  # per cell, per estimator: the estimates it made
+    failures: list[dict[str, dict[str, int]]] = []
+    min_eigs: list[np.ndarray] = []
+    g_means: list[np.ndarray] = []
+    for _, parts in batch:
+        out = _joined(parts)
+        made = ~np.isnan(out.alpha[..., 0])
+        kept.append([out.alpha[made[:, e], e] for e in range(len(labels))])
+        failures.append({
+            label: dict(Counter(out.errors[~made[:, e], e].tolist()))
+            for e, label in enumerate(labels) if not made[:, e].all()
+        })
+        weak = ~np.isnan(out.min_eig)
+        min_eigs.append(out.min_eig[weak])
+        if weak.any():
+            # cumsum adds the G_n matrices one after another, in repetition order
+            g_means.append(np.cumsum(out.g[weak], axis=0)[-1] / np.count_nonzero(weak))
 
-    for alphas, weak in outputs:
-        if weak is not None:
-            min_eig, g_matrix = weak
-            min_eigs.append(min_eig)
-            g_sum = g_matrix if g_sum is None else g_sum + g_matrix
-            g_count += 1
-        for (label, _), alpha in zip(estimators, alphas):
-            if isinstance(alpha, str):
-                failures[label][alpha] = failures[label].get(alpha, 0) + 1
-            else:
-                collected[label].append(alpha)
+    by_length: dict[int, list[tuple[int, int]]] = {}
+    for c, cell_kept in enumerate(kept):
+        for e, est in enumerate(cell_kept):
+            if len(est):
+                by_length.setdefault(len(est), []).append((c, e))
+    summaries: list[dict[str, EstimatorMetrics]] = [{} for _ in batch]
+    for members in by_length.values():  # one numpy pass per group of equal-length stacks
+        stacks = np.array([kept[c][e] for c, e in members])
+        targets = np.array([batch[c][0].target for c, _ in members])
+        for (c, e), met in zip(members, summarize_stacks(stacks, targets)):
+            summaries[c][labels[e]] = met
+    metrics = [{label: cell[label] for label in labels if label in cell} for cell in summaries]
 
-    by_length: dict[int, list[str]] = {}
-    for label, stack in collected.items():
-        if stack:
-            by_length.setdefault(len(stack), []).append(label)
-    summaries: dict[str, EstimatorMetrics] = {}
-    for labels in by_length.values():  # one numpy pass per group of equal-length stacks
-        stacks = np.array([collected[label] for label in labels], dtype=float)
-        summaries.update(zip(labels, summarize_stacks(stacks, cell.target)))
-    metrics = {label: summaries[label] for label in collected if label in summaries}
-
-    weak: dict[str, float] = {}
-    if min_eigs:
-        weak["mean_min_eig_gn"] = float(np.mean(min_eigs))
-        weak["min_eig_mean_gn"] = float(np.linalg.eigvalsh(g_sum / g_count)[0])
-        weak["gn_repetitions"] = float(g_count)
-
-    pairwise: dict[str, dict[str, Any]] = {}
     pulse_label = next((label for label, spec in estimators if spec.kind == "pulse"), None)
-    others = [label for label in metrics if label != pulse_label]
-    if pulse_label in metrics and others:
-        ref = metrics[pulse_label]
-        orders = _mse_orders(ref.mse, np.array([metrics[label].mse for label in others]))
-        for label, order in zip(others, orders):
-            met = metrics[label]
-            entry: dict[str, Any] = {"mse_order_vs_pulse": order.value}
-            for scalar in ("rmse", "trace_mse", "det_mse"):
-                ref_val = getattr(ref, scalar)
-                if ref_val > 0:
-                    entry[f"rel_change_{scalar}_vs_pulse"] = relative_change(
-                        getattr(met, scalar), ref_val
-                    )
-            pairwise[label] = entry
+    pairs = [
+        (c, label) for c, cell in enumerate(metrics) if pulse_label in cell
+        for label in cell if label != pulse_label
+    ]
+    orders = _mse_orders(
+        np.array([metrics[c][pulse_label].mse for c, _ in pairs]),
+        np.array([metrics[c][label].mse for c, label in pairs]),
+    ) if pairs else []
+    pairwise: list[dict[str, dict[str, Any]]] = [{} for _ in batch]
+    for (c, label), order in zip(pairs, orders):
+        ref, met = metrics[c][pulse_label], metrics[c][label]
+        entry: dict[str, Any] = {"mse_order_vs_pulse": order.value}
+        for scalar in ("rmse", "trace_mse", "det_mse"):
+            ref_val = getattr(ref, scalar)
+            if ref_val > 0:
+                entry[f"rel_change_{scalar}_vs_pulse"] = relative_change(
+                    getattr(met, scalar), ref_val
+                )
+        pairwise[c][label] = entry
 
-    return CellResult(
-        params=cell.params,
-        metrics=metrics,
-        failures={k: v for k, v in failures.items() if v},
-        weak=weak,
-        pairwise=pairwise,
-    )
+    low = iter(np.linalg.eigvalsh(np.array(g_means))[:, 0].tolist() if g_means else [])
+    results = []
+    for (cell, _), cell_metrics, cell_failures, eigs, cell_pairwise in zip(
+        batch, metrics, failures, min_eigs, pairwise
+    ):
+        weak: dict[str, float] = {}
+        if len(eigs):
+            weak["mean_min_eig_gn"] = float(np.mean(eigs))
+            weak["min_eig_mean_gn"] = next(low)
+            weak["gn_repetitions"] = float(len(eigs))
+        results.append(CellResult(cell.params, cell_metrics, cell_failures, weak, cell_pairwise))
+    return results
 
 
 def _cell_lines(cell: CellResult) -> list[tuple[str, str, Any, int]]:
@@ -652,8 +709,8 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
     """The cells of a grid design in cell-index order."""
     if cfg.design == "univariate":
         return [
-            _Cell({"q": q, "rho": rho, "r2": r2, "n": n}, partial(univariate_model, q, rho, r2), n,
-                  np.ones(1))
+            _Cell({"q": q, "rho": rho, "r2": r2, "n": n}, partial(univariate_model, q, rho, r2),
+                  (n, q, 1), np.ones(1))
             for q in (cfg.q_values or UNIVARIATE_DECLARED["q"])
             for rho in (cfg.rho_values or UNIVARIATE_DECLARED["rho"])
             for r2 in (cfg.r2_values or UNIVARIATE_DECLARED["r2"])
@@ -661,7 +718,7 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
         ]
     if cfg.design == "underid-e3":
         target = np.array(population_pulse_underid(1.0, 1.0, 1.0))
-        return [_Cell({"n": n}, e3_model, n, target) for n in cfg.n_values or UNDERID_N]
+        return [_Cell({"n": n}, e3_model, (n, 1, 2), target) for n in cfg.n_values or UNDERID_N]
     cells: list[_Cell] = []
     if cfg.design == "mv-random":
         for idx in range(cfg.n_models):
@@ -672,7 +729,7 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
             mu = rng.uniform(-2.0, 2.0, size=2)
             params = {"model_index": idx, "rho_norm": rho_norm_multivariate(mu, delta, sigma_sq)}
             build = partial(mv_varying_model, xi, delta, mu, sigma_sq)
-            cells.append(_Cell(params, build, cfg.sample_size, np.zeros(2)))
+            cells.append(_Cell(params, build, (cfg.sample_size, 2, 2), np.zeros(2)))
         return cells
     for eta, phi1, phi2 in cfg.noise_triples or FIXED_NOISE_DECLARED:  # mv-fixed
         rho_norm = float(
@@ -685,11 +742,14 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
                 "eta": eta, "phi1": phi1, "phi2": phi2, "rho_norm": rho_norm, "model_index": idx,
             }
             build = partial(mv_fixed_model, xi, eta, phi1, phi2)
-            cells.append(_Cell(params, build, cfg.sample_size, np.zeros(2)))
+            cells.append(_Cell(params, build, (cfg.sample_size, 2, 2), np.zeros(2)))
     return cells
 
 
-#: Repetitions per chunk sent to a worker; a cell with more is split.
+#: Repetitions per chunk sent to a worker.  A chunk holds consecutive cells of one
+#: shape: a cell with more repetitions than a chunk has room for is split, and a
+#: chunk ends where the shape changes.  A serial run takes chunks of up to this
+#: many or a cell's repetitions, whichever is more, so its stacks keep their size.
 CHUNK_REPS = 100
 
 #: Worker environment: one BLAS thread each.  Serial studies already keep about
@@ -708,12 +768,32 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_outputs(chunk: _Chunk) -> list[_RepOutput]:
-    """A chunk's outputs, run on a worker."""
-    return list(_run_chunk(chunk))
+def _chunks(
+    cells: list[_Cell], specs: tuple[EstimatorSpec, ...], cfg: ExperimentConfig, size: int
+) -> list[_Chunk]:
+    """Every repetition of ``cells``, in cell and repetition order, in chunks of up
+    to ``size`` repetitions of consecutive cells of one shape."""
+    groups: list[list[tuple[int, Callable[[], SemModel], range]]] = [[]]
+    room = size
+    for index, cell in enumerate(cells):
+        if groups[-1] and cells[groups[-1][-1][0]].shape != cell.shape:
+            groups.append([])
+            room = size
+        start = 0
+        while start < cfg.repetitions:
+            stop = min(start + room, cfg.repetitions)
+            groups[-1].append((index, cell.build, range(start, stop)))
+            start, room = stop, room - (stop - start)
+            if not room:
+                groups.append([])
+                room = size
+    return [
+        _Chunk(tuple(parts), cells[parts[0][0]].shape[0], specs, cfg.master_seed, cfg.p_min)
+        for parts in groups if parts
+    ]
 
 
-def _pooled(n: int, chunks: Iterable[_Chunk]) -> Iterator[list[_RepOutput]]:
+def _pooled(n: int, chunks: Iterable[_Chunk]) -> Iterator[list[_Outputs]]:
     """Each chunk's outputs, in chunk order, from a pool of ``n`` worker processes,
     started first if there is none or not of ``n``.  Each worker is a fresh
     interpreter (a ``spawn`` start: a fork would copy this process's running BLAS
@@ -736,7 +816,7 @@ def _pooled(n: int, chunks: Iterable[_Chunk]) -> Iterator[list[_RepOutput]]:
         saved = {name: os.environ.get(name) for name in _ONE_BLAS_THREAD}
         os.environ.update(_ONE_BLAS_THREAD)
         try:
-            answers = _WORKERS[1].map(_chunk_outputs, chunks)
+            answers = _WORKERS[1].map(_run_chunk, chunks)
         except OSError as exc:  # a worker that stops at start can close the pool's pipes
             raise BrokenProcessPool("an experiment worker stopped as it started") from exc
         finally:
@@ -777,30 +857,21 @@ _STEP_FUNCTIONS = {
 }
 
 
-def _cell_outputs(
+def _chunk_outputs(
     cells: list[_Cell], specs: tuple[EstimatorSpec, ...], cfg: ExperimentConfig, threads: int
-) -> Iterator[Iterable[_RepOutput]]:
-    """Each cell's repetition outputs, in cell order: from workers in chunks of
-    ``CHUNK_REPS``, one per chunk up to ``threads`` and the CPU count, or from
-    this process where that leaves one or a step function was replaced."""
-    def chunk(index: int, reps: range) -> _Chunk:
-        cell = cells[index]
-        return _Chunk(cell.model, cell.n, index, reps, specs, cfg.master_seed, cfg.p_min)
-
-    starts = range(0, cfg.repetitions, CHUNK_REPS)
-    n = min(threads, len(cells) * len(starts), _cpu_count())
+) -> Iterator[tuple[_Chunk, list[_Outputs]]]:
+    """Each chunk with its outputs, in chunk order: from workers in chunks of up to
+    ``CHUNK_REPS`` repetitions, one per chunk up to ``threads`` and the CPU count,
+    or from this process where that leaves one or a step function was replaced."""
+    chunks = _chunks(cells, specs, cfg, CHUNK_REPS)
+    n = min(threads, len(chunks), _cpu_count())
     if n <= 1 or _step_replaced():
-        for index in range(len(cells)):
-            yield _run_chunk(chunk(index, range(cfg.repetitions)))
+        for chunk in _chunks(cells, specs, cfg, max(CHUNK_REPS, cfg.repetitions)):
+            yield chunk, _run_chunk(chunk)
         return
-    answers = _pooled(n, (
-        chunk(index, range(start, min(start + CHUNK_REPS, cfg.repetitions)))
-        for index in range(len(cells))
-        for start in starts
-    ))
+    answers = _pooled(n, chunks)
     try:
-        for _ in cells:
-            yield itertools.chain.from_iterable(itertools.islice(answers, len(starts)))
+        yield from zip(chunks, answers)
     finally:
         answers.close()
 
@@ -810,12 +881,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
     Deterministic for a fixed ``master_seed``, and the same bytes for every
     ``threads``: each repetition draws from its own stream, and each cell is
-    reduced in this process in repetition order.  ``threads = 1`` runs every
-    repetition here.  ``threads = N > 1`` runs the repetitions of a grid design
-    on worker processes, in chunks of up to ``CHUNK_REPS`` repetitions of one
-    cell, while this process reduces each cell and renders its CSV lines as its
-    chunks come back.  It starts at most N workers, and no more than there are
-    chunks or CPUs; where that leaves one, the repetitions run here.  They run
+    reduced in this process in repetition order.  The repetitions run in chunks of
+    consecutive cells of one shape ``(n, q, d)``, whose samples are estimated in
+    stacks that run across cells; this process reduces, in one pass, the cells
+    that each chunk completes, and renders their CSV lines in cell order.
+    ``threads = 1`` runs every chunk here, of up to ``CHUNK_REPS`` repetitions or
+    one cell's, whichever is more.  ``threads = N > 1`` runs the chunks of a grid
+    design, of up to ``CHUNK_REPS`` repetitions, on worker processes, while this
+    process reduces the cells of those that have come back.  It starts at most N
+    workers, and no more than there are chunks or CPUs; where that leaves one,
+    the repetitions run here.  They run
     here too when a function the step calls has been replaced in this process
     (a test's monkeypatch, a tracer), since a worker would run the original.  The
     workers are a standard-library process pool with ``spawn`` starts, so a
@@ -823,7 +898,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     ``if __name__ == "__main__":`` guard: each worker imports the script's main
     module afresh.  The workers start on first use and serve later calls with
     the same count, until :func:`shutdown_workers` or interpreter exit: starting
-    them costs more than a short study (about 0.8 s against 0.2-0.3 s serially
+    them costs more than a short study (about 0.8 s against about 0.04 s serially
     for the benchmark's ``mc-mv-parallel`` grid).  A call stopped by an error or
     Ctrl-C drops its chunks that have not started; one that is running finishes
     and its answer is discarded, so exit waits for at most one chunk per worker.
@@ -850,19 +925,26 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     text, writer = _csv_writer(columns)
     results: list[CellResult] = []
     rows: list[dict[str, Any]] = []
-    outputs = _cell_outputs(cells, tuple(spec for _, spec in estimators), cfg, threads)
+    pending: dict[int, list[_Outputs]] = {}  # the parts of a cell split across chunks
+    outputs = _chunk_outputs(cells, tuple(spec for _, spec in estimators), cfg, threads)
     try:
-        for cell, out in zip(cells, outputs):
-            # reduced and rendered while the workers run later cells
-            result = _reduce_cell(cell, estimators, out)
-            params = [result.params[name] for name in param_names]
-            # formatted once per cell: ``str`` is what ``csv`` writes for a float,
-            # an int or a numpy float
-            prefix = [str(value) for value in params]
-            lines = _cell_lines(result)
-            writer.writerows([*prefix, *line] for line in lines)
-            rows.extend(dict(zip(columns, (*params, *line))) for line in lines)
-            results.append(result)
+        for chunk, outs in outputs:
+            # reduced and rendered while the workers run later chunks
+            done = []
+            for (index, _, reps), out in zip(chunk.parts, outs):
+                pending.setdefault(index, []).append(out)
+                if reps.stop == cfg.repetitions:
+                    done.append(index)
+            batch = [(cells[index], pending.pop(index)) for index in done]
+            for result in _reduce_cells(batch, estimators):
+                params = [result.params[name] for name in param_names]
+                # formatted once per cell: ``str`` is what ``csv`` writes for a float,
+                # an int or a numpy float
+                prefix = [str(value) for value in params]
+                lines = _cell_lines(result)
+                writer.writerows([*prefix, *line] for line in lines)
+                rows.extend(dict(zip(columns, (*params, *line))) for line in lines)
+                results.append(result)
     finally:
         outputs.close()  # a stopped call leaves no answer in flight for the next
     return ExperimentResult(cfg.design, cfg, results, rows, columns, text.getvalue())
@@ -876,7 +958,7 @@ def _run_robustness_e1(cfg: ExperimentConfig) -> ExperimentResult:
     rows: list[dict[str, Any]] = []
     seeds = [cell_seed(cfg.master_seed, 0, rep) for rep in range(cfg.repetitions)]
     done = 0
-    for stack in _stacks(model, n, seeds):
+    for stack in _stacks([model], n, [seeds]):
         fits = [stack.kclass_solve(np.full(len(stack), kappa), stack.items) for kappa in kappas]
         for r in stack.items.tolist():
             for kappa, (alpha, failed) in zip(kappas, fits):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -776,3 +778,23 @@ def test_estimate_output_is_pinned(branch, e1_config, tmp_path, monkeypatch, cap
     assert captured.err == ""
     assert captured.out == (GOLDEN / f"estimate-{branch}.txt").read_text()
     assert (tmp_path / "report.json").read_text() == (GOLDEN / f"estimate-{branch}.json").read_text()
+
+
+def test_the_package_logger_has_one_null_handler_and_changes_no_output(
+    e1_config, tmp_path, monkeypatch, capsys
+):
+    """``pulse_iv``'s logger keeps one ``NullHandler`` across re-imports, and with
+    logging switched on at every level the CLI prints what ``tests/golden`` holds."""
+    logger = logging.getLogger("pulse_iv")
+    importlib.reload(pulse_iv)
+    importlib.reload(pulse_iv)
+    assert [type(handler) for handler in logger.handlers] == [logging.NullHandler]
+    root = logging.getLogger()
+    handler, level = logging.StreamHandler(), root.level  # the stderr that capsys captures
+    root.addHandler(handler)
+    root.setLevel(logging.DEBUG)
+    try:
+        test_estimate_output_is_pinned("search", e1_config, tmp_path, monkeypatch, capsys)
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from pulse_iv import experiments
-from pulse_iv.data import DesignView
+from pulse_iv.data import Dataset, DesignView
 from pulse_iv.estimators import EstimatorSpec, estimate, parse_estimators
-from pulse_iv.exceptions import SingularGram
+from pulse_iv.exceptions import PulseIVError, SingularGram
+from pulse_iv.inference import weak_instrument_stat
 from pulse_iv.experiments import (
     FIXED_NOISE_DECLARED,
     ExperimentConfig,
@@ -39,6 +40,7 @@ from pulse_iv.sem import (
     mv_fixed_model,
     mv_varying_model,
     population_pulse_underid,
+    sample_stack,
     sem_sample,
     univariate_model,
 )
@@ -224,22 +226,32 @@ class TestStackedSummaries:
         labels = ("pulse", "ols", "tsls", "fuller:4", "kclass:1")
         estimators = parse_estimators(labels)
         fails = {"ols": {3}, "tsls": {0, 5, 9}, "fuller:4": {3}, "kclass:1": set(range(12))}
-        outputs, kept = [], {label: [] for label in labels}
+        alpha, kept = np.full((12, len(labels), 2), np.nan), {label: [] for label in labels}
+        errors = np.full((12, len(labels)), "", dtype=object)
         for rep in range(12):
-            alphas = []
-            for label in labels:
+            for e, label in enumerate(labels):
                 if rep in fails.get(label, ()):
-                    alphas.append("UnderIdentified")
+                    errors[rep, e] = "UnderIdentified"
                 else:
-                    alpha = rng.normal(size=2)
-                    kept[label].append(alpha)
-                    alphas.append(alpha)
-            outputs.append((tuple(alphas), None))
+                    alpha[rep, e] = rng.normal(size=2)
+                    kept[label].append(alpha[rep, e])
+
+        def part(reps):  # the outputs of repetitions ``reps``, as the step returns them
+            nan = np.full(len(reps), np.nan)
+            g = np.full((len(reps), 2, 2), np.nan)
+            return experiments._Outputs(alpha[reps], errors[reps], nan, g)
+
         target = np.array([0.5, -0.5])
-        cell = experiments._Cell({"n": 100}, e3_model, 100, target)
-        result = experiments._reduce_cell(cell, estimators, outputs)
+        cell = experiments._Cell({"n": 100}, e3_model, (100, 1, 2), target)
+        # the cell's repetitions in two parts, as a cell split across chunks returns them
+        parts = [part(range(5)), part(range(5, 12))]
+        [result] = experiments._reduce_cells([(cell, parts)], estimators)
         assert list(result.metrics) == ["pulse", "ols", "tsls", "fuller:4"]
-        assert result.failures["kclass:1"] == {"UnderIdentified": 12}
+        assert result.failures == {
+            "ols": {"UnderIdentified": 1}, "tsls": {"UnderIdentified": 3},
+            "fuller:4": {"UnderIdentified": 1}, "kclass:1": {"UnderIdentified": 12},
+        }
+        assert result.weak == {}
         for label, met in result.metrics.items():
             assert_same_bits(met, summarize_one_by_one(np.vstack(kept[label]), target))
         assert [m.n_used for m in result.metrics.values()] == [12, 11, 9, 11]
@@ -256,29 +268,33 @@ class TestStackedOrders:
         rng = np.random.default_rng(11)
         seen = set()
         for k in (1, 2, 3):
+            pairs = []  # every pair of one k in one pass, as a batch of cells gives them
             for _ in range(60):
                 base = rng.normal(size=(k, k))
-                a = base @ base.T + 0.1 * np.eye(k)
-                others = []
+                # traces far apart, so that each pair's noise floor is its own
+                a = (base @ base.T + 0.1 * np.eye(k)) * 10.0 ** rng.uniform(-6, 6)
                 for _ in range(4):
                     v = rng.normal(size=k)
                     pick = rng.integers(5)
                     if pick == 0:
-                        others.append(a.copy())  # equal
+                        b = a.copy()  # equal
                     elif pick == 1:
-                        others.append(a + np.outer(v, v))  # a <= b
+                        b = a + np.outer(v, v)  # a <= b
                     elif pick == 2:
-                        others.append(a - 0.05 * np.outer(v, v) / (v @ v))  # b <= a
+                        b = a - 0.05 * np.outer(v, v) / (v @ v)  # b <= a
                     elif pick == 3:
                         w = rng.normal(size=k)
-                        others.append(a + np.outer(v, v) - np.outer(w, w))  # incomparable for k > 1
+                        b = a + np.outer(v, v) - np.outer(w, w)  # incomparable for k > 1
                     else:
-                        others.append(a + 1e-10 * np.trace(a) * np.outer(v, v) / (v @ v))
-                got = experiments._mse_orders(a, np.array(others))
-                for b, order in zip(others, got):
-                    assert order is mse_order_one_pair(a, b)
-                    assert mse_partial_order(a, b) is order
-                    seen.add(order)
+                        b = a + 1e-10 * np.trace(a) * np.outer(v, v) / (v @ v)
+                    pairs.append((a, b))
+            mse_as, mse_bs = (np.array(mats) for mats in zip(*pairs))
+            got = experiments._mse_orders(mse_as, mse_bs)
+            assert len(got) == len(pairs)
+            for (a, b), order in zip(pairs, got):
+                assert order is mse_order_one_pair(a, b)
+                assert mse_partial_order(a, b) is order
+                seen.add(order)
         assert seen == set(MseOrder)
 
     def test_same_errors_as_one_pair(self):
@@ -297,7 +313,9 @@ class TestStackedOrders:
                 mse_partial_order(a, b)
             assert str(got.value) == str(want.value)
         with pytest.raises(ValueError, match="mse_b must be symmetric"):
-            experiments._mse_orders(sym, np.array([sym, skew]))
+            experiments._mse_orders(np.array([sym, sym]), np.array([sym, skew]))
+        with pytest.raises(ValueError, match="mse_a must be symmetric"):
+            experiments._mse_orders(np.array([sym, skew]), np.array([sym, sym]))
 
 
 class TestConfigValidation:
@@ -734,8 +752,9 @@ class TestWorkers:
         with pytest.raises(ValueError, match="threads must be at least 1"):
             run_experiment(CELL_MAPPING_CASES[0][0], threads=threads)
 
-    def test_workers_exit_when_shut_down(self):
+    def test_workers_exit_when_shut_down(self, monkeypatch):
         cfg = CELL_MAPPING_CASES[2][0]
+        monkeypatch.setattr(experiments, "CHUNK_REPS", 5)  # 4 chunks, not one
         first = run_experiment(cfg, threads=2)
         procs = multiprocessing.active_children()
         assert len(procs) == 2
@@ -760,6 +779,7 @@ class TestWorkers:
         if preset is not None:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
         before = dict(os.environ)
+        monkeypatch.setattr(experiments, "CHUNK_REPS", 5)  # 4 chunks, not one
         experiments.shutdown_workers()
         run_experiment(CELL_MAPPING_CASES[2][0], threads=2)
         procs = multiprocessing.active_children()
@@ -798,11 +818,12 @@ class TestWorkers:
         assert experiments._WORKERS is None
         assert len(calls) == len(serial.cells) * cfg.repetitions * len(serial.cells[0].metrics)
 
-    def test_a_worker_that_dies_at_start_is_an_error_not_a_respawn(self):
+    def test_a_worker_that_dies_at_start_is_an_error_not_a_respawn(self, monkeypatch):
         false = shutil.which("false")
         if false is None:
             pytest.skip("no `false` executable")
         cfg = CELL_MAPPING_CASES[2][0]
+        monkeypatch.setattr(experiments, "CHUNK_REPS", 5)  # 4 chunks, not one
         experiments.shutdown_workers()
         resource_tracker.ensure_running()  # started from the real interpreter, not `false`
         executable = spawn.get_executable()
@@ -822,16 +843,172 @@ class TestWorkers:
         cfg = CELL_MAPPING_CASES[2][0]
         serial = run_experiment(cfg)
         monkeypatch.setattr(experiments, "CHUNK_REPS", 1)  # several chunks in flight
-        reduce_cell = experiments._reduce_cell
+        reduce_cells = experiments._reduce_cells
 
-        def reduce_one_then_fail(cell, estimators, outputs):
-            next(iter(outputs))
+        def reduce_one_then_fail(batch, estimators):
+            reduce_cells(batch, estimators)
             raise KeyError("stop")
 
-        monkeypatch.setattr(experiments, "_reduce_cell", reduce_one_then_fail)
+        monkeypatch.setattr(experiments, "_reduce_cells", reduce_one_then_fail)
         with pytest.raises(KeyError) as held:
             run_experiment(cfg, threads=2)
-        monkeypatch.setattr(experiments, "_reduce_cell", reduce_cell)
+        monkeypatch.setattr(experiments, "_reduce_cells", reduce_cells)
         assert run_experiment(cfg, threads=2).rows == serial.rows
         assert held.traceback  # held to here, and with it the stopped call's frames
         experiments.shutdown_workers()
+
+
+def cell_oracle(cfg, k, model, n, target, tamper=None):
+    """Oracle: cell ``k``'s metrics, exclusions, ``G_n`` summary and comparisons with
+    PULSE, from one view and one call per repetition and estimator, summed one
+    repetition after another; ``tamper(seed, dataset)`` may change a sample."""
+    estimators = parse_estimators(
+        cfg.estimators or experiments._GRID_DESIGNS[cfg.design].estimators
+    )
+    pulse_cfg = PulseConfig(p_min=cfg.p_min)
+    kept = {label: [] for label, _ in estimators}
+    failures: dict[str, dict[str, int]] = {}
+    min_eigs, g_sum = [], None
+    for r in range(cfg.repetitions):
+        seed = cell_seed(cfg.master_seed, k, r)
+        ds = sem_sample(model, n, seed)
+        view = DesignView(tamper(seed, ds) if tamper else ds)
+        try:
+            report = weak_instrument_stat(view)
+            min_eigs.append(report.min_eigenvalue)
+            g_sum = report.g_matrix if g_sum is None else g_sum + report.g_matrix
+        except PulseIVError:
+            pass
+        for label, spec in estimators:
+            try:
+                kept[label].append(estimate(view, spec, pulse_cfg).alpha)
+            except PulseIVError as exc:
+                causes = failures.setdefault(label, {})
+                causes[type(exc).__name__] = causes.get(type(exc).__name__, 0) + 1
+    metrics = {label: summarize_estimates(np.vstack(v), target) for label, v in kept.items() if v}
+    weak = {}
+    if min_eigs:
+        weak = {"mean_min_eig_gn": float(np.mean(min_eigs)),
+                "min_eig_mean_gn": float(np.linalg.eigvalsh(g_sum / len(min_eigs))[0]),
+                "gn_repetitions": float(len(min_eigs))}
+    pairwise = {}
+    ref = metrics.get("pulse")
+    for label, met in metrics.items():
+        if ref is None or label == "pulse":
+            continue
+        pairwise[label] = {"mse_order_vs_pulse": mse_partial_order(ref.mse, met.mse).value}
+        for scalar in ("rmse", "trace_mse", "det_mse"):
+            if getattr(ref, scalar) > 0:
+                pairwise[label][f"rel_change_{scalar}_vs_pulse"] = relative_change(
+                    getattr(met, scalar), getattr(ref, scalar)
+                )
+    return metrics, failures, weak, pairwise
+
+
+def assert_cell_is_its_oracle(cell, oracle):
+    metrics, failures, weak, pairwise = oracle
+    assert list(cell.metrics) == list(metrics)
+    for label, want in metrics.items():
+        fields = [getattr(want, f.name) for f in dataclass_fields(want)]
+        assert_same_bits(cell.metrics[label], fields)
+    assert cell.failures == failures
+    assert cell.weak == weak
+    assert cell.pairwise == pairwise
+
+
+def counted_samples(monkeypatch):
+    """The seed counts of ``experiments.sample_stack``'s calls, as they are made."""
+    sizes = []
+
+    def counted(model, n, seeds, iv=None):
+        sizes.append(len(seeds))
+        return sample_stack(model, n, seeds, iv)
+
+    monkeypatch.setattr(experiments, "sample_stack", counted)
+    return sizes
+
+
+def univariate_cells(q, rho, r2_values, n):
+    return [(univariate_model(q, rho, r2), n, np.ones(1)) for r2 in r2_values]
+
+
+class TestCrossCellChunks:
+    """A chunk holds consecutive cells of one shape, and its stacks run across them:
+    each cell keeps the metrics of its own repetitions, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 3)
+
+    def test_a_stack_boundary_inside_a_cell(self, monkeypatch):
+        cfg = ExperimentConfig(
+            design="univariate", repetitions=25, master_seed=5, q_values=(10,),
+            rho_values=(0.9,), r2_values=(0.01, 0.1, 0.3), n_values=(150,),
+        )
+        sizes = counted_samples(monkeypatch)
+        result = run_experiment(cfg)
+        # 36 samples of q = 10 at n = 150 fill a stack: 25 + 11, 14 + 22, then 3
+        assert experiments.STACK_ELEMENTS // (150 * (10 + 2)) == 36
+        assert sizes == [25, 11, 14, 22, 3]
+        for k, (model, n, target) in enumerate(univariate_cells(10, 0.9, (0.01, 0.1, 0.3), 150)):
+            assert_cell_is_its_oracle(result.cells[k], cell_oracle(cfg, k, model, n, target))
+
+    def test_a_cell_split_across_two_pooled_chunks(self, monkeypatch):
+        cfg = CELL_MAPPING_CASES[2][0]  # mv-fixed: 4 cells of 5 repetitions, one shape
+        monkeypatch.setattr(experiments, "CHUNK_REPS", 7)
+        estimators = parse_estimators(experiments._GRID_DESIGNS["mv-fixed"].estimators)
+        specs = tuple(spec for _, spec in estimators)
+        chunks = experiments._chunks(experiments._cells(cfg), specs, cfg, experiments.CHUNK_REPS)
+        parts = [[(index, reps) for index, _, reps in chunk.parts] for chunk in chunks]
+        # cell 1 is split: its first two repetitions join cell 0's chunk
+        assert parts == [[(0, range(0, 5)), (1, range(0, 2))], [(1, range(2, 5)), (2, range(0, 4))],
+                         [(2, range(4, 5)), (3, range(0, 5))]]
+        experiments.shutdown_workers()
+        result = run_experiment(cfg, threads=2)
+        assert len(multiprocessing.active_children()) == 2
+        for k in range(4):
+            params, model, n, target, _ = _mv_fixed_cell(cfg, k)
+            assert result.cells[k].params == params
+            assert_cell_is_its_oracle(result.cells[k], cell_oracle(cfg, k, model, n, target))
+        assert run_experiment(cfg).rows == result.rows
+        experiments.shutdown_workers()
+
+    def test_a_singular_repetition_is_excluded_in_its_own_cell_only(self, monkeypatch):
+        cfg = ExperimentConfig(
+            design="univariate", repetitions=6, master_seed=8, q_values=(2,),
+            rho_values=(0.5,), r2_values=(0.01, 0.1, 0.3), n_values=(50,),
+        )
+        singular = cell_seed(cfg.master_seed, 1, 2)
+
+        def collinear(a):  # the second anchor a multiple of the first: A^T A is singular
+            a[..., 1] = 2.0 * a[..., 0]
+
+        def sampled(model, n, seeds, iv=None):
+            y, x, a = sample_stack(model, n, seeds, iv)
+            if singular in seeds:
+                collinear(a[list(seeds).index(singular)])
+            return y, x, a
+
+        def tamper(seed, ds):
+            if seed != singular:
+                return ds
+            a = ds.a.copy()
+            collinear(a)
+            return Dataset(y=ds.y, x=ds.x, a=a)
+
+        monkeypatch.setattr(experiments, "sample_stack", sampled)
+        experiments.shutdown_workers()
+        result = run_experiment(cfg, threads=2)  # runs here: the step was replaced
+        assert experiments._WORKERS is None
+        oracles = [
+            cell_oracle(cfg, k, model, n, target, tamper)
+            for k, (model, n, target) in enumerate(univariate_cells(2, 0.5, (0.01, 0.1, 0.3), 50))
+        ]
+        for cell, oracle in zip(result.cells, oracles):
+            assert_cell_is_its_oracle(cell, oracle)
+        assert [cell.failures for cell in result.cells][::2] == [{}, {}]
+        assert result.cells[1].failures["pulse"] == {"SingularGram": 1}
+        assert result.cells[1].weak["gn_repetitions"] == 5.0
+        excluded = {(row["r2"], row["estimator"]) for row in result.rows
+                    if row["metric"] == "excluded_SingularGram"}
+        assert excluded and {r2 for r2, _ in excluded} == {0.1}

@@ -154,7 +154,8 @@ class TestStackedViews:
             return sample_stack(model, n, seeds, iv)
 
         monkeypatch.setattr(experiments, "sample_stack", counted)
-        items = [(stack, r) for stack in experiments._stacks(model, n, seeds) for r in stack.items]
+        stacks = experiments._stacks([model], n, [seeds])
+        items = [(stack, r) for stack in stacks for r in stack.items]
         per_stack = experiments.STACK_ELEMENTS // (n * (model.q + model.k))
         assert sizes == [per_stack, len(seeds) - per_stack]
         for (stack, r), want in zip(items, single_views(model, n, seeds)):
@@ -169,7 +170,7 @@ class TestStackedViews:
             return sample_stack(model, n, seeds, iv)
 
         monkeypatch.setattr(experiments, "sample_stack", counted)
-        assert [len(stack) for stack in experiments._stacks(model, n, [1, 2])] == [1, 1]
+        assert [len(stack) for stack in experiments._stacks([model], n, [[1, 2]])] == [1, 1]
         assert sizes == [1, 1]
 
 
