@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -536,17 +536,6 @@ class PathStack:
         for name, arr in zip(_PATH_FIELDS, arrays, strict=True):
             setattr(self, name, arr)
 
-    def take(self, items: np.ndarray) -> "PathStack":
-        """The paths at ``items``, read-only."""
-        return PathStack(*_frozen(*(getattr(self, name)[items] for name in _PATH_FIELDS)))
-
-    @classmethod
-    def concat(cls, stacks: Sequence["PathStack"]) -> "PathStack":
-        """The paths of ``stacks``, one after another, read-only."""
-        return cls(*_frozen(*(
-            np.concatenate([getattr(paths, name) for paths in stacks]) for name in _PATH_FIELDS
-        )))
-
     def kclass(self, kappa: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, Failed]:
         """The point at ``kappa[i]`` of each item ``items[i]``; :class:`SingularGram`
         where its system is numerically singular, which below one needs
@@ -689,22 +678,6 @@ def _at(mask: np.ndarray, values: np.ndarray) -> Iterator[tuple[int, float]]:
     return zip(np.flatnonzero(mask).tolist(), values[mask].tolist())
 
 
-#: The arrays of a :class:`GramStack` with one row per item besides its
-#: :attr:`~GramStack.pieces`, :attr:`~GramStack.paths` and rows, which
-#: :meth:`GramStack.take` slices and :meth:`GramStack.concat` joins with them.
-_ITEM_ARRAYS = ("ztz", "zty", "atz", "aty", "ata", "yty", "rcond_ztz")
-
-
-def _taken_failed(failed: Failed, items: np.ndarray) -> Failed:
-    """The entries of ``failed`` at ``items``, numbered by their place in ``items``."""
-    return {j: failed[r] for j, r in enumerate(items.tolist()) if r in failed}
-
-
-def _joined_failed(parts: Sequence[Failed], starts: Sequence[int]) -> Failed:
-    """The entries of stacks' ``parts``, numbered from each stack's start."""
-    return {start + r: exc for start, part in zip(starts, parts) for r, exc in part.items()}
-
-
 class GramStack:
     """Designs of one partition, sample size and anchor count, as one stack: the Gram
     core's routines run once over the stack, one numpy call per step, and give each
@@ -716,11 +689,10 @@ class GramStack:
     :attr:`paths` are each one numpy pass over the stack, with the error of each item
     whose ``A^T A`` or ``Z^T Z`` is singular.  ``rows``, each item's ``y``, ``x`` and
     ``a`` rows or ``None``, stay for the estimators that read them (LIML).
-    :meth:`from_rows` builds a stack from sampled rows; :meth:`take` and
-    :meth:`concat` slice and join stacks with what they have computed.  A routine
-    takes the indices of the items it runs on (``items``) and returns its values for
-    each, and a :data:`Failed` entry for each item that raised, at which its value is
-    a placeholder.
+    :meth:`from_rows` builds a stack from sampled rows.  A stack is never sliced
+    or joined: a routine takes the indices of the items it runs on (``items``) and
+    returns its values for each, and a :data:`Failed` entry for each item that
+    raised, at which its value is a placeholder.
     """
 
     def __init__(
@@ -728,7 +700,11 @@ class GramStack:
         atz: np.ndarray, aty: np.ndarray, ata: np.ndarray, yty: np.ndarray,
         rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
-        self._shape(partition, q, n, len(ztz))
+        self.partition, self.q, self.n = partition, q, n
+        self.d1, self.q1, self.q2 = partition.d1, partition.q1, q - partition.q1
+        self.k = self.d1 + self.q1
+        self.identification = partition.identification_class(q)
+        self.items = np.arange(len(ztz))
         self.ztz, self.zty, self.atz, self.aty, self.ata, self.yty = ztz, zty, atz, aty, ata, yty
         self.rows = rows
         self.rcond_ztz = rc_ztz = _frozen(rcond_symmetric(ztz))[0]
@@ -740,13 +716,6 @@ class GramStack:
         at = np.flatnonzero(good)
         arrays = _path_arrays(*(_rows(arr, at) for arr in (ztz, zty, s, sy, yty)))
         self.paths = PathStack(*_scattered(good, arrays)), dict(sorted(failed.items()))
-
-    def _shape(self, partition: ModelPartition, q: int, n: int, size: int) -> None:
-        self.partition, self.q, self.n = partition, q, n
-        self.d1, self.q1, self.q2 = partition.d1, partition.q1, q - partition.q1
-        self.k = self.d1 + self.q1
-        self.identification = partition.identification_class(q)
-        self.items = np.arange(size)
 
     @classmethod
     def from_rows(
@@ -770,63 +739,8 @@ class GramStack:
         rows = _frozen(y.view(), x.view(), a.view())
         return cls(partition, a.shape[-1], a.shape[-2], *grams, rows=rows)
 
-    @classmethod
-    def _bare(cls, partition: ModelPartition, q: int, n: int, size: int) -> "GramStack":
-        """A stack of ``size`` items whose arrays the caller sets."""
-        stack = cls.__new__(cls)
-        stack._shape(partition, q, n, size)
-        return stack
-
-    @classmethod
-    def concat(cls, stacks: Iterable["GramStack"]) -> "GramStack":
-        """One stack of the items of ``stacks``, of one partition, ``n`` and ``q``, with
-        their products, condition numbers, pieces and paths, and LIML's ``kappa`` where
-        the estimators have cached it on each.  It keeps no rows: from a generator, at
-        most two stacks' rows are alive at once."""
-        parts: list[GramStack] = []
-        for stack in stacks:
-            part = cls.__new__(cls)
-            vars(part).update(vars(stack), rows=None)
-            parts.append(part)
-        head = parts[0]
-        if any((p.partition, p.n, p.q) != (head.partition, head.n, head.q) for p in parts):
-            raise ValueError("joined stacks must share one partition, n and q")
-        starts = np.cumsum([0] + [len(part) for part in parts[:-1]]).tolist()
-        stack = cls._bare(head.partition, head.q, head.n, sum(len(part) for part in parts))
-        for name in _ITEM_ARRAYS:
-            setattr(stack, name, _frozen(np.concatenate([getattr(p, name) for p in parts]))[0])
-        s, sy = (_frozen(np.concatenate([p.pieces[i] for p in parts]))[0] for i in (0, 1))
-        stack.pieces = s, sy, _joined_failed([p.pieces[2] for p in parts], starts)
-        stack.paths = (PathStack.concat([p.paths[0] for p in parts]),
-                       _joined_failed([p.paths[1] for p in parts], starts))
-        stack.rows = None
-        if all("liml_kappa" in vars(part) for part in parts):  # the estimators' cache
-            kappa = _frozen(np.concatenate([p.liml_kappa[0] for p in parts]))[0]
-            stack.liml_kappa = kappa, _joined_failed([p.liml_kappa[1] for p in parts], starts)
-        return stack
-
     def __len__(self) -> int:
         return len(self.items)
-
-    def take(self, items: np.ndarray) -> "GramStack":
-        """The stack of the items at ``items``, a sorted subset of this stack's, with
-        what this stack has computed for them: its arrays, pieces, paths and rows, and
-        LIML's ``kappa`` where the estimators have cached it on the stack.  The stack of
-        every item is this one, so a value the estimators cache on it stays shared."""
-        if len(items) == len(self):
-            return self
-        stack = GramStack._bare(self.partition, self.q, self.n, len(items))
-        for name in _ITEM_ARRAYS:
-            setattr(stack, name, _frozen(getattr(self, name)[items])[0])
-        s, sy, failed = self.pieces
-        stack.pieces = (*_frozen(s[items], sy[items]), _taken_failed(failed, items))
-        paths, failed = self.paths
-        stack.paths = paths.take(items), _taken_failed(failed, items)
-        stack.rows = None if self.rows is None else _frozen(*(arr[items] for arr in self.rows))
-        if "liml_kappa" in vars(self):  # the estimators' cache
-            kappa, failed = self.liml_kappa
-            stack.liml_kappa = _frozen(kappa[items])[0], _taken_failed(failed, items)
-        return stack
 
     def ols_loss(self, items: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Mean squared residual ``n^{-1} ||y - Z alpha||^2`` of each item at its row of

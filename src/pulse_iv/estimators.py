@@ -35,7 +35,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .data import (
-    RCOND_GRAM, Failed, GramStack, GramView, IdentificationClass, _rows, _solve, _frozen,
+    _ONE, RCOND_GRAM, Failed, GramStack, GramView, IdentificationClass, _rows, _solve, _frozen,
     _t, only, passed, rcond_symmetric,
 )
 from .exceptions import InfeasibleConstraint, SingularGram
@@ -273,16 +273,16 @@ def _lstsq(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return gelsd(basis, rhs, np.finfo(np.float64).eps * max(n, q), signature="ddd->ddid")[0]
 
 
-def _liml_blocks(stack: GramStack) -> tuple[np.ndarray, np.ndarray]:
-    """Each item's cross-product matrices ``W1`` and ``W`` of the LIML eigenproblem,
-    from its rows: ``[y X_*]^T [y X_*]`` less the Gram of its projection on the
-    included exogenous ``A_*`` and on all of ``A``.  The Grams, each projection's
+def _liml_blocks(stack: GramStack, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cross-product matrices ``W1`` and ``W`` of the LIML eigenproblem of each of
+    ``items``, from its rows: ``[y X_*]^T [y X_*]`` less the Gram of its projection on
+    the included exogenous ``A_*`` and on all of ``A``.  The Grams, each projection's
     least-squares fit (:func:`_lstsq`) and the projections are one numpy call each
-    over the stack, with each item's bits."""
-    y, x, a = stack.rows
+    over the items, with each item's bits."""
+    y, x, a = (_rows(arr, items) for arr in stack.rows)
     # [y X_*] column by column: a fancy-indexed n-row temporary here raised the
     # peak RSS of `pulse-iv estimate` on 1e5 rows by 5.6 MB
-    m0 = np.empty((len(stack), stack.n, 1 + stack.d1))
+    m0 = np.empty((len(items), stack.n, 1 + stack.d1))
     m0[..., 0] = y
     for j, i in enumerate(stack.partition.included_endogenous):
         m0[..., 1 + j] = x[..., i]
@@ -298,32 +298,32 @@ def _liml_blocks(stack: GramStack) -> tuple[np.ndarray, np.ndarray]:
     return residual_gram(a[..., list(stack.partition.included_exogenous)]), w
 
 
-def _liml_kappas(stack: GramStack) -> tuple[np.ndarray, Failed]:
-    """LIML's ``kappa`` of each item of a stack that keeps its rows, and the error of
-    each item that failed, in one pass over the stack (:func:`liml_kappa`).  A stack
-    without rows (of a view other than a ``DesignView``, or from
-    :meth:`~pulse_iv.data.GramStack.concat`) gives a TypeError."""
+def _liml_kappas(stack: GramStack, items: np.ndarray) -> tuple[np.ndarray, Failed]:
+    """LIML's ``kappa`` of each of ``items`` of a stack that keeps its rows, and the
+    error of each item that failed, by its index in the stack, in one pass over the
+    items (:func:`liml_kappa`).  A stack without rows (of a view other than a
+    ``DesignView``, or the Monte Carlo harness's row-free one) gives a TypeError."""
     if stack.rows is None:
         raise TypeError("LIML and Fuller need a DesignView's rows, which this stack does not keep")
     if stack.q2 < 1:
         raise ValueError("LIML requires at least one excluded instrument (q2 >= 1)")
-    w1, w = _liml_blocks(stack)
+    w1, w = _liml_blocks(stack, items)
     # W <= [y X_*]^T [y X_*], so its smallest eigenvalue is read against that
     # matrix's trace: W's own condition cannot tell rounding residue, left where
     # [y X_*] has no residual degrees of freedom, from a regular W
     low = np.linalg.eigvalsh(w)[:, 0]
-    d1 = stack.d1
-    scale = stack.yty + np.trace(stack.ztz[:, :d1, :d1], axis1=1, axis2=2)
+    d1, ztz = stack.d1, _rows(stack.ztz, items)
+    scale = _rows(stack.yty, items) + np.trace(ztz[:, :d1, :d1], axis1=1, axis2=2)
     regular = low > RCOND_GRAM * scale
     failed: Failed = {
         r: SingularGram("W", lo / sc if sc > 0.0 else 0.0)
-        for r, lo, sc in zip(np.flatnonzero(~regular).tolist(), low[~regular].tolist(),
+        for r, lo, sc in zip(items[~regular].tolist(), low[~regular].tolist(),
                              scale[~regular].tolist())
     }
-    items = stack.items[regular]
-    kappa = np.zeros(len(stack))
-    kappa[items], raised = _min_generalized_eigenvalues(_rows(w1, items), _rows(w, items))
-    failed.update((int(items[j]), exc) for j, exc in raised.items())
+    at = np.flatnonzero(regular)
+    kappa = np.zeros(len(items))
+    kappa[at], raised = _min_generalized_eigenvalues(_rows(w1, at), _rows(w, at))
+    failed.update((int(items[at[j]]), exc) for j, exc in raised.items())
     return _frozen(kappa)[0], dict(sorted(failed.items()))
 
 
@@ -348,15 +348,21 @@ def liml_kappa(view: GramView) -> float:
     without rows, such as :func:`~pulse_iv.sem.population_moments`, gives a
     TypeError on every call.
     """
-    return float(only(*_stack_liml_kappas(view.stack)))
+    return float(only(*_stack_liml_kappas(view.stack, _ONE)))
 
 
-def _stack_liml_kappas(stack: GramStack) -> tuple[np.ndarray, Failed]:
-    """LIML's ``kappa`` of each item and the error of each item that failed
-    (:func:`_liml_kappas`), computed on the first call and cached on the stack."""
+def _stack_liml_kappas(stack: GramStack, items: np.ndarray) -> tuple[np.ndarray, Failed]:
+    """LIML's ``kappa`` of each of ``items`` and the error of each that failed
+    (:func:`_liml_kappas`): read from the stack's cache where it has one, else
+    computed, and cached on the stack where ``items`` is every item.  So a kind run
+    on part of a stack (PULSE's fallback) pays for LIML on that part alone."""
     cache = vars(stack)  # this module's entry in the stack's instance dict
-    if "liml_kappa" not in cache:
-        cache["liml_kappa"] = _liml_kappas(stack)
+    if "liml_kappa" in cache:
+        kappa, failed = cache["liml_kappa"]
+        return _rows(kappa, items), {r: failed[r] for r in items[~passed(items, failed)].tolist()}
+    if len(items) < len(stack):
+        return _liml_kappas(stack, items)
+    cache["liml_kappa"] = _liml_kappas(stack, items)
     return cache["liml_kappa"]
 
 
@@ -412,22 +418,34 @@ def _estimates(stack: GramStack, spec: EstimatorSpec, cfg: PulseConfig | None) -
         from .pulse import pulse_estimate  # here, since pulse imports this module for its fallback
 
         return pulse_estimate(stack, cfg)
-    alpha = np.zeros((len(stack), stack.k))
     if spec.kind == "anchor":
+        alpha = np.zeros((len(stack), stack.k))
         lam = np.full(len(stack), spec.value)
         paths, singular = stack.paths
         items = stack.items[passed(stack.items, singular)]
         alpha[items], failed = paths.alpha(lam[items], items)
         return Estimates(alpha, lam / (1.0 + lam), lam, {**singular, **failed})
+    alpha, kappa, failed = _kclass_points(stack, spec, stack.items)
+    lam = np.divide(kappa, 1.0 - kappa, out=_unused(stack), where=kappa < 1.0)
+    return Estimates(alpha, kappa, lam, failed)
+
+
+def _kclass_points(
+    stack: GramStack, spec: EstimatorSpec, items: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, Failed]:
+    """The point of the K-class kind ``spec`` (``ols``, ``tsls``, ``kclass``, ``liml``
+    or ``fuller``) at each of ``items`` (zeros where it failed), the ``kappa`` the
+    kind's rule gives it, and the error of each item that failed, by its index in
+    the stack: the rule, then one :meth:`~pulse_iv.data.GramStack.kclass_solve`."""
     if spec.kind in ("liml", "fuller"):
-        kappa, failed = _stack_liml_kappas(stack)
+        kappa, failed = _stack_liml_kappas(stack, items)
         failed = dict(failed)
         if spec.kind == "fuller":
             kappa = kappa - _fuller_offset(stack.n, stack.q, spec.value)
     else:
-        kappa, failed = np.full(len(stack), _FIXED_KAPPA.get(spec.kind, spec.value)), {}
-    items = stack.items[passed(stack.items, failed)]
-    alpha[items], solve_failed = stack.kclass_solve(kappa[items], items)
+        kappa, failed = np.full(len(items), _FIXED_KAPPA.get(spec.kind, spec.value)), {}
+    alpha = np.zeros((len(items), stack.k))
+    ok = passed(items, failed)
+    alpha[ok], solve_failed = stack.kclass_solve(kappa[ok], items[ok])
     failed.update(solve_failed)
-    lam = np.divide(kappa, 1.0 - kappa, out=_unused(stack), where=kappa < 1.0)
-    return Estimates(alpha, kappa, lam, failed)
+    return alpha, kappa, failed

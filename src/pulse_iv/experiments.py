@@ -24,10 +24,13 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .data import RCOND_GRAM, GramStack, IdentificationClass, rcond_symmetric
+from .data import (
+    RCOND_GRAM, GramStack, IdentificationClass, _checked_rows, _frozen, _gram_products,
+    _partition_for, _z, rcond_symmetric,
+)
 from .estimators import EstimatorSpec, estimate, parse_estimators
-from .exceptions import DataError, PulseIVError, SingularGram
-from .inference import TestConfig, weak_instrument_stat
+from .exceptions import DataError, SingularGram
+from .inference import TestConfig, _weak_instrument_arrays
 from .pulse import PulseConfig
 from .sem import (
     MODEL_STREAM,
@@ -503,13 +506,13 @@ def _joined(outputs: list[_Outputs]) -> _Outputs:
 STACK_ELEMENTS = 2**16
 
 
-def _stacks(
+def _slices(
     models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]]
-) -> Iterator[GramStack]:
-    """The samples of each model at its seeds, in order, built into stacks of up to
-    :data:`STACK_ELEMENTS` values that run on from one model's samples to the
-    next's; item ``r`` of each has the bits of ``DesignView(sem_sample(model, n,
-    seed))``.  A model's seeds in one stack are sampled in one pass."""
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The samples of each model at its seeds, in order, as the ``y``, ``x`` and ``a``
+    rows of slices of up to :data:`STACK_ELEMENTS` values that run on from one
+    model's samples to the next's.  A model's seeds in one slice are sampled in one
+    pass."""
     per_stack = max(1, STACK_ELEMENTS // (n * (models[0].q + models[0].k)))
     samples: list[tuple[np.ndarray, ...]] = []
     room = per_stack
@@ -520,17 +523,38 @@ def _stacks(
             samples.append(sample_stack(model, n, taken))
             start, room = start + len(taken), room - len(taken)
             if not room:
-                yield _from_samples(samples)
+                yield _joined_rows(samples)
                 samples, room = [], per_stack
     if samples:
-        yield _from_samples(samples)
+        yield _joined_rows(samples)
 
 
-def _from_samples(samples: list[tuple[np.ndarray, ...]]) -> GramStack:
-    """The stack of the samples of :func:`~pulse_iv.sem.sample_stack` calls, joined
-    in order."""
-    rows = samples[0] if len(samples) == 1 else (np.concatenate(arrays) for arrays in zip(*samples))
-    return GramStack.from_rows(*rows)
+def _joined_rows(samples: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The rows of :func:`~pulse_iv.sem.sample_stack` calls, joined in order."""
+    return samples[0] if len(samples) == 1 else tuple(np.concatenate(arr) for arr in zip(*samples))
+
+
+def _stacks(
+    models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]]
+) -> Iterator[GramStack]:
+    """The stack of each slice of :func:`_slices`, which keeps its rows; item ``r``
+    of each has the bits of ``DesignView(sem_sample(model, n, seed))``."""
+    return (GramStack.from_rows(*rows) for rows in _slices(models, n, seeds))
+
+
+def _row_free_stack(
+    models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]]
+) -> GramStack:
+    """One stack of every slice of :func:`_slices`, without rows: each slice's Gram
+    products, its rows then dropped, joined.  Each item has the bits of its item of
+    :func:`_stacks` in every product, piece and path, and its error."""
+    products = []
+    for rows in _slices(models, n, seeds):
+        y, x, a = _checked_rows(*rows)
+        partition = _partition_for(x.shape[-1], a.shape[-1], None)
+        products.append(_gram_products(y, _z(x, a, partition), a))
+    grams = _frozen(*(np.concatenate(arrays) for arrays in zip(*products)))
+    return GramStack(partition, a.shape[-1], n, *grams)
 
 
 def _reads_rows(model: SemModel, specs: tuple[EstimatorSpec, ...], pulse_cfg: PulseConfig) -> bool:
@@ -548,34 +572,29 @@ def _run_chunk(chunk: _Chunk) -> list[_Outputs]:
     """The step: build each part's model, sample each repetition of ``chunk`` with
     its cell's model, fit every estimator on it and return each part's outputs.
     The samples are built into stacks that run across parts, each one
-    :class:`GramStack` that ``weak_instrument_stat`` and each estimator run over at
-    once, with each repetition's bits and errors.  Where it runs does not matter:
-    each repetition draws from its own stream."""
+    :class:`GramStack` that ``G_n`` (``weak_instrument_stat``'s arrays) and each
+    estimator run over at once, with each repetition's bits and errors.  Where it
+    runs does not matter: each repetition draws from its own stream."""
     pulse_cfg = PulseConfig(p_min=chunk.p_min)
     models = [build() for _, build, _ in chunk.parts]
     seeds = [
         [cell_seed(chunk.master_seed, index, rep) for rep in reps] for index, _, reps in chunk.parts
     ]
-    stacks: Iterable[GramStack] = _stacks(models, chunk.n, seeds)
-    if not _reads_rows(models[0], chunk.specs, pulse_cfg):
+    if _reads_rows(models[0], chunk.specs, pulse_cfg):
+        stacks: Iterable[GramStack] = _stacks(models, chunk.n, seeds)
+    else:
         # one row-free stack for the chunk: a large n, sampled one repetition at a
-        # time, is still estimated in one stack, while at most two stacks' rows live
-        stacks = [GramStack.concat(stacks)]
+        # time, is still estimated in one stack, while at most two slices' rows live
+        stacks = [_row_free_stack(models, chunk.n, seeds)]
     outputs = []
     for stack in stacks:
-        reports = weak_instrument_stat(stack)
+        g, min_eig, _ = _weak_instrument_arrays(stack)
         fits = [estimate(stack, spec, pulse_cfg) for spec in chunk.specs]
         alpha = np.stack([fit.alpha for fit in fits], axis=1)
         errors = np.full(alpha.shape[:2], "", dtype=object)
         for e, fit in enumerate(fits):
             alpha[list(fit.failed), e] = np.nan
             errors[list(fit.failed), e] = [type(exc).__name__ for exc in fit.failed.values()]
-        weak = [not isinstance(report, PulseIVError) for report in reports]
-        min_eig = np.full(len(stack), np.nan)
-        g = np.full((len(stack), stack.d1, stack.d1), np.nan)
-        if any(weak):
-            min_eig[weak] = [report.min_eigenvalue for report, ok in zip(reports, weak) if ok]
-            g[weak] = [report.g_matrix for report, ok in zip(reports, weak) if ok]
         outputs.append(_Outputs(alpha, errors, min_eig, g))
     joined = _joined(outputs)
     stops = np.cumsum([len(reps) for _, _, reps in chunk.parts]).tolist()
@@ -853,7 +872,8 @@ def _step_replaced() -> bool:
 
 
 _STEP_FUNCTIONS = {
-    name: globals()[name] for name in ("_run_chunk", "sample_stack", "weak_instrument_stat", "estimate")
+    name: globals()[name]
+    for name in ("_run_chunk", "sample_stack", "_weak_instrument_arrays", "estimate")
 }
 
 

@@ -207,11 +207,26 @@ def weak_instrument_stat(
 
 
 def _weak_instrument_reports(stack: GramStack) -> list[WeakInstrumentReport | PulseIVError]:
+    """Each item's report, or its error, from :func:`_weak_instrument_arrays`."""
+    g, min_eig, failed = _weak_instrument_arrays(stack)
+    return [
+        failed[r] if r in failed else WeakInstrumentReport(
+            g_matrix=g[r], min_eigenvalue=low, rule_of_thumb_pass=bool(low > WEAK_INSTRUMENT_RULE)
+        )
+        for r, low in enumerate(min_eig.tolist())
+    ]
+
+
+def _weak_instrument_arrays(stack: GramStack) -> tuple[np.ndarray, np.ndarray, Failed]:
+    """Each item's ``G_n`` (``(R, d1, d1)``) and its smallest eigenvalue (``(R,)``),
+    NaN where the item failed, and the error of each item that failed
+    (:func:`weak_instrument_stat`)."""
     n, q, d1, q2 = stack.n, stack.q, stack.d1, stack.q2
     if n <= q:
         raise ValueError(f"G_n requires n > q; got n={n}, q={q}")
     s, _, failed = stack.pieces
-    out: list[WeakInstrumentReport | PulseIVError] = [failed.get(r) for r in range(len(stack))]
+    failed = dict(failed)
+    g_all, min_eig_all = np.full((len(stack), d1, d1), np.nan), np.full(len(stack), np.nan)
     items = stack.items[passed(stack.items, failed)]
     s_x = s[items][..., :d1]
     xtx = stack.ztz[items][..., :d1, :d1]
@@ -221,12 +236,11 @@ def _weak_instrument_reports(stack: GramStack) -> list[WeakInstrumentReport | Pu
     regular = w_min > RCOND_GRAM * scale
     singular = zip(items[~regular].tolist(), w_min[~regular].tolist(), scale[~regular].tolist())
     for r, low, top in singular:
-        out[r] = SingularGram("X^T P_A^perp X", low / top if top > 0.0 else 0.0)
+        failed[r] = SingularGram("X^T P_A^perp X", low / top if top > 0.0 else 0.0)
     items, concentration, w, v = items[regular], concentration[regular], w[regular], v[regular]
     if q2 == 0:  # P_A = P_{A_*}: no excluded instrument, so no strength to measure
-        for r in items.tolist():
-            out[r] = WeakInstrumentReport(np.zeros((d1, d1)), 0.0, False)
-        return out
+        g_all[items], min_eig_all[items] = 0.0, 0.0
+        return g_all, min_eig_all, failed
     isqrt = (v * (1.0 / np.sqrt(w))[:, None, :]) @ _t(v)
     if stack.q1:
         # A_*^T A_* is a principal block of A^T A, which the stack's pieces found regular
@@ -236,10 +250,6 @@ def _weak_instrument_reports(stack: GramStack) -> list[WeakInstrumentReport | Pu
             stack.ata[items][:, inc][:, :, inc], astar_x
         )
     g = isqrt @ concentration @ isqrt / q2
-    g = 0.5 * (g + _t(g))
-    min_eig = np.zeros(len(items)) if q2 < d1 else np.linalg.eigvalsh(g)[:, 0]
-    for r, g_r, low in zip(items.tolist(), g, min_eig.tolist()):
-        out[r] = WeakInstrumentReport(
-            g_matrix=g_r, min_eigenvalue=low, rule_of_thumb_pass=bool(low > WEAK_INSTRUMENT_RULE)
-        )
-    return out
+    g_all[items] = g = 0.5 * (g + _t(g))
+    min_eig_all[items] = 0.0 if q2 < d1 else np.linalg.eigvalsh(g)[:, 0]
+    return g_all, min_eig_all, failed

@@ -73,7 +73,7 @@ from typing import Any, Callable, Generator, Iterator, Sequence
 import numpy as np
 
 from .data import _ONE, Failed, GramStack, GramView, IdentificationClass, _dot, _rows, only, passed
-from .estimators import EstimateResult, Estimates, EstimatorSpec, _number, estimate
+from .estimators import EstimateResult, Estimates, EstimatorSpec, _kclass_points, _number
 from .exceptions import NonMonotoneDetected, OutOfDomain, ZeroResidual
 from .inference import ZERO_RESIDUAL, StackTest, TestConfig
 
@@ -421,12 +421,10 @@ def _pulse_estimates(stack: GramStack, cfg: PulseConfig | None) -> PulseEstimate
         items, stat = kept(items, raised, stat)
         back = stat >= test.threshold
         if back.any():
-            fallback = estimate(stack.take(items[back]), cfg.fallback)
-            for j, (r, stat_tsls) in enumerate(zip(items[back].tolist(), stat[back].tolist())):
-                if j in fallback.failed:
-                    failed[r] = fallback.failed[j]
-                    continue
-                alpha[r], lam[r] = fallback.alpha[j], math.inf
+            point, _, raised = _kclass_points(stack, cfg.fallback, items[back])
+            at, point, stat_back = kept(items[back], raised, point, stat[back])
+            alpha[at], lam[at] = point, math.inf
+            for r, stat_tsls in zip(at.tolist(), stat_back.tolist()):
                 messages[r] = PulseMessage.TSLS_REJECTED_FALLBACK
                 diagnostics[r] = {"fallback": cfg.fallback.label(), "tsls_statistic": stat_tsls}
         items = items[~back]

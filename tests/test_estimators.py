@@ -226,7 +226,7 @@ class TestLimlFuller:
         kappa = liml_kappa(view)
         from pulse_iv.estimators import _liml_blocks
 
-        w1, w = (block[0] for block in _liml_blocks(view.stack))
+        w1, w = (block[0] for block in _liml_blocks(view.stack, view.stack.items))
         eigs = scipy.linalg.eigvals(w1, w)
         assert kappa == pytest.approx(float(np.min(eigs.real)), rel=1e-8)
 
@@ -275,9 +275,9 @@ class TestLimlCache:
         seen = []
         original = estimators._liml_blocks
 
-        def counting(view):
-            seen.append(view)
-            return original(view)
+        def counting(*args):
+            seen.append(args[0])
+            return original(*args)
 
         monkeypatch.setattr(estimators, "_liml_blocks", counting)
         view = invalid_instrument_view()
@@ -300,7 +300,8 @@ class TestLimlCache:
         view = DesignView(Dataset(y=2.0 * x + a @ np.array([0.3, 0.1]), x=x[:, None], a=a))
         seen = []
         original = estimators._liml_blocks
-        monkeypatch.setattr(estimators, "_liml_blocks", lambda v: seen.append(v) or original(v))
+        monkeypatch.setattr(estimators, "_liml_blocks",
+                            lambda *args: seen.append(args[0]) or original(*args))
         raised = []
         for call in (liml_kappa, liml_kappa, lambda v: estimate(v, EstimatorSpec("fuller"))):
             with pytest.raises(SingularGram, match="W") as err:

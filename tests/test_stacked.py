@@ -277,22 +277,21 @@ class TestReadOnlyCaches:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] += 1.0
 
-    @pytest.mark.parametrize("build", ["from rows", "taken", "joined"])
+    @pytest.mark.parametrize("build", ["from rows", "row-free chunk"])
     def test_stacked_arrays_are_read_only(self, build):
-        rows = sample_stack(univariate_model(2, 0.9, 0.1), 100, [5, 6, 7])
-        stack, other = GramStack.from_rows(*rows), GramStack.from_rows(*rows)
-        for built in (stack, other):
-            estimate(built, EstimatorSpec("liml"))  # its kappa, cached on the stack
-        if build == "taken":
-            stack = stack.take(np.array([0, 2]))
-        elif build == "joined":
-            stack = GramStack.concat([stack, other])
+        model = univariate_model(2, 0.9, 0.1)
+        if build == "from rows":
+            stack = GramStack.from_rows(*sample_stack(model, 100, [5, 6, 7]))
+        else:
+            stack = experiments._row_free_stack([model], 100, [[5, 6, 7]])
         paths, _ = stack.paths
         arrays = [*stack.pieces[:2], stack.rcond_ztz, stack.yty]
         arrays += [getattr(paths, name) for name in PATH_ARRAYS + ("yty", "syy")]
         arrays += [getattr(stack, name) for name in PRODUCTS]
-        arrays += [] if stack.rows is None else list(stack.rows)
-        arrays.append(estimators._stack_liml_kappas(stack)[0])
+        if stack.rows is not None:
+            arrays += list(stack.rows)
+            estimate(stack, EstimatorSpec("liml"))  # its kappa, cached on the stack
+            arrays.append(estimators._stack_liml_kappas(stack, stack.items)[0])
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] += 1.0
@@ -497,6 +496,24 @@ class TestStackedEstimators:
                 assert bits(report.g_matrix) == bits(want.g_matrix)
         assert isinstance(reports[1], SingularGram) and isinstance(reports[3], SingularGram)
 
+    @pytest.mark.parametrize("case", sorted(STACKS))
+    def test_the_g_n_arrays_are_the_reports_values(self, case):
+        stack, _ = built(case)
+        y, x, a = stack.rows
+        x = x.copy()
+        x[1] = 0.0  # X^T P_A^perp X = 0 at item 1
+        stack = GramStack.from_rows(y, x, a, partition=stack.partition)
+        g, min_eig, failed = inference._weak_instrument_arrays(stack)
+        reports = weak_instrument_stat(stack)
+        assert 1 in failed and g.shape == (len(stack), stack.d1, stack.d1)
+        for r, report in enumerate(reports):
+            if r in failed:
+                assert type(report) is type(failed[r]) and str(report) == str(failed[r])
+                assert np.isnan(g[r]).all() and np.isnan(min_eig[r])
+            else:
+                assert bits(g[r]) == bits(report.g_matrix)
+                assert bits(min_eig[r]) == bits(report.min_eigenvalue)
+
     def test_all_three_pulse_branches_in_one_stack(self):
         rows = grid_rows(10, 150, 20)
         stack, views = GramStack.from_rows(*rows), views_of(*rows)
@@ -505,7 +522,7 @@ class TestStackedEstimators:
         assert fit.message is PulseMessage.NONE  # the stack's branch: its items' differ
         for r in (fit.messages.index(PulseMessage.OLS_ACCEPTED), fit.messages.index(
                 PulseMessage.TSLS_REJECTED_FALLBACK)):
-            one = stack.take(np.array([r]))
+            one = GramStack.from_rows(*(arr[[r]] for arr in rows))
             assert estimate(one, EstimatorSpec("pulse")).message is fit.messages[r]
         for r, view in enumerate(views):
             want = pulse_estimate(view)
@@ -514,6 +531,29 @@ class TestStackedEstimators:
             assert bits(got.alpha) == bits(want.alpha)
             assert got.lambda_used == want.lambda_used
             assert got.kappa_used == want.kappa_used
+            assert got.diagnostics == want.diagnostics
+
+    @pytest.mark.parametrize("fallback", ["fuller", "tsls"])
+    def test_the_fallback_runs_on_its_own_items_alone(self, monkeypatch, fallback):
+        rows = grid_rows(10, 150, 20)
+        stack, views = GramStack.from_rows(*rows), views_of(*rows)
+        cached = set(vars(stack))
+        seen = []
+        original = estimators._liml_blocks
+        monkeypatch.setattr(estimators, "_liml_blocks",
+                            lambda *args: seen.append(args[1].tolist()) or original(*args))
+        cfg = PulseConfig(fallback=EstimatorSpec(fallback))
+        fit = estimate(stack, EstimatorSpec("pulse"), cfg)
+        back = [r for r, message in enumerate(fit.messages)
+                if message is PulseMessage.TSLS_REJECTED_FALLBACK]
+        assert 0 < len(back) < len(stack)
+        assert seen == ([back] if fallback == "fuller" else [])  # LIML on those items alone
+        assert set(vars(stack)) == cached  # a part's LIML kappa is not cached on the stack
+        for r, view in enumerate(views):
+            want, got = pulse_estimate(view, cfg), fit.result(r)
+            assert got.message is want.message
+            assert bits(got.alpha) == bits(want.alpha)
+            assert got.lambda_used == want.lambda_used
             assert got.diagnostics == want.diagnostics
 
     def test_searches_of_different_lengths_run_in_lockstep(self, monkeypatch):
@@ -587,14 +627,12 @@ class TestStackedLiml:
         stack, _ = built("univariate q=10")
         seen = []
         original = estimators._liml_blocks
-        monkeypatch.setattr(estimators, "_liml_blocks", lambda s: seen.append(len(s)) or original(s))
+        monkeypatch.setattr(estimators, "_liml_blocks",
+                            lambda *args: seen.append(len(args[1])) or original(*args))
         fits = [estimate(stack, EstimatorSpec.parse(label)) for label in
                 ("liml", "fuller:1", "fuller:4", "pulse")]
         assert seen == [len(stack)]
         assert PulseMessage.TSLS_REJECTED_FALLBACK in fits[-1].messages  # reads fuller:4's kappa
-        taken = stack.take(np.array([3, 5]))
-        assert bits(estimate(taken, EstimatorSpec("liml")).kappa) == bits(fits[0].kappa[[3, 5]])
-        assert seen == [len(stack)]
 
     def test_w_singular_items_fail_at_their_own_index(self):
         y, x, a = sample_stack(univariate_model(2, 0.9, 0.1), 60, [1, 2, 3, 4, 5])
@@ -671,78 +709,70 @@ class TestStackedLstsq:
         assert str(got.value) == str(want.value)
 
 
-class TestJoinAndTake:
-    def test_joined_stacks_keep_each_items_values_without_rows(self):
+class TestRowFreeChunkStack:
+    """A chunk whose estimators read no rows is one stack of its slices' joined Gram
+    products (``experiments._row_free_stack``), with each item's bits and errors."""
+
+    @staticmethod
+    def chunk_and_whole(monkeypatch) -> tuple[GramStack, GramStack]:
+        """The row-free stack of a chunk of two cells, in slices of 3, 3 and 1 samples
+        (the first joins both cells'), and ``from_rows`` of the chunk's whole sample:
+        ``Z^T Z = 0`` at item 2 and ``A^T A`` singular at item 4."""
         model, n = univariate_model(2, 0.9, 0.1), 60
-        y, x, a = sample_stack(model, n, list(range(7)))
-        a[4, :, 1] = 2.0 * a[4, :, 0]  # A^T A singular at item 4 of the whole
-        whole = GramStack.from_rows(y, x, a)
-        parts = [GramStack.from_rows(y[lo:hi], x[lo:hi], a[lo:hi]) for lo, hi in ((0, 3), (3, 7))]
-        joined = GramStack.concat(iter(parts))
-        assert joined.rows is None and len(joined) == 7
+        seeds = list(range(7))
+        y, x, a = sample_stack(model, n, seeds)
+        x[2] = 0.0
+        a[4, :, 1] = 2.0 * a[4, :, 0]
+        drawn = {seed: (y[r], x[r], a[r]) for r, seed in enumerate(seeds)}
+
+        def sampled(model, n, taken, iv=None):
+            return tuple(np.stack(arrs) for arrs in zip(*(drawn[seed] for seed in taken)))
+
+        monkeypatch.setattr(experiments, "sample_stack", sampled)
+        monkeypatch.setattr(experiments, "STACK_ELEMENTS", 3 * n * (model.q + model.k))
+        chunk = experiments._row_free_stack([model, model], n, [seeds[:2], seeds[2:]])
+        return chunk, GramStack.from_rows(y, x, a)
+
+    def test_each_item_keeps_its_values_and_errors_without_rows(self, monkeypatch):
+        chunk, whole = self.chunk_and_whole(monkeypatch)
+        assert chunk.rows is None and len(chunk) == 7
         for name in PRODUCTS + ("yty", "rcond_ztz"):
-            assert bits(getattr(joined, name)) == bits(getattr(whole, name)), name
-        for got, want in zip(joined.pieces[:2], whole.pieces[:2]):
+            assert bits(getattr(chunk, name)) == bits(getattr(whole, name)), name
+        for got, want in zip(chunk.pieces[:2], whole.pieces[:2]):
             assert bits(got) == bits(want)
         for name in PATH_ARRAYS + ("yty", "syy"):
-            assert bits(getattr(joined.paths[0], name)) == bits(getattr(whole.paths[0], name))
-        assert list(joined.pieces[2]) == [4] and list(joined.paths[1]) == [4]
-        assert str(joined.paths[1][4]) == str(whole.paths[1][4])
+            assert bits(getattr(chunk.paths[0], name)) == bits(getattr(whole.paths[0], name))
+        assert list(chunk.pieces[2]) == [4] and list(chunk.paths[1]) == [2, 4]
+        for got, want in ((chunk.pieces[2], whole.pieces[2]), (chunk.paths[1], whole.paths[1])):
+            assert {r: str(exc) for r, exc in got.items()} == {
+                r: str(exc) for r, exc in want.items()}
+        assert "Z^T Z" in str(chunk.paths[1][2]) and "A^T A" in str(chunk.paths[1][4])
+
+    def test_the_estimators_that_read_no_rows_give_each_items_outcome(self, monkeypatch):
+        chunk, whole = self.chunk_and_whole(monkeypatch)
         for label in ("ols", "tsls", "pulse", "modified-tsls"):
             spec = EstimatorSpec.parse(label)
-            got, want = estimate(joined, spec), estimate(whole, spec)
+            got, want = estimate(chunk, spec), estimate(whole, spec)
             assert [outcome(got, r) for r in range(7)] == [outcome(want, r) for r in range(7)]
         with pytest.raises(TypeError, match="rows"):
-            estimate(joined, EstimatorSpec("liml"))
+            estimate(chunk, EstimatorSpec("liml"))
 
-    def test_stacks_of_different_shapes_are_not_joined(self):
-        one = GramStack.from_rows(*sample_stack(univariate_model(2, 0.9, 0.1), 60, [1]))
-        other = GramStack.from_rows(*sample_stack(univariate_model(2, 0.9, 0.1), 50, [1]))
-        with pytest.raises(ValueError, match="share one partition"):
-            GramStack.concat([one, other])
-
-    def test_take_keeps_each_items_values_and_errors(self):
-        y, x, a = sample_stack(univariate_model(2, 0.9, 0.1), 60, list(range(6)))
-        x[4] = 0.0  # Z^T Z = 0 at item 4
-        whole = GramStack.from_rows(y, x, a)
-        items = np.array([1, 4, 5])
-        taken = whole.take(items)
-        part = GramStack.from_rows(y[items], x[items], a[items])
-        for name in PRODUCTS + ("yty", "rcond_ztz"):
-            assert bits(getattr(taken, name)) == bits(getattr(part, name)), name
-        for got, want in zip(taken.rows, part.rows):
-            assert bits(got) == bits(want)
-        assert list(taken.paths[1]) == [1] and not taken.pieces[2]
-        for label in SPECS:
-            spec = EstimatorSpec.parse(label)
-            got, want = estimate(taken, spec), estimate(part, spec)
-            assert [outcome(got, r) for r in range(3)] == [outcome(want, r) for r in range(3)]
-
-    def test_a_views_stack_joins_stacks_from_rows(self):
-        y, x, a = sample_stack(univariate_model(2, 0.9, 0.1), 60, list(range(4)))
-        a[2, :, 1] = 2.0 * a[2, :, 0]  # A^T A singular at item 2 of the whole
-        whole = GramStack.from_rows(y, x, a)
-        view = views_of(y[:1], x[:1], a[:1])[0]
-        joined = GramStack.concat([view.stack, GramStack.from_rows(y[1:], x[1:], a[1:])])
-        assert joined.rows is None and view.stack.rows is not None
-        items = np.array([0, 2, 3])
-        for got, want in ((joined, whole), (joined.take(items), whole.take(items))):
-            for name in PRODUCTS + ("yty", "rcond_ztz"):
+    def test_a_chunk_gives_the_outputs_of_its_stacks_with_rows(self, monkeypatch):
+        # slices of 2, 2, 2 and 1 samples, the second across the two cells: one row-free
+        # stack, against four stacks that keep their rows
+        model, n = e3_model(), 100
+        monkeypatch.setattr(experiments, "STACK_ELEMENTS", 2 * n * (model.q + model.k))
+        specs = tuple(EstimatorSpec.parse(label) for label in ("pulse", "modified-tsls", "ols"))
+        chunk = experiments._Chunk(((0, e3_model, range(3)), (1, e3_model, range(4))), n,
+                                   specs, 7, 0.05)
+        row_free = experiments._run_chunk(chunk)
+        monkeypatch.setattr(experiments, "_reads_rows", lambda *args: True)
+        with_rows = experiments._run_chunk(chunk)
+        assert [len(part.alpha) for part in row_free] == [3, 4]
+        for got, want in zip(row_free, with_rows):
+            assert got.errors.tolist() == want.errors.tolist()
+            for name in ("alpha", "min_eig", "g"):
                 assert bits(getattr(got, name)) == bits(getattr(want, name)), name
-            for piece, wanted in zip(got.pieces[:2], want.pieces[:2]):
-                assert bits(piece) == bits(wanted)
-            for name in PATH_ARRAYS + ("yty", "syy"):
-                assert bits(getattr(got.paths[0], name)) == bits(getattr(want.paths[0], name))
-            for mine, theirs in ((got.pieces[2], want.pieces[2]), (got.paths[1], want.paths[1])):
-                assert {r: str(exc) for r, exc in mine.items()} == {
-                    r: str(exc) for r, exc in theirs.items()}
-            for label in SPECS:
-                spec = EstimatorSpec.parse(label)
-                if spec.kind in ("liml", "fuller"):  # they read rows, which neither keeps
-                    continue
-                fit, wanted = estimate(got, spec), estimate(want, spec)
-                assert [outcome(fit, r) for r in got.items] == [
-                    outcome(wanted, r) for r in want.items], label
 
 
 class TestOneViewStack:
