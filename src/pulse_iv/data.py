@@ -523,7 +523,7 @@ class PathStack:
     under-identified design, and their ``b1``, exact zeros.  Penalties in
     ``[0, KAPPA_FORM_MAX]`` use the ``kappa`` form, as the ``lambda`` form moves
     estimates by about 1e-15, which adds or drops ``rel_change_*`` rows in cells
-    whose repetitions coincide (ROADMAP items 1 and 3); the others use the
+    whose repetitions coincide (ROADMAP items 1 and 8); the others use the
     ``lambda`` form, exact where ``kappa`` rounds towards one.
 
     With ``y'y`` and ``s_y's_y`` kept too, both losses along the path are rational in

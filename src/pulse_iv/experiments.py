@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
@@ -42,7 +43,7 @@ from .sem import (
     philox_generator,
     population_pulse_underid,
     sample_stack,
-    sem_sample,  # not called here: bench/spans.py wraps this name (ROADMAP item 1)
+    sem_sample,  # not called here: bench/spans.py wraps this name (ROADMAP item 2)
     univariate_model,
     wcmspe_curve_e1,
     xi_from_r2,
@@ -506,55 +507,112 @@ def _joined(outputs: list[_Outputs]) -> _Outputs:
 STACK_ELEMENTS = 2**16
 
 
-def _slices(
-    models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]]
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """The samples of each model at its seeds, in order, as the ``y``, ``x`` and ``a``
-    rows of slices of up to :data:`STACK_ELEMENTS` values that run on from one
-    model's samples to the next's.  A model's seeds in one slice are sampled in one
-    pass."""
+#: One slice of :func:`_slice_plan`: ``(model, seeds)`` parts, in order.
+_Slice = tuple[tuple[SemModel, Sequence[int]], ...]
+
+
+def _slice_plan(models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]]) -> list[_Slice]:
+    """The slices of the samples of each model at its seeds, in order: each slice the
+    ``(model, seeds)`` parts of up to :data:`STACK_ELEMENTS` sampled values, run on
+    from one model's seeds to the next's."""
     per_stack = max(1, STACK_ELEMENTS // (n * (models[0].q + models[0].k)))
-    samples: list[tuple[np.ndarray, ...]] = []
+    plan: list[_Slice] = []
+    parts: list[tuple[SemModel, Sequence[int]]] = []
     room = per_stack
     for model, own in zip(models, seeds):
         start = 0
         while start < len(own):
             taken = own[start : start + room]
-            samples.append(sample_stack(model, n, taken))
+            parts.append((model, taken))
             start, room = start + len(taken), room - len(taken)
             if not room:
-                yield _joined_rows(samples)
-                samples, room = [], per_stack
-    if samples:
-        yield _joined_rows(samples)
+                plan.append(tuple(parts))
+                parts, room = [], per_stack
+    if parts:
+        plan.append(tuple(parts))
+    return plan
 
 
-def _joined_rows(samples: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """The rows of :func:`~pulse_iv.sem.sample_stack` calls, joined in order."""
+def _sampled(parts: _Slice, n: int) -> tuple[np.ndarray, ...]:
+    """The ``y``, ``x`` and ``a`` rows of one slice of :func:`_slice_plan`: one
+    :func:`~pulse_iv.sem.sample_stack` call per model, joined in order."""
+    samples = [sample_stack(model, n, taken) for model, taken in parts]
     return samples[0] if len(samples) == 1 else tuple(np.concatenate(arr) for arr in zip(*samples))
+
+
+def _in_order(fn: Callable[[Any], Any], items: Sequence[Any], threads: int) -> list[Any]:
+    """``[fn(item) for item in items]``, computed on this thread and up to ``threads -
+    1`` helper threads, each taking the next item from a shared counter.  It raises
+    the error of the first item, in order, that fails, as the loop would: the items
+    are taken in order, so every item before a failed one has been taken and runs to
+    its end.  After an item fails, or after Ctrl-C reaches this thread, no thread
+    starts another item, and every helper has been joined when this returns or
+    raises."""
+    helpers = min(threads, len(items)) - 1
+    if helpers < 1:
+        return [fn(item) for item in items]
+    results: list[Any] = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    lock, stop = threading.Lock(), threading.Event()
+    order = iter(range(len(items)))
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if stop.is_set() else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # Ctrl-C too: raised below, after the joins
+                with lock:
+                    errors[i] = exc
+                    stop.set()
+                return
+
+    started: list[threading.Thread] = []
+    try:
+        for _ in range(helpers):
+            helper = threading.Thread(target=work, daemon=True)
+            helper.start()
+            started.append(helper)
+        work()
+    finally:
+        stop.set()  # also after a Ctrl-C outside ``fn``
+        for helper in started:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _stacks(
     models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]]
 ) -> Iterator[GramStack]:
-    """The stack of each slice of :func:`_slices`, which keeps its rows; item ``r``
-    of each has the bits of ``DesignView(sem_sample(model, n, seed))``."""
-    return (GramStack.from_rows(*rows) for rows in _slices(models, n, seeds))
+    """The stack of each slice of :func:`_slice_plan`, sampled as it is read, which
+    keeps its rows; item ``r`` of each has the bits of ``DesignView(sem_sample(model,
+    n, seed))``."""
+    return (GramStack.from_rows(*_sampled(parts, n)) for parts in _slice_plan(models, n, seeds))
 
 
 def _row_free_stack(
-    models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]]
+    models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]], threads: int = 1
 ) -> GramStack:
-    """One stack of every slice of :func:`_slices`, without rows: each slice's Gram
+    """One stack of every slice of :func:`_slice_plan`, without rows: each slice's Gram
     products, its rows then dropped, joined.  Each item has the bits of its item of
-    :func:`_stacks` in every product, piece and path, and its error."""
-    products = []
-    for rows in _slices(models, n, seeds):
-        y, x, a = _checked_rows(*rows)
-        partition = _partition_for(x.shape[-1], a.shape[-1], None)
-        products.append(_gram_products(y, _z(x, a, partition), a))
-    grams = _frozen(*(np.concatenate(arrays) for arrays in zip(*products)))
-    return GramStack(partition, a.shape[-1], n, *grams)
+    :func:`_stacks` in every product, piece and path, and its error.  The slices are
+    sampled on this thread and up to ``threads - 1`` helpers (:func:`_in_order`):
+    sampling at a large ``n`` spends nearly all of its time in numpy loops that
+    release the GIL, and each thread reads its streams from a Philox of its own."""
+    partition = _partition_for(len(models[0].x_indices), models[0].q, None)
+
+    def products(parts: _Slice) -> tuple[np.ndarray, ...]:
+        y, x, a = _checked_rows(*_sampled(parts, n))
+        return _gram_products(y, _z(x, a, partition), a)
+
+    sliced = _in_order(products, _slice_plan(models, n, seeds), threads)
+    grams = _frozen(*(np.concatenate(arrays) for arrays in zip(*sliced)))
+    return GramStack(partition, models[0].q, n, *grams)
 
 
 def _reads_rows(model: SemModel, specs: tuple[EstimatorSpec, ...], pulse_cfg: PulseConfig) -> bool:
@@ -568,13 +626,21 @@ def _reads_rows(model: SemModel, specs: tuple[EstimatorSpec, ...], pulse_cfg: Pu
     return not kinds.isdisjoint(("liml", "fuller"))
 
 
-def _run_chunk(chunk: _Chunk) -> list[_Outputs]:
+def _run_chunk(chunk: _Chunk, threads: int = 1) -> list[_Outputs]:
     """The step: build each part's model, sample each repetition of ``chunk`` with
     its cell's model, fit every estimator on it and return each part's outputs.
     The samples are built into stacks that run across parts, each one
     :class:`GramStack` that ``G_n`` (``weak_instrument_stat``'s arrays) and each
     estimator run over at once, with each repetition's bits and errors.  Where it
-    runs does not matter: each repetition draws from its own stream."""
+    runs does not matter: each repetition draws from its own stream.
+
+    A chunk whose estimators read no rows (``underid-e3``) is one row-free stack,
+    whose slices are sampled on this thread and up to ``threads - 1`` helper
+    threads (:func:`_row_free_stack`); a worker process passes 1, as the pool
+    already runs one worker per CPU.  A chunk whose estimators read rows (the
+    univariate and mv designs, and any chunk with ``liml`` or ``fuller``) is
+    sampled and estimated slice by slice on this thread: its slices are small, and
+    BLAS threads already keep the cores busy."""
     pulse_cfg = PulseConfig(p_min=chunk.p_min)
     models = [build() for _, build, _ in chunk.parts]
     seeds = [
@@ -584,8 +650,9 @@ def _run_chunk(chunk: _Chunk) -> list[_Outputs]:
         stacks: Iterable[GramStack] = _stacks(models, chunk.n, seeds)
     else:
         # one row-free stack for the chunk: a large n, sampled one repetition at a
-        # time, is still estimated in one stack, while at most two slices' rows live
-        stacks = [_row_free_stack(models, chunk.n, seeds)]
+        # time, is still estimated in one stack, while at most one slice's rows live
+        # per sampling thread
+        stacks = [_row_free_stack(models, chunk.n, seeds, threads)]
     outputs = []
     for stack in stacks:
         g, min_eig, _ = _weak_instrument_arrays(stack)
@@ -771,8 +838,8 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
 #: many or a cell's repetitions, whichever is more, so its stacks keep their size.
 CHUNK_REPS = 100
 
-#: Worker environment: one BLAS thread each.  Serial studies already keep about
-#: two cores busy through BLAS threads, so workers that kept theirs would fight.
+#: Worker environment: one BLAS thread each.  Workers that kept the BLAS threads a
+#: serial study uses to fill the cores would compete with each other for them.
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 #: The worker count and process pool that later calls with that count reuse.
@@ -887,7 +954,7 @@ def _chunk_outputs(
     n = min(threads, len(chunks), _cpu_count())
     if n <= 1 or _step_replaced():
         for chunk in _chunks(cells, specs, cfg, max(CHUNK_REPS, cfg.repetitions)):
-            yield chunk, _run_chunk(chunk)
+            yield chunk, _run_chunk(chunk, _cpu_count())
         return
     answers = _pooled(n, chunks)
     try:
@@ -906,7 +973,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     stacks that run across cells; this process reduces, in one pass, the cells
     that each chunk completes, and renders their CSV lines in cell order.
     ``threads = 1`` runs every chunk here, of up to ``CHUNK_REPS`` repetitions or
-    one cell's, whichever is more.  ``threads = N > 1`` runs the chunks of a grid
+    one cell's, whichever is more; a chunk whose estimators read no rows
+    (``underid-e3``) has its slices sampled on one thread per CPU, this one and
+    helper threads that are joined before its stack is estimated.
+    ``threads = N > 1`` runs the chunks of a grid
     design, of up to ``CHUNK_REPS`` repetitions, on worker processes, while this
     process reduces the cells of those that have come back.  It starts at most N
     workers, and no more than there are chunks or CPUs; where that leaves one,
@@ -922,9 +992,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     for the benchmark's ``mc-mv-parallel`` grid).  A call stopped by an error or
     Ctrl-C drops its chunks that have not started; one that is running finishes
     and its answer is discarded, so exit waits for at most one chunk per worker.
-    Each worker runs one BLAS thread: a serial study already keeps about two
-    cores busy through BLAS threads, so workers that kept theirs would compete
-    for the cores and run slower than serial.  ``robustness-e1`` always runs here.
+    Each worker runs one BLAS thread and samples on one thread: a serial study of
+    the small-``n`` designs that read rows already keeps about two cores busy
+    through BLAS threads, so workers that kept theirs would compete for the cores
+    and run slower than serial.  ``robustness-e1`` always runs here, its slices
+    sampled on one thread per CPU.
 
     Raises
     ------
@@ -977,17 +1049,15 @@ def _run_robustness_e1(cfg: ExperimentConfig) -> ExperimentResult:
     model = e1_model()
     rows: list[dict[str, Any]] = []
     seeds = [cell_seed(cfg.master_seed, 0, rep) for rep in range(cfg.repetitions)]
-    done = 0
-    for stack in _stacks([model], n, [seeds]):
-        fits = [stack.kclass_solve(np.full(len(stack), kappa), stack.items) for kappa in kappas]
-        for r in stack.items.tolist():
-            for kappa, (alpha, failed) in zip(kappas, fits):
-                if r in failed:
-                    raise failed[r]
-                est = float(alpha[r, 0])
-                wc = float(wcmspe_curve_e1(est, [ROBUSTNESS_REFERENCE_X])[0])
-                rows.append({"rep": done + r, "kappa": kappa, "estimate": est, "wcmspe": wc})
-        done += len(stack)
+    stack = _row_free_stack([model], n, [seeds], _cpu_count())  # K-class reads no rows
+    fits = [stack.kclass_solve(np.full(len(stack), kappa), stack.items) for kappa in kappas]
+    for r in stack.items.tolist():
+        for kappa, (alpha, failed) in zip(kappas, fits):
+            if r in failed:
+                raise failed[r]
+            est = float(alpha[r, 0])
+            wc = float(wcmspe_curve_e1(est, [ROBUSTNESS_REFERENCE_X])[0])
+            rows.append({"rep": r, "kappa": kappa, "estimate": est, "wcmspe": wc})
     columns = list(_GRID_DESIGNS[cfg.design].columns)
     text, writer = _csv_writer(columns)
     writer.writerows(row.values() for row in rows)

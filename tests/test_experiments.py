@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import _thread
 import csv
 import multiprocessing
 import os
 import shutil
+import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
@@ -18,7 +21,7 @@ import pytest
 from pulse_iv import experiments
 from pulse_iv.data import Dataset, DesignView
 from pulse_iv.estimators import EstimatorSpec, estimate, parse_estimators
-from pulse_iv.exceptions import PulseIVError, SingularGram
+from pulse_iv.exceptions import DataError, PulseIVError, SingularGram
 from pulse_iv.inference import weak_instrument_stat
 from pulse_iv.experiments import (
     FIXED_NOISE_DECLARED,
@@ -1012,3 +1015,129 @@ class TestCrossCellChunks:
         excluded = {(row["r2"], row["estimator"]) for row in result.rows
                     if row["metric"] == "excluded_SingularGram"}
         assert excluded and {r2 for r2, _ in excluded} == {0.1}
+
+
+ROW_FREE_CASES = [
+    ExperimentConfig(design="underid-e3", repetitions=7, master_seed=7,
+                     n_values=(100, 1000, 10000)),
+    ExperimentConfig(design="underid-e3", repetitions=7, master_seed=7,
+                     n_values=(100, 1000, 10000), estimators=("pulse", "modified-tsls", "kclass:1")),
+    ExperimentConfig(design="robustness-e1", repetitions=60, master_seed=7),
+]
+
+
+def large_n_study(repetitions: int) -> ExperimentConfig:
+    """One ``underid-e3`` cell at n = 1e4, where a slice holds one repetition."""
+    cfg = ExperimentConfig(design="underid-e3", repetitions=repetitions, master_seed=7,
+                           n_values=(10000,))
+    model = e3_model()
+    assert experiments.STACK_ELEMENTS // (10000 * (model.q + model.k)) == 1
+    return cfg
+
+
+class TestRowFreeSamplingThreads:
+    """A serial run samples the slices of a chunk whose estimators read no rows on one
+    thread per CPU: the same bytes, the first failed slice's error, and no thread left."""
+
+    @pytest.mark.parametrize("cfg", ROW_FREE_CASES, ids=["underid-e3", "kclass1", "robustness-e1"])
+    def test_any_cpu_count_gives_the_same_files(self, cfg, tmp_path, monkeypatch):
+        alive = threading.active_count()
+        files = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(experiments, "_cpu_count", lambda cpus=cpus: cpus)
+            result = run_experiment(cfg)
+            files.append([p.read_bytes() for p in write_result(result, tmp_path / str(cpus))])
+            assert threading.active_count() == alive
+        assert files[1] == files[0] and files[2] == files[0]
+
+    def test_a_serial_run_samples_on_one_thread_per_cpu_and_a_worker_on_one(self, monkeypatch):
+        cfg = large_n_study(4)
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+        idents = []
+        pairs = threading.Barrier(2, timeout=10)  # broken unless two slices run at once
+
+        def sampled(model, n, seeds, iv=None):
+            idents.append(threading.get_ident())
+            pairs.wait()
+            return sample_stack(model, n, seeds, iv)
+
+        monkeypatch.setattr(experiments, "sample_stack", sampled)
+        serial = run_experiment(cfg)
+        assert len(idents) == 4 and len(set(idents)) == 2
+        assert threading.get_ident() in idents
+        idents.clear()
+        run_experiment(ExperimentConfig(design="robustness-e1", repetitions=20))  # 2 slices
+        assert len(set(idents)) == 2 and threading.get_ident() in idents
+
+        idents.clear()
+
+        def on_its_thread(model, n, seeds, iv=None):
+            idents.append(threading.get_ident())
+            return sample_stack(model, n, seeds, iv)
+
+        monkeypatch.setattr(experiments, "sample_stack", on_its_thread)
+        estimators = parse_estimators(experiments._GRID_DESIGNS["underid-e3"].estimators)
+        specs = tuple(spec for _, spec in estimators)
+        (chunk,) = experiments._chunks(experiments._cells(cfg), specs, cfg, experiments.CHUNK_REPS)
+        (worker,) = experiments._run_chunk(chunk)  # as a worker calls it
+        assert idents == [threading.get_ident()] * 4
+        (threaded,) = experiments._run_chunk(chunk, 3)
+        assert worker.errors.tolist() == threaded.errors.tolist()
+        for name in ("alpha", "min_eig", "g"):
+            assert getattr(worker, name).tobytes() == getattr(threaded, name).tobytes(), name
+        assert run_experiment(cfg).rows == serial.rows
+
+    def test_the_first_failed_slice_in_order_is_raised(self, monkeypatch):
+        cfg = large_n_study(6)
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 3)
+        alive = threading.active_count()
+        run_experiment(cfg)
+        assert threading.active_count() == alive
+        slice_of = {cell_seed(cfg.master_seed, 0, rep): rep for rep in range(cfg.repetitions)}
+        second_failed = threading.Event()
+        checked_rows = experiments._checked_rows
+
+        def checked(y, x, a):
+            try:
+                return checked_rows(y, x, a)
+            except DataError:
+                second_failed.set()  # slice 2 fails first: slice 1 waits for it
+                raise
+
+        def sampled(model, n, seeds, iv=None):
+            y, x, a = sample_stack(model, n, seeds, iv)
+            if slice_of[seeds[0]] == 1:
+                assert second_failed.wait(10), "slice 2 did not run beside slice 1"
+                y[0, 0] = np.nan
+            elif slice_of[seeds[0]] == 2:
+                x[0, 0, 0] = np.nan
+            return y, x, a
+
+        monkeypatch.setattr(experiments, "_checked_rows", checked)
+        monkeypatch.setattr(experiments, "sample_stack", sampled)
+        with pytest.raises(DataError, match="non-finite values in y"):
+            run_experiment(cfg)
+        assert second_failed.is_set()
+        assert threading.active_count() == alive
+
+    @pytest.mark.parametrize("stop", [ValueError, KeyboardInterrupt])
+    def test_no_item_starts_after_a_failure_or_ctrl_c(self, stop):
+        alive = threading.active_count()
+        started = []
+
+        def item(i):
+            started.append(i)
+            on_caller = threading.current_thread() is threading.main_thread()
+            if i >= 3 and stop is ValueError and not on_caller:
+                raise ValueError(i)  # on a helper: the caller must stop taking items too
+            if i >= 3 and stop is KeyboardInterrupt and on_caller:
+                _thread.interrupt_main()  # as Ctrl-C does, once every helper has started
+            time.sleep(0.01)
+            return i
+
+        with pytest.raises(stop):
+            experiments._in_order(item, range(200), 3)
+        assert threading.active_count() == alive
+        assert 4 <= len(started) < 200
+        assert experiments._in_order(lambda i: i * i, range(9), 3) == [i * i for i in range(9)]
+        assert threading.active_count() == alive
