@@ -14,8 +14,10 @@ import csv
 import io
 import json
 import os
+import signal
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import partial
@@ -507,6 +509,10 @@ def _joined(outputs: list[_Outputs]) -> _Outputs:
 STACK_ELEMENTS = 2**16
 
 
+#: The name of :func:`_in_order`'s helper threads.
+SAMPLER_THREAD = "pulse-iv-sampler"
+
+
 #: One slice of :func:`_slice_plan`: ``(model, seeds)`` parts, in order.
 _Slice = tuple[tuple[SemModel, Sequence[int]], ...]
 
@@ -540,6 +546,25 @@ def _sampled(parts: _Slice, n: int) -> tuple[np.ndarray, ...]:
     return samples[0] if len(samples) == 1 else tuple(np.concatenate(arr) for arr in zip(*samples))
 
 
+@contextmanager
+def _ctrl_c_held() -> Iterator[None]:
+    """Hold back Ctrl-C on the main thread, the one it reaches, until the block ends,
+    then hand it to the SIGINT handler, which raises ``KeyboardInterrupt``.  Where
+    Ctrl-C is ignored or ends the process, nothing is held."""
+    handler = signal.getsignal(signal.SIGINT)
+    if threading.current_thread() is not threading.main_thread() or not callable(handler):
+        yield
+        return
+    held: list[tuple[int, Any]] = []
+    signal.signal(signal.SIGINT, lambda *caught: held.append(caught))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, handler)
+        if held:
+            handler(*held[0])
+
+
 def _in_order(fn: Callable[[Any], Any], items: Sequence[Any], threads: int) -> list[Any]:
     """``[fn(item) for item in items]``, computed on this thread and up to ``threads -
     1`` helper threads, each taking the next item from a shared counter.  It raises
@@ -547,10 +572,8 @@ def _in_order(fn: Callable[[Any], Any], items: Sequence[Any], threads: int) -> l
     are taken in order, so every item before a failed one has been taken and runs to
     its end.  After an item fails, or after Ctrl-C reaches this thread, no thread
     starts another item, and every helper has been joined when this returns or
-    raises."""
+    raises: Ctrl-C is held back while the helpers are started and joined."""
     helpers = min(threads, len(items)) - 1
-    if helpers < 1:
-        return [fn(item) for item in items]
     results: list[Any] = [None] * len(items)
     errors: dict[int, BaseException] = {}
     lock, stop = threading.Lock(), threading.Event()
@@ -572,15 +595,17 @@ def _in_order(fn: Callable[[Any], Any], items: Sequence[Any], threads: int) -> l
 
     started: list[threading.Thread] = []
     try:
-        for _ in range(helpers):
-            helper = threading.Thread(target=work, daemon=True)
-            helper.start()
-            started.append(helper)
+        with _ctrl_c_held():
+            for _ in range(helpers):
+                helper = threading.Thread(target=work, name=SAMPLER_THREAD, daemon=True)
+                helper.start()
+                started.append(helper)
         work()
     finally:
-        stop.set()  # also after a Ctrl-C outside ``fn``
-        for helper in started:
-            helper.join()
+        with _ctrl_c_held():
+            stop.set()  # also after a Ctrl-C outside ``fn``
+            for helper in started:
+                helper.join()
     if errors:
         raise errors[min(errors)]
     return results
@@ -887,7 +912,6 @@ def _pooled(n: int, chunks: Iterable[_Chunk]) -> Iterator[list[_Outputs]]:
     workers inside ``map``, so they read the one-BLAS-thread environment set only
     around that call.  A lost worker breaks the pool: it is shut down, not respawned."""
     import multiprocessing
-    import signal
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -903,7 +927,10 @@ def _pooled(n: int, chunks: Iterable[_Chunk]) -> Iterator[list[_Outputs]]:
         os.environ.update(_ONE_BLAS_THREAD)
         try:
             answers = _WORKERS[1].map(_run_chunk, chunks)
-        except OSError as exc:  # a worker that stops at start can close the pool's pipes
+        except (OSError, ValueError) as exc:
+            # a worker that stops at start can close the pool's pipes, and with them
+            # the descriptors the next worker's start passes on ("bad value(s) in
+            # fds_to_keep")
             raise BrokenProcessPool("an experiment worker stopped as it started") from exc
         finally:
             for name, value in saved.items():

@@ -9,6 +9,7 @@ import os
 import shutil
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
@@ -840,6 +841,23 @@ class TestWorkers:
         assert run_experiment(cfg, threads=2).rows == run_experiment(cfg).rows
         experiments.shutdown_workers()
 
+    @pytest.mark.parametrize("error", [OSError("closed pipe"), ValueError("bad value(s) in fds_to_keep")])
+    def test_a_worker_start_that_fails_breaks_the_pool(self, error, monkeypatch):
+        """A worker that stops at start can close the pipes and descriptors the pool
+        passes on to the next worker's start: either error breaks the pool."""
+        cfg = CELL_MAPPING_CASES[2][0]
+        monkeypatch.setattr(experiments, "CHUNK_REPS", 5)  # 4 chunks, not one
+        experiments.shutdown_workers()
+
+        def failed_start(self, fn, *iterables, **kwargs):
+            raise error
+
+        monkeypatch.setattr(ProcessPoolExecutor, "map", failed_start)
+        with pytest.raises(BrokenProcessPool) as broken:
+            run_experiment(cfg, threads=2)
+        assert broken.value.__cause__ is error
+        assert experiments._WORKERS is None
+
     def test_a_stopped_call_leaves_no_answer_for_the_next(self, monkeypatch):
         """A reduction that raises mid-study, its traceback still held, leaves no
         answer in flight for the next call to read as its own."""
@@ -1035,19 +1053,23 @@ def large_n_study(repetitions: int) -> ExperimentConfig:
     return cfg
 
 
+def samplers() -> list[threading.Thread]:
+    """The helper threads of ``experiments._in_order`` that are alive."""
+    return [t for t in threading.enumerate() if t.name == experiments.SAMPLER_THREAD]
+
+
 class TestRowFreeSamplingThreads:
     """A serial run samples the slices of a chunk whose estimators read no rows on one
     thread per CPU: the same bytes, the first failed slice's error, and no thread left."""
 
     @pytest.mark.parametrize("cfg", ROW_FREE_CASES, ids=["underid-e3", "kclass1", "robustness-e1"])
     def test_any_cpu_count_gives_the_same_files(self, cfg, tmp_path, monkeypatch):
-        alive = threading.active_count()
         files = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(experiments, "_cpu_count", lambda cpus=cpus: cpus)
             result = run_experiment(cfg)
             files.append([p.read_bytes() for p in write_result(result, tmp_path / str(cpus))])
-            assert threading.active_count() == alive
+            assert not samplers()
         assert files[1] == files[0] and files[2] == files[0]
 
     def test_a_serial_run_samples_on_one_thread_per_cpu_and_a_worker_on_one(self, monkeypatch):
@@ -1090,9 +1112,8 @@ class TestRowFreeSamplingThreads:
     def test_the_first_failed_slice_in_order_is_raised(self, monkeypatch):
         cfg = large_n_study(6)
         monkeypatch.setattr(experiments, "_cpu_count", lambda: 3)
-        alive = threading.active_count()
         run_experiment(cfg)
-        assert threading.active_count() == alive
+        assert not samplers()
         slice_of = {cell_seed(cfg.master_seed, 0, rep): rep for rep in range(cfg.repetitions)}
         second_failed = threading.Event()
         checked_rows = experiments._checked_rows
@@ -1118,11 +1139,10 @@ class TestRowFreeSamplingThreads:
         with pytest.raises(DataError, match="non-finite values in y"):
             run_experiment(cfg)
         assert second_failed.is_set()
-        assert threading.active_count() == alive
+        assert not samplers()
 
     @pytest.mark.parametrize("stop", [ValueError, KeyboardInterrupt])
     def test_no_item_starts_after_a_failure_or_ctrl_c(self, stop):
-        alive = threading.active_count()
         started = []
 
         def item(i):
@@ -1137,7 +1157,39 @@ class TestRowFreeSamplingThreads:
 
         with pytest.raises(stop):
             experiments._in_order(item, range(200), 3)
-        assert threading.active_count() == alive
+        assert not samplers()
         assert 4 <= len(started) < 200
         assert experiments._in_order(lambda i: i * i, range(9), 3) == [i * i for i in range(9)]
-        assert threading.active_count() == alive
+        assert not samplers()
+
+    @pytest.mark.parametrize("step", ["start", "join"])
+    def test_ctrl_c_while_helpers_start_or_are_joined_leaves_none(self, step, monkeypatch):
+        ran = threading.Event()
+
+        class Interrupted(threading.Thread):
+            def run(self):
+                if step == "start":
+                    _thread.interrupt_main()  # as Ctrl-C does, while the caller is in ``start``
+                    ran.set()
+                super().run()
+
+            def start(self):
+                super().start()
+                if step == "start":
+                    assert ran.wait(10)
+
+            def join(self, timeout=None):
+                if step == "join":
+                    _thread.interrupt_main()  # as Ctrl-C does, in the first join
+                super().join(timeout)
+
+        def item(i):
+            if i >= 3 and threading.current_thread() is threading.main_thread():
+                raise ValueError(i)  # the caller joins the helpers while they still run
+            time.sleep(0.05)  # so a helper left unjoined is still alive below
+            return i
+
+        monkeypatch.setattr(threading, "Thread", Interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            experiments._in_order(item, range(200), 3)
+        assert not samplers()
