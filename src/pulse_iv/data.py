@@ -111,9 +111,15 @@ def only(values: np.ndarray, failed: Failed):
 def rcond_symmetric(mat: np.ndarray) -> float | np.ndarray:
     """Reciprocal condition number of a symmetric matrix via its spectrum; of each
     matrix of a stack, as an array of the leading shape."""
-    if mat.shape[-1] == 0:
-        return 0.0 if mat.ndim == 2 else np.zeros(mat.shape[:-2])
-    w = np.abs(np.linalg.eigvalsh(mat))
+    return _spectral_rcond(np.linalg.eigvalsh(mat) if mat.shape[-1] else np.zeros(mat.shape[:-1]))
+
+
+def _spectral_rcond(spectrum: np.ndarray) -> float | np.ndarray:
+    """:func:`rcond_symmetric` of a symmetric matrix from its ``eigvalsh`` spectrum
+    (0 for an empty one); of each spectrum of a stack, as an array."""
+    if spectrum.shape[-1] == 0:
+        return 0.0 if spectrum.ndim == 1 else np.zeros(spectrum.shape[:-1])
+    w = np.abs(spectrum)
     top = w.max(axis=-1)
     rc = np.divide(w.min(axis=-1), top, out=np.zeros_like(top), where=top != 0.0)
     return float(rc) if rc.ndim == 0 else rc

@@ -20,7 +20,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from functools import partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -138,17 +138,10 @@ def _mse_orders(mse_as: np.ndarray, mse_bs: np.ndarray) -> list[MseOrder]:
     flipped = diff.transpose(0, 2, 1)
     sym = np.concatenate([0.5 * (diff + flipped), 0.5 * (-diff - flipped)])
     psd = np.linalg.eigvalsh(sym)[:, 0] >= -np.concatenate([tol, tol])  # b - a, then a - b
-    orders = []
-    for a_le, b_le in zip(psd[: len(diff)], psd[len(diff):]):
-        if a_le and b_le:
-            orders.append(MseOrder.EQUAL)
-        elif a_le:
-            orders.append(MseOrder.A_LESS_OR_EQUAL)
-        elif b_le:
-            orders.append(MseOrder.B_LESS_OR_EQUAL)
-        else:
-            orders.append(MseOrder.INCOMPARABLE)
-    return orders
+    verdicts = (
+        MseOrder.INCOMPARABLE, MseOrder.B_LESS_OR_EQUAL, MseOrder.A_LESS_OR_EQUAL, MseOrder.EQUAL
+    )
+    return [verdicts[i] for i in (2 * psd[: len(diff)] + psd[len(diff):]).tolist()]
 
 
 def rho_norm_multivariate(mu: np.ndarray, delta: np.ndarray, sigma_sq: tuple[float, float]) -> float:
@@ -210,18 +203,11 @@ def summarize_stacks(stacks: np.ndarray, target: np.ndarray) -> list[EstimatorMe
     det_mse = np.linalg.det(mse)
     median_abs_error = np.median(np.linalg.norm(err, axis=2), axis=1)
     return [
-        EstimatorMetrics(
-            n_used=n_used,
-            bias=mean_err[e],
-            mse=mse[e],
-            variance=variance[e],
-            trace_mse=float(trace_mse[e]),
-            det_mse=float(det_mse[e]),
-            rmse=float(np.sqrt(trace_mse[e])),
-            iqr=quart[1, e] - quart[0, e],
-            median_abs_error=float(median_abs_error[e]),
+        EstimatorMetrics(n_used, *each)
+        for each in zip(
+            mean_err, mse, variance, trace_mse.tolist(), det_mse.tolist(),
+            np.sqrt(trace_mse).tolist(), quart[1] - quart[0], median_abs_error.tolist(),
         )
-        for e in range(len(stacks))
     ]
 
 
@@ -392,15 +378,27 @@ def _json_is(value: Any, kind: str) -> bool:
 
 @dataclass
 class ExperimentResult:
-    """Cells (or per-repetition rows), canonical CSV rows, their rendered CSV
-    text, and the manifest."""
+    """Cells, canonical CSV rows, their rendered CSV text, and the manifest.
+
+    ``rows`` holds one dict per CSV line, keyed by ``columns``.  For a grid design
+    it is built from ``cells`` on first read, once, and kept; ``csv_text`` is
+    rendered without it.  ``robustness-e1`` has no cells: its rows, one per
+    repetition and ``kappa``, are set as they are built."""
 
     design: str
     config: ExperimentConfig
     cells: list[CellResult]
-    rows: list[dict[str, Any]]
     columns: list[str]
     csv_text: str
+
+    @cached_property
+    def rows(self) -> list[dict[str, Any]]:
+        params = self.columns[:-4]  # then estimator, metric, value and repetitions_used
+        rows: list[dict[str, Any]] = []
+        for cell in self.cells:
+            values = [cell.params[name] for name in params]
+            rows += [dict(zip(self.columns, (*values, *line))) for line in _cell_lines(cell)]
+        return rows
 
     def manifest(self) -> dict[str, Any]:
         return {
@@ -481,11 +479,11 @@ class _Chunk(NamedTuple):
 
 
 class _Outputs(NamedTuple):
-    """The step's outputs for ``R`` consecutive repetitions of one cell, as arrays with
-    a row per repetition: each estimator's ``alpha`` (``(R, E, k)``, NaN where it
-    raised) and the class name of the error it raised (``(R, E)``, ``""`` where it did
-    not); then ``weak_instrument_stat``'s smallest eigenvalue (``(R,)``) and ``G_n``
-    (``(R, d1, d1)``), NaN where it raised."""
+    """The step's outputs for ``R`` repetitions (a chunk's, or those of one cell in
+    it), as arrays with a row per repetition: each estimator's ``alpha`` (``(R, E,
+    k)``, NaN where it raised) and the class name of the error it raised (``(R, E)``,
+    ``""`` where it did not); then ``weak_instrument_stat``'s smallest eigenvalue
+    (``(R,)``) and ``G_n`` (``(R, d1, d1)``), NaN where it raised."""
 
     alpha: np.ndarray
     errors: np.ndarray
@@ -651,9 +649,11 @@ def _reads_rows(model: SemModel, specs: tuple[EstimatorSpec, ...], pulse_cfg: Pu
     return not kinds.isdisjoint(("liml", "fuller"))
 
 
-def _run_chunk(chunk: _Chunk, threads: int = 1) -> list[_Outputs]:
+def _run_chunk(chunk: _Chunk, threads: int = 1) -> _Outputs:
     """The step: build each part's model, sample each repetition of ``chunk`` with
-    its cell's model, fit every estimator on it and return each part's outputs.
+    its cell's model, fit every estimator on it and return the outputs, a row per
+    repetition in part order (:func:`_parts` splits them): a worker sends back four
+    arrays per chunk, not four per part.
     The samples are built into stacks that run across parts, each one
     :class:`GramStack` that ``G_n`` (``weak_instrument_stat``'s arrays) and each
     estimator run over at once, with each repetition's bits and errors.  Where it
@@ -688,11 +688,29 @@ def _run_chunk(chunk: _Chunk, threads: int = 1) -> list[_Outputs]:
             alpha[list(fit.failed), e] = np.nan
             errors[list(fit.failed), e] = [type(exc).__name__ for exc in fit.failed.values()]
         outputs.append(_Outputs(alpha, errors, min_eig, g))
-    joined = _joined(outputs)
+    return _joined(outputs)
+
+
+def _parts(chunk: _Chunk, outputs: _Outputs) -> list[_Outputs]:
+    """Each part's outputs of a chunk's :func:`_run_chunk` outputs, as views."""
     stops = np.cumsum([len(reps) for _, _, reps in chunk.parts]).tolist()
     return [
-        _Outputs(*(arr[start:stop] for arr in joined)) for start, stop in zip([0, *stops], stops)
+        _Outputs(*(arr[start:stop] for arr in outputs)) for start, stop in zip([0, *stops], stops)
     ]
+
+
+def _by_count(mask: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The rows of a 2-D ``mask`` grouped by their count of true entries: each count
+    but 0, in order of its first row, with the indices of its rows."""
+    counts = mask.sum(axis=1)
+    found, first = np.unique(counts, return_index=True)
+    return [(int(c), np.flatnonzero(counts == c)) for c in found[np.argsort(first)] if c]
+
+
+def _taken(values: np.ndarray, mask: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """``values[r][mask[r]]`` of each row ``r`` of ``rows``, each with ``count`` true
+    entries, as one ``(len(rows), count, ...)`` array, in order."""
+    return values[rows][mask[rows]].reshape(len(rows), count, *values.shape[2:])
 
 
 def _reduce_cells(
@@ -700,74 +718,99 @@ def _reduce_cells(
 ) -> list[CellResult]:
     """The reduction: the metrics of each cell of ``batch`` from its outputs, joined
     in repetition order, so the sums and their bits do not depend on where the
-    repetitions ran.  All of the batch's cells share one numpy pass per step: one
-    :func:`summarize_stacks` call per count of repetitions used, one
-    :func:`_mse_orders` call and one ``eigvalsh`` of the mean ``G_n``."""
-    labels = [label for label, _ in estimators]
-    kept: list[list[np.ndarray]] = []  # per cell, per estimator: the estimates it made
-    failures: list[dict[str, dict[str, int]]] = []
-    min_eigs: list[np.ndarray] = []
-    g_means: list[np.ndarray] = []
-    for _, parts in batch:
-        out = _joined(parts)
-        made = ~np.isnan(out.alpha[..., 0])
-        kept.append([out.alpha[made[:, e], e] for e in range(len(labels))])
-        failures.append({
-            label: dict(Counter(out.errors[~made[:, e], e].tolist()))
-            for e, label in enumerate(labels) if not made[:, e].all()
-        })
-        weak = ~np.isnan(out.min_eig)
-        min_eigs.append(out.min_eig[weak])
-        if weak.any():
-            # cumsum adds the G_n matrices one after another, in repetition order
-            g_means.append(np.cumsum(out.g[weak], axis=0)[-1] / np.count_nonzero(weak))
+    repetitions ran.  Every cell of a batch has the same number of repetitions.
 
-    by_length: dict[int, list[tuple[int, int]]] = {}
-    for c, cell_kept in enumerate(kept):
-        for e, est in enumerate(cell_kept):
-            if len(est):
-                by_length.setdefault(len(est), []).append((c, e))
-    summaries: list[dict[str, EstimatorMetrics]] = [{} for _ in batch]
-    for members in by_length.values():  # one numpy pass per group of equal-length stacks
-        stacks = np.array([kept[c][e] for c, e in members])
-        targets = np.array([batch[c][0].target for c, _ in members])
-        for (c, e), met in zip(members, summarize_stacks(stacks, targets)):
-            summaries[c][labels[e]] = met
-    metrics = [{label: cell[label] for label in labels if label in cell} for cell in summaries]
+    The batch's outputs are joined once and reduced in array passes over all of its
+    cells: the masks of the estimates made, the failure counts and the ``G_n``
+    sums (a ``cumsum`` along the repetition axis, which adds in repetition order).
+    One :func:`summarize_stacks` call per count of repetitions used, one
+    :func:`_mse_orders` call and one ``eigvalsh`` of the mean ``G_n`` serve every
+    cell, and each cell keeps the bits of its own reduction; Python only assembles
+    the result objects."""
+    if not batch:
+        return []
+    labels = [label for label, _ in estimators]
+    out = _joined([part for _, parts in batch for part in parts])
+    cells, width = len(batch), len(labels)
+    reps, k = len(out.alpha) // cells, out.alpha.shape[2]
+    # one item per cell and estimator, in cell then estimator order, of the cell's reps
+    alpha = out.alpha.reshape(cells, reps, width, k).transpose(0, 2, 1, 3).reshape(-1, reps, k)
+    errors = out.errors.reshape(cells, reps, width).transpose(0, 2, 1).reshape(-1, reps)
+    made = ~np.isnan(alpha[..., 0])
+
+    failures: list[dict[str, dict[str, int]]] = [{} for _ in batch]
+    for item in np.flatnonzero(~made.all(axis=1)).tolist():
+        c, e = divmod(item, width)
+        failures[c][labels[e]] = dict(Counter(errors[item][~made[item]].tolist()))
+
+    summaries: list[EstimatorMetrics | None] = [None] * len(alpha)
+    targets = np.array([cell.target for cell, _ in batch])
+    for used, items in _by_count(made):  # one numpy pass per count of estimates made
+        stacks = _taken(alpha, made, items, used)
+        for item, met in zip(items.tolist(), summarize_stacks(stacks, targets[items // width])):
+            summaries[item] = met
+    metrics = [
+        {
+            label: met for label, met in zip(labels, summaries[c * width : (c + 1) * width])
+            if met is not None
+        }
+        for c in range(cells)
+    ]
 
     pulse_label = next((label for label, spec in estimators if spec.kind == "pulse"), None)
     pairs = [
         (c, label) for c, cell in enumerate(metrics) if pulse_label in cell
         for label in cell if label != pulse_label
     ]
-    orders = _mse_orders(
-        np.array([metrics[c][pulse_label].mse for c, _ in pairs]),
-        np.array([metrics[c][label].mse for c, label in pairs]),
-    ) if pairs else []
     pairwise: list[dict[str, dict[str, Any]]] = [{} for _ in batch]
-    for (c, label), order in zip(pairs, orders):
-        ref, met = metrics[c][pulse_label], metrics[c][label]
-        entry: dict[str, Any] = {"mse_order_vs_pulse": order.value}
-        for scalar in ("rmse", "trace_mse", "det_mse"):
-            ref_val = getattr(ref, scalar)
-            if ref_val > 0:
-                entry[f"rel_change_{scalar}_vs_pulse"] = relative_change(
-                    getattr(met, scalar), ref_val
-                )
-        pairwise[c][label] = entry
+    if pairs:
+        refs = [metrics[c][pulse_label] for c, _ in pairs]
+        mets = [metrics[c][label] for c, label in pairs]
+        orders = _mse_orders(np.array([m.mse for m in refs]), np.array([m.mse for m in mets]))
+        scalars = ("rmse", "trace_mse", "det_mse")
+        ref_vals, met_vals = (
+            np.array([(m.rmse, m.trace_mse, m.det_mse) for m in side]) for side in (refs, mets)
+        )
+        positive = ref_vals > 0  # relative_change of each pair with a positive reference
+        with np.errstate(divide="ignore", invalid="ignore"):
+            changes = ((met_vals - ref_vals) / ref_vals).tolist()
+        for (c, label), order, has, change in zip(pairs, orders, positive.tolist(), changes):
+            entry: dict[str, Any] = {"mse_order_vs_pulse": order.value}
+            for scalar, ok, value in zip(scalars, has, change):
+                if ok:
+                    entry[f"rel_change_{scalar}_vs_pulse"] = value
+            pairwise[c][label] = entry
 
-    low = iter(np.linalg.eigvalsh(np.array(g_means))[:, 0].tolist() if g_means else [])
-    results = []
-    for (cell, _), cell_metrics, cell_failures, eigs, cell_pairwise in zip(
-        batch, metrics, failures, min_eigs, pairwise
-    ):
-        weak: dict[str, float] = {}
-        if len(eigs):
-            weak["mean_min_eig_gn"] = float(np.mean(eigs))
-            weak["min_eig_mean_gn"] = next(low)
-            weak["gn_repetitions"] = float(len(eigs))
-        results.append(CellResult(cell.params, cell_metrics, cell_failures, weak, cell_pairwise))
-    return results
+    min_eig = out.min_eig.reshape(cells, reps)
+    g = out.g.reshape(cells, reps, *out.g.shape[1:])
+    found = ~np.isnan(min_eig)  # the repetitions where weak_instrument_stat ran
+    mean_eig, used_g, mean_g = np.zeros(cells), np.zeros(cells), np.zeros((cells, *g.shape[2:]))
+    for used, rows in _by_count(found):
+        mean_eig[rows] = np.mean(_taken(min_eig, found, rows, used), axis=1)
+        # cumsum adds the G_n matrices one after another, in repetition order
+        mean_g[rows] = np.cumsum(_taken(g, found, rows, used), axis=1)[:, -1] / used
+        used_g[rows] = used
+    low = np.zeros(cells)
+    if used_g.any():  # one eigvalsh pass over the mean G_n of the cells, in cell order
+        low[used_g > 0] = np.linalg.eigvalsh(mean_g[used_g > 0])[:, 0]
+    weak = [
+        {"mean_min_eig_gn": eig, "min_eig_mean_gn": lowest, "gn_repetitions": used} if used else {}
+        for eig, lowest, used in zip(mean_eig.tolist(), low.tolist(), used_g.tolist())
+    ]
+    return [
+        CellResult(cell.params, *each)
+        for (cell, _), each in zip(batch, zip(metrics, failures, weak, pairwise))
+    ]
+
+
+@cache
+def _metric_names(k: int) -> tuple[str, ...]:
+    """The metric of each CSV line of an estimator with ``k`` coordinates, in order."""
+    return (
+        *(f"{name}_{i}" for i in range(k) for name in ("bias", "iqr")),
+        *(f"{name}_{i}{j}" for i in range(k) for j in range(i, k) for name in ("mse", "var")),
+        "trace_mse", "det_mse", "rmse", "median_abs_error",
+    )
 
 
 def _cell_lines(cell: CellResult) -> list[tuple[str, str, Any, int]]:
@@ -775,21 +818,15 @@ def _cell_lines(cell: CellResult) -> list[tuple[str, str, Any, int]]:
     lines: list[tuple[str, str, Any, int]] = []
     for label in sorted(cell.metrics):
         met = cell.metrics[label]
-        reps = met.n_used
         bias, iqr, mse, variance = (
             a.tolist() for a in (met.bias, met.iqr, met.mse, met.variance)
         )
-        for i in range(len(bias)):
-            lines.append((label, f"bias_{i}", bias[i], reps))
-            lines.append((label, f"iqr_{i}", iqr[i], reps))
-        for i in range(len(bias)):
-            for j in range(i, len(bias)):
-                lines.append((label, f"mse_{i}{j}", mse[i][j], reps))
-                lines.append((label, f"var_{i}{j}", variance[i][j], reps))
-        lines.append((label, "trace_mse", met.trace_mse, reps))
-        lines.append((label, "det_mse", met.det_mse, reps))
-        lines.append((label, "rmse", met.rmse, reps))
-        lines.append((label, "median_abs_error", met.median_abs_error, reps))
+        k = len(bias)
+        values = [v for i in range(k) for v in (bias[i], iqr[i])]
+        values += [v for i in range(k) for j in range(i, k) for v in (mse[i][j], variance[i][j])]
+        values += (met.trace_mse, met.det_mse, met.rmse, met.median_abs_error)
+        reps = met.n_used
+        lines += [(label, name, value, reps) for name, value in zip(_metric_names(k), values)]
     for label in sorted(cell.failures):
         reps = cell.metrics[label].n_used if label in cell.metrics else 0
         for cause, count in sorted(cell.failures[label].items()):
@@ -804,12 +841,36 @@ def _cell_lines(cell: CellResult) -> list[tuple[str, str, Any, int]]:
     return lines
 
 
-def _csv_writer(columns: list[str]) -> tuple[io.StringIO, Any]:
-    """The one CSV renderer: a ``csv.writer`` into text, its header written."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(columns)
-    return text, writer
+class _CsvFields(dict):
+    """The one CSV renderer, with the bytes of ``csv.writer``'s default dialect: each
+    distinct string's field is rendered once, by ``csv.writer`` itself, and kept,
+    so a string that needs quoting is quoted as it would quote it.  A float is
+    written as ``repr`` and an int as ``str``, as ``csv`` writes them."""
+
+    def __missing__(self, text: str) -> str:
+        out = io.StringIO()
+        csv.writer(out).writerow(("", text))  # not alone: a lone empty field is quoted
+        field = self[text] = out.getvalue()[1:-2]
+        return field
+
+    def field(self, value: str | float | int) -> str:
+        if isinstance(value, str):
+            return self[value]
+        return repr(value) if isinstance(value, float) else str(value)
+
+    def line(self, values: Iterable[str | float | int]) -> str:
+        """One CSV line of two or more ``values``, with its ``\\r\\n``."""
+        return ",".join(map(self.field, values)) + "\r\n"
+
+    def cell(self, params: Iterable[Any], lines: list[tuple[str, str, Any, int]]) -> str:
+        """The CSV lines of one cell: on each, the cell's parameters (the string field
+        of each one's ``str``), then one of its :func:`_cell_lines`."""
+        prefix = "".join(f"{self[str(value)]}," for value in params)
+        field = self.field
+        return "".join([
+            f"{prefix}{self[label]},{self[metric]},{field(value)},{reps}\r\n"
+            for label, metric, value, reps in lines
+        ])
 
 
 def _model_rng(cfg: ExperimentConfig, cell_index: int) -> np.random.Generator:
@@ -904,7 +965,7 @@ def _chunks(
     ]
 
 
-def _pooled(n: int, chunks: Iterable[_Chunk]) -> Iterator[list[_Outputs]]:
+def _pooled(n: int, chunks: Iterable[_Chunk]) -> Iterator[_Outputs]:
     """Each chunk's outputs, in chunk order, from a pool of ``n`` worker processes,
     started first if there is none or not of ``n``.  Each worker is a fresh
     interpreter (a ``spawn`` start: a fork would copy this process's running BLAS
@@ -973,7 +1034,7 @@ _STEP_FUNCTIONS = {
 
 def _chunk_outputs(
     cells: list[_Cell], specs: tuple[EstimatorSpec, ...], cfg: ExperimentConfig, threads: int
-) -> Iterator[tuple[_Chunk, list[_Outputs]]]:
+) -> Iterator[tuple[_Chunk, _Outputs]]:
     """Each chunk with its outputs, in chunk order: from workers in chunks of up to
     ``CHUNK_REPS`` repetitions, one per chunk up to ``threads`` and the CPU count,
     or from this process where that leaves one or a step function was replaced."""
@@ -997,8 +1058,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     ``threads``: each repetition draws from its own stream, and each cell is
     reduced in this process in repetition order.  The repetitions run in chunks of
     consecutive cells of one shape ``(n, q, d)``, whose samples are estimated in
-    stacks that run across cells; this process reduces, in one pass, the cells
-    that each chunk completes, and renders their CSV lines in cell order.
+    stacks that run across cells.  This process reduces the cells that each chunk
+    completes, in array passes over all of them (:func:`_reduce_cells`), and
+    renders their CSV lines in cell order by formatting (:class:`_CsvFields`), so
+    a pooled study is bound by its workers; the result's ``rows`` are built from
+    its cells when first read.
     ``threads = 1`` runs every chunk here, of up to ``CHUNK_REPS`` repetitions or
     one cell's, whichever is more; a chunk whose estimators read no rows
     (``underid-e3``) has its slices sampled on one thread per CPU, this one and
@@ -1015,8 +1079,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     ``if __name__ == "__main__":`` guard: each worker imports the script's main
     module afresh.  The workers start on first use and serve later calls with
     the same count, until :func:`shutdown_workers` or interpreter exit: starting
-    them costs more than a short study (about 0.8 s against about 0.04 s serially
-    for the benchmark's ``mc-mv-parallel`` grid).  A call stopped by an error or
+    them costs more than a short study (about 0.5 s, against about 0.05 s serially
+    and 0.03 s on two started workers for the benchmark's ``mc-mv-parallel`` grid
+    on a 2-CPU machine).  A call stopped by an error or
     Ctrl-C drops its chunks that have not started; one that is running finishes
     and its answer is discarded, so exit waits for at most one chunk per worker.
     Each worker runs one BLAS thread and samples on one thread: a serial study of
@@ -1041,32 +1106,27 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     estimators = parse_estimators(cfg.estimators or default_estimators)
     cells = _cells(cfg)
     columns = [*param_names, "estimator", "metric", "value", "repetitions_used"]
-    text, writer = _csv_writer(columns)
+    fields = _CsvFields()
+    text = [fields.line(columns)]
     results: list[CellResult] = []
-    rows: list[dict[str, Any]] = []
     pending: dict[int, list[_Outputs]] = {}  # the parts of a cell split across chunks
     outputs = _chunk_outputs(cells, tuple(spec for _, spec in estimators), cfg, threads)
     try:
         for chunk, outs in outputs:
             # reduced and rendered while the workers run later chunks
             done = []
-            for (index, _, reps), out in zip(chunk.parts, outs):
+            for (index, _, reps), out in zip(chunk.parts, _parts(chunk, outs)):
                 pending.setdefault(index, []).append(out)
                 if reps.stop == cfg.repetitions:
                     done.append(index)
             batch = [(cells[index], pending.pop(index)) for index in done]
             for result in _reduce_cells(batch, estimators):
                 params = [result.params[name] for name in param_names]
-                # formatted once per cell: ``str`` is what ``csv`` writes for a float,
-                # an int or a numpy float
-                prefix = [str(value) for value in params]
-                lines = _cell_lines(result)
-                writer.writerows([*prefix, *line] for line in lines)
-                rows.extend(dict(zip(columns, (*params, *line))) for line in lines)
+                text.append(fields.cell(params, _cell_lines(result)))
                 results.append(result)
     finally:
         outputs.close()  # a stopped call leaves no answer in flight for the next
-    return ExperimentResult(cfg.design, cfg, results, rows, columns, text.getvalue())
+    return ExperimentResult(cfg.design, cfg, results, columns, "".join(text))
 
 
 def _run_robustness_e1(cfg: ExperimentConfig) -> ExperimentResult:
@@ -1086,9 +1146,11 @@ def _run_robustness_e1(cfg: ExperimentConfig) -> ExperimentResult:
             wc = float(wcmspe_curve_e1(est, [ROBUSTNESS_REFERENCE_X])[0])
             rows.append({"rep": r, "kappa": kappa, "estimate": est, "wcmspe": wc})
     columns = list(_GRID_DESIGNS[cfg.design].columns)
-    text, writer = _csv_writer(columns)
-    writer.writerows(row.values() for row in rows)
-    return ExperimentResult(cfg.design, cfg, [], rows, columns, text.getvalue())
+    fields = _CsvFields()
+    text = "".join(map(fields.line, [columns, *(row.values() for row in rows)]))
+    result = ExperimentResult(cfg.design, cfg, [], columns, text)
+    result.rows = rows  # one per repetition and kappa, kept as built
+    return result
 
 
 def write_result(result: ExperimentResult, outdir: str | Path) -> tuple[Path, Path]:

@@ -33,13 +33,14 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 import scipy.special
 
-from .data import Dataset, GramView, ModelPartition, rcond_symmetric, RCOND_GRAM
+from .data import Dataset, GramView, ModelPartition, _spectral_rcond, RCOND_GRAM
 from .exceptions import DataError, NonStationary
 
 SPECTRAL_MARGIN = 1e-8
@@ -107,15 +108,29 @@ def _gaussians(seed: int | Sequence[int], stream: int, shape: tuple[int, ...]) -
 
 
 def _psd_root(mat: np.ndarray, name: str) -> np.ndarray:
-    """Symmetric PSD square root; small negative eigenvalues are clipped."""
+    """Symmetric PSD square root, read-only; small negative eigenvalues are clipped.
+    The root of each matrix is kept for the next call with the same entries (as the
+    models of one grid share their covariances), so it is computed once."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if not np.allclose(mat, mat.T, atol=1e-12 * max(1.0, float(np.abs(mat).max()))):
+    return _kept_root(mat.shape, mat.tobytes(), name)
+
+
+@lru_cache(maxsize=256)
+def _kept_root(shape: tuple[int, ...], entries: bytes, name: str) -> np.ndarray:
+    """:func:`_psd_root` of the matrix of ``shape`` with these float64 ``entries``."""
+    mat = np.frombuffer(entries).reshape(shape)
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} must have finite entries")
+    atol = 1e-12 * max(1.0, float(np.abs(mat).max()))
+    if not (np.abs(mat - mat.T) <= atol + 1e-5 * np.abs(mat.T)).all():  # np.allclose's test
         raise ValueError(f"{name} must be symmetric")
     w, v = np.linalg.eigh(mat)
     if w.size and w.min() < -1e-10 * max(w.max(), 1.0):
         raise ValueError(f"{name} must be positive semi-definite")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
+    root = (v * np.sqrt(w)) @ v.T
+    root.flags.writeable = False
+    return root
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +181,11 @@ class SemModel:
     exactly one coordinate is the target and hidden coordinates are dropped
     from sampled datasets.
 
-    Construction validates the covariances and keeps their PSD roots:
-    ``noise_root`` (of ``noise_cov``) and ``anchor_root`` (of ``anchor_cov``).
-    Every draw reuses them.
+    Construction refuses a non-finite entry of ``b``, ``m``, ``noise_cov`` or
+    ``anchor_cov``, validates the covariances and keeps their PSD roots:
+    ``noise_root`` (of ``noise_cov``) and ``anchor_root`` (of ``anchor_cov``),
+    read-only and shared with the models of the same covariance.  Every draw
+    reuses them.
     """
 
     b: np.ndarray              # (k, k) structural matrix
@@ -181,10 +198,15 @@ class SemModel:
 
     def __post_init__(self) -> None:
         b = np.atleast_2d(np.asarray(self.b, dtype=float))
+        m = np.atleast_2d(np.asarray(self.m, dtype=float))
+        noise = np.asarray(self.noise_cov, dtype=float)
+        anchor = np.atleast_2d(np.asarray(self.anchor_cov, dtype=float))
+        for name, entries in (("b", b), ("m", m), ("noise_cov", noise), ("anchor_cov", anchor)):
+            if not np.isfinite(entries).all():
+                raise ValueError(f"{name} must have finite entries")
         k = b.shape[0]
         if b.shape != (k, k):
             raise ValueError(f"B must be square, got {b.shape}")
-        m = np.atleast_2d(np.asarray(self.m, dtype=float))
         if m.shape[1] != k:
             raise ValueError(f"M must have {k} columns, got {m.shape}")
         roles = tuple(self.roles)
@@ -192,7 +214,6 @@ class SemModel:
             raise ValueError("roles must assign 'y', 'x' or 'h' to every coordinate")
         if roles.count("y") != 1:
             raise ValueError("exactly one coordinate must be the target 'y'")
-        noise = np.asarray(self.noise_cov, dtype=float)
         if noise.ndim == 1:
             if noise.shape[0] != k or np.any(noise < 0):
                 raise ValueError("diagonal noise_cov needs k nonnegative entries")
@@ -202,13 +223,14 @@ class SemModel:
             if noise_full.shape != (k, k):
                 raise ValueError(f"noise_cov must be (k,) or (k, k), got {noise.shape}")
         noise_root = _psd_root(noise_full, "noise_cov")
-        anchor = np.atleast_2d(np.asarray(self.anchor_cov, dtype=float))
         q = anchor.shape[0]
         if anchor.shape != (q, q):
             raise ValueError(f"anchor_cov must be square, got {anchor.shape}")
-        if rcond_symmetric(anchor) < RCOND_GRAM or np.linalg.eigvalsh(anchor)[0] <= 0:
+        spectrum = np.linalg.eigvalsh(anchor)
+        if _spectral_rcond(spectrum) < RCOND_GRAM or spectrum[0] <= 0:
             raise ValueError("anchor_cov must be symmetric positive definite")
-        rho = float(np.max(np.abs(np.linalg.eigvals(b)))) if k else 0.0
+        # a B without edges has spectral radius 0: no eigvals call
+        rho = float(np.max(np.abs(np.linalg.eigvals(b)))) if b.any() else 0.0
         if rho >= 1.0 - SPECTRAL_MARGIN:
             raise NonStationary(f"spectral radius of B is {rho:.6f} >= 1 - {SPECTRAL_MARGIN:g}")
         object.__setattr__(self, "b", b)

@@ -138,6 +138,18 @@ class TestSimulate:
         assert "anchor_cov must be symmetric" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_noise_cov_is_a_model_error(self, tmp_path, capsys, bad):
+        doc = model_to_json(e1_model())
+        doc["noise_cov"][0][0] = bad  # written as Infinity or NaN, which json reads back
+        sem = tmp_path / "sem.json"
+        sem.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--sem", str(sem), "--n", "5", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: noise_cov must have finite entries\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("route", ["sem", "intervene"])
     def test_hard_intervention_without_mean_is_data_error(self, tmp_path, capsys, route):
         doc = model_to_json(e1_model())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import _thread
 import csv
+import io
 import multiprocessing
 import os
 import shutil
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pulse_iv import experiments
 from pulse_iv.data import Dataset, DesignView
@@ -263,6 +266,127 @@ class TestStackedSummaries:
         for label in ("ols", "tsls", "fuller:4"):
             want = mse_order_one_pair(ref, result.metrics[label].mse)
             assert result.pairwise[label]["mse_order_vs_pulse"] == want.value
+
+
+class TestBatchedReduction:
+    """A batch of cells is reduced in array passes, and each cell gets the bits of
+    its reduction alone."""
+
+    LABELS = ("pulse", "ols", "tsls", "kclass:1")
+
+    def batch(self, cells=6, reps=9, seed=3):
+        """Cells with their own failures (``kclass:1`` fails everywhere, cell 0
+        nowhere else), missing ``G_n`` (all of cell 2's), and parts split anywhere."""
+        rng = np.random.default_rng(seed)
+        batch = []
+        for c in range(cells):
+            alpha = rng.normal(size=(reps, len(self.LABELS), 2)) * 10.0 ** rng.uniform(-3, 3)
+            rates = [0.0, 0.0, 0.0, 1.0] if c == 0 else [0.1, 0.3, 0.6, 1.0]
+            failed = rng.random(alpha.shape[:2]) < rates
+            alpha[failed] = np.nan
+            errors = np.full(failed.shape, "", dtype=object)
+            errors[failed] = rng.choice(["UnderIdentified", "SingularGram"], size=failed.sum())
+            root = rng.normal(size=(reps, 3, 3))
+            g = root @ root.transpose(0, 2, 1) + 0.1 * np.eye(3)
+            min_eig = np.linalg.eigvalsh(g)[:, 0]
+            lost = np.ones(reps, bool) if c == 2 else rng.random(reps) < 0.3
+            g[lost], min_eig[lost] = np.nan, np.nan
+            cut = int(rng.integers(0, reps + 1))
+            parts = [
+                experiments._Outputs(alpha[span], errors[span], min_eig[span], g[span])
+                for span in (slice(0, cut), slice(cut, reps))
+            ]
+            cell = experiments._Cell({"model_index": c}, e3_model, (50, 2, 2), rng.normal(size=2))
+            batch.append((cell, parts))
+        return batch
+
+    def test_each_cell_as_alone(self):
+        estimators = parse_estimators(self.LABELS)
+        batch = self.batch()
+        together = experiments._reduce_cells(batch, estimators)
+        assert len(together) == len(batch)
+        for (cell, parts), got in zip(batch, together):
+            [alone] = experiments._reduce_cells([(cell, parts)], estimators)
+            assert got.params is cell.params
+            assert list(got.metrics) == list(alone.metrics)
+            for label, met in got.metrics.items():
+                want = alone.metrics[label]
+                assert_same_bits(met, [getattr(want, f.name) for f in dataclass_fields(want)])
+            assert got.failures == alone.failures
+            assert list(got.weak.items()) == list(alone.weak.items())
+            assert got.pairwise == alone.pairwise
+
+    def test_each_cell_against_its_formulas(self):
+        estimators = parse_estimators(self.LABELS)
+        batch = self.batch(seed=4)
+        for (cell, parts), got in zip(batch, experiments._reduce_cells(batch, estimators)):
+            alpha, errors, min_eig, g = (np.concatenate(arrays) for arrays in zip(*parts))
+            made = ~np.isnan(alpha[..., 0])
+            for e, label in enumerate(self.LABELS):
+                if made[:, e].any():
+                    want = summarize_one_by_one(alpha[made[:, e], e], cell.target)
+                    assert_same_bits(got.metrics[label], want)
+                else:
+                    assert label not in got.metrics
+                causes, counts = np.unique(errors[~made[:, e], e].astype(str), return_counts=True)
+                assert got.failures.get(label, {}) == dict(zip(causes.tolist(), counts.tolist()))
+            ran = ~np.isnan(min_eig)
+            if ran.any():
+                mean_g = np.cumsum(g[ran], axis=0)[-1] / ran.sum()
+                assert got.weak == {
+                    "mean_min_eig_gn": float(np.mean(min_eig[ran])),
+                    "min_eig_mean_gn": float(np.linalg.eigvalsh(mean_g)[0]),
+                    "gn_repetitions": float(ran.sum()),
+                }
+            else:
+                assert got.weak == {}
+            ref = got.metrics["pulse"]
+            for label, entry in got.pairwise.items():
+                met = got.metrics[label]
+                assert entry["mse_order_vs_pulse"] == mse_partial_order(ref.mse, met.mse).value
+                for scalar in ("rmse", "trace_mse", "det_mse"):
+                    key = f"rel_change_{scalar}_vs_pulse"
+                    if getattr(ref, scalar) > 0:
+                        want = relative_change(getattr(met, scalar), getattr(ref, scalar))
+                        assert entry[key] == want
+                    else:
+                        assert key not in entry
+
+    def test_an_empty_batch(self):
+        assert experiments._reduce_cells([], parse_estimators(self.LABELS)) == []
+
+
+#: Strings ``csv`` must quote (a comma, a quote, a line break), spaces and nothing.
+_CSV_TEXT = st.text(alphabet=st.sampled_from(list('ab1:_ ,"\r\n\'\u00e9')), max_size=6)
+#: Floats with the edge cases spelled out: NaN, infinities, -0.0, subnormals, 1e+-300.
+_CSV_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, -2.2e-310,
+                     1e300, -1e-300, 1e-300]),
+)
+_CSV_VALUE = st.one_of(_CSV_FLOAT, st.integers(), _CSV_TEXT)
+
+
+class TestCsvRenderer:
+    """The renderer writes the bytes ``csv.writer`` writes."""
+
+    @given(
+        params=st.lists(st.one_of(_CSV_FLOAT, st.integers(), _CSV_TEXT), max_size=4),
+        lines=st.lists(st.tuples(_CSV_TEXT, _CSV_TEXT, _CSV_VALUE, st.integers(0, 10**6)),
+                       max_size=5),
+    )
+    def test_cell_lines(self, params, lines):
+        want = io.StringIO()
+        csv.writer(want).writerows([*(str(value) for value in params), *line] for line in lines)
+        assert experiments._CsvFields().cell(params, lines) == want.getvalue()
+
+    @given(st.lists(_CSV_VALUE, min_size=2, max_size=6))
+    def test_a_line(self, values):
+        want = io.StringIO()
+        csv.writer(want).writerow(values)
+        fields = experiments._CsvFields()
+        assert fields.line(values) == want.getvalue()
+        assert fields.line(values) == want.getvalue()  # and again, from the kept fields
 
 
 class TestStackedOrders:
@@ -729,6 +853,38 @@ WORKER_CASES = [c[0] for c in CELL_MAPPING_CASES] + [
 ]
 
 
+class TestLazyRows:
+    """``rows`` is built from the cells on first read, once, as the run built it
+    before: one dict per CSV line."""
+
+    @pytest.mark.parametrize(
+        "cfg", [*WORKER_CASES[:3], WORKER_CASES[4]],
+        ids=["univariate", "mv-random", "mv-fixed", "underid-e3-kclass1"],
+    )
+    def test_rows_are_the_eager_rows_built_once(self, cfg, monkeypatch):
+        result = run_experiment(cfg)
+        assert "rows" not in vars(result)  # the run renders its CSV text without them
+        eager = []
+        for cell in result.cells:
+            params = [cell.params[name] for name in result.columns[:-4]]
+            lines = experiments._cell_lines(cell)
+            eager.extend(dict(zip(result.columns, (*params, *line))) for line in lines)
+        calls = []
+        cell_lines = experiments._cell_lines
+        monkeypatch.setattr(
+            experiments, "_cell_lines", lambda cell: calls.append(cell) or cell_lines(cell)
+        )
+        rows = result.rows
+        assert rows == eager
+        assert [list(row) for row in rows] == [list(row) for row in eager]  # and key order
+        assert result.rows is rows and calls == result.cells  # built once
+
+    def test_robustness_rows_are_kept_as_built(self):
+        result = run_experiment(ExperimentConfig(design="robustness-e1", repetitions=3))
+        assert result.cells == [] and vars(result)["rows"] is result.rows
+        assert len(result.rows) == 9
+
+
 class TestWorkers:
     """``threads > 1`` runs the repetitions on worker processes: the same bytes."""
 
@@ -736,6 +892,20 @@ class TestWorkers:
     def three_cpus(self, monkeypatch):
         """As many workers as asked for, up to 3, on any machine."""
         monkeypatch.setattr(experiments, "_cpu_count", lambda: 3)
+
+    def test_cells_split_across_chunks_give_the_serial_bytes_and_rows(self, tmp_path, monkeypatch):
+        """Chunks of 7 repetitions of 5-repetition cells: each returned chunk completes
+        a batch of one or two cells, with a part of one left over for the next."""
+        cfg = ExperimentConfig(design="mv-fixed", repetitions=5, master_seed=21, n_models=3,
+                               noise_triples=FIXED_NOISE_DECLARED[:3])
+        serial = run_experiment(cfg)
+        monkeypatch.setattr(experiments, "CHUNK_REPS", 7)
+        pooled = run_experiment(cfg, threads=2)
+        assert pooled.csv_text == serial.csv_text
+        assert pooled.rows == serial.rows
+        files = [[p.read_bytes() for p in write_result(r, tmp_path / name)]
+                 for name, r in (("serial", serial), ("pooled", pooled))]
+        assert files[0] == files[1]
 
     @pytest.mark.parametrize(
         "cfg", WORKER_CASES, ids=[c[0].design for c in CELL_MAPPING_CASES] + ["underid-e3-kclass1"]
@@ -1101,9 +1271,9 @@ class TestRowFreeSamplingThreads:
         estimators = parse_estimators(experiments._GRID_DESIGNS["underid-e3"].estimators)
         specs = tuple(spec for _, spec in estimators)
         (chunk,) = experiments._chunks(experiments._cells(cfg), specs, cfg, experiments.CHUNK_REPS)
-        (worker,) = experiments._run_chunk(chunk)  # as a worker calls it
+        worker = experiments._run_chunk(chunk)  # as a worker calls it
         assert idents == [threading.get_ident()] * 4
-        (threaded,) = experiments._run_chunk(chunk, 3)
+        threaded = experiments._run_chunk(chunk, 3)
         assert worker.errors.tolist() == threaded.errors.tolist()
         for name in ("alpha", "min_eig", "g"):
             assert getattr(worker, name).tobytes() == getattr(threaded, name).tobytes(), name

@@ -89,6 +89,105 @@ class TestModelValidation:
             )
 
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("name", ["b", "m", "noise_cov", "anchor_cov"])
+    def test_rejects_a_non_finite_entry_by_name(self, name, bad):
+        fields = model_to_json(univariate_model(q=2, rho=0.3, r2=0.1))
+        del fields["roles"]
+        fields = {key: np.array(value) for key, value in fields.items()}
+        fields[name][(0,) * fields[name].ndim] = bad
+        with pytest.raises(ValueError, match=f"^{name} must have finite entries$"):
+            SemModel(**fields, roles=("y", "x"))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_a_non_finite_diagonal_noise_variance(self, bad):
+        with pytest.raises(ValueError, match="^noise_cov must have finite entries$"):
+            SemModel(b=np.zeros((2, 2)), m=np.ones((1, 2)), noise_cov=np.array([1.0, bad]),
+                     anchor_cov=np.eye(1), roles=("y", "x"))
+
+
+def _psd_root_by_allclose(mat: np.ndarray, name: str) -> np.ndarray:
+    """Oracle: the symmetric PSD root with its symmetry check written as np.allclose."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if not np.allclose(mat, mat.T, atol=1e-12 * max(1.0, float(np.abs(mat).max()))):
+        raise ValueError(f"{name} must be symmetric")
+    w, v = np.linalg.eigh(mat)
+    if w.size and w.min() < -1e-10 * max(w.max(), 1.0):
+        raise ValueError(f"{name} must be positive semi-definite")
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestConstructionChecks:
+    """The symmetry check written in plain numpy decides every finite matrix as
+    np.allclose does, and the roots the models keep are bit-equal to it."""
+
+    def test_symmetry_check_decides_as_allclose(self):
+        rng = np.random.default_rng(30)
+        seen = set()
+        for case in range(3000):
+            k = int(rng.integers(1, 5))
+            scale = 10.0 ** rng.uniform(-310, 300)  # subnormal entries to 1e300
+            unit = rng.normal(size=(k, k))
+            mat = (unit @ unit.T if case % 2 else unit + unit.T) * scale  # PSD, or indefinite
+            if k > 1:
+                i, j = (0, 1) if case % 3 else (k - 1, 0)
+                atol = 1e-12 * max(1.0, float(np.abs(mat).max()))
+                # an asymmetry near the tolerance, on either side of it
+                mat[i, j] += rng.choice([-1, 1]) * (atol + 1e-5 * abs(mat[j, i])) * rng.choice(
+                    [0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0]
+                )
+            with np.errstate(all="ignore"):
+                want = _outcome(_psd_root_by_allclose, mat, "cov")
+            got = _outcome(_psd_root, mat, "cov")
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+            seen.add(want if isinstance(want, str) else "root")
+        assert seen == {"root", "cov must be symmetric", "cov must be positive semi-definite"}
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_entry_is_refused(self, bad):
+        mat = np.eye(3)
+        mat[1, 1] = bad  # symmetric, so only finiteness can refuse it
+        with pytest.raises(ValueError, match="^cov must have finite entries$"):
+            _psd_root(mat, "cov")
+        iv = InterventionSpec.stochastic(mat)  # the one covariance not checked at construction
+        with pytest.raises(ValueError, match="^intervention cov must have finite entries$"):
+            draw_anchors(univariate_model(q=3, rho=0.3, r2=0.1), 5, 1, iv)
+
+    def test_kept_roots_are_bit_equal_to_the_allclose_oracle(self):
+        rng = np.random.default_rng(5)
+        models = [
+            e1_model(), e3_model(), univariate_model(q=3, rho=0.9, r2=0.3),
+            *(sem.mv_fixed_model(rng.uniform(-2, 2, (2, 2)), 0.8, 0.76, 0.76) for _ in range(5)),
+            *(mv_varying_model(rng.uniform(-2, 2, (2, 2)), rng.uniform(-2, 2, (2, 2)),
+                               rng.uniform(-2, 2, 2), (0.3, 0.7)) for _ in range(5)),
+        ]
+        for model in models:
+            assert np.array_equal(
+                model.noise_root, _psd_root_by_allclose(model.noise_cov, "noise_cov")
+            )
+            assert np.array_equal(
+                model.anchor_root, _psd_root_by_allclose(model.anchor_cov, "anchor_cov")
+            )
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_a_structural_matrix_without_edges_has_spectral_radius_zero(self, k):
+        """A zero ``B`` skips ``eigvals``, whose radius on it is exactly 0."""
+        assert np.max(np.abs(np.linalg.eigvals(np.zeros((k, k))))) == 0.0
+        roles = ("y", *("x" * (k - 1)))
+        SemModel(b=np.zeros((k, k)), m=np.ones((1, k)), noise_cov=np.ones(k),
+                 anchor_cov=np.eye(1), roles=roles)
+
+
 class TestSampling:
     def test_zero_structure_reproduces_noise(self):
         model = SemModel(

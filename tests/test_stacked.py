@@ -765,9 +765,9 @@ class TestRowFreeChunkStack:
         specs = tuple(EstimatorSpec.parse(label) for label in ("pulse", "modified-tsls", "ols"))
         chunk = experiments._Chunk(((0, e3_model, range(3)), (1, e3_model, range(4))), n,
                                    specs, 7, 0.05)
-        row_free = experiments._run_chunk(chunk)
+        row_free = experiments._parts(chunk, experiments._run_chunk(chunk))
         monkeypatch.setattr(experiments, "_reads_rows", lambda *args: True)
-        with_rows = experiments._run_chunk(chunk)
+        with_rows = experiments._parts(chunk, experiments._run_chunk(chunk))
         assert [len(part.alpha) for part in row_free] == [3, 4]
         for got, want in zip(row_free, with_rows):
             assert got.errors.tolist() == want.errors.tolist()
