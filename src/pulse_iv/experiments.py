@@ -725,8 +725,8 @@ def _reduce_cells(
     sums (a ``cumsum`` along the repetition axis, which adds in repetition order).
     One :func:`summarize_stacks` call per count of repetitions used, one
     :func:`_mse_orders` call and one ``eigvalsh`` of the mean ``G_n`` serve every
-    cell, and each cell keeps the bits of its own reduction; Python only assembles
-    the result objects."""
+    cell, and each cell keeps the bits of its own reduction.  Python assembles the
+    result objects and takes each pair's :func:`relative_change`."""
     if not batch:
         return []
     labels = [label for label, _ in estimators]
@@ -767,18 +767,14 @@ def _reduce_cells(
         refs = [metrics[c][pulse_label] for c, _ in pairs]
         mets = [metrics[c][label] for c, label in pairs]
         orders = _mse_orders(np.array([m.mse for m in refs]), np.array([m.mse for m in mets]))
-        scalars = ("rmse", "trace_mse", "det_mse")
-        ref_vals, met_vals = (
-            np.array([(m.rmse, m.trace_mse, m.det_mse) for m in side]) for side in (refs, mets)
-        )
-        positive = ref_vals > 0  # relative_change of each pair with a positive reference
-        with np.errstate(divide="ignore", invalid="ignore"):
-            changes = ((met_vals - ref_vals) / ref_vals).tolist()
-        for (c, label), order, has, change in zip(pairs, orders, positive.tolist(), changes):
+        for (c, label), ref, met, order in zip(pairs, refs, mets, orders):
             entry: dict[str, Any] = {"mse_order_vs_pulse": order.value}
-            for scalar, ok, value in zip(scalars, has, change):
-                if ok:
-                    entry[f"rel_change_{scalar}_vs_pulse"] = value
+            for scalar in ("rmse", "trace_mse", "det_mse"):
+                ref_val = getattr(ref, scalar)
+                if ref_val > 0:
+                    entry[f"rel_change_{scalar}_vs_pulse"] = relative_change(
+                        getattr(met, scalar), ref_val
+                    )
             pairwise[c][label] = entry
 
     min_eig = out.min_eig.reshape(cells, reps)

@@ -33,7 +33,6 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -108,17 +107,8 @@ def _gaussians(seed: int | Sequence[int], stream: int, shape: tuple[int, ...]) -
 
 
 def _psd_root(mat: np.ndarray, name: str) -> np.ndarray:
-    """Symmetric PSD square root, read-only; small negative eigenvalues are clipped.
-    The root of each matrix is kept for the next call with the same entries (as the
-    models of one grid share their covariances), so it is computed once."""
+    """Symmetric PSD square root; small negative eigenvalues are clipped."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    return _kept_root(mat.shape, mat.tobytes(), name)
-
-
-@lru_cache(maxsize=256)
-def _kept_root(shape: tuple[int, ...], entries: bytes, name: str) -> np.ndarray:
-    """:func:`_psd_root` of the matrix of ``shape`` with these float64 ``entries``."""
-    mat = np.frombuffer(entries).reshape(shape)
     if not np.isfinite(mat).all():
         raise ValueError(f"{name} must have finite entries")
     atol = 1e-12 * max(1.0, float(np.abs(mat).max()))
@@ -128,9 +118,7 @@ def _kept_root(shape: tuple[int, ...], entries: bytes, name: str) -> np.ndarray:
     if w.size and w.min() < -1e-10 * max(w.max(), 1.0):
         raise ValueError(f"{name} must be positive semi-definite")
     w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
-    root.flags.writeable = False
-    return root
+    return (v * np.sqrt(w)) @ v.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +171,8 @@ class SemModel:
 
     Construction refuses a non-finite entry of ``b``, ``m``, ``noise_cov`` or
     ``anchor_cov``, validates the covariances and keeps their PSD roots:
-    ``noise_root`` (of ``noise_cov``) and ``anchor_root`` (of ``anchor_cov``),
-    read-only and shared with the models of the same covariance.  Every draw
-    reuses them.
+    ``noise_root`` (of ``noise_cov``) and ``anchor_root`` (of ``anchor_cov``).
+    Every draw reuses them.
     """
 
     b: np.ndarray              # (k, k) structural matrix
