@@ -27,9 +27,16 @@ are.  A view is the one-item case, run on its cached
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from functools import cache
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -231,21 +238,93 @@ def _min_generalized_eigenvalues(w1: np.ndarray, w: np.ndarray) -> tuple[np.ndar
     ``trtrs``'s bits.  They are called directly to skip those wrappers' per-call
     cost, and imported here so that importing this module (and the CLI) does not
     load ``scipy.linalg``.  The symmetrisation and ``eigvalsh`` are stacked.
+
+    The per-item loop runs with scipy's own OpenBLAS pool at one thread
+    (:func:`_one_scipy_blas_thread`).  Its ``k x k`` calls (``k = 1 + d1``) gain
+    nothing from threads, but each wakes the pool, whose threads then spin on
+    the cores that numpy's pool needs for the next stacked call: at ``q = 30``,
+    ``n = 150`` a repetition cost 1.0-1.7 ms with the pool at two threads against
+    0.6-0.8 ms pinned (serial study, 2-core machine).  One thread, as a worker
+    process already runs, gives the same bits.
     """
     from scipy.linalg.lapack import dpotrf as potrf, dtrtrs as trtrs
 
     w, w1 = np.asarray_chkfinite(w), np.asarray_chkfinite(w1)
     failed: Failed = {}
     inner = np.zeros(w.shape)
-    for r, mat in enumerate(w):
-        low, info = potrf(mat, lower=True, clean=True)
-        if info > 0:
-            failed[r] = SingularGram("W", rcond_symmetric(mat))
-            continue
-        half, _ = trtrs(low, w1[r], lower=True)
-        inner[r], _ = trtrs(low, half.T, lower=True)
+    with _one_scipy_blas_thread():
+        for r, mat in enumerate(w):
+            low, info = potrf(mat, lower=True, clean=True)
+            if info > 0:
+                failed[r] = SingularGram("W", rcond_symmetric(mat))
+                continue
+            half, _ = trtrs(low, w1[r], lower=True)
+            inner[r], _ = trtrs(low, half.T, lower=True)
     inner = 0.5 * (inner + _t(inner))
     return np.linalg.eigvalsh(inner)[:, 0], failed
+
+
+class _BlasPool(NamedTuple):
+    """The thread-count getter and setter of one OpenBLAS library."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@cache
+def _scipy_blas_pool() -> _BlasPool | None:
+    """The thread pool of the OpenBLAS that ``scipy.linalg.lapack`` calls, found once:
+    the library that scipy's wheel bundles (in ``scipy.libs``, or ``scipy/.dylibs``
+    on macOS), opened with ``RTLD_NOLOAD`` so that only an already loaded one is
+    found, through its ``*_set_num_threads`` and ``*_get_num_threads`` symbols.
+    ``None`` where there is none: a scipy built on a shared BLAS, or a platform
+    without ``RTLD_NOLOAD``."""
+    import scipy
+    import scipy.linalg.lapack  # noqa: F401  (loads the library)
+
+    no_load = getattr(os, "RTLD_NOLOAD", None)
+    if no_load is None:
+        return None
+    package = Path(scipy.__file__).parent
+    for path in sorted([*(package.parent / "scipy.libs").glob("*openblas*"),
+                        *(package / ".dylibs").glob("*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path), mode=no_load)
+        except OSError:  # not loaded
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("", "64_")):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return _BlasPool(get, set_)
+    return None
+
+
+#: Held while :func:`_one_scipy_blas_thread` has scipy's pool pinned, so that two
+#: threads never restore each other's count; reentrant, so a pinned block may pin again.
+_PIN_LOCK = threading.RLock()
+
+
+@contextmanager
+def _one_scipy_blas_thread() -> Iterator[None]:
+    """Run the block with scipy's OpenBLAS pool (:func:`_scipy_blas_pool`) at one
+    thread, and restore its count after it, also when it raises; where no pool is
+    found, just run the block."""
+    pool = _scipy_blas_pool()
+    if pool is None:
+        yield
+        return
+    with _PIN_LOCK:
+        threads = pool.get()
+        pool.set(1)
+        try:
+            yield
+        finally:
+            pool.set(threads)
 
 
 def _raise_lstsq_error(err: str, flag: int) -> None:

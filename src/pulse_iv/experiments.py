@@ -38,11 +38,11 @@ from .pulse import PulseConfig
 from .sem import (
     MODEL_STREAM,
     SemModel,
+    _rekeyed_generator,
     e1_model,
     e3_model,
     mv_fixed_model,
     mv_varying_model,
-    philox_generator,
     population_pulse_underid,
     sample_stack,
     sem_sample,  # not called here: bench/spans.py wraps this name (ROADMAP item 2)
@@ -413,14 +413,14 @@ class ExperimentResult:
 @dataclass(frozen=True, eq=False)
 class _Cell:
     """One grid cell: its CSV parameters, the constructor of its model with the
-    model's draws bound, its ``shape`` (sample size ``n``, anchor count ``q`` and
-    regressor count ``d``) and the estimand.  The step builds the model, in the
-    process that samples the cell; the reduction reads only ``params`` and
-    ``target``, and the chunking only ``shape``."""
+    model's draws bound, its ``shape`` (sample size ``n``, anchor count ``q``,
+    regressor count ``d`` and SEM coordinate count ``k`` of the model) and the
+    estimand.  The step builds the model, in the process that samples the cell; the
+    reduction reads only ``params`` and ``target``, and the chunking only ``shape``."""
 
     params: dict[str, Any]
     build: Callable[[], SemModel]
-    shape: tuple[int, int, int]
+    shape: tuple[int, int, int, int]
     target: np.ndarray
 
 
@@ -498,13 +498,22 @@ def _joined(outputs: list[_Outputs]) -> _Outputs:
     return _Outputs(*(np.concatenate(arrays) for arrays in zip(*outputs)))
 
 
-#: Sampled values (``n`` rows of ``q`` anchors and ``k`` SEM coordinates) per stack of
-#: repetitions that :func:`_stacks` samples and builds in one numpy pass per step.  A
-#: repetition with more is a stack of its own: at ``n = 1e4`` (``underid-e3``) a whole
-#: chunk ran at 4.8 ms per repetition in stacks of 40 against 4.5 ms one at a time
-#: (median of 5 runs of 40 repetitions, 2-core Xeon, numpy 2.4.6).  A stack runs on
-#: from one cell of a chunk to the next; only this budget and a chunk's end cut it.
+#: Sampled values (``n`` rows of ``q`` anchors and ``k`` SEM coordinates) per sampling
+#: slice of a chunk whose estimators read no rows (:func:`_row_free_stack`).  A
+#: repetition with more is a slice of its own: at ``n = 1e4`` (``underid-e3``) a whole
+#: chunk ran at 4.8 ms per repetition in slices of 40 against 4.5 ms one at a time
+#: (median of 5 runs of 40 repetitions, 2-core Xeon, numpy 2.4.6), and one slice per
+#: repetition there keeps the sampling threads busy.
 STACK_ELEMENTS = 2**16
+
+#: Sampled values per stack of a chunk whose estimators read rows (:func:`_stacks`),
+#: sampled and built in one numpy pass per step.  Each such stack pays a fixed cost
+#: of a few ms: at ``n = 150``, ``q = 10`` a chunk of 3 repetitions took 3.0-3.7 ms
+#: against 21-22 ms for 75, each one stack (sampling and the univariate design's
+#: estimators; 2-core machine, numpy 2.4.6).  This budget holds 145 of them, and 54
+#: at ``q = 30``; :data:`STACK_ELEMENTS` held 36 and 13.  A stack runs on from one
+#: cell of a chunk to the next; only this budget and a chunk's end cut it.
+ROW_STACK_ELEMENTS = 2**18
 
 
 #: The name of :func:`_in_order`'s helper threads.
@@ -515,11 +524,19 @@ SAMPLER_THREAD = "pulse-iv-sampler"
 _Slice = tuple[tuple[SemModel, Sequence[int]], ...]
 
 
-def _slice_plan(models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]]) -> list[_Slice]:
+def _per_stack(budget: int, n: int, q: int, k: int) -> int:
+    """Repetitions of ``n`` rows of ``q`` anchors and ``k`` SEM coordinates in one stack
+    of up to ``budget`` sampled values; at least one."""
+    return max(1, budget // (n * (q + k)))
+
+
+def _slice_plan(
+    models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]], budget: int
+) -> list[_Slice]:
     """The slices of the samples of each model at its seeds, in order: each slice the
-    ``(model, seeds)`` parts of up to :data:`STACK_ELEMENTS` sampled values, run on
-    from one model's seeds to the next's."""
-    per_stack = max(1, STACK_ELEMENTS // (n * (models[0].q + models[0].k)))
+    ``(model, seeds)`` parts of up to ``budget`` sampled values, run on from one
+    model's seeds to the next's."""
+    per_stack = _per_stack(budget, n, models[0].q, models[0].k)
     plan: list[_Slice] = []
     parts: list[tuple[SemModel, Sequence[int]]] = []
     room = per_stack
@@ -612,28 +629,30 @@ def _in_order(fn: Callable[[Any], Any], items: Sequence[Any], threads: int) -> l
 def _stacks(
     models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]]
 ) -> Iterator[GramStack]:
-    """The stack of each slice of :func:`_slice_plan`, sampled as it is read, which
-    keeps its rows; item ``r`` of each has the bits of ``DesignView(sem_sample(model,
-    n, seed))``."""
-    return (GramStack.from_rows(*_sampled(parts, n)) for parts in _slice_plan(models, n, seeds))
+    """The stack of each slice of :func:`_slice_plan` of :data:`ROW_STACK_ELEMENTS`
+    values, sampled as it is read, which keeps its rows; item ``r`` of each has the
+    bits of ``DesignView(sem_sample(model, n, seed))``."""
+    plan = _slice_plan(models, n, seeds, ROW_STACK_ELEMENTS)
+    return (GramStack.from_rows(*_sampled(parts, n)) for parts in plan)
 
 
 def _row_free_stack(
     models: Sequence[SemModel], n: int, seeds: Sequence[Sequence[int]], threads: int = 1
 ) -> GramStack:
-    """One stack of every slice of :func:`_slice_plan`, without rows: each slice's Gram
-    products, its rows then dropped, joined.  Each item has the bits of its item of
-    :func:`_stacks` in every product, piece and path, and its error.  The slices are
-    sampled on this thread and up to ``threads - 1`` helpers (:func:`_in_order`):
-    sampling at a large ``n`` spends nearly all of its time in numpy loops that
-    release the GIL, and each thread reads its streams from a Philox of its own."""
+    """One stack of every slice of :func:`_slice_plan` of :data:`STACK_ELEMENTS` values,
+    without rows: each slice's Gram products, its rows then dropped, joined.  Each
+    item has the bits of its item of :func:`_stacks` in every product, piece and path,
+    and its error.  The slices are sampled on this thread and up to ``threads - 1``
+    helpers (:func:`_in_order`): sampling at a large ``n`` spends nearly all of its
+    time in numpy loops that release the GIL, and each thread reads its streams from
+    a Philox of its own."""
     partition = _partition_for(len(models[0].x_indices), models[0].q, None)
 
     def products(parts: _Slice) -> tuple[np.ndarray, ...]:
         y, x, a = _checked_rows(*_sampled(parts, n))
         return _gram_products(y, _z(x, a, partition), a)
 
-    sliced = _in_order(products, _slice_plan(models, n, seeds), threads)
+    sliced = _in_order(products, _slice_plan(models, n, seeds, STACK_ELEMENTS), threads)
     grams = _frozen(*(np.concatenate(arrays) for arrays in zip(*sliced)))
     return GramStack(partition, models[0].q, n, *grams)
 
@@ -870,7 +889,11 @@ class _CsvFields(dict):
 
 
 def _model_rng(cfg: ExperimentConfig, cell_index: int) -> np.random.Generator:
-    return philox_generator(cell_seed(cfg.master_seed, cell_index, 0), MODEL_STREAM)
+    """The draws of ``philox_generator(cell_seed(master_seed, cell_index, 0),
+    MODEL_STREAM)``, from this thread's re-keyed Philox
+    (:func:`~pulse_iv.sem._rekeyed_generator`): read them before the next re-key on
+    this thread."""
+    return _rekeyed_generator(cell_seed(cfg.master_seed, cell_index, 0), MODEL_STREAM)
 
 
 def _cells(cfg: ExperimentConfig) -> list[_Cell]:
@@ -878,7 +901,7 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
     if cfg.design == "univariate":
         return [
             _Cell({"q": q, "rho": rho, "r2": r2, "n": n}, partial(univariate_model, q, rho, r2),
-                  (n, q, 1), np.ones(1))
+                  (n, q, 1, 2), np.ones(1))
             for q in (cfg.q_values or UNIVARIATE_DECLARED["q"])
             for rho in (cfg.rho_values or UNIVARIATE_DECLARED["rho"])
             for r2 in (cfg.r2_values or UNIVARIATE_DECLARED["r2"])
@@ -886,7 +909,7 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
         ]
     if cfg.design == "underid-e3":
         target = np.array(population_pulse_underid(1.0, 1.0, 1.0))
-        return [_Cell({"n": n}, e3_model, (n, 1, 2), target) for n in cfg.n_values or UNDERID_N]
+        return [_Cell({"n": n}, e3_model, (n, 1, 2, 4), target) for n in cfg.n_values or UNDERID_N]
     cells: list[_Cell] = []
     if cfg.design == "mv-random":
         for idx in range(cfg.n_models):
@@ -897,7 +920,7 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
             mu = rng.uniform(-2.0, 2.0, size=2)
             params = {"model_index": idx, "rho_norm": rho_norm_multivariate(mu, delta, sigma_sq)}
             build = partial(mv_varying_model, xi, delta, mu, sigma_sq)
-            cells.append(_Cell(params, build, (cfg.sample_size, 2, 2), np.zeros(2)))
+            cells.append(_Cell(params, build, (cfg.sample_size, 2, 2, 5), np.zeros(2)))
         return cells
     for eta, phi1, phi2 in cfg.noise_triples or FIXED_NOISE_DECLARED:  # mv-fixed
         rho_norm = float(
@@ -910,14 +933,16 @@ def _cells(cfg: ExperimentConfig) -> list[_Cell]:
                 "eta": eta, "phi1": phi1, "phi2": phi2, "rho_norm": rho_norm, "model_index": idx,
             }
             build = partial(mv_fixed_model, xi, eta, phi1, phi2)
-            cells.append(_Cell(params, build, (cfg.sample_size, 2, 2), np.zeros(2)))
+            cells.append(_Cell(params, build, (cfg.sample_size, 2, 2, 3), np.zeros(2)))
     return cells
 
 
 #: Repetitions per chunk sent to a worker.  A chunk holds consecutive cells of one
 #: shape: a cell with more repetitions than a chunk has room for is split, and a
 #: chunk ends where the shape changes.  A serial run takes chunks of up to this
-#: many or a cell's repetitions, whichever is more, so its stacks keep their size.
+#: many, a cell's repetitions, or as many as one row-reading stack holds
+#: (:data:`ROW_STACK_ELEMENTS`), whichever is most: its stacks keep their size, and a
+#: study of many small cells of one shape is reduced in few batches.
 CHUNK_REPS = 100
 
 #: Worker environment: one BLAS thread each.  Workers that kept the BLAS threads a
@@ -937,27 +962,30 @@ def _cpu_count() -> int:
 
 
 def _chunks(
-    cells: list[_Cell], specs: tuple[EstimatorSpec, ...], cfg: ExperimentConfig, size: int
+    cells: list[_Cell], specs: tuple[EstimatorSpec, ...], cfg: ExperimentConfig, size: int,
+    budget: int = 0,
 ) -> list[_Chunk]:
-    """Every repetition of ``cells``, in cell and repetition order, in chunks of up
-    to ``size`` repetitions of consecutive cells of one shape."""
-    groups: list[list[tuple[int, Callable[[], SemModel], range]]] = [[]]
-    room = size
+    """Every repetition of ``cells``, in cell and repetition order, in chunks of
+    consecutive cells of one shape, each of up to ``size`` repetitions, or of as many
+    as one stack of ``budget`` sampled values holds (:func:`_per_stack`) where that
+    is more."""
+    groups: list[list[tuple[int, Callable[[], SemModel], range]]] = []
+    room = 0
     for index, cell in enumerate(cells):
-        if groups[-1] and cells[groups[-1][-1][0]].shape != cell.shape:
-            groups.append([])
-            room = size
+        if groups and cells[groups[-1][-1][0]].shape != cell.shape:
+            room = 0  # a chunk ends where the shape changes
         start = 0
         while start < cfg.repetitions:
+            if not room:
+                n, q, _, k = cell.shape
+                groups.append([])
+                room = max(size, _per_stack(budget, n, q, k))
             stop = min(start + room, cfg.repetitions)
             groups[-1].append((index, cell.build, range(start, stop)))
             start, room = stop, room - (stop - start)
-            if not room:
-                groups.append([])
-                room = size
     return [
         _Chunk(tuple(parts), cells[parts[0][0]].shape[0], specs, cfg.master_seed, cfg.p_min)
-        for parts in groups if parts
+        for parts in groups
     ]
 
 
@@ -1033,11 +1061,14 @@ def _chunk_outputs(
 ) -> Iterator[tuple[_Chunk, _Outputs]]:
     """Each chunk with its outputs, in chunk order: from workers in chunks of up to
     ``CHUNK_REPS`` repetitions, one per chunk up to ``threads`` and the CPU count,
-    or from this process where that leaves one or a step function was replaced."""
+    or from this process where that leaves one or a step function was replaced, in
+    chunks of up to ``CHUNK_REPS`` repetitions, a cell's, or one row-reading stack's
+    (:data:`ROW_STACK_ELEMENTS`), whichever is most."""
     chunks = _chunks(cells, specs, cfg, CHUNK_REPS)
     n = min(threads, len(chunks), _cpu_count())
     if n <= 1 or _step_replaced():
-        for chunk in _chunks(cells, specs, cfg, max(CHUNK_REPS, cfg.repetitions)):
+        size = max(CHUNK_REPS, cfg.repetitions)
+        for chunk in _chunks(cells, specs, cfg, size, ROW_STACK_ELEMENTS):
             yield chunk, _run_chunk(chunk, _cpu_count())
         return
     answers = _pooled(n, chunks)
@@ -1053,16 +1084,17 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     Deterministic for a fixed ``master_seed``, and the same bytes for every
     ``threads``: each repetition draws from its own stream, and each cell is
     reduced in this process in repetition order.  The repetitions run in chunks of
-    consecutive cells of one shape ``(n, q, d)``, whose samples are estimated in
+    consecutive cells of one shape ``(n, q, d, k)``, whose samples are estimated in
     stacks that run across cells.  This process reduces the cells that each chunk
     completes, in array passes over all of them (:func:`_reduce_cells`), and
     renders their CSV lines in cell order by formatting (:class:`_CsvFields`), so
     a pooled study is bound by its workers; the result's ``rows`` are built from
     its cells when first read.
-    ``threads = 1`` runs every chunk here, of up to ``CHUNK_REPS`` repetitions or
-    one cell's, whichever is more; a chunk whose estimators read no rows
-    (``underid-e3``) has its slices sampled on one thread per CPU, this one and
-    helper threads that are joined before its stack is estimated.
+    ``threads = 1`` runs every chunk here, of up to ``CHUNK_REPS`` repetitions, one
+    cell's, or one row-reading stack's (:data:`ROW_STACK_ELEMENTS`), whichever is
+    most; a chunk whose estimators read no rows (``underid-e3``) has its slices
+    sampled on one thread per CPU, this one and helper threads that are joined
+    before its stack is estimated.
     ``threads = N > 1`` runs the chunks of a grid
     design, of up to ``CHUNK_REPS`` repetitions, on worker processes, while this
     process reduces the cells of those that have come back.  It starts at most N
@@ -1080,11 +1112,15 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     on a 2-CPU machine).  A call stopped by an error or
     Ctrl-C drops its chunks that have not started; one that is running finishes
     and its answer is discarded, so exit waits for at most one chunk per worker.
-    Each worker runs one BLAS thread and samples on one thread: a serial study of
-    the small-``n`` designs that read rows already keeps about two cores busy
-    through BLAS threads, so workers that kept theirs would compete for the cores
-    and run slower than serial.  ``robustness-e1`` always runs here, its slices
-    sampled on one thread per CPU.
+    Each worker runs one BLAS thread and samples on one thread, as workers that
+    kept their BLAS threads would compete for the cores.  A serial study of the
+    small-``n`` designs that read rows gains nothing from BLAS threads either.
+    While LIML's per-item loop left scipy's OpenBLAS pool at two threads, the
+    benchmark's ``mc-univariate`` study took about 63 ms of CPU for 31 ms of wall
+    time on a 2-core machine, its second core spinning in that pool; with the pool
+    at one thread in that loop (``estimators._one_scipy_blas_thread``), its CPU
+    time is about its wall time.
+    ``robustness-e1`` always runs here, its slices sampled on one thread per CPU.
 
     Raises
     ------

@@ -70,14 +70,15 @@ _THREAD = threading.local()
 _ZEROS = (0, 0, 0, 0)
 
 
-def _philox_words(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The first 64-bit words of the Philox stream keyed by ``(seed, stream)``, as
-    a uint64 array of ``shape``: this thread's Philox, re-keyed to the state of a
-    fresh one (zero counter, empty buffer)."""
-    bitgen = getattr(_THREAD, "philox", None)
-    if bitgen is None:
-        bitgen = _THREAD.philox = np.random.Philox()
-    bitgen.state = {
+def _rekeyed_generator(seed: int, stream: int) -> np.random.Generator:
+    """This thread's generator, its Philox re-keyed to the state of a fresh one keyed
+    by ``(seed, stream)`` (zero counter, empty buffer): it draws what
+    ``philox_generator(seed, stream)`` draws, until the next re-key on this thread,
+    with no generator built per stream."""
+    gen = getattr(_THREAD, "generator", None)
+    if gen is None:
+        gen = _THREAD.generator = np.random.Generator(np.random.Philox())
+    gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZEROS, "key": _philox_key(seed, stream)},
         "buffer": _ZEROS,
@@ -85,7 +86,14 @@ def _philox_words(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return bitgen.random_raw(shape)
+    return gen
+
+
+def _philox_words(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The first 64-bit words of the Philox stream keyed by ``(seed, stream)``, as
+    a uint64 array of ``shape``, from this thread's re-keyed Philox
+    (:func:`_rekeyed_generator`)."""
+    return _rekeyed_generator(seed, stream).bit_generator.random_raw(shape)
 
 
 def _gaussians(seed: int | Sequence[int], stream: int, shape: tuple[int, ...]) -> np.ndarray:

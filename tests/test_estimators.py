@@ -414,3 +414,87 @@ class TestConsistency:
                     wins[kappa] += 1
         for kappa, count in wins.items():
             assert count >= 0.90 * seeds, f"kappa={kappa}: only {count}/{seeds} improved"
+
+
+def scipy_openblas() -> tuple | None:
+    """The thread-count getter and setter of the OpenBLAS in scipy's wheel, opened by
+    this test from the libraries in ``scipy.libs`` that this process has mapped
+    (Linux); ``None`` where there is none."""
+    import ctypes
+    from pathlib import Path
+
+    import scipy
+    import scipy.linalg.lapack  # noqa: F401  (maps the library)
+
+    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+    try:
+        mapped = {line.split()[-1] for line in Path("/proc/self/maps").read_text().splitlines()}
+    except OSError:
+        return None
+    for path in sorted(p for p in mapped if Path(p).parent == libs and "openblas" in p):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            if hasattr(lib, f"{prefix}_get_num_threads"):
+                get, set_ = (getattr(lib, f"{prefix}_{verb}_num_threads") for verb in ("get", "set"))
+                get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+class TestScipyBlasPin:
+    """LIML's per-item ``potrf``/``trtrs`` loop runs with scipy's OpenBLAS pool at one
+    thread, and the pool's count is restored after it, also when it raises."""
+
+    @pytest.fixture
+    def threads(self):
+        """The getter of scipy's pool, set to 2 threads for the test."""
+        pool = scipy_openblas()
+        if pool is None:
+            pytest.skip("no OpenBLAS of scipy's wheel is loaded")
+        get, set_ = pool
+        before = get()
+        set_(2)
+        try:
+            if get() != 2:
+                pytest.skip("scipy's OpenBLAS does not run 2 threads")
+            yield get
+        finally:
+            set_(before)
+
+    @staticmethod
+    def loop(monkeypatch, threads, fail_at=None):
+        """The count the pool reads at each ``potrf`` call of one stacked pass over 4
+        items, and the pass's values or the error a failing ``potrf`` raised."""
+        import scipy.linalg.lapack as lapack
+
+        potrf, seen = lapack.dpotrf, []
+
+        def spy(*args, **kwargs):
+            seen.append(threads())
+            if len(seen) == fail_at:
+                raise RuntimeError("potrf failed")
+            return potrf(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dpotrf", spy)
+        m = np.random.default_rng(3).normal(size=(4, 6, 2))
+        w = np.transpose(m, (0, 2, 1)) @ m
+        try:
+            values, failed = estimators._min_generalized_eigenvalues(w + np.eye(2), w)
+        except RuntimeError as exc:
+            return seen, exc
+        assert failed == {}
+        return seen, values
+
+    def test_one_thread_inside_the_loop_and_the_old_count_after(self, threads, monkeypatch):
+        seen, values = self.loop(monkeypatch, threads)
+        assert seen == [1, 1, 1, 1] and threads() == 2
+        seen, raised = self.loop(monkeypatch, threads, fail_at=2)
+        assert seen == [1, 1] and str(raised) == "potrf failed"
+        assert threads() == 2
+
+    def test_nothing_is_pinned_where_no_pool_is_found(self, threads, monkeypatch):
+        _, pinned = self.loop(monkeypatch, threads)
+        monkeypatch.setattr(estimators, "_scipy_blas_pool", lambda: None)
+        seen, values = self.loop(monkeypatch, threads)
+        assert seen == [2, 2, 2, 2] and threads() == 2
+        assert values.tobytes() == pinned.tobytes()

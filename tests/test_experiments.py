@@ -43,9 +43,11 @@ from pulse_iv.experiments import (
 )
 from pulse_iv.pulse import PulseConfig, pulse_estimate
 from pulse_iv.sem import (
+    MODEL_STREAM,
     e3_model,
     mv_fixed_model,
     mv_varying_model,
+    philox_generator,
     population_pulse_underid,
     sample_stack,
     sem_sample,
@@ -843,6 +845,28 @@ class TestCellMapping:
         assert run_experiment(cfg, threads=2).rows == run_experiment(cfg).rows
 
 
+class TestModelDraws:
+    """A cell's model draws come from the thread's re-keyed Philox, with the draws of a
+    fresh generator on the cell's model stream."""
+
+    @pytest.mark.parametrize("seed", [7, 2**63 + 5])
+    @pytest.mark.parametrize("design", ["mv-fixed", "mv-random"])
+    def test_each_cell_draws_what_a_fresh_generator_draws(self, design, seed):
+        cfg = ExperimentConfig(design=design, repetitions=1, master_seed=seed, n_models=5)
+        cells = experiments._cells(cfg)
+        assert len(cells) == (30 if design == "mv-fixed" else 5)
+        for i, cell in enumerate(cells):
+            rng = philox_generator(cell_seed(seed, i, 0), MODEL_STREAM)
+            if design == "mv-fixed":
+                want = [rng.uniform(-2.0, 2.0, size=(2, 2))]  # xi
+            else:
+                sigma_sq = rng.uniform(0.1, 1.0, size=2)
+                want = [rng.uniform(-2.0, 2.0, size=shape) for shape in ((2, 2), (2, 2), 2)]
+                want.append(sigma_sq)  # after xi, delta and mu among the model's arguments
+            got = cell.build.args[: len(want)]
+            assert [np.asarray(arg).tobytes() for arg in got] == [w.tobytes() for w in want]
+
+
 #: Every design of ``CELL_MAPPING_CASES``, and one whose ``kclass:1`` fails on every
 #: repetition, so the workers' ``excluded_UnderIdentified`` counts are merged too.
 WORKER_CASES = [c[0] for c in CELL_MAPPING_CASES] + [
@@ -1133,16 +1157,80 @@ class TestCrossCellChunks:
 
     def test_a_stack_boundary_inside_a_cell(self, monkeypatch):
         cfg = ExperimentConfig(
-            design="univariate", repetitions=25, master_seed=5, q_values=(10,),
+            design="univariate", repetitions=25, master_seed=5, q_values=(30,),
             rho_values=(0.9,), r2_values=(0.01, 0.1, 0.3), n_values=(150,),
         )
         sizes = counted_samples(monkeypatch)
         result = run_experiment(cfg)
-        # 36 samples of q = 10 at n = 150 fill a stack: 25 + 11, 14 + 22, then 3
-        assert experiments.STACK_ELEMENTS // (150 * (10 + 2)) == 36
-        assert sizes == [25, 11, 14, 22, 3]
-        for k, (model, n, target) in enumerate(univariate_cells(10, 0.9, (0.01, 0.1, 0.3), 150)):
+        # 54 samples of q = 30 at n = 150 fill a row-reading stack: 25 + 25 + 4, then 21
+        assert experiments.ROW_STACK_ELEMENTS // (150 * (30 + 2)) == 54
+        assert sizes == [25, 25, 4, 21]
+        for k, (model, n, target) in enumerate(univariate_cells(30, 0.9, (0.01, 0.1, 0.3), 150)):
             assert_cell_is_its_oracle(result.cells[k], cell_oracle(cfg, k, model, n, target))
+
+    def test_large_q_cells_give_the_same_files_serially_and_on_workers(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(
+            design="univariate", repetitions=60, master_seed=9, q_values=(20, 30),
+            rho_values=(0.9,), r2_values=(0.1,), n_values=(50, 150),
+        )
+        monkeypatch.setattr(experiments, "CHUNK_REPS", 25)  # pooled stacks of 25 + 25 + 10
+        experiments.shutdown_workers()
+        pooled = write_result(run_experiment(cfg, threads=2), tmp_path / "pooled")
+        assert len(multiprocessing.active_children()) == 2
+        experiments.shutdown_workers()
+        sizes = counted_samples(monkeypatch)
+        serial = write_result(run_experiment(cfg), tmp_path / "serial")
+        # n varies fastest; serially a row-reading stack ends inside the q = 30, n = 150 cell
+        assert experiments._per_stack(experiments.ROW_STACK_ELEMENTS, 150, 30, 2) == 54
+        assert sizes == [60, 60, 60, 54, 6]
+        assert [path.read_bytes() for path in pooled] == [path.read_bytes() for path in serial]
+
+    def test_a_serial_chunk_holds_a_row_reading_stack(self, monkeypatch):
+        # mv-fixed at n = 50 holds 1048 repetitions per stack: its 48 cells of 5 are
+        # one chunk and one reduction batch, not chunks of CHUNK_REPS
+        cfg = ExperimentConfig(design="mv-fixed", repetitions=5, master_seed=7, n_models=8)
+        assert experiments._per_stack(experiments.ROW_STACK_ELEMENTS, 50, 2, 3) == 1048
+        chunks, batches = [], []
+        run_chunk, reduce_cells = experiments._run_chunk, experiments._reduce_cells
+
+        def counted_chunk(chunk, threads=1):
+            chunks.append(sum(len(reps) for _, _, reps in chunk.parts))
+            return run_chunk(chunk, threads)
+
+        def counted_batch(batch, estimators):
+            batches.append(len(batch))
+            return reduce_cells(batch, estimators)
+
+        monkeypatch.setattr(experiments, "_run_chunk", counted_chunk)
+        monkeypatch.setattr(experiments, "_reduce_cells", counted_batch)
+        whole = run_experiment(cfg)
+        assert chunks == [240] and batches == [48]
+        # a budget of two repetitions per stack: serial chunks of CHUNK_REPS, same bytes
+        chunks.clear()
+        monkeypatch.setattr(experiments, "ROW_STACK_ELEMENTS", 2 * 50 * (2 + 3))
+        assert run_experiment(cfg).csv_text == whole.csv_text
+        assert chunks == [100, 100, 40]
+
+    @pytest.mark.parametrize("repetitions", [7, 40, 1000])
+    def test_a_serial_underid_chunk_is_its_cell(self, repetitions):
+        cfg = ExperimentConfig(design="underid-e3", repetitions=repetitions, master_seed=7)
+        cells = experiments._cells(cfg)
+        size = max(experiments.CHUNK_REPS, repetitions)
+        chunks = experiments._chunks(cells, (), cfg, size, experiments.ROW_STACK_ELEMENTS)
+        assert chunks == experiments._chunks(cells, (), cfg, size)
+        assert [chunk.parts for chunk in chunks] == [
+            ((i, cell.build, range(repetitions)),) for i, cell in enumerate(cells)
+        ]
+
+    @pytest.mark.parametrize("design", ["univariate", "mv-random", "mv-fixed", "underid-e3"])
+    def test_each_cell_shape_is_its_models(self, design):
+        grids = {"univariate": {"q_values": (1, 30), "n_values": (50, 150)},
+                 "mv-random": {"n_models": 3}, "mv-fixed": {"n_models": 1}}
+        cfg = ExperimentConfig(design=design, repetitions=1, **grids.get(design, {}))
+        for cell in experiments._cells(cfg):
+            model = cell.build()
+            n = cell.params.get("n", cfg.sample_size)
+            assert cell.shape == (n, model.q, len(model.x_indices), model.k)
 
     def test_a_cell_split_across_two_pooled_chunks(self, monkeypatch):
         cfg = CELL_MAPPING_CASES[2][0]  # mv-fixed: 4 cells of 5 repetitions, one shape

@@ -302,6 +302,20 @@ class TestStreamSource:
             for row, seed in zip(stack, self.SEEDS):
                 assert row.tobytes() == _fresh_gaussians(seed, stream, shape).tobytes()
 
+    def test_a_rekeyed_generator_draws_what_a_fresh_one_draws(self):
+        for seed in self.SEEDS:
+            for stream in (MODEL_STREAM, _NOISE_STREAM):
+                fresh = philox_generator(seed, stream)
+                rekeyed = sem._rekeyed_generator(seed, stream)
+                for draw in (lambda g: g.uniform(0.1, 1.0, size=2), lambda g: g.normal(size=3),
+                             lambda g: g.uniform(-2.0, 2.0, size=(2, 2)),
+                             lambda g: g.integers(0, 7, size=5)):
+                    assert draw(rekeyed).tobytes() == draw(fresh).tobytes()
+                # words read between two re-keys leave the next re-key's draws alone
+                sem._philox_words(3, stream, (5,))
+                again = sem._rekeyed_generator(seed, stream).uniform(size=4)
+                assert again.tobytes() == philox_generator(seed, stream).uniform(size=4).tobytes()
+
     def test_words_are_numpys_bounded_integers(self):
         # Lemire's method on the range 2^53 never rejects and keeps a word's top
         # 53 bits; a numpy that draws bounded integers otherwise fails here

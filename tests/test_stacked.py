@@ -146,7 +146,7 @@ class TestStackedViews:
 
     def test_chunk_split_at_the_element_budget(self, monkeypatch):
         model, n = univariate_model(30, 0.9, 0.3), 150
-        seeds = [experiments.cell_seed(5, 0, r) for r in range(25)]
+        seeds = [experiments.cell_seed(5, 0, r) for r in range(60)]
         sizes = []
 
         def counted(model, n, seeds, iv=None):
@@ -156,13 +156,14 @@ class TestStackedViews:
         monkeypatch.setattr(experiments, "sample_stack", counted)
         stacks = experiments._stacks([model], n, [seeds])
         items = [(stack, r) for stack in stacks for r in stack.items]
-        per_stack = experiments.STACK_ELEMENTS // (n * (model.q + model.k))
+        per_stack = experiments.ROW_STACK_ELEMENTS // (n * (model.q + model.k))
+        assert per_stack == 54
         assert sizes == [per_stack, len(seeds) - per_stack]
         for (stack, r), want in zip(items, single_views(model, n, seeds)):
             assert_same_item(stack, r, want)
 
     def test_a_sample_above_the_budget_is_a_stack_of_its_own(self, monkeypatch):
-        model, n = e3_model(), experiments.STACK_ELEMENTS
+        model, n = e3_model(), experiments.ROW_STACK_ELEMENTS
         sizes = []
 
         def counted(model, n, seeds, iv=None):
@@ -761,7 +762,8 @@ class TestRowFreeChunkStack:
         # slices of 2, 2, 2 and 1 samples, the second across the two cells: one row-free
         # stack, against four stacks that keep their rows
         model, n = e3_model(), 100
-        monkeypatch.setattr(experiments, "STACK_ELEMENTS", 2 * n * (model.q + model.k))
+        for budget in ("STACK_ELEMENTS", "ROW_STACK_ELEMENTS"):
+            monkeypatch.setattr(experiments, budget, 2 * n * (model.q + model.k))
         specs = tuple(EstimatorSpec.parse(label) for label in ("pulse", "modified-tsls", "ols"))
         chunk = experiments._Chunk(((0, e3_model, range(3)), (1, e3_model, range(4))), n,
                                    specs, 7, 0.05)
