@@ -1,5 +1,6 @@
 """K-class and PULSE instrumental-variable estimators with a linear-SEM lab."""
 
+import importlib
 import logging
 
 __version__ = "0.1.0"
@@ -44,29 +45,55 @@ from .pulse import (
     primal_solve,
     pulse_estimate,
 )
-from .sem import (
-    InterventionSpec,
-    SemModel,
-    e1_model,
-    e1_superiority_interval,
-    e3_model,
-    population_moments,
-    population_pulse_underid,
-    sem_sample,
-    univariate_model,
-    wcmspe_curve_e1,
-    worst_case_mspe,
-    xi_from_r2,
-)
-from .experiments import (
-    ExperimentConfig,
-    ExperimentResult,
-    MseOrder,
-    mse_partial_order,
-    relative_change,
-    rho_norm_multivariate,
-    run_experiment,
-)
+
+#: The exports of the SEM sampler and the Monte Carlo harness, imported on
+#: first use (PEP 562): ``pulse-iv estimate`` loads neither module.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "InterventionSpec",
+            "SemModel",
+            "e1_model",
+            "e1_superiority_interval",
+            "e3_model",
+            "population_moments",
+            "population_pulse_underid",
+            "sem_sample",
+            "univariate_model",
+            "wcmspe_curve_e1",
+            "worst_case_mspe",
+            "xi_from_r2",
+        ),
+        "sem",
+    ),
+    **dict.fromkeys(
+        (
+            "ExperimentConfig",
+            "ExperimentResult",
+            "MseOrder",
+            "mse_partial_order",
+            "relative_change",
+            "rho_norm_multivariate",
+            "run_experiment",
+        ),
+        "experiments",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name in ("sem", "experiments"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, "sem", "experiments"})
+
 
 __all__ = [
     "CsvSchema",

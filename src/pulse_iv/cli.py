@@ -8,26 +8,26 @@ when no fallback was requested.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
 from . import __version__
 from .data import CsvSchema, DesignView, ModelPartition, center, load_csv
+from .designs import DESIGNS
 from .estimators import EstimateResult, EstimatorSpec, estimate, parse_estimators
 from .exceptions import DataError, PulseIVError, SingularGram
-from .experiments import DESIGNS, ExperimentConfig, run_experiment, write_result
 from .inference import (
     ANDERSON_RUBIN, PLAIN, TestResult, test_statistic, weak_instrument_stat,
 )
 from .pulse import MESSAGE_TEXT, PulseConfig, PulseMessage, PulseResult
-from .sem import intervention_from_json, load_json, load_sem_json, model_to_json, sem_sample
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR, INFEASIBLE_ERROR = 2, 3, 4, 5
 
@@ -252,7 +252,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_rows(fh: TextIO, table: np.ndarray, block: int = 4096) -> None:
+    """Write each row of ``table`` as a CSV line of ``%.17g`` cells, formatting
+    ``block`` rows with one ``%``."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), block):
+        rows = table[start : start + block]
+        fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .sem import intervention_from_json, load_json, load_sem_json, model_to_json, sem_sample
+
     model, iv = load_sem_json(args.sem)
     if args.intervene:
         iv = intervention_from_json(load_json(args.intervene, "intervention file"), model.q)
@@ -263,9 +274,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         with out.open("w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            row = ",".join(["%.17g"] * len(header)) + "\n"
-            for vals in np.column_stack([ds.a, ds.x, ds.y]):
-                fh.write(row % tuple(vals.tolist()))
+            _write_rows(fh, np.column_stack([ds.a, ds.x, ds.y]))
     manifest = {
         "seed": args.seed,
         "n": args.n,
@@ -283,6 +292,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    from .experiments import ExperimentConfig, run_experiment, write_result
+    from .sem import load_json
+
     if bool(args.config) == bool(args.design):
         print("error: provide exactly one of --config or --design", file=sys.stderr)
         return USAGE_ERROR
@@ -344,5 +356,15 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
 
 
+def run() -> int:
+    """The program's entry, as ``pulse-iv`` and as ``python -m pulse_iv.cli``:
+    :func:`main`, then ``gc.freeze()``, so the interpreter's shutdown skips its
+    full collections over numpy's and scipy's objects.  A caller of
+    :func:`main` keeps its own ``gc`` state."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -315,9 +315,12 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     row, decimal points and no thousands separators; missing values are an error.
 
     The header is read with :mod:`csv` and the data rows with numpy's C parser
-    in one call.  A file that parser cannot stand in for (one it rejects or
-    warns about, one with no data rows, or one with a quote character, which
-    :mod:`csv` would unquote) is read again by :func:`_row_loop`, the
+    in one call.  A regular file with no quote character anywhere is handed to
+    numpy by path, which it reads in chunks; from any other file (one with a
+    quote, or a pipe) the lines after the header are fed to numpy one at a time
+    up to the first quote.  A file that parser cannot stand in for (one it
+    rejects or warns about, one with no data rows, or one with a quote in a data
+    row, which :mod:`csv` would unquote) is read again by :func:`_row_loop`, the
     ``float()``-per-cell row loop.  That loop names the first bad cell and reads
     what ``float()`` accepts but numpy does not, such as ``1_0`` and quoted
     cells.  Both parse a cell with Python's own string-to-double conversion,
@@ -335,7 +338,11 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     wanted = [schema.target, *schema.endogenous, *schema.exogenous]
     with path.open(newline="", encoding="utf-8-sig") as fh:
         cols = _wanted_columns(csv.reader(fh), path, wanted)
-        mat = _fast_rows(fh, cols)
+        if path.is_file() and not _has_quote(path):
+            # one header line; numpy reads a path in chunks, not line by line
+            mat = _fast_rows(path, cols, skiprows=1, encoding="utf-8-sig")
+        else:  # a header that may span lines, or a pipe that can be read only once
+            mat = _fast_rows(_unquoted(fh), cols)
     if mat is None:
         mat = _row_loop(path, wanted)
     nx = len(schema.endogenous)
@@ -362,19 +369,33 @@ def _wanted_columns(reader: Iterator[list[str]], path: Path, wanted: list[str]) 
     return [header.index(c) for c in wanted]
 
 
-def _fast_rows(fh: TextIO, cols: list[int]) -> np.ndarray | None:
-    """The rest of ``fh`` parsed by ``np.loadtxt``, or ``None`` where only the
-    row loop gives the right values or error."""
+#: Bytes :func:`_has_quote` reads at a time.
+_SCAN_BYTES = 1 << 20
+
+
+def _has_quote(path: Path) -> bool:
+    """Whether the file holds a ``"``, read in blocks of :data:`_SCAN_BYTES`."""
+    with path.open("rb") as fh:
+        while block := fh.read(_SCAN_BYTES):
+            if b'"' in block:  # in UTF-8 this byte is a quote and nothing else
+                return True
+    return False
+
+
+def _fast_rows(source: Path | Iterator[str], cols: list[int], **options) -> np.ndarray | None:
+    """The data rows of ``source`` parsed by ``np.loadtxt``, or ``None`` where
+    only the row loop gives the right values or error."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mat = np.loadtxt(
-                _unquoted(fh),
+                source,
                 delimiter=",",
                 usecols=cols,
                 ndmin=2,
                 comments=None,
                 dtype=float,
+                **options,
             )
     except (ValueError, Warning):  # the row loop raises the authoritative error
         return None

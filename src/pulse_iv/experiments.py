@@ -31,6 +31,7 @@ from .data import (
     RCOND_GRAM, GramStack, IdentificationClass, _checked_rows, _frozen, _gram_products,
     _partition_for, _z, rcond_symmetric,
 )
+from .designs import _EVERY_DESIGN_READS, _GRID_DESIGNS, DESIGNS
 from .estimators import EstimatorSpec, estimate, parse_estimators
 from .exceptions import DataError, SingularGram
 from .inference import TestConfig, _weak_instrument_arrays
@@ -422,48 +423,6 @@ class _Cell:
     build: Callable[[], SemModel]
     shape: tuple[int, int, int, int]
     target: np.ndarray
-
-
-class _Design(NamedTuple):
-    """A design's CSV parameter columns, its default estimators, and the
-    :class:`ExperimentConfig` fields it reads besides :data:`_EVERY_DESIGN_READS`.
-
-    ``robustness-e1`` runs no estimators and writes one row per repetition and
-    ``kappa``, so its ``columns`` are all of its CSV columns.
-    """
-
-    columns: tuple[str, ...]
-    estimators: tuple[str, ...]
-    reads: tuple[str, ...]
-
-
-#: The config fields every design reads.
-_EVERY_DESIGN_READS = ("design", "repetitions", "master_seed")
-
-#: Every design; :meth:`ExperimentConfig.__post_init__` refuses a field that
-#: its design does not read unless it is left at its default.
-_GRID_DESIGNS: dict[str, _Design] = {
-    "univariate": _Design(
-        ("q", "rho", "r2", "n"),
-        ("ols", "tsls", "fuller:1", "fuller:4", "pulse"),
-        ("estimators", "p_min", "q_values", "rho_values", "r2_values", "n_values",
-         "allow_extensions"),
-    ),
-    "mv-random": _Design(
-        ("model_index", "rho_norm"),
-        ("ols", "fuller:1", "fuller:4", "pulse"),
-        ("estimators", "p_min", "n_models", "sample_size"),
-    ),
-    "mv-fixed": _Design(
-        ("eta", "phi1", "phi2", "rho_norm", "model_index"),
-        ("ols", "fuller:1", "fuller:4", "pulse"),
-        ("estimators", "p_min", "n_models", "sample_size", "noise_triples"),
-    ),
-    "robustness-e1": _Design(("rep", "kappa", "estimate", "wcmspe"), (), ("n_values",)),
-    "underid-e3": _Design(("n",), ("pulse", "modified-tsls"), ("estimators", "p_min", "n_values")),
-}
-
-DESIGNS = tuple(_GRID_DESIGNS)
 
 
 class _Chunk(NamedTuple):

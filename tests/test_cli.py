@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
+import io
 import json
 import logging
 import os
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import pulse_iv
+from pulse_iv import cli, experiments
 from pulse_iv.cli import main
 from pulse_iv.data import CsvSchema, DesignView, center, load_csv
 from pulse_iv.estimators import EstimatorSpec, estimate
@@ -176,7 +179,6 @@ class TestSimulate:
         assert code == 3
         assert "invalid JSON" in capsys.readouterr().err
 
-
     def test_unwritable_out_is_data_error(self, e1_config, tmp_path, capsys):
         blocker = tmp_path / "afile"
         blocker.write_text("")
@@ -184,6 +186,18 @@ class TestSimulate:
         args = ["simulate", "--sem", str(e1_config), "--n", "5", "--seed", "1", "--out", str(out)]
         assert main(args) == 3
         assert capsys.readouterr().err == f"data error: cannot write {out}: File exists\n"
+
+    @pytest.mark.parametrize("block", [1, 4, 7, 4096])
+    def test_block_rows_match_the_row_formatter(self, block):
+        """One ``%`` per block writes the bytes of one ``%`` per row."""
+        values = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, -2.5, 1e-300, 123456789.0]
+        table = np.array(values * 2).reshape(6, 3)
+        line = ",".join(["%.17g"] * 3) + "\n"
+        expected = "".join(line % tuple(row.tolist()) for row in table)
+        out = io.StringIO()
+        cli._write_rows(out, table, block)
+        assert out.getvalue() == expected
+        assert expected.startswith("-0,0,4.9406564584124654e-324\n")
 
 
 class TestEstimate:
@@ -738,6 +752,78 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[False, False]\n"
+
+
+def test_estimate_loads_neither_the_harness_nor_the_sem_sampler(e1_config, tmp_path):
+    """``pulse_iv.cli estimate``, run as ``python -m`` runs it, imports what it
+    runs and no more (``-X importtime`` would miss ``importlib`` imports)."""
+    assert main(["simulate", "--sem", str(e1_config), "--n", "50", "--seed", "1",
+                 "--out", str(tmp_path / "d.csv")]) == 0
+    code = (
+        "import json, runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('pulse_iv.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(json.dumps([exc.code, sorted(sys.modules)]), file=sys.stderr)\n"
+    )
+    args = ["estimate", "--data", "d.csv", "--target", "y", "--endogenous", "x1",
+            "--instruments", "a1", "--estimator", "ols,liml,pulse"]
+    proc = run_python("-c", code, *args, cwd=tmp_path)
+    exit_code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert exit_code == 0, proc.stderr
+    assert "weak instruments:" in proc.stdout
+    assert {"pulse_iv.data", "pulse_iv.estimators", "scipy.linalg"} <= set(loaded)
+    assert not {"pulse_iv.experiments", "pulse_iv.sem"} & set(loaded)
+
+
+def test_every_export_resolves_and_is_listed():
+    listed = dir(pulse_iv)
+    for name in pulse_iv.__all__:
+        assert getattr(pulse_iv, name) is not None
+        assert name in listed
+    assert pulse_iv.run_experiment is experiments.run_experiment
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        pulse_iv.no_such_name
+
+
+def test_a_fresh_import_resolves_the_lazy_modules():
+    """The package's import loads neither module; ``from pulse_iv import`` loads each."""
+    code = (
+        "import sys, pulse_iv; "
+        "print('pulse_iv.sem' in sys.modules, 'pulse_iv.experiments' in sys.modules); "
+        "from pulse_iv import experiments, sem; "
+        "print(sem.e1_model is pulse_iv.e1_model, experiments.ExperimentConfig is pulse_iv.ExperimentConfig)"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\nTrue True\n"
+
+
+def test_design_help_lists_exactly_the_harness_designs(capsys):
+    with pytest.raises(SystemExit):
+        main(["experiment", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    listed = text.split("--design DESIGN one of: ", 1)[1].split(" --reps", 1)[0]
+    assert tuple(listed.split(", ")) == experiments.DESIGNS
+
+
+def test_main_leaves_the_callers_gc_state_alone(e1_config, tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    data = str(tmp_path / "d.csv")
+    assert main(["simulate", "--sem", str(e1_config), "--n", "20", "--seed", "1", "--out", data]) == 0
+    assert main(["estimate", "--data", data, "--target", "y", "--endogenous", "x1",
+                 "--instruments", "a1"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_program_entry_freezes_after_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.run() == 3
+    assert calls == ["main", "freeze"]
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'pulse-iv = "pulse_iv.cli:run"\n' in pyproject.read_text()
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

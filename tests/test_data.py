@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,7 +109,21 @@ LOADER_CASES = {
     "+1.5e+3,-2E-3,.5\n",
     "non_ascii_space_and_digits": "a1,x1,y\n\xa01,\u0661,3\n4,5,7\n",
     "bad_utf8": b"a1,x1,y\n1,2,3\n4,\xff,7\n",
+    "cr_only": "a1,x1,y\r1,2,3\r4,5,7\r",
+    "bom_crlf": "\ufeffa1,x1,y\r\n1,2,3\r\n4,5,7\r\n",
+    "quote_in_header_only": 'a1,"x1",y\n1,2,3\n4,5,7\n',
+    "quoted_header_cell_with_newline": 'a1,"x\n1",x1,y\n1,9,2,3\n4,9,5,7\n',
+    "quote_on_last_line": 'a1,x1,y\n1,2,3\n4,5,"7"\n',
+    # rows of 13 to 41 bytes, so numpy's read chunks end inside rows
+    "over_2_mib": "a1,x1,y\n"
+    + "".join(f"{i % 997}.{i},{-i / 7!r},{i}e-{i % 300}\n" for i in range(90_000)),
 }
+
+#: The cases above that numpy reads whole, with no call of the row loop.
+FAST_CASES = (
+    "cr_only", "bom_crlf", "quote_in_header_only", "quoted_header_cell_with_newline",
+    "over_2_mib",
+)
 
 
 def outcome(load):
@@ -142,6 +159,49 @@ class TestLoaderAgreesWithRowLoop:
         path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         schema = CsvSchema("y", ("x1",), ("a1",))
         assert outcome(lambda: load_csv(path, schema)) == outcome(lambda: via_row_loop(path))
+
+    @pytest.mark.parametrize("name", FAST_CASES)
+    def test_fast_cases_skip_the_row_loop(self, tmp_path, no_row_loop, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(LOADER_CASES[name], encoding="utf-8", newline="")
+        ds = load_csv(path, CsvSchema("y", ("x1",), ("a1",)))
+        assert ds.n == (90_000 if name == "over_2_mib" else 2)
+
+    def test_the_file_is_never_read_whole(self, tmp_path, monkeypatch, request):
+        """The quote scan reads blocks; numpy reads the path in chunks."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the whole file was read")
+
+        path = tmp_path / "big.csv"
+        path.write_text(LOADER_CASES["over_2_mib"])
+        assert path.stat().st_size > 2 * data._SCAN_BYTES
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        monkeypatch.setattr(Path, "read_text", refuse)
+        request.getfixturevalue("no_row_loop")
+        ds = load_csv(path, CsvSchema("y", ("x1",), ("a1",)))
+        assert ds.n == 90_000
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    def test_a_pipe_is_read_once(self):
+        """A pipe, as in ``--data <(gunzip -c data.csv.gz)``, is not scanned first."""
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"a1,x1,y\n1,2,3\n4,5,7\n")
+        os.close(write_end)
+        try:
+            ds = load_csv(f"/dev/fd/{read_end}", CsvSchema("y", ("x1",), ("a1",)))
+        finally:
+            os.close(read_end)
+        assert ds.y.tolist() == [3.0, 7.0] and ds.a.tolist() == [[1.0], [4.0]]
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize(
+        "name", ["quoted_comma_in_unused_column", "quote_on_last_line", "quoted_cells"]
+    )
+    def test_a_quote_past_the_first_block_is_found(self, tmp_path, monkeypatch, block, name):
+        """Read by path, ``"u,5,6,v"`` would shift the ``x1`` and ``y`` cells of its row."""
+        monkeypatch.setattr(data, "_SCAN_BYTES", block)
+        self.test_same_bits_or_same_error(tmp_path, name)
 
     @pytest.mark.parametrize("fmt", ["%.17g", "repr"])
     def test_random_file_bit_equal(self, tmp_path, request, fmt):
