@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -227,6 +228,11 @@ def _checked_rows(y: np.ndarray, x: np.ndarray, a: np.ndarray) -> tuple[np.ndarr
 class Dataset:
     """Observed data matrices.
 
+    The constructor copies ``y``, ``x`` and ``a`` into read-only float arrays, so
+    changing a caller's array later changes nothing here.  :func:`center` and
+    :meth:`with_intercept` hand over arrays that they have just built, or that
+    another dataset holds read-only, without that copy (:meth:`_adopt`).
+
     Parameters
     ----------
     y : ndarray of shape (n,)
@@ -246,17 +252,33 @@ class Dataset:
     a_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
+        self._keep(*(np.array(arr, dtype=float) for arr in (self.y, self.x, self.a)))
+
+    @classmethod
+    def _adopt(cls, y: np.ndarray, x: np.ndarray, a: np.ndarray, *, y_name: str,
+               x_names: tuple[str, ...], a_names: tuple[str, ...]) -> "Dataset":
+        """A dataset of float arrays that no caller can change: each one just built by
+        this module, or held read-only by another dataset.  Checked as the
+        constructor checks its copies, and kept as they are."""
+        ds = object.__new__(cls)
+        for name, value in (("y_name", y_name), ("x_names", x_names), ("a_names", a_names)):
+            object.__setattr__(ds, name, value)
+        ds._keep(y, x, a)
+        return ds
+
+    def _keep(self, y: np.ndarray, x: np.ndarray, a: np.ndarray) -> None:
+        """Check the float arrays ``y``, ``x`` and ``a`` and the names, and keep the
+        arrays, made read-only in place."""
+        y, x, a = y.reshape(-1), np.atleast_2d(x), np.atleast_2d(a)
         _check_shapes(y.shape[0], x.shape, a.shape)
         d, q = x.shape[1], a.shape[1]
-        for name, arr in (("y", y), ("x", x), ("a", a)):
+        arrays = {"y": y, "x": x, "a": a}
+        for name, arr in arrays.items():
             if not np.isfinite(arr).all():
                 raise DataError(f"non-finite values in {name}")
-        object.__setattr__(self, "y", _readonly(y))
-        object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "a", _readonly(a))
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.x_names is None:
             object.__setattr__(self, "x_names", tuple(f"x{i + 1}" for i in range(d)))
         if self.a_names is None:
@@ -278,15 +300,10 @@ class Dataset:
 
     def with_intercept(self) -> "Dataset":
         """Append a constant exogenous column named ``const`` (used by the
-        intercept pipeline)."""
-        ones = np.ones((self.n, 1))
-        return Dataset(
-            y=self.y,
-            x=self.x,
-            a=np.hstack([self.a, ones]),
-            y_name=self.y_name,
-            x_names=self.x_names,
-            a_names=self.a_names + ("const",),
+        intercept pipeline).  The new dataset shares ``y`` and ``x`` with this one."""
+        return Dataset._adopt(
+            self.y, self.x, np.hstack([self.a, np.ones((self.n, 1))]),
+            y_name=self.y_name, x_names=self.x_names, a_names=self.a_names + ("const",),
         )
 
 
@@ -329,21 +346,21 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     Raises
     ------
     DataError
-        On a missing column, a non-numeric cell (reported with its row and
-        column), or too few rows.
+        On a file that cannot be read or is not UTF-8, a missing column, a
+        non-numeric cell (reported with its row and column), or too few rows.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
     wanted = [schema.target, *schema.endogenous, *schema.exogenous]
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with _reading(path), path.open(newline="", encoding="utf-8-sig") as fh:
         cols = _wanted_columns(csv.reader(fh), path, wanted)
         if path.is_file() and not _has_quote(path):
             # one header line; numpy reads a path in chunks, not line by line
             mat = _fast_rows(path, cols, skiprows=1, encoding="utf-8-sig")
         else:  # a header that may span lines, or a pipe that can be read only once
             mat = _fast_rows(_unquoted(fh), cols)
-    if mat is None:
+    if mat is None:  # numpy's decoding error, too, is the row loop's to report
         mat = _row_loop(path, wanted)
     nx = len(schema.endogenous)
     return Dataset(
@@ -354,6 +371,18 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
         x_names=schema.endogenous,
         a_names=schema.exogenous,
     )
+
+
+@contextmanager
+def _reading(path: Path) -> Iterator[None]:
+    """Report an ``OSError`` (such as a directory's) or a ``UnicodeDecodeError``
+    raised while reading ``path`` as a :class:`DataError`: input files are UTF-8."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
 
 
 def _wanted_columns(reader: Iterator[list[str]], path: Path, wanted: list[str]) -> list[int]:
@@ -421,7 +450,7 @@ def _row_loop(path: Path, wanted: list[str]) -> np.ndarray:
         As :func:`load_csv`, naming the first non-numeric cell by data row
         and column.
     """
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with _reading(path), path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         idx = dict(zip(wanted, _wanted_columns(reader, path, wanted)))
         rows: list[list[float]] = []
@@ -447,15 +476,17 @@ def _demean(arr: np.ndarray) -> np.ndarray:
     # two passes: the second removes the cancellation residue left when the
     # column offset dwarfs its spread
     out = arr - arr.mean(axis=0)
-    return out - out.mean(axis=0)
+    out -= out.mean(axis=0)
+    return out
 
 
 def center(ds: Dataset) -> Dataset:
-    """Subtract the sample mean from every column: target, endogenous and exogenous."""
+    """Subtract the sample mean from every column: target, endogenous and exogenous.
+    The centred arrays are built once and kept, not copied again."""
     if ds.n < 2:
         raise ValueError("centering requires at least two rows")
-    return Dataset(
-        y=_demean(ds.y), x=_demean(ds.x), a=_demean(ds.a),
+    return Dataset._adopt(
+        _demean(ds.y), _demean(ds.x), _demean(ds.a),
         y_name=ds.y_name, x_names=ds.x_names, a_names=ds.a_names,
     )
 

@@ -233,11 +233,13 @@ def _min_generalized_eigenvalues(w1: np.ndarray, w: np.ndarray) -> tuple[np.ndar
 
     Each ``W`` is factored and solved per item by the ``potrf``/``trtrs`` calls
     that ``scipy.linalg.cholesky``/``solve_triangular`` make, with the same
-    finiteness check and arguments (``potrf`` returns ``L`` F-contiguous, so
-    ``trtrs`` takes it as is), hence the same bits; no numpy route gives
-    ``trtrs``'s bits.  They are called directly to skip those wrappers' per-call
-    cost, and imported here so that importing this module (and the CLI) does not
-    load ``scipy.linalg``.  The symmetrisation and ``eigvalsh`` are stacked.
+    finiteness check and arguments, hence the same bits; no numpy route gives
+    ``trtrs``'s bits.  They are called in the OpenBLAS of scipy's wheel, which
+    ``scipy.special`` has already loaded, through ``ctypes``
+    (:func:`_lapack_solves`), so that no process that runs LIML imports
+    ``scipy.linalg`` (about 40 ms and 6 MiB); where that library is not found,
+    through scipy's own wrappers (:func:`_wrapped_solves`), with the same bits.
+    The symmetrisation and ``eigvalsh`` are stacked.
 
     The per-item loop runs with scipy's own OpenBLAS pool at one thread
     (:func:`_one_scipy_blas_thread`).  Its ``k x k`` calls (``k = 1 + d1``) gain
@@ -247,40 +249,99 @@ def _min_generalized_eigenvalues(w1: np.ndarray, w: np.ndarray) -> tuple[np.ndar
     0.6-0.8 ms pinned (serial study, 2-core machine).  One thread, as a worker
     process already runs, gives the same bits.
     """
-    from scipy.linalg.lapack import dpotrf as potrf, dtrtrs as trtrs
-
     w, w1 = np.asarray_chkfinite(w), np.asarray_chkfinite(w1)
-    failed: Failed = {}
-    inner = np.zeros(w.shape)
-    with _one_scipy_blas_thread():
-        for r, mat in enumerate(w):
-            low, info = potrf(mat, lower=True, clean=True)
-            if info > 0:
-                failed[r] = SingularGram("W", rcond_symmetric(mat))
-                continue
-            half, _ = trtrs(low, w1[r], lower=True)
-            inner[r], _ = trtrs(low, half.T, lower=True)
+    blas = _scipy_openblas()
+    with _one_scipy_blas_thread(blas):
+        inner, refused = _wrapped_solves(w1, w) if blas is None else _lapack_solves(blas, w1, w)
     inner = 0.5 * (inner + _t(inner))
+    failed: Failed = {r: SingularGram("W", rcond_symmetric(w[r])) for r in refused}
     return np.linalg.eigvalsh(inner)[:, 0], failed
 
 
-class _BlasPool(NamedTuple):
-    """The thread-count getter and setter of one OpenBLAS library."""
+def _lapack_solves(
+    blas: _ScipyOpenBlas, w1: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """``L^{-1} W1 L^{-T}`` of each pair of two ``(R, k, k)`` stacks, where ``W = L L^T``,
+    and the items whose ``W`` ``potrf`` finds not positive definite, which hold zeros:
+    :func:`_wrapped_solves`'s calls, made in ``blas`` on the buffers scipy's wrappers
+    would pass, so with the same bits.
+
+    Each wrapper copies its matrix into a Fortran-order buffer; one transposed copy of
+    each stack holds every item's.  ``potrf``'s ``clean`` only zeroes the upper
+    triangle of ``L``, which ``trtrs`` with ``uplo = "L"`` never reads, so it is not
+    done.  The second solve takes ``half.T``, whose Fortran buffer is the C buffer of
+    ``half``: one transposed copy of the first solves' stack, between two loops."""
+    k = w.shape[-1]
+    if w.shape != (len(w), k, k) or w1.shape != w.shape:  # before any pointer is passed
+        raise ValueError(f"need two (R, k, k) stacks of one shape; got {w1.shape} and {w.shape}")
+    lows, sols = (np.ascontiguousarray(_t(arr), dtype=np.float64) for arr in (w, w1))
+    n, info = blas.blasint(k), blas.blasint()
+    n_at, info_at, step = ctypes.addressof(n), ctypes.addressof(info), lows.itemsize * k * k
+    low0, sol0 = lows.ctypes.data, sols.ctypes.data
+    solved, refused = [], []
+    for r in range(len(lows)):
+        low = low0 + r * step
+        blas.potrf(b"L", n_at, low, n_at, info_at)
+        if info.value > 0:
+            refused.append(r)
+            continue
+        blas.trtrs(b"L", b"N", b"N", n_at, n_at, low, n_at, sol0 + r * step, n_at, info_at)
+        solved.append(r)
+    sols = np.ascontiguousarray(_t(sols))
+    sol0 = sols.ctypes.data
+    for r in solved:
+        blas.trtrs(b"L", b"N", b"N", n_at, n_at, low0 + r * step, n_at, sol0 + r * step, n_at,
+                   info_at)
+    sols[refused] = 0.0
+    return _t(sols), refused
+
+
+def _wrapped_solves(w1: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """:func:`_lapack_solves` through ``scipy.linalg.lapack``'s wrappers, imported here so
+    that only a process that finds no OpenBLAS of scipy's wheel loads ``scipy.linalg``.
+    ``potrf`` returns ``L`` F-contiguous, so ``trtrs`` takes it as is."""
+    from scipy.linalg.lapack import dpotrf as potrf, dtrtrs as trtrs
+
+    inner, refused = np.zeros(w.shape), []
+    for r, mat in enumerate(w):
+        low, info = potrf(mat, lower=True, clean=True)
+        if info > 0:
+            refused.append(r)
+            continue
+        half, _ = trtrs(low, w1[r], lower=True)
+        inner[r], _ = trtrs(low, half.T, lower=True)
+    return inner, refused
+
+
+class _ScipyOpenBlas(NamedTuple):
+    """The OpenBLAS of scipy's wheel: its thread pool's getter and setter, the
+    ``dpotrf``/``dtrtrs`` routines that ``scipy.linalg.lapack`` wraps, and the
+    ``ctypes`` type of the library's integers (``blasint``)."""
 
     get: Callable[[], int]
     set: Callable[[int], None]
+    potrf: Callable[..., None]
+    trtrs: Callable[..., None]
+    blasint: type
+
+
+#: The symbol families an OpenBLAS of scipy's wheel exports: the prefix of its
+#: ``openblas_*`` functions and of its LAPACK routines (``scipy_dpotrf_``, or
+#: ``dpotrf_`` in the wheels before scipy 1.13); each takes a ``64_`` suffix in an
+#: ILP64 build.
+_SYMBOLS = tuple(itertools.product((("scipy_openblas", "scipy_"), ("openblas", "")), ("", "64_")))
 
 
 @cache
-def _scipy_blas_pool() -> _BlasPool | None:
-    """The thread pool of the OpenBLAS that ``scipy.linalg.lapack`` calls, found once:
-    the library that scipy's wheel bundles (in ``scipy.libs``, or ``scipy/.dylibs``
-    on macOS), opened with ``RTLD_NOLOAD`` so that only an already loaded one is
-    found, through its ``*_set_num_threads`` and ``*_get_num_threads`` symbols.
-    ``None`` where there is none: a scipy built on a shared BLAS, or a platform
-    without ``RTLD_NOLOAD``."""
+def _scipy_openblas() -> _ScipyOpenBlas | None:
+    """The OpenBLAS of scipy's wheel, found once: the library in ``scipy.libs`` (or
+    ``scipy/.dylibs`` on macOS), opened with ``RTLD_NOLOAD`` so that only an already
+    loaded one is found (``scipy.special`` loads it), with the first family of
+    :data:`_SYMBOLS` it exports in full.  Its integers are 64-bit where its config
+    string names ``USE64BITINT``.  ``None`` where there is none: a scipy built on a
+    shared BLAS, or a platform without ``RTLD_NOLOAD``."""
     import scipy
-    import scipy.linalg.lapack  # noqa: F401  (loads the library)
+    import scipy.special  # noqa: F401  (loads the library)
 
     no_load = getattr(os, "RTLD_NOLOAD", None)
     if no_load is None:
@@ -292,15 +353,23 @@ def _scipy_blas_pool() -> _BlasPool | None:
             lib = ctypes.CDLL(str(path), mode=no_load)
         except OSError:  # not loaded
             continue
-        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("", "64_")):
+        for (prefix, lapack), suffix in _SYMBOLS:
+            names = (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}",
+                     f"{lapack}dpotrf_{suffix}", f"{lapack}dtrtrs_{suffix}",
+                     f"{prefix}_get_config{suffix}")
             try:
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                get, set_, potrf, trtrs, config = (getattr(lib, name) for name in names)
             except AttributeError:
                 continue
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            blasint = ctypes.c_int64 if b"USE64BITINT" in config().split() else ctypes.c_int32
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            return _BlasPool(get, set_)
+            # (uplo, n, a, lda, info) and (uplo, trans, diag, n, nrhs, a, lda, b, ldb, info):
+            # each pointer is passed as an address
+            potrf.argtypes, potrf.restype = [ctypes.c_char_p] + [ctypes.c_void_p] * 4, None
+            trtrs.argtypes, trtrs.restype = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 7, None
+            return _ScipyOpenBlas(get, set_, potrf, trtrs, blasint)
     return None
 
 
@@ -310,21 +379,20 @@ _PIN_LOCK = threading.RLock()
 
 
 @contextmanager
-def _one_scipy_blas_thread() -> Iterator[None]:
-    """Run the block with scipy's OpenBLAS pool (:func:`_scipy_blas_pool`) at one
-    thread, and restore its count after it, also when it raises; where no pool is
+def _one_scipy_blas_thread(blas: _ScipyOpenBlas | None) -> Iterator[None]:
+    """Run the block with the pool of scipy's OpenBLAS (:func:`_scipy_openblas`) at one
+    thread, and restore its count after it, also when it raises; where none was
     found, just run the block."""
-    pool = _scipy_blas_pool()
-    if pool is None:
+    if blas is None:
         yield
         return
     with _PIN_LOCK:
-        threads = pool.get()
-        pool.set(1)
+        threads = blas.get()
+        blas.set(1)
         try:
             yield
         finally:
-            pool.set(threads)
+            blas.set(threads)
 
 
 def _raise_lstsq_error(err: str, flag: int) -> None:
@@ -359,8 +427,9 @@ def _liml_blocks(stack: GramStack, items: np.ndarray) -> tuple[np.ndarray, np.nd
     least-squares fit (:func:`_lstsq`) and the projections are one numpy call each
     over the items, with each item's bits."""
     y, x, a = (_rows(arr, items) for arr in stack.rows)
-    # [y X_*] column by column: a fancy-indexed n-row temporary here raised the
-    # peak RSS of `pulse-iv estimate` on 1e5 rows by 5.6 MB
+    # [y X_*] column by column: the peak RSS of `pulse-iv estimate` on 1e5 rows falls
+    # here, while gelsd copies the rows, and a fancy-indexed n-row temporary raised it
+    # by 5.6 MB
     m0 = np.empty((len(items), stack.n, 1 + stack.d1))
     m0[..., 0] = y
     for j, i in enumerate(stack.partition.included_endogenous):

@@ -39,7 +39,7 @@ from typing import Any, Sequence
 import numpy as np
 import scipy.special
 
-from .data import Dataset, GramView, ModelPartition, _spectral_rcond, RCOND_GRAM
+from .data import Dataset, GramView, ModelPartition, _reading, _spectral_rcond, RCOND_GRAM
 from .exceptions import DataError, NonStationary
 
 SPECTRAL_MARGIN = 1e-8
@@ -622,12 +622,15 @@ def model_from_json(doc: dict[str, Any]) -> tuple[SemModel, InterventionSpec]:
 
 
 def load_json(path: str | Path, what: str) -> Any:
-    """Read a JSON file; a missing file or invalid JSON is a :class:`DataError`."""
+    """Read a UTF-8 JSON file; a missing or unreadable file, or invalid JSON, is a
+    :class:`DataError`."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{what} not found: {path}")
+    with _reading(path):
+        text = path.read_text(encoding="utf-8")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON in {path}: {exc}") from None
 

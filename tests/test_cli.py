@@ -740,6 +740,40 @@ class TestDiagnose:
         assert "min eigenvalue = 0.0000\n" in captured.out
 
 
+def _unreadable(tmp_path, cause: str, reader: str) -> Path:
+    """A directory, or a file of the reader's format with a byte that is not UTF-8:
+    in a CSV, in its last data row, past the block that the header's read decodes."""
+    if cause == "directory":
+        return tmp_path
+    if reader in ("estimate", "diagnose"):
+        path = tmp_path / "data.csv"
+        write_invalid_instrument_csv(path)
+        with open(path, "ab") as fh:
+            fh.write(b"1.0,2.0,3.0,4.0\xff\n")
+    else:
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"design": "\xff"}')
+    return path
+
+
+@pytest.mark.parametrize("cause", ["directory", "bad byte"])
+@pytest.mark.parametrize("reader", ["estimate", "diagnose", "simulate", "experiment"])
+def test_an_unreadable_input_file_is_a_data_error(tmp_path, capsys, reader, cause):
+    path = _unreadable(tmp_path, cause, reader)
+    schema = ["--target", "y", "--endogenous", "x1", "--instruments", "a1,a2"]
+    argv = {
+        "estimate": ["estimate", "--data", str(path), *schema],
+        "diagnose": ["diagnose", "--data", str(path), *schema],
+        "simulate": ["simulate", "--sem", str(path), "--n", "5", "--seed", "1",
+                     "--out", str(tmp_path / "o.csv")],
+        "experiment": ["experiment", "--config", str(path), "--out", str(tmp_path / "out")],
+    }[reader]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    reason = "Is a directory" if cause == "directory" else "'utf-8' codec can't decode byte 0xff"
+    assert err.startswith(f"data error: cannot read {path}: {reason}"), err
+
+
 def test_cli_import_leaves_scipy_linalg_unloaded():
     proc = run_python("-c", "import sys, pulse_iv.cli; print('scipy.linalg' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
@@ -772,8 +806,26 @@ def test_estimate_loads_neither_the_harness_nor_the_sem_sampler(e1_config, tmp_p
     exit_code, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert exit_code == 0, proc.stderr
     assert "weak instruments:" in proc.stdout
-    assert {"pulse_iv.data", "pulse_iv.estimators", "scipy.linalg"} <= set(loaded)
-    assert not {"pulse_iv.experiments", "pulse_iv.sem"} & set(loaded)
+    assert {"pulse_iv.data", "pulse_iv.estimators"} <= set(loaded)
+    # LIML calls LAPACK in the OpenBLAS that scipy.special loaded, not through scipy.linalg
+    assert not {"pulse_iv.experiments", "pulse_iv.sem", "scipy.linalg"} & set(loaded)
+
+
+def test_a_serial_study_with_fuller_leaves_scipy_linalg_unloaded():
+    code = (
+        "import sys\n"
+        "from pulse_iv.experiments import ExperimentConfig, run_experiment\n"
+        "cfg = ExperimentConfig(design='univariate', repetitions=3, master_seed=7,\n"
+        "                       estimators=('ols', 'fuller:1', 'pulse'), q_values=(2,),\n"
+        "                       rho_values=(0.9,), r2_values=(0.1,), n_values=(50,),\n"
+        "                       allow_extensions=True)\n"
+        "result = run_experiment(cfg)\n"
+        "print(any('fuller' in line for line in result.csv_text.splitlines()[1:]),\n"
+        "      'scipy.linalg' in sys.modules)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False\n"
 
 
 def test_every_export_resolves_and_is_listed():

@@ -462,20 +462,28 @@ class TestScipyBlasPin:
             set_(before)
 
     @staticmethod
-    def loop(monkeypatch, threads, fail_at=None):
+    def loop(monkeypatch, threads, blas, fail_at=None):
         """The count the pool reads at each ``potrf`` call of one stacked pass over 4
-        items, and the pass's values or the error a failing ``potrf`` raised."""
-        import scipy.linalg.lapack as lapack
+        items, and the pass's values or the error a failing ``potrf`` raised, with
+        ``blas`` as the discovery's answer.  The spy wraps that library's ``potrf``,
+        which the pass calls through ``ctypes``, or scipy's wrapper where it is None."""
+        seen = []
 
-        potrf, seen = lapack.dpotrf, []
+        def spy(potrf):
+            def call(*args, **kwargs):
+                seen.append(threads())
+                if len(seen) == fail_at:
+                    raise RuntimeError("potrf failed")
+                return potrf(*args, **kwargs)
+            return call
 
-        def spy(*args, **kwargs):
-            seen.append(threads())
-            if len(seen) == fail_at:
-                raise RuntimeError("potrf failed")
-            return potrf(*args, **kwargs)
+        if blas is None:
+            import scipy.linalg.lapack as lapack
 
-        monkeypatch.setattr(lapack, "dpotrf", spy)
+            monkeypatch.setattr(lapack, "dpotrf", spy(lapack.dpotrf))
+        else:
+            blas = blas._replace(potrf=spy(blas.potrf))
+        monkeypatch.setattr(estimators, "_scipy_openblas", lambda: blas)
         m = np.random.default_rng(3).normal(size=(4, 6, 2))
         w = np.transpose(m, (0, 2, 1)) @ m
         try:
@@ -486,15 +494,15 @@ class TestScipyBlasPin:
         return seen, values
 
     def test_one_thread_inside_the_loop_and_the_old_count_after(self, threads, monkeypatch):
-        seen, values = self.loop(monkeypatch, threads)
+        blas = estimators._scipy_openblas()
+        seen, values = self.loop(monkeypatch, threads, blas)
         assert seen == [1, 1, 1, 1] and threads() == 2
-        seen, raised = self.loop(monkeypatch, threads, fail_at=2)
+        seen, raised = self.loop(monkeypatch, threads, blas, fail_at=2)
         assert seen == [1, 1] and str(raised) == "potrf failed"
         assert threads() == 2
 
     def test_nothing_is_pinned_where_no_pool_is_found(self, threads, monkeypatch):
-        _, pinned = self.loop(monkeypatch, threads)
-        monkeypatch.setattr(estimators, "_scipy_blas_pool", lambda: None)
-        seen, values = self.loop(monkeypatch, threads)
+        _, pinned = self.loop(monkeypatch, threads, estimators._scipy_openblas())
+        seen, values = self.loop(monkeypatch, threads, None)
         assert seen == [2, 2, 2, 2] and threads() == 2
         assert values.tobytes() == pinned.tobytes()

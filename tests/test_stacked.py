@@ -666,6 +666,70 @@ class TestStackedLiml:
             assert bits(values[r]) == bits(estimators.min_generalized_eigenvalue(w1[r], w[r]))
 
 
+class TestWrappedSolves:
+    """Where the discovery finds no OpenBLAS of scipy's wheel, LIML's per-item loop runs
+    through ``scipy.linalg.lapack``'s wrappers, with the bits and errors of the
+    ``ctypes`` route it takes where the library is found."""
+
+    @staticmethod
+    def both_routes(monkeypatch, run):
+        """``run()`` on the ``ctypes`` route, then with the discovery finding nothing."""
+        if estimators._scipy_openblas() is None:
+            pytest.skip("no OpenBLAS of scipy's wheel is loaded")
+        direct = run()
+        monkeypatch.setattr(estimators, "_scipy_openblas", lambda: None)
+        return direct, run()
+
+    @staticmethod
+    def errors(failed) -> list[tuple[int, str, str]]:
+        return [(r, type(exc).__name__, str(exc)) for r, exc in failed.items()]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_eigenvalues_and_refusals(self, k, monkeypatch):
+        rng = np.random.default_rng(k)
+        m = rng.normal(size=(6, 4 + k, k))
+        # neither W nor W1 is exactly symmetric, so a buffer in the wrong order shows
+        w = np.transpose(m, (0, 2, 1)) @ m + 1e-3 * rng.normal(size=(6, k, k))
+        w1 = w + np.eye(k) + 1e-2 * rng.normal(size=(6, k, k))
+        w[2] = np.ones((k, k))  # singular: potrf stops at its second pivot
+        w[4] = -np.eye(k)  # negative definite
+        (values, failed), (want, want_failed) = self.both_routes(
+            monkeypatch, lambda: estimators._min_generalized_eigenvalues(w1, w)
+        )
+        assert sorted(failed) == [2, 4]
+        assert bits(values) == bits(want)
+        assert self.errors(failed) == self.errors(want_failed)
+
+    def test_stacks_of_two_shapes_are_refused_before_any_call(self):
+        blas = estimators._scipy_openblas()
+        if blas is None:
+            pytest.skip("no OpenBLAS of scipy's wheel is loaded")
+        w = np.broadcast_to(np.eye(3), (4, 3, 3))
+        for w1 in (w[:, :2], w[:3], w[0]):
+            with pytest.raises(ValueError, match="stacks of one shape"):
+                estimators._lapack_solves(blas, w1, w)
+        with pytest.raises(ValueError, match="stacks of one shape"):
+            estimators._lapack_solves(blas, w[:, :2], w[:, :2])
+
+    @pytest.mark.parametrize("model", [univariate_model(2, 0.9, 0.1),
+                                       mv_fixed_model(np.array([[1.5, -0.3], [0.2, -1.1]]),
+                                                      0.8, 0.47, 0.47)],
+                             ids=["k=2", "k=3"])
+    def test_estimates_with_w_singular_items(self, model, monkeypatch):
+        y, x, a = sample_stack(model, 60, [1, 2, 3, 4, 5])
+        y[1] = x[1] @ np.full(x.shape[-1], 2.0) + a[1] @ np.array([0.3, 0.1])  # W is singular
+
+        def run():
+            stack = GramStack.from_rows(y, x, a)
+            return [estimate(stack, EstimatorSpec.parse(label)) for label in ("liml", "fuller:1")]
+
+        direct, wrapped = self.both_routes(monkeypatch, run)
+        for fit, want in zip(direct, wrapped):
+            assert list(fit.failed) == [1]
+            assert bits(fit.kappa) == bits(want.kappa) and bits(fit.alpha) == bits(want.alpha)
+            assert self.errors(fit.failed) == self.errors(want.failed)
+
+
 class TestStackedLstsq:
     """LIML's projections are one stacked ``gelsd`` call (``estimators._lstsq``) with
     each item's ``np.linalg.lstsq(b, m, rcond=None)`` bits and error."""
